@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dooc_sparse::genmat::GapGenerator;
-use dooc_sparse::{dense, fileio};
+use dooc_sparse::{dense, fileio, CsrView};
 use std::hint::black_box;
 
 fn spmv(c: &mut Criterion) {
@@ -84,6 +84,29 @@ fn crs_io(c: &mut Criterion) {
     g.bench_function("encode", |b| b.iter(|| black_box(fileio::to_bytes(&m))));
     g.bench_function("decode", |b| {
         b.iter(|| black_box(fileio::from_bytes(black_box(&bytes)).expect("valid")))
+    });
+    // What a multiply task does with its sub-matrix — decode it then
+    // multiply, or validate the bytes in place and multiply straight from
+    // them — on the short rows a K×K grid cuts (under 5 entries each).
+    let m = GapGenerator::for_target_nnz(n, n, 233_000).generate(n, n, 3);
+    let bytes = fileio::to_bytes(&m);
+    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+    let mut y = vec![0.0; n as usize];
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("block_decode_spmv", |b| {
+        b.iter(|| {
+            let m = fileio::from_bytes(black_box(&bytes)).expect("valid");
+            m.spmv_into(black_box(&x), black_box(&mut y)).expect("dims")
+        })
+    });
+    g.bench_function("block_view_parse", |b| {
+        b.iter(|| black_box(CsrView::parse(black_box(&bytes)).expect("valid").nnz()))
+    });
+    g.bench_function("block_view_parse_spmv", |b| {
+        b.iter(|| {
+            let v = CsrView::parse(black_box(&bytes)).expect("valid");
+            v.spmv_into(black_box(&x), black_box(&mut y)).expect("dims")
+        })
     });
     g.finish();
 }

@@ -1,7 +1,7 @@
 //! Node data-plane benchmark: pipelined vs blocking array reads, end-to-end
-//! iterated SpMV through the old (per-block round-trip, double-copy) and new
-//! (pipelined, zero-copy, pooled) worker paths, and the serial-vs-pool
-//! crossover calibration for the dense kernels.
+//! iterated SpMV wall time per node count (barriered, and against frontier
+//! release), and the serial-vs-pool crossover calibration for the dense
+//! kernels.
 //!
 //! Emits `BENCH_dataplane.json` (override with `--out <path>`), plus a
 //! traced 2-node SpMV run exported as `TRACE_dataplane.json` (Chrome
@@ -22,9 +22,7 @@
 
 use bytes::Bytes;
 use dooc_core::sync::OrderedMutex;
-use dooc_core::{
-    runtime_lane_specs, DoocConfig, DoocRuntime, ExecOutcome, TaskExecutor, TaskSpec, WorkerContext,
-};
+use dooc_core::{runtime_lane_specs, DoocConfig, DoocRuntime, WorkerContext};
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_linalg::spmv_app::{
     tiled_owner, IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock,
@@ -33,8 +31,7 @@ use dooc_linalg::spmv_app::{
 use dooc_scheduler::audit;
 use dooc_sparse::blockgrid::BlockGrid;
 use dooc_sparse::genmat::GapGenerator;
-use dooc_sparse::{dense, fileio, ComputePool};
-use dooc_storage::meta::{ArrayMeta, Interval};
+use dooc_sparse::{dense, ComputePool};
 use dooc_storage::{StorageClient, StorageCluster};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -156,44 +153,40 @@ fn main() {
     }
     json.push_str("\n  },\n");
 
-    // --- 2. end-to-end iterated SpMV: old vs new worker data plane ---------
+    // --- 2. end-to-end iterated SpMV wall time -----------------------------
     let (k, n, iters) = if quick {
         (4u64, 512u64, 2u64)
     } else {
         (4, 2048, 3)
     };
-    // Each configuration is staged, run and torn down E2E_ROUNDS times per
-    // path, interleaved, and the fastest round is kept. A full runtime
-    // bring-up takes tens of milliseconds, so a single-shot wall time is
-    // dominated by whatever else the host was doing — the seed's recorded
-    // 0.70x "regression" at 4 nodes was exactly that artifact (re-measuring
-    // the same binary min-of-rounds put it at 1.3x).
+    // Each configuration is staged, run and torn down E2E_ROUNDS times and
+    // the fastest round is kept. A full runtime bring-up takes tens of
+    // milliseconds, so a single-shot wall time is dominated by whatever else
+    // the host was doing — the seed's recorded 0.70x "regression" at 4 nodes
+    // was exactly that artifact (re-measuring the same binary min-of-rounds
+    // put it at 1.3x).
     const E2E_ROUNDS: u32 = 3;
     json.push_str("  \"spmv_e2e\": [\n");
     let mut rows = Vec::new();
     for &nodes in &[1usize, 4] {
-        let mut before = f64::MAX;
-        let mut after = f64::MAX;
+        let mut wall = f64::MAX;
         for _ in 0..E2E_ROUNDS {
-            before = before.min(run_spmv(nodes, k, n, iters, true));
-            after = after.min(run_spmv(nodes, k, n, iters, false));
+            wall = wall.min(run_spmv(nodes, k, n, iters, IterationMode::Barrier));
         }
         println!(
-            "iterated SpMV k={k} n={n} iters={iters} nodes={nodes} (min of {E2E_ROUNDS}): before {before:.3}s, after {after:.3}s ({:.2}x)",
-            before / after
+            "iterated SpMV k={k} n={n} iters={iters} nodes={nodes} (min of {E2E_ROUNDS}): {wall:.3}s"
         );
         rows.push(format!(
-            "    {{\"nodes\": {nodes}, \"k\": {k}, \"n\": {n}, \"iterations\": {iters}, \"rounds\": {E2E_ROUNDS}, \"wall_s_before\": {before:.4}, \"wall_s_after\": {after:.4}, \"speedup\": {:.3}}}",
-            before / after
+            "    {{\"nodes\": {nodes}, \"k\": {k}, \"n\": {n}, \"iterations\": {iters}, \"rounds\": {E2E_ROUNDS}, \"wall_s\": {wall:.4}}}"
         ));
     }
     json.push_str(&rows.join(",\n"));
     json.push_str("\n  ],\n");
 
     // --- 2b. iterated SpMV: barriered vs frontier progress tracking --------
-    // Same workload through the *current* data plane, per-iteration barrier
-    // vs frontier-based release (capability counts over the progress lane,
-    // iterations pipelining into each other). Both runs produce bitwise
+    // Same workload, per-iteration barrier vs frontier-based release
+    // (capability counts over the progress lane, iterations pipelining into
+    // each other). Both runs produce bitwise
     // identical vectors — tests/distributed.rs proves it — so this measures
     // pure scheduling slack: barrier tasks plus the idle tail each iteration
     // spends waiting for its slowest block.
@@ -204,8 +197,8 @@ fn main() {
         let mut barrier = f64::MAX;
         let mut frontier = f64::MAX;
         for _ in 0..E2E_ROUNDS {
-            barrier = barrier.min(run_spmv_mode(nodes, k, n, iters, IterationMode::Barrier));
-            frontier = frontier.min(run_spmv_mode(nodes, k, n, iters, IterationMode::Frontier));
+            barrier = barrier.min(run_spmv(nodes, k, n, iters, IterationMode::Barrier));
+            frontier = frontier.min(run_spmv(nodes, k, n, iters, IterationMode::Frontier));
         }
         if nodes == 4 {
             e2e_frontier_4n = frontier;
@@ -424,155 +417,11 @@ fn read_latency(nblocks: u64, block_bytes: u64, reps: u32) -> ReadLatency {
     results.pop().expect("driver reported")
 }
 
-/// The worker data plane exactly as it was before this change: one blocking
-/// round trip per block on reads, an extra byte-chunk re-copy on f64 decode,
-/// a per-block `Bytes::copy_from_slice` on writes, and per-call scoped
-/// threads instead of the persistent pool.
-struct BaselineSpmvExecutor;
-
-impl BaselineSpmvExecutor {
-    fn read_f64s(ctx: &mut WorkerContext, name: &str) -> Result<Vec<f64>, String> {
-        let raw = ctx.read_array_blocking(name)?;
-        if raw.len() % 8 != 0 {
-            return Err(format!(
-                "array '{name}' length {} not f64-aligned",
-                raw.len()
-            ));
-        }
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(c);
-                f64::from_le_bytes(b)
-            })
-            .collect())
-    }
-
-    fn write_array(ctx: &mut WorkerContext, name: &str, data: &[u8]) -> Result<(), String> {
-        let (len, bs) = ctx
-            .geometry_of(name)
-            .unwrap_or((data.len() as u64, data.len().max(1) as u64));
-        ctx.storage()
-            .create(name, len, bs)
-            .map_err(|e| format!("create {name}: {e}"))?;
-        let meta = ArrayMeta::new(name, len, bs);
-        for b in 0..meta.nblocks() {
-            let start = meta.block_start(b);
-            let blen = meta.block_len(b);
-            ctx.storage()
-                .write(
-                    name,
-                    Interval::new(start, blen),
-                    Bytes::copy_from_slice(&data[start as usize..(start + blen) as usize]),
-                )
-                .map_err(|e| format!("write {name}[{b}]: {e}"))?;
-        }
-        Ok(())
-    }
-
-    fn write_f64s(ctx: &mut WorkerContext, name: &str, xs: &[f64]) -> Result<(), String> {
-        let mut raw = Vec::with_capacity(8 * xs.len());
-        for x in xs {
-            raw.extend_from_slice(&x.to_le_bytes());
-        }
-        Self::write_array(ctx, name, &raw)
-    }
-}
-
-impl TaskExecutor for BaselineSpmvExecutor {
-    fn execute(&self, task: &TaskSpec, ctx: &mut WorkerContext) -> ExecOutcome {
-        match task.kind.as_str() {
-            "multiply" => {
-                let raw = ctx.read_array_blocking(&task.inputs[0].array)?;
-                let m = fileio::from_bytes(&raw).map_err(|e| format!("decode matrix: {e}"))?;
-                let x = Self::read_f64s(ctx, &task.inputs[1].array)?;
-                let mut y = vec![0.0; m.nrows() as usize];
-                m.spmv_parallel(&x, &mut y, ctx.threads)
-                    .map_err(|e| format!("spmv: {e}"))?;
-                Self::write_f64s(ctx, &task.outputs[0].array, &y)
-            }
-            "sum" | "sum_final" => {
-                let mut acc: Option<Vec<f64>> = None;
-                for input in &task.inputs {
-                    if input.array.starts_with("bar_") {
-                        continue;
-                    }
-                    let x = Self::read_f64s(ctx, &input.array)?;
-                    match &mut acc {
-                        None => acc = Some(x),
-                        Some(a) => dense::add_assign(a, &x),
-                    }
-                }
-                let out = acc.ok_or("sum with no data inputs")?;
-                Self::write_f64s(ctx, &task.outputs[0].array, &out)?;
-                if task.kind == "sum_final" {
-                    let name = task.outputs[0].array.clone();
-                    ctx.storage()
-                        .persist(&name)
-                        .map_err(|e| format!("persist {name}: {e}"))?;
-                }
-                Ok(())
-            }
-            "barrier" => Self::write_array(ctx, &task.outputs[0].array, &[0u8; 8]),
-            other => Err(format!("unknown SpMV task kind '{other}'")),
-        }
-    }
-}
-
-/// One end-to-end iterated-SpMV run; returns wall seconds.
-fn run_spmv(nodes: usize, k: u64, n: u64, iterations: u64, baseline: bool) -> f64 {
-    let tag = format!(
-        "bench-dp-{nodes}n-{}",
-        if baseline { "before" } else { "after" }
-    );
-    let cfg = DoocConfig::in_temp_dirs(&tag, nodes)
-        .expect("cfg")
-        .memory_budget(256 << 20)
-        .threads_per_node(2)
-        .prefetch_window(2);
-    let grid = BlockGrid::new(k, n);
-    let gen = GapGenerator::with_d(3);
-    let blocks = SpmvAppBuilder::stage(
-        &cfg.scratch_dirs,
-        grid,
-        &gen,
-        42,
-        tiled_owner(k, nodes as u64),
-    )
-    .expect("stage");
-    let app = SpmvAppBuilder::new(grid, iterations, blocks)
-        .reduction(ReductionPlan::LocalAggregation)
-        .sync(SyncPolicy::IterationBarrier);
-    let x0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin() + 1.0).collect();
-    app.stage_initial_vector(&cfg.scratch_dirs, &x0)
-        .expect("stage x0");
-    let (graph, external, geometry) = app.build();
-    let mut cfg2 = cfg.clone();
-    for (name, len, bs) in geometry {
-        cfg2 = cfg2.with_geometry(name, len, bs);
-    }
-    let executor: Arc<dyn TaskExecutor> = if baseline {
-        Arc::new(BaselineSpmvExecutor)
-    } else {
-        Arc::new(SpmvExecutor)
-    };
-    let t0 = Instant::now();
-    DoocRuntime::new(cfg2.clone())
-        .run(graph, external, executor)
-        .expect("run");
-    let wall = t0.elapsed().as_secs_f64();
-    for d in &cfg2.scratch_dirs {
-        std::fs::remove_dir_all(d).ok();
-    }
-    wall
-}
-
-/// One end-to-end iterated-SpMV run through the current executor under the
-/// given iteration mode; returns wall seconds. The `SyncPolicy` is the
+/// One end-to-end iterated-SpMV run under the given iteration mode; returns
+/// wall seconds. The `SyncPolicy` is the
 /// barriered path's knob only — frontier mode ignores it and gates releases
 /// on the capability frontier instead.
-fn run_spmv_mode(nodes: usize, k: u64, n: u64, iterations: u64, mode: IterationMode) -> f64 {
+fn run_spmv(nodes: usize, k: u64, n: u64, iterations: u64, mode: IterationMode) -> f64 {
     let tag = format!(
         "bench-dp-{nodes}n-{}",
         if mode == IterationMode::Frontier {

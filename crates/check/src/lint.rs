@@ -20,10 +20,11 @@
 //! 5. **No bare `release_read` calls outside the `storage` crate** — the
 //!    storage client hands out RAII [`ReadGuard`]s that release their pin on
 //!    drop; callers that release manually reintroduce the leak class the
-//!    guard API removed. The pipelined `*_raw` escape hatch is allowed (the
-//!    pattern requires the exact method name). Unlike rules 1–3 this rule
-//!    also applies to `tests/` and `benches/` trees: migrated test code must
-//!    not drift back to the manual protocol.
+//!    guard API removed. No call whose name starts with `release_read` is
+//!    exempt: the worker's pipelined window, the last manual caller, holds
+//!    guards too. Unlike rules 1–3 this rule also applies to `tests/` and
+//!    `benches/` trees: migrated test code must not drift back to the manual
+//!    protocol.
 //! 6. **Every `fail::at` failpoint in library code names a registered
 //!    site** — the site argument must be a string literal from
 //!    [`REGISTERED_FAULT_SITES`] (mirroring `dooc_faultline::SITES`, with a
@@ -141,7 +142,7 @@ const PAT_STD_MUTEX: &str = concat!("std::sync::", "Mutex");
 const PAT_STD_RWLOCK: &str = concat!("std::sync::", "RwLock");
 const PAT_UNBOUNDED: &str = concat!("unbounded", "(");
 const PAT_FORBID_UNSAFE: &str = concat!("#![forbid(", "unsafe_code)]");
-const PAT_RELEASE_READ: &str = concat!(".release_read", "(");
+const PAT_RELEASE_READ: &str = concat!(".release", "_read");
 const PAT_FAIL_AT: &str = concat!("fail::", "at(");
 const PAT_PARKING_LOT: &str = concat!("parking", "_lot");
 const PAT_CROSSBEAM: &str = concat!("cross", "beam");
@@ -160,7 +161,7 @@ pub struct LintOpts {
     /// Rule 3: ban unbounded channels (off only for the `sync` crate, which
     /// implements the channel facade itself).
     pub ban_unbounded: bool,
-    /// Rule 5: ban bare `release_read(` (off for the `storage` crate).
+    /// Rule 5: ban bare `release_read*(` calls (off for the `storage` crate).
     pub ban_release_read: bool,
     /// Rule 6: `fail::at` sites must be registered string literals (off for
     /// the `faultline` crate).
@@ -227,7 +228,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
             report(
                 "no-bare-release-read",
                 "manual release_read — hold a ReadGuard (wait_read/read) and let drop \
-                 release the pin, or use the *_raw pipelined API"
+                 release the pin"
                     .into(),
             );
         }
@@ -312,7 +313,7 @@ pub fn lint_release_read(file: &Path, content: &str) -> Vec<Finding> {
                 line: i + 1,
                 rule: "no-bare-release-read",
                 message: "manual release_read — hold a ReadGuard (wait_read/read) and let \
-                          drop release the pin, or use the *_raw pipelined API"
+                          drop release the pin"
                     .into(),
             });
         }
@@ -656,8 +657,8 @@ mod tests {
     fn bare_release_read_flagged_even_in_test_modules() {
         let src = format!(
             "fn f() {{ sc{}iv); }}\n#[cfg(test)]\nmod t {{ fn g() {{ sc{}iv); }} }}\n",
-            concat!(".release_read", "(\"a\", "),
-            concat!(".release_read", "(\"a\", "),
+            concat!(".release", "_read(\"a\", "),
+            concat!(".release", "_read(\"a\", "),
         );
         let f = lint_source(Path::new("a.rs"), &src, opts(false, true, false));
         assert_eq!(f.len(), 2, "{f:?}");
@@ -669,18 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn release_read_raw_escape_hatch_allowed() {
-        let src = "fn f() { sc.release_read_raw(\"a\", iv)?; }\n";
-        assert!(lint_source(Path::new("a.rs"), src, opts(false, true, false)).is_empty());
-        assert!(lint_release_read(Path::new("a.rs"), src).is_empty());
-    }
-
-    #[test]
     fn release_read_scan_for_test_trees() {
         let src = format!(
             "// sc{}iv) in a comment is fine\nfn f() {{ sc{}iv); }}\n",
-            concat!(".release_read", "(\"a\", "),
-            concat!(".release_read", "(\"a\", "),
+            concat!(".release", "_read(\"a\", "),
+            concat!(".release", "_read(\"a\", "),
         );
         let f = lint_release_read(Path::new("tests/t.rs"), &src);
         assert_eq!(f.len(), 1, "{f:?}");

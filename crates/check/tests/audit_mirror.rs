@@ -142,7 +142,7 @@ fn two_node_watermarks_bounded() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized mirror: static `peak_bytes` ≥ every node's observed
     /// pinned high watermark, across random layered shapes and fan-ins.

@@ -6,8 +6,9 @@
 //! read window — under the virtual cooperative scheduler, and asserts an
 //! invariant that must hold on *every* interleaving. Each positive test has
 //! a seeded-bug twin: with one real guard disabled (`SeededBugs` in
-//! `storage::node`, `leak_read_grant_of_block` in `core::worker`) the
-//! explorer must find a failing schedule, and replaying its token must
+//! `storage::node`) or one real `ReadGuard` forgotten
+//! (`leak_read_grant_of_block` in `core::worker`) the explorer must find a
+//! failing schedule, and replaying its token must
 //! reproduce the exact same failure and event sequence.
 //!
 //! Run with `cargo test -p dooc-check --features model -- explore`.

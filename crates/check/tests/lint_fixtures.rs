@@ -85,7 +85,7 @@ fn rule4_crate_root_must_forbid_unsafe() {
 
 #[test]
 fn rule5_bare_release_read_flagged_even_in_tests() {
-    let call = concat!(".release_read", "(");
+    let call = concat!(".release", "_read(");
     let positive = format!("client{}id)?;\n", call);
     assert_eq!(rules(&positive, disciplined()), ["no-bare-release-read"]);
     // Rule 5 is the one rule that also applies inside test modules…
@@ -95,6 +95,10 @@ fn rule5_bare_release_read_flagged_even_in_tests() {
     let findings = lint_release_read(Path::new("tests/it.rs"), &positive);
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].rule, "no-bare-release-read");
+
+    // No spelling of a manual release is exempt (the `*_raw` pair is gone).
+    let raw = format!("client{}id)?;\n", concat!(".release", "_read_raw("));
+    assert_eq!(rules(&raw, disciplined()), ["no-bare-release-read"]);
 
     let negative = "let g = client.wait_read(id)?; // drop releases the pin\n";
     assert!(rules(negative, disciplined()).is_empty());

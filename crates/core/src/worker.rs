@@ -122,6 +122,22 @@ impl ArrayView {
         &self.blocks
     }
 
+    /// The whole array as one [`Bytes`], for kernels that compute straight
+    /// from the stored representation: a single-block array lends its
+    /// storage buffer (a reference count, nothing copied — keep the view
+    /// alive while computing, its guard is what keeps the block resident
+    /// and charged to the budget); an array that spans several blocks is
+    /// assembled once, and the copy is charged to `ctx`'s `copied_bytes`.
+    pub fn contiguous(&self, ctx: &mut WorkerContext<'_>) -> Bytes {
+        match self.blocks.as_slice() {
+            [(_, only)] => only.bytes().clone(),
+            _ => {
+                ctx.copied_bytes += self.total;
+                Bytes::from(self.to_vec())
+            }
+        }
+    }
+
     /// Assembles a contiguous copy (for consumers that need one flat slice).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total as usize);
@@ -191,9 +207,10 @@ pub struct WorkerContext<'a> {
     /// only re-executable while this is false: inputs are immutable, but a
     /// half-written output would make the replay's `create` collide.
     pub(crate) wrote_outputs: bool,
-    /// Model builds: [`Self::read_blocks_raw`] deliberately leaks the read
-    /// grant of this block index instead of releasing it — seeded bug for
-    /// the grant-leak negative exploration test in dooc-check.
+    /// Model builds: [`Self::read_array`] deliberately leaks the read grant
+    /// of this block index (`mem::forget` of its guard) instead of dropping
+    /// it — seeded bug for the grant-leak negative exploration test in
+    /// dooc-check.
     #[cfg(feature = "model")]
     pub leak_read_grant_of_block: Option<u64>,
 }
@@ -276,18 +293,18 @@ impl<'a> WorkerContext<'a> {
     }
 
     /// Core pipelined read: issues up to [`PIPELINE_WINDOW`] block reads
-    /// ahead of the wait, calling `consume(block, bytes)` in block order
-    /// while later requests are already in flight — a K-block array costs
-    /// ~1 round trip of latency instead of K. Uses the storage client's raw
-    /// read API: pins are recycled at window rate, so each is released
-    /// explicitly right after `consume` instead of through a [`ReadGuard`].
-    fn read_blocks_raw<F>(
+    /// ahead of the wait, handing `consume(block, guard)` each block's pin
+    /// in block order while later requests are already in flight — a K-block
+    /// array costs ~1 round trip of latency instead of K. The pin lives as
+    /// long as `consume` keeps the [`ReadGuard`]: a copy-out drops it on the
+    /// spot (the window then recycles pins at its own rate), a view keeps it.
+    fn read_blocks_pinned<F>(
         &mut self,
         meta: &ArrayMeta,
         mut consume: F,
     ) -> std::result::Result<(), String>
     where
-        F: FnMut(u64, &Bytes),
+        F: FnMut(u64, ReadGuard),
     {
         // Crash before any request is issued: no ticket is in flight, so the
         // replayed attempt starts from a clean reply stream.
@@ -315,75 +332,12 @@ impl<'a> WorkerContext<'a> {
             if b & 7 == 0 {
                 obs().pipeline_occupancy.record(tickets.len() as u64 + 1);
             }
-            let data = self
-                .client
-                .wait_read_raw(t)
-                .map_err(|e| format!("read {name}[{b}]: {e}"))?;
-            // Refill the window before touching the payload so the storage
-            // filter works on the next block while we copy/decode this one.
-            if next < nblocks {
-                let iv = Interval::new(meta.block_start(next), meta.block_len(next));
-                let t = self
-                    .client
-                    .read_async(name, iv)
-                    .map_err(|e| format!("read {name}[{next}]: {e}"))?;
-                tickets.push_back((next, t));
-                next += 1;
-            }
-            consume(b, &data);
-            self.input_bytes += data.len() as u64;
-            batched_bytes += data.len() as u64;
-            #[cfg(feature = "model")]
-            if self.leak_read_grant_of_block == Some(b) {
-                continue;
-            }
-            let iv = Interval::new(meta.block_start(b), meta.block_len(b));
-            self.client
-                .release_read_raw(name, iv)
-                .map_err(|e| format!("release {name}[{b}]: {e}"))?;
-        }
-        // One relaxed add per array read instead of one per block.
-        obs().input_bytes.add(batched_bytes);
-        Ok(())
-    }
-
-    /// Pinned variant of [`WorkerContext::read_blocks_raw`]: same pipelined
-    /// window, but each block's pin is handed to `consume` as a
-    /// [`ReadGuard`] instead of being released, so the caller decides how
-    /// long it stays resident.
-    fn read_blocks_pinned<F>(
-        &mut self,
-        meta: &ArrayMeta,
-        mut consume: F,
-    ) -> std::result::Result<(), String>
-    where
-        F: FnMut(u64, ReadGuard),
-    {
-        self.maybe_crash()?;
-        let _span = dooc_obs::span(Category::Worker, "worker:read", self.node as i64);
-        let name = &meta.name;
-        let nblocks = meta.nblocks();
-        let mut tickets: VecDeque<(u64, dooc_storage::ReadTicket)> =
-            VecDeque::with_capacity(PIPELINE_WINDOW.min(nblocks as usize));
-        let mut next = 0u64;
-        while next < nblocks.min(PIPELINE_WINDOW as u64) {
-            let iv = Interval::new(meta.block_start(next), meta.block_len(next));
-            let t = self
-                .client
-                .read_async(name, iv)
-                .map_err(|e| format!("read {name}[{next}]: {e}"))?;
-            tickets.push_back((next, t));
-            next += 1;
-        }
-        let mut batched_bytes = 0u64;
-        while let Some((b, t)) = tickets.pop_front() {
-            if b & 7 == 0 {
-                obs().pipeline_occupancy.record(tickets.len() as u64 + 1);
-            }
             let guard = self
                 .client
                 .wait_read(t)
                 .map_err(|e| format!("read {name}[{b}]: {e}"))?;
+            // Refill the window before touching the payload so the storage
+            // filter works on the next block while we consume this one.
             if next < nblocks {
                 let iv = Interval::new(meta.block_start(next), meta.block_len(next));
                 let t = self
@@ -397,6 +351,7 @@ impl<'a> WorkerContext<'a> {
             batched_bytes += guard.len() as u64;
             consume(b, guard);
         }
+        // One relaxed add per array read instead of one per block.
         obs().input_bytes.add(batched_bytes);
         Ok(())
     }
@@ -411,12 +366,16 @@ impl<'a> WorkerContext<'a> {
     pub fn read_array(&mut self, name: &str) -> std::result::Result<Vec<u8>, String> {
         let meta = self.meta_of(name)?;
         let mut out = Vec::with_capacity(meta.len as usize);
-        let mut copied = 0u64;
-        self.read_blocks_raw(&meta, |_, data| {
-            out.extend_from_slice(data);
-            copied += data.len() as u64;
+        #[cfg(feature = "model")]
+        let leak = self.leak_read_grant_of_block;
+        self.read_blocks_pinned(&meta, |_b, guard| {
+            out.extend_from_slice(&guard);
+            #[cfg(feature = "model")]
+            if leak == Some(_b) {
+                std::mem::forget(guard);
+            }
         })?;
-        self.copied_bytes += copied;
+        self.copied_bytes += out.len() as u64;
         Ok(out)
     }
 

@@ -163,6 +163,47 @@ fn pipelined_read_beyond_window() {
     });
 }
 
+/// `ArrayView::contiguous`: a single-block array lends the very buffer its
+/// guard pins (nothing copied, nothing counted); an array that spans blocks
+/// is assembled once and the copy is charged to the context. Either way the
+/// pins go back when the view drops, not before.
+#[test]
+fn contiguous_lends_a_single_block_and_assembles_several() {
+    run_node("contig", 1 << 22, |sc| {
+        let mut geometry = geometry_of("one", 1000, 1000);
+        geometry.insert("many".to_string(), (1000, 333));
+        let pool = ComputePool::new(1);
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        let data = payload(1000, 9);
+        for name in ["one", "many"] {
+            ctx.write_bytes(name, Bytes::from(data.clone()))
+                .expect("write");
+        }
+        let before = ctx.copied_bytes();
+
+        let view = ctx.read_view("one").expect("view");
+        let flat = view.contiguous(&mut ctx);
+        assert_eq!(flat, data);
+        assert_eq!(
+            flat.as_ptr(),
+            view.blocks()[0].1.bytes().as_ptr(),
+            "a single block must be lent, not copied"
+        );
+        assert_eq!(ctx.copied_bytes(), before, "nothing was copied");
+        assert_eq!(ctx.storage().outstanding_grants(), 1, "pinned while held");
+        drop(view);
+        assert_eq!(ctx.storage().outstanding_grants(), 0);
+
+        let view = ctx.read_view("many").expect("view");
+        assert_eq!(view.blocks().len(), 4);
+        let flat = view.contiguous(&mut ctx);
+        assert_eq!(flat, data);
+        assert_eq!(ctx.copied_bytes(), before + 1000, "the assembly is counted");
+        drop(view);
+        assert_eq!(ctx.storage().outstanding_grants(), 0);
+    });
+}
+
 /// The incremental map protocol: a quiescent repeat query returns an empty
 /// delta (this is what makes the per-tick snapshot allocation-free), and the
 /// tracker folds deltas into the same residency the full map implies.

@@ -222,3 +222,41 @@ fn fifo_vs_data_aware_reload_volume() {
         disk_reads[0]
     );
 }
+
+#[test]
+fn corrupt_staged_block_fails_the_run_with_a_decode_error() {
+    // A staged sub-matrix file whose column section was overwritten: the
+    // multiply that pins it must fail its task (and with it the run) with a
+    // decode error — multiplying from the block in place must not turn a
+    // bad file into a panic or an out-of-bounds gather.
+    let s = setup(
+        "spmv-corrupt",
+        2,
+        40,
+        1,
+        1,
+        ReductionPlan::RowRoot,
+        SyncPolicy::None,
+        64 << 20,
+    );
+    let coord = dooc_sparse::BlockCoord { u: 1, v: 0 };
+    let path = s.cfg.scratch_dirs[0].join(BlockGrid::file_name(coord));
+    let mut raw = std::fs::read(&path).expect("staged block");
+    let first_col = 32 + 8 * (20 + 1);
+    raw[first_col..first_col + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&path, raw).expect("rewrite");
+
+    let (graph, external, geometry) = s.app.build();
+    let mut cfg = s.cfg.clone();
+    for (name, len, bs) in geometry {
+        cfg = cfg.with_geometry(name, len, bs);
+    }
+    let err = DoocRuntime::new(cfg.clone())
+        .run(graph, external, Arc::new(SpmvExecutor))
+        .expect_err("a corrupt block must fail the run");
+    let msg = format!("{err}");
+    assert!(msg.contains("decode matrix"), "got: {msg}");
+    for d in &cfg.scratch_dirs {
+        std::fs::remove_dir_all(d).ok();
+    }
+}

@@ -1,0 +1,209 @@
+//! The SpMV executor computes on its inputs where the storage layer holds
+//! them: a `multiply` over a single-block matrix copies no matrix byte and
+//! hands every pin back, a matrix that spans several blocks is assembled
+//! once and still multiplies bit for bit, a corrupt block is a task error
+//! rather than a panic, and the fused decode-and-add of `sum` is bitwise the
+//! AXPY it replaces.
+
+use bytes::Bytes;
+use dooc_core::{TaskExecutor, TaskSpec, WorkerContext};
+use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
+use dooc_linalg::spmv_app::SpmvExecutor;
+use dooc_sparse::{dense, fileio, ComputePool, CsrMatrix, GapGenerator};
+use dooc_storage::{StorageClient, StorageCluster};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// Runs `driver(&mut client)` against a fresh single-node storage cluster and
+/// cleans up the scratch directory afterwards.
+fn run_node<F>(tag: &str, driver: F)
+where
+    F: Fn(&mut StorageClient) + Send + Sync + 'static,
+{
+    let dir = std::env::temp_dir().join(format!("dooc-zerocopy-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut layout = Layout::new();
+    let mut cluster = StorageCluster::build(&mut layout, vec![dir.clone()], 1 << 24, 7);
+    let driver = Arc::new(driver);
+    let drivers = layout.add_replicated("driver", vec![NodeId(0)], move |_| {
+        let driver = Arc::clone(&driver);
+        Box::new(
+            move |ctx: &mut FilterContext| -> dooc_filterstream::Result<()> {
+                let to = ctx.take_output("sreq")?;
+                let from = ctx.take_input("srep")?;
+                let mut sc = StorageClient::new(to, from, ctx.instance, ctx.instance as u64);
+                driver(&mut sc);
+                sc.shutdown().ok();
+                Ok(())
+            },
+        )
+    });
+    cluster.attach_clients(&mut layout, drivers, 1, "sreq", "srep");
+    Runtime::run(layout).expect("cluster run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn le_bytes(xs: &[f64]) -> Vec<u8> {
+    xs.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn sample() -> (CsrMatrix, Vec<f64>) {
+    let m = GapGenerator::with_d(3).generate(90, 70, 17);
+    let x = (0..70).map(|i| (i as f64 * 0.29).cos() + 0.5).collect();
+    (m, x)
+}
+
+/// Stores `matrix` as array `<tag>A` in blocks of `block` bytes and `x` as
+/// one block, runs one `multiply`, and returns its outcome with what the
+/// execution copied and left pinned.
+fn multiply(
+    sc: &mut StorageClient,
+    tag: &str,
+    matrix: Vec<u8>,
+    block: u64,
+    x: &[f64],
+    nrows: u64,
+) -> (Result<Vec<f64>, String>, u64, u64) {
+    let (alen, xlen, ylen) = (matrix.len() as u64, 8 * x.len() as u64, 8 * nrows);
+    let [a, xv, y] = ["A", "x", "y"].map(|n| format!("{tag}{n}"));
+    let geometry: HashMap<String, (u64, u64)> = [
+        (a.clone(), (alen, block)),
+        (xv.clone(), (xlen, xlen)),
+        (y.clone(), (ylen, ylen)),
+    ]
+    .into();
+    let pool = ComputePool::new(1);
+    {
+        let mut stage = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        stage.write_bytes(&a, Bytes::from(matrix)).expect("A");
+        stage.write_f64s(&xv, x).expect("x");
+    }
+    let task = TaskSpec::new("y", "multiply")
+        .input(a, alen)
+        .input(xv, xlen)
+        .output(y.clone(), ylen);
+    let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+    let outcome = SpmvExecutor.execute(&task, &mut ctx);
+    let copied = ctx.copied_bytes();
+    let result = outcome.and_then(|()| ctx.read_f64s(&y));
+    let pinned = ctx.storage().outstanding_grants();
+    (result, copied, pinned)
+}
+
+#[test]
+fn multiply_over_a_single_block_copies_no_matrix_byte() {
+    run_node("single", |sc| {
+        let (m, x) = sample();
+        let raw = fileio::to_bytes(&m);
+        let len = raw.len() as u64;
+        let (y, copied, pinned) = multiply(sc, "", raw, len, &x, m.nrows());
+        assert_eq!(
+            bits(&y.expect("multiply")),
+            bits(&m.spmv(&x).expect("dims"))
+        );
+        // All that was copied is the result vector being serialized.
+        assert_eq!(copied, 8 * m.nrows(), "matrix bytes were copied");
+        assert_eq!(pinned, 0, "a pin outlived the task");
+    });
+}
+
+#[test]
+fn multiply_over_a_multi_block_matrix_assembles_once() {
+    run_node("multi", |sc| {
+        let (m, x) = sample();
+        let raw = fileio::to_bytes(&m);
+        let len = raw.len() as u64;
+        // 7 is coprime to 8: block boundaries cut through words.
+        let (y, copied, pinned) = multiply(sc, "", raw, len / 7 + 3, &x, m.nrows());
+        assert_eq!(
+            bits(&y.expect("multiply")),
+            bits(&m.spmv(&x).expect("dims"))
+        );
+        assert_eq!(copied, len + 8 * m.nrows(), "one assembled copy, counted");
+        assert_eq!(pinned, 0);
+    });
+}
+
+#[test]
+fn corrupted_block_fails_the_task_with_a_decode_error() {
+    run_node("corrupt", |sc| {
+        let (m, x) = sample();
+        let len = fileio::to_bytes(&m).len() as u64;
+        let first_col = 32 + 8 * (m.nrows() as usize + 1);
+        type Corrupt = fn(&mut Vec<u8>, usize);
+        let corruptions: [(&str, Corrupt); 3] = [
+            ("column out of range", |b, at| {
+                b[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes())
+            }),
+            ("hostile nnz", |b, _| {
+                b[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes())
+            }),
+            ("bad magic", |b, _| b[0] = b'X'),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut raw = fileio::to_bytes(&m);
+            corrupt(&mut raw, first_col);
+            let (y, _, pinned) = multiply(sc, what, raw, len, &x, m.nrows());
+            let err = y.expect_err(what);
+            assert!(err.contains("decode matrix"), "{what}: {err}");
+            assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
+        }
+    });
+}
+
+#[test]
+fn sum_folds_partials_from_their_bytes_bitwise() {
+    run_node("sum", |sc| {
+        // Longer than one slab, with a remainder, and a -0.0 the first
+        // partial must carry through (0.0 + -0.0 would lose its sign).
+        let n = 2 * dooc_sparse::slab::DEFAULT_SLAB_LEN + 5;
+        let parts: Vec<Vec<f64>> = (0..3)
+            .map(|p| {
+                (0..n)
+                    .map(|i| {
+                        if i == 7 {
+                            -0.0
+                        } else {
+                            ((i + p * 31) as f64 * 0.013).sin()
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let len = 8 * n as u64;
+        let mut geometry: HashMap<String, (u64, u64)> =
+            (0..3).map(|p| (format!("p{p}"), (len, len))).collect();
+        geometry.insert("p2".into(), (len, len / 3 + 5)); // one spans blocks
+        geometry.insert("s".into(), (len, len));
+        let pool = ComputePool::new(1);
+        {
+            let mut stage = WorkerContext::new(0, 1, sc, &geometry, &pool);
+            for (p, v) in parts.iter().enumerate() {
+                stage
+                    .write_bytes(&format!("p{p}"), Bytes::from(le_bytes(v)))
+                    .expect("partial");
+            }
+        }
+        let mut task = TaskSpec::new("s", "sum").output("s", len);
+        for p in 0..3 {
+            task = task.input(format!("p{p}"), len);
+        }
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        SpmvExecutor.execute(&task, &mut ctx).expect("sum");
+        // Only the multi-block partial and the serialized result.
+        assert_eq!(ctx.copied_bytes(), 2 * len);
+        let got = ctx.read_f64s("s").expect("read");
+        assert_eq!(ctx.storage().outstanding_grants(), 0);
+        let mut want = parts[0].clone();
+        for p in &parts[1..] {
+            dense::axpy(1.0, p, &mut want);
+        }
+        assert_eq!(bits(&got), bits(&want));
+        assert!(got[7].is_sign_negative(), "-0.0 + -0.0 + -0.0 is -0.0");
+    });
+}

@@ -6,20 +6,65 @@
 //! simplicity — a sub-matrix that actually fits in memory is far below the
 //! `u32` limit, but the uniform type keeps the file format and the arithmetic
 //! paths identical at every scale.
+//!
+//! The validation and the SpMV walks are written once, on [`CsrRef`]: three
+//! borrowed arrays, generic over how one 8-byte element is held ([`Elem`]).
+//! An owned [`CsrMatrix`] lends its `u64`/`f64` vectors; a
+//! [`crate::view::CsrView`] lends the little-endian bytes of a binary CRS
+//! file where they lie. Both run the same code, so they accept the same
+//! matrices and produce the same bits.
 
 use crate::{Result, SparseError};
+
+/// One stored 8-byte element of a CSR array, however it is held in memory:
+/// a native `u64`/`f64`, or the little-endian bytes of one (decoded on every
+/// fetch — no alignment is assumed).
+pub trait Elem<T>: Copy + Send + Sync + 'static {
+    /// The element's value.
+    fn get(self) -> T;
+}
+
+impl Elem<u64> for u64 {
+    #[inline(always)]
+    fn get(self) -> u64 {
+        self
+    }
+}
+
+impl Elem<f64> for f64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        self
+    }
+}
+
+impl Elem<u64> for [u8; 8] {
+    #[inline(always)]
+    fn get(self) -> u64 {
+        u64::from_le_bytes(self)
+    }
+}
+
+impl Elem<f64> for [u8; 8] {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        f64::from_le_bytes(self)
+    }
+}
 
 /// One row's gather-dot `Σ v[k] * x[col[k]]`, unrolled 4-wide with four
 /// independent accumulators (the add chain is the bottleneck on top of the
 /// irregular gather) and a fixed combine order.
 ///
-/// Every SpMV walk in this crate — [`CsrMatrix::spmv_into`],
-/// [`CsrMatrix::spmv_rows`], [`CsrMatrix::spmv_parallel`] and the blocked
-/// stripes of [`CsrMatrix::spmv_blocked_into`] — funnels through this one
-/// function, so serial, scoped-parallel and pool fan-out results are bitwise
-/// identical for any row partition.
+/// Every SpMV walk in this crate — [`CsrRef::spmv_into`] and
+/// [`CsrRef::spmv_rows`] (and through them every [`CsrMatrix`],
+/// [`crate::view::CsrView`] and pool path), [`CsrMatrix::spmv_parallel`] and
+/// the blocked stripes of [`CsrMatrix::spmv_blocked_into`] — funnels through
+/// this one function, so serial, scoped-parallel and pool fan-out results
+/// are bitwise identical for any row partition, and for owned and borrowed
+/// matrices alike.
 #[inline]
-fn row_dot(cols: &[u64], vals: &[f64], x: &[f64]) -> f64 {
+fn row_dot<I: Elem<u64>, V: Elem<f64>>(cols: &[I], vals: &[V], x: &[f64]) -> f64 {
     let mut a0 = 0.0f64;
     let mut a1 = 0.0f64;
     let mut a2 = 0.0f64;
@@ -27,21 +72,239 @@ fn row_dot(cols: &[u64], vals: &[f64], x: &[f64]) -> f64 {
     let mut cc = cols.chunks_exact(4);
     let mut vc = vals.chunks_exact(4);
     for (cs, vs) in (&mut cc).zip(&mut vc) {
-        a0 += vs[0] * x[cs[0] as usize];
-        a1 += vs[1] * x[cs[1] as usize];
-        a2 += vs[2] * x[cs[2] as usize];
-        a3 += vs[3] * x[cs[3] as usize];
+        a0 += vs[0].get() * x[cs[0].get() as usize];
+        a1 += vs[1].get() * x[cs[1].get() as usize];
+        a2 += vs[2].get() * x[cs[2].get() as usize];
+        a3 += vs[3].get() * x[cs[3].get() as usize];
     }
     let mut tail = 0.0f64;
     for (&c, &v) in cc.remainder().iter().zip(vc.remainder()) {
-        tail += v * x[c as usize];
+        tail += v.get() * x[c.get() as usize];
     }
     (a0 + a1) + (a2 + a3) + tail
 }
 
+/// Borrowed CSR arrays that satisfy the invariants listed on [`CsrMatrix`]:
+/// the one place they are checked ([`CsrRef::new`]) and the one
+/// implementation of the SpMV walks, for owned matrices (`I = u64`,
+/// `V = f64`) and for views over file bytes (`I = V = [u8; 8]`).
+#[derive(Clone, Copy, Debug)]
+pub struct CsrRef<'a, I, V> {
+    nrows: u64,
+    ncols: u64,
+    row_ptr: &'a [I],
+    col_idx: &'a [I],
+    values: &'a [V],
+}
+
+impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
+    /// Borrows raw CSR arrays, validating every invariant.
+    ///
+    /// The checks are flat, branch-free passes over `row_ptr` and `col_idx`
+    /// rather than a loop per row: the rows of a sub-matrix are short (a
+    /// handful of entries), and a per-row loop spends its time mispredicting
+    /// their lengths — it cost as much as the SpMV it guards.
+    pub fn new(
+        nrows: u64,
+        ncols: u64,
+        row_ptr: &'a [I],
+        col_idx: &'a [I],
+        values: &'a [V],
+    ) -> Result<Self> {
+        let bad = |m: String| Err(SparseError::InvalidStructure(m));
+        if nrows.checked_add(1) != Some(row_ptr.len() as u64) {
+            return bad(format!("row_ptr.len()={} but nrows={nrows}", row_ptr.len()));
+        }
+        let nnz = col_idx.len();
+        if values.len() != nnz {
+            return bad(format!(
+                "col_idx.len()={nnz} but values.len()={}",
+                values.len()
+            ));
+        }
+        // 0 = row_ptr[0] <= row_ptr[1] <= ... <= row_ptr[nrows] = nnz.
+        let (rises, last) = row_ptr.iter().fold((true, 0u64), |(ok, prev), p| {
+            (ok & (prev <= p.get()), p.get())
+        });
+        if row_ptr[0].get() != 0 || !rises || last != nnz as u64 {
+            return bad(format!(
+                "row_ptr must rise from 0 to nnz={nnz} without decreasing \
+                 (starts at {}, ends at {last})",
+                row_ptr[0].get()
+            ));
+        }
+        // One pass over col_idx: every index in range, and the number of
+        // descents (entries that fail to exceed their predecessor).
+        // Strictly increasing within each row means a descent may only sit
+        // where a new row starts, which the pass over row_ptr below counts.
+        let mut cols = col_idx.iter().map(|c| c.get());
+        let mut in_range = true;
+        let mut descents = 0usize;
+        if let Some(mut prev) = cols.next() {
+            in_range = prev < ncols;
+            for c in cols {
+                in_range &= c < ncols;
+                descents += (c <= prev) as usize;
+                prev = c;
+            }
+        }
+        if !in_range {
+            return bad(format!("a column index is >= ncols {ncols}"));
+        }
+        let mut at_row_starts = 0usize;
+        let mut prev_start = 0usize;
+        for p in &row_ptr[1..] {
+            let p = p.get() as usize;
+            if p != prev_start && p < nnz {
+                at_row_starts += (col_idx[p].get() <= col_idx[p - 1].get()) as usize;
+                prev_start = p;
+            }
+        }
+        if descents != at_row_starts {
+            return bad("column indices not strictly increasing within a row".into());
+        }
+        Ok(Self {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
+    /// Borrows arrays that are already known to satisfy the invariants
+    /// (they passed [`CsrRef::new`] before, or were built to satisfy them).
+    pub(crate) fn trusted(
+        nrows: u64,
+        ncols: u64,
+        row_ptr: &'a [I],
+        col_idx: &'a [I],
+        values: &'a [V],
+    ) -> Self {
+        Self {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Number of rows.
+    pub fn nrows(&self) -> u64 {
+        self.nrows
+    }
+
+    /// Number of columns.
+    pub fn ncols(&self) -> u64 {
+        self.ncols
+    }
+
+    /// Number of stored non-zero entries.
+    pub fn nnz(&self) -> u64 {
+        self.col_idx.len() as u64
+    }
+
+    pub(crate) fn check_dims(&self, x: &[f64], y: &[f64]) -> Result<()> {
+        if x.len() as u64 != self.ncols {
+            return Err(SparseError::DimensionMismatch {
+                got: (x.len() as u64, 1),
+                expected: (self.ncols, 1),
+            });
+        }
+        if y.len() as u64 != self.nrows {
+            return Err(SparseError::DimensionMismatch {
+                got: (y.len() as u64, 1),
+                expected: (self.nrows, 1),
+            });
+        }
+        Ok(())
+    }
+
+    /// Row `r` of `A * x`.
+    #[inline]
+    fn row(&self, r: usize, x: &[f64]) -> f64 {
+        let (s, e) = (
+            self.row_ptr[r].get() as usize,
+            self.row_ptr[r + 1].get() as usize,
+        );
+        row_dot(&self.col_idx[s..e], &self.values[s..e], x)
+    }
+
+    /// Serial SpMV into a caller-provided output: `y = A * x`.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+        self.check_dims(x, y)?;
+        for (r, yr) in y.iter_mut().enumerate() {
+            *yr = self.row(r, x);
+        }
+        Ok(())
+    }
+
+    /// Computes rows `[r0, r1)` of `A * x` into a fresh vector (the slab a
+    /// pool worker produces; see [`crate::pool::ComputePool::spmv`]).
+    pub fn spmv_rows(&self, x: &[f64], r0: u64, r1: u64) -> Vec<f64> {
+        (r0 as usize..r1 as usize).map(|r| self.row(r, x)).collect()
+    }
+
+    /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
+    /// `[b[i], b[i+1])` slab carries roughly `nnz/p` non-zeros.
+    pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
+        let parts = parts.max(1);
+        let nnz = self.nnz();
+        let mut bounds = Vec::with_capacity(parts + 1);
+        bounds.push(0u64);
+        for i in 1..parts {
+            let target = nnz * i as u64 / parts as u64;
+            // First row whose cumulative nnz exceeds the target.
+            let row = self.row_ptr.partition_point(|p| p.get() <= target) as u64 - 1;
+            bounds.push(row.max(*bounds.last().expect("non-empty")));
+        }
+        bounds.push(self.nrows);
+        bounds
+    }
+
+    /// Decodes the borrowed arrays into an owned matrix (no second
+    /// validation: a `CsrRef` only exists for valid arrays).
+    pub fn to_matrix(&self) -> CsrMatrix {
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            row_ptr: self.row_ptr.iter().map(|p| p.get()).collect(),
+            col_idx: self.col_idx.iter().map(|c| c.get()).collect(),
+            values: self.values.iter().map(|v| v.get()).collect(),
+        }
+    }
+}
+
+/// A matrix the kernels — and the compute pool's `'static` jobs — can
+/// multiply with: anything that lends its arrays as a [`CsrRef`].
+pub trait SpmvOperand: Send + Sync + 'static {
+    /// How a row pointer / column index is held.
+    type Index: Elem<u64>;
+    /// How a value is held.
+    type Value: Elem<f64>;
+    /// The matrix's arrays.
+    fn csr(&self) -> CsrRef<'_, Self::Index, Self::Value>;
+}
+
+impl SpmvOperand for CsrMatrix {
+    type Index = u64;
+    type Value = f64;
+    fn csr(&self) -> CsrRef<'_, u64, f64> {
+        CsrRef::trusted(
+            self.nrows,
+            self.ncols,
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+        )
+    }
+}
+
 /// A sparse matrix in Compressed Row Storage (CRS/CSR) format.
 ///
-/// Invariants (checked by [`CsrMatrix::new`] and preserved by construction):
+/// Invariants (checked by [`CsrRef::new`], which [`CsrMatrix::new`] and
+/// [`crate::view::CsrView::parse`] both run, and preserved by construction):
 ///
 /// * `row_ptr.len() == nrows + 1`, `row_ptr[0] == 0`,
 ///   `row_ptr[nrows] == col_idx.len() == values.len()`;
@@ -57,7 +320,8 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a matrix from raw CSR arrays, validating every invariant.
+    /// Builds a matrix from raw CSR arrays, validating every invariant
+    /// (with [`CsrRef::new`], the validator file views run too).
     pub fn new(
         nrows: u64,
         ncols: u64,
@@ -65,53 +329,7 @@ impl CsrMatrix {
         col_idx: Vec<u64>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        if row_ptr.len() != nrows as usize + 1 {
-            return Err(SparseError::InvalidStructure(format!(
-                "row_ptr.len()={} but nrows+1={}",
-                row_ptr.len(),
-                nrows + 1
-            )));
-        }
-        if row_ptr[0] != 0 {
-            return Err(SparseError::InvalidStructure(format!(
-                "row_ptr[0]={} must be 0",
-                row_ptr[0]
-            )));
-        }
-        let nnz = *row_ptr.last().expect("row_ptr non-empty");
-        if col_idx.len() as u64 != nnz || values.len() as u64 != nnz {
-            return Err(SparseError::InvalidStructure(format!(
-                "nnz={} but col_idx.len()={} values.len()={}",
-                nnz,
-                col_idx.len(),
-                values.len()
-            )));
-        }
-        for w in row_ptr.windows(2) {
-            if w[1] < w[0] {
-                return Err(SparseError::InvalidStructure(
-                    "row_ptr not monotonically non-decreasing".into(),
-                ));
-            }
-        }
-        for r in 0..nrows as usize {
-            let (s, e) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-            let row = &col_idx[s..e];
-            for w in row.windows(2) {
-                if w[1] <= w[0] {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "row {r}: column indices not strictly increasing"
-                    )));
-                }
-            }
-            if let Some(&last) = row.last() {
-                if last >= ncols {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "row {r}: column index {last} >= ncols {ncols}"
-                    )));
-                }
-            }
-        }
+        CsrRef::new(nrows, ncols, &row_ptr, &col_idx, &values)?;
         Ok(Self {
             nrows,
             ncols,
@@ -131,14 +349,7 @@ impl CsrMatrix {
         col_idx: Vec<u64>,
         values: Vec<f64>,
     ) -> Self {
-        debug_assert!(Self::new(
-            nrows,
-            ncols,
-            row_ptr.clone(),
-            col_idx.clone(),
-            values.clone()
-        )
-        .is_ok());
+        debug_assert!(CsrRef::new(nrows, ncols, &row_ptr, &col_idx, &values).is_ok());
         Self {
             nrows,
             ncols,
@@ -292,23 +503,7 @@ impl CsrMatrix {
 
     /// Serial SpMV into a caller-provided output: `y = A * x`.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() as u64 != self.ncols {
-            return Err(SparseError::DimensionMismatch {
-                got: (x.len() as u64, 1),
-                expected: (self.ncols, 1),
-            });
-        }
-        if y.len() as u64 != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                got: (y.len() as u64, 1),
-                expected: (self.nrows, 1),
-            });
-        }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            *yr = row_dot(&self.col_idx[s..e], &self.values[s..e], x);
-        }
-        Ok(())
+        self.csr().spmv_into(x, y)
     }
 
     /// Parallel SpMV using `nthreads` row-contiguous partitions (crossbeam
@@ -318,18 +513,7 @@ impl CsrMatrix {
     /// decides to split a multiply task "to match the parallelism available
     /// on the node" (§III-C).
     pub fn spmv_parallel(&self, x: &[f64], y: &mut [f64], nthreads: usize) -> Result<()> {
-        if x.len() as u64 != self.ncols {
-            return Err(SparseError::DimensionMismatch {
-                got: (x.len() as u64, 1),
-                expected: (self.ncols, 1),
-            });
-        }
-        if y.len() as u64 != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                got: (y.len() as u64, 1),
-                expected: (self.nrows, 1),
-            });
-        }
+        self.csr().check_dims(x, y)?;
         let nthreads = nthreads.max(1).min(self.nrows.max(1) as usize);
         if nthreads == 1 {
             return self.spmv_into(x, y);
@@ -347,15 +531,11 @@ impl CsrMatrix {
         }
         crossbeam::scope(|scope| {
             for (t, ys) in slices.into_iter().enumerate() {
-                let (r0, _r1) = (bounds[t], bounds[t + 1]);
-                let row_ptr = &self.row_ptr;
-                let col_idx = &self.col_idx;
-                let values = &self.values;
+                let r0 = bounds[t] as usize;
+                let a = self.csr();
                 scope.spawn(move |_| {
                     for (i, yr) in ys.iter_mut().enumerate() {
-                        let r = r0 as usize + i;
-                        let (s, e) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-                        *yr = row_dot(&col_idx[s..e], &values[s..e], x);
+                        *yr = a.row(r0 + i, x);
                     }
                 });
             }
@@ -363,18 +543,6 @@ impl CsrMatrix {
         })
         .expect("spmv worker panicked");
         Ok(())
-    }
-
-    /// Computes rows `[r0, r1)` of `A * x` into a fresh vector (the slab a
-    /// pool worker produces; see [`crate::pool::ComputePool::spmv`]).
-    pub fn spmv_rows(&self, x: &[f64], r0: u64, r1: u64) -> Vec<f64> {
-        let mut out = vec![0.0f64; (r1 - r0) as usize];
-        for (i, yr) in out.iter_mut().enumerate() {
-            let r = r0 as usize + i;
-            let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            *yr = row_dot(&self.col_idx[s..e], &self.values[s..e], x);
-        }
-        out
     }
 
     /// Cache-blocked SpMV: walks the matrix in column stripes of
@@ -389,18 +557,7 @@ impl CsrMatrix {
     /// `tests/kernel_proptests.rs`). The plain walk stays the default —
     /// callers opt in when `8 * ncols` clearly exceeds the last-level cache.
     pub fn spmv_blocked_into(&self, x: &[f64], y: &mut [f64], col_block: usize) -> Result<()> {
-        if x.len() as u64 != self.ncols {
-            return Err(SparseError::DimensionMismatch {
-                got: (x.len() as u64, 1),
-                expected: (self.ncols, 1),
-            });
-        }
-        if y.len() as u64 != self.nrows {
-            return Err(SparseError::DimensionMismatch {
-                got: (y.len() as u64, 1),
-                expected: (self.nrows, 1),
-            });
-        }
+        self.csr().check_dims(x, y)?;
         let col_block = col_block.max(1) as u64;
         y.fill(0.0);
         // Per-row cursor into col_idx/values, advanced stripe by stripe.
@@ -435,18 +592,7 @@ impl CsrMatrix {
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
     /// `[b[i], b[i+1])` slab carries roughly `nnz/p` non-zeros.
     pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
-        let parts = parts.max(1);
-        let nnz = self.nnz();
-        let mut bounds = Vec::with_capacity(parts + 1);
-        bounds.push(0u64);
-        for i in 1..parts {
-            let target = nnz * i as u64 / parts as u64;
-            // First row whose cumulative nnz exceeds the target.
-            let row = self.row_ptr.partition_point(|&p| p <= target) as u64 - 1;
-            bounds.push(row.max(*bounds.last().expect("non-empty")));
-        }
-        bounds.push(self.nrows);
-        bounds
+        self.csr().nnz_balanced_row_partition(parts)
     }
 
     /// Number of floating point operations one SpMV with this matrix

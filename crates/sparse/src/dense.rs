@@ -165,6 +165,23 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
     }
 }
 
+/// Fused decode-and-add `y += x` where `x` is still little-endian `f64`
+/// bytes (`8 * y.len()` of them, at any alignment): what a sum task does
+/// with a partial straight out of its pinned storage block, instead of
+/// decoding it into a `Vec<f64>` first. Element math is `y[i] + x[i]`, so
+/// the result is **bitwise** that of `axpy(1.0, decoded_x, y)` (`1.0 * x` is
+/// exact) and of [`add_assign`].
+pub fn add_assign_le(y: &mut [f64], x_le: &[u8]) {
+    let (xs, rest) = x_le.as_chunks::<8>();
+    assert!(
+        rest.is_empty() && xs.len() == y.len(),
+        "add_assign_le operands must have equal length"
+    );
+    for (yi, xi) in y.iter_mut().zip(xs) {
+        *yi += f64::from_le_bytes(*xi);
+    }
+}
+
 /// Sums a set of equal-length vectors into a fresh output. Panics if the set
 /// is empty or lengths differ.
 pub fn sum_vectors(parts: &[&[f64]]) -> Vec<f64> {
@@ -252,6 +269,22 @@ mod tests {
         let mut x = vec![1.0, -2.0];
         scale(-3.0, &mut x);
         assert_eq!(x, vec![-3.0, 6.0]);
+    }
+
+    #[test]
+    fn add_assign_le_is_bitwise_axpy_one() {
+        for n in [0usize, 1, 7, 8, 9, 1000] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.5).collect();
+            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+            // One pad byte in front: the bytes need not be 8-aligned.
+            let mut raw = vec![0u8];
+            raw.extend(x.iter().flat_map(|v| v.to_le_bytes()));
+            let mut fused = y.clone();
+            add_assign_le(&mut fused, &raw[1..]);
+            let mut reference = y.clone();
+            axpy(1.0, &x, &mut reference);
+            assert_eq!(fused, reference, "n={n}");
+        }
     }
 
     #[test]

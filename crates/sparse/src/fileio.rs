@@ -16,9 +16,15 @@
 //!
 //! Reads and writes stream through `BufReader`/`BufWriter` in fixed-size
 //! chunks so that a sub-matrix larger than memory never requires a second
-//! resident copy during (de)serialization.
+//! resident copy during (de)serialization. The header's counts are
+//! untrusted: nothing is allocated for them before the payload they
+//! describe has been seen.
+//!
+//! Bytes already in memory need no decoding at all: see
+//! [`crate::view::CsrView`], which [`from_bytes`] is built on.
 
 use crate::csr::CsrMatrix;
+use crate::view::CsrView;
 use crate::{Result, SparseError};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -27,7 +33,7 @@ use std::path::Path;
 /// Magic bytes identifying a DOoC binary CRS file, version 1.
 pub const MAGIC: &[u8; 8] = b"DOOCCRS1";
 
-const HEADER_BYTES: u64 = 32;
+pub(crate) const HEADER_BYTES: u64 = 32;
 
 /// Size in bytes of the serialized form of a matrix with the given shape.
 pub fn file_size_bytes(nrows: u64, nnz: u64) -> u64 {
@@ -50,6 +56,14 @@ impl CrsHeader {
     /// Total file size implied by this header.
     pub fn file_size_bytes(&self) -> u64 {
         file_size_bytes(self.nrows, self.nnz)
+    }
+
+    /// [`CrsHeader::file_size_bytes`] for a header that may be corrupt:
+    /// `None` when the counts overflow `u64`.
+    pub(crate) fn checked_file_size_bytes(&self) -> Option<u64> {
+        let row_ptr = self.nrows.checked_add(1)?.checked_mul(8)?;
+        let arrays = self.nnz.checked_mul(16)?;
+        HEADER_BYTES.checked_add(row_ptr)?.checked_add(arrays)
     }
 }
 
@@ -78,36 +92,25 @@ fn write_f64s<W: Write>(w: &mut W, xs: &[f64]) -> std::io::Result<()> {
     Ok(())
 }
 
-fn read_u64s<R: Read>(r: &mut R, n: u64) -> Result<Vec<u64>> {
-    let mut out = Vec::with_capacity(n as usize);
+/// Reads `n` little-endian 8-byte words, decoded by `decode`. `n` comes from
+/// a header nobody has vouched for, so the vector grows with the bytes that
+/// actually arrive instead of reserving `n` up front.
+fn read_words<R: Read, T>(
+    r: &mut R,
+    n: u64,
+    what: &str,
+    decode: fn([u8; 8]) -> T,
+) -> Result<Vec<T>> {
+    let mut out = Vec::new();
     let mut buf = [0u8; 8 * 8192];
-    let mut remaining = n as usize;
+    let mut remaining = n;
     while remaining > 0 {
-        let take = remaining.min(8192);
+        let take = remaining.min(8192) as usize;
         let bytes = &mut buf[..8 * take];
-        r.read_exact(bytes)
-            .map_err(|e| truncated_or_io(e, "u64 array"))?;
-        for c in bytes.chunks_exact(8) {
-            out.push(u64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")));
-        }
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_f64s<R: Read>(r: &mut R, n: u64) -> Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(n as usize);
-    let mut buf = [0u8; 8 * 8192];
-    let mut remaining = n as usize;
-    while remaining > 0 {
-        let take = remaining.min(8192);
-        let bytes = &mut buf[..8 * take];
-        r.read_exact(bytes)
-            .map_err(|e| truncated_or_io(e, "f64 array"))?;
-        for c in bytes.chunks_exact(8) {
-            out.push(f64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")));
-        }
-        remaining -= take;
+        r.read_exact(bytes).map_err(|e| truncated_or_io(e, what))?;
+        let (words, _) = bytes.as_chunks::<8>();
+        out.extend(words.iter().map(|&w| decode(w)));
+        remaining -= take as u64;
     }
     Ok(out)
 }
@@ -179,9 +182,13 @@ pub fn read_matrix(path: &Path) -> Result<CsrMatrix> {
 /// Reads a full matrix from an arbitrary source.
 pub fn read_matrix_from<R: Read>(r: &mut R) -> Result<CsrMatrix> {
     let h = read_header_from(r)?;
-    let row_ptr = read_u64s(r, h.nrows + 1)?;
-    let col_idx = read_u64s(r, h.nnz)?;
-    let values = read_f64s(r, h.nnz)?;
+    let nptrs = h
+        .nrows
+        .checked_add(1)
+        .ok_or_else(|| SparseError::BadFormat(format!("header {h:?}: nrows + 1 overflows")))?;
+    let row_ptr = read_words(r, nptrs, "row_ptr", u64::from_le_bytes)?;
+    let col_idx = read_words(r, h.nnz, "col_idx", u64::from_le_bytes)?;
+    let values = read_words(r, h.nnz, "values", f64::from_le_bytes)?;
     // Full validation: files may come from outside this process.
     CsrMatrix::new(h.nrows, h.ncols, row_ptr, col_idx, values)
 }
@@ -194,10 +201,10 @@ pub fn to_bytes(m: &CsrMatrix) -> Vec<u8> {
     out
 }
 
-/// Deserializes a matrix from bytes produced by [`to_bytes`].
+/// Deserializes a matrix from bytes produced by [`to_bytes`]: the one
+/// in-memory decoder is a validated [`CsrView`] copied out.
 pub fn from_bytes(bytes: &[u8]) -> Result<CsrMatrix> {
-    let mut cursor = bytes;
-    read_matrix_from(&mut cursor)
+    Ok(CsrView::parse(bytes)?.to_matrix())
 }
 
 #[cfg(test)]
@@ -272,6 +279,20 @@ mod tests {
         // Corrupt the first row_ptr entry (offset 32) to a huge value.
         bytes[32..40].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(from_bytes(&bytes).is_err());
+        // Hostile headers: counts whose implied size overflows or dwarfs
+        // the payload must be refused as a bad file, not abort on a
+        // capacity overflow before the first payload byte is read.
+        for (nrows, nnz) in [(4u64, 1u64 << 60), (u64::MAX, 4)] {
+            let mut bytes = to_bytes(&m);
+            bytes[8..16].copy_from_slice(&nrows.to_le_bytes());
+            bytes[24..32].copy_from_slice(&nnz.to_le_bytes());
+            for decoded in [from_bytes(&bytes), read_matrix_from(&mut &bytes[..])] {
+                assert!(
+                    matches!(decoded, Err(SparseError::BadFormat(_))),
+                    "nrows={nrows} nnz={nnz}: {decoded:?}"
+                );
+            }
+        }
     }
 
     #[test]

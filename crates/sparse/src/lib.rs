@@ -6,6 +6,8 @@
 //!
 //! * [`csr::CsrMatrix`] — Compressed Row Storage matrices with `f64` values,
 //!   validated invariants and serial/parallel SpMV kernels;
+//! * [`view::CsrView`] — the same kernels run in place on the bytes of a
+//!   binary CRS file, with nothing decoded or allocated;
 //! * [`fileio`] — the binary CRS on-disk format the paper stores each
 //!   sub-matrix in ("Each sub-matrix is stored in a separate file in binary
 //!   Compressed Row Storage (CRS) format");
@@ -32,12 +34,14 @@ pub mod fileio;
 pub mod genmat;
 pub mod pool;
 pub mod slab;
+pub mod view;
 
 pub use blockgrid::{BlockCoord, BlockGrid};
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, SpmvOperand};
 pub use genmat::GapGenerator;
 pub use pool::ComputePool;
 pub use slab::SlabVec;
+pub use view::{CsrBytes, CsrView};
 
 /// Errors produced by the sparse substrate.
 #[derive(Debug)]

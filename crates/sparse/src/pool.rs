@@ -1,6 +1,6 @@
 //! Persistent fork-join compute pool for the node-local kernels.
 //!
-//! The scoped-thread kernels ([`CsrMatrix::spmv_parallel`],
+//! The scoped-thread kernels ([`crate::CsrMatrix::spmv_parallel`],
 //! [`dense::dot_parallel`], [`dense::axpy_parallel`]) spawn and join fresh OS
 //! threads on *every* call — fine for a one-off multiply, but a worker filter
 //! executing thousands of tasks pays the spawn/join latency each time.
@@ -52,9 +52,10 @@
 //! worker sees `pending > 0` before the job is visible is a bounded retry
 //! (with a yield) rather than a park.
 
-use crate::csr::CsrMatrix;
+use crate::csr::SpmvOperand;
 use crate::slab::SlabVec;
-use crate::{dense, Result, SparseError};
+use crate::{dense, Result};
+use bytes::Bytes;
 use dooc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use dooc_sync::record;
 use dooc_sync::{thread, Condvar, Mutex};
@@ -364,25 +365,17 @@ impl ComputePool {
     }
 
     /// Pool-backed parallel SpMV `y = A * x`, nnz-balanced across the pool's
-    /// workers. Matches [`CsrMatrix::spmv_into`] bit-for-bit (same per-row
-    /// accumulation order).
-    pub fn spmv(&self, m: &Arc<CsrMatrix>, x: &Arc<Vec<f64>>, y: &mut [f64]) -> Result<()> {
-        if x.len() as u64 != m.ncols() {
-            return Err(SparseError::DimensionMismatch {
-                got: (x.len() as u64, 1),
-                expected: (m.ncols(), 1),
-            });
+    /// workers, for an owned [`crate::CsrMatrix`] or a [`crate::CsrBytes`]
+    /// buffer alike. Matches [`crate::CsrMatrix::spmv_into`] bit-for-bit
+    /// (same per-row accumulation order).
+    pub fn spmv<M: SpmvOperand>(&self, m: &Arc<M>, x: &Arc<Vec<f64>>, y: &mut [f64]) -> Result<()> {
+        let a = m.csr();
+        let par = self.parallelism_hint().min(a.nrows().max(1) as usize);
+        if par == 1 || (a.nnz() as usize) < SPMV_SERIAL_MAX_NNZ {
+            return a.spmv_into(x, y);
         }
-        if y.len() as u64 != m.nrows() {
-            return Err(SparseError::DimensionMismatch {
-                got: (y.len() as u64, 1),
-                expected: (m.nrows(), 1),
-            });
-        }
-        let par = self.parallelism_hint().min(m.nrows().max(1) as usize);
-        if par == 1 || (m.nnz() as usize) < SPMV_SERIAL_MAX_NNZ {
-            return m.spmv_into(x, y);
-        }
+        // The serial kernel checks dimensions itself; the fan-out indexes.
+        a.check_dims(x, y)?;
         self.spmv_fanout(m, x, y, par);
         Ok(())
     }
@@ -390,23 +383,24 @@ impl ComputePool {
     /// The fork-join body of [`ComputePool::spmv`] at an explicit
     /// `parallelism`, without the serial routing (kept public so tests and
     /// the race harness cover it at any input size and forced concurrency).
-    pub fn spmv_fanout(
+    pub fn spmv_fanout<M: SpmvOperand>(
         &self,
-        m: &Arc<CsrMatrix>,
+        m: &Arc<M>,
         x: &Arc<Vec<f64>>,
         y: &mut [f64],
         parallelism: usize,
     ) {
-        let nrows = (m.nrows() as usize).max(1);
+        let a = m.csr();
+        let nrows = (a.nrows() as usize).max(1);
         let par = parallelism.clamp(1, nrows);
         let ntasks = (par * TASKS_PER_THREAD).min(nrows);
-        let bounds = m.nnz_balanced_row_partition(ntasks);
+        let bounds = a.nnz_balanced_row_partition(ntasks);
         let slabs = {
             let m = Arc::clone(m);
             let x = Arc::clone(x);
             let bounds = bounds.clone();
             self.fork_join_with(ntasks, par, move |t| {
-                let slab = m.spmv_rows(&x, bounds[t], bounds[t + 1]);
+                let slab = m.csr().spmv_rows(&x, bounds[t], bounds[t + 1]);
                 if let Some(first) = slab.first() {
                     record::data_write(record::addr_of(first));
                 }
@@ -478,16 +472,7 @@ impl ComputePool {
     /// parallel path moves each owned slab into a task slot, updates it in
     /// place on a worker, and moves it back — no element data is copied.
     pub fn axpy_slabs(&self, alpha: f64, x: &Arc<Vec<f64>>, y: &mut SlabVec) {
-        assert_eq!(x.len(), y.len(), "axpy operands must have equal length");
-        let par = self.parallelism_hint().min(y.nslabs().max(1));
-        if par == 1 || y.len() < dense::AXPY_SERIAL_MAX {
-            for i in 0..y.nslabs() {
-                let (lo, hi) = y.slab_range(i);
-                dense::axpy(alpha, &x[lo..hi], &mut y.slabs_mut()[i]);
-            }
-            return;
-        }
-        self.axpy_slabs_fanout(alpha, x, y, par);
+        self.update_slabs(y, axpy_range(alpha, x, y.len()));
     }
 
     /// The fork-join body of [`ComputePool::axpy_slabs`] at an explicit
@@ -499,6 +484,45 @@ impl ComputePool {
         y: &mut SlabVec,
         parallelism: usize,
     ) {
+        self.update_slabs_fanout(y, parallelism, axpy_range(alpha, x, y.len()));
+    }
+
+    /// Pool-backed `y += x` where `x` is still the little-endian bytes it
+    /// was stored as (a pinned storage block, say): each slab is folded in
+    /// with [`dense::add_assign_le`], so no `Vec<f64>` of `x` ever exists.
+    /// Bitwise equal to decoding `x` and calling
+    /// [`ComputePool::axpy_slabs`] with `alpha = 1.0`; same routing.
+    pub fn add_le_slabs(&self, x: &Bytes, y: &mut SlabVec) {
+        assert_eq!(x.len(), 8 * y.len(), "add operands must have equal length");
+        let x = x.clone();
+        self.update_slabs(y, move |lo, hi, slab: &mut [f64]| {
+            dense::add_assign_le(slab, &x[8 * lo..8 * hi])
+        });
+    }
+
+    /// Applies `f(lo, hi, slab)` to every slab of `y` (`[lo, hi)` is the
+    /// slab's element range): inline below [`dense::AXPY_SERIAL_MAX`], else
+    /// through [`ComputePool::update_slabs_fanout`].
+    fn update_slabs<F>(&self, y: &mut SlabVec, f: F)
+    where
+        F: Fn(usize, usize, &mut [f64]) + Send + Sync + 'static,
+    {
+        let par = self.parallelism_hint().min(y.nslabs().max(1));
+        if par == 1 || y.len() < dense::AXPY_SERIAL_MAX {
+            for i in 0..y.nslabs() {
+                let (lo, hi) = y.slab_range(i);
+                f(lo, hi, &mut y.slabs_mut()[i]);
+            }
+            return;
+        }
+        self.update_slabs_fanout(y, par, f);
+    }
+
+    /// One fork-join task per slab, each owning its slab for the duration.
+    fn update_slabs_fanout<F>(&self, y: &mut SlabVec, parallelism: usize, f: F)
+    where
+        F: Fn(usize, usize, &mut [f64]) + Send + Sync + 'static,
+    {
         let ranges: Vec<(usize, usize)> = (0..y.nslabs()).map(|i| y.slab_range(i)).collect();
         let ntasks = ranges.len();
         if ntasks == 0 {
@@ -510,19 +534,15 @@ impl ComputePool {
                 .map(|s| Mutex::new(Some(s)))
                 .collect(),
         );
-        let out = {
-            let x = Arc::clone(x);
-            let slots = Arc::clone(&slots);
-            self.fork_join_with(ntasks, parallelism, move |i| {
-                let mut slab = slots[i].lock().take().expect("slab moved out once");
-                let (lo, hi) = ranges[i];
-                dense::axpy(alpha, &x[lo..hi], &mut slab);
-                if let Some(first) = slab.first() {
-                    record::data_write(record::addr_of(first));
-                }
-                slab
-            })
-        };
+        let out = self.fork_join_with(ntasks, parallelism, move |i| {
+            let mut slab = slots[i].lock().take().expect("slab moved out once");
+            let (lo, hi) = ranges[i];
+            f(lo, hi, &mut slab);
+            if let Some(first) = slab.first() {
+                record::data_write(record::addr_of(first));
+            }
+            slab
+        });
         for slab in &out {
             if let Some(first) = slab.first() {
                 record::data_read(record::addr_of(first));
@@ -530,6 +550,17 @@ impl ComputePool {
         }
         y.restore(out);
     }
+}
+
+/// The per-slab body of the slab AXPYs: `slab += alpha * x[lo..hi]`.
+fn axpy_range(
+    alpha: f64,
+    x: &Arc<Vec<f64>>,
+    ylen: usize,
+) -> impl Fn(usize, usize, &mut [f64]) + Send + Sync + 'static {
+    assert_eq!(x.len(), ylen, "axpy operands must have equal length");
+    let x = Arc::clone(x);
+    move |lo, hi, slab| dense::axpy(alpha, &x[lo..hi], slab)
 }
 
 impl Drop for ComputePool {
@@ -548,6 +579,7 @@ impl Drop for ComputePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsrMatrix;
 
     #[test]
     fn run_preserves_order() {

@@ -80,6 +80,24 @@ impl SlabVec {
         }
     }
 
+    /// Decodes little-endian `f64` bytes (a whole number of them, at any
+    /// alignment) straight into slabs — the accumulator of a sum task is
+    /// born from its first partial's storage block with no flat `Vec<f64>`
+    /// in between.
+    pub fn from_le_bytes(raw: &[u8], slab_len: usize) -> Self {
+        assert!(slab_len > 0, "slab_len must be positive");
+        let (words, rest) = raw.as_chunks::<8>();
+        assert!(rest.is_empty(), "byte length must be a multiple of 8");
+        SlabVec {
+            slabs: words
+                .chunks(slab_len)
+                .map(|c| c.iter().map(|w| f64::from_le_bytes(*w)).collect())
+                .collect(),
+            slab_len,
+            len: words.len(),
+        }
+    }
+
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.len
@@ -190,6 +208,19 @@ mod tests {
         assert_eq!(s.len(), 20);
         assert_eq!(s.get(0), 1.0);
         assert_eq!(s.get(19), 20.0);
+    }
+
+    #[test]
+    fn from_le_bytes_matches_from_vec() {
+        for len in [0usize, 1, 9, 10, 33] {
+            let v: Vec<f64> = (0..len).map(|i| (i as f64).sqrt() - 2.0).collect();
+            let mut raw = vec![0xAAu8]; // odd offset: no alignment assumed
+            raw.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+            assert_eq!(
+                SlabVec::from_le_bytes(&raw[1..], 10),
+                SlabVec::from_vec(v, 10)
+            );
+        }
     }
 
     #[test]

@@ -16,11 +16,9 @@
 //!   single-use move-only tokens — a ticket cannot be redeemed twice.
 //! * **RAII read pins.** [`StorageClient::read`] / `wait_read` return a
 //!   [`ReadGuard`] that unpins the interval when dropped, so a pinned block
-//!   can no longer be leaked by an early return. The pipelined worker data
-//!   plane, which recycles pins at high rate inside a sliding window, can
-//!   opt out via [`StorageClient::wait_read_raw`] +
-//!   [`StorageClient::release_read_raw`]; a lint (`dooc-check`) keeps bare
-//!   releases from spreading beyond it.
+//!   can no longer be leaked by an early return. It is the only way to hold
+//!   a pin: a caller that recycles pins at high rate drops each guard as it
+//!   goes, one that computes on the bytes keeps the guard for as long.
 
 use crate::meta::{ArrayMeta, Interval};
 use crate::proto::{ClientMsg, MapEntry, NodeStats, Reply};
@@ -409,16 +407,6 @@ impl StorageClient {
         })
     }
 
-    /// Escape hatch for the pipelined worker data plane: like
-    /// [`StorageClient::wait_read`] but returns the bare bytes, leaving the
-    /// caller responsible for [`StorageClient::release_read_raw`].
-    pub fn wait_read_raw(&mut self, t: ReadTicket) -> Result<Bytes> {
-        let (array, iv) = self.take_pending(t.req)?;
-        let data = self.read_reply(t.req, &array, iv)?;
-        self.rel.outstanding.fetch_add(1, Ordering::AcqRel);
-        Ok(data)
-    }
-
     /// Waits out a read reply, re-sending the (idempotent) request with a
     /// fresh id on deadline expiry, up to [`RetryPolicy::max_retries`]
     /// times. Timed-out ids are abandoned so a late grant is released rather
@@ -465,18 +453,6 @@ impl StorageClient {
     pub fn read(&mut self, array: &str, iv: Interval) -> Result<ReadGuard> {
         let t = self.read_async(array, iv)?;
         self.wait_read(t)
-    }
-
-    /// Escape hatch paired with [`StorageClient::wait_read_raw`]: releases a
-    /// pin acquired through the raw API. Outside the worker's pipelined
-    /// window, prefer dropping the [`ReadGuard`].
-    pub fn release_read_raw(&mut self, array: &str, iv: Interval) -> Result<()> {
-        self.send(&ClientMsg::ReleaseRead {
-            array: array.to_string(),
-            iv,
-        })?;
-        self.rel.take_grant();
-        Ok(())
     }
 
     /// Starts an asynchronous write: requests the grant without waiting for
