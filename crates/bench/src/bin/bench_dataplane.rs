@@ -1,7 +1,6 @@
 //! Node data-plane benchmark: pipelined vs blocking array reads, end-to-end
-//! iterated SpMV wall time per node count (barriered, and against frontier
-//! release), and the serial-vs-pool crossover calibration for the dense
-//! kernels.
+//! iterated SpMV wall time per node count, and the serial-vs-pool crossover
+//! calibration for the dense kernels.
 //!
 //! Emits `BENCH_dataplane.json` (override with `--out <path>`), plus a
 //! traced 2-node SpMV run exported as `TRACE_dataplane.json` (Chrome
@@ -25,8 +24,7 @@ use dooc_core::sync::OrderedMutex;
 use dooc_core::{runtime_lane_specs, DoocConfig, DoocRuntime, WorkerContext};
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_linalg::spmv_app::{
-    tiled_owner, IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock,
-    SyncPolicy,
+    tiled_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock, SyncPolicy,
 };
 use dooc_scheduler::audit;
 use dooc_sparse::blockgrid::BlockGrid;
@@ -168,10 +166,14 @@ fn main() {
     const E2E_ROUNDS: u32 = 3;
     json.push_str("  \"spmv_e2e\": [\n");
     let mut rows = Vec::new();
+    let mut e2e_4n = f64::MAX;
     for &nodes in &[1usize, 4] {
         let mut wall = f64::MAX;
         for _ in 0..E2E_ROUNDS {
-            wall = wall.min(run_spmv(nodes, k, n, iters, IterationMode::Barrier));
+            wall = wall.min(run_spmv(nodes, k, n, iters));
+        }
+        if nodes == 4 {
+            e2e_4n = wall;
         }
         println!(
             "iterated SpMV k={k} n={n} iters={iters} nodes={nodes} (min of {E2E_ROUNDS}): {wall:.3}s"
@@ -183,45 +185,13 @@ fn main() {
     json.push_str(&rows.join(",\n"));
     json.push_str("\n  ],\n");
 
-    // --- 2b. iterated SpMV: barriered vs frontier progress tracking --------
-    // Same workload, per-iteration barrier vs frontier-based release
-    // (capability counts over the progress lane, iterations pipelining into
-    // each other). Both runs produce bitwise
-    // identical vectors — tests/distributed.rs proves it — so this measures
-    // pure scheduling slack: barrier tasks plus the idle tail each iteration
-    // spends waiting for its slowest block.
-    json.push_str("  \"frontier\": [\n");
-    let mut rows = Vec::new();
-    let mut e2e_frontier_4n = f64::MAX;
-    for &nodes in &[1usize, 4] {
-        let mut barrier = f64::MAX;
-        let mut frontier = f64::MAX;
-        for _ in 0..E2E_ROUNDS {
-            barrier = barrier.min(run_spmv(nodes, k, n, iters, IterationMode::Barrier));
-            frontier = frontier.min(run_spmv(nodes, k, n, iters, IterationMode::Frontier));
-        }
-        if nodes == 4 {
-            e2e_frontier_4n = frontier;
-        }
-        println!(
-            "iterated SpMV k={k} n={n} iters={iters} nodes={nodes} (min of {E2E_ROUNDS}): barrier {barrier:.3}s, frontier {frontier:.3}s ({:.2}x)",
-            barrier / frontier
-        );
-        rows.push(format!(
-            "    {{\"nodes\": {nodes}, \"k\": {k}, \"n\": {n}, \"iterations\": {iters}, \"rounds\": {E2E_ROUNDS}, \"wall_s_barrier\": {barrier:.4}, \"wall_s_frontier\": {frontier:.4}, \"speedup\": {:.3}}}",
-            barrier / frontier
-        ));
-    }
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-
-    // --- 2c. static audit cost on the 4-node iterated SpMV graph -----------
+    // --- 2b. static audit cost on the 4-node iterated SpMV graph -----------
     // DoocRuntime::run audits every graph before staging a byte (DESIGN.md
-    // §14), so the pass rides inside every e2e number above; this measures
+    // §13), so the pass rides inside every e2e number above; this measures
     // it alone. Only descriptors are needed — the audit never touches data —
     // so the blocks are synthesized with the same tiled placement the e2e
     // rows staged. The gate: audit cost must stay under 1% of the 4-node
-    // frontier end-to-end wall it protects.
+    // end-to-end wall it protects.
     let audit_graph = {
         let grid = BlockGrid::new(k, n);
         let owner = tiled_owner(k, 4);
@@ -238,7 +208,6 @@ fn main() {
         let (g, _external, _geometry) = SpmvAppBuilder::new(grid, iters, blocks)
             .reduction(ReductionPlan::LocalAggregation)
             .sync(SyncPolicy::IterationBarrier)
-            .iteration_mode(IterationMode::Frontier)
             .build();
         g
     };
@@ -249,13 +218,13 @@ fn main() {
         audit(&audit_graph, 256 << 20, &lanes).expect("bench graph audits clean");
         audit_s = audit_s.min(t0.elapsed().as_secs_f64());
     }
-    let audit_pct = 100.0 * audit_s / e2e_frontier_4n;
+    let audit_pct = 100.0 * audit_s / e2e_4n;
     println!(
-        "static audit: {} tasks in {:.0}us = {:.3}% of the 4-node frontier e2e ({:.3}s)",
+        "static audit: {} tasks in {:.0}us = {:.3}% of the 4-node e2e ({:.3}s)",
         audit_graph.len(),
         audit_s * 1e6,
         audit_pct,
-        e2e_frontier_4n
+        e2e_4n
     );
     assert!(
         audit_pct < 1.0,
@@ -265,7 +234,7 @@ fn main() {
         "  \"audit\": {{\"tasks\": {}, \"nodes\": 4, \"audit_us\": {:.1}, \"e2e_wall_s\": {:.4}, \"pct_of_e2e\": {:.4}}},\n",
         audit_graph.len(),
         audit_s * 1e6,
-        e2e_frontier_4n,
+        e2e_4n,
         audit_pct
     ));
 
@@ -417,19 +386,9 @@ fn read_latency(nblocks: u64, block_bytes: u64, reps: u32) -> ReadLatency {
     results.pop().expect("driver reported")
 }
 
-/// One end-to-end iterated-SpMV run under the given iteration mode; returns
-/// wall seconds. The `SyncPolicy` is the
-/// barriered path's knob only — frontier mode ignores it and gates releases
-/// on the capability frontier instead.
-fn run_spmv(nodes: usize, k: u64, n: u64, iterations: u64, mode: IterationMode) -> f64 {
-    let tag = format!(
-        "bench-dp-{nodes}n-{}",
-        if mode == IterationMode::Frontier {
-            "frontier"
-        } else {
-            "barrier"
-        }
-    );
+/// One end-to-end iterated-SpMV run; returns wall seconds.
+fn run_spmv(nodes: usize, k: u64, n: u64, iterations: u64) -> f64 {
+    let tag = format!("bench-dp-{nodes}n");
     let cfg = DoocConfig::in_temp_dirs(&tag, nodes)
         .expect("cfg")
         .memory_budget(256 << 20)
@@ -447,8 +406,7 @@ fn run_spmv(nodes: usize, k: u64, n: u64, iterations: u64, mode: IterationMode) 
     .expect("stage");
     let app = SpmvAppBuilder::new(grid, iterations, blocks)
         .reduction(ReductionPlan::LocalAggregation)
-        .sync(SyncPolicy::IterationBarrier)
-        .iteration_mode(mode);
+        .sync(SyncPolicy::IterationBarrier);
     let x0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin() + 1.0).collect();
     app.stage_initial_vector(&cfg.scratch_dirs, &x0)
         .expect("stage x0");

@@ -4,17 +4,17 @@
 //! results for the `dooc-audit` bin in the same JSON shape as `lint --json`.
 
 use dooc_core::runtime_lane_specs;
-use dooc_linalg::spmv_app::{IterationMode, SpmvAppBuilder, StagedBlock, SyncPolicy};
-use dooc_scheduler::{audit, AuditError, AuditReport, LaneSpec, TaskGraph, TaskSpec, Timestamp};
+use dooc_linalg::spmv_app::{SpmvAppBuilder, StagedBlock, SyncPolicy};
+use dooc_scheduler::{audit, AuditError, AuditReport, LaneSpec, TaskGraph, TaskSpec};
 use dooc_sparse::{BlockCoord, BlockGrid};
 
 /// One audited graph: the label, the run-digest-style graph fingerprint,
 /// and either the report or the typed rejection.
 #[derive(Clone, Debug)]
 pub struct AuditOutcome {
-    /// Human-readable graph label (e.g. `spmv-frontier k=4 n=2000`).
+    /// Human-readable graph label (e.g. `spmv-none k=4 n=2000`).
     pub graph: String,
-    /// FNV-1a fingerprint over the graph's tasks, gates and timestamps —
+    /// FNV-1a fingerprint over the graph's tasks and data declarations —
     /// the piece of the runtime bootstrap digest the audit sees, letting CI
     /// correlate reports across distributed digest variants.
     pub digest: u64,
@@ -40,26 +40,16 @@ pub fn graph_digest(graph: &TaskGraph) -> u64 {
         for d in t.inputs.iter().chain(t.outputs.iter()) {
             eat(d.array.as_bytes());
             eat(&d.bytes.to_le_bytes());
-            eat(&d
-                .gate
-                .map(|g| g.pack() | 1 << 63)
-                .unwrap_or(0)
-                .to_le_bytes());
         }
-        eat(&t
-            .timestamp
-            .map(|ts| ts.pack() | 1 << 63)
-            .unwrap_or(0)
-            .to_le_bytes());
     }
     h
 }
 
-/// Builds the iterated-SpMV task graph in the given mode without touching
-/// disk: staged-block descriptors are synthesized (round-robin placement,
-/// uniform sizes) since the audit only consumes the graph structure and
-/// byte weights, never the data.
-pub fn spmv_graph(mode: IterationMode, k: u64, n: u64, iters: u64, nnodes: u64) -> TaskGraph {
+/// Builds the iterated-SpMV task graph under the given sync policy without
+/// touching disk: staged-block descriptors are synthesized (round-robin
+/// placement, uniform sizes) since the audit only consumes the graph
+/// structure and byte weights, never the data.
+pub fn spmv_graph(sync: SyncPolicy, k: u64, n: u64, iters: u64, nnodes: u64) -> TaskGraph {
     let grid = BlockGrid::new(k, n);
     let per_block = 8 * n.div_ceil(k); // one f64 sub-vector's worth per cell
     let blocks: Vec<StagedBlock> = (0..k)
@@ -71,10 +61,7 @@ pub fn spmv_graph(mode: IterationMode, k: u64, n: u64, iters: u64, nnodes: u64) 
             nnz: 2 * n.div_ceil(k),
         })
         .collect();
-    let (graph, _ext, _geom) = SpmvAppBuilder::new(grid, iters, blocks)
-        .sync(SyncPolicy::None)
-        .iteration_mode(mode)
-        .build();
+    let (graph, _ext, _geom) = SpmvAppBuilder::new(grid, iters, blocks).sync(sync).build();
     graph
 }
 
@@ -86,40 +73,6 @@ pub fn audit_graph(label: &str, graph: &TaskGraph, budget: u64, nnodes: u64) -> 
         digest: graph_digest(graph),
         result: audit(graph, budget, &runtime_lane_specs(graph, nnodes)),
     }
-}
-
-fn ts(iter: u32, block: u32) -> Timestamp {
-    Timestamp::new(iter, block)
-}
-
-/// Seeded bug: two frontier chains, each gated on the *other* chain's
-/// capability — the classic cross-gate deadlock the stall analysis must
-/// report as a [`AuditError::GateCycle`].
-pub fn seeded_gate_cycle() -> TaskGraph {
-    TaskGraph::new(vec![
-        TaskSpec::new("a", "k")
-            .input_gated("xb", 8, ts(1, 1))
-            .output("xa", 8)
-            .at(ts(1, 0)),
-        TaskSpec::new("b", "k")
-            .input_gated("xa", 8, ts(1, 0))
-            .output("xb", 8)
-            .at(ts(1, 1)),
-    ])
-    .expect("per-gate validation accepts the cross-gated pair")
-}
-
-/// Seeded bug: a task gated at its *own* timestamp, so it holds the very
-/// capability its gate waits for — an [`AuditError::CapabilityLeak`].
-pub fn seeded_capability_leak() -> TaskGraph {
-    TaskGraph::new(vec![
-        TaskSpec::new("x_1", "sum").output("x_1", 8).at(ts(1, 0)),
-        TaskSpec::new("x_2", "sum")
-            .input_gated("x_1", 8, ts(2, 0))
-            .output("x_2", 8)
-            .at(ts(2, 0)),
-    ])
-    .expect("per-gate validation accepts the self-gated task")
 }
 
 /// Seeded bug: a graph whose largest single-task working set exceeds the
@@ -141,7 +94,7 @@ pub fn seeded_lane_deadlock() -> (TaskGraph, Vec<LaneSpec>) {
         .output("out", 8)])
     .expect("trivial graph");
     let lanes = vec![LaneSpec {
-        name: "progress".into(),
+        name: "done".into(),
         capacity: 2,
         bound: 40,
         cyclic: true,
@@ -149,19 +102,11 @@ pub fn seeded_lane_deadlock() -> (TaskGraph, Vec<LaneSpec>) {
     (g, lanes)
 }
 
-/// Runs the four seeded-bug negatives and checks each fails on the
-/// *intended* analysis. Returns `(name, caught_by_intended_analysis)` per
-/// twin — CI asserts all four are `true`.
+/// Runs the seeded-bug negatives and checks each fails on the *intended*
+/// analysis. Returns `(name, caught_by_intended_analysis)` per twin — CI
+/// asserts all are `true`.
 pub fn selftest() -> Vec<(&'static str, bool)> {
     let budget = 256 << 20;
-    let gate_cycle = matches!(
-        audit(&seeded_gate_cycle(), budget, &[]),
-        Err(AuditError::GateCycle { .. })
-    );
-    let cap_leak = matches!(
-        audit(&seeded_capability_leak(), budget, &[]),
-        Err(AuditError::CapabilityLeak { .. })
-    );
     let (big, small_budget) = seeded_overcommit();
     let overcommit = matches!(
         audit(&big, small_budget, &[]),
@@ -172,64 +117,62 @@ pub fn selftest() -> Vec<(&'static str, bool)> {
         audit(&clean, budget, &lanes),
         Err(AuditError::LaneDeadlock { .. })
     );
-    vec![
-        ("gate-cycle", gate_cycle),
-        ("capability-leak", cap_leak),
-        ("overcommit", overcommit),
-        ("lane-deadlock", lane_deadlock),
-    ]
+    vec![("overcommit", overcommit), ("lane-deadlock", lane_deadlock)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const POLICIES: [SyncPolicy; 3] = [
+        SyncPolicy::None,
+        SyncPolicy::IterationBarrier,
+        SyncPolicy::PhaseBarriers,
+    ];
+
     #[test]
-    fn spmv_barrier_audits_clean() {
-        let g = spmv_graph(IterationMode::Barrier, 4, 2000, 4, 4);
-        let out = audit_graph("spmv-barrier", &g, 256 << 20, 4);
-        let report = out.result.expect("barrier graph must audit clean");
-        assert!(report.exact);
-        assert_eq!(report.gated_tasks, 0, "barrier mode has no gates");
-        assert!(report.peak_bytes > 0);
+    fn every_sync_policy_audits_clean_and_barriers_lengthen_the_critical_path() {
+        let [none, iteration, phase] = POLICIES.map(|sync| {
+            let g = spmv_graph(sync, 4, 2000, 4, 4);
+            let report = audit_graph("spmv", &g, 256 << 20, 4)
+                .result
+                .unwrap_or_else(|e| panic!("{sync:?} must audit clean: {e}"));
+            assert!(report.exact);
+            assert!(report.peak_bytes > 0);
+            report.critical_path
+        });
+        // Multiply, sum, next multiply, ... : two per iteration at least,
+        // and every barrier task sits on the longest chain.
+        assert!(
+            8 <= none && none < iteration && iteration < phase,
+            "{none} {iteration} {phase}"
+        );
     }
 
     #[test]
-    fn spmv_frontier_audits_clean() {
-        let g = spmv_graph(IterationMode::Frontier, 4, 2000, 4, 4);
-        let out = audit_graph("spmv-frontier", &g, 256 << 20, 4);
-        let report = out.result.expect("frontier graph must audit clean");
-        assert!(report.exact);
-        assert!(report.gated_tasks > 0, "frontier mode gates multiplies");
-        // Gate edges serialize across iterations, so the frontier critical
-        // path is at least as long as one iteration's chain.
-        assert!(report.critical_path >= 2);
-    }
-
-    #[test]
-    fn frontier_tiny_budget_matches_shipping_example() {
+    fn tiny_budget_matches_shipping_example() {
         // examples/iterated_spmv.rs runs this very graph with a 4 MiB
         // budget deliberately smaller than the matrix; the audit must admit
         // it (out-of-core execution beyond the budget is the point — only
         // a single task's pinned set is a hard floor).
-        let g = spmv_graph(IterationMode::Frontier, 4, 2000, 4, 4);
-        assert!(audit_graph("spmv-frontier", &g, 4 << 20, 4).result.is_ok());
+        let g = spmv_graph(SyncPolicy::None, 4, 2000, 4, 4);
+        assert!(audit_graph("spmv-none", &g, 4 << 20, 4).result.is_ok());
     }
 
     #[test]
-    fn digests_differ_between_modes_and_agree_per_graph() {
-        let b = spmv_graph(IterationMode::Barrier, 4, 2000, 4, 4);
-        let f = spmv_graph(IterationMode::Frontier, 4, 2000, 4, 4);
-        assert_ne!(graph_digest(&b), graph_digest(&f));
+    fn digests_differ_between_policies_and_agree_per_graph() {
+        let none = spmv_graph(SyncPolicy::None, 4, 2000, 4, 4);
+        let barrier = spmv_graph(SyncPolicy::IterationBarrier, 4, 2000, 4, 4);
+        assert_ne!(graph_digest(&none), graph_digest(&barrier));
         // Same parameters → same graph → same digest: every process of a
         // distributed run reports the same fingerprint, which is what CI
         // correlates the digest variants on.
-        let f2 = spmv_graph(IterationMode::Frontier, 4, 2000, 4, 4);
-        assert_eq!(graph_digest(&f), graph_digest(&f2));
+        let again = spmv_graph(SyncPolicy::None, 4, 2000, 4, 4);
+        assert_eq!(graph_digest(&none), graph_digest(&again));
     }
 
     #[test]
-    fn selftest_catches_all_four() {
+    fn selftest_catches_every_twin() {
         for (name, ok) in selftest() {
             assert!(ok, "seeded negative '{name}' not caught by its analysis");
         }

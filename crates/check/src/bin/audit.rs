@@ -1,19 +1,18 @@
 //! Static task-graph auditor entry point:
-//! `cargo run -p dooc-check --bin dooc-audit -- --spmv frontier`.
+//! `cargo run -p dooc-check --bin dooc-audit -- --spmv none`.
 //!
-//! Builds the requested graph (no disk staging), runs the three static
-//! analyses — progress-stall detection, the peak-residency sweep against the
-//! budget, and lane-capacity deadlock freedom — and prints the report. With
-//! `--json`, output is one JSON object per the `lint --json` convention; the
-//! exit code is 0 when every audited graph is clean, 1 when any is rejected,
-//! 2 on usage errors.
+//! Builds the requested graph (no disk staging), runs the two static
+//! analyses — the peak-residency sweep against the budget and lane-capacity
+//! deadlock freedom — and prints the report. With `--json`, output is one
+//! JSON object per the `lint --json` convention; the exit code is 0 when
+//! every audited graph is clean, 1 when any is rejected, 2 on usage errors.
 //!
-//! `--selftest` instead runs the four seeded-bug negative twins and asserts
+//! `--selftest` instead runs the seeded-bug negative twins and asserts
 //! each fails on the *intended* analysis (CI's proof the auditor catches
 //! what it claims to catch).
 
 use dooc_check::audit::{audit_graph, selftest, spmv_graph, AuditOutcome};
-use dooc_linalg::spmv_app::IterationMode;
+use dooc_linalg::spmv_app::SyncPolicy;
 use std::process::ExitCode;
 
 /// Minimal JSON string escaping (the only non-trivial JSON we emit).
@@ -40,7 +39,7 @@ fn outcome_json(o: &AuditOutcome) -> String {
         Ok(r) => format!(
             "{{\"graph\":{},\"digest\":\"{:016x}\",\"clean\":true,\
              \"peak_bytes\":{},\"critical_path\":{},\"widest_antichain\":{},\
-             \"max_task_bytes\":{},\"max_task\":{},\"gated_tasks\":{},\"exact\":{}}}",
+             \"max_task_bytes\":{},\"max_task\":{},\"exact\":{}}}",
             json_str(&o.graph),
             o.digest,
             r.peak_bytes,
@@ -48,7 +47,6 @@ fn outcome_json(o: &AuditOutcome) -> String {
             r.widest_antichain,
             r.max_task_bytes,
             json_str(&r.max_task),
-            r.gated_tasks,
             r.exact,
         ),
         Err(e) => format!(
@@ -69,9 +67,16 @@ fn print_json(outcomes: &[AuditOutcome]) {
     );
 }
 
+/// The shipping graphs by sync policy, under their `--spmv` names.
+const POLICIES: [(&str, SyncPolicy); 3] = [
+    ("none", SyncPolicy::None),
+    ("iteration", SyncPolicy::IterationBarrier),
+    ("phase", SyncPolicy::PhaseBarriers),
+];
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dooc-audit [--json] [--spmv barrier|frontier|both] \
+        "usage: dooc-audit [--json] [--spmv none|iteration|phase|all] \
          [--k K] [--n N] [--iters I] [--nodes P] [--budget BYTES] [--selftest]"
     );
     ExitCode::from(2)
@@ -79,7 +84,7 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut modes: Vec<(&'static str, IterationMode)> = Vec::new();
+    let mut policies: Vec<(&'static str, SyncPolicy)> = Vec::new();
     let mut run_selftest = false;
     let (mut k, mut n, mut iters, mut nodes) = (4u64, 2000u64, 4u64, 4u64);
     let mut budget: u64 = 256 << 20;
@@ -97,13 +102,12 @@ fn main() -> ExitCode {
             "--spmv" => {
                 i += 1;
                 match args.get(i).map(String::as_str) {
-                    Some("barrier") => modes.push(("spmv-barrier", IterationMode::Barrier)),
-                    Some("frontier") => modes.push(("spmv-frontier", IterationMode::Frontier)),
-                    Some("both") => {
-                        modes.push(("spmv-barrier", IterationMode::Barrier));
-                        modes.push(("spmv-frontier", IterationMode::Frontier));
-                    }
-                    _ => return usage(),
+                    Some("all") => policies.extend(POLICIES),
+                    Some(name) => match POLICIES.iter().find(|(n, _)| *n == name) {
+                        Some(p) => policies.push(*p),
+                        None => return usage(),
+                    },
+                    None => return usage(),
                 }
             }
             "--k" => match take(&mut i) {
@@ -152,16 +156,15 @@ fn main() -> ExitCode {
         };
     }
 
-    if modes.is_empty() {
-        modes.push(("spmv-barrier", IterationMode::Barrier));
-        modes.push(("spmv-frontier", IterationMode::Frontier));
+    if policies.is_empty() {
+        policies.extend(POLICIES);
     }
 
-    let outcomes: Vec<AuditOutcome> = modes
+    let outcomes: Vec<AuditOutcome> = policies
         .iter()
-        .map(|(label, mode)| {
-            let graph = spmv_graph(*mode, k, n, iters, nodes);
-            let full = format!("{label} k={k} n={n} iters={iters} nodes={nodes}");
+        .map(|(name, sync)| {
+            let graph = spmv_graph(*sync, k, n, iters, nodes);
+            let full = format!("spmv-{name} k={k} n={n} iters={iters} nodes={nodes}");
             audit_graph(&full, &graph, budget, nodes)
         })
         .collect();
@@ -174,7 +177,7 @@ fn main() -> ExitCode {
             match &o.result {
                 Ok(r) => println!(
                     "{} [digest {:016x}]: clean — peak {} bytes, critical path {}, \
-                     widest antichain {}, max task '{}' {} bytes, {} gated{}",
+                     widest antichain {}, max task '{}' {} bytes{}",
                     o.graph,
                     o.digest,
                     r.peak_bytes,
@@ -182,7 +185,6 @@ fn main() -> ExitCode {
                     r.widest_antichain,
                     r.max_task,
                     r.max_task_bytes,
-                    r.gated_tasks,
                     if r.exact { "" } else { " (conservative bound)" }
                 ),
                 Err(e) => eprintln!("{} [digest {:016x}]: REJECTED — {e}", o.graph, o.digest),

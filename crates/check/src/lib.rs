@@ -8,12 +8,6 @@
 //!   clients operating on two blocks and checks the protocol invariants on
 //!   every reachable state. Seedable bugs ([`model::BugConfig`]) prove the
 //!   checker actually catches violations.
-//! * [`progress_model`] — the same exhaustive treatment for the
-//!   capability/frontier progress protocol (`dooc-core::progress` + gated
-//!   release): frontier monotonicity, release-behind-frontier and
-//!   no-stall-under-message-loss over every interleaving of drops,
-//!   deliveries, losses and re-flushes, with seedable leak / early-drop /
-//!   stale-fold bugs.
 //! * [`explore`] (feature `model`) — dooc-shuttle, a deterministic
 //!   interleaving explorer over the *real* runtime types: `dooc-sync`
 //!   primitives run on a virtual cooperative scheduler, and seeded
@@ -24,7 +18,7 @@
 //!   (`dooc_scheduler::audit`): builds the shipping SpMV graphs (no disk
 //!   staging), the seeded-bug negative twins, and the selftest the
 //!   `dooc-audit` bin and CI consume. Run via
-//!   `cargo run -p dooc-check --bin dooc-audit -- --spmv frontier --json`.
+//!   `cargo run -p dooc-check --bin dooc-audit -- --spmv all --json`.
 //! * [`lint`] — a plain-text source lint pass enforcing repo-wide coding
 //!   rules (no `unwrap`/`expect` in protocol library code, no
 //!   `std::sync::Mutex`, no unbounded channels, `forbid(unsafe_code)` in
@@ -52,6 +46,5 @@ pub mod audit;
 pub mod explore;
 pub mod lint;
 pub mod model;
-pub mod progress_model;
 pub mod race;
 pub mod syncgraph;

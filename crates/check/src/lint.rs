@@ -50,18 +50,6 @@
 //!    decision) and invisibly to the dooc-race recorder; a spin loop turns
 //!    a blocked state the explorer could enumerate into a livelock. Test
 //!    code is exempt, like rules 1–3.
-//! 9. **Gates must reference produced timestamps** — every
-//!    `input_gated(.., Timestamp::new(ITER, BLOCK))` whose iteration
-//!    argument is a literal other than `0` must be matched by a task
-//!    declared `.at(Timestamp::new(ITER, BLOCK))` in the same file. A gate
-//!    on a timestamp nothing produces never closes: the static auditor
-//!    reports it as an `UnanchoredGate` at graph-build time, but graphs
-//!    assembled in tests and examples are often never run, so the lint
-//!    catches the copy-paste at review time. Iteration `0` is exempt (the
-//!    external-`x_0` idiom holds no capabilities), as are computed
-//!    timestamp expressions (loop-built graphs like the SpMV builder).
-//!    Unlike rules 1–3 this rule also covers `tests/`, `benches/` and the
-//!    root-level `tests/` and `examples/` trees.
 //!
 //! Scanning is line-based: lines whose trimmed form starts with `//` are
 //! skipped, and within a file everything from the first `#[cfg(test)]`
@@ -148,9 +136,6 @@ const PAT_PARKING_LOT: &str = concat!("parking", "_lot");
 const PAT_CROSSBEAM: &str = concat!("cross", "beam");
 const PAT_STD_SLEEP: &str = concat!("std::thread::", "sleep(");
 const PAT_SPIN_LOOP: &str = concat!("spin_", "loop(");
-const PAT_INPUT_GATED: &str = concat!(".input_", "gated(");
-const PAT_TS_NEW: &str = concat!("Timestamp::", "new(");
-const PAT_AT_CALL: &str = concat!(".at", "(");
 
 /// Per-file rule toggles for [`lint_source`], derived from the crate the
 /// file belongs to ([`lint_workspace`] sets them; tests set them directly).
@@ -321,144 +306,6 @@ pub fn lint_release_read(file: &Path, content: &str) -> Vec<Finding> {
     findings
 }
 
-/// Rule 9 helper: the text between the `(` at `open` and its matching `)`,
-/// skipping over double-quoted string literals (array names, `format!`
-/// templates) so a parenthesis inside a name cannot unbalance the walk.
-fn balanced_args(s: &str, open: usize) -> Option<&str> {
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, b) in s.bytes().enumerate().skip(open) {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&s[open + 1..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Rule 9 helper: the first top-level (depth-0) comma-separated argument.
-fn first_arg(args: &str) -> &str {
-    let mut depth = 0i32;
-    for (i, c) in args.char_indices() {
-        match c {
-            '(' | '[' | '{' => depth += 1,
-            ')' | ']' | '}' => depth -= 1,
-            ',' if depth == 0 => return &args[..i],
-            _ => {}
-        }
-    }
-    args
-}
-
-/// Rule 9 helper: parses an integer literal (`3`, `1_000`, `2u32`);
-/// returns `None` for computed expressions, which the rule skips.
-fn int_literal(s: &str) -> Option<u64> {
-    let t: String = s.trim().chars().filter(|c| *c != '_').collect();
-    let digits: String = t.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    match &t[digits.len()..] {
-        "" | "u8" | "u16" | "u32" | "u64" | "usize" => digits.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Scans content for rule 9 only (gates must reference produced
-/// timestamps). Whole-file, two passes: first collect the whitespace-
-/// normalized argument text of every `.at(Timestamp::new(..))` producer
-/// declaration, then flag each `input_gated` call whose gate is a
-/// `Timestamp::new` with a non-zero *literal* iteration and no matching
-/// producer text in the same file. Applies to test code (the target is
-/// exactly hand-built graphs in tests and examples).
-pub fn lint_gate_refs(file: &Path, content: &str) -> Vec<Finding> {
-    // Blank comment lines, keeping the newlines so line numbers survive.
-    let scrubbed: String = content
-        .lines()
-        .map(|l| {
-            if l.trim_start().starts_with("//") {
-                ""
-            } else {
-                l
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-
-    // Pass 1: producer timestamps, normalized ("1,0" for `1, 0`).
-    let mut produced: Vec<String> = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = scrubbed[from..].find(PAT_TS_NEW) {
-        let pos = from + rel;
-        let open = pos + PAT_TS_NEW.len() - 1;
-        from = open;
-        if scrubbed[..pos].trim_end().ends_with(PAT_AT_CALL) {
-            if let Some(args) = balanced_args(&scrubbed, open) {
-                produced.push(args.split_whitespace().collect());
-            }
-        }
-    }
-
-    // Pass 2: gates with a literal non-zero iteration must match a producer.
-    let mut findings = Vec::new();
-    let mut from = 0;
-    while let Some(rel) = scrubbed[from..].find(PAT_INPUT_GATED) {
-        let pos = from + rel;
-        let open = pos + PAT_INPUT_GATED.len() - 1;
-        from = open;
-        let Some(call_args) = balanced_args(&scrubbed, open) else {
-            continue;
-        };
-        let Some(ts_rel) = call_args.find(PAT_TS_NEW) else {
-            continue; // helper-built or variable timestamp: out of scope
-        };
-        let ts_open = ts_rel + PAT_TS_NEW.len() - 1;
-        let Some(ts_args) = balanced_args(call_args, ts_open) else {
-            continue;
-        };
-        let Some(iter) = int_literal(first_arg(ts_args)) else {
-            continue; // computed iteration (loop-built graph): skipped
-        };
-        if iter == 0 {
-            continue; // external-input idiom: iteration 0 holds no capability
-        }
-        let wanted: String = ts_args.split_whitespace().collect();
-        if !produced.contains(&wanted) {
-            findings.push(Finding {
-                file: file.to_path_buf(),
-                line: scrubbed[..pos].matches('\n').count() + 1,
-                rule: "gate-produced-timestamp",
-                message: format!(
-                    "gate waits on Timestamp::new({}) but no task in this file \
-                     is declared .at that timestamp — the frontier can never \
-                     close it (the auditor would reject the graph as an \
-                     unanchored gate)",
-                    ts_args.trim()
-                ),
-            });
-        }
-    }
-    findings
-}
-
 /// Checks rule 4 on a crate-root file's content.
 pub fn lint_crate_root(file: &Path, content: &str) -> Vec<Finding> {
     if content.contains(PAT_FORBID_UNSAFE) {
@@ -496,12 +343,11 @@ pub struct LintReport {
 }
 
 /// Lints the workspace rooted at `root`: every `crates/*/src` tree (rules
-/// 1–3, 5 and 9, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
+/// 1–3 and 5, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
 /// exempting the `storage` crate's own internals) and every crate root
 /// including the umbrella `src/lib.rs` (rule 4). `crates/*/tests` and
 /// `crates/*/benches` trees, plus the root-level `tests/` and `examples/`
-/// trees, are scanned for rules 5 and 9 only; `vendor/` is skipped
-/// entirely.
+/// trees, are scanned for rule 5 only; `vendor/` is skipped entirely.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut report = LintReport::default();
     let crates_dir = root.join("crates");
@@ -544,7 +390,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             report.files_scanned += 1;
             let rel = file.strip_prefix(root).unwrap_or(&file);
             report.findings.extend(lint_source(rel, &content, opts));
-            report.findings.extend(lint_gate_refs(rel, &content));
         }
         for sub in ["tests", "benches"] {
             let tree = dir.join(sub);
@@ -559,13 +404,12 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
                 report.files_scanned += 1;
                 let rel = file.strip_prefix(root).unwrap_or(&file);
                 report.findings.extend(lint_release_read(rel, &content));
-                report.findings.extend(lint_gate_refs(rel, &content));
             }
         }
     }
 
-    // Root-level integration tests and examples: hand-built graphs live
-    // here, so rules 5 and 9 apply (the per-crate rules do not).
+    // Root-level integration tests and examples: rule 5 applies (the
+    // per-crate rules do not).
     for tree in ["tests", "examples"] {
         let dir = root.join(tree);
         if !dir.is_dir() {
@@ -579,7 +423,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             report.files_scanned += 1;
             let rel = file.strip_prefix(root).unwrap_or(&file);
             report.findings.extend(lint_release_read(rel, &content));
-            report.findings.extend(lint_gate_refs(rel, &content));
         }
     }
 
@@ -816,95 +659,6 @@ mod tests {
             ..LintOpts::default()
         };
         assert!(lint_source(Path::new("a.rs"), &src, on).is_empty());
-    }
-
-    #[test]
-    fn gate_on_produced_timestamp_passes_rule_9() {
-        // Whitespace differs between producer and gate: the match is
-        // normalized-text, not byte-for-byte.
-        let src = format!(
-            "fn f() {{\n    let a = TaskSpec::new(\"x_1\", \"sum\")\
-             .output(\"x_1\", 8).at({ts}1,0));\n    \
-             let b = TaskSpec::new(\"p\", \"mul\"){ig}\"x_1\", 8, {ts}1, 0));\n}}\n",
-            ts = concat!("Timestamp::", "new("),
-            ig = concat!(".input_", "gated("),
-        );
-        assert!(lint_gate_refs(Path::new("a.rs"), &src).is_empty(), "{src}");
-    }
-
-    #[test]
-    fn gate_without_producer_flagged_by_rule_9() {
-        let src = format!(
-            "fn f() {{ let b = t{ig}\"x_3\", 8, {ts}3, 0)); }}\n",
-            ig = concat!(".input_", "gated("),
-            ts = concat!("Timestamp::", "new("),
-        );
-        let f = lint_gate_refs(Path::new("a.rs"), &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "gate-produced-timestamp");
-        assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("3, 0"), "{f:?}");
-    }
-
-    #[test]
-    fn gate_on_wrong_producer_timestamp_flagged_by_rule_9() {
-        // A producer exists, but at a different timestamp — exactly the
-        // copy-paste bug the rule is for.
-        let src = format!(
-            "fn f() {{\n    let a = t.at({ts}1, 0));\n    \
-             let b = t{ig}\"x\", 8, {ts}2, 0));\n}}\n",
-            ts = concat!("Timestamp::", "new("),
-            ig = concat!(".input_", "gated("),
-        );
-        let f = lint_gate_refs(Path::new("a.rs"), &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn iteration_zero_and_computed_gates_exempt_from_rule_9() {
-        // Iteration 0 is the external-input idiom; computed iterations are
-        // loop-built graphs the lexical rule cannot resolve.
-        let src = format!(
-            "fn f() {{\n    let a = t{ig}\"x_0\", 8, {ts}0, 0));\n    \
-             let b = t{ig}\"x\", 8, {ts}(i - 1) as u32, v));\n    \
-             let c = t{ig}\"x\", 8, ts(1, 0));\n}}\n",
-            ig = concat!(".input_", "gated("),
-            ts = concat!("Timestamp::", "new("),
-        );
-        assert!(lint_gate_refs(Path::new("a.rs"), &src).is_empty());
-    }
-
-    #[test]
-    fn wrapped_gate_call_matched_by_rule_9() {
-        // The rustfmt-wrapped form the SpMV builder uses: the call spans
-        // lines, and the finding anchors to the line the call starts on.
-        let src = format!(
-            "fn f() {{\n    let t = t{ig}\n        \"x_1\",\n        8,\n        \
-             {ts}1, 0),\n    );\n}}\n",
-            ig = concat!(".input_", "gated("),
-            ts = concat!("Timestamp::", "new("),
-        );
-        let f = lint_gate_refs(Path::new("a.rs"), &src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 2);
-        // The same call with a producer declared anywhere in the file (even
-        // wrapped) is clean.
-        let ok = format!(
-            "fn g() {{ let p = t.at(\n    {ts}1, 0));\n}}\n{src}",
-            ts = concat!("Timestamp::", "new("),
-        );
-        assert!(lint_gate_refs(Path::new("a.rs"), &ok).is_empty());
-    }
-
-    #[test]
-    fn commented_gates_ignored_by_rule_9() {
-        let src = format!(
-            "// t{ig}\"x\", 8, {ts}9, 9)) in a comment is fine\nfn f() {{}}\n",
-            ig = concat!(".input_", "gated("),
-            ts = concat!("Timestamp::", "new("),
-        );
-        assert!(lint_gate_refs(Path::new("a.rs"), &src).is_empty());
     }
 
     #[test]

@@ -863,31 +863,29 @@ fn two() {
 
     #[test]
     fn wrapped_connect_with_lane_extracted() {
-        // The exact rustfmt-wrapped shape of the runtime's progress-lane
+        // The exact rustfmt-wrapped shape of the runtime's completion-lane
         // wiring: arguments across lines, capacity an arithmetic expression.
         let src = "\
 fn wire() {
-    if graph.is_timed() {
-        layout.connect_with(
-            workers,
-            \"prog_out\",
-            workers,
-            \"prog_in\",
-            Delivery::Broadcast,
-            2 * graph.len() + 64,
-        );
-    }
+    layout.connect_with(
+        workers,
+        \"done_out\",
+        workers,
+        \"done_in\",
+        Delivery::Broadcast,
+        graph.len() + 16,
+    );
     layout.connect_with(a, \"req\", b, \"rep\", Delivery::Direct, 32);
 }
 ";
         let g = build_graph(vec![scan_source(Path::new("t.rs"), src)]);
         assert_eq!(g.lanes.len(), 2, "{}", g.render());
-        let prog = &g.lanes[0];
-        assert_eq!(prog.from_port, "prog_out");
-        assert_eq!(prog.to_port, "prog_in");
-        assert_eq!(prog.delivery, "Delivery::Broadcast");
-        assert_eq!(prog.capacity, "2 * graph.len() + 64");
-        assert_eq!(prog.line, 3);
+        let done = &g.lanes[0];
+        assert_eq!(done.from_port, "done_out");
+        assert_eq!(done.to_port, "done_in");
+        assert_eq!(done.delivery, "Delivery::Broadcast");
+        assert_eq!(done.capacity, "graph.len() + 16");
+        assert_eq!(done.line, 2);
         assert_eq!(g.lanes[1].from_port, "req");
         assert_eq!(g.lanes[1].capacity, "32");
     }

@@ -56,38 +56,29 @@ fn workspace_lock_order_graph_is_acyclic_and_complete() {
 }
 
 #[test]
-fn workspace_lane_topology_covers_the_progress_broadcast() {
+fn workspace_lane_topology_covers_the_completion_broadcast() {
     let g = scan_workspace(&workspace_root()).expect("workspace scan");
     assert!(!g.lanes.is_empty(), "no connect_with lanes found");
 
-    // The PR-9 progress broadcast lane, with its audited capacity sizing.
-    let prog = g
-        .lanes
-        .iter()
-        .find(|l| l.from_port == "prog_out" && l.to_port == "prog_in")
-        .unwrap_or_else(|| panic!("progress lane not extracted:\n{}", g.render()));
-    assert!(
-        prog.delivery.contains("Broadcast"),
-        "progress lane is not a broadcast: {prog:?}"
-    );
-    assert_eq!(
-        prog.capacity, "2 * graph.len() + 64",
-        "progress-lane capacity text changed — keep the lane audit in \
-         core::runtime::runtime_lane_specs in sync"
-    );
-    assert!(
-        prog.file.ends_with("crates/core/src/runtime.rs"),
-        "progress lane moved: {prog:?}"
-    );
-
-    // The completion broadcast lane next to it.
+    // The worker↔worker completion broadcast, with its audited sizing.
     let done = g
         .lanes
         .iter()
         .find(|l| l.from_port == "done_out" && l.to_port == "done_in")
         .unwrap_or_else(|| panic!("done lane not extracted:\n{}", g.render()));
-    assert!(done.delivery.contains("Broadcast"));
-    assert_eq!(done.capacity, "graph.len() + 16");
+    assert!(
+        done.delivery.contains("Broadcast"),
+        "done lane is not a broadcast: {done:?}"
+    );
+    assert_eq!(
+        done.capacity, "graph.len() + 16",
+        "done-lane capacity text changed — keep the lane audit in \
+         core::runtime::runtime_lane_specs in sync"
+    );
+    assert!(
+        done.file.ends_with("crates/core/src/runtime.rs"),
+        "done lane moved: {done:?}"
+    );
 }
 
 #[test]

@@ -46,13 +46,11 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod progress;
 pub mod report;
 pub mod runtime;
 pub mod worker;
 
 pub use config::DoocConfig;
-pub use progress::ProgressState;
 pub use report::{render_trace_gantt, RunReport, TraceEvent};
 pub use runtime::{runtime_lane_specs, DoocRuntime};
 pub use worker::{ArrayView, ExecOutcome, ResidencyTracker, TaskExecutor, WorkerContext};
@@ -60,8 +58,7 @@ pub use worker::{ArrayView, ExecOutcome, ResidencyTracker, TaskExecutor, WorkerC
 // Re-export the pieces applications touch, so `dooc-core` is self-sufficient.
 pub use dooc_filterstream::sync;
 pub use dooc_scheduler::{
-    AuditError, AuditReport, DataRef, FrontierOracle, LaneSpec, OrderPolicy, TaskGraph, TaskId,
-    TaskSpec, Timestamp,
+    AuditError, AuditReport, DataRef, LaneSpec, OrderPolicy, TaskGraph, TaskId, TaskSpec,
 };
 pub use dooc_storage::meta::Interval;
 pub use dooc_storage::proto::NodeStats;
@@ -85,8 +82,8 @@ pub enum DoocError {
     },
     /// Configuration problem.
     Config(String),
-    /// The pre-run static audit rejected the graph (stall, overcommit or
-    /// lane-capacity deadlock). Set `DOOC_AUDIT=off` to bypass.
+    /// The pre-run static audit rejected the graph (overcommit or
+    /// lane-capacity deadlock).
     Audit(dooc_scheduler::AuditError),
 }
 

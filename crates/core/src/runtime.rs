@@ -103,19 +103,15 @@ impl DoocRuntime {
         if nnodes == 0 {
             return Err(DoocError::Config("no scratch directories".into()));
         }
-        // Static pre-run audit: progress stalls, per-task residency vs the
-        // storage budget, and lane-capacity deadlock freedom — all decidable
-        // from the graph alone, so reject bad jobs before assembling the
-        // cluster. `DOOC_AUDIT=off` (or `0`) opts out, for benches that
-        // measure the data plane in isolation.
-        if audit_enabled() {
-            dooc_scheduler::audit(
-                &graph,
-                self.config.memory_budget,
-                &runtime_lane_specs(&graph, nnodes as u64),
-            )
-            .map_err(DoocError::Audit)?;
-        }
+        // Static pre-run audit: per-task residency vs the storage budget and
+        // lane-capacity deadlock freedom — both decidable from the graph
+        // alone, so reject bad jobs before assembling the cluster.
+        dooc_scheduler::audit(
+            &graph,
+            self.config.memory_budget,
+            &runtime_lane_specs(&graph, nnodes as u64),
+        )
+        .map_err(DoocError::Audit)?;
         // Global scheduling: affinity placement.
         let placement = Arc::new(assign_affinity(&graph, &external_location, nnodes as u64)?);
 
@@ -185,21 +181,6 @@ impl DoocRuntime {
             graph.len() + 16,
         );
 
-        // Progress lane (frontier mode only): capability-drop change batches
-        // broadcast between workers. Capacity covers one batch per task plus
-        // idle re-flushes, so sends never block; untimed graphs skip the
-        // lane entirely and the wire stays byte-identical to barrier runs.
-        if graph.is_timed() {
-            layout.connect_with(
-                workers,
-                "prog_out",
-                workers,
-                "prog_in",
-                Delivery::Broadcast,
-                2 * graph.len() + 64,
-            );
-        }
-
         let base = cluster.attach_clients(&mut layout, workers, nnodes, "sreq", "srep");
         // Relaxed is enough: the store happens before `Runtime::run` spawns
         // the filter threads, and thread spawn is the happens-before edge
@@ -258,50 +239,26 @@ impl DoocRuntime {
     }
 }
 
-/// Is the pre-run static audit enabled? Defaults to on; `DOOC_AUDIT=off`
-/// (or `0`) bypasses it, for benches that isolate the data plane.
-fn audit_enabled() -> bool {
-    !matches!(
-        std::env::var("DOOC_AUDIT").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
 /// The bounded lanes `run_inner` is about to wire, declared for the
-/// lane-capacity audit. Both worker↔worker broadcast groups loop back to
-/// their own senders, so they are communication cycles: a send must never
+/// lane-capacity audit. The worker↔worker completion broadcast loops back
+/// to its own senders, so it is a communication cycle: a send must never
 /// block, which the audit proves by `bound ≤ capacity`.
 ///
 /// * `done` — one completion message per task, capacity `len + 16`.
-/// * `progress` — one capability-drop batch per timestamped completion plus
-///   at most one cumulative re-flush per worker in flight at a time (the
-///   receiver folds batches idempotently and drains its lane every tick),
-///   against the declared capacity `2·len + 64`. The comment-level sizing
-///   argument from PR 9 becomes a checked fact here.
+///
+/// The `done` bound is the task count, so the node count goes unused; the
+/// parameter stays because `doocbench` and `dooc-audit` call this signature.
 ///
 /// Public so `dooc-audit` can report on exactly the lanes the runtime will
 /// wire for a given graph.
-pub fn runtime_lane_specs(graph: &TaskGraph, nnodes: u64) -> Vec<dooc_scheduler::LaneSpec> {
+pub fn runtime_lane_specs(graph: &TaskGraph, _nnodes: u64) -> Vec<dooc_scheduler::LaneSpec> {
     let len = graph.len() as u64;
-    let mut lanes = vec![dooc_scheduler::LaneSpec {
+    vec![dooc_scheduler::LaneSpec {
         name: "done".into(),
         capacity: len + 16,
         bound: len,
         cyclic: true,
-    }];
-    if graph.is_timed() {
-        let timestamped = graph
-            .ids()
-            .filter(|&id| graph.task(id).timestamp.is_some())
-            .count() as u64;
-        lanes.push(dooc_scheduler::LaneSpec {
-            name: "progress".into(),
-            capacity: 2 * len + 64,
-            bound: 2 * timestamped + nnodes,
-            cyclic: true,
-        });
-    }
-    lanes
+    }]
 }
 
 /// FNV-1a digest of everything that shapes cluster assembly: node count,
@@ -323,7 +280,7 @@ fn run_digest(
         eat(h, &v.to_le_bytes());
     }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut h, b"dooc-run-v1");
+    eat(&mut h, b"dooc-run-v2");
     eat_u64(&mut h, config.nnodes() as u64);
     eat_u64(&mut h, config.memory_budget);
     eat_u64(&mut h, config.seed);
@@ -339,16 +296,9 @@ fn run_digest(
         for d in t.inputs.iter().chain(t.outputs.iter()) {
             eat(&mut h, d.array.as_bytes());
             eat_u64(&mut h, d.bytes);
-            // Frontier gates shape release order cluster-wide; a disagreement
-            // would stall gated tasks forever, so it must fail the bootstrap.
-            eat_u64(&mut h, d.gate.map(|g| g.pack() | 1 << 63).unwrap_or(0));
         }
         eat_u64(&mut h, t.flops);
         eat_u64(&mut h, t.pin.map(|p| p + 1).unwrap_or(0));
-        eat_u64(
-            &mut h,
-            t.timestamp.map(|ts| ts.pack() | 1 << 63).unwrap_or(0),
-        );
     }
     let mut ext: Vec<(&String, &u64)> = external_location.iter().collect();
     ext.sort();

@@ -7,7 +7,6 @@
 //! [`TaskExecutor`], and broadcasts completions to every other worker so all
 //! local schedulers observe cluster-wide DAG progress.
 
-use crate::progress::{decode, ProgressState};
 use crate::report::TraceEvent;
 use crate::DoocConfig;
 use bytes::Bytes;
@@ -65,14 +64,6 @@ pub fn is_injected_crash(message: &str) -> bool {
 /// How many times one task may be re-executed after injected crashes before
 /// the failure is surfaced to the application.
 pub const TASK_RETRY_MAX: u32 = 3;
-
-/// Idle ticks (1 ms `done_in` timeouts with nothing to do) between full
-/// re-flushes of a worker's cumulative progress table. Batches are
-/// cumulative and fold with per-peer `max`, so a re-flush is idempotent —
-/// it exists to heal progress-lane messages lost to injected faults (or,
-/// in a real deployment, a flaky link). Throttled hard so a peer stuck in
-/// a long task execution never sees its progress inbox fill up.
-const PROGRESS_REFLUSH_TICKS: u64 = 512;
 
 /// Maximum block reads/writes a [`WorkerContext`] keeps in flight while
 /// pipelining an array operation. Bounds reply-stream occupancy well below
@@ -705,14 +696,6 @@ impl Filter for WorkerFilter {
         let mut tracker = ResidencyTracker::new();
 
         let done_in = ctx.take_input("done_in")?;
-        // Frontier mode: capability table + the broadcast progress lane.
-        // Untimed graphs have neither the state nor the ports.
-        let mut progress = ProgressState::new(&self.graph, self.config.nnodes(), node as usize);
-        let prog_in = match progress {
-            Some(_) => Some(ctx.take_input("prog_in")?),
-            None => None,
-        };
-        let mut idle_ticks = 0u64;
         // Per-task re-execution budget for injected worker crashes.
         #[cfg(feature = "faultline")]
         let mut crash_retries: HashMap<TaskId, u32> = HashMap::new();
@@ -721,18 +704,6 @@ impl Filter for WorkerFilter {
             // 1. Drain completion broadcasts.
             while let Some(b) = done_in.try_recv() {
                 ls.on_complete(&self.graph, TaskId(b.tag));
-            }
-            // 1b. Drain progress batches and release gated tasks the moment
-            //     the frontier moves past their gates — this is where
-            //     iteration i+1 starts overlapping iteration i's tail.
-            if let (Some(pg), Some(rx)) = (progress.as_mut(), prog_in.as_ref()) {
-                while let Some(b) = rx.try_recv() {
-                    let entries = decode(&b.payload).map_err(|e| ctx.error(e))?;
-                    pg.fold(b.tag as usize, &entries);
-                }
-                if ls.release_frontier(&self.graph, pg) > 0 {
-                    pg.publish_gauges();
-                }
             }
             if ls.graph_done() {
                 break;
@@ -830,43 +801,8 @@ impl Filter for WorkerFilter {
                     });
                 }
                 ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
-                // Frontier mode: the task's outputs are sealed (write_bytes
-                // collects every seal before returning), so its capability
-                // drops now. The change batch goes out after the completion
-                // broadcast; peers fold it and advance their frontiers.
-                if let Some(pg) = progress.as_mut() {
-                    if let Some(ts) = spec.timestamp {
-                        pg.drop_cap(ts);
-                        if let Some(batch) = pg.flush() {
-                            ctx.output("prog_out")?
-                                .send(DataBuffer::from_bytes(node, batch))?;
-                        }
-                        pg.publish_gauges();
-                    }
-                }
-                idle_ticks = 0;
-            } else {
-                match done_in.recv_timeout(Duration::from_millis(1)) {
-                    Some(b) => {
-                        idle_ticks = 0;
-                        ls.on_complete(&self.graph, TaskId(b.tag));
-                    }
-                    None => {
-                        // Idle tick. Periodically re-flush the cumulative
-                        // progress table: heals batches lost on the lane
-                        // (injected drops, flaky links) — folding is
-                        // idempotent, so over-sending is harmless.
-                        idle_ticks += 1;
-                        if let Some(pg) = progress.as_ref() {
-                            if idle_ticks.is_multiple_of(PROGRESS_REFLUSH_TICKS) {
-                                if let Some(batch) = pg.flush_all() {
-                                    ctx.output("prog_out")?
-                                        .send(DataBuffer::from_bytes(node, batch))?;
-                                }
-                            }
-                        }
-                    }
-                }
+            } else if let Some(b) = done_in.recv_timeout(Duration::from_millis(1)) {
+                ls.on_complete(&self.graph, TaskId(b.tag));
             }
         }
 
@@ -885,14 +821,8 @@ impl Filter for WorkerFilter {
         }
         client.shutdown().ok();
         ctx.close_output("done_out");
-        if prog_in.is_some() {
-            ctx.close_output("prog_out");
-        }
         // Drain remaining broadcasts so no peer blocks on our full lane.
         while done_in.recv().is_some() {}
-        if let Some(rx) = prog_in {
-            while rx.recv().is_some() {}
-        }
         Ok(())
     }
 }

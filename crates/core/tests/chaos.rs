@@ -17,9 +17,7 @@
 
 use dooc_core::{DoocConfig, DoocRuntime, RecoveryPolicy};
 use dooc_faultline as faultline;
-use dooc_linalg::spmv_app::{
-    IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
-};
+use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy};
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::genmat::GapGenerator;
 use std::sync::Arc;
@@ -68,7 +66,7 @@ fn cleanup(cfg: &DoocConfig) {
 /// Runs the 2-node iterated SpMV once under whatever fault schedule
 /// `configure_faults` installs (it runs after `faultline::reset()`, before
 /// `enable()`), and returns the persisted final vector.
-fn run_spmv(tag: &str, mode: IterationMode, configure_faults: impl FnOnce()) -> Vec<f64> {
+fn run_spmv(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
     let base = DoocConfig::in_temp_dirs(tag, 2).expect("cfg");
     let grid = BlockGrid::new(K, N);
     let gen = GapGenerator::with_d(4);
@@ -76,8 +74,7 @@ fn run_spmv(tag: &str, mode: IterationMode, configure_faults: impl FnOnce()) -> 
         .expect("stage matrices");
     let app = SpmvAppBuilder::new(grid, ITERS, blocks)
         .reduction(ReductionPlan::RowRoot)
-        .sync(SyncPolicy::None)
-        .iteration_mode(mode);
+        .sync(SyncPolicy::None);
     let x0: Vec<f64> = (0..N).map(|i| (i % 7) as f64 + 1.0).collect();
     app.stage_initial_vector(&base.scratch_dirs, &x0)
         .expect("stage x0");
@@ -126,7 +123,7 @@ fn assert_bitwise(schedule: &str, seed: u64, got: &[f64], want: &[f64]) {
 #[test]
 fn fault_free_run_matches_in_core_reference() {
     let _g = faultline::test_gate();
-    let x = run_spmv("chaos-ref", IterationMode::Barrier, || {});
+    let x = run_spmv("chaos-ref", || {});
     // Rebuild the app descriptor to get the reference (the staged files are
     // regenerated deterministically from MAT_SEED).
     let grid = BlockGrid::new(K, N);
@@ -156,9 +153,9 @@ fn fault_free_run_matches_in_core_reference() {
 #[test]
 fn io_error_storm_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-io-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv("chaos-io-base", || {});
     for seed in seeds() {
-        let got = run_spmv("chaos-io", IterationMode::Barrier, || {
+        let got = run_spmv("chaos-io", || {
             faultline::seed(seed);
             faultline::configure(
                 "storage.io.read",
@@ -172,9 +169,9 @@ fn io_error_storm_converges_bitwise() {
 #[test]
 fn peer_message_drop_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-drop-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv("chaos-drop-base", || {});
     for seed in seeds() {
-        let got = run_spmv("chaos-drop", IterationMode::Barrier, || {
+        let got = run_spmv("chaos-drop", || {
             faultline::seed(seed);
             faultline::configure(
                 "peer_out",
@@ -190,9 +187,9 @@ fn peer_message_drop_converges_bitwise() {
 #[test]
 fn peer_message_reorder_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-reorder-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv("chaos-reorder-base", || {});
     for seed in seeds() {
-        let got = run_spmv("chaos-reorder", IterationMode::Barrier, || {
+        let got = run_spmv("chaos-reorder", || {
             faultline::seed(seed);
             faultline::configure(
                 "peer_out",
@@ -205,60 +202,12 @@ fn peer_message_reorder_converges_bitwise() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Progress-lane chaos (frontier mode). The oracle is the fault-free
-// *barrier* run: a frontier run must match it bitwise even while its
-// capability-drop batches are being eaten, parked or stalled — drops heal
-// through the cumulative counts' idle re-flush, reorder is absorbed by the
-// max-fold (batches are idempotent and commutative), and delay only shifts
-// when a gate opens, never what the released task reads.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn progress_lane_drop_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-drop", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::drop_msg().with_prob(0.10));
-        });
-        assert_bitwise("progress-drop", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_lane_reorder_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-reorder", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::reorder().with_prob(0.25));
-        });
-        assert_bitwise("progress-reorder", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_lane_delay_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-delay-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-delay", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::delay(2).with_prob(0.20));
-        });
-        assert_bitwise("progress-delay", seed, &got, &baseline);
-    }
-}
-
 #[test]
 fn storage_node_crash_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-crash-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv("chaos-crash-base", || {});
     for seed in seeds() {
-        let got = run_spmv("chaos-crash", IterationMode::Barrier, || {
+        let got = run_spmv("chaos-crash", || {
             faultline::seed(seed);
             // Fire-stop one storage node at its ~10th quiescent point (the
             // crash site only consults the schedule when a restart cannot
@@ -282,13 +231,13 @@ fn storage_node_crash_converges_bitwise() {
 #[test]
 fn acceptance_retries_and_reexecution_visible() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-accept-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv("chaos-accept-base", || {});
     dooc_obs::enable();
     let io_retries = dooc_obs::metrics::counter("storage.io_retries");
     let reexecs = dooc_obs::metrics::counter("worker.tasks_reexecuted");
     let injected = dooc_obs::metrics::counter("fault.faults_injected");
     let (r0, x0, f0) = (io_retries.get(), reexecs.get(), injected.get());
-    let got = run_spmv("chaos-accept", IterationMode::Barrier, || {
+    let got = run_spmv("chaos-accept", || {
         faultline::seed(7);
         faultline::configure(
             "storage.io.read",

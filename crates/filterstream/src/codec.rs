@@ -54,11 +54,6 @@ pub enum FrameKind {
     Hello,
     /// Out-of-band blob for [`crate::transport::Transport::exchange`].
     Blob,
-    /// A progress-tracking change batch for inbox lane `(inbox, lane)`:
-    /// cumulative capability-drop counts (see `dooc-core::progress`).
-    /// Routed exactly like [`FrameKind::Data`] but discriminated on the
-    /// wire so transports can count control-plane traffic separately.
-    Progress,
 }
 
 impl FrameKind {
@@ -68,7 +63,6 @@ impl FrameKind {
             FrameKind::Close => 1,
             FrameKind::Hello => 2,
             FrameKind::Blob => 3,
-            FrameKind::Progress => 4,
         }
     }
 
@@ -78,7 +72,6 @@ impl FrameKind {
             1 => Ok(FrameKind::Close),
             2 => Ok(FrameKind::Hello),
             3 => Ok(FrameKind::Blob),
-            4 => Ok(FrameKind::Progress),
             other => Err(FsError::Transport(format!(
                 "unknown frame kind {other:#04x} (corrupt stream?)"
             ))),
@@ -144,18 +137,6 @@ impl Frame {
             inbox: 0,
             lane: 0,
             tag: 0,
-            payload,
-        }
-    }
-
-    /// A progress change batch for `(inbox, lane)`; `tag` carries the
-    /// sender's node id so receivers fold per peer.
-    pub fn progress(inbox: u16, lane: u32, tag: u64, payload: Bytes) -> Self {
-        Self {
-            kind: FrameKind::Progress,
-            inbox,
-            lane,
-            tag,
             payload,
         }
     }
@@ -378,7 +359,6 @@ mod tests {
             FrameKind::Close,
             FrameKind::Hello,
             FrameKind::Blob,
-            FrameKind::Progress,
         ] {
             let f = Frame {
                 kind,
@@ -463,15 +443,20 @@ mod tests {
 
     #[test]
     fn bad_kind_is_a_transport_error() {
-        let f = Frame::data(0, 0, 0, Bytes::new());
-        let mut wire = f.encode();
-        wire[4] = 0x7f;
-        let mut dec = FrameDecoder::new();
-        dec.push(Bytes::from(wire));
-        assert!(matches!(
-            dec.next_frame(),
-            Err(crate::FsError::Transport(_))
-        ));
+        // 4 was the progress-batch kind of protocol version 1: a stale peer
+        // must be refused, not routed as data.
+        for kind in [4u8, 0x7f] {
+            let mut wire = Frame::data(0, 0, 0, Bytes::new()).encode();
+            wire[4] = kind;
+            let mut dec = FrameDecoder::new();
+            dec.push(Bytes::from(wire));
+            match dec.next_frame() {
+                Err(crate::FsError::Transport(m)) => {
+                    assert!(m.contains("unknown frame kind"), "{m}")
+                }
+                other => panic!("kind {kind:#04x} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -52,10 +52,7 @@ pub use buffer::DataBuffer;
 pub use filter::{Filter, FilterContext};
 pub use layout::{FilterId, Layout};
 pub use runtime::{PortReport, Runtime, RuntimeReport};
-pub use stream::{
-    is_progress_port, Delivery, SelectEvent, SelectOutcome, StreamReader, StreamSet, StreamWriter,
-    PROGRESS_PORT_PREFIX,
-};
+pub use stream::{Delivery, SelectEvent, SelectOutcome, StreamReader, StreamSet, StreamWriter};
 pub use sync::OrderedMutex;
 pub use tcp::{ClusterSpec, TcpTransport};
 pub use transport::{ChannelTransport, FrameSink, Transport};

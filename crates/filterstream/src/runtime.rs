@@ -140,9 +140,7 @@ impl FrameSink for Router {
     fn on_frame(&self, from: NodeId, frame: Frame) {
         let key = (frame.inbox, frame.lane);
         match frame.kind {
-            // Progress change batches ride the same inbox lanes as data —
-            // the kind only discriminates control-plane traffic on the wire.
-            FrameKind::Data | FrameKind::Progress => {
+            FrameKind::Data => {
                 // Clone the sender out of the lock before the (possibly
                 // blocking) lane insert, so backpressure on one lane never
                 // stalls close handling for others… it does stall this pump

@@ -65,18 +65,6 @@ fn fs_obs() -> &'static FsObs {
     })
 }
 
-/// Port-name prefix designating progress-tracking lanes. Buffers leaving a
-/// producer port with this prefix cross the wire as
-/// [`crate::codec::FrameKind::Progress`] frames (routed identically to
-/// data, but discriminated so transports count control-plane traffic and
-/// chaos schedules can target it).
-pub const PROGRESS_PORT_PREFIX: &str = "prog_";
-
-/// Is this port a progress lane (see [`PROGRESS_PORT_PREFIX`])?
-pub fn is_progress_port(port: &str) -> bool {
-    port.starts_with(PROGRESS_PORT_PREFIX)
-}
-
 /// Delivery policy of a stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Delivery {
@@ -397,12 +385,7 @@ impl StreamWriter {
                 self.port
             )));
         };
-        let frame = if is_progress_port(&self.port) {
-            Frame::progress(inbox, lane, buf.tag, buf.payload.clone())
-        } else {
-            Frame::data(inbox, lane, buf.tag, buf.payload.clone())
-        };
-        t.send(peer, frame)
+        t.send(peer, Frame::data(inbox, lane, buf.tag, buf.payload.clone()))
     }
 
     /// Consults the `faultline` message failpoint keyed by this writer's

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Handshake magic — first payload bytes on every connection.
 const MAGIC: &[u8; 4] = b"DOOC";
 /// Wire protocol version; bump on any framing change.
-const PROTOCOL_VERSION: u16 = 1;
+const PROTOCOL_VERSION: u16 = 2;
 /// How long dials and accepts wait for the rest of the cluster.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 /// Pause between dial/accept retries.
@@ -318,7 +318,6 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
     let mut w = std::io::BufWriter::with_capacity(WRITE_BUF, stream);
     let bytes_out = metrics::counter("fs.tcp.bytes_out");
     let frames_out = metrics::counter("fs.tcp.frames_out");
-    let progress_out = metrics::counter("fs.tcp.progress_out");
     let mut broken = false;
     'outer: while let Ok(frame) = rx.recv() {
         let mut frame = frame;
@@ -346,9 +345,6 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
                 break 'outer;
             }
             frames_out.inc();
-            if frame.kind == FrameKind::Progress {
-                progress_out.inc();
-            }
             bytes_out.add(frame.wire_len() as u64);
             match rx.try_recv() {
                 Ok(next) => frame = next,
@@ -381,16 +377,11 @@ fn demux_loop(
 ) {
     let bytes_in = metrics::counter("fs.tcp.bytes_in");
     let frames_in = metrics::counter("fs.tcp.frames_in");
-    let progress_in = metrics::counter("fs.tcp.progress_in");
     loop {
         match dec.next_frame() {
             Ok(Some(f)) => {
                 frames_in.inc();
                 match f.kind {
-                    FrameKind::Progress => {
-                        progress_in.inc();
-                        sink.on_frame(peer, f);
-                    }
                     FrameKind::Data | FrameKind::Close => sink.on_frame(peer, f),
                     FrameKind::Hello | FrameKind::Blob => {
                         dooc_obs::instant(
@@ -808,5 +799,33 @@ mod tests {
         let r0 = TcpTransport::with_listener(&spec, 0, fp, l0);
         assert!(r0.is_err(), "node 0 must reject the mismatched hello");
         assert!(h1.join().expect("thread"), "node 1 must see the mismatch");
+    }
+
+    /// A peer still speaking the previous wire protocol (whose kind byte 4
+    /// no longer decodes) is refused in the handshake, not mid-run.
+    #[test]
+    fn stale_protocol_version_refuses() {
+        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l0.local_addr().expect("addr");
+        let spec = ClusterSpec::new(vec![addr.to_string(), "127.0.0.1:1".to_string()]);
+        let fp = spec.fingerprint();
+        let stale = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("dial node 0");
+            let mut p = MAGIC.to_vec();
+            p.extend_from_slice(&(PROTOCOL_VERSION - 1).to_le_bytes());
+            p.extend_from_slice(&fp.to_le_bytes());
+            s.write_all(&Frame::hello(1, Bytes::from(p)).encode())
+                .expect("send stale hello");
+            // Hold the socket open until node 0 has judged the hello.
+            let _ = s.read(&mut [0u8; 64]);
+        });
+        match TcpTransport::with_listener(&spec, 0, fp, l0) {
+            Err(FsError::Transport(m)) => {
+                assert!(m.contains("protocol version mismatch"), "{m}")
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a stale peer must not join the mesh"),
+        }
+        stale.join().expect("stale peer thread");
     }
 }

@@ -25,7 +25,7 @@
 //! [`SyncPolicy::None`] gives the pure dataflow execution of §IV (Fig. 5),
 //! used by the Fig. 3/4/5 reproductions and the ablation benches.
 
-use dooc_core::{ExecOutcome, TaskExecutor, TaskGraph, TaskSpec, Timestamp, WorkerContext};
+use dooc_core::{ExecOutcome, TaskExecutor, TaskGraph, TaskSpec, WorkerContext};
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::fileio;
 use dooc_sparse::genmat::GapGenerator;
@@ -59,23 +59,6 @@ pub enum SyncPolicy {
     None,
 }
 
-/// How the release of one iteration's tasks by the previous iteration's
-/// results is expressed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IterationMode {
-    /// Cross-iteration order is carried by DAG edges (plus the barrier tasks
-    /// of the chosen [`SyncPolicy`]). This is the seed behavior and the
-    /// equivalence oracle for frontier runs.
-    Barrier,
-    /// No barrier tasks at all: every `x_i_u` producer carries an
-    /// `(iteration, block)` capability, each multiply *gates* on the frontier
-    /// for the sub-vector it reads, and iterations pipeline — task
-    /// `(i+1, j)` starts the moment its inputs are behind the frontier, even
-    /// while other blocks are still in iteration `i`. The [`SyncPolicy`] is
-    /// ignored in this mode.
-    Frontier,
-}
-
 /// A sub-matrix staged on a node.
 #[derive(Clone, Debug)]
 pub struct StagedBlock {
@@ -101,7 +84,6 @@ pub struct SpmvAppBuilder {
     blocks: Vec<StagedBlock>,
     reduction: ReductionPlan,
     sync: SyncPolicy,
-    mode: IterationMode,
     /// Node owning each row's initial/output sub-vectors (defaults to the
     /// owner of `A_{u,0}` — the paper's row root).
     row_root: Vec<u64>,
@@ -131,7 +113,6 @@ impl SpmvAppBuilder {
             blocks,
             reduction: ReductionPlan::LocalAggregation,
             sync: SyncPolicy::IterationBarrier,
-            mode: IterationMode::Barrier,
             row_root,
             persist_final: true,
         }
@@ -254,12 +235,6 @@ impl SpmvAppBuilder {
         self
     }
 
-    /// Selects barrier- or frontier-based cross-iteration release.
-    pub fn iteration_mode(mut self, m: IterationMode) -> Self {
-        self.mode = m;
-        self
-    }
-
     /// Controls final-vector persistence.
     pub fn persist_final(mut self, yes: bool) -> Self {
         self.persist_final = yes;
@@ -283,7 +258,6 @@ impl SpmvAppBuilder {
     /// geometry hints for `DoocConfig`.
     pub fn build(&self) -> SpmvPlan {
         let k = self.grid.k;
-        let frontier = self.mode == IterationMode::Frontier;
         let mut tasks: Vec<TaskSpec> = Vec::new();
         let mut external: HashMap<String, u64> = HashMap::new();
         let mut geometry: Vec<(String, u64, u64)> = Vec::new();
@@ -306,33 +280,19 @@ impl SpmvAppBuilder {
                 for v in 0..k {
                     let b = self.block(u, v);
                     let mut t = TaskSpec::new(format!("x_{i}_{u}_{v}"), "multiply")
-                        .input(Self::matrix_array(b.coord), b.bytes);
-                    t = if frontier {
-                        // Gated read: no DAG edge to the producing sum; the
-                        // local scheduler releases this task once block v's
-                        // frontier has passed iteration i-1. The gate on the
-                        // external x_0 closes immediately (no capability is
-                        // ever held at iteration 0).
-                        t.input_gated(
-                            BlockGrid::vector_name(i - 1, v),
-                            self.vec_bytes(v),
-                            Timestamp::new((i - 1) as u32, v as u32),
-                        )
-                    } else {
-                        t.input(BlockGrid::vector_name(i - 1, v), self.vec_bytes(v))
-                    };
-                    t = t
+                        .input(Self::matrix_array(b.coord), b.bytes)
+                        .input(BlockGrid::vector_name(i - 1, v), self.vec_bytes(v))
                         .output(BlockGrid::partial_name(i, u, v), self.vec_bytes(u))
                         .flops(2 * b.nnz)
                         .splittable();
-                    if !frontier && self.sync != SyncPolicy::None && i > 1 {
+                    if self.sync != SyncPolicy::None && i > 1 {
                         // Between-iterations barrier.
                         t = t.input(format!("bar_iter_{}", i - 1), 8);
                     }
                     tasks.push(t);
                 }
             }
-            if !frontier && self.sync == SyncPolicy::PhaseBarriers {
+            if self.sync == SyncPolicy::PhaseBarriers {
                 // Barrier after the multiply phase: sums wait for every
                 // multiply of this iteration.
                 let mut bt = TaskSpec::new(format!("bar_mul_{i}"), "barrier")
@@ -359,16 +319,10 @@ impl SpmvAppBuilder {
                         .output(BlockGrid::vector_name(i, u), self.vec_bytes(u))
                         .flops(self.vec_bytes(u) / 8 * k)
                         .pin_to(self.row_root[u as usize]);
-                        if frontier {
-                            // This task holds the (i, u) capability; dropping
-                            // it (after the sealed write of x_i_u) advances
-                            // block u's frontier past iteration i.
-                            t = t.at(Timestamp::new(i as u32, u as u32));
-                        }
                         for v in 0..k {
                             t = t.input(BlockGrid::partial_name(i, u, v), self.vec_bytes(u));
                         }
-                        if !frontier && self.sync == SyncPolicy::PhaseBarriers {
+                        if self.sync == SyncPolicy::PhaseBarriers {
                             t = t.input(format!("bar_mul_{i}"), 8);
                         }
                         tasks.push(t);
@@ -407,7 +361,7 @@ impl SpmvAppBuilder {
                                     t = t
                                         .input(BlockGrid::partial_name(i, u, v), self.vec_bytes(u));
                                 }
-                                if !frontier && self.sync == SyncPolicy::PhaseBarriers {
+                                if self.sync == SyncPolicy::PhaseBarriers {
                                     t = t.input(format!("bar_mul_{i}"), 8);
                                 }
                                 tasks.push(t);
@@ -425,20 +379,17 @@ impl SpmvAppBuilder {
                         .output(BlockGrid::vector_name(i, u), self.vec_bytes(u))
                         .flops(self.vec_bytes(u) / 8 * row_inputs.len() as u64)
                         .pin_to(self.row_root[u as usize]);
-                        if frontier {
-                            t = t.at(Timestamp::new(i as u32, u as u32));
-                        }
                         for (name, bytes) in row_inputs {
                             t = t.input(name, bytes);
                         }
-                        if !frontier && self.sync == SyncPolicy::PhaseBarriers {
+                        if self.sync == SyncPolicy::PhaseBarriers {
                             t = t.input(format!("bar_mul_{i}"), 8);
                         }
                         tasks.push(t);
                     }
                 }
             }
-            if !frontier && self.sync != SyncPolicy::None && i < self.iterations {
+            if self.sync != SyncPolicy::None && i < self.iterations {
                 // Between-iterations barrier over all row results.
                 let mut bt = TaskSpec::new(format!("bar_iter_{i}"), "barrier")
                     .output(format!("bar_iter_{i}"), 8);
@@ -655,7 +606,8 @@ pub fn staged_matrix_path(dir: &Path, coord: BlockCoord) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dooc_scheduler::{assign_affinity, NodeId};
+    use dooc_scheduler::{assign_affinity, LocalScheduler, NodeId, OrderPolicy};
+    use std::collections::HashSet;
 
     fn staged(k: u64, nnodes: u64) -> (BlockGrid, Vec<StagedBlock>) {
         let grid = BlockGrid::new(k, k * 10);
@@ -765,6 +717,41 @@ mod tests {
     }
 
     #[test]
+    fn sync_none_pipelines_iterations_and_the_iteration_barrier_does_not() {
+        // The property pipelining exists for: once x_1_0 is done, every
+        // multiply x_2_u_0 reading it is ready while rows 1 and 2 of
+        // iteration 1 have not run at all; the iteration barrier holds
+        // them back until the whole of x_1 exists.
+        let ready_after_row_0 = |sync| -> Vec<String> {
+            let (grid, blocks) = staged(3, 1);
+            let (graph, _, _) = SpmvAppBuilder::new(grid, 2, blocks)
+                .reduction(ReductionPlan::RowRoot)
+                .sync(sync)
+                .persist_final(false)
+                .build();
+            let find = |name: &str| graph.ids().find(|&i| graph.task(i).name == name).unwrap();
+            let mut ls = LocalScheduler::new(&graph, graph.ids(), OrderPolicy::Fifo);
+            for done in ["x_1_0_0", "x_1_0_1", "x_1_0_2", "x_1_0"] {
+                ls.on_complete(&graph, find(done));
+            }
+            ls.planned_order(&graph, &HashSet::new())
+                .into_iter()
+                .map(|t| graph.task(t).name.clone())
+                .collect()
+        };
+        let none = ready_after_row_0(SyncPolicy::None);
+        for u in 0..3 {
+            assert!(none.contains(&format!("x_2_{u}_0")), "{none:?}");
+        }
+        assert!(none.contains(&"x_1_1_0".to_string()), "row 1 still pending");
+        let barrier = ready_after_row_0(SyncPolicy::IterationBarrier);
+        assert!(
+            !barrier.iter().any(|n| n.starts_with("x_2_")),
+            "{barrier:?}"
+        );
+    }
+
+    #[test]
     fn local_aggregation_adds_presum_tasks() {
         let (grid, blocks) = staged(4, 4); // 2x2 nodes, each owns 2x2 blocks
         let app = SpmvAppBuilder::new(grid, 1, blocks)
@@ -857,84 +844,6 @@ mod tests {
     fn tiled_owner_rejects_non_square() {
         let owner = tiled_owner(4, 3);
         let _ = owner(BlockCoord { u: 0, v: 0 });
-    }
-
-    #[test]
-    fn frontier_mode_emits_no_barriers_and_times_the_graph() {
-        let (grid, blocks) = staged(3, 1);
-        let app = SpmvAppBuilder::new(grid, 3, blocks)
-            .reduction(ReductionPlan::RowRoot)
-            .sync(SyncPolicy::PhaseBarriers) // ignored in frontier mode
-            .iteration_mode(IterationMode::Frontier)
-            .persist_final(false);
-        let (graph, _, _) = app.build();
-        assert!(graph.is_timed(), "frontier graphs carry timestamps");
-        assert!(
-            graph.ids().all(|i| graph.task(i).kind != "barrier"),
-            "frontier mode must not emit barrier tasks"
-        );
-        for id in graph.ids() {
-            let t = graph.task(id);
-            let parts: Vec<u32> = t
-                .name
-                .split('_')
-                .skip(1)
-                .map(|p| p.parse().unwrap())
-                .collect();
-            if t.kind.starts_with("sum") {
-                // x_i_u carries the (i, u) capability.
-                assert_eq!(t.timestamp, Some(Timestamp::new(parts[0], parts[1])));
-            } else {
-                // x_i_u_v gates its vector read on (i-1, v).
-                let gates: Vec<Timestamp> = graph.gates(id).collect();
-                assert_eq!(gates, vec![Timestamp::new(parts[0] - 1, parts[2])]);
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_multiplies_have_no_cross_iteration_edges() {
-        let (grid, blocks) = staged(3, 1);
-        let app = SpmvAppBuilder::new(grid, 2, blocks)
-            .reduction(ReductionPlan::RowRoot)
-            .sync(SyncPolicy::None)
-            .iteration_mode(IterationMode::Frontier)
-            .persist_final(false);
-        let (graph, _, _) = app.build();
-        let find = |name: &str| graph.ids().find(|&i| graph.task(i).name == name).unwrap();
-        // In barrier mode x_2_1_2 depends on the column sum x_1_2
-        // (dependencies_match_fig4); the gate replaces that edge, so the
-        // multiply has no DAG predecessors at all and pipelining is possible.
-        assert!(graph.preds(find("x_2_1_2")).is_empty());
-        // The sum structure is unchanged: row sums still join their row's
-        // partials through ordinary dataflow edges.
-        assert_eq!(graph.preds(find("x_2_1")).len(), 3);
-    }
-
-    #[test]
-    fn frontier_mode_works_with_local_aggregation() {
-        let (grid, blocks) = staged(4, 4);
-        let app = SpmvAppBuilder::new(grid, 2, blocks)
-            .reduction(ReductionPlan::LocalAggregation)
-            .sync(SyncPolicy::IterationBarrier)
-            .iteration_mode(IterationMode::Frontier)
-            .persist_final(false);
-        let (graph, _, _) = app.build();
-        assert!(graph.is_timed());
-        for id in graph.ids() {
-            let t = graph.task(id);
-            if t.name.starts_with("q_") {
-                // Pre-sums are plain dataflow tasks: no capability (only the
-                // row result x_i_u seals a block of the iterate).
-                assert_eq!(t.timestamp, None);
-                assert!(!graph.preds(id).is_empty(), "pre-sums join partials");
-            }
-        }
-        let find = |name: &str| graph.ids().find(|&i| graph.task(i).name == name).unwrap();
-        assert_eq!(
-            graph.task(find("x_2_0")).timestamp,
-            Some(Timestamp::new(2, 0))
-        );
     }
 
     #[test]

@@ -3,42 +3,22 @@
 //!
 //! The paper's middleware receives the whole task DAG up front, so almost
 //! every runtime failure mode is statically decidable before a single block
-//! is read. This module implements three whole-graph analyses over a
-//! [`TaskGraph`] and its PR-9 gates/timestamps:
-//!
-//! * **Progress-protocol stall detection** ([`audit_progress`]) — a static
-//!   frontier simulation over `Timestamp {iter, block}` capabilities that
-//!   proves every gated task is eventually releasable. The simulation
-//!   mirrors the dynamic protocol exactly: a capability is live while its
-//!   timestamped task is incomplete, and a gate closes once no live
-//!   capability sits at or below it on its block chain. A fixpoint with
-//!   incomplete tasks is a stall, and because every stalled task waits on
-//!   another incomplete task, the wait-for graph (DAG predecessor edges
-//!   plus gated-task → capability-holder edges) always contains a cycle —
-//!   reported as [`AuditError::GateCycle`], or [`AuditError::CapabilityLeak`]
-//!   when the cycle is a self-loop (a task holding the very capability its
-//!   own gate waits for). Gates that synchronize against *nothing* — a
-//!   nonzero iteration on a chain where no task ever holds a capability at
-//!   or below the gate — release immediately without ordering anything and
-//!   are almost certainly a typo'd chain index; they are reported as
-//!   [`AuditError::UnanchoredGate`]. Iteration-0 gates are the legitimate
-//!   external-`x₀` idiom (the chain holds no capabilities at iteration 0 by
-//!   construction) and stay exempt.
+//! is read. A [`TaskGraph`] is acyclic by construction, so it cannot stall;
+//! what remains to prove are its resource bounds, in two whole-graph
+//! analyses:
 //!
 //! * **Peak-residency bound** ([`audit_residency`]) — the grant-ledger
 //!   high-watermark under worst-case scheduler reordering. A running task
 //!   pins its inputs (read pins) and outputs (write grants) for its whole
 //!   execution; tasks that can run concurrently are exactly the antichains
-//!   of the precedence order (DAG edges *plus* gate-derived edges: the
-//!   frontier protocol guarantees every capability holder at or below a
-//!   gate completes before the gated task starts). The bound is therefore
-//!   the maximum-weight antichain of the order, computed exactly by the
-//!   classic min-flow-with-lower-bounds reduction, together with the
-//!   longest chain ([`AuditReport::critical_path`]) and the widest
-//!   (unweighted) antichain. The runtime compares the per-task component
-//!   against the per-node storage budget — a task whose own working set
-//!   cannot fit is rejected with [`AuditError::Overcommit`] (no schedule or
-//!   eviction policy can save it: pinned blocks are not reclaimable).
+//!   of the DAG's precedence order. The bound is therefore the
+//!   maximum-weight antichain of the order, computed exactly by the classic
+//!   min-flow-with-lower-bounds reduction, together with the longest chain
+//!   ([`AuditReport::critical_path`]) and the widest (unweighted) antichain.
+//!   The runtime compares the per-task component against the per-node
+//!   storage budget — a task whose own working set cannot fit is rejected
+//!   with [`AuditError::Overcommit`] (no schedule or eviction policy can
+//!   save it: pinned blocks are not reclaimable).
 //!
 //! * **Channel-capacity deadlock freedom** ([`audit_lanes`]) — the runtime
 //!   declares its bounded lanes as [`LaneSpec`]s (capacity plus a
@@ -46,15 +26,13 @@
 //!   on a communication cycle (e.g. the worker↔worker broadcast lanes) can
 //!   only deadlock if a send blocks, and a send can only block if more
 //!   messages than `capacity` are outstanding — so `bound ≤ capacity` on
-//!   every cyclic lane proves full-cycle waits impossible. The progress
-//!   lane sizing `2·len + 64` becomes a checked fact instead of a comment.
+//!   every cyclic lane proves full-cycle waits impossible.
 //!
-//! [`audit`] runs all three and is what `DoocRuntime::run` calls by default
-//! before assembling the cluster (`DOOC_AUDIT=off` opts out).
+//! [`audit`] runs both and is what `DoocRuntime::run` calls before
+//! assembling the cluster.
 
-use crate::progress::Timestamp;
 use crate::task::{TaskGraph, TaskId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Exact max-weight-antichain computation runs Dinic on a network of
 /// `2n + 2` nodes and `5n + |E|` edges; beyond this many tasks the
@@ -70,7 +48,7 @@ const EXACT_ANTICHAIN_LIMIT: usize = 2048;
 /// send can participate in a full-cycle wait.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneSpec {
-    /// Lane name (e.g. `done`, `progress`).
+    /// Lane name (e.g. `done`).
     pub name: String,
     /// Configured channel capacity in messages.
     pub capacity: u64,
@@ -99,8 +77,6 @@ pub struct AuditReport {
     pub max_task_bytes: u64,
     /// Name of the task with the largest working set.
     pub max_task: String,
-    /// Number of frontier-gated tasks the stall simulation released.
-    pub gated_tasks: usize,
     /// `false` when the graph exceeded [`EXACT_ANTICHAIN_LIMIT`] and
     /// `peak_bytes`/`widest_antichain` are the conservative fallback.
     pub exact: bool,
@@ -110,34 +86,6 @@ pub struct AuditReport {
 /// one analysis; the seeded-bug twins in the tests pin that mapping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditError {
-    /// The frontier simulation reached a fixpoint with incomplete tasks
-    /// and the wait-for cycle runs through at least two tasks: a gate
-    /// waits on a capability whose holder (transitively) waits on the
-    /// gated task.
-    GateCycle {
-        /// Task names along the wait-for cycle, in order.
-        cycle: Vec<String>,
-    },
-    /// A task holds the very capability its own gate waits for (the
-    /// wait-for cycle is a self-loop), so the capability can never drop.
-    CapabilityLeak {
-        /// The self-deadlocked task.
-        task: String,
-        /// The gate that waits on the task's own capability.
-        gate: Timestamp,
-    },
-    /// A gate at a nonzero iteration on a chain where no task ever holds a
-    /// capability at or below it: the gate closes immediately and
-    /// synchronizes against nothing (almost certainly a typo'd chain or
-    /// iteration index).
-    UnanchoredGate {
-        /// The gated task.
-        task: String,
-        /// The gated input array.
-        array: String,
-        /// The unanchored gate timestamp.
-        gate: Timestamp,
-    },
     /// A single task's pinned working set exceeds the per-node storage
     /// budget: pinned blocks are not reclaimable, so no schedule or
     /// eviction policy can run this task within budget.
@@ -165,18 +113,6 @@ pub enum AuditError {
 impl std::fmt::Display for AuditError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AuditError::GateCycle { cycle } => {
-                write!(f, "progress stall: gate cycle {}", cycle.join(" -> "))
-            }
-            AuditError::CapabilityLeak { task, gate } => write!(
-                f,
-                "progress stall: task '{task}' holds the capability its own gate {gate} waits for"
-            ),
-            AuditError::UnanchoredGate { task, array, gate } => write!(
-                f,
-                "task '{task}': gate {gate} on input '{array}' synchronizes against nothing \
-                 (no capability ever exists at or below it)"
-            ),
             AuditError::Overcommit {
                 task,
                 bytes,
@@ -204,11 +140,10 @@ impl std::error::Error for AuditError {}
 /// Convenience alias for audit results.
 pub type AuditResult<T> = std::result::Result<T, AuditError>;
 
-/// Runs all three analyses: progress stalls, the residency sweep checked
-/// against `budget` (per-node bytes), and the lane-capacity check. This is
-/// the entry point `DoocRuntime::run` gates admission on.
+/// Runs both analyses: the residency sweep checked against `budget`
+/// (per-node bytes) and the lane-capacity check. This is the entry point
+/// `DoocRuntime::run` gates admission on.
 pub fn audit(graph: &TaskGraph, budget: u64, lanes: &[LaneSpec]) -> AuditResult<AuditReport> {
-    audit_progress(graph)?;
     let report = audit_residency(graph)?;
     if report.max_task_bytes > budget {
         return Err(AuditError::Overcommit {
@@ -219,171 +154,6 @@ pub fn audit(graph: &TaskGraph, budget: u64, lanes: &[LaneSpec]) -> AuditResult<
     }
     audit_lanes(lanes)?;
     Ok(report)
-}
-
-/// Is every capability at or below `gate` held by an incomplete task gone?
-/// Mirrors `FrontierOracle::closed` over the static capability table.
-fn gate_closed(graph: &TaskGraph, done: &[bool], gate: Timestamp) -> bool {
-    graph.ids().all(|id| {
-        done[id.0 as usize]
-            || graph
-                .task(id)
-                .timestamp
-                .is_none_or(|ts| !ts.less_equal(&gate))
-    })
-}
-
-/// Static frontier simulation: proves every task (gated or not) completes.
-///
-/// Returns the number of gated tasks on success. On a stall, diagnoses the
-/// wait-for cycle (see the module docs) and reports it as
-/// [`AuditError::GateCycle`] or [`AuditError::CapabilityLeak`]. Also flags
-/// [`AuditError::UnanchoredGate`]s, which do not stall but synchronize
-/// against nothing.
-pub fn audit_progress(graph: &TaskGraph) -> AuditResult<usize> {
-    let n = graph.len();
-    // Unanchored gates first: a nonzero-iteration gate must have at least
-    // one capability at or below it, otherwise it closes instantly and the
-    // gated read races the producer it was meant to wait for.
-    for id in graph.ids() {
-        for d in &graph.task(id).inputs {
-            if let Some(gate) = d.gate {
-                let anchored = gate.iter == 0
-                    || graph.ids().any(|h| {
-                        graph
-                            .task(h)
-                            .timestamp
-                            .is_some_and(|ts| ts.less_equal(&gate))
-                    });
-                if !anchored {
-                    return Err(AuditError::UnanchoredGate {
-                        task: graph.task(id).name.clone(),
-                        array: d.array.clone(),
-                        gate,
-                    });
-                }
-            }
-        }
-    }
-
-    // Worklist fixpoint: run any task whose predecessors completed and
-    // whose gates are closed; completing a timestamped task drops its
-    // capability (it is simply no longer live).
-    let mut done = vec![false; n];
-    let mut remaining = n;
-    let mut gated = 0usize;
-    for id in graph.ids() {
-        if graph.gates(id).next().is_some() {
-            gated += 1;
-        }
-    }
-    let mut progressed = true;
-    while progressed && remaining > 0 {
-        progressed = false;
-        for id in graph.ids() {
-            let i = id.0 as usize;
-            if done[i] {
-                continue;
-            }
-            let preds_done = graph.preds(id).iter().all(|p| done[p.0 as usize]);
-            let gates_closed = graph.gates(id).all(|g| gate_closed(graph, &done, g));
-            if preds_done && gates_closed {
-                done[i] = true;
-                remaining -= 1;
-                progressed = true;
-            }
-        }
-    }
-    if remaining == 0 {
-        return Ok(gated);
-    }
-
-    // Stall: build the wait-for graph over incomplete tasks and report the
-    // cycle it must contain.
-    let mut waits: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for id in graph.ids() {
-        let i = id.0 as usize;
-        if done[i] {
-            continue;
-        }
-        for p in graph.preds(id) {
-            if !done[p.0 as usize] {
-                waits[i].push(p.0 as usize);
-            }
-        }
-        for g in graph.gates(id) {
-            if gate_closed(graph, &done, g) {
-                continue;
-            }
-            for h in graph.ids() {
-                let j = h.0 as usize;
-                if !done[j] && graph.task(h).timestamp.is_some_and(|ts| ts.less_equal(&g)) {
-                    if i == j {
-                        // Self-loop: the task holds the capability its own
-                        // gate waits for.
-                        return Err(AuditError::CapabilityLeak {
-                            task: graph.task(id).name.clone(),
-                            gate: g,
-                        });
-                    }
-                    waits[i].push(j);
-                }
-            }
-        }
-    }
-    Err(AuditError::GateCycle {
-        cycle: find_wait_cycle(graph, &waits, &done),
-    })
-}
-
-/// Finds a cycle in the wait-for graph (one must exist at a stalled
-/// fixpoint: every incomplete task waits on at least one other).
-fn find_wait_cycle(graph: &TaskGraph, waits: &[Vec<usize>], done: &[bool]) -> Vec<String> {
-    let n = waits.len();
-    // Iterative DFS with colors; reconstruct the cycle from the path on a
-    // back edge.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color = vec![Color::White; n];
-    for start in 0..n {
-        if done[start] || color[start] != Color::White {
-            continue;
-        }
-        let mut path: Vec<usize> = Vec::new();
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = Color::Gray;
-        path.push(start);
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            if *idx >= waits[node].len() {
-                color[node] = Color::Black;
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            let next = waits[node][*idx];
-            *idx += 1;
-            match color[next] {
-                Color::Gray => {
-                    let from = path.iter().position(|&x| x == next).unwrap_or(0);
-                    return path[from..]
-                        .iter()
-                        .map(|&i| graph.task(TaskId(i as u64)).name.clone())
-                        .collect();
-                }
-                Color::White => {
-                    color[next] = Color::Gray;
-                    path.push(next);
-                    stack.push((next, 0));
-                }
-                Color::Black => {}
-            }
-        }
-    }
-    Vec::new()
 }
 
 /// A task's pinned working set: distinct input and output arrays, each
@@ -400,10 +170,8 @@ fn task_weight(graph: &TaskGraph, id: TaskId) -> u64 {
     seen.values().sum()
 }
 
-/// Residency sweep: computes the [`AuditReport`] envelope. The precedence
-/// order is the DAG plus gate-derived edges (capability holders at or
-/// below a gate complete before the gated task starts), so the antichain
-/// shrinks soundly when gates serialize iterations.
+/// Residency sweep: computes the [`AuditReport`] envelope over the DAG's
+/// precedence order.
 pub fn audit_residency(graph: &TaskGraph) -> AuditResult<AuditReport> {
     let n = graph.len();
     let weights: Vec<u64> = graph.ids().map(|id| task_weight(graph, id)).collect();
@@ -412,10 +180,6 @@ pub fn audit_residency(graph: &TaskGraph) -> AuditResult<AuditReport> {
         .map(|id| (weights[id.0 as usize], graph.task(id).name.clone()))
         .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
         .unwrap_or((0, String::new()));
-    let gated_tasks = graph
-        .ids()
-        .filter(|&id| graph.gates(id).next().is_some())
-        .count();
 
     if n == 0 {
         return Ok(AuditReport {
@@ -424,40 +188,17 @@ pub fn audit_residency(graph: &TaskGraph) -> AuditResult<AuditReport> {
             widest_antichain: 0,
             max_task_bytes,
             max_task,
-            gated_tasks,
             exact: true,
         });
     }
 
-    // Precedence successors: DAG edges plus gate edges.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for id in graph.ids() {
-        for s in graph.succs(id) {
-            succs[id.0 as usize].push(s.0 as usize);
-        }
-    }
-    for id in graph.ids() {
-        for g in graph.gates(id) {
-            for h in graph.ids() {
-                if h != id && graph.task(h).timestamp.is_some_and(|ts| ts.less_equal(&g)) {
-                    succs[h.0 as usize].push(id.0 as usize);
-                }
-            }
-        }
-    }
-    for s in &mut succs {
-        s.sort_unstable();
-        s.dedup();
-    }
-
-    // Longest chain by dynamic programming over a topological order of the
-    // augmented precedence graph (acyclic: audit_progress ran first in
-    // `audit`; standalone callers get a best-effort order).
-    let order = topo(&succs);
+    // Longest chain by dynamic programming over a topological order
+    // (`TaskGraph::new` admits only acyclic graphs, so one always exists).
+    let order = graph.topo_order().unwrap_or_default();
     let mut depth = vec![1usize; n];
     for &u in order.iter().rev() {
-        for &v in &succs[u] {
-            depth[u] = depth[u].max(1 + depth[v]);
+        for &v in graph.succs(u) {
+            depth[u.0 as usize] = depth[u.0 as usize].max(1 + depth[v.0 as usize]);
         }
     }
     let critical_path = depth.iter().copied().max().unwrap_or(0);
@@ -469,14 +210,13 @@ pub fn audit_residency(graph: &TaskGraph) -> AuditResult<AuditReport> {
             widest_antichain: n,
             max_task_bytes,
             max_task,
-            gated_tasks,
             exact: false,
         });
     }
 
     // One network, two weightings: the byte-weighted peak and the
     // unit-weighted width share the flow topology.
-    let net = AntichainNet::build(n, &succs);
+    let net = AntichainNet::build(graph);
     let peak_bytes = net.max_weight(&weights);
     let ones = vec![1u64; n];
     let widest_antichain = net.max_weight(&ones) as usize;
@@ -487,41 +227,8 @@ pub fn audit_residency(graph: &TaskGraph) -> AuditResult<AuditReport> {
         widest_antichain,
         max_task_bytes,
         max_task,
-        gated_tasks,
         exact: true,
     })
-}
-
-/// Best-effort topological order of an adjacency list (Kahn). Nodes on a
-/// cycle (impossible after `audit_progress`) are appended at the end so
-/// the sweep still terminates.
-fn topo(succs: &[Vec<usize>]) -> Vec<usize> {
-    let n = succs.len();
-    let mut indeg = vec![0usize; n];
-    for s in succs {
-        for &v in s {
-            indeg[v] += 1;
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    let mut head = 0;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        order.push(u);
-        for &v in &succs[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    if order.len() < n {
-        let placed: HashSet<usize> = order.iter().copied().collect();
-        order.extend((0..n).filter(|i| !placed.contains(i)));
-    }
-    order
 }
 
 /// Residual arc capacity standing in for "unbounded" (large enough that
@@ -580,13 +287,10 @@ impl AntichainNet {
         3 + 2 * i
     }
 
-    fn build(n: usize, succs: &[Vec<usize>]) -> Self {
+    fn build(graph: &TaskGraph) -> Self {
+        let n = graph.len();
         let nodes = 2 + 2 * n;
-        let dag_edges: usize = succs
-            .iter()
-            .enumerate()
-            .map(|(u, vs)| vs.iter().filter(|&&v| v != u).count())
-            .sum();
+        let dag_edges: usize = graph.ids().map(|u| graph.succs(u).len()).sum();
         let pairs = 5 * n + dag_edges;
         let mut edge_to = Vec::with_capacity(2 * pairs);
         let mut cap_template = Vec::with_capacity(2 * pairs);
@@ -606,11 +310,13 @@ impl AntichainNet {
             push(Self::S, Self::v_in(i), FLOW_INF);
             push(Self::v_out(i), Self::T, FLOW_INF);
         }
-        for (u, vs) in succs.iter().enumerate() {
-            for &v in vs {
-                if u != v {
-                    push(Self::v_out(u), Self::v_in(v), FLOW_INF);
-                }
+        for u in graph.ids() {
+            for v in graph.succs(u) {
+                push(
+                    Self::v_out(u.0 as usize),
+                    Self::v_in(v.0 as usize),
+                    FLOW_INF,
+                );
             }
         }
         // Counting-sort the edge list into CSR adjacency.
@@ -773,40 +479,31 @@ mod tests {
     use super::*;
     use crate::task::TaskSpec;
 
-    fn ts(iter: u32, block: u32) -> Timestamp {
-        Timestamp::new(iter, block)
-    }
-
-    /// The frontier-mode iterated pattern of `spmv_app`: per iteration a
-    /// multiply gated on the previous iteration's vector, then a stamped
-    /// sum producing this iteration's vector.
-    fn frontier_chain(iters: u32) -> TaskGraph {
+    /// The pipelined iterated pattern of `spmv_app` on one block chain:
+    /// per iteration a multiply reading the previous iteration's vector,
+    /// then a sum producing this iteration's vector.
+    fn iterated_chain(iters: u32) -> TaskGraph {
         let mut tasks = Vec::new();
         for i in 1..=iters {
             tasks.push(
                 TaskSpec::new(format!("p_{i}"), "multiply")
-                    .input_gated(format!("x_{}", i - 1), 64, ts(i - 1, 0))
+                    .input(format!("x_{}", i - 1), 64)
                     .output(format!("p_{i}"), 64),
             );
             tasks.push(
                 TaskSpec::new(format!("x_{i}"), "sum")
                     .input(format!("p_{i}"), 64)
-                    .output(format!("x_{i}"), 64)
-                    .at(ts(i, 0)),
+                    .output(format!("x_{i}"), 64),
             );
         }
-        TaskGraph::new(tasks).expect("valid frontier chain")
+        TaskGraph::new(tasks).expect("valid chain")
     }
 
     #[test]
-    fn frontier_chain_audits_clean() {
-        let g = frontier_chain(4);
-        let gated = audit_progress(&g).expect("no stall");
-        assert_eq!(gated, 4);
-        let r = audit_residency(&g).expect("residency");
+    fn iterated_chain_audits_clean() {
+        let r = audit_residency(&iterated_chain(4)).expect("residency");
         assert!(r.exact);
-        // Gate edges serialize the iterations: only one iteration's
-        // multiply+sum pair can ever be in flight together.
+        // The cross-iteration edges serialize the chain: one task in flight.
         assert_eq!(r.widest_antichain, 1, "{r:?}");
         assert_eq!(r.critical_path, 8);
         assert_eq!(r.peak_bytes, 128);
@@ -814,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn untimed_diamond_antichain() {
+    fn diamond_antichain() {
         let g = TaskGraph::new(vec![
             TaskSpec::new("a", "k").output("A", 10),
             TaskSpec::new("b", "k").input("A", 10).output("B", 30),
@@ -859,93 +556,6 @@ mod tests {
 
     // --- seeded-bug twins -------------------------------------------------
 
-    /// Seeded bug (stall / gate cycle): two chains, each gated on the
-    /// *other* chain's capability — neither gate ever closes.
-    fn seeded_gate_cycle() -> TaskGraph {
-        TaskGraph::new(vec![
-            TaskSpec::new("a", "k")
-                .input_gated("xb", 8, ts(1, 1))
-                .output("xa", 8)
-                .at(ts(1, 0)),
-            TaskSpec::new("b", "k")
-                .input_gated("xa", 8, ts(1, 0))
-                .output("xb", 8)
-                .at(ts(1, 1)),
-        ])
-        .expect("constructible (TaskGraph validation is per-gate, not global)")
-    }
-
-    #[test]
-    fn gate_cycle_detected() {
-        let err = audit_progress(&seeded_gate_cycle()).expect_err("must stall");
-        match err {
-            AuditError::GateCycle { cycle } => {
-                assert_eq!(cycle.len(), 2, "{cycle:?}");
-                assert!(cycle.contains(&"a".to_string()) && cycle.contains(&"b".to_string()));
-            }
-            other => panic!("wrong analysis caught it: {other}"),
-        }
-    }
-
-    /// Seeded bug (stall / capability leak): a task gated on a timestamp at
-    /// or above its *own* capability — it waits for its own completion.
-    fn seeded_capability_leak() -> TaskGraph {
-        TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 8).at(ts(1, 0)),
-            TaskSpec::new("x_2", "sum")
-                .input_gated("x_1", 8, ts(2, 0))
-                .output("x_2", 8)
-                .at(ts(2, 0)),
-        ])
-        .expect("constructible")
-    }
-
-    #[test]
-    fn capability_leak_detected() {
-        let err = audit_progress(&seeded_capability_leak()).expect_err("must stall");
-        match err {
-            AuditError::CapabilityLeak { task, gate } => {
-                assert_eq!(task, "x_2");
-                assert_eq!(gate, ts(2, 0));
-            }
-            other => panic!("wrong analysis caught it: {other}"),
-        }
-    }
-
-    #[test]
-    fn unanchored_gate_detected() {
-        // Gate on chain 9 where no capability ever exists: closes
-        // immediately, synchronizing nothing.
-        let g = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 8).at(ts(1, 0)),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("ext", 8, ts(1, 9))
-                .output("p_2", 8),
-        ])
-        .expect("constructible (ext is external)");
-        let err = audit_progress(&g).expect_err("unanchored");
-        match err {
-            AuditError::UnanchoredGate { task, array, gate } => {
-                assert_eq!(task, "p_2");
-                assert_eq!(array, "ext");
-                assert_eq!(gate, ts(1, 9));
-            }
-            other => panic!("wrong analysis caught it: {other}"),
-        }
-    }
-
-    #[test]
-    fn iteration_zero_gate_is_exempt() {
-        // The external-x₀ idiom: gate at iteration 0 holds no capabilities
-        // by construction and must audit clean.
-        let g = TaskGraph::new(vec![TaskSpec::new("p_1", "multiply")
-            .input_gated("x_0", 8, ts(0, 0))
-            .output("p_1", 8)
-            .at(ts(1, 0))])
-        .expect("external gated input");
-        assert_eq!(audit_progress(&g).expect("clean"), 1);
-    }
-
     /// Seeded bug (overcommit): a single task pinning more than the budget.
     #[test]
     fn overcommit_detected() {
@@ -982,7 +592,7 @@ mod tests {
                 cyclic: true,
             },
             LaneSpec {
-                name: "progress".into(),
+                name: "events".into(),
                 capacity: 8,
                 bound: 40,
                 cyclic: true,
@@ -995,7 +605,7 @@ mod tests {
                 capacity,
                 required,
             } => {
-                assert_eq!(lane, "progress");
+                assert_eq!(lane, "events");
                 assert_eq!(capacity, 8);
                 assert_eq!(required, 40);
             }
@@ -1012,41 +622,23 @@ mod tests {
     }
 
     #[test]
-    fn audit_runs_all_three() {
-        let g = frontier_chain(3);
-        let lanes = [
-            LaneSpec {
-                name: "done".into(),
-                capacity: g.len() as u64 + 16,
-                bound: g.len() as u64,
-                cyclic: true,
-            },
-            LaneSpec {
-                name: "progress".into(),
-                capacity: 2 * g.len() as u64 + 64,
-                bound: 2 * 3 + 1,
-                cyclic: true,
-            },
-        ];
-        let r = audit(&g, 1 << 20, &lanes).expect("clean");
-        assert_eq!(r.gated_tasks, 3);
-        let stall = audit(&seeded_gate_cycle(), 1 << 20, &lanes);
-        assert!(matches!(stall, Err(AuditError::GateCycle { .. })));
-    }
-
-    #[test]
-    fn gate_edges_tighten_the_antichain() {
-        // Without the gate edge, p_2 and x_1 look concurrent; the gate
-        // orders x_1 (capability at (1,0)) before p_2.
-        let g = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 64).at(ts(1, 0)),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 64, ts(1, 0))
-                .output("p_2", 64),
-        ])
-        .expect("gated pair");
-        let r = audit_residency(&g).expect("residency");
-        assert_eq!(r.widest_antichain, 1, "{r:?}");
-        assert_eq!(r.critical_path, 2);
+    fn audit_runs_both() {
+        let g = iterated_chain(3);
+        let lane = |capacity| LaneSpec {
+            name: "done".into(),
+            capacity,
+            bound: g.len() as u64,
+            cyclic: true,
+        };
+        let r = audit(&g, 1 << 20, &[lane(g.len() as u64 + 16)]).expect("clean");
+        assert_eq!(r.critical_path, 6);
+        assert!(matches!(
+            audit(&g, 100, &[lane(g.len() as u64 + 16)]),
+            Err(AuditError::Overcommit { .. })
+        ));
+        assert!(matches!(
+            audit(&g, 1 << 20, &[lane(1)]),
+            Err(AuditError::LaneDeadlock { .. })
+        ));
     }
 }

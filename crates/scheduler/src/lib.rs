@@ -17,9 +17,9 @@
 //!   data-aware reordering (which reproduces the back-and-forth traversal of
 //!   Fig. 5b without any application input), task splitting, and prefetch
 //!   planning against the storage map.
-//! * [`audit`] — static pre-run verification over the whole graph: progress
-//!   stall detection, peak-residency bounds, and channel-capacity deadlock
-//!   freedom, consumed by the runtime as an admission gate.
+//! * [`audit`] — static pre-run verification over the whole graph:
+//!   peak-residency bounds and channel-capacity deadlock freedom, consumed
+//!   by the runtime as an admission gate.
 //!
 //! The crate is pure policy — no threads, no I/O — so every scheduling
 //! decision is deterministic and unit-testable; the `dooc-core` crate mounts
@@ -32,14 +32,12 @@
 pub mod audit;
 pub mod global;
 pub mod local;
-pub mod progress;
 pub mod task;
 
 pub use audit::{audit, AuditError, AuditReport, LaneSpec};
 pub use dooc_filterstream::NodeId;
 pub use global::{assign_affinity, assign_round_robin, Placement};
 pub use local::{LocalScheduler, MemoryOracle, OrderPolicy};
-pub use progress::{ClosedNever, FrontierOracle, Timestamp};
 pub use task::{DataRef, ReadyTracker, TaskGraph, TaskId, TaskSpec};
 
 /// Errors surfaced by the scheduler.
@@ -54,14 +52,6 @@ pub enum SchedError {
     Cycle,
     /// A task id was out of range.
     UnknownTask(u64),
-    /// A gated input's in-graph producer holds no capability at or below
-    /// the gate, so closing the gate would not prove the array sealed.
-    BadGate {
-        /// The gated task's name.
-        task: String,
-        /// The gated input array.
-        array: String,
-    },
 }
 
 impl std::fmt::Display for SchedError {
@@ -75,11 +65,6 @@ impl std::fmt::Display for SchedError {
             }
             SchedError::Cycle => write!(f, "task graph contains a cycle"),
             SchedError::UnknownTask(t) => write!(f, "unknown task id {t}"),
-            SchedError::BadGate { task, array } => write!(
-                f,
-                "task '{task}': gated input '{array}' has a producer with no \
-                 capability at or below the gate"
-            ),
         }
     }
 }

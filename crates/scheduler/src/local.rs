@@ -19,7 +19,6 @@
 //! backwards "automatically … without requiring any effort or input from the
 //! application programmer".
 
-use crate::progress::FrontierOracle;
 use crate::task::{ReadyTracker, TaskGraph, TaskId};
 use std::collections::HashSet;
 
@@ -62,10 +61,6 @@ pub struct LocalScheduler {
     tracker: ReadyTracker,
     /// Ready-but-unscheduled local tasks, in readiness order.
     ready: Vec<TaskId>,
-    /// Local tasks whose DAG predecessors are done but whose frontier gates
-    /// are still open; [`LocalScheduler::release_frontier`] moves them to
-    /// `ready` the moment the frontier closes every gate.
-    gated: Vec<TaskId>,
     /// Number of outstanding prefetches to aim for.
     prefetch_window: usize,
     /// Tasks handed out but not yet completed.
@@ -83,17 +78,16 @@ impl LocalScheduler {
     ) -> Self {
         let tracker = ReadyTracker::new(graph);
         let mine: HashSet<TaskId> = mine.into_iter().collect();
-        let (gated, ready) = tracker
+        let ready = tracker
             .initially_ready()
             .into_iter()
             .filter(|t| mine.contains(t))
-            .partition(|&t| graph.gates(t).next().is_some());
+            .collect();
         Self {
             policy,
             mine,
             tracker,
             ready,
-            gated,
             prefetch_window: 2,
             running: HashSet::new(),
             node: -1,
@@ -119,42 +113,9 @@ impl LocalScheduler {
         self.running.remove(&id);
         for t in self.tracker.complete(graph, id) {
             if self.mine.contains(&t) {
-                if graph.gates(t).next().is_some() {
-                    self.gated.push(t);
-                } else {
-                    self.ready.push(t);
-                }
-            }
-        }
-    }
-
-    /// Moves gated tasks whose every gate the frontier has closed into the
-    /// ready queue; returns how many were released. The runtime calls this
-    /// whenever the frontier advances — so task `(i+1, j)` is released the
-    /// moment the blocks of `x^i` it reads are behind the frontier, while
-    /// iteration `i`'s tail is still executing.
-    pub fn release_frontier(&mut self, graph: &TaskGraph, oracle: &dyn FrontierOracle) -> usize {
-        let mut released = 0;
-        let mut i = 0;
-        while i < self.gated.len() {
-            let t = self.gated[i];
-            if graph.gates(t).all(|g| oracle.closed(g)) {
-                self.gated.remove(i);
                 self.ready.push(t);
-                released += 1;
-            } else {
-                i += 1;
             }
         }
-        if released > 0 && dooc_obs::enabled() {
-            dooc_obs::metrics::counter("sched.frontier_releases").add(released as u64);
-        }
-        released
-    }
-
-    /// Number of local tasks still held behind open frontier gates.
-    pub fn gated_count(&self) -> usize {
-        self.gated.len()
     }
 
     /// Number of ready local tasks.
@@ -164,7 +125,7 @@ impl LocalScheduler {
 
     /// Are all this node's tasks done?
     pub fn idle(&self) -> bool {
-        self.ready.is_empty() && self.running.is_empty() && self.gated.is_empty()
+        self.ready.is_empty() && self.running.is_empty()
     }
 
     /// Is every task in the graph complete?
@@ -471,59 +432,6 @@ mod tests {
             !ls.requeue(TaskId(999)),
             "never-scheduled task cannot be requeued"
         );
-    }
-
-    #[test]
-    fn gated_tasks_wait_for_the_frontier() {
-        use crate::progress::{ClosedNever, Timestamp};
-        let ts = Timestamp::new(1, 0);
-        let g = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 8).at(ts),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 8, ts)
-                .output("p_2", 8),
-        ])
-        .expect("valid");
-        let oracle: HashSet<String> = HashSet::new();
-        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        let t = ls.next_task(&g, &oracle).expect("sum ready");
-        assert_eq!(t, TaskId(0));
-        ls.on_complete(&g, t);
-        // p_2 has no DAG preds left, but its gate is open: not offered.
-        assert_eq!(ls.gated_count(), 1);
-        assert_eq!(ls.next_task(&g, &oracle), None);
-        assert!(!ls.idle(), "gated work pending");
-        assert_eq!(ls.release_frontier(&g, &ClosedNever), 0);
-        // Once the frontier closes the gate the task is released.
-        struct Closed;
-        impl FrontierOracle for Closed {
-            fn closed(&self, _ts: Timestamp) -> bool {
-                true
-            }
-        }
-        assert_eq!(ls.release_frontier(&g, &Closed), 1);
-        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(1)));
-    }
-
-    #[test]
-    fn initially_ready_gated_task_starts_in_the_pen() {
-        use crate::progress::Timestamp;
-        let g = TaskGraph::new(vec![TaskSpec::new("p_1", "multiply")
-            .input_gated("x_0", 8, Timestamp::new(0, 0))
-            .output("p_1", 8)])
-        .expect("valid");
-        let oracle: HashSet<String> = HashSet::new();
-        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        assert_eq!(ls.next_task(&g, &oracle), None, "gate still open");
-        assert_eq!(ls.gated_count(), 1);
-        struct Closed;
-        impl FrontierOracle for Closed {
-            fn closed(&self, _ts: Timestamp) -> bool {
-                true
-            }
-        }
-        assert_eq!(ls.release_frontier(&g, &Closed), 1);
-        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(0)));
     }
 
     #[test]

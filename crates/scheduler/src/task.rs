@@ -5,7 +5,6 @@
 //! layer. The input and output data information is used to derive a DAG of
 //! the tasks."
 
-use crate::progress::Timestamp;
 use crate::{Result, SchedError};
 use std::collections::HashMap;
 
@@ -26,11 +25,6 @@ pub struct DataRef {
     pub array: String,
     /// Size in bytes (drives affinity weighting and transfer accounting).
     pub bytes: u64,
-    /// Frontier gate: when set, this input crosses an iteration boundary
-    /// and contributes *no* DAG edge. The task instead stays gated until
-    /// the frontier closes this timestamp — i.e. every capability at or
-    /// below it has been dropped, which implies the array is sealed.
-    pub gate: Option<Timestamp>,
 }
 
 impl DataRef {
@@ -39,16 +33,6 @@ impl DataRef {
         Self {
             array: array.into(),
             bytes,
-            gate: None,
-        }
-    }
-
-    /// Creates a frontier-gated reference (see [`DataRef::gate`]).
-    pub fn gated(array: impl Into<String>, bytes: u64, gate: Timestamp) -> Self {
-        Self {
-            array: array.into(),
-            bytes,
-            gate: Some(gate),
         }
     }
 }
@@ -75,11 +59,6 @@ pub struct TaskSpec {
     /// (how an application encodes a fixed policy such as the paper's
     /// row-root reduction; `None` = let the global scheduler decide).
     pub pin: Option<u64>,
-    /// Logical time of this task's outputs in an iterated solve. A
-    /// timestamped task holds one *capability* at this time, dropped when
-    /// the task completes (all outputs sealed); the drops drive the
-    /// frontier that releases gated tasks. `None` for untimed graphs.
-    pub timestamp: Option<Timestamp>,
 }
 
 impl TaskSpec {
@@ -93,20 +72,12 @@ impl TaskSpec {
             flops: 0,
             splittable: false,
             pin: None,
-            timestamp: None,
         }
     }
 
     /// Adds an input.
     pub fn input(mut self, array: impl Into<String>, bytes: u64) -> Self {
         self.inputs.push(DataRef::new(array, bytes));
-        self
-    }
-
-    /// Adds a frontier-gated input: no DAG edge is derived; the local
-    /// scheduler holds the task until the frontier closes `gate`.
-    pub fn input_gated(mut self, array: impl Into<String>, bytes: u64, gate: Timestamp) -> Self {
-        self.inputs.push(DataRef::gated(array, bytes, gate));
         self
     }
 
@@ -131,12 +102,6 @@ impl TaskSpec {
     /// Pins the task to a node.
     pub fn pin_to(mut self, node: u64) -> Self {
         self.pin = Some(node);
-        self
-    }
-
-    /// Stamps the task with a logical time (it holds one capability there).
-    pub fn at(mut self, ts: Timestamp) -> Self {
-        self.timestamp = Some(ts);
         self
     }
 
@@ -177,26 +142,6 @@ impl TaskGraph {
         let mut succs = vec![Vec::new(); tasks.len()];
         for (i, t) in tasks.iter().enumerate() {
             for inp in &t.inputs {
-                if let Some(gate) = inp.gate {
-                    // Gated inputs cross an iteration boundary: no DAG edge
-                    // (that would re-serialize the iterations the frontier
-                    // exists to overlap). Soundness instead rests on the
-                    // producer's capability: it must sit at or below the
-                    // gate on the same chain, so `closed(gate)` implies the
-                    // producer completed and sealed the array.
-                    if let Some(&p) = producer.get(&inp.array) {
-                        let ok = tasks[p.0 as usize]
-                            .timestamp
-                            .is_some_and(|ts| ts.less_equal(&gate));
-                        if !ok {
-                            return Err(SchedError::BadGate {
-                                task: t.name.clone(),
-                                array: inp.array.clone(),
-                            });
-                        }
-                    }
-                    continue;
-                }
                 if let Some(&p) = producer.get(&inp.array) {
                     if p.0 as usize != i {
                         preds[i].push(p);
@@ -257,19 +202,6 @@ impl TaskGraph {
     /// The producer of an array, if it is produced inside this graph.
     pub fn producer_of(&self, array: &str) -> Option<TaskId> {
         self.producer.get(array).copied()
-    }
-
-    /// The gate timestamps of a task's gated inputs (empty for plain tasks).
-    pub fn gates(&self, id: TaskId) -> impl Iterator<Item = Timestamp> + '_ {
-        self.tasks[id.0 as usize]
-            .inputs
-            .iter()
-            .filter_map(|d| d.gate)
-    }
-
-    /// Does any task carry a timestamp (i.e. is this a frontier-mode graph)?
-    pub fn is_timed(&self) -> bool {
-        self.tasks.iter().any(|t| t.timestamp.is_some())
     }
 
     /// A topological order (Kahn); `Err(Cycle)` if none exists. Ties are
@@ -453,61 +385,6 @@ mod tests {
         let g = TaskGraph::new(vec![TaskSpec::new("a", "k").input("X", 1).output("X", 1)])
             .expect("valid");
         assert!(g.preds(TaskId(0)).is_empty());
-    }
-
-    #[test]
-    fn gated_inputs_have_no_edge_but_need_a_capable_producer() {
-        use crate::progress::Timestamp;
-        let g = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum")
-                .output("x_1", 8)
-                .at(Timestamp::new(1, 0)),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 8, Timestamp::new(1, 0))
-                .output("p_2", 8),
-        ])
-        .expect("valid gated graph");
-        assert_eq!(g.preds(TaskId(1)), &[], "gate derives no DAG edge");
-        assert_eq!(
-            g.gates(TaskId(1)).collect::<Vec<_>>(),
-            [Timestamp::new(1, 0)]
-        );
-        assert!(g.is_timed());
-    }
-
-    #[test]
-    fn gate_without_capable_producer_rejected() {
-        use crate::progress::Timestamp;
-        // Producer untimed: closing the gate proves nothing about the seal.
-        let err = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 8),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 8, Timestamp::new(1, 0))
-                .output("p_2", 8),
-        ]);
-        assert!(matches!(err.unwrap_err(), SchedError::BadGate { .. }));
-        // Producer timed beyond the gate (wrong chain): also rejected.
-        let err = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum")
-                .output("x_1", 8)
-                .at(Timestamp::new(1, 1)),
-            TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 8, Timestamp::new(1, 0))
-                .output("p_2", 8),
-        ]);
-        assert!(matches!(err.unwrap_err(), SchedError::BadGate { .. }));
-    }
-
-    #[test]
-    fn gated_external_input_is_allowed() {
-        use crate::progress::Timestamp;
-        // x_0 is staged externally; the gate closes once the frontier of
-        // chain 0 moves past iteration 0, which holds zero capabilities.
-        let g = TaskGraph::new(vec![TaskSpec::new("p_1", "multiply")
-            .input_gated("x_0", 8, Timestamp::new(0, 0))
-            .output("p_1", 8)])
-        .expect("external gated input");
-        assert_eq!(g.preds(TaskId(0)), &[]);
     }
 
     #[test]

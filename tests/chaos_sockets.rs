@@ -13,7 +13,7 @@
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::filterstream::{ClusterSpec, TcpTransport, Transport};
 use dooc::linalg::spmv_app::{
-    striped_owner, IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
+    striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
 };
 use dooc::sparse::blockgrid::BlockGrid;
 use dooc::sparse::genmat::GapGenerator;
@@ -78,7 +78,7 @@ fn tcp_pair() -> Vec<Arc<dyn Transport>> {
 
 /// One 2-node run over loopback TCP under whatever schedule
 /// `configure_faults` installs; returns the persisted final vector.
-fn run_spmv_tcp(tag: &str, mode: IterationMode, configure_faults: impl FnOnce()) -> Vec<f64> {
+fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
     let base = DoocConfig::in_temp_dirs(tag, NNODES).expect("cfg");
     let grid = BlockGrid::new(K, N);
     let gen = GapGenerator::with_d(4);
@@ -92,8 +92,7 @@ fn run_spmv_tcp(tag: &str, mode: IterationMode, configure_faults: impl FnOnce())
     .expect("stage matrices");
     let app = SpmvAppBuilder::new(grid, ITERS, blocks)
         .reduction(ReductionPlan::RowRoot)
-        .sync(SyncPolicy::None)
-        .iteration_mode(mode);
+        .sync(SyncPolicy::None);
     let x0: Vec<f64> = (0..N).map(|i| (i % 7) as f64 + 1.0).collect();
     app.stage_initial_vector(&base.scratch_dirs, &x0)
         .expect("stage x0");
@@ -153,9 +152,9 @@ fn assert_bitwise(schedule: &str, seed: u64, got: &[f64], want: &[f64]) {
 #[test]
 fn peer_drop_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-drop-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv_tcp("sock-drop-base", || {});
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-drop", IterationMode::Barrier, || {
+        let got = run_spmv_tcp("sock-drop", || {
             faultline::seed(seed);
             faultline::configure(
                 "peer_out",
@@ -171,9 +170,9 @@ fn peer_drop_over_sockets_converges_bitwise() {
 #[test]
 fn peer_reorder_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-reorder-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv_tcp("sock-reorder-base", || {});
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-reorder", IterationMode::Barrier, || {
+        let got = run_spmv_tcp("sock-reorder", || {
             faultline::seed(seed);
             faultline::configure(
                 "peer_out",
@@ -189,9 +188,9 @@ fn peer_reorder_over_sockets_converges_bitwise() {
 #[test]
 fn frame_delay_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-delay-base", IterationMode::Barrier, || {});
+    let baseline = run_spmv_tcp("sock-delay-base", || {});
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-delay", IterationMode::Barrier, || {
+        let got = run_spmv_tcp("sock-delay", || {
             faultline::seed(seed);
             // Socket-level: stall the framing writer on ~20% of data frames.
             faultline::configure(
@@ -200,53 +199,5 @@ fn frame_delay_over_sockets_converges_bitwise() {
             );
         });
         assert_bitwise("frame-delay", seed, &got, &baseline);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Progress-lane chaos over real sockets (frontier mode). The capability-drop
-// batches now cross loopback TCP as `Progress` frames; the oracle is the
-// fault-free *barrier* run over the same sockets, so each test chains the
-// frontier/barrier equivalence with the lane's fault tolerance: drops heal
-// through the cumulative counts' idle re-flush, reorder is absorbed by the
-// max-fold, and delay only defers gate openings.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn progress_drop_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-drop", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::drop_msg().with_prob(0.10));
-        });
-        assert_bitwise("progress-drop", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_reorder_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-reorder", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::reorder().with_prob(0.25));
-        });
-        assert_bitwise("progress-reorder", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_delay_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-delay-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-delay", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::delay(2).with_prob(0.20));
-        });
-        assert_bitwise("progress-delay", seed, &got, &baseline);
     }
 }

@@ -2,12 +2,14 @@
 //! run (a) classically in one process, (b) distributed over the in-process
 //! channel transport, and (c) distributed over real loopback TCP sockets.
 //! All three must produce *bitwise* identical final vectors — the transport
-//! is pure plumbing and must never change a floating-point reduction order.
+//! is pure plumbing and must never change a floating-point reduction order —
+//! and so must all three [`SyncPolicy`] graphs: barriers only remove
+//! schedules, every sum still folds its partials in declared input order.
 
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::filterstream::{ChannelTransport, ClusterSpec, TcpTransport, Transport};
 use dooc::linalg::spmv_app::{
-    striped_owner, IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
+    striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
 };
 use dooc::sparse::blockgrid::BlockGrid;
 use dooc::sparse::genmat::GapGenerator;
@@ -28,7 +30,7 @@ fn x0() -> Vec<f64> {
 
 /// Stages the workload into fresh temp dirs and returns everything a node
 /// needs to run it.
-fn stage(tag: &str, mode: IterationMode) -> (DoocConfig, SpmvAppBuilder) {
+fn stage(tag: &str, sync: SyncPolicy) -> (DoocConfig, SpmvAppBuilder) {
     let base = DoocConfig::in_temp_dirs(tag, NNODES).expect("cfg");
     let grid = BlockGrid::new(K, N);
     let gen = GapGenerator::with_d(4);
@@ -42,8 +44,7 @@ fn stage(tag: &str, mode: IterationMode) -> (DoocConfig, SpmvAppBuilder) {
     .expect("stage matrices");
     let app = SpmvAppBuilder::new(grid, ITERS, blocks)
         .reduction(ReductionPlan::RowRoot)
-        .sync(SyncPolicy::None)
-        .iteration_mode(mode);
+        .sync(sync);
     app.stage_initial_vector(&base.scratch_dirs, &x0())
         .expect("stage x0");
     (base, app)
@@ -71,8 +72,8 @@ fn cleanup(cfg: &DoocConfig) {
 /// Runs the staged app with one thread per node, each holding its own
 /// transport — the thread boundary stands in for the process boundary (the
 /// real multi-process path is exercised by `tests/tcp_cluster.rs`).
-fn run_over(tag: &str, transports: Vec<Arc<dyn Transport>>, mode: IterationMode) -> Vec<f64> {
-    let (base, app) = stage(tag, mode);
+fn run_over(tag: &str, transports: Vec<Arc<dyn Transport>>, sync: SyncPolicy) -> Vec<f64> {
+    let (base, app) = stage(tag, sync);
     let (graph, external, geometry) = app.build();
     let handles: Vec<_> = transports
         .into_iter()
@@ -98,8 +99,8 @@ fn run_over(tag: &str, transports: Vec<Arc<dyn Transport>>, mode: IterationMode)
     x
 }
 
-fn run_classic(tag: &str, mode: IterationMode) -> Vec<f64> {
-    let (base, app) = stage(tag, mode);
+fn run_classic(tag: &str, sync: SyncPolicy) -> Vec<f64> {
+    let (base, app) = stage(tag, sync);
     let (graph, external, geometry) = app.build();
     let cfg = config_for(base.scratch_dirs.clone(), &geometry);
     DoocRuntime::new(cfg)
@@ -162,45 +163,61 @@ fn channel_cluster() -> Vec<Arc<dyn Transport>> {
 
 #[test]
 fn channel_transport_matches_classic_run_bitwise() {
-    let classic = run_classic("dist-classic", IterationMode::Barrier);
-    let chan = run_over("dist-chan", channel_cluster(), IterationMode::Barrier);
+    let classic = run_classic("dist-classic", SyncPolicy::None);
+    let chan = run_over("dist-chan", channel_cluster(), SyncPolicy::None);
     assert_bitwise("channel vs classic", &chan, &classic);
 }
 
 #[test]
 fn tcp_transport_matches_classic_run_bitwise() {
-    let classic = run_classic("dist-classic-tcp", IterationMode::Barrier);
-    let tcp = run_over("dist-tcp", tcp_pair(), IterationMode::Barrier);
+    let classic = run_classic("dist-classic-tcp", SyncPolicy::None);
+    let tcp = run_over("dist-tcp", tcp_pair(), SyncPolicy::None);
     assert_bitwise("tcp vs classic", &tcp, &classic);
 }
 
 // ---------------------------------------------------------------------------
-// Frontier-mode equivalence: the barriered run is the oracle. The frontier
-// graph has *fewer* ordering edges (iterations pipeline), but every sum task
-// still folds its partials in declared input order, so any divergence —
-// a premature release reading an unsealed or stale sub-vector — shows up as
-// a bitwise difference in the final iterate.
+// Sync-policy equivalence: the iteration-barriered run is the oracle. The
+// `SyncPolicy::None` graph has *fewer* ordering edges (iterations pipeline),
+// the phase-barriered one more, but every sum task folds its partials in
+// declared input order, so any divergence — a premature release reading an
+// unsealed or stale sub-vector — shows up as a bitwise difference in the
+// final iterate.
 // ---------------------------------------------------------------------------
 
+const POLICIES: [(&str, SyncPolicy); 3] = [
+    ("none", SyncPolicy::None),
+    ("iter", SyncPolicy::IterationBarrier),
+    ("phase", SyncPolicy::PhaseBarriers),
+];
+
 #[test]
-fn frontier_matches_barrier_classic_bitwise() {
-    let barrier = run_classic("dist-front-cb", IterationMode::Barrier);
-    let frontier = run_classic("dist-front-cf", IterationMode::Frontier);
-    assert_bitwise("frontier vs barrier (classic)", &frontier, &barrier);
+fn sync_policies_match_classic_bitwise() {
+    let [none, oracle, phase] =
+        POLICIES.map(|(name, sync)| run_classic(&format!("dist-sync-c-{name}"), sync));
+    assert_bitwise("none vs iteration barrier (classic)", &none, &oracle);
+    assert_bitwise("phase vs iteration barrier (classic)", &phase, &oracle);
 }
 
 #[test]
-fn frontier_matches_barrier_over_channel_transport() {
-    let barrier = run_classic("dist-front-chb", IterationMode::Barrier);
-    let frontier = run_over("dist-front-chf", channel_cluster(), IterationMode::Frontier);
-    assert_bitwise("frontier vs barrier (channel)", &frontier, &barrier);
+fn sync_policies_match_over_channel_transport() {
+    let oracle = run_classic("dist-sync-cho", SyncPolicy::IterationBarrier);
+    for (name, sync) in POLICIES {
+        let x = run_over(&format!("dist-sync-ch-{name}"), channel_cluster(), sync);
+        assert_bitwise(
+            &format!("{name} vs iteration barrier (channel)"),
+            &x,
+            &oracle,
+        );
+    }
 }
 
 #[test]
-fn frontier_matches_barrier_over_tcp_sockets() {
-    let barrier = run_classic("dist-front-tb", IterationMode::Barrier);
-    let frontier = run_over("dist-front-tf", tcp_pair(), IterationMode::Frontier);
-    assert_bitwise("frontier vs barrier (tcp)", &frontier, &barrier);
+fn sync_policies_match_over_tcp_sockets() {
+    let oracle = run_classic("dist-sync-to", SyncPolicy::IterationBarrier);
+    for (name, sync) in POLICIES {
+        let x = run_over(&format!("dist-sync-t-{name}"), tcp_pair(), sync);
+        assert_bitwise(&format!("{name} vs iteration barrier (tcp)"), &x, &oracle);
+    }
 }
 
 /// One fully parameterized classic run: stages a k×k grid of an n-order
@@ -214,7 +231,7 @@ fn run_case(
     seed: u64,
     nnodes: usize,
     reduction: ReductionPlan,
-    mode: IterationMode,
+    sync: SyncPolicy,
 ) -> Vec<f64> {
     let base = DoocConfig::in_temp_dirs(tag, nnodes).expect("cfg");
     let grid = BlockGrid::new(k, n);
@@ -229,8 +246,7 @@ fn run_case(
     .expect("stage matrices");
     let app = SpmvAppBuilder::new(grid, iters, blocks)
         .reduction(reduction)
-        .sync(SyncPolicy::None)
-        .iteration_mode(mode);
+        .sync(sync);
     let x0: Vec<f64> = (0..n).map(|i| ((i * 7 + seed) % 11) as f64 + 0.5).collect();
     app.stage_initial_vector(&base.scratch_dirs, &x0)
         .expect("stage x0");
@@ -249,10 +265,10 @@ fn run_case(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Frontier and barrier runs are bitwise identical across generated
-    /// grid sizes, block counts, placements, iteration depths and seeds.
+    /// All three sync policies are bitwise identical across generated grid
+    /// sizes, block counts, placements, iteration depths and seeds.
     #[test]
-    fn frontier_equivalence_across_shapes(
+    fn sync_policy_equivalence_across_shapes(
         k in 2u64..5,
         dim in 2u64..8,
         iters in 1u64..4,
@@ -266,27 +282,27 @@ proptest! {
         } else {
             ReductionPlan::RowRoot
         };
-        let tag_b = format!("dist-prop-b-{k}-{dim}-{iters}-{seed}-{nnodes}-{local_agg}");
-        let tag_f = format!("dist-prop-f-{k}-{dim}-{iters}-{seed}-{nnodes}-{local_agg}");
-        let barrier = run_case(
-            &tag_b, k, n, iters, seed, nnodes, reduction, IterationMode::Barrier,
-        );
-        let frontier = run_case(
-            &tag_f, k, n, iters, seed, nnodes, reduction, IterationMode::Frontier,
-        );
-        prop_assert_eq!(barrier.len(), frontier.len());
-        for (i, (b, f)) in barrier.iter().zip(&frontier).enumerate() {
-            prop_assert!(
-                b.to_bits() == f.to_bits(),
-                "case {tag_f} diverged at x[{i}]: {b:?} != {f:?}"
-            );
+        let run = |name: &str, sync| {
+            let tag = format!("dist-prop-{name}-{k}-{dim}-{iters}-{seed}-{nnodes}-{local_agg}");
+            run_case(&tag, k, n, iters, seed, nnodes, reduction, sync)
+        };
+        let oracle = run("oracle", SyncPolicy::IterationBarrier);
+        for (name, sync) in [("none", SyncPolicy::None), ("phase", SyncPolicy::PhaseBarriers)] {
+            let x = run(name, sync);
+            prop_assert_eq!(oracle.len(), x.len());
+            for (i, (o, g)) in oracle.iter().zip(&x).enumerate() {
+                prop_assert!(
+                    o.to_bits() == g.to_bits(),
+                    "{name} diverged from the iteration barrier at x[{i}]: {o:?} != {g:?}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn mismatched_bootstrap_digest_is_rejected() {
-    let (base, app) = stage("dist-mismatch", IterationMode::Barrier);
+    let (base, app) = stage("dist-mismatch", SyncPolicy::None);
     let (graph, external, geometry) = app.build();
     let transports = ChannelTransport::cluster(NNODES);
     let handles: Vec<_> = transports
@@ -323,4 +339,32 @@ fn mismatched_bootstrap_digest_is_rejected() {
             "node {i}: unexpected error {e}"
         );
     }
+}
+
+/// A peer built from another protocol generation hashes its run digest
+/// under a different domain string, so whatever it sends cannot equal ours:
+/// the bootstrap exchange must turn that into the typed error, before any
+/// frame of the run itself is on the wire.
+#[test]
+fn stale_peer_digest_is_rejected_in_the_bootstrap_exchange() {
+    let (base, app) = stage("dist-stale-peer", SyncPolicy::None);
+    let (graph, external, geometry) = app.build();
+    let mut transports = ChannelTransport::cluster(NNODES);
+    let stale = transports.pop().expect("node 1");
+    let current = transports.pop().expect("node 0");
+    // The stale peer plays only the exchange, with some other 8-byte digest.
+    let peer = std::thread::spawn(move || {
+        stale
+            .exchange(0xD00C_0001u64.to_le_bytes().to_vec().into())
+            .map(|_| ())
+    });
+    let cfg = config_for(base.scratch_dirs.clone(), &geometry);
+    let err = DoocRuntime::new(cfg)
+        .run_distributed(graph, external, Arc::new(SpmvExecutor), Arc::new(current))
+        .expect_err("node 0 must refuse a peer with a different digest");
+    peer.join()
+        .expect("join")
+        .expect("the exchange itself succeeds");
+    cleanup(&base);
+    assert!(err.to_string().contains("digest mismatch"), "{err}");
 }
