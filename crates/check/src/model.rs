@@ -95,7 +95,7 @@ pub struct BugConfig {
 pub enum Avail {
     /// Created, nothing written.
     Unwritten,
-    /// A write grant is outstanding (building buffer allocated).
+    /// A write grant is outstanding (the block is charged to the budget).
     Partial,
     /// Sealed and resident in memory.
     InMemory,
@@ -277,7 +277,7 @@ impl Model {
                     true
                 } else if blk.writers == 0 || self.bug.allow_double_grant {
                     blk.writers += 1;
-                    blk.resident = true; // a building buffer is allocated
+                    blk.resident = true; // charged from the grant on
                     self.advance(s, c);
                     true
                 } else {

@@ -9,7 +9,10 @@
 //!   spawned through the facade annotate conflicting accesses to one
 //!   shared address. The racy twins (feature `seeded-race`, never on
 //!   outside these tests) skip the lock / use `Relaxed` atomics; the clean
-//!   twins hold a facade `Mutex` or use release/acquire edges.
+//!   twins hold a facade `Mutex` or use release/acquire edges. One pair
+//!   hands a block across a stream as a buffer's bulk attachment: clean
+//!   through the channel edge, caught when the consumer sees the bulk
+//!   before its send.
 //! * **Explored model runtime** (feature `model`): the same twins run
 //!   under dooc-shuttle, which race-checks every explored schedule. The
 //!   racy twin must fail with [`FailureKind::Race`] and a replayable
@@ -110,6 +113,35 @@ fn published_handoff(release: bool) {
     writer.join().expect("writer");
 }
 
+/// A block handed to another thread through a stream: the producer attaches
+/// it as the buffer's bulk, the consumer detaches it after `recv`. The
+/// stream layer annotates the bulk on both sides and the channel's
+/// send→recv edge orders the pair. With `peek_before_send` the consumer
+/// first looks at the block through a clone it was handed at spawn — the
+/// bulk is observable before its send, which no edge orders. Recorded tier
+/// only: the modeled channel records its edges inside the explorer alone.
+#[cfg(all(feature = "record", not(feature = "model")))]
+fn stream_bulk_handoff(peek_before_send: bool) {
+    use dooc_filterstream::{DataBuffer, NodeId, StreamSet};
+    let (w, r) = StreamSet::standalone("blocks", 4);
+    let block = bytes::Bytes::from(vec![7u8; 4096]);
+    let peek = block.clone();
+    let consumer = thread::spawn(move || {
+        if peek_before_send {
+            record::data_read(peek.as_ptr() as usize);
+        }
+        let got = r.recv().expect("one buffer");
+        assert_eq!(got.bulk.as_ptr(), peek.as_ptr(), "the block, not a copy");
+    });
+    let producer = thread::spawn(move || {
+        let mut buf = DataBuffer::tag_only(1);
+        buf.bulk = block;
+        w.send_to(NodeId(0), buf).expect("stream open");
+    });
+    producer.join().expect("producer");
+    consumer.join().expect("consumer");
+}
+
 // ---------------------------------------------------------------------------
 // Recorded real-runtime twins.
 // ---------------------------------------------------------------------------
@@ -151,6 +183,28 @@ fn recorded_relaxed_handoff_is_caught() {
     assert_eq!(
         report.races[0].kind,
         dooc_check::race::RaceKind::WriteRead,
+        "{}",
+        report.races[0]
+    );
+}
+
+#[cfg(all(feature = "record", not(feature = "model")))]
+#[test]
+fn recorded_stream_bulk_handoff_is_clean() {
+    let report = recorded(|| stream_bulk_handoff(false));
+    assert!(report.clean(), "{}", report.render());
+}
+
+#[cfg(all(feature = "record", not(feature = "model"), feature = "seeded-race"))]
+#[test]
+fn recorded_bulk_observable_before_its_send_is_caught() {
+    // Only the bulk is shared here (the head is empty), so this fails if the
+    // stream layer annotates `payload` alone.
+    let report = recorded(|| stream_bulk_handoff(true));
+    assert!(!report.races.is_empty(), "{}", report.render());
+    assert!(
+        report.races[0].first.site.contains("race_twins.rs")
+            || report.races[0].second.site.contains("race_twins.rs"),
         "{}",
         report.races[0]
     );

@@ -204,6 +204,53 @@ fn contiguous_lends_a_single_block_and_assembles_several() {
     });
 }
 
+/// The zero-copy contract of the worker's write path: the `Bytes` a task
+/// writes into a single-block array is the storage node's sealed block, so
+/// a later `read_view(..).contiguous()` lends that very allocation back.
+/// Once the block has been evicted it lives on disk only, and the next read
+/// gets the buffer the I/O filter loaded it into — one spill, one load.
+#[test]
+fn written_block_is_lent_back_by_pointer_until_it_is_evicted() {
+    run_node("adopt", 1 << 22, |sc| {
+        let geometry = geometry_of("v", 4096, 4096);
+        let pool = ComputePool::new(1);
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        let written = Bytes::from(payload(4096, 3));
+        ctx.write_bytes("v", written.clone()).expect("write");
+
+        let view = ctx.read_view("v").expect("view");
+        let lent = view.contiguous(&mut ctx);
+        assert_eq!(
+            lent.as_ptr(),
+            written.as_ptr(),
+            "the block is the buffer written"
+        );
+        assert_eq!(ctx.copied_bytes(), 0);
+        drop((view, lent));
+
+        ctx.storage().evict("v").expect("evict");
+        while ctx.storage().stats().expect("stats").evictions == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let view = ctx.read_view("v").expect("view after reload");
+        let reloaded = view.contiguous(&mut ctx);
+        assert_eq!(reloaded, written, "same bytes");
+        assert_ne!(
+            reloaded.as_ptr(),
+            written.as_ptr(),
+            "from the reload buffer"
+        );
+        assert_eq!(ctx.copied_bytes(), 0, "still nothing copied by the worker");
+        drop((view, reloaded));
+        let st = ctx.storage().stats().expect("stats");
+        assert_eq!(
+            (st.disk_write_bytes, st.disk_read_bytes, st.evictions),
+            (4096, 4096, 1),
+            "one spill, one load"
+        );
+    });
+}
+
 /// The incremental map protocol: a quiescent repeat query returns an empty
 /// delta (this is what makes the per-tick snapshot allocation-free), and the
 /// tracker folds deltas into the same residency the full map implies.

@@ -1,29 +1,32 @@
 //! Untyped data buffers.
 //!
 //! "Data flows along these streams in untyped data-buffers in order to
-//! minimize various system overheads." A [`DataBuffer`] is a tag word plus a
-//! reference-counted byte payload; cloning (needed for broadcast delivery)
-//! never copies the payload.
+//! minimize various system overheads." A [`DataBuffer`] is a tag word, a
+//! small reference-counted byte payload (the encoded message head) and at
+//! most one bulk attachment that rides *beside* the head, never inside it: a
+//! block travels from filter to filter as the same [`Bytes`] allocation.
+//! Cloning (needed for broadcast delivery) copies neither part.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// An untyped message travelling on a stream: a small `tag` for application
-/// level discrimination plus an opaque byte payload.
+/// level discrimination, an opaque byte payload and an optional bulk
+/// attachment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DataBuffer {
     /// Application-defined discriminator (e.g. request opcode).
     pub tag: u64,
     /// Opaque payload bytes (cheaply cloneable).
     pub payload: Bytes,
+    /// Bulk bytes attached by reference (a storage block); empty when the
+    /// message carries none. See [`PayloadBuilder::put_blob`].
+    pub bulk: Bytes,
 }
 
 impl DataBuffer {
     /// A buffer with a tag and no payload.
     pub fn tag_only(tag: u64) -> Self {
-        Self {
-            tag,
-            payload: Bytes::new(),
-        }
+        Self::from_bytes(tag, Bytes::new())
     }
 
     /// A buffer from raw bytes.
@@ -31,14 +34,15 @@ impl DataBuffer {
         Self {
             tag,
             payload: payload.into(),
+            bulk: Bytes::new(),
         }
     }
 
-    /// Total size accounted on the wire: payload plus the 16-byte header the
-    /// real middleware would frame messages with. The testbed simulator
-    /// charges network transfer time for exactly this many bytes.
+    /// Total size accounted on the wire: payload and bulk plus the 16-byte
+    /// header the real middleware would frame messages with. The testbed
+    /// simulator charges network transfer time for exactly this many bytes.
     pub fn wire_size(&self) -> u64 {
-        16 + self.payload.len() as u64
+        16 + self.payload.len() as u64 + self.bulk.len() as u64
     }
 
     /// Builds a payload from a sequence of little-endian `u64` words.
@@ -47,10 +51,7 @@ impl DataBuffer {
         for &w in words {
             b.put_u64_le(w);
         }
-        Self {
-            tag,
-            payload: b.freeze(),
-        }
+        Self::from_bytes(tag, b.freeze())
     }
 
     /// Builds a payload from a slice of `f64`s.
@@ -59,10 +60,7 @@ impl DataBuffer {
         for &x in xs {
             b.put_f64_le(x);
         }
-        Self {
-            tag,
-            payload: b.freeze(),
-        }
+        Self::from_bytes(tag, b.freeze())
     }
 
     /// Decodes the payload as little-endian `u64` words. Panics if the
@@ -99,10 +97,7 @@ impl DataBuffer {
 
     /// Builds a payload holding a UTF-8 string.
     pub fn from_str(tag: u64, s: &str) -> Self {
-        Self {
-            tag,
-            payload: Bytes::copy_from_slice(s.as_bytes()),
-        }
+        Self::from_bytes(tag, Bytes::copy_from_slice(s.as_bytes()))
     }
 
     /// Decodes the payload as UTF-8, if valid.
@@ -116,6 +111,7 @@ impl DataBuffer {
 #[derive(Debug, Default)]
 pub struct PayloadBuilder {
     buf: BytesMut,
+    bulk: Bytes,
 }
 
 impl PayloadBuilder {
@@ -143,10 +139,13 @@ impl PayloadBuilder {
         self
     }
 
-    /// Appends a length-prefixed byte blob.
-    pub fn put_blob(&mut self, b: &[u8]) -> &mut Self {
+    /// Attaches a byte blob: its length goes into the payload, the bytes
+    /// ride beside it as the buffer's bulk attachment — a reference count,
+    /// never a copy. A message carries at most one blob.
+    pub fn put_blob(&mut self, b: &Bytes) -> &mut Self {
+        assert!(self.bulk.is_empty(), "a message carries at most one blob");
         self.buf.put_u64_le(b.len() as u64);
-        self.buf.put_slice(b);
+        self.bulk = b.clone();
         self
     }
 
@@ -164,6 +163,7 @@ impl PayloadBuilder {
         DataBuffer {
             tag,
             payload: self.buf.freeze(),
+            bulk: self.bulk,
         }
     }
 }
@@ -172,6 +172,7 @@ impl PayloadBuilder {
 #[derive(Debug)]
 pub struct PayloadReader {
     buf: Bytes,
+    bulk: Bytes,
 }
 
 impl PayloadReader {
@@ -179,6 +180,7 @@ impl PayloadReader {
     pub fn new(b: &DataBuffer) -> Self {
         Self {
             buf: b.payload.clone(),
+            bulk: b.bulk.clone(),
         }
     }
 
@@ -202,10 +204,12 @@ impl PayloadReader {
         String::from_utf8(raw.to_vec()).ok()
     }
 
-    /// Reads a length-prefixed byte blob (zero-copy slice of the payload).
+    /// Detaches the blob attached by [`PayloadBuilder::put_blob`] (the same
+    /// allocation the sender attached). `None` if the payload is exhausted
+    /// or the attachment is not the length the payload announces.
     pub fn blob(&mut self) -> Option<Bytes> {
-        let len = self.u64()? as usize;
-        (self.buf.remaining() >= len).then(|| self.buf.split_to(len))
+        let len = self.u64()?;
+        (self.bulk.len() as u64 == len).then(|| std::mem::take(&mut self.bulk))
     }
 
     /// Reads length-prefixed `f64`s.
@@ -251,6 +255,9 @@ mod tests {
     fn wire_size_includes_header() {
         assert_eq!(DataBuffer::tag_only(1).wire_size(), 16);
         assert_eq!(DataBuffer::from_u64s(1, &[0, 0]).wire_size(), 32);
+        let mut pb = PayloadBuilder::new();
+        pb.put_u64(1).put_blob(&Bytes::from(vec![0u8; 100]));
+        assert_eq!(pb.build(1).wire_size(), 16 + 16 + 100, "head + bulk");
     }
 
     #[test]
@@ -268,8 +275,13 @@ mod tests {
             .put_str("array_A")
             .put_f64(3.5)
             .put_f64s(&[1.0, 2.0])
-            .put_blob(&[9, 9, 9]);
+            .put_blob(&Bytes::from(vec![9, 9, 9]));
         let buf = pb.build(11);
+        assert_eq!(
+            &buf.bulk[..],
+            &[9u8, 9, 9],
+            "the blob rides beside the head"
+        );
         let mut r = PayloadReader::new(&buf);
         assert_eq!(r.u64(), Some(7));
         assert_eq!(r.str().as_deref(), Some("array_A"));
@@ -278,6 +290,37 @@ mod tests {
         assert_eq!(r.blob().as_deref(), Some(&[9u8, 9, 9][..]));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u64(), None);
+    }
+
+    /// The contract the storage data plane rests on: a blob is attached and
+    /// detached by reference count — sender and receiver hold the same
+    /// allocation.
+    #[test]
+    fn blob_travels_by_reference() {
+        let block = Bytes::from(vec![7u8; 4096]);
+        let mut pb = PayloadBuilder::new();
+        pb.put_u64(1).put_blob(&block);
+        let buf = pb.build(0);
+        assert_eq!(buf.bulk.as_ptr(), block.as_ptr());
+        let mut r = PayloadReader::new(&buf);
+        assert_eq!(r.u64(), Some(1));
+        assert_eq!(r.blob().expect("attached").as_ptr(), block.as_ptr());
+        assert_eq!(r.blob(), None, "one blob per message");
+    }
+
+    #[test]
+    fn empty_blob_roundtrips_and_a_mismatched_attachment_is_rejected() {
+        let mut pb = PayloadBuilder::new();
+        pb.put_blob(&Bytes::new());
+        let buf = pb.build(0);
+        assert!(buf.bulk.is_empty());
+        assert_eq!(PayloadReader::new(&buf).blob(), Some(Bytes::new()));
+        // A head announcing 8 bytes next to a 3-byte attachment.
+        let mut pb = PayloadBuilder::new();
+        pb.put_blob(&Bytes::from(vec![0u8; 8]));
+        let mut lying = pb.build(0);
+        lying.bulk = Bytes::from(vec![1u8, 2, 3]);
+        assert_eq!(PayloadReader::new(&lying).blob(), None);
     }
 
     #[test]

@@ -165,6 +165,7 @@ impl FrameSink for Router {
                 let buf = DataBuffer {
                     tag: frame.tag,
                     payload: frame.payload,
+                    bulk: frame.bulk,
                 };
                 let wire = buf.wire_size();
                 if tx.send(buf).is_ok() {
@@ -840,6 +841,107 @@ mod tests {
             Runtime::run(layout),
             Err(FsError::UnknownPort { .. })
         ));
+    }
+
+    /// A 2-node layout whose only stream crosses the node boundary: `src`
+    /// on node 0 ships `n` bulk-carrying buffers to `sink` on node 1, which
+    /// checks each block arrived intact.
+    fn bulk_layout(n: u64, block: usize) -> Layout {
+        let mut layout = Layout::new();
+        let src = layout.add_filter(
+            "src",
+            NodeId(0),
+            Box::new(move |ctx: &mut FilterContext| {
+                for i in 0..n {
+                    let mut b = DataBuffer::from_u64s(i, &[i, block as u64]);
+                    b.bulk = bytes::Bytes::from(vec![i as u8; block]);
+                    ctx.output("out")?.send(b)?;
+                }
+                Ok(())
+            }),
+        );
+        let sink = layout.add_filter(
+            "sink",
+            NodeId(1),
+            Box::new(move |ctx: &mut FilterContext| {
+                let mut next = 0u64;
+                while let Some(b) = ctx.input("in")?.recv() {
+                    if b.as_u64s() != [next, block as u64] || b.bulk != vec![next as u8; block] {
+                        return Err(ctx.error(format!("buffer {next} arrived damaged")));
+                    }
+                    next += 1;
+                }
+                Ok(())
+            }),
+        );
+        layout.connect(src, "out", sink, "in");
+        layout
+    }
+
+    /// Runs [`bulk_layout`] as two processes' worth of runtimes over
+    /// `transports` and checks each side's own books: the sender counted
+    /// payload + bulk as sent, the receiver's router enqueued exactly what
+    /// its consumer dequeued, and the leak audit is clean on both.
+    fn check_bulk_balance(transports: Vec<Arc<dyn Transport>>) {
+        let (n, block) = (6u64, 100_000usize); // blocks larger than a socket read chunk
+        let wire = n * (16 + 16 + block as u64);
+        let reports: Vec<RuntimeReport> = transports
+            .into_iter()
+            .map(|t| std::thread::spawn(move || Runtime::run_distributed(bulk_layout(n, block), t)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("node thread").expect("run ok"))
+            .collect();
+        let sent = reports[0].stream("src.out -> sink.in").expect("stream");
+        assert_eq!(
+            (sent.buffers, sent.bytes, sent.remote_bytes),
+            (n, wire, wire)
+        );
+        let port = &reports[1].ports[0];
+        assert_eq!((port.delivered, port.received), (n, n));
+        assert_eq!(port.delivered_bytes, wire, "router counts payload + bulk");
+        assert_eq!(port.received_bytes, wire);
+        for r in &reports {
+            assert!(r.undrained_ports().is_empty());
+        }
+        // The sending process enqueues nothing locally: each process
+        // balances on its own.
+        assert_eq!(reports[0].ports[0].delivered_bytes, 0);
+    }
+
+    #[test]
+    fn port_byte_totals_balance_over_transports() {
+        check_bulk_balance(
+            crate::ChannelTransport::cluster(2)
+                .into_iter()
+                .map(|t| Arc::new(t) as Arc<dyn Transport>)
+                .collect(),
+        );
+        let listeners: Vec<_> = (0..2)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let spec = crate::ClusterSpec::new(
+            listeners
+                .iter()
+                .map(|l| l.local_addr().expect("addr").to_string())
+                .collect(),
+        );
+        let fp = spec.fingerprint();
+        let mesh: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(me, l)| {
+                let spec = spec.clone();
+                std::thread::spawn(move || crate::TcpTransport::with_listener(&spec, me, fp, l))
+            })
+            .collect();
+        check_bulk_balance(
+            mesh.into_iter()
+                .map(|h| {
+                    Arc::new(h.join().expect("mesh thread").expect("mesh")) as Arc<dyn Transport>
+                })
+                .collect(),
+        );
     }
 
     #[test]

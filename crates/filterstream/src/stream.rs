@@ -28,14 +28,14 @@
 //!
 //! Each consumer lane is either a channel in this process or an address on a
 //! [`Transport`] ([`LaneTx`]). A writer routes per buffer: local lanes get
-//! the `DataBuffer` directly (payload shared, never copied); remote lanes
-//! get a [`Frame`] whose payload is the same shared [`bytes::Bytes`]. The
-//! delivery policy is applied entirely on the producer side, so in-process
-//! and distributed runs make identical routing decisions. When a writer with
-//! remote lanes drops, it sends one `Close` frame per reachable remote lane;
-//! the receiving runtime's router mirrors the producer-endpoint refcount and
-//! closes the port once local drops and remote closes agree (see
-//! [`crate::runtime`]).
+//! the `DataBuffer` directly (payload and bulk attachment moved through the
+//! channel, never copied); remote lanes get a [`Frame`] whose payload and
+//! bulk are the same shared [`bytes::Bytes`]. The delivery policy is applied
+//! entirely on the producer side, so in-process and distributed runs make
+//! identical routing decisions. When a writer with remote lanes drops, it
+//! sends one `Close` frame per reachable remote lane; the receiving
+//! runtime's router mirrors the producer-endpoint refcount and closes the
+//! port once local drops and remote closes agree (see [`crate::runtime`]).
 
 use crate::buffer::DataBuffer;
 use crate::codec::Frame;
@@ -385,7 +385,8 @@ impl StreamWriter {
                 self.port
             )));
         };
-        t.send(peer, Frame::data(inbox, lane, buf.tag, buf.payload.clone()))
+        let frame = Frame::data(inbox, lane, buf.tag, buf.payload.clone());
+        t.send(peer, frame.with_bulk(buf.bulk.clone()))
     }
 
     /// Consults the `faultline` message failpoint keyed by this writer's
@@ -624,30 +625,50 @@ impl Drop for StreamWriter {
     }
 }
 
-/// dooc-race annotation: the payload bytes a producer publishes into a
-/// stream. Pairs with [`note_payload_read`] on the consumer side — the
-/// channel's send→recv edge must order every such pair, so a fault in the
-/// stream plumbing (a buffer observable before its send) shows up as a
-/// race. Empty payloads are skipped: `Bytes::new` shares one static
-/// allocation, which would alias unrelated streams. Compiled to a no-op
-/// without the `record` feature of `dooc-sync`.
+/// dooc-race annotation: the bytes a producer publishes into a stream —
+/// the payload and the bulk attachment, which is the memory that actually
+/// crosses threads when a block travels. A block is immutable and travels
+/// by reference, so the same bytes are published many times (storage to
+/// reader after reader, to a peer, to the I/O filter): the first
+/// publication of an address is the write that produced it, every later
+/// one a read. Pairs with [`note_payload_read`] on the consumer side — the
+/// channel's send→recv edge must order every access after that first
+/// write, so a fault in the stream plumbing (a buffer observable before its
+/// send) shows up as a race. Empty parts are skipped: `Bytes::new` shares
+/// one static allocation, which would alias unrelated streams. Compiled to
+/// a no-op without the `record` feature of `dooc-sync`.
 #[inline]
 fn note_payload_write(buf: &DataBuffer) {
-    if !buf.payload.is_empty() && dooc_sync::record::armed() {
-        // Pin the allocation for the rest of the recording session: if the
-        // allocator recycled an annotated address for an unrelated payload
-        // on another thread, the shadow state would report phantom races.
-        dooc_sync::record::pin(Box::new(buf.payload.clone()));
-        dooc_sync::record::data_write(buf.payload.as_ptr() as usize);
+    if dooc_sync::record::armed() {
+        for part in [&buf.payload, &buf.bulk] {
+            if part.is_empty() {
+                continue;
+            }
+            let addr = part.as_ptr() as usize;
+            // Pin the allocation for the rest of the recording session: if
+            // the allocator recycled an annotated address for an unrelated
+            // payload on another thread, the shadow state would report
+            // phantom races.
+            if dooc_sync::record::pin(addr, Box::new(part.clone())) {
+                dooc_sync::record::data_write(addr);
+            } else {
+                dooc_sync::record::data_read(addr);
+            }
+        }
     }
 }
 
 /// See [`note_payload_write`].
 #[inline]
 fn note_payload_read(buf: &DataBuffer) {
-    if !buf.payload.is_empty() && dooc_sync::record::armed() {
-        dooc_sync::record::pin(Box::new(buf.payload.clone()));
-        dooc_sync::record::data_read(buf.payload.as_ptr() as usize);
+    if dooc_sync::record::armed() {
+        for part in [&buf.payload, &buf.bulk] {
+            if !part.is_empty() {
+                let addr = part.as_ptr() as usize;
+                dooc_sync::record::pin(addr, Box::new(part.clone()));
+                dooc_sync::record::data_read(addr);
+            }
+        }
     }
 }
 
@@ -1104,8 +1125,9 @@ mod tests {
     }
 
     /// Satellite check: every receive path (recv, drain, recv_timeout, and
-    /// StreamSet selection) tallies bytes, so a clean run's enqueue/dequeue
-    /// byte totals balance exactly.
+    /// StreamSet selection) tallies bytes — payload and bulk — so a clean
+    /// run's enqueue/dequeue byte totals balance exactly. The remote-lane
+    /// twin is `port_byte_totals_balance_over_transports` in `runtime.rs`.
     #[test]
     fn port_byte_totals_balance() {
         let mut ib = inbox(Delivery::RoundRobin, 2);
@@ -1118,6 +1140,10 @@ mod tests {
         w.send(DataBuffer::from_u64s(2, &[4])).expect("open");
         w.send(DataBuffer::tag_only(3)).expect("open");
         w.send(DataBuffer::from_f64s(4, &[0.5; 8])).expect("open");
+        // A block riding beside an 8-byte head: both parts count.
+        let mut with_bulk = DataBuffer::from_u64s(5, &[9]);
+        with_bulk.bulk = bytes::Bytes::from(vec![7u8; 1000]);
+        w.send(with_bulk).expect("open");
         drop(w);
         // Mix the receive paths deliberately.
         let first = r0.recv().expect("one buffered");
@@ -1132,9 +1158,13 @@ mod tests {
         let deq = counters.dequeued.load(Ordering::Relaxed);
         let benq = counters.bytes_enqueued.load(Ordering::Relaxed);
         let bdeq = counters.bytes_dequeued.load(Ordering::Relaxed);
-        assert_eq!(enq, 4);
+        assert_eq!(enq, 5);
         assert_eq!(deq, enq, "every enqueued buffer dequeued");
-        assert_eq!(benq, 16 * 4 + 24 + 8 + 64, "wire bytes of the four sends");
+        assert_eq!(
+            benq,
+            16 * 5 + 24 + 8 + 64 + (8 + 1000),
+            "wire bytes of the five sends, bulk included"
+        );
         assert_eq!(bdeq, benq, "byte totals balance across mixed recv paths");
     }
 

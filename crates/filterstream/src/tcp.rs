@@ -16,10 +16,12 @@
 //!
 //! Per peer, the transport owns two threads:
 //!
-//! * a **writer** draining a bounded outbox: frames are written
-//!   header-then-payload through a `BufWriter` (no intermediate frame
-//!   allocation) and flushed when the outbox goes idle, batching bursts into
-//!   few syscalls;
+//! * a **writer** draining a bounded outbox: frames are written header,
+//!   payload, bulk as consecutive writes through a `BufWriter` (no
+//!   intermediate frame allocation — a block-sized bulk bypasses the buffer
+//!   and goes to the socket from the allocation the storage layer holds)
+//!   and flushed when the outbox goes idle, batching bursts into few
+//!   syscalls;
 //! * a **demux** reading into fresh chunks handed to a
 //!   [`FrameDecoder`], so decoded payloads alias the read allocation
 //!   (zero-copy; see [`crate::codec`]) and are pushed into the runtime's
@@ -56,7 +58,7 @@ use std::time::{Duration, Instant};
 /// Handshake magic — first payload bytes on every connection.
 const MAGIC: &[u8; 4] = b"DOOC";
 /// Wire protocol version; bump on any framing change.
-const PROTOCOL_VERSION: u16 = 2;
+const PROTOCOL_VERSION: u16 = 3;
 /// How long dials and accepts wait for the rest of the cluster.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 /// Pause between dial/accept retries.
@@ -332,13 +334,8 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
             }
             let wrote = w
                 .write_all(&frame.header_bytes())
-                .and_then(|_| {
-                    if frame.payload.is_empty() {
-                        Ok(())
-                    } else {
-                        w.write_all(&frame.payload)
-                    }
-                })
+                .and_then(|_| w.write_all(&frame.payload))
+                .and_then(|_| w.write_all(&frame.bulk))
                 .is_ok();
             if !wrote {
                 broken = true;
@@ -661,8 +658,10 @@ mod tests {
         fn on_frame(&self, _from: NodeId, frame: Frame) {
             if frame.kind == FrameKind::Data {
                 self.frames.fetch_add(1, Ordering::SeqCst);
-                self.bytes
-                    .fetch_add(frame.payload.len() as u64, Ordering::SeqCst);
+                self.bytes.fetch_add(
+                    (frame.payload.len() + frame.bulk.len()) as u64,
+                    Ordering::SeqCst,
+                );
             }
         }
         fn on_peer_closed(&self, _from: NodeId) {
@@ -701,11 +700,13 @@ mod tests {
                     let other = NodeId(1 - me);
                     for k in 0..100u64 {
                         let payload = Bytes::from(vec![(k % 251) as u8; 1000]);
-                        t.send(other, Frame::data(0, 0, k, payload)).expect("send");
+                        let bulk = Bytes::from(vec![(k % 13) as u8; 3000]);
+                        t.send(other, Frame::data(0, 0, k, payload).with_bulk(bulk))
+                            .expect("send");
                     }
                     t.shutdown();
                     assert_eq!(sink.frames.load(Ordering::SeqCst), 100);
-                    assert_eq!(sink.bytes.load(Ordering::SeqCst), 100_000);
+                    assert_eq!(sink.bytes.load(Ordering::SeqCst), 400_000);
                     assert_eq!(sink.closed.load(Ordering::SeqCst), 1);
                 })
             })
@@ -717,13 +718,13 @@ mod tests {
 
     /// Records every data frame in arrival order.
     struct OrderedSink {
-        got: dooc_sync::Mutex<Vec<(u64, Bytes)>>,
+        got: dooc_sync::Mutex<Vec<(u64, Bytes, Bytes)>>,
     }
 
     impl FrameSink for OrderedSink {
         fn on_frame(&self, _from: NodeId, frame: Frame) {
             if frame.kind == FrameKind::Data {
-                self.got.lock().push((frame.tag, frame.payload));
+                self.got.lock().push((frame.tag, frame.payload, frame.bulk));
             }
         }
         fn on_peer_closed(&self, _from: NodeId) {}
@@ -735,14 +736,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Random frame bursts over a *real* loopback socket pair: every
-        /// frame arrives intact and in order no matter how payloads
-        /// straddle socket reads — zero-length payloads, tiny frames that
-        /// coalesce into one read, and payloads bigger than the demux read
+        /// frame arrives intact and in order no matter how payload and bulk
+        /// straddle socket reads — zero-length parts, tiny frames that
+        /// coalesce into one read, and parts bigger than the demux read
         /// buffer all included.
         #[test]
         fn loopback_roundtrip_preserves_frames(
             sizes in proptest::collection::vec(
-                prop_oneof![Just(0usize), 1usize..4, 4000usize..20_000],
+                (prop_oneof![Just(0usize), 1usize..4, 4000usize..20_000],
+                 prop_oneof![Just(0usize), 1usize..4, 60_000usize..90_000]),
                 1..24),
         ) {
             let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -769,16 +771,18 @@ mod tests {
             let payload = |k: usize, n: usize| {
                 Bytes::from((0..n).map(|j| ((k * 31 + j) % 251) as u8).collect::<Vec<u8>>())
             };
-            for (k, &n) in sizes.iter().enumerate() {
-                t0.send(NodeId(1), Frame::data(0, 0, k as u64, payload(k, n)))
+            for (k, &(n, m)) in sizes.iter().enumerate() {
+                let frame = Frame::data(0, 0, k as u64, payload(k, n));
+                t0.send(NodeId(1), frame.with_bulk(payload(k + 7, m)))
                     .expect("send");
             }
             t0.shutdown();
             let got = receiver.join().expect("receiver thread");
             prop_assert_eq!(got.len(), sizes.len());
-            for (k, ((tag, body), &n)) in got.iter().zip(&sizes).enumerate() {
+            for (k, ((tag, head, bulk), &(n, m))) in got.iter().zip(&sizes).enumerate() {
                 prop_assert_eq!(*tag, k as u64);
-                prop_assert_eq!(body, &payload(k, n));
+                prop_assert_eq!(head, &payload(k, n));
+                prop_assert_eq!(bulk, &payload(k + 7, m));
             }
         }
     }

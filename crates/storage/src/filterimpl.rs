@@ -276,15 +276,21 @@ fn meta_path(scratch: &Path, array: &str) -> PathBuf {
 /// filter until the command stream closes.
 pub struct IoFilter {
     scratch: PathBuf,
+    /// Arrays whose geometry sidecar this filter has already written (or
+    /// found in place): later spills of the array skip the probe.
+    sidecars: std::collections::HashSet<String>,
 }
 
 impl IoFilter {
     /// Creates an I/O filter rooted at `scratch` (created if missing).
     pub fn new(scratch: PathBuf) -> Self {
-        Self { scratch }
+        Self {
+            scratch,
+            sidecars: std::collections::HashSet::new(),
+        }
     }
 
-    fn exec(&self, cmd: IoCmd) -> IoReply {
+    fn exec(&mut self, cmd: IoCmd) -> IoReply {
         // Deterministic fault injection on the async I/O path: an injected
         // error reports the command as failed without touching the disk (the
         // storage node's retry policy takes over); an injected delay models
@@ -359,22 +365,27 @@ impl IoFilter {
         }
     }
 
+    /// Reads one block file into the buffer that becomes the block. The
+    /// read is bounded by the expected length, so a file the disk lies about
+    /// (longer or shorter than `len`) is a typed error that never buffers
+    /// more than `len + 1` bytes.
     fn read_block(&self, array: &str, block: u64, len: u64) -> std::io::Result<Bytes> {
-        let path = block_path(&self.scratch, array, block);
-        let path = if path.exists() {
-            path
-        } else {
-            // Discovered single-file arrays live under their bare name.
-            self.scratch.join(array)
+        let mut path = block_path(&self.scratch, array, block);
+        let f = match std::fs::File::open(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                // Discovered single-file arrays live under their bare name.
+                path = self.scratch.join(array);
+                std::fs::File::open(&path)?
+            }
+            other => other?,
         };
-        let mut f = std::fs::File::open(&path)?;
-        let mut buf = Vec::with_capacity(len as usize);
-        f.read_to_end(&mut buf)?;
+        let mut buf = Vec::with_capacity(len as usize + 1);
+        f.take(len + 1).read_to_end(&mut buf)?;
         if buf.len() as u64 != len {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!(
-                    "block file {} has {} bytes, expected {len}",
+                    "block file {} is not {len} bytes long (read {})",
                     path.display(),
                     buf.len()
                 ),
@@ -384,7 +395,7 @@ impl IoFilter {
     }
 
     fn write_block(
-        &self,
+        &mut self,
         array: &str,
         block: u64,
         len: u64,
@@ -393,24 +404,24 @@ impl IoFilter {
     ) -> std::io::Result<u64> {
         std::fs::create_dir_all(&self.scratch)?;
         // Geometry sidecar first (idempotent).
-        let mpath = meta_path(&self.scratch, array);
-        if !mpath.exists() {
-            let mut mf = std::fs::File::create(&mpath)?;
-            mf.write_all(&len.to_le_bytes())?;
-            mf.write_all(&block_size.to_le_bytes())?;
+        if !self.sidecars.contains(array) {
+            let mpath = meta_path(&self.scratch, array);
+            if !mpath.exists() {
+                let mut mf = std::fs::File::create(&mpath)?;
+                mf.write_all(&len.to_le_bytes())?;
+                mf.write_all(&block_size.to_le_bytes())?;
+            }
+            self.sidecars.insert(array.to_string());
         }
         let path = block_path(&self.scratch, array, block);
         let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            f.write_all(data)?;
-            f.flush()?;
-        }
+        std::fs::File::create(&tmp)?.write_all(data)?;
         std::fs::rename(&tmp, &path)?;
         Ok(data.len() as u64)
     }
 
-    fn delete_files(&self, array: &str) -> std::io::Result<()> {
+    fn delete_files(&mut self, array: &str) -> std::io::Result<()> {
+        self.sidecars.remove(array);
         if !self.scratch.exists() {
             return Ok(());
         }
@@ -524,7 +535,7 @@ mod tests {
     #[test]
     fn io_write_then_read_roundtrip() {
         let dir = tmpdir("rt");
-        let io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone());
         let data = Bytes::from(vec![7u8; 64]);
         let rep = io.exec(IoCmd::Write {
             array: "arr".into(),
@@ -557,10 +568,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The zero-copy contract of the read path, hop by hop: the buffer the
+    /// I/O filter read the file into crosses `IoReply`'s encode/decode,
+    /// becomes the storage node's sealed block, and is what the waiting
+    /// reader's `ReadReady` lends — one allocation, never copied.
+    #[test]
+    fn block_read_from_disk_reaches_the_reader_in_the_buffer_it_was_read_into() {
+        use crate::node::Action;
+        use crate::proto::Reply;
+        let dir = tmpdir("ptr");
+        std::fs::write(dir.join("A_0_0.crs"), vec![9u8; 4096]).expect("stage");
+        let mut io = IoFilter::new(dir.clone());
+        let cfg = NodeConfig {
+            node: 0,
+            nnodes: 1,
+            memory_budget: 1 << 20,
+            seed: 1,
+            recovery: Default::default(),
+        };
+        let mut st = StorageState::new(cfg, scan_scratch(&dir).expect("scan"));
+        let acts = st.handle_client(ClientMsg::ReadReq {
+            req: 1,
+            client: 0,
+            array: "A_0_0.crs".into(),
+            iv: crate::meta::Interval::new(0, 4096),
+        });
+        let [Action::Io(cmd)] = &acts[..] else {
+            panic!("expected one load, got {acts:?}");
+        };
+        let cmd = IoCmd::decode(&cmd.encode()).expect("cmd crosses the stream");
+        let done = io.exec(cmd);
+        let IoReply::ReadDone {
+            data: read_into, ..
+        } = &done
+        else {
+            panic!("read failed: {done:?}");
+        };
+        let over_the_stream = IoReply::decode(&done.encode()).expect("reply crosses the stream");
+        let acts = st.handle_io(over_the_stream);
+        let [Action::Reply { reply, .. }] = &acts[..] else {
+            panic!("expected the waiter's reply, got {acts:?}");
+        };
+        match Reply::decode(&reply.encode()).expect("reply crosses the stream") {
+            Reply::ReadReady { data, .. } => {
+                assert_eq!(&data[..], &[9u8; 4096][..]);
+                assert_eq!(data.as_ptr(), read_into.as_ptr(), "no hop copied the block");
+            }
+            other => panic!("expected ReadReady, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn io_read_missing_is_error() {
         let dir = tmpdir("miss");
-        let io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone());
         assert!(matches!(
             io.exec(IoCmd::Read {
                 array: "ghost".into(),
@@ -575,7 +637,7 @@ mod tests {
     #[test]
     fn io_read_length_mismatch_is_error() {
         let dir = tmpdir("len");
-        let io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone());
         io.exec(IoCmd::Write {
             array: "a".into(),
             block: 0,
@@ -597,7 +659,7 @@ mod tests {
     #[test]
     fn scan_finds_spilled_blocks_and_plain_files() {
         let dir = tmpdir("scan");
-        let io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone());
         io.exec(IoCmd::Write {
             array: "spilled".into(),
             block: 1,
@@ -639,7 +701,7 @@ mod tests {
     #[test]
     fn delete_files_removes_all_forms() {
         let dir = tmpdir("del");
-        let io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone());
         io.exec(IoCmd::Write {
             array: "a".into(),
             block: 0,

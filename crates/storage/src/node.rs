@@ -134,8 +134,12 @@ pub enum Action {
     Io(IoCmd),
 }
 
-/// Resident form of a block.
+/// Resident form of a block. Every form is charged to the budget for the
+/// block's full length from the moment it exists.
 enum BlockMem {
+    /// Write grant over the whole block of a single-block array: nothing is
+    /// allocated, the release's own `Bytes` is adopted as the sealed block.
+    Reserved,
     /// Being assembled from write intervals; partial reads copy out.
     Building(Vec<u8>),
     /// Fully sealed; reads are zero-copy slices.
@@ -228,6 +232,7 @@ impl BlockInfo {
     /// Copies `[off, off+len)` out of the resident buffer, if any.
     fn slice_resident(&self, off: u64, len: u64) -> Option<Bytes> {
         match self.mem.as_ref()? {
+            BlockMem::Reserved => None,
             BlockMem::Sealed(b) => Some(b.slice(off as usize..(off + len) as usize)),
             BlockMem::Building(v) => Some(Bytes::copy_from_slice(
                 &v[off as usize..(off + len) as usize],
@@ -1276,6 +1281,12 @@ impl StorageState {
             Err(e) => return Self::err(client, req, e, out),
         };
         let block_len = ainfo.meta.block_len(block);
+        // The release of such a grant can be adopted as the block: its
+        // `Bytes` is the writer's whole allocation, which eviction then
+        // frees. A block of a multi-block array arrives as a slice of the
+        // array-sized buffer and a partial interval as a fragment, so those
+        // are assembled into memory the block owns.
+        let whole_single_block = ainfo.meta.nblocks() == 1 && iv.len == block_len;
         let info = ainfo.blocks.entry(block).or_default();
         if info.sealed.intersects(off, off + iv.len)
             || info.write_granted.intersects(off, off + iv.len)
@@ -1297,7 +1308,11 @@ impl StorageState {
         info.write_granted.insert(off, off + iv.len);
         Self::pin_block(&mut self.pinned_now, &mut self.stats, info, block_len);
         let newly_resident = if info.mem.is_none() {
-            info.mem = Some(BlockMem::Building(vec![0u8; block_len as usize]));
+            info.mem = Some(if whole_single_block {
+                BlockMem::Reserved
+            } else {
+                BlockMem::Building(vec![0u8; block_len as usize])
+            });
             true
         } else {
             false
@@ -1375,8 +1390,13 @@ impl StorageState {
                 out,
             );
         }
-        // Copy the payload into the building buffer.
+        // A reserved block whose grant comes back only in part is assembled
+        // after all.
+        if matches!(info.mem, Some(BlockMem::Reserved)) && iv.len < block_len {
+            info.mem = Some(BlockMem::Building(vec![0u8; block_len as usize]));
+        }
         match info.mem.as_mut() {
+            Some(mem @ BlockMem::Reserved) => *mem = BlockMem::Sealed(data),
             Some(BlockMem::Building(buf)) => {
                 buf[off as usize..(off + iv.len) as usize].copy_from_slice(&data);
             }
@@ -1398,7 +1418,8 @@ impl StorageState {
         });
         // Full seal: freeze and notify peers waiting for the whole block.
         if info.fully_sealed(block_len) {
-            if let Some(BlockMem::Building(buf)) = info.mem.take() {
+            if let Some(BlockMem::Building(buf)) = &mut info.mem {
+                let buf = std::mem::take(buf);
                 info.mem = Some(BlockMem::Sealed(Bytes::from(buf)));
             }
         }
@@ -2429,6 +2450,164 @@ mod tests {
                 ..
             }]
         ));
+    }
+
+    fn grant(st: &mut StorageState, name: &str, iv: Interval) {
+        let acts = st.handle_client(ClientMsg::WriteReq {
+            req: 1,
+            client: 0,
+            array: name.into(),
+            iv,
+        });
+        assert!(
+            matches!(
+                acts.first(),
+                Some(Action::Reply {
+                    reply: Reply::WriteGranted { .. },
+                    ..
+                })
+            ),
+            "grant failed: {acts:?}"
+        );
+    }
+
+    /// Releases the granted `iv` with `data` and returns the bytes a
+    /// whole-interval read of it is then served.
+    fn release_then_read(st: &mut StorageState, name: &str, iv: Interval, data: Bytes) -> Bytes {
+        st.handle_client(ClientMsg::ReleaseWrite {
+            req: 2,
+            client: 0,
+            array: name.into(),
+            iv,
+            data,
+        });
+        let acts = st.handle_client(ClientMsg::ReadReq {
+            req: 3,
+            client: 0,
+            array: name.into(),
+            iv,
+        });
+        st.handle_client(ClientMsg::ReleaseRead {
+            array: name.into(),
+            iv,
+        });
+        match &acts[..] {
+            [Action::Reply {
+                reply: Reply::ReadReady { data, .. },
+                ..
+            }] => data.clone(),
+            other => panic!("expected ReadReady, got {other:?}"),
+        }
+    }
+
+    /// The zero-copy contract of the write path: the `Bytes` a worker
+    /// releases over the whole block of a single-block array *is* the sealed
+    /// block — what readers are lent and what a spill hands the I/O filter —
+    /// and the grant charged the budget without allocating anything.
+    #[test]
+    fn whole_block_release_into_a_single_block_array_is_adopted() {
+        let mut st = state(1 << 20);
+        create(&mut st, "v", 4096, 4096);
+        grant(&mut st, "v", Interval::new(0, 4096));
+        assert_eq!(st.resident_bytes(), 4096, "charged at grant");
+        assert_eq!(st.stats().pinned_peak_bytes, 4096);
+        let written = Bytes::from(vec![3u8; 4096]);
+        let read = release_then_read(&mut st, "v", Interval::new(0, 4096), written.clone());
+        assert_eq!(read.as_ptr(), written.as_ptr(), "adopted, not copied");
+        assert_eq!(st.resident_bytes(), 4096, "one copy of the block exists");
+        let mut acts = Vec::new();
+        st.explicit_evict("v".into(), &mut acts);
+        match &acts[..] {
+            [Action::Io(IoCmd::Write { data, .. })] => {
+                assert_eq!(
+                    data.as_ptr(),
+                    written.as_ptr(),
+                    "the spill writes that allocation"
+                )
+            }
+            other => panic!("expected one spill, got {other:?}"),
+        }
+    }
+
+    /// A grant over a whole single block that comes back in pieces is still
+    /// assembled correctly (no buffer was reserved for it at grant time).
+    #[test]
+    fn partial_release_of_a_whole_block_grant_is_assembled() {
+        let mut st = state(1 << 20);
+        create(&mut st, "v", 64, 64);
+        grant(&mut st, "v", Interval::new(0, 64));
+        for (off, byte) in [(32u64, 2u8), (0, 1)] {
+            let acts = st.handle_client(ClientMsg::ReleaseWrite {
+                req: 2,
+                client: 0,
+                array: "v".into(),
+                iv: Interval::new(off, 32),
+                data: Bytes::from(vec![byte; 32]),
+            });
+            assert!(
+                matches!(
+                    acts.first(),
+                    Some(Action::Reply {
+                        reply: Reply::WriteSealed { .. },
+                        ..
+                    })
+                ),
+                "{acts:?}"
+            );
+        }
+        let acts = st.handle_client(ClientMsg::ReadReq {
+            req: 3,
+            client: 0,
+            array: "v".into(),
+            iv: Interval::new(0, 64),
+        });
+        match &acts[..] {
+            [Action::Reply {
+                reply: Reply::ReadReady { data, .. },
+                ..
+            }] => {
+                assert_eq!(&data[..32], &[1u8; 32]);
+                assert_eq!(&data[32..], &[2u8; 32]);
+            }
+            other => panic!("expected ReadReady, got {other:?}"),
+        }
+        assert_eq!(st.resident_bytes(), 64);
+    }
+
+    /// Blocks of a multi-block array arrive as slices of the writer's
+    /// array-sized buffer, so each is copied into memory the block owns:
+    /// evicting one block then frees exactly that block.
+    #[test]
+    fn whole_block_release_into_a_two_block_array_is_copied() {
+        let mut st = state(1 << 20);
+        create(&mut st, "m", 96, 64);
+        let array = Bytes::from((0..96u8).collect::<Vec<u8>>());
+        grant(&mut st, "m", Interval::new(0, 64));
+        let b0 = release_then_read(&mut st, "m", Interval::new(0, 64), array.slice(0..64));
+        grant(&mut st, "m", Interval::new(64, 32));
+        let b1 = release_then_read(&mut st, "m", Interval::new(64, 32), array.slice(64..96));
+        assert_eq!((&b0[..], &b1[..]), (&array[..64], &array[64..]));
+        assert_ne!(b0.as_ptr(), array.as_ptr(), "block 0 owns its memory");
+        assert_eq!(st.stats().resident_bytes, 96);
+        // Drop block 0 only: spill it, then reclaim on completion.
+        st.cfg.memory_budget = 32;
+        let mut acts = Vec::new();
+        st.reclaim(&mut acts);
+        assert!(
+            matches!(&acts[..], [Action::Io(IoCmd::Write { block: 0, .. })]),
+            "LRU block 0 spills first: {acts:?}"
+        );
+        st.handle_io(IoReply::WriteDone {
+            array: "m".into(),
+            block: 0,
+            bytes: 64,
+        });
+        assert_eq!(
+            st.stats().resident_bytes,
+            32,
+            "evicting block 0 freed exactly block_len(0); block 1 stays"
+        );
+        assert_eq!(st.stats().evictions, 1);
     }
 
     #[test]

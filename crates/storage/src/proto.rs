@@ -11,8 +11,12 @@
 //! * [`PeerMsg`] — storage ↔ storage (the partitioned global map protocol);
 //! * [`IoCmd`] / [`IoReply`] — storage ↔ I/O filter.
 //!
-//! Every variant round-trips through [`dooc_filterstream::DataBuffer`];
-//! block payloads ride as zero-copy [`Bytes`] slices.
+//! Every variant round-trips through [`dooc_filterstream::DataBuffer`]. The
+//! five messages that carry a block ([`IoReply::ReadDone`],
+//! [`Reply::ReadReady`], [`ClientMsg::ReleaseWrite`], [`IoCmd::Write`],
+//! [`PeerMsg::FetchFound`]) attach it beside the encoded head
+//! (`PayloadBuilder::put_blob`): encode and decode move a reference count,
+//! so the `Bytes` one filter sends is the `Bytes` the next one holds.
 
 use crate::meta::{ArrayMeta, Interval};
 use crate::StorageError;
@@ -1257,6 +1261,113 @@ mod tests {
             let b = m.encode();
             assert_eq!(IoReply::decode(&b).expect("roundtrip"), m);
         }
+    }
+
+    /// Every block-carrying message, with a block and with an empty one.
+    /// The decode side is generic over the five families, so the check is a
+    /// closure per family returning the decoded blob.
+    #[test]
+    fn bulk_carrying_messages_travel_by_reference() {
+        type Decode = fn(&DataBuffer) -> Option<Bytes>;
+        for data in [Bytes::from(vec![5u8; 4096]), Bytes::new()] {
+            let cases: Vec<(DataBuffer, Decode)> = vec![
+                (
+                    ClientMsg::ReleaseWrite {
+                        req: 1,
+                        client: 2,
+                        array: "w".into(),
+                        iv: iv(0, data.len() as u64),
+                        data: data.clone(),
+                    }
+                    .encode(),
+                    |b| match ClientMsg::decode(b) {
+                        Ok(ClientMsg::ReleaseWrite { data, .. }) => Some(data),
+                        _ => None,
+                    },
+                ),
+                (
+                    Reply::ReadReady {
+                        req: 3,
+                        data: data.clone(),
+                    }
+                    .encode(),
+                    |b| match Reply::decode(b) {
+                        Ok(Reply::ReadReady { data, .. }) => Some(data),
+                        _ => None,
+                    },
+                ),
+                (
+                    PeerMsg::FetchFound {
+                        req: 4,
+                        len: 8192,
+                        block_size: 4096,
+                        block: 1,
+                        data: data.clone(),
+                    }
+                    .encode(),
+                    |b| match PeerMsg::decode(b) {
+                        Ok(PeerMsg::FetchFound { data, .. }) => Some(data),
+                        _ => None,
+                    },
+                ),
+                (
+                    IoCmd::Write {
+                        array: "s".into(),
+                        block: 0,
+                        len: 4096,
+                        block_size: 4096,
+                        data: data.clone(),
+                    }
+                    .encode(),
+                    |b| match IoCmd::decode(b) {
+                        Ok(IoCmd::Write { data, .. }) => Some(data),
+                        _ => None,
+                    },
+                ),
+                (
+                    IoReply::ReadDone {
+                        array: "r".into(),
+                        block: 0,
+                        data: data.clone(),
+                    }
+                    .encode(),
+                    |b| match IoReply::decode(b) {
+                        Ok(IoReply::ReadDone { data, .. }) => Some(data),
+                        _ => None,
+                    },
+                ),
+            ];
+            for (buf, decode) in cases {
+                assert!(buf.payload.len() < 64, "the head stays small");
+                assert_eq!(buf.bulk, data, "the block rides beside the head");
+                let got = decode(&buf).expect("roundtrip");
+                assert_eq!(got, data);
+                if !data.is_empty() {
+                    assert_eq!(got.as_ptr(), data.as_ptr(), "same allocation, no copy");
+                }
+                // A truncated head is a protocol error whatever rides beside
+                // it, and so is a head whose blob went missing.
+                let mut cut = buf.clone();
+                cut.payload = buf.payload.slice(0..buf.payload.len() - 1);
+                assert_eq!(decode(&cut), None);
+                if !data.is_empty() {
+                    let mut lost = buf.clone();
+                    lost.bulk = Bytes::new();
+                    assert_eq!(decode(&lost), None);
+                }
+            }
+        }
+        // ... and the error is the typed one.
+        let mut cut = Reply::ReadReady {
+            req: 1,
+            data: Bytes::from(vec![1u8; 8]),
+        }
+        .encode();
+        cut.payload = cut.payload.slice(0..10);
+        assert!(matches!(
+            Reply::decode(&cut),
+            Err(StorageError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -222,6 +222,55 @@ fn persist_then_restart_discovers_arrays() {
     cleanup(&dirs);
 }
 
+/// ROADMAP 4, the lying disk: a block file that is shorter, longer or gone
+/// by the time it is loaded is a typed error at the reader — after the
+/// node's bounded read retries — that leaves no grant behind, and the
+/// intact block next to it still reads.
+#[test]
+fn truncated_oversized_and_missing_block_files_are_typed_errors() {
+    let dirs = scratch_dirs("lying", 1);
+    run_cluster_in(&dirs, 1 << 20, |_, sc| {
+        sc.create("kept", 64, 16).expect("create");
+        for b in 0..4u64 {
+            sc.write(
+                "kept",
+                Interval::new(b * 16, 16),
+                Bytes::from(vec![b as u8 + 1; 16]),
+            )
+            .expect("write");
+        }
+        sc.persist("kept").expect("persist");
+    });
+    std::fs::write(dirs[0].join("kept@0"), [1u8; 9]).expect("truncate block 0");
+    std::fs::write(dirs[0].join("kept@1"), vec![2u8; 4096]).expect("grow block 1");
+    let lost = dirs[0].join("kept@2");
+    run_cluster_in(&dirs, 1 << 20, move |_, sc| {
+        // Gone after the restart scan found it (a reply proves the node is
+        // up): a block missing at startup is just a block nobody has
+        // written yet.
+        assert_eq!(sc.map().expect("map").len(), 4, "all four discovered");
+        std::fs::remove_file(&lost).expect("lose block 2");
+        for (b, what) in [(0u64, "(read 9)"), (1, "(read 17)"), (2, "")] {
+            match sc.read("kept", Interval::new(b * 16, 16)) {
+                Err(dooc_storage::StorageError::IoFailed(m)) => {
+                    assert!(m.contains(&format!("kept@{b}")) && m.contains(what), "{m}")
+                }
+                other => panic!("block {b}: expected IoFailed, got {other:?}"),
+            }
+        }
+        let d = sc
+            .read("kept", Interval::new(48, 16))
+            .expect("intact block");
+        assert_eq!(&d[..], &[4u8; 16]);
+        drop(d);
+        assert_eq!(sc.outstanding_grants(), 0, "failed reads hold no grant");
+        let st = sc.stats().expect("stats");
+        assert_eq!(st.disk_read_bytes, 16, "only the intact block was loaded");
+        assert_eq!(st.resident_bytes, 16);
+    });
+    cleanup(&dirs);
+}
+
 #[test]
 fn staged_plain_file_is_readable_as_array() {
     // Simulates the SpMV setup: a sub-matrix file staged into the scratch

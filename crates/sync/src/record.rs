@@ -286,22 +286,24 @@ mod imp {
         M.get_or_init(|| parking_lot::Mutex::new(())).lock()
     }
 
-    type Pins = parking_lot::Mutex<Vec<Box<dyn std::any::Any + Send>>>;
+    type Pins = parking_lot::Mutex<std::collections::HashMap<usize, Box<dyn std::any::Any + Send>>>;
 
     fn pins() -> &'static Pins {
         static P: OnceLock<Pins> = OnceLock::new();
-        P.get_or_init(|| parking_lot::Mutex::new(Vec::new()))
+        P.get_or_init(Default::default)
     }
 
-    /// Keeps `obj` alive until [`clear`]. Annotation sites that stamp heap
-    /// addresses (e.g. channel payload bytes) pin the owning allocation so
-    /// the allocator cannot recycle an annotated address mid-session —
-    /// reuse would alias unrelated accesses in the happens-before shadow
-    /// state and report phantom races. The pin mutex is internal
-    /// `parking_lot`, invisible to the recorder: it must not add
-    /// happens-before edges between the accesses it serves.
-    pub fn pin(obj: Box<dyn std::any::Any + Send>) {
-        pins().lock().push(obj);
+    /// Keeps `obj`, the owner of the memory at `addr`, alive until
+    /// [`clear`]; returns whether `addr` was pinned for the first time this
+    /// session. Annotation sites that stamp heap addresses (e.g. channel
+    /// payload bytes) pin the owning allocation so the allocator cannot
+    /// recycle an annotated address mid-session — reuse would alias
+    /// unrelated accesses in the happens-before shadow state and report
+    /// phantom races. The pin mutex is internal `parking_lot`, invisible to
+    /// the recorder: it must not add happens-before edges between the
+    /// accesses it serves.
+    pub fn pin(addr: usize, obj: Box<dyn std::any::Any + Send>) -> bool {
+        pins().lock().insert(addr, obj).is_none()
     }
 
     /// Discards everything buffered so far (between analysis runs).
@@ -408,7 +410,9 @@ mod noop {
     /// No-op (the `record` feature is disabled). Never reached at runtime:
     /// callers gate on [`armed`], which is always false here.
     #[inline(always)]
-    pub fn pin(_obj: Box<dyn std::any::Any + Send>) {}
+    pub fn pin(_addr: usize, _obj: Box<dyn std::any::Any + Send>) -> bool {
+        false
+    }
 }
 
 #[cfg(not(feature = "record"))]
