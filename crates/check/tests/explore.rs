@@ -100,7 +100,7 @@ impl Node {
                         bytes,
                     }));
                 }
-                Action::Io(IoCmd::DeleteFiles { array }) => {
+                Action::Io(IoCmd::DeleteFiles { array, .. }) => {
                     self.disk.retain(|(a, _), _| *a != array);
                 }
             }
@@ -546,7 +546,7 @@ fn serve(reqs: StreamReader, replies: StreamWriter) {
                         bytes,
                     }));
                 }
-                Action::Io(IoCmd::DeleteFiles { array }) => {
+                Action::Io(IoCmd::DeleteFiles { array, .. }) => {
                     disk.retain(|(a, _), _| *a != array);
                 }
             }

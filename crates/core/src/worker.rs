@@ -33,6 +33,7 @@ struct WorkerObs {
     #[cfg_attr(not(feature = "faultline"), allow(dead_code))]
     tasks_reexecuted: &'static Counter,
     input_bytes: &'static Counter,
+    arrays_deleted: &'static Counter,
     prefetch_requests: &'static Counter,
     pipeline_occupancy: &'static Histogram,
     ready_tasks: &'static Gauge,
@@ -44,6 +45,7 @@ fn obs() -> &'static WorkerObs {
         tasks_executed: counter("worker.tasks_executed"),
         tasks_reexecuted: counter("worker.tasks_reexecuted"),
         input_bytes: counter("worker.input_bytes"),
+        arrays_deleted: counter("worker.arrays_deleted"),
         prefetch_requests: counter("sched.prefetch_requests"),
         pipeline_occupancy: histogram("worker.pipeline_occupancy"),
         ready_tasks: dooc_obs::metrics::gauge("sched.ready_tasks"),
@@ -704,6 +706,16 @@ impl Filter for WorkerFilter {
             // 1. Drain completion broadcasts.
             while let Some(b) = done_in.try_recv() {
                 ls.on_complete(&self.graph, TaskId(b.tag));
+            }
+            // Arrays produced here whose last reader just completed are
+            // deleted cluster-wide, before they can age out of the LRU and
+            // be spilled for nobody. Every reader released its pins before
+            // it reported completion, so none is held.
+            for array in ls.take_dead(&self.graph) {
+                client
+                    .delete(array)
+                    .map_err(|e| ctx.error(format!("delete of dead array '{array}': {e}")))?;
+                obs().arrays_deleted.inc();
             }
             if ls.graph_done() {
                 break;

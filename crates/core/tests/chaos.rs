@@ -2,7 +2,7 @@
 //! SpMV (the paper's §IV workload).
 //!
 //! Each schedule — I/O error storm, 10% peer-message drop, whole-node
-//! storage crash — is driven by the seeded `dooc-faultline` registry and run
+//! storage crash, worker crash storm — is driven by the seeded `dooc-faultline` registry and run
 //! for 10 fixed seeds. Under the immutable-array model every recovery path
 //! (bounded I/O retry, fetch re-probe on deadline, crash-restart with map
 //! refold, task re-execution) must reproduce the fault-free result
@@ -220,6 +220,41 @@ fn storage_node_crash_converges_bitwise() {
         });
         assert_bitwise("node-crash", seed, &got, &baseline);
     }
+}
+
+/// Worker crashes while dead arrays are being deleted under them: a task
+/// that crashed has not completed, so every array it reads is still counted
+/// as read and is still there when the task runs again — a lost input would
+/// fail the run with a `Deleted` error, a skipped delete would leave the
+/// count short, a repeated one would fail with `UnknownArray`.
+#[test]
+fn worker_crash_storm_never_loses_an_input_and_deletes_each_array_once() {
+    let _g = faultline::test_gate();
+    let baseline = run_spmv("chaos-reexec-base", || {});
+    // Per iteration: K² partials and K sub-vectors, each read by a later
+    // task; the last iteration's sub-vectors are the result.
+    let intermediates = ITERS * K * K + (ITERS - 1) * K;
+    dooc_obs::enable();
+    let deleted = dooc_obs::metrics::counter("worker.arrays_deleted");
+    let reexecs = dooc_obs::metrics::counter("worker.tasks_reexecuted");
+    for seed in seeds() {
+        let (d0, x0) = (deleted.get(), reexecs.get());
+        let got = run_spmv("chaos-reexec", || {
+            faultline::seed(seed);
+            faultline::configure(
+                "worker.task.crash",
+                faultline::FaultSpec::fire().with_prob(0.15).with_max(8),
+            );
+        });
+        assert_bitwise("worker-crash-storm", seed, &got, &baseline);
+        assert!(reexecs.get() > x0, "seed {seed}: no task was re-executed");
+        assert_eq!(
+            deleted.get() - d0,
+            intermediates,
+            "seed {seed}: every intermediate deleted exactly once"
+        );
+    }
+    dooc_obs::disable();
 }
 
 /// The acceptance schedule: the first three disk reads fail plus one

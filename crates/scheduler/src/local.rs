@@ -11,16 +11,28 @@
 //! number of ready tasks whose data are in memory by sending sufficient
 //! prefetch requests to the storage layer."
 //!
-//! The data-aware pick (prefer the ready task with the most resident input
-//! bytes) is what turns the naive per-iteration sweep of Fig. 5(a) into the
-//! back-and-forth traversal of Fig. 5(b): after finishing the last multiply
-//! of iteration *i*, the only task with its (large) matrix input resident is
-//! the matching multiply of iteration *i+1*, so the next iteration runs
-//! backwards "automatically … without requiring any effort or input from the
-//! application programmer".
+//! The data-aware pick prefers the ready task that puts the most
+//! already-held bytes to use: its resident input bytes plus the bytes of its
+//! consumers' other inputs that already exist. The first term is what turns
+//! the naive per-iteration sweep of Fig. 5(a) into the back-and-forth
+//! traversal of Fig. 5(b): after finishing the last multiply of iteration
+//! *i*, the only task with its (large) matrix input resident is the matching
+//! multiply of iteration *i+1*, so the next iteration runs backwards
+//! "automatically … without requiring any effort or input from the
+//! application programmer". The second term finishes what has been started:
+//! once one partial of a row exists, the row's other multiplies outrank the
+//! multiplies of untouched rows, and the row's sum — whose output is all
+//! that a column of matrix multiplies still waits for — outranks both, so K
+//! partials are live at a time instead of K².
+//!
+//! The scheduler also owns the one lifetime fact the DAG states: an array
+//! lives until the last task that reads it completes, and an output nobody
+//! reads is a result. It counts readers per array and reports the arrays
+//! that went dead ([`LocalScheduler::take_dead`]) so the worker can delete
+//! them instead of leaving them to age out of the LRU and be spilled.
 
 use crate::task::{ReadyTracker, TaskGraph, TaskId};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// How the local scheduler orders ready tasks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -28,8 +40,9 @@ pub enum OrderPolicy {
     /// Submission (FIFO) order — the "regular" plan of Fig. 5(a); ablation
     /// baseline.
     Fifo,
-    /// Prefer ready tasks with the most resident input bytes (ties: FIFO) —
-    /// the DOoC behaviour, yielding Fig. 5(b).
+    /// Prefer the ready task that puts the most already-held bytes to use —
+    /// its resident inputs plus what its consumers otherwise wait with (ties:
+    /// FIFO) — the DOoC behaviour, yielding Fig. 5(b).
     #[default]
     DataAware,
 }
@@ -46,6 +59,15 @@ impl MemoryOracle for HashSet<String> {
     fn resident(&self, array: &str) -> bool {
         self.contains(array)
     }
+}
+
+/// An array produced inside the graph, as the lifetime count sees it.
+struct Produced {
+    producer: TaskId,
+    /// Index into the producer's `outputs`.
+    output: usize,
+    /// Distinct tasks that read it and have not completed yet.
+    readers_left: usize,
 }
 
 /// Per-node scheduling state over the global [`TaskGraph`].
@@ -67,6 +89,20 @@ pub struct LocalScheduler {
     running: HashSet<TaskId>,
     /// Node id used when tracing scheduling decisions (-1 when unknown).
     node: i64,
+    /// Every array some task produces. Everything below refers to tasks and
+    /// arrays by index, resolved once in [`Self::new`], so a tick hashes no
+    /// array name for them.
+    arrays: Vec<Produced>,
+    /// Per task: the produced arrays it reads, as indices into `arrays`.
+    reads: Vec<Vec<usize>>,
+    /// Per task: the tasks reading its outputs, with the bytes each declares.
+    feeds: Vec<Vec<(usize, u64)>>,
+    /// Per task: bytes of its inputs that already exist — externals, and
+    /// arrays whose producer has completed.
+    exists_bytes: Vec<u64>,
+    /// Arrays produced on this node whose last reader completed, not yet
+    /// handed out by [`Self::take_dead`].
+    dead: Vec<usize>,
 }
 
 impl LocalScheduler {
@@ -83,6 +119,40 @@ impl LocalScheduler {
             .into_iter()
             .filter(|t| mine.contains(t))
             .collect();
+        let mut arrays: Vec<Produced> = Vec::new();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        for producer in graph.ids() {
+            for (output, d) in graph.task(producer).outputs.iter().enumerate() {
+                index.insert(d.array.as_str(), arrays.len());
+                arrays.push(Produced {
+                    producer,
+                    output,
+                    readers_left: 0,
+                });
+            }
+        }
+        let mut reads = vec![Vec::new(); graph.len()];
+        let mut feeds = vec![Vec::new(); graph.len()];
+        let mut exists_bytes = vec![0u64; graph.len()];
+        // Last task counted as a reader of each array: an array a task
+        // lists twice is one reader.
+        let mut counted: Vec<TaskId> = arrays.iter().map(|a| a.producer).collect();
+        for reader in graph.ids() {
+            for d in &graph.task(reader).inputs {
+                let Some(&a) = index.get(d.array.as_str()) else {
+                    // An external: never deleted, and there from the start.
+                    exists_bytes[reader.0 as usize] += d.bytes;
+                    continue;
+                };
+                // A task reading its own output does not keep it alive.
+                if counted[a] != reader {
+                    counted[a] = reader;
+                    reads[reader.0 as usize].push(a);
+                    arrays[a].readers_left += 1;
+                    feeds[arrays[a].producer.0 as usize].push((reader.0 as usize, d.bytes));
+                }
+            }
+        }
         Self {
             policy,
             mine,
@@ -91,6 +161,11 @@ impl LocalScheduler {
             prefetch_window: 2,
             running: HashSet::new(),
             node: -1,
+            arrays,
+            reads,
+            feeds,
+            exists_bytes,
+            dead: Vec::new(),
         }
     }
 
@@ -108,7 +183,9 @@ impl LocalScheduler {
     }
 
     /// Records a completion (local or remote); newly ready *local* tasks
-    /// enter the ready queue.
+    /// enter the ready queue, and arrays this completion was the last reader
+    /// of go dead. A task handed back by [`Self::requeue`] has not
+    /// completed, so its inputs stay counted.
     pub fn on_complete(&mut self, graph: &TaskGraph, id: TaskId) {
         self.running.remove(&id);
         for t in self.tracker.complete(graph, id) {
@@ -116,6 +193,32 @@ impl LocalScheduler {
                 self.ready.push(t);
             }
         }
+        let i = id.0 as usize;
+        for &(reader, bytes) in &self.feeds[i] {
+            self.exists_bytes[reader] += bytes;
+        }
+        for &a in &self.reads[i] {
+            let array = &mut self.arrays[a];
+            array.readers_left -= 1;
+            if array.readers_left == 0 && self.mine.contains(&array.producer) {
+                self.dead.push(a);
+            }
+        }
+    }
+
+    /// The arrays produced on this node that went dead since the last call:
+    /// every task that reads them has completed, cluster-wide. Externals and
+    /// outputs no task reads (results) are never reported.
+    pub fn take_dead<'g>(&mut self, graph: &'g TaskGraph) -> Vec<&'g str> {
+        self.dead
+            .drain(..)
+            .map(|a| {
+                let array = &self.arrays[a];
+                graph.task(array.producer).outputs[array.output]
+                    .array
+                    .as_str()
+            })
+            .collect()
     }
 
     /// Number of ready local tasks.
@@ -133,20 +236,32 @@ impl LocalScheduler {
         self.tracker.all_done()
     }
 
-    /// Score of a task under the data-aware policy: resident input bytes.
-    fn score(graph: &TaskGraph, oracle: &dyn MemoryOracle, id: TaskId) -> u64 {
-        graph
+    /// Score of a task under the data-aware policy: the bytes already held
+    /// that running it puts to use — its resident input bytes, plus the bytes
+    /// of its consumers' other inputs that already exist (the task is not
+    /// complete, so its own outputs are not among them). A completed sibling
+    /// counts there, so a started row outranks an untouched one; so does an
+    /// external, so the sum or barrier that releases a column of matrix
+    /// multiplies — possibly on other nodes — never waits behind local work.
+    fn score(&self, graph: &TaskGraph, oracle: &dyn MemoryOracle, id: TaskId) -> u64 {
+        let resident: u64 = graph
             .task(id)
             .inputs
             .iter()
             .filter(|d| oracle.resident(&d.array))
             .map(|d| d.bytes)
-            .sum()
+            .sum();
+        let waiting: u64 = graph
+            .succs(id)
+            .iter()
+            .map(|c| self.exists_bytes[c.0 as usize])
+            .sum();
+        resident + waiting
     }
 
     /// Picks the next task for a free computing filter, or `None` if no
     /// local task is ready. Data-aware policy prefers the ready task with
-    /// the most resident input bytes; FIFO takes readiness order.
+    /// the highest [score](Self::score); FIFO takes readiness order.
     pub fn next_task(&mut self, graph: &TaskGraph, oracle: &dyn MemoryOracle) -> Option<TaskId> {
         if self.ready.is_empty() {
             return None;
@@ -155,9 +270,9 @@ impl LocalScheduler {
             OrderPolicy::Fifo => 0,
             OrderPolicy::DataAware => {
                 let mut best = 0usize;
-                let mut best_score = Self::score(graph, oracle, self.ready[0]);
+                let mut best_score = self.score(graph, oracle, self.ready[0]);
                 for (i, &t) in self.ready.iter().enumerate().skip(1) {
-                    let s = Self::score(graph, oracle, t);
+                    let s = self.score(graph, oracle, t);
                     if s > best_score {
                         best = i;
                         best_score = s;
@@ -165,7 +280,7 @@ impl LocalScheduler {
                 }
                 if best != 0 && dooc_obs::enabled() {
                     // Data-aware reorder: a later-ready task jumped the queue
-                    // because more of its inputs are resident.
+                    // because it puts more already-held bytes to use.
                     dooc_obs::metrics::counter("sched.reorders").inc();
                     let picked = self.ready[best];
                     dooc_obs::instant_arg(
@@ -174,7 +289,7 @@ impl LocalScheduler {
                         self.node,
                         || {
                             format!(
-                                "{} over {} ({best_score} resident input bytes)",
+                                "{} over {} ({best_score} held bytes put to use)",
                                 graph.task(picked).name,
                                 graph.task(self.ready[0]).name
                             )
@@ -217,7 +332,7 @@ impl LocalScheduler {
         let mut order: Vec<TaskId> = self.ready.clone();
         if self.policy == OrderPolicy::DataAware {
             // Stable sort keeps FIFO order among equal scores.
-            order.sort_by_key(|&t| std::cmp::Reverse(Self::score(graph, oracle, t)));
+            order.sort_by_cached_key(|&t| std::cmp::Reverse(self.score(graph, oracle, t)));
         }
         order
     }
@@ -359,6 +474,201 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Iterated SpMV over a K×K grid on one node with the barrier between
+    /// iterations — the shape `SpmvAppBuilder` builds by default. mul(i,u,v)
+    /// reads M_u_v (big), x_{i-1}_v and the previous barrier, produces
+    /// p_i_u_v; sum(i,u) reads row u's K partials, produces x_i_u; bar(i)
+    /// reads every x_i_u.
+    fn grid_spmv(iters: u64, k: u64) -> TaskGraph {
+        let mut tasks = Vec::new();
+        for i in 1..=iters {
+            for u in 0..k {
+                for v in 0..k {
+                    let mut t = TaskSpec::new(format!("p_{i}_{u}_{v}"), "multiply")
+                        .input(format!("M_{u}_{v}"), 1000)
+                        .input(format!("x_{}_{v}", i - 1), 8)
+                        .output(format!("p_{i}_{u}_{v}"), 8);
+                    if i > 1 {
+                        t = t.input(format!("bar_{}", i - 1), 8);
+                    }
+                    tasks.push(t);
+                }
+            }
+            for u in 0..k {
+                let mut sum =
+                    TaskSpec::new(format!("x_{i}_{u}"), "sum").output(format!("x_{i}_{u}"), 8);
+                for v in 0..k {
+                    sum = sum.input(format!("p_{i}_{u}_{v}"), 8);
+                }
+                tasks.push(sum);
+            }
+            if i < iters {
+                let mut bar =
+                    TaskSpec::new(format!("bar_{i}"), "barrier").output(format!("bar_{i}"), 8);
+                for u in 0..k {
+                    bar = bar.input(format!("x_{i}_{u}"), 8);
+                }
+                tasks.push(bar);
+            }
+        }
+        TaskGraph::new(tasks).expect("valid")
+    }
+
+    /// Splits `p_i_u_v` / `x_i_u` into its indices.
+    fn indices(name: &str) -> Vec<u64> {
+        name.split('_')
+            .skip(1)
+            .map(|n| n.parse().expect("index"))
+            .collect()
+    }
+
+    /// Drains `grid_spmv(3, K)` on one node with no matrix ever resident,
+    /// only the `x` pieces of `resident_cols` resident, and partials resident
+    /// from the moment they are produced until they are reported dead.
+    /// Returns the order tasks ran in and the most partials alive at once.
+    fn drain_grid(k: u64, resident_cols: &[u64]) -> (Vec<String>, usize) {
+        let g = grid_spmv(3, k);
+        let mut resident: HashSet<String> = HashSet::new();
+        for v in resident_cols {
+            resident.insert(format!("x_0_{v}"));
+        }
+        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::DataAware);
+        let mut order = Vec::new();
+        let mut peak = 0;
+        while let Some(t) = ls.next_task(&g, &resident) {
+            let spec = g.task(t);
+            order.push(spec.name.clone());
+            let out = &spec.outputs[0].array;
+            let is_kept_x = spec.kind == "sum" && resident_cols.contains(&indices(out)[1]);
+            if spec.kind == "multiply" || spec.kind == "barrier" || is_kept_x {
+                resident.insert(out.clone());
+            }
+            ls.on_complete(&g, t);
+            peak = peak.max(resident.iter().filter(|a| a.starts_with("p_")).count());
+            for dead in ls.take_dead(&g) {
+                resident.remove(dead);
+            }
+        }
+        assert!(ls.graph_done());
+        (order, peak)
+    }
+
+    #[test]
+    fn a_started_row_finishes_and_is_summed_before_another_begins() {
+        const K: u64 = 4;
+        for resident_cols in [&[][..], &[1], &[1, 3], &[0, 1, 2, 3]] {
+            let (order, peak) = drain_grid(K, resident_cols);
+            assert!(
+                peak <= K as usize,
+                "x pieces {resident_cols:?} resident: {peak} partials alive at once, \
+                 a row holds {K} (a column-major sweep holds {})",
+                K * K
+            );
+            // At most one row is open — started and not yet summed — at a
+            // time, in every iteration.
+            let mut open: Option<(u64, u64)> = None;
+            for name in &order {
+                let ix = indices(name);
+                match (name.starts_with("p_"), open) {
+                    (true, None) => open = Some((ix[0], ix[1])),
+                    (true, Some(row)) => assert_eq!(
+                        (ix[0], ix[1]),
+                        row,
+                        "x pieces {resident_cols:?} resident: {name} starts a row \
+                         while row {row:?} waits for its sum (order {order:?})"
+                    ),
+                    (false, Some(row)) if name.starts_with("x_") => {
+                        assert_eq!((ix[0], ix[1]), row, "sum of a row that is not open");
+                        open = None;
+                    }
+                    _ => {}
+                }
+            }
+            // Within a row, the multiplies whose x piece is resident go
+            // first: residency still decides what the score leaves open.
+            let first_row: Vec<u64> = order[..K as usize].iter().map(|n| indices(n)[2]).collect();
+            let resident_first = first_row
+                .iter()
+                .take(resident_cols.len())
+                .all(|v| resident_cols.contains(v));
+            assert!(
+                resident_first,
+                "row order {first_row:?} for {resident_cols:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_resident_matrix_still_outranks_a_started_row() {
+        // Row 0 is open (one partial exists), but M_2_1 is in memory: using
+        // it now saves a 1000-byte load, finishing row 0 first saves nothing
+        // that will not still be there.
+        let g = grid_spmv(1, 3);
+        let resident: HashSet<String> = ["M_2_1", "x_0_0", "x_0_1", "x_0_2", "p_1_0_0"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::DataAware);
+        ls.ready.retain(|&t| g.task(t).name != "p_1_0_0");
+        ls.on_complete(&g, TaskId(0));
+        let next = ls.next_task(&g, &resident).expect("ready");
+        assert_eq!(g.task(next).name, "p_1_2_1");
+        let planned = ls.planned_order(&g, &resident);
+        assert_eq!(g.task(planned[0]).name, "p_1_0_1", "then row 0 goes on");
+    }
+
+    #[test]
+    fn arrays_die_with_their_last_reader_and_only_on_the_producers_node() {
+        // a -> A -> {b, c}; b -> B (nobody reads it: a result); c reads the
+        // external E as well.
+        let g = TaskGraph::new(vec![
+            TaskSpec::new("a", "k").output("A", 8),
+            TaskSpec::new("b", "k").input("A", 8).output("B", 8),
+            TaskSpec::new("c", "k")
+                .input("A", 8)
+                .input("A", 8)
+                .input("E", 8)
+                .output("C", 8),
+            TaskSpec::new("d", "k")
+                .input("C", 8)
+                .input("D", 8)
+                .output("D", 8),
+        ])
+        .expect("valid");
+        let oracle: HashSet<String> = HashSet::new();
+        // Node 0 runs a (and d), node 1 runs b and c.
+        let mut producer = LocalScheduler::new(&g, [TaskId(0), TaskId(3)], OrderPolicy::Fifo);
+        let mut reader = LocalScheduler::new(&g, [TaskId(1), TaskId(2)], OrderPolicy::Fifo);
+        producer.on_complete(&g, TaskId(0));
+        reader.on_complete(&g, TaskId(0));
+        assert_eq!(reader.next_task(&g, &oracle), Some(TaskId(1)));
+        producer.on_complete(&g, TaskId(1));
+        reader.on_complete(&g, TaskId(1));
+        assert!(
+            producer.take_dead(&g).is_empty(),
+            "c has not read A yet (listing it twice makes c one reader)"
+        );
+        // c crashes and is re-queued: it has not completed, A stays.
+        assert_eq!(reader.next_task(&g, &oracle), Some(TaskId(2)));
+        assert!(reader.requeue(TaskId(2)));
+        assert!(producer.take_dead(&g).is_empty());
+        producer.on_complete(&g, TaskId(2));
+        reader.on_complete(&g, TaskId(2));
+        assert_eq!(producer.take_dead(&g), vec!["A"], "last reader done");
+        assert!(producer.take_dead(&g).is_empty(), "reported once");
+        assert!(
+            reader.take_dead(&g).is_empty(),
+            "A was produced on the other node, E is external, B is a result"
+        );
+        producer.on_complete(&g, TaskId(3));
+        reader.on_complete(&g, TaskId(3));
+        assert_eq!(reader.take_dead(&g), vec!["C"]);
+        assert!(
+            producer.take_dead(&g).is_empty(),
+            "d reading its own output D does not make D an intermediate"
+        );
     }
 
     #[test]

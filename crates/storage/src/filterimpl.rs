@@ -31,7 +31,22 @@ use std::sync::Arc;
 struct RestartContext {
     cfg: NodeConfig,
     scratch: PathBuf,
+    /// `Create`/`Register` messages of arrays that still exist.
     journal: Vec<ClientMsg>,
+    /// Arrays deleted here or by a peer's notice: replayed as tombstones,
+    /// so a restart neither resurrects one nor re-admits its name.
+    deleted: Vec<String>,
+}
+
+#[cfg(feature = "faultline")]
+impl RestartContext {
+    fn note_deleted(&mut self, array: &str) {
+        self.journal.retain(|m| match m {
+            ClientMsg::Create { meta, .. } | ClientMsg::Register { meta } => meta.name != array,
+            _ => true,
+        });
+        self.deleted.push(array.to_string());
+    }
 }
 
 /// Port names used by the storage filter.
@@ -106,6 +121,7 @@ impl StorageFilter {
                 cfg,
                 scratch,
                 journal: Vec::new(),
+                deleted: Vec::new(),
             }),
         }
     }
@@ -142,6 +158,16 @@ impl StorageFilter {
         let mut st = StorageState::new(rc.cfg.clone(), discovered);
         for msg in &rc.journal {
             let _ = st.handle_client(msg.clone());
+        }
+        // The scan may have rediscovered files whose removal is still queued
+        // at the I/O filter; the tombstone drops them from the map again.
+        for array in &rc.deleted {
+            let _ = st.handle_peer(
+                u64::MAX,
+                PeerMsg::DeleteNotice {
+                    array: array.clone(),
+                },
+            );
         }
         self.state = st;
     }
@@ -213,8 +239,12 @@ impl Filter for StorageFilter {
                     #[cfg(feature = "faultline")]
                     if let Some(rc) = self.restart.as_mut() {
                         // Metadata journal for crash-restart replay.
-                        if matches!(msg, ClientMsg::Create { .. } | ClientMsg::Register { .. }) {
-                            rc.journal.push(msg.clone());
+                        match &msg {
+                            ClientMsg::Create { .. } | ClientMsg::Register { .. } => {
+                                rc.journal.push(msg.clone());
+                            }
+                            ClientMsg::Delete { array, .. } => rc.note_deleted(array),
+                            _ => {}
                         }
                     }
                     self.state.handle_client(msg)
@@ -231,6 +261,12 @@ impl Filter for StorageFilter {
                         PeerMsg::Fetch { from_node, .. } => *from_node,
                         _ => u64::MAX,
                     };
+                    #[cfg(feature = "faultline")]
+                    if let (Some(rc), PeerMsg::DeleteNotice { array }) =
+                        (self.restart.as_mut(), &msg)
+                    {
+                        rc.note_deleted(array);
+                    }
                     self.state.handle_peer(from, msg)
                 }
                 SelectEvent::Buffer(_, buf) => {
@@ -312,7 +348,7 @@ impl IoFilter {
                         IoCmd::Read { array, block, .. } | IoCmd::Write { array, block, .. } => {
                             (array.clone(), *block)
                         }
-                        IoCmd::DeleteFiles { array } => (array.clone(), u64::MAX),
+                        IoCmd::DeleteFiles { array, .. } => (array.clone(), u64::MAX),
                     };
                     return IoReply::Error {
                         array,
@@ -350,7 +386,7 @@ impl IoFilter {
                     message: e.to_string(),
                 },
             },
-            IoCmd::DeleteFiles { array } => match self.delete_files(&array) {
+            IoCmd::DeleteFiles { array, nblocks } => match self.delete_files(&array, nblocks) {
                 Ok(()) => IoReply::WriteDone {
                     array,
                     block: u64::MAX,
@@ -420,17 +456,19 @@ impl IoFilter {
         Ok(data.len() as u64)
     }
 
-    fn delete_files(&mut self, array: &str) -> std::io::Result<()> {
+    /// Removes an array's files by name — block files `0..nblocks`, the
+    /// geometry sidecar, the bare-name form of a staged single-file array —
+    /// whichever of them exist. The directory is not listed: a delete costs
+    /// the array's own files, not everyone's.
+    fn delete_files(&mut self, array: &str, nblocks: u64) -> std::io::Result<()> {
         self.sidecars.remove(array);
-        if !self.scratch.exists() {
-            return Ok(());
-        }
-        let prefix = format!("{array}{SEP}");
-        for entry in std::fs::read_dir(&self.scratch)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name == array || name.starts_with(&prefix) {
-                std::fs::remove_file(entry.path())?;
+        let paths = (0..nblocks)
+            .map(|b| block_path(&self.scratch, array, b))
+            .chain([meta_path(&self.scratch, array), self.scratch.join(array)]);
+        for path in paths {
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                _ => {}
             }
         }
         Ok(())
@@ -711,12 +749,49 @@ mod tests {
         });
         std::fs::write(dir.join("a"), vec![2u8; 4]).expect("stage");
         std::fs::write(dir.join("ab"), vec![2u8; 4]).expect("stage similar name");
-        io.exec(IoCmd::DeleteFiles { array: "a".into() });
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .expect("dir")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["ab"], "only the unrelated file remains");
+        io.exec(IoCmd::DeleteFiles {
+            array: "a".into(),
+            nblocks: 1,
+        });
+        let names = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .expect("dir")
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(&dir), vec!["ab"], "only the unrelated file remains");
+
+        // Arrays sharing a prefix: `x_1_1` goes, block files and sidecar,
+        // and `x_1_10` keeps every file of its own.
+        for (array, blocks) in [("x_1_1", 2u64), ("x_1_10", 2)] {
+            for block in 0..blocks {
+                io.exec(IoCmd::Write {
+                    array: array.into(),
+                    block,
+                    len: 16,
+                    block_size: 8,
+                    data: Bytes::from_static(&[3; 8]),
+                });
+            }
+        }
+        let reply = io.exec(IoCmd::DeleteFiles {
+            array: "x_1_1".into(),
+            nblocks: 2,
+        });
+        assert!(matches!(reply, IoReply::WriteDone { bytes: 0, .. }));
+        assert_eq!(
+            names(&dir),
+            vec!["ab", "x_1_10@0", "x_1_10@1", "x_1_10@meta"],
+            "the longer name's files survive"
+        );
+        // Deleting what is already gone is not an error.
+        let again = io.exec(IoCmd::DeleteFiles {
+            array: "x_1_1".into(),
+            nblocks: 2,
+        });
+        assert!(matches!(again, IoReply::WriteDone { bytes: 0, .. }));
         std::fs::remove_dir_all(&dir).ok();
     }
 

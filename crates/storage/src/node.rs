@@ -48,6 +48,7 @@ struct StorageObs {
     read_misses: &'static Counter,
     io_retries: &'static Counter,
     fetch_retries: &'static Counter,
+    dead_bytes_dropped: &'static Counter,
 }
 
 fn storage_obs() -> &'static StorageObs {
@@ -62,6 +63,7 @@ fn storage_obs() -> &'static StorageObs {
         read_misses: counter("storage.read_misses"),
         io_retries: counter("storage.io_retries"),
         fetch_retries: counter("storage.fetch_retries"),
+        dead_bytes_dropped: counter("storage.dead_bytes_dropped"),
     })
 }
 
@@ -711,17 +713,19 @@ impl StorageState {
         let bugs = self.bug();
         // Projected residency counts in-flight spills as already released.
         let mut projected = self.resident;
-        let order: Vec<(u64, (String, u64))> =
-            self.lru.iter().map(|(k, v)| (*k, v.clone())).collect();
-        for (_, (array, block)) in order {
+        // Walk the LRU in place and stop once `projected` fits: reclaiming
+        // costs the victims it takes, not the blocks it keeps. Victims leave
+        // the index after the walk (the walk borrows it).
+        let mut dropped: Vec<u64> = Vec::new();
+        for (&used, (array, block)) in self.lru.iter() {
+            let block = *block;
             if projected <= self.cfg.memory_budget {
                 break;
             }
-            let Some(ainfo) = self.arrays.get_mut(&array) else {
+            let Some(ainfo) = self.arrays.get_mut(array) else {
                 continue;
             };
             let block_len = ainfo.meta.block_len(block);
-            let meta = ainfo.meta.clone();
             let Some(info) = ainfo.blocks.get_mut(&block) else {
                 continue;
             };
@@ -734,10 +738,9 @@ impl StorageState {
             match (&info.mem, info.on_disk, info.spilling) {
                 (Some(BlockMem::Sealed(_)), true, false) => {
                     info.mem = None;
-                    let lu = info.last_use;
                     info.last_use = 0;
-                    self.lru_remove(lu);
-                    self.discharge(block_len);
+                    dropped.push(used);
+                    self.resident -= block_len;
                     projected -= block_len;
                     self.stats.evictions += 1;
                     storage_obs().blocks_evicted.inc();
@@ -750,10 +753,9 @@ impl StorageState {
                 }
                 (Some(BlockMem::Sealed(_)), false, false) if bugs.evict_skips_spill => {
                     info.mem = None;
-                    let lu = info.last_use;
                     info.last_use = 0;
-                    self.lru_remove(lu);
-                    self.discharge(block_len);
+                    dropped.push(used);
+                    self.resident -= block_len;
                     projected -= block_len;
                     self.stats.evictions += 1;
                 }
@@ -764,8 +766,8 @@ impl StorageState {
                     out.push(Action::Io(IoCmd::Write {
                         array: array.clone(),
                         block,
-                        len: meta.len,
-                        block_size: meta.block_size,
+                        len: ainfo.meta.len,
+                        block_size: ainfo.meta.block_size,
                         data: data.clone(),
                     }));
                     projected -= block_len;
@@ -776,6 +778,9 @@ impl StorageState {
                 }
                 _ => {}
             }
+        }
+        for used in dropped {
+            self.lru.remove(&used);
         }
     }
 
@@ -1579,15 +1584,7 @@ impl StorageState {
                 out,
             );
         }
-        let had_disk = ainfo.blocks.values().any(|b| b.on_disk);
-        self.drop_array_local(&array);
-        self.map_version += 1;
-        self.deleted.insert(array.clone(), self.map_version);
-        if had_disk {
-            out.push(Action::Io(IoCmd::DeleteFiles {
-                array: array.clone(),
-            }));
-        }
+        self.drop_array_local(&array, out);
         for n in 0..self.cfg.nnodes {
             if n != self.cfg.node {
                 out.push(Action::Peer {
@@ -1604,17 +1601,50 @@ impl StorageState {
         });
     }
 
-    fn drop_array_local(&mut self, array: &str) {
-        if let Some(ainfo) = self.arrays.remove(array) {
-            for (b, info) in ainfo.blocks {
-                if info.mem.is_some() {
-                    self.discharge(ainfo.meta.block_len(b));
-                }
-                self.lru_remove(info.last_use);
-                if let Some(f) = info.fetch {
-                    self.fetches.remove(&f.req);
+    /// Forgets an array on this node — resident bytes, LRU entries, fetches
+    /// in flight, files — and leaves a tombstone. Shared by a local delete
+    /// and a peer's [`PeerMsg::DeleteNotice`].
+    fn drop_array_local(&mut self, array: &str, out: &mut Vec<Action>) {
+        self.map_version += 1;
+        self.deleted.insert(array.to_string(), self.map_version);
+        let Some(ainfo) = self.arrays.remove(array) else {
+            return;
+        };
+        // A spill still in flight lands after this point: the I/O filter
+        // runs commands in order, so removing the files behind it is enough.
+        let has_files = ainfo.blocks.values().any(|b| b.on_disk || b.spilling);
+        let mut dead_bytes = 0;
+        for (b, info) in ainfo.blocks {
+            let block_len = ainfo.meta.block_len(b);
+            if info.mem.is_some() {
+                self.discharge(block_len);
+                if !info.on_disk && !info.spilling {
+                    dead_bytes += block_len;
                 }
             }
+            if info.pins > 0 {
+                // Only a peer's notice can find a pin: the reader's release
+                // is queued behind it on another stream and will find no
+                // block to discharge.
+                self.pinned_now = self.pinned_now.saturating_sub(block_len);
+            }
+            self.lru_remove(info.last_use);
+            if let Some(f) = info.fetch {
+                self.fetches.remove(&f.req);
+            }
+        }
+        storage_obs().dead_bytes_dropped.add(dead_bytes);
+        dooc_obs::instant_arg(
+            dooc_obs::Category::Storage,
+            "storage:delete",
+            self.cfg.node as i64,
+            || format!("{array} ({dead_bytes} bytes dropped unspilled)"),
+        );
+        if has_files {
+            out.push(Action::Io(IoCmd::DeleteFiles {
+                array: array.to_string(),
+                nblocks: ainfo.meta.nblocks(),
+            }));
         }
     }
 
@@ -1780,19 +1810,7 @@ impl StorageState {
             PeerMsg::Bye => {
                 self.byes += 1;
             }
-            PeerMsg::DeleteNotice { array } => {
-                let had_disk = self
-                    .arrays
-                    .get(&array)
-                    .map(|a| a.blocks.values().any(|b| b.on_disk))
-                    .unwrap_or(false);
-                self.drop_array_local(&array);
-                self.map_version += 1;
-                self.deleted.insert(array.clone(), self.map_version);
-                if had_disk {
-                    out.push(Action::Io(IoCmd::DeleteFiles { array }));
-                }
-            }
+            PeerMsg::DeleteNotice { array } => self.drop_array_local(&array, &mut out),
         }
         out
     }
@@ -3040,6 +3058,139 @@ mod tests {
                 ..
             }]
         ));
+    }
+
+    #[test]
+    fn reclaim_takes_the_oldest_blocks_and_only_as_many_as_it_needs() {
+        // Four disk-backed blocks resident in a budget of four; one more
+        // block arrives. Exactly the least recently used one goes.
+        let found = (0..5)
+            .map(|b| DiscoveredBlock {
+                meta: ArrayMeta::new("m", 160, 32),
+                block: b,
+            })
+            .collect();
+        let mut st = StorageState::new(cfg(0, 1, 128), found);
+        let load = |st: &mut StorageState, b: u64| {
+            st.handle_client(ClientMsg::Prefetch {
+                array: "m".into(),
+                iv: Interval::new(32 * b, 32),
+            });
+            st.handle_io(IoReply::ReadDone {
+                array: "m".into(),
+                block: b,
+                data: Bytes::from(vec![b as u8; 32]),
+            })
+        };
+        for b in [2, 0, 3, 1] {
+            load(&mut st, b);
+        }
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (128, 0));
+        load(&mut st, 4);
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (128, 1));
+        let in_memory = |st: &StorageState, b: u64| st.arrays["m"].blocks[&b].mem.is_some();
+        assert!(!in_memory(&st, 2), "the oldest block went");
+        assert!([0, 3, 1, 4].iter().all(|&b| in_memory(&st, b)));
+        assert_eq!(st.lru.len(), 4, "the victim left the LRU index");
+    }
+
+    #[test]
+    fn delete_drops_unspilled_bytes_and_removes_files_of_a_spill_in_flight() {
+        let mut st = state(64);
+        // "mem" never leaves memory: deleting it touches no file.
+        create(&mut st, "mem", 32, 32);
+        write_all(&mut st, "mem", Interval::new(0, 32), 1);
+        let acts = st.handle_client(ClientMsg::Delete {
+            req: 1,
+            client: 0,
+            array: "mem".into(),
+        });
+        assert!(
+            !acts.iter().any(|a| matches!(a, Action::Io(_))),
+            "nothing on disk, nothing to remove: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 0);
+        // "spill" has three blocks; the third write pushes block 0 out, and
+        // the delete arrives while that spill is still at the I/O filter.
+        create(&mut st, "spill", 96, 32);
+        write_all(&mut st, "spill", Interval::new(0, 32), 1);
+        write_all(&mut st, "spill", Interval::new(32, 32), 2);
+        let acts = write_all(&mut st, "spill", Interval::new(64, 32), 3);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Io(IoCmd::Write { block: 0, .. }))));
+        let acts = st.handle_client(ClientMsg::Delete {
+            req: 2,
+            client: 0,
+            array: "spill".into(),
+        });
+        assert!(
+            acts.contains(&Action::Io(IoCmd::DeleteFiles {
+                array: "spill".into(),
+                nblocks: 3
+            })),
+            "the file the spill is about to create is removed behind it: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 0);
+        assert!(st.lru.is_empty());
+        // The spill's completion finds no array and changes nothing.
+        assert!(st
+            .handle_io(IoReply::WriteDone {
+                array: "spill".into(),
+                block: 0,
+                bytes: 32
+            })
+            .is_empty());
+        assert_eq!(st.resident_bytes(), 0);
+        // Tombstones: the names cannot come back, by creation or by hint.
+        for name in ["mem", "spill"] {
+            let acts = st.handle_client(ClientMsg::Create {
+                req: 3,
+                client: 0,
+                meta: ArrayMeta::new(name, 32, 32),
+            });
+            assert!(matches!(
+                &acts[..],
+                [Action::Reply {
+                    reply: Reply::Err {
+                        error: StorageError::AlreadyExists(_),
+                        ..
+                    },
+                    ..
+                }]
+            ));
+            st.handle_client(ClientMsg::Register {
+                meta: ArrayMeta::new(name, 32, 32),
+            });
+        }
+        assert!(st.arrays.is_empty());
+        let (_, entries, deleted) = map_delta_of(&mut st, 0);
+        assert!(entries.is_empty());
+        assert_eq!(deleted, vec!["mem".to_string(), "spill".to_string()]);
+    }
+
+    #[test]
+    fn delete_notice_under_a_live_pin_settles_the_pinned_ledger() {
+        // A reader's release travels on the client stream, the notice on the
+        // peer stream: the notice can overtake the release.
+        let mut st = StorageState::new(cfg(1, 2, 1 << 20), vec![]);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        st.handle_client(ClientMsg::ReadReq {
+            req: 1,
+            client: 0,
+            array: "a".into(),
+            iv: Interval::new(0, 32),
+        });
+        assert_eq!(st.pinned_now, 32);
+        let acts = st.handle_peer(u64::MAX, PeerMsg::DeleteNotice { array: "a".into() });
+        assert!(acts.is_empty(), "memory only: {acts:?}");
+        assert_eq!((st.pinned_now, st.resident_bytes()), (0, 0));
+        st.handle_client(ClientMsg::ReleaseRead {
+            array: "a".into(),
+            iv: Interval::new(0, 32),
+        });
+        assert_eq!(st.pinned_now, 0, "the late release finds nothing to unpin");
     }
 
     #[test]

@@ -381,6 +381,9 @@ pub enum IoCmd {
     DeleteFiles {
         /// Array name.
         array: String,
+        /// How many blocks the array has: the block files to remove are
+        /// `0..nblocks`, named without listing the directory.
+        nblocks: u64,
     },
 }
 
@@ -949,8 +952,8 @@ impl IoCmd {
                     .put_blob(data);
                 pb.build(T_IOCMD + 1)
             }
-            IoCmd::DeleteFiles { array } => {
-                pb.put_str(array);
+            IoCmd::DeleteFiles { array, nblocks } => {
+                pb.put_str(array).put_u64(*nblocks);
                 pb.build(T_IOCMD + 2)
             }
         }
@@ -975,6 +978,7 @@ impl IoCmd {
             },
             t if t == T_IOCMD + 2 => IoCmd::DeleteFiles {
                 array: r.str().ok_or_else(e)?,
+                nblocks: r.u64().ok_or_else(e)?,
             },
             t => {
                 return Err(StorageError::Protocol(format!(
@@ -1234,7 +1238,10 @@ mod tests {
                 block_size: 64,
                 data: Bytes::from_static(&[7; 8]),
             },
-            IoCmd::DeleteFiles { array: "a".into() },
+            IoCmd::DeleteFiles {
+                array: "a".into(),
+                nblocks: 2,
+            },
         ];
         for m in cmds {
             let b = m.encode();

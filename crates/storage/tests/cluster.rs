@@ -426,6 +426,58 @@ mod faults {
         cleanup(&dirs);
     }
 
+    /// Crash-restart with deletion in play: the restarted node rebuilds its
+    /// arrays from the scratch directory and the metadata journal, and a
+    /// deleted array must come back from neither. (Replaying its `Register`
+    /// would leave a hint with no data anywhere — a read of it would probe
+    /// for a peer forever instead of failing.) A node is only crash-safe
+    /// while it has granted no write, so the arrays here are staged files.
+    #[test]
+    fn crash_restart_does_not_resurrect_a_deleted_array() {
+        let _g = faultline::test_gate();
+        let dirs = scratch_dirs("crash-deleted", 1);
+        std::fs::write(dirs[0].join("dead"), vec![1u8; 16]).expect("stage");
+        std::fs::write(dirs[0].join("kept"), vec![2u8; 16]).expect("stage");
+        faultline::reset();
+        faultline::enable();
+        run_cluster_faulty(
+            &dirs,
+            RecoveryPolicy::default(),
+            RetryPolicy::default(),
+            |_, sc| {
+                let iv = Interval::new(0, 16);
+                for (name, byte) in [("dead", 1u8), ("kept", 2)] {
+                    sc.register(name, 16, 16).expect("register");
+                    assert_eq!(&sc.read(name, iv).expect("staged")[..], &[byte; 16]);
+                }
+                sc.delete("dead").expect("delete");
+                // What is left is on disk and nothing is in flight: the node
+                // is crash-safe, and crashes at its next loop turn.
+                faultline::configure(
+                    "storage.node.crash",
+                    faultline::FaultSpec::fire().with_max(1),
+                );
+                while faultline::injected("storage.node.crash") == 0 {
+                    sc.stats().expect("stats");
+                }
+                let err = sc.read("dead", iv).expect_err("deleted before the crash");
+                assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
+                let err = sc.create("dead", 16, 16).expect_err("the name is spent");
+                assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
+                let map = sc.map().expect("map");
+                assert!(map.iter().all(|e| e.array == "kept"), "{map:?}");
+                assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
+            },
+        );
+        faultline::reset();
+        let files: Vec<String> = std::fs::read_dir(&dirs[0])
+            .expect("scratch")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, vec!["kept"]);
+        cleanup(&dirs);
+    }
+
     #[test]
     fn too_short_deadline_surfaces_timeout() {
         let _g = faultline::test_gate();

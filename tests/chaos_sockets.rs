@@ -11,7 +11,6 @@
 #![cfg(feature = "faultline")]
 
 use dooc::core::{DoocConfig, DoocRuntime};
-use dooc::filterstream::{ClusterSpec, TcpTransport, Transport};
 use dooc::linalg::spmv_app::{
     striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
 };
@@ -19,8 +18,10 @@ use dooc::sparse::blockgrid::BlockGrid;
 use dooc::sparse::genmat::GapGenerator;
 use dooc::storage::RecoveryPolicy;
 use dooc_faultline as faultline;
-use std::net::TcpListener;
 use std::sync::Arc;
+
+mod common;
+use common::{cleanup, tcp_mesh};
 
 const K: u64 = 4;
 const N: u64 = 64;
@@ -38,42 +39,6 @@ fn seeds() -> Vec<u64> {
         Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
         Err(_) => (0..3).collect(),
     }
-}
-
-fn cleanup(cfg: &DoocConfig) {
-    for d in &cfg.scratch_dirs {
-        std::fs::remove_dir_all(d).ok();
-        if let Some(p) = d.parent() {
-            std::fs::remove_dir(p).ok();
-        }
-    }
-}
-
-fn tcp_pair() -> Vec<Arc<dyn Transport>> {
-    let listeners: Vec<TcpListener> = (0..NNODES)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let spec = ClusterSpec::new(
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr").to_string())
-            .collect(),
-    );
-    let fp = spec.fingerprint();
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let spec = spec.clone();
-            std::thread::spawn(move || {
-                TcpTransport::with_listener(&spec, i, fp, l).expect("tcp mesh")
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| Arc::new(h.join().expect("connect thread")) as Arc<dyn Transport>)
-        .collect()
 }
 
 /// One 2-node run over loopback TCP under whatever schedule
@@ -102,7 +67,7 @@ fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
     configure_faults();
     faultline::enable();
 
-    let handles: Vec<_> = tcp_pair()
+    let handles: Vec<_> = tcp_mesh(NNODES)
         .into_iter()
         .map(|t| {
             let mut cfg = DoocConfig::new(base.scratch_dirs.clone())

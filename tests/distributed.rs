@@ -7,16 +7,18 @@
 //! schedules, every sum still folds its partials in declared input order.
 
 use dooc::core::{DoocConfig, DoocRuntime};
-use dooc::filterstream::{ChannelTransport, ClusterSpec, TcpTransport, Transport};
+use dooc::filterstream::{ChannelTransport, Transport};
 use dooc::linalg::spmv_app::{
     striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
 };
 use dooc::sparse::blockgrid::BlockGrid;
 use dooc::sparse::genmat::GapGenerator;
 use proptest::prelude::*;
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
+use common::{cleanup, tcp_mesh};
 
 const K: u64 = 4;
 const N: u64 = 64;
@@ -58,15 +60,6 @@ fn config_for(dirs: Vec<PathBuf>, geometry: &[(String, u64, u64)]) -> DoocConfig
         cfg = cfg.with_geometry(name.clone(), *len, *bs);
     }
     cfg
-}
-
-fn cleanup(cfg: &DoocConfig) {
-    for d in &cfg.scratch_dirs {
-        std::fs::remove_dir_all(d).ok();
-        if let Some(p) = d.parent() {
-            std::fs::remove_dir(p).ok();
-        }
-    }
 }
 
 /// Runs the staged app with one thread per node, each holding its own
@@ -113,37 +106,6 @@ fn run_classic(tag: &str, sync: SyncPolicy) -> Vec<f64> {
     x
 }
 
-/// Builds a loopback TCP mesh on OS-assigned ports (race-free: listeners
-/// are bound before the spec is written).
-fn tcp_pair() -> Vec<Arc<dyn Transport>> {
-    let listeners: Vec<TcpListener> = (0..NNODES)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let spec = ClusterSpec::new(
-        listeners
-            .iter()
-            .map(|l| l.local_addr().expect("addr").to_string())
-            .collect(),
-    );
-    let fp = spec.fingerprint();
-    // Handshakes block until the peer dials in, so the transports must be
-    // constructed concurrently.
-    let handles: Vec<_> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| {
-            let spec = spec.clone();
-            std::thread::spawn(move || {
-                TcpTransport::with_listener(&spec, i, fp, l).expect("tcp mesh")
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| Arc::new(h.join().expect("connect thread")) as Arc<dyn Transport>)
-        .collect()
-}
-
 fn assert_bitwise(label: &str, got: &[f64], want: &[f64]) {
     assert_eq!(got.len(), want.len(), "{label}: length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -171,7 +133,7 @@ fn channel_transport_matches_classic_run_bitwise() {
 #[test]
 fn tcp_transport_matches_classic_run_bitwise() {
     let classic = run_classic("dist-classic-tcp", SyncPolicy::None);
-    let tcp = run_over("dist-tcp", tcp_pair(), SyncPolicy::None);
+    let tcp = run_over("dist-tcp", tcp_mesh(NNODES), SyncPolicy::None);
     assert_bitwise("tcp vs classic", &tcp, &classic);
 }
 
@@ -215,7 +177,7 @@ fn sync_policies_match_over_channel_transport() {
 fn sync_policies_match_over_tcp_sockets() {
     let oracle = run_classic("dist-sync-to", SyncPolicy::IterationBarrier);
     for (name, sync) in POLICIES {
-        let x = run_over(&format!("dist-sync-t-{name}"), tcp_pair(), sync);
+        let x = run_over(&format!("dist-sync-t-{name}"), tcp_mesh(NNODES), sync);
         assert_bitwise(&format!("{name} vs iteration barrier (tcp)"), &x, &oracle);
     }
 }
