@@ -20,18 +20,6 @@ fn spmv(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("serial", n), &n, |b, _| {
             b.iter(|| m.spmv_into(black_box(&x), black_box(&mut y)).expect("dims"));
         });
-        for threads in [2usize, 4] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("parallel{threads}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        m.spmv_parallel(black_box(&x), black_box(&mut y), threads)
-                            .expect("dims")
-                    });
-                },
-            );
-        }
     }
     g.finish();
 }

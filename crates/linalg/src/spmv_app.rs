@@ -128,21 +128,9 @@ impl SpmvAppBuilder {
         seed: u64,
         owner: impl Fn(BlockCoord) -> u64,
     ) -> dooc_sparse::Result<Vec<StagedBlock>> {
-        let mut out = Vec::with_capacity((grid.k * grid.k) as usize);
-        for coord in grid.coords() {
-            let node = owner(coord);
-            let m = grid.generate_block(gen, seed, coord);
-            let dir = &scratch_dirs[node as usize];
-            std::fs::create_dir_all(dir)?;
-            fileio::write_matrix(&dir.join(BlockGrid::file_name(coord)), &m)?;
-            out.push(StagedBlock {
-                coord,
-                node,
-                bytes: m.file_size_bytes(),
-                nnz: m.nnz(),
-            });
-        }
-        Ok(out)
+        Self::stage_cells(grid, gen, seed, owner, |node| {
+            Some(scratch_dirs[node as usize].as_path())
+        })
     }
 
     /// Per-process variant of [`SpmvAppBuilder::stage`] for multi-process
@@ -158,18 +146,38 @@ impl SpmvAppBuilder {
         seed: u64,
         owner: impl Fn(BlockCoord) -> u64,
     ) -> dooc_sparse::Result<Vec<StagedBlock>> {
+        Self::stage_cells(grid, gen, seed, owner, |node| {
+            (node == me).then_some(scratch_dir)
+        })
+    }
+
+    /// Generates every cell and writes those whose owner `dir_of` has a
+    /// directory for. A cell's size is what the writer reports — for a cell
+    /// another process stages, what the writer's own header says it would
+    /// write ([`fileio::encoded_size`]) — never a formula kept beside the
+    /// writer: the storage layer checks each file against this number.
+    fn stage_cells<'d>(
+        grid: BlockGrid,
+        gen: &GapGenerator,
+        seed: u64,
+        owner: impl Fn(BlockCoord) -> u64,
+        dir_of: impl Fn(u64) -> Option<&'d Path>,
+    ) -> dooc_sparse::Result<Vec<StagedBlock>> {
         let mut out = Vec::with_capacity((grid.k * grid.k) as usize);
         for coord in grid.coords() {
             let node = owner(coord);
             let m = grid.generate_block(gen, seed, coord);
-            if node == me {
-                std::fs::create_dir_all(scratch_dir)?;
-                fileio::write_matrix(&scratch_dir.join(BlockGrid::file_name(coord)), &m)?;
-            }
+            let bytes = match dir_of(node) {
+                Some(dir) => {
+                    std::fs::create_dir_all(dir)?;
+                    fileio::write_matrix(&dir.join(BlockGrid::file_name(coord)), &m)?
+                }
+                None => fileio::encoded_size(&m)?,
+            };
             out.push(StagedBlock {
                 coord,
                 node,
-                bytes: m.file_size_bytes(),
+                bytes,
                 nnz: m.nnz(),
             });
         }
@@ -847,6 +855,36 @@ mod tests {
     }
 
     #[test]
+    fn every_process_declares_the_sizes_the_owner_wrote() {
+        let tmp = std::env::temp_dir().join(format!("dooc-stage-local-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        let (grid, gen, owner) = (
+            BlockGrid::new(3, 31),
+            GapGenerator::with_d(2),
+            striped_owner(2),
+        );
+        let dirs = [tmp.join("all-0"), tmp.join("all-1")];
+        let all = SpmvAppBuilder::stage(&dirs, grid, &gen, 7, &owner).expect("stage");
+        for me in 0..2 {
+            let dir = tmp.join(format!("local-{me}"));
+            let mine = SpmvAppBuilder::stage_local(&dir, me, grid, &gen, 7, &owner).expect("stage");
+            for (a, b) in all.iter().zip(&mine) {
+                assert_eq!(
+                    (a.coord, a.node, a.bytes, a.nnz),
+                    (b.coord, b.node, b.bytes, b.nnz)
+                );
+                // Declared for every cell, on disk only for the owned ones.
+                let file = std::fs::metadata(staged_matrix_path(&dir, b.coord));
+                assert_eq!(
+                    file.ok().map(|f| f.len()),
+                    (b.node == me).then_some(b.bytes)
+                );
+            }
+        }
+        std::fs::remove_dir_all(&tmp).expect("cleanup");
+    }
+
+    #[test]
     fn reference_result_matches_manual() {
         let grid = BlockGrid::new(2, 8);
         let gen = GapGenerator::with_d(2);
@@ -857,7 +895,7 @@ mod tests {
                 StagedBlock {
                     coord,
                     node: 0,
-                    bytes: m.file_size_bytes(),
+                    bytes: fileio::to_bytes(&m).len() as u64,
                     nnz: m.nnz(),
                 }
             })

@@ -1,9 +1,10 @@
 //! The SpMV executor computes on its inputs where the storage layer holds
 //! them: a `multiply` over a single-block matrix copies no matrix byte and
 //! hands every pin back, a matrix that spans several blocks is assembled
-//! once and still multiplies bit for bit, a corrupt block is a task error
-//! rather than a panic, and the fused decode-and-add of `sum` is bitwise the
-//! AXPY it replaces.
+//! once and still multiplies bit for bit — from the narrow-index encoding
+//! the library writes and from a version-1 file alike — a corrupt block is
+//! a task error rather than a panic, and the fused decode-and-add of `sum`
+//! is bitwise the AXPY it replaces.
 
 use bytes::Bytes;
 use dooc_core::{TaskExecutor, TaskSpec, WorkerContext};
@@ -13,6 +14,10 @@ use dooc_sparse::{dense, fileio, ComputePool, CsrMatrix, GapGenerator};
 use dooc_storage::{StorageClient, StorageCluster};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+#[path = "../../../tests/common/v1.rs"]
+mod v1;
+use v1::v1_bytes;
 
 /// Runs `driver(&mut client)` against a fresh single-node storage cluster and
 /// cleans up the scratch directory afterwards.
@@ -58,6 +63,21 @@ fn sample() -> (CsrMatrix, Vec<f64>) {
     (m, x)
 }
 
+/// Both encodings of `m`, each with the offset of its first column index and
+/// the width of one.
+fn encodings(m: &CsrMatrix) -> [(&'static str, Vec<u8>, usize, usize); 2] {
+    let nptrs = m.nrows() as usize + 1;
+    [
+        (
+            "v2",
+            fileio::to_bytes(m),
+            32 + (4 * nptrs).next_multiple_of(8),
+            4,
+        ),
+        ("v1", v1_bytes(m), 32 + 8 * nptrs, 8),
+    ]
+}
+
 /// Stores `matrix` as array `<tag>A` in blocks of `block` bytes and `x` as
 /// one block, runs one `multiply`, and returns its outcome with what the
 /// execution copied and left pinned.
@@ -99,16 +119,18 @@ fn multiply(
 fn multiply_over_a_single_block_copies_no_matrix_byte() {
     run_node("single", |sc| {
         let (m, x) = sample();
-        let raw = fileio::to_bytes(&m);
-        let len = raw.len() as u64;
-        let (y, copied, pinned) = multiply(sc, "", raw, len, &x, m.nrows());
-        assert_eq!(
-            bits(&y.expect("multiply")),
-            bits(&m.spmv(&x).expect("dims"))
-        );
-        // All that was copied is the result vector being serialized.
-        assert_eq!(copied, 8 * m.nrows(), "matrix bytes were copied");
-        assert_eq!(pinned, 0, "a pin outlived the task");
+        for (tag, raw, _, _) in encodings(&m) {
+            let len = raw.len() as u64;
+            let (y, copied, pinned) = multiply(sc, tag, raw, len, &x, m.nrows());
+            assert_eq!(
+                bits(&y.expect("multiply")),
+                bits(&m.spmv(&x).expect("dims")),
+                "{tag}"
+            );
+            // All that was copied is the result vector being serialized.
+            assert_eq!(copied, 8 * m.nrows(), "{tag}: matrix bytes were copied");
+            assert_eq!(pinned, 0, "{tag}: a pin outlived the task");
+        }
     });
 }
 
@@ -116,16 +138,18 @@ fn multiply_over_a_single_block_copies_no_matrix_byte() {
 fn multiply_over_a_multi_block_matrix_assembles_once() {
     run_node("multi", |sc| {
         let (m, x) = sample();
-        let raw = fileio::to_bytes(&m);
-        let len = raw.len() as u64;
-        // 7 is coprime to 8: block boundaries cut through words.
-        let (y, copied, pinned) = multiply(sc, "", raw, len / 7 + 3, &x, m.nrows());
-        assert_eq!(
-            bits(&y.expect("multiply")),
-            bits(&m.spmv(&x).expect("dims"))
-        );
-        assert_eq!(copied, len + 8 * m.nrows(), "one assembled copy, counted");
-        assert_eq!(pinned, 0);
+        for (tag, raw, _, _) in encodings(&m) {
+            let len = raw.len() as u64;
+            // 7 is coprime to 8: block boundaries cut through words.
+            let (y, copied, pinned) = multiply(sc, tag, raw, len / 7 + 3, &x, m.nrows());
+            assert_eq!(
+                bits(&y.expect("multiply")),
+                bits(&m.spmv(&x).expect("dims")),
+                "{tag}"
+            );
+            assert_eq!(copied, len + 8 * m.nrows(), "{tag}: one assembled copy");
+            assert_eq!(pinned, 0, "{tag}");
+        }
     });
 }
 
@@ -133,25 +157,27 @@ fn multiply_over_a_multi_block_matrix_assembles_once() {
 fn corrupted_block_fails_the_task_with_a_decode_error() {
     run_node("corrupt", |sc| {
         let (m, x) = sample();
-        let len = fileio::to_bytes(&m).len() as u64;
-        let first_col = 32 + 8 * (m.nrows() as usize + 1);
-        type Corrupt = fn(&mut Vec<u8>, usize);
+        type Corrupt = fn(&mut Vec<u8>, usize, usize);
         let corruptions: [(&str, Corrupt); 3] = [
-            ("column out of range", |b, at| {
-                b[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes())
+            ("column out of range", |b, at, width| {
+                b[at..at + width].fill(0xFF)
             }),
-            ("hostile nnz", |b, _| {
+            ("hostile nnz", |b, _, _| {
                 b[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes())
             }),
-            ("bad magic", |b, _| b[0] = b'X'),
+            ("bad magic", |b, _, _| b[0] = b'X'),
         ];
-        for (what, corrupt) in corruptions {
-            let mut raw = fileio::to_bytes(&m);
-            corrupt(&mut raw, first_col);
-            let (y, _, pinned) = multiply(sc, what, raw, len, &x, m.nrows());
-            let err = y.expect_err(what);
-            assert!(err.contains("decode matrix"), "{what}: {err}");
-            assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
+        for (tag, good, first_col, width) in encodings(&m) {
+            for (what, corrupt) in corruptions {
+                let what = format!("{tag} {what}");
+                let mut raw = good.clone();
+                corrupt(&mut raw, first_col, width);
+                let len = raw.len() as u64;
+                let (y, _, pinned) = multiply(sc, &what, raw, len, &x, m.nrows());
+                let err = y.expect_err(&what);
+                assert!(err.contains("decode matrix"), "{what}: {err}");
+                assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
+            }
         }
     });
 }

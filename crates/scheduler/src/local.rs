@@ -12,8 +12,9 @@
 //! prefetch requests to the storage layer."
 //!
 //! The data-aware pick prefers the ready task that puts the most
-//! already-held bytes to use: its resident input bytes plus the bytes of its
-//! consumers' other inputs that already exist. The first term is what turns
+//! already-held bytes to use: its resident input bytes plus, counted twice,
+//! the bytes of its consumers' other inputs that already exist. The first
+//! term is what turns
 //! the naive per-iteration sweep of Fig. 5(a) into the back-and-forth
 //! traversal of Fig. 5(b): after finishing the last multiply of iteration
 //! *i*, the only task with its (large) matrix input resident is the matching
@@ -23,7 +24,12 @@
 //! once one partial of a row exists, the row's other multiplies outrank the
 //! multiplies of untouched rows, and the row's sum — whose output is all
 //! that a column of matrix multiplies still waits for — outranks both, so K
-//! partials are live at a time instead of K².
+//! partials are live at a time instead of K². It counts twice because what
+//! a consumer waits with is an intermediate: pushed out of memory it is
+//! written *and* read back, where a resident input is only read again. Only
+//! a task whose resident inputs outweigh that — a matrix cell larger than
+//! the vectors, found in memory — still goes ahead of an open row; a
+//! prefetched cell no bigger than a vector piece does not open a second one.
 //!
 //! The scheduler also owns the one lifetime fact the DAG states: an array
 //! lives until the last task that reads it completes, and an output nobody
@@ -41,8 +47,8 @@ pub enum OrderPolicy {
     /// baseline.
     Fifo,
     /// Prefer the ready task that puts the most already-held bytes to use —
-    /// its resident inputs plus what its consumers otherwise wait with (ties:
-    /// FIFO) — the DOoC behaviour, yielding Fig. 5(b).
+    /// its resident inputs plus, twice, what its consumers otherwise wait
+    /// with (ties: FIFO) — the DOoC behaviour, yielding Fig. 5(b).
     #[default]
     DataAware,
 }
@@ -237,9 +243,10 @@ impl LocalScheduler {
     }
 
     /// Score of a task under the data-aware policy: the bytes already held
-    /// that running it puts to use — its resident input bytes, plus the bytes
-    /// of its consumers' other inputs that already exist (the task is not
-    /// complete, so its own outputs are not among them). A completed sibling
+    /// that running it puts to use — its resident input bytes, plus twice the
+    /// bytes of its consumers' other inputs that already exist (the task is
+    /// not complete, so its own outputs are not among them; twice, because
+    /// losing an intermediate costs a write and a read). A completed sibling
     /// counts there, so a started row outranks an untouched one; so does an
     /// external, so the sum or barrier that releases a column of matrix
     /// multiplies — possibly on other nodes — never waits behind local work.
@@ -256,7 +263,7 @@ impl LocalScheduler {
             .iter()
             .map(|c| self.exists_bytes[c.0 as usize])
             .sum();
-        resident + waiting
+        resident + 2 * waiting
     }
 
     /// Picks the next task for a free computing filter, or `None` if no
@@ -482,12 +489,17 @@ mod tests {
     /// p_i_u_v; sum(i,u) reads row u's K partials, produces x_i_u; bar(i)
     /// reads every x_i_u.
     fn grid_spmv(iters: u64, k: u64) -> TaskGraph {
+        grid_spmv_of(iters, k, 1000)
+    }
+
+    /// [`grid_spmv`] with matrix cells of `cell` bytes beside 8-byte vectors.
+    fn grid_spmv_of(iters: u64, k: u64, cell: u64) -> TaskGraph {
         let mut tasks = Vec::new();
         for i in 1..=iters {
             for u in 0..k {
                 for v in 0..k {
                     let mut t = TaskSpec::new(format!("p_{i}_{u}_{v}"), "multiply")
-                        .input(format!("M_{u}_{v}"), 1000)
+                        .input(format!("M_{u}_{v}"), cell)
                         .input(format!("x_{}_{v}", i - 1), 8)
                         .output(format!("p_{i}_{u}_{v}"), 8);
                     if i > 1 {
@@ -617,6 +629,26 @@ mod tests {
         assert_eq!(g.task(next).name, "p_1_2_1");
         let planned = ls.planned_order(&g, &resident);
         assert_eq!(g.task(planned[0]).name, "p_1_0_1", "then row 0 goes on");
+    }
+
+    #[test]
+    fn a_resident_cell_smaller_than_a_vector_does_not_open_a_second_row() {
+        // The long thin matrix: cells (6) smaller than vector pieces (8).
+        // Row 0 is open on its column-1 partial; M_2_1 was prefetched beside
+        // the resident x_0_1 while the two column-1 multiplies tied. Running
+        // p_1_2_1 would use 14 held bytes but put a second row's partials
+        // beside the first's, and a partial pushed out is written and read.
+        let g = grid_spmv_of(1, 3, 6);
+        let resident: HashSet<String> = ["M_2_1", "x_0_1", "p_1_0_1"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::DataAware);
+        ls.ready.retain(|&t| g.task(t).name != "p_1_0_1");
+        ls.on_complete(&g, TaskId(1));
+        let planned = ls.planned_order(&g, &resident);
+        let names: Vec<&str> = planned.iter().map(|&t| g.task(t).name.as_str()).collect();
+        assert_eq!(names[..3], ["p_1_0_0", "p_1_0_2", "p_1_2_1"]);
     }
 
     #[test]

@@ -2,23 +2,25 @@
 //!
 //! [`CsrMatrix`] is the in-memory representation of one sub-matrix of the
 //! paper's K×K grid. Row/column counts are `u64` (paper-scale dimensions reach
-//! 1.3×10⁹), while the in-memory index arrays use `u64` throughout for
-//! simplicity — a sub-matrix that actually fits in memory is far below the
-//! `u32` limit, but the uniform type keeps the file format and the arithmetic
-//! paths identical at every scale.
+//! 1.3×10⁹) and the owned index arrays use `u64` throughout for simplicity.
+//! A sub-matrix that fits in memory is far below the `u32` limit, which is
+//! what the file format ([`crate::fileio`]) stores: the narrow indices are
+//! decoded to `u64` at the fetch, so the arithmetic is the same at every
+//! width.
 //!
 //! The validation and the SpMV walks are written once, on [`CsrRef`]: three
-//! borrowed arrays, generic over how one 8-byte element is held ([`Elem`]).
-//! An owned [`CsrMatrix`] lends its `u64`/`f64` vectors; a
-//! [`crate::view::CsrView`] lends the little-endian bytes of a binary CRS
-//! file where they lie. Both run the same code, so they accept the same
-//! matrices and produce the same bits.
+//! borrowed arrays, generic over how one element is held ([`Elem`]). An owned
+//! [`CsrMatrix`] lends its `u64`/`f64` vectors; the bytes of a binary CRS
+//! file lend their sections where they lie, with 4-byte indices (format
+//! version 2) or 8-byte ones (version 1). All run the same code, so they
+//! accept the same matrices and produce the same bits.
 
 use crate::{Result, SparseError};
 
-/// One stored 8-byte element of a CSR array, however it is held in memory:
-/// a native `u64`/`f64`, or the little-endian bytes of one (decoded on every
-/// fetch — no alignment is assumed).
+/// One stored element of a CSR array, however it is held in memory: a native
+/// `u64`/`f64`, or the little-endian bytes of one — 8 of them, or 4 for an
+/// index of a format-version-2 file — decoded on every fetch (no alignment is
+/// assumed).
 pub trait Elem<T>: Copy + Send + Sync + 'static {
     /// The element's value.
     fn get(self) -> T;
@@ -45,6 +47,13 @@ impl Elem<u64> for [u8; 8] {
     }
 }
 
+impl Elem<u64> for [u8; 4] {
+    #[inline(always)]
+    fn get(self) -> u64 {
+        u64::from(u32::from_le_bytes(self))
+    }
+}
+
 impl Elem<f64> for [u8; 8] {
     #[inline(always)]
     fn get(self) -> f64 {
@@ -57,12 +66,10 @@ impl Elem<f64> for [u8; 8] {
 /// irregular gather) and a fixed combine order.
 ///
 /// Every SpMV walk in this crate — [`CsrRef::spmv_into`] and
-/// [`CsrRef::spmv_rows`] (and through them every [`CsrMatrix`],
-/// [`crate::view::CsrView`] and pool path), [`CsrMatrix::spmv_parallel`] and
-/// the blocked stripes of [`CsrMatrix::spmv_blocked_into`] — funnels through
-/// this one function, so serial, scoped-parallel and pool fan-out results
-/// are bitwise identical for any row partition, and for owned and borrowed
-/// matrices alike.
+/// [`CsrRef::spmv_rows`], and through them every [`CsrMatrix`],
+/// [`crate::view::CsrView`] and pool path — funnels through this one
+/// function, so serial and pool fan-out results are bitwise identical for any
+/// row partition, for owned and borrowed matrices and for either index width.
 #[inline]
 fn row_dot<I: Elem<u64>, V: Elem<f64>>(cols: &[I], vals: &[V], x: &[f64]) -> f64 {
     let mut a0 = 0.0f64;
@@ -87,7 +94,7 @@ fn row_dot<I: Elem<u64>, V: Elem<f64>>(cols: &[I], vals: &[V], x: &[f64]) -> f64
 /// Borrowed CSR arrays that satisfy the invariants listed on [`CsrMatrix`]:
 /// the one place they are checked ([`CsrRef::new`]) and the one
 /// implementation of the SpMV walks, for owned matrices (`I = u64`,
-/// `V = f64`) and for views over file bytes (`I = V = [u8; 8]`).
+/// `V = f64`) and for file bytes (`V = [u8; 8]`, `I = [u8; 4]` or `[u8; 8]`).
 #[derive(Clone, Copy, Debug)]
 pub struct CsrRef<'a, I, V> {
     nrows: u64,
@@ -276,31 +283,6 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
     }
 }
 
-/// A matrix the kernels — and the compute pool's `'static` jobs — can
-/// multiply with: anything that lends its arrays as a [`CsrRef`].
-pub trait SpmvOperand: Send + Sync + 'static {
-    /// How a row pointer / column index is held.
-    type Index: Elem<u64>;
-    /// How a value is held.
-    type Value: Elem<f64>;
-    /// The matrix's arrays.
-    fn csr(&self) -> CsrRef<'_, Self::Index, Self::Value>;
-}
-
-impl SpmvOperand for CsrMatrix {
-    type Index = u64;
-    type Value = f64;
-    fn csr(&self) -> CsrRef<'_, u64, f64> {
-        CsrRef::trusted(
-            self.nrows,
-            self.ncols,
-            &self.row_ptr,
-            &self.col_idx,
-            &self.values,
-        )
-    }
-}
-
 /// A sparse matrix in Compressed Row Storage (CRS/CSR) format.
 ///
 /// Invariants (checked by [`CsrRef::new`], which [`CsrMatrix::new`] and
@@ -412,6 +394,17 @@ impl CsrMatrix {
         Self::from_parts_unchecked(n, n, row_ptr, col_idx, values)
     }
 
+    /// The matrix's arrays, borrowed for the kernels.
+    pub(crate) fn arrays(&self) -> CsrRef<'_, u64, f64> {
+        CsrRef::trusted(
+            self.nrows,
+            self.ncols,
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+        )
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> u64 {
         self.nrows
@@ -440,13 +433,6 @@ impl CsrMatrix {
     /// The value array (`nnz` entries).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Size of the matrix when serialized in the binary CRS file format
-    /// (header + arrays), in bytes. This is the unit the storage layer and
-    /// the testbed simulator account I/O in.
-    pub fn file_size_bytes(&self) -> u64 {
-        crate::fileio::file_size_bytes(self.nrows, self.nnz())
     }
 
     /// Iterates over `(row, col, value)` of every stored entry.
@@ -503,96 +489,13 @@ impl CsrMatrix {
 
     /// Serial SpMV into a caller-provided output: `y = A * x`.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        self.csr().spmv_into(x, y)
-    }
-
-    /// Parallel SpMV using `nthreads` row-contiguous partitions (crossbeam
-    /// scoped threads). Falls back to the serial kernel for a single thread.
-    ///
-    /// This is the kernel a compute filter runs when the local scheduler
-    /// decides to split a multiply task "to match the parallelism available
-    /// on the node" (§III-C).
-    pub fn spmv_parallel(&self, x: &[f64], y: &mut [f64], nthreads: usize) -> Result<()> {
-        self.csr().check_dims(x, y)?;
-        let nthreads = nthreads.max(1).min(self.nrows.max(1) as usize);
-        if nthreads == 1 {
-            return self.spmv_into(x, y);
-        }
-        // Partition rows so each thread gets a similar number of non-zeros
-        // (balanced by nnz, not by row count: row lengths vary).
-        let bounds = self.nnz_balanced_row_partition(nthreads);
-        let mut slices: Vec<&mut [f64]> = Vec::with_capacity(nthreads);
-        let mut rest = y;
-        for w in bounds.windows(2) {
-            let len = (w[1] - w[0]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            slices.push(head);
-            rest = tail;
-        }
-        crossbeam::scope(|scope| {
-            for (t, ys) in slices.into_iter().enumerate() {
-                let r0 = bounds[t] as usize;
-                let a = self.csr();
-                scope.spawn(move |_| {
-                    for (i, yr) in ys.iter_mut().enumerate() {
-                        *yr = a.row(r0 + i, x);
-                    }
-                });
-            }
-            debug_assert_eq!(bounds[nthreads], self.nrows);
-        })
-        .expect("spmv worker panicked");
-        Ok(())
-    }
-
-    /// Cache-blocked SpMV: walks the matrix in column stripes of
-    /// `col_block` columns so the touched window of `x` stays cache-resident
-    /// even when `x` itself is far larger than L2.
-    ///
-    /// Per stripe, each row advances a cursor over its (column-sorted)
-    /// entries and folds the stripe-local partial into `y[r]`. The partials
-    /// are accumulated per stripe in stripe order, which *reassociates* the
-    /// per-row sum relative to [`CsrMatrix::spmv_into`]; results match the
-    /// plain walk to an ULP bound, not bitwise (property-tested in
-    /// `tests/kernel_proptests.rs`). The plain walk stays the default —
-    /// callers opt in when `8 * ncols` clearly exceeds the last-level cache.
-    pub fn spmv_blocked_into(&self, x: &[f64], y: &mut [f64], col_block: usize) -> Result<()> {
-        self.csr().check_dims(x, y)?;
-        let col_block = col_block.max(1) as u64;
-        y.fill(0.0);
-        // Per-row cursor into col_idx/values, advanced stripe by stripe.
-        let mut cursor: Vec<usize> = self.row_ptr[..self.nrows as usize]
-            .iter()
-            .map(|&p| p as usize)
-            .collect();
-        let mut stripe_end = col_block;
-        loop {
-            let mut any_left = false;
-            for (r, yr) in y.iter_mut().enumerate() {
-                let row_end = self.row_ptr[r + 1] as usize;
-                let begin = cursor[r];
-                let mut k = begin;
-                while k < row_end && self.col_idx[k] < stripe_end {
-                    k += 1;
-                }
-                if k > begin {
-                    *yr += row_dot(&self.col_idx[begin..k], &self.values[begin..k], x);
-                    cursor[r] = k;
-                }
-                any_left |= cursor[r] < row_end;
-            }
-            if !any_left || stripe_end >= self.ncols {
-                break;
-            }
-            stripe_end = (stripe_end + col_block).min(self.ncols);
-        }
-        Ok(())
+        self.arrays().spmv_into(x, y)
     }
 
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
     /// `[b[i], b[i+1])` slab carries roughly `nnz/p` non-zeros.
     pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
-        self.csr().nnz_balanced_row_partition(parts)
+        self.arrays().nnz_balanced_row_partition(parts)
     }
 
     /// Number of floating point operations one SpMV with this matrix
@@ -752,18 +655,6 @@ mod tests {
         assert!(m.spmv(&[1.0, 2.0]).is_err());
         let mut y = vec![0.0; 2];
         assert!(m.spmv_into(&[1.0, 2.0, 3.0], &mut y).is_err());
-    }
-
-    #[test]
-    fn spmv_parallel_matches_serial() {
-        let m = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        let serial = m.spmv(&x).expect("dims ok");
-        for nt in 1..=4 {
-            let mut y = vec![0.0; 3];
-            m.spmv_parallel(&x, &mut y, nt).expect("dims ok");
-            assert_eq!(y, serial, "nthreads={nt}");
-        }
     }
 
     #[test]

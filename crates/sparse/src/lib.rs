@@ -5,12 +5,12 @@
 //! paper's evaluation (§IV–§V):
 //!
 //! * [`csr::CsrMatrix`] — Compressed Row Storage matrices with `f64` values,
-//!   validated invariants and serial/parallel SpMV kernels;
-//! * [`view::CsrView`] — the same kernels run in place on the bytes of a
+//!   validated invariants and the SpMV kernel;
+//! * [`view::CsrView`] — the same kernel run in place on the bytes of a
 //!   binary CRS file, with nothing decoded or allocated;
 //! * [`fileio`] — the binary CRS on-disk format the paper stores each
 //!   sub-matrix in ("Each sub-matrix is stored in a separate file in binary
-//!   Compressed Row Storage (CRS) format");
+//!   Compressed Row Storage (CRS) format"), with 32-bit cell-local indices;
 //! * [`genmat`] — the paper's synthetic matrix generator: the gap between two
 //!   consecutive non-zeros of a row is uniformly distributed in `[1 : 2d]`,
 //!   with `d` chosen to reach a target number of non-zeros;
@@ -37,11 +37,11 @@ pub mod slab;
 pub mod view;
 
 pub use blockgrid::{BlockCoord, BlockGrid};
-pub use csr::{CsrMatrix, SpmvOperand};
+pub use csr::CsrMatrix;
 pub use genmat::GapGenerator;
 pub use pool::ComputePool;
 pub use slab::SlabVec;
-pub use view::{CsrBytes, CsrView};
+pub use view::{CsrBytes, CsrView, SpmvOperand};
 
 /// Errors produced by the sparse substrate.
 #[derive(Debug)]
@@ -59,6 +59,14 @@ pub enum SparseError {
     Io(std::io::Error),
     /// A matrix file had an invalid header or was truncated.
     BadFormat(String),
+    /// A matrix cannot be written: the file format stores 32-bit row
+    /// pointers and column indices, and this count does not fit them.
+    IndexOverflow {
+        /// Which count (`"ncols"` or `"nnz"`).
+        what: &'static str,
+        /// Its value.
+        value: u64,
+    },
 }
 
 impl std::fmt::Display for SparseError {
@@ -70,6 +78,10 @@ impl std::fmt::Display for SparseError {
             }
             SparseError::Io(e) => write!(f, "I/O error: {e}"),
             SparseError::BadFormat(m) => write!(f, "bad matrix file format: {m}"),
+            SparseError::IndexOverflow { what, value } => write!(
+                f,
+                "matrix not writable: {what} = {value} exceeds the file format's 32-bit indices"
+            ),
         }
     }
 }

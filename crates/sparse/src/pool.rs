@@ -1,7 +1,7 @@
 //! Persistent fork-join compute pool for the node-local kernels.
 //!
-//! The scoped-thread kernels ([`crate::CsrMatrix::spmv_parallel`],
-//! [`dense::dot_parallel`], [`dense::axpy_parallel`]) spawn and join fresh OS
+//! The scoped-thread kernels ([`dense::dot_parallel`],
+//! [`dense::axpy_parallel`]) spawn and join fresh OS
 //! threads on *every* call — fine for a one-off multiply, but a worker filter
 //! executing thousands of tasks pays the spawn/join latency each time.
 //! [`ComputePool`] keeps the threads alive for the lifetime of a worker run.
@@ -52,8 +52,8 @@
 //! worker sees `pending > 0` before the job is visible is a bounded retry
 //! (with a yield) rather than a park.
 
-use crate::csr::SpmvOperand;
 use crate::slab::SlabVec;
+use crate::view::SpmvOperand;
 use crate::{dense, Result};
 use bytes::Bytes;
 use dooc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};

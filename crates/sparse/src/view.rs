@@ -5,21 +5,95 @@
 //! [`crate::CsrMatrix`] costs three fresh arrays the size of the block on every
 //! task; [`CsrView`] instead borrows the three sections where they lie and
 //! multiplies straight from them, fetching each index and value with
-//! `from_le_bytes`. It is the byte-backed instance of [`CsrRef`], so it is
-//! validated by, and multiplies with, exactly the code an owned matrix runs:
-//! same accepted inputs, same result bits.
+//! `from_le_bytes`. Whichever way the arrays are held — a file's 4-byte
+//! indices (format version 2), a version-1 file's 8-byte ones, or an owned
+//! matrix's vectors — a view is one instance of [`CsrRef`], chosen once per
+//! block, so it is validated by, and multiplies with, exactly the code every
+//! other one runs: same accepted inputs, same result bits.
 //!
 //! [`CsrBytes`] is a validated view that owns its buffer, which is what lets
 //! a matrix that lives in a storage block cross into the compute pool's
 //! `'static` jobs ([`SpmvOperand`]).
 
-use crate::csr::{CsrRef, SpmvOperand};
-use crate::fileio::{read_header_from, CrsHeader, HEADER_BYTES};
+use crate::csr::{CsrMatrix, CsrRef, Elem};
+use crate::fileio::{read_header_from, CrsHeader, Format, HEADER_BYTES};
 use crate::{Result, SparseError};
 use bytes::Bytes;
 
-/// A borrowed, allocation-free CSR matrix over binary CRS bytes.
-pub type CsrView<'a> = CsrRef<'a, [u8; 8], [u8; 8]>;
+/// A borrowed, allocation-free CSR matrix: the arrays of an owned
+/// [`CsrMatrix`], or the sections of a binary CRS file of either format
+/// version ([`CsrView::parse`]). Each method picks the instance once and
+/// runs [`CsrRef`]'s code for it; nothing branches per element.
+#[derive(Clone, Copy, Debug)]
+pub enum CsrView<'a> {
+    /// The `u64`/`f64` vectors of a [`CsrMatrix`].
+    Owned(CsrRef<'a, u64, f64>),
+    /// File bytes, format version 1: 8-byte indices.
+    V1(CsrRef<'a, [u8; 8], [u8; 8]>),
+    /// File bytes, format version 2: 4-byte indices.
+    V2(CsrRef<'a, [u8; 4], [u8; 8]>),
+}
+
+/// Evaluates `$body` with `$a` bound to whichever [`CsrRef`] `$view` holds.
+macro_rules! with_csr {
+    ($view:expr, $a:ident => $body:expr) => {
+        match $view {
+            CsrView::Owned($a) => $body,
+            CsrView::V1($a) => $body,
+            CsrView::V2($a) => $body,
+        }
+    };
+}
+
+impl<'a> CsrView<'a> {
+    /// Borrows `bytes` as a matrix after validating them: no kernel can run
+    /// on bytes that are not one. `bytes` may start at any address.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+        let h = parse_header(bytes)?;
+        view_of(bytes, &h, true)
+    }
+
+    /// Number of rows.
+    pub fn nrows(&self) -> u64 {
+        with_csr!(self, a => a.nrows())
+    }
+
+    /// Number of columns.
+    pub fn ncols(&self) -> u64 {
+        with_csr!(self, a => a.ncols())
+    }
+
+    /// Number of stored non-zero entries.
+    pub fn nnz(&self) -> u64 {
+        with_csr!(self, a => a.nnz())
+    }
+
+    pub(crate) fn check_dims(&self, x: &[f64], y: &[f64]) -> Result<()> {
+        with_csr!(self, a => a.check_dims(x, y))
+    }
+
+    /// Serial SpMV into a caller-provided output: `y = A * x`.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+        with_csr!(self, a => a.spmv_into(x, y))
+    }
+
+    /// Rows `[r0, r1)` of `A * x` as a fresh vector (see
+    /// [`CsrRef::spmv_rows`]).
+    pub fn spmv_rows(&self, x: &[f64], r0: u64, r1: u64) -> Vec<f64> {
+        with_csr!(self, a => a.spmv_rows(x, r0, r1))
+    }
+
+    /// Row boundaries of `parts` slabs of roughly equal non-zero count (see
+    /// [`CsrRef::nnz_balanced_row_partition`]).
+    pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
+        with_csr!(self, a => a.nnz_balanced_row_partition(parts))
+    }
+
+    /// Decodes the borrowed arrays into an owned matrix.
+    pub fn to_matrix(&self) -> CsrMatrix {
+        with_csr!(self, a => a.to_matrix())
+    }
+}
 
 /// Reads the 32-byte header and checks the size it implies — in checked
 /// arithmetic, the counts are untrusted — against the bytes actually there.
@@ -35,29 +109,47 @@ fn parse_header(bytes: &[u8]) -> Result<CrsHeader> {
     }
 }
 
-/// The three sections of `bytes` as 8-byte words. `h` must have come from
-/// [`parse_header`] on the same bytes (so every range is in bounds).
-fn sections<'a>(bytes: &'a [u8], h: &CrsHeader) -> [&'a [[u8; 8]]; 3] {
-    let (words, _) = bytes[HEADER_BYTES as usize..].as_chunks::<8>();
-    let (row_ptr, rest) = words.split_at(h.nrows as usize + 1);
-    let (col_idx, values) = rest.split_at(h.nnz as usize);
-    [row_ptr, col_idx, values]
+/// The matrix over `bytes`, whose header `h` must have come from
+/// [`parse_header`] on the same bytes (so every range is in bounds): the one
+/// place the format version picks the index width. With `validate`, padding
+/// and every CSR invariant are checked in one streaming pass with nothing
+/// allocated; without, the bytes must have passed that before.
+fn view_of<'a>(bytes: &'a [u8], h: &CrsHeader, validate: bool) -> Result<CsrView<'a>> {
+    Ok(match h.format {
+        Format::V1 => CsrView::V1(borrow(bytes, h, validate)?),
+        Format::V2 => CsrView::V2(borrow(bytes, h, validate)?),
+    })
 }
 
-/// Header, size and every CSR invariant of `bytes`, checked in one streaming
-/// pass with nothing allocated.
-fn parse(bytes: &[u8]) -> Result<(CrsHeader, CsrView<'_>)> {
-    let h = parse_header(bytes)?;
-    let [row_ptr, col_idx, values] = sections(bytes, &h);
-    Ok((h, CsrRef::new(h.nrows, h.ncols, row_ptr, col_idx, values)?))
-}
-
-impl<'a> CsrView<'a> {
-    /// Borrows `bytes` as a matrix after validating them: no kernel can run
-    /// on bytes that are not one. `bytes` may start at any address.
-    pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        parse(bytes).map(|(_, view)| view)
+/// Borrows the three sections of `bytes` with `N`-byte indices.
+fn borrow<'a, const N: usize>(
+    bytes: &'a [u8],
+    h: &CrsHeader,
+    validate: bool,
+) -> Result<CsrRef<'a, [u8; N], [u8; 8]>>
+where
+    [u8; N]: Elem<u64>,
+{
+    let mut rest = &bytes[HEADER_BYTES as usize..];
+    // Splits `count` N-byte words and their padding off the front of `rest`.
+    let mut index_section = |count: usize| {
+        let (section, tail) = rest.split_at((N * count).next_multiple_of(8));
+        rest = tail;
+        let (words, padding) = section.split_at(N * count);
+        (words.as_chunks::<N>().0, padding)
+    };
+    let (row_ptr, pad_ptr) = index_section(h.nrows as usize + 1);
+    let (col_idx, pad_idx) = index_section(h.nnz as usize);
+    let (values, _) = rest.as_chunks::<8>();
+    if !validate {
+        return Ok(CsrRef::trusted(h.nrows, h.ncols, row_ptr, col_idx, values));
     }
+    if pad_ptr.iter().chain(pad_idx).any(|&b| b != 0) {
+        return Err(SparseError::BadFormat(
+            "non-zero padding after an index section".into(),
+        ));
+    }
+    CsrRef::new(h.nrows, h.ncols, row_ptr, col_idx, values)
 }
 
 /// A validated binary CRS buffer that owns its bytes: the checks of
@@ -72,26 +164,31 @@ pub struct CsrBytes {
 impl CsrBytes {
     /// Takes ownership of `bytes` after validating them as a matrix.
     pub fn new(bytes: Bytes) -> Result<Self> {
-        let (header, _) = parse(&bytes)?;
+        let header = parse_header(&bytes)?;
+        view_of(&bytes, &header, true)?;
         Ok(Self { bytes, header })
     }
 
     /// The matrix over the owned bytes.
     pub fn view(&self) -> CsrView<'_> {
-        let [row_ptr, col_idx, values] = sections(&self.bytes, &self.header);
-        CsrRef::trusted(
-            self.header.nrows,
-            self.header.ncols,
-            row_ptr,
-            col_idx,
-            values,
-        )
+        view_of(&self.bytes, &self.header, false).expect("validated at construction")
+    }
+}
+
+/// A matrix the kernels — and the compute pool's `'static` jobs — can
+/// multiply with: anything that lends its arrays as a [`CsrView`].
+pub trait SpmvOperand: Send + Sync + 'static {
+    /// The matrix's arrays.
+    fn csr(&self) -> CsrView<'_>;
+}
+
+impl SpmvOperand for CsrMatrix {
+    fn csr(&self) -> CsrView<'_> {
+        CsrView::Owned(self.arrays())
     }
 }
 
 impl SpmvOperand for CsrBytes {
-    type Index = [u8; 8];
-    type Value = [u8; 8];
     fn csr(&self) -> CsrView<'_> {
         self.view()
     }

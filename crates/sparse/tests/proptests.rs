@@ -39,16 +39,6 @@ proptest! {
     }
 
     #[test]
-    fn spmv_parallel_equals_serial(m in arb_matrix(), nt in 1usize..6) {
-        let n = m.ncols() as usize;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let serial = m.spmv(&x).expect("dims");
-        let mut par = vec![0.0; m.nrows() as usize];
-        m.spmv_parallel(&x, &mut par, nt).expect("dims");
-        prop_assert_eq!(serial, par);
-    }
-
-    #[test]
     fn spmv_transpose_adjoint(m in arb_matrix()) {
         // <A x, y> == <x, A^T y>
         let x: Vec<f64> = (0..m.ncols() as usize).map(|i| (i as f64 + 1.0).ln()).collect();

@@ -1,16 +1,55 @@
 //! Property tests for the zero-copy CSR view: multiplying straight from
-//! binary CRS bytes must be **bitwise** the owned matrix's SpMV — across
-//! shapes, empty rows, every row length mod the 4-wide unroll, forced pool
-//! fan-out and buffers that start at odd addresses — and the view must
-//! accept exactly the byte strings the decoder accepts. The shared validator
-//! (flat passes, no per-row loop) is checked against a per-row reference on
-//! arrays that are usually *invalid*.
+//! binary CRS bytes — the 4-byte-index encoding the library writes and the
+//! 8-byte-index version 1 it still reads — must be **bitwise** the owned
+//! matrix's SpMV, across shapes, empty rows, every row length mod the 4-wide
+//! unroll, forced pool fan-out and buffers that start at odd addresses; and
+//! the view must accept exactly the byte strings the decoder accepts, in
+//! either layout. The shared validator (flat passes, no per-row loop) is
+//! checked against a per-row reference on arrays that are usually *invalid*.
 
 use bytes::Bytes;
-use dooc_sparse::fileio::{self, file_size_bytes};
-use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, CsrView};
+use dooc_sparse::fileio;
+use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, CsrView, GapGenerator, SparseError};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+#[path = "../../../tests/common/v1.rs"]
+mod v1;
+use v1::v1_bytes;
+
+/// One encoding of a matrix with where its sections lie: `width` bytes per
+/// index, section starts `[row_ptr, col_idx, values]`.
+struct Encoded {
+    bytes: Vec<u8>,
+    width: usize,
+    starts: [usize; 3],
+}
+
+/// Version 2 (`narrow`) or version 1 of `m`.
+fn encode(m: &CsrMatrix, narrow: bool) -> Encoded {
+    let (nptrs, nnz) = (m.nrows() as usize + 1, m.nnz() as usize);
+    let (bytes, width) = if narrow {
+        (fileio::to_bytes(m), 4)
+    } else {
+        (v1_bytes(m), 8)
+    };
+    let col_idx = 32 + (width * nptrs).next_multiple_of(8);
+    let values = col_idx + (width * nnz).next_multiple_of(8);
+    assert_eq!(bytes.len(), values + 8 * nnz);
+    Encoded {
+        bytes,
+        width,
+        starts: [32, col_idx, values],
+    }
+}
+
+impl Encoded {
+    /// Overwrites index `i` of section `section` (0 = row_ptr, 1 = col_idx).
+    fn set_index(&mut self, section: usize, i: usize, val: u64) {
+        let at = self.starts[section] + self.width * i;
+        self.bytes[at..at + self.width].copy_from_slice(&val.to_le_bytes()[..self.width]);
+    }
+}
 
 /// A valid matrix whose row `r` holds exactly `lens[r]` entries: lengths are
 /// drawn from 0..=9, so empty rows and every remainder of the 4-wide unroll
@@ -62,72 +101,80 @@ fn reference_valid(nrows: u64, ncols: u64, row_ptr: &[u64], col_idx: &[u64], nva
 proptest! {
     #[test]
     fn view_spmv_is_bitwise_owned_spmv(m in arb_matrix(), off in 0usize..8, par in 1usize..5) {
-        let x = wave(m.ncols());
+        let x = Arc::new(wave(m.ncols()));
         let mut owned = vec![0.0; m.nrows() as usize];
         m.spmv_into(&x, &mut owned).expect("dims");
-
-        // The file bytes at an arbitrary (odd, for off = 1, 3, …) address.
-        let mut buf = vec![0xEEu8; off];
-        buf.extend_from_slice(&fileio::to_bytes(&m));
-        let view = CsrView::parse(&buf[off..]).expect("own encoding parses");
-        prop_assert_eq!((view.nrows(), view.ncols(), view.nnz()), (m.nrows(), m.ncols(), m.nnz()));
-        let mut borrowed = vec![f64::NAN; m.nrows() as usize];
-        view.spmv_into(&x, &mut borrowed).expect("dims");
-        prop_assert_eq!(bits(&borrowed), bits(&owned));
-        prop_assert_eq!(view.to_matrix(), m.clone());
-
-        // Through the pool, from an owned buffer: the public routing and the
-        // fork-join body at forced parallelism.
         let pool = ComputePool::new(3);
-        let shared = Arc::new(CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid"));
-        let x = Arc::new(x);
-        let mut y = vec![f64::NAN; m.nrows() as usize];
-        pool.spmv(&shared, &x, &mut y).expect("dims");
-        prop_assert_eq!(bits(&y), bits(&owned));
-        let mut y = vec![f64::NAN; m.nrows() as usize];
-        pool.spmv_fanout(&shared, &x, &mut y, par);
-        prop_assert_eq!(bits(&y), bits(&owned));
+
+        for narrow in [true, false] {
+            // The file bytes at an arbitrary (odd, for off = 1, 3, …) address.
+            let mut buf = vec![0xEEu8; off];
+            buf.extend_from_slice(&encode(&m, narrow).bytes);
+            let view = CsrView::parse(&buf[off..]).expect("a well-formed encoding parses");
+            prop_assert_eq!(matches!(view, CsrView::V2(_)), narrow);
+            prop_assert_eq!((view.nrows(), view.ncols(), view.nnz()), (m.nrows(), m.ncols(), m.nnz()));
+            let mut borrowed = vec![f64::NAN; m.nrows() as usize];
+            view.spmv_into(&x, &mut borrowed).expect("dims");
+            prop_assert_eq!(bits(&borrowed), bits(&owned));
+            prop_assert_eq!(view.to_matrix(), m.clone());
+
+            // Through the pool, from an owned buffer: the public routing and
+            // the fork-join body at forced parallelism.
+            let shared = Arc::new(CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid"));
+            let mut y = vec![f64::NAN; m.nrows() as usize];
+            pool.spmv(&shared, &x, &mut y).expect("dims");
+            prop_assert_eq!(bits(&y), bits(&owned));
+            let mut y = vec![f64::NAN; m.nrows() as usize];
+            pool.spmv_fanout(&shared, &x, &mut y, par);
+            prop_assert_eq!(bits(&y), bits(&owned));
+        }
     }
 
     #[test]
     fn view_and_decoder_accept_the_same_bytes(
         m in arb_matrix(),
-        kind in 0usize..6,
+        narrow in any::<bool>(),
+        kind in 0usize..7,
         pick in 0usize..1000,
         val in 0u64..60,
     ) {
-        let mut b = fileio::to_bytes(&m);
+        let mut e = encode(&m, narrow);
         let (nrows, nnz) = (m.nrows() as usize, m.nnz() as usize);
         // Section boundaries: magic, header, row_ptr, col_idx, values.
-        let bounds = [0, 8, 32, 32 + 8 * (nrows + 1), 32 + 8 * (nrows + 1) + 8 * nnz, b.len()];
-        let word = |i: usize| 32 + 8 * i;
+        let bounds = [0, 8, e.starts[0], e.starts[1], e.starts[2], e.bytes.len()];
         match kind {
             // Truncated at, just before or just after a section boundary.
-            0 => b.truncate((bounds[pick % 6] + pick / 6 % 3).saturating_sub(1).min(b.len())),
-            1 => b[pick % 8] ^= 0x20, // bad magic
+            0 => {
+                let cut = (bounds[pick % 6] + pick / 6 % 3).saturating_sub(1);
+                e.bytes.truncate(cut);
+            }
+            1 => e.bytes[pick % 8] ^= 0x20, // bad magic or another version
             // A row pointer, a column index or a header count overwritten:
             // non-monotone row_ptr, unsorted / duplicate / out-of-range
             // columns, a size that no longer matches — or, sometimes, a
             // matrix that is still valid.
-            2 => b[word(pick % (nrows + 1))..][..8].copy_from_slice(&val.to_le_bytes()),
-            3 if nnz > 0 => {
-                b[word(nrows + 1 + pick % nnz)..][..8].copy_from_slice(&val.to_le_bytes())
-            }
-            4 => b[8 + 8 * (pick % 3)..][..8].copy_from_slice(&val.to_le_bytes()),
+            2 => e.set_index(0, pick % (nrows + 1), val),
+            3 if nnz > 0 => e.set_index(1, pick % nnz, val),
+            4 => e.bytes[8 + 8 * (pick % 3)..][..8].copy_from_slice(&val.to_le_bytes()),
+            // The last byte before the column indices: padding when the row
+            // pointers are an odd number of 4-byte words, data otherwise.
+            5 => e.bytes[e.starts[1] - 1] ^= 1 + (val as u8),
             _ => {} // untouched
         }
-        let viewed = CsrView::parse(&b);
-        let decoded = fileio::from_bytes(&b);
+        let b = &e.bytes;
+        let viewed = CsrView::parse(b);
+        let decoded = fileio::from_bytes(b);
         let streamed = fileio::read_matrix_from(&mut &b[..]);
         prop_assert_eq!(viewed.is_ok(), decoded.is_ok());
         // The streaming reader stops at the end of the matrix, so it alone
         // tolerates trailing bytes; a size the header does not imply is
         // otherwise an error for all three.
         if let Ok(v) = &viewed {
-            prop_assert_eq!(b.len() as u64, file_size_bytes(v.nrows(), v.nnz()));
+            let header = fileio::read_header_from(&mut &b[..]).expect("parsed");
+            prop_assert_eq!(b.len() as u64, header.file_size_bytes());
             prop_assert_eq!(&v.to_matrix(), streamed.as_ref().expect("valid for the view"));
         }
-        if kind == 5 {
+        if kind == 6 {
             prop_assert!(viewed.is_ok());
         }
     }
@@ -156,28 +203,99 @@ proptest! {
 }
 
 /// Truncation at *every* section boundary, deterministically (the proptest
-/// above samples them).
+/// above samples them), in both layouts.
 #[test]
 fn every_section_boundary_truncation_is_rejected_by_both() {
+    // 12 rows: 13 row pointers, so version 2 pads after them.
     let m = dooc_sparse::GapGenerator::with_d(2).generate(12, 15, 5);
-    let b = fileio::to_bytes(&m);
-    let (nrows, nnz) = (m.nrows() as usize, m.nnz() as usize);
-    for cut in [
-        0,
-        8,
-        32,
-        32 + 8 * (nrows + 1),
-        32 + 8 * (nrows + 1) + 8 * nnz,
-        b.len() - 1,
-    ] {
-        assert!(
-            CsrView::parse(&b[..cut]).is_err(),
-            "view accepted a cut at {cut}"
-        );
-        assert!(
-            fileio::from_bytes(&b[..cut]).is_err(),
-            "decoder accepted a cut at {cut}"
-        );
+    for narrow in [true, false] {
+        let e = encode(&m, narrow);
+        let b = &e.bytes;
+        let [row_ptr, col_idx, values] = e.starts;
+        // `col_idx - 2` is inside the padding word of the narrow layout.
+        for cut in [0, 8, row_ptr, col_idx - 2, col_idx, values, b.len() - 1] {
+            assert!(
+                CsrView::parse(&b[..cut]).is_err(),
+                "view accepted a cut at {cut}"
+            );
+            assert!(
+                fileio::from_bytes(&b[..cut]).is_err(),
+                "decoder accepted a cut at {cut}"
+            );
+            assert!(
+                fileio::read_matrix_from(&mut &b[..cut]).is_err(),
+                "streaming reader accepted a cut at {cut}"
+            );
+        }
+        assert!(CsrView::parse(b).is_ok() && fileio::from_bytes(b).is_ok());
     }
-    assert!(CsrView::parse(&b).is_ok() && fileio::from_bytes(&b).is_ok());
+}
+
+/// Hostile version-2 input is a typed error from every reader, and a count
+/// nobody has vouched for reserves nothing: the cases with absurd counts
+/// finish at all only because no reader allocates for them.
+#[test]
+fn hostile_narrow_input_is_a_typed_error() {
+    // 4 rows (5 row pointers: padded) of 3 entries each (12: not padded).
+    let triplets: Vec<_> = (0..4u64)
+        .flat_map(|r| (0..3u64).map(move |j| (r, r + 2 * j, 1.5 + j as f64)))
+        .collect();
+    let m = CsrMatrix::from_triplets(4, 11, &triplets).expect("in bounds");
+    let good = encode(&m, true);
+    assert_eq!(good.starts, [32, 56, 104], "the layout this test pokes at");
+
+    type Mutate = fn(&mut Encoded);
+    let cases: [(&str, &str, Mutate); 9] = [
+        ("non-zero padding", "padding", |e| e.bytes[52] = 1),
+        ("ncols above u32::MAX", "32 bits", |e| {
+            e.bytes[16..24].copy_from_slice(&(1u64 << 32).to_le_bytes())
+        }),
+        ("nnz above u32::MAX", "32 bits", |e| {
+            e.bytes[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes())
+        }),
+        ("nnz that fits u32 but not the file", "", |e| {
+            e.bytes[24..32].copy_from_slice(&u64::from(u32::MAX).to_le_bytes())
+        }),
+        ("column >= ncols", "ncols", |e| e.set_index(1, 11, 11)),
+        ("row pointer past nnz", "row_ptr", |e| e.set_index(0, 4, 13)),
+        ("truncation inside a padding word", "", |e| {
+            e.bytes.truncate(54)
+        }),
+        ("trailing bytes", "trailing", |e| e.bytes.push(0)),
+        (
+            "unknown version digit",
+            "unsupported format version '3'",
+            |e| e.bytes[7] = b'3',
+        ),
+    ];
+    for (what, says, mutate) in cases {
+        let mut e = encode(&m, true);
+        mutate(&mut e);
+        let structural = what.starts_with("column") || what.starts_with("row pointer");
+        let readers = [
+            ("view", CsrView::parse(&e.bytes).map(|v| v.to_matrix())),
+            (
+                "bytes",
+                CsrBytes::new(Bytes::from(e.bytes.clone())).map(|b| b.view().to_matrix()),
+            ),
+            ("decoder", fileio::from_bytes(&e.bytes)),
+            ("stream", fileio::read_matrix_from(&mut &e.bytes[..])),
+        ];
+        for (reader, got) in readers {
+            if what == "trailing bytes" && reader == "stream" {
+                assert_eq!(got.expect("stops at the matrix's end"), m);
+                continue;
+            }
+            let msg = match got {
+                Err(SparseError::InvalidStructure(msg)) if structural => msg,
+                Err(SparseError::BadFormat(msg)) if !structural => msg,
+                other => panic!("{what} through the {reader}: {other:?}"),
+            };
+            // The in-memory readers see the size mismatch first; what the
+            // message must name is only checked where it is the first defect.
+            if reader == "stream" || !what.starts_with("truncation") {
+                assert!(msg.contains(says), "{what} through the {reader}: {msg}");
+            }
+        }
+    }
 }
