@@ -156,7 +156,10 @@ impl DoocRuntime {
         let wf_sinks = Arc::clone(&sinks);
         let wf_base = Arc::clone(&client_base);
         let wf_config = self.config.clone();
-        let workers = layout.add_replicated("worker", nodes, move |_i| {
+        let wf_blocks: Vec<_> = (0..nnodes)
+            .map(|node| cluster.block_pool(node).clone())
+            .collect();
+        let workers = layout.add_replicated("worker", nodes, move |i| {
             Box::new(WorkerFilter {
                 graph: Arc::clone(&wf_graph),
                 placement: Arc::clone(&wf_placement),
@@ -164,6 +167,7 @@ impl DoocRuntime {
                 config: wf_config.clone(),
                 geometry: Arc::clone(&wf_geometry),
                 client_base: Arc::clone(&wf_base),
+                blocks: wf_blocks[i].clone(),
                 sinks: Arc::clone(&wf_sinks),
                 start,
             })

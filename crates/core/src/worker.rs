@@ -18,7 +18,7 @@ use dooc_sparse::ComputePool;
 use dooc_storage::client::MapDelta;
 use dooc_storage::meta::{ArrayMeta, Interval};
 use dooc_storage::proto::{BlockAvail, NodeStats};
-use dooc_storage::{ReadGuard, SealTicket, StorageClient, WriteTicket};
+use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, WriteTicket};
 use dooc_sync::OrderedMutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -120,13 +120,18 @@ impl ArrayView {
     /// storage buffer (a reference count, nothing copied — keep the view
     /// alive while computing, its guard is what keeps the block resident
     /// and charged to the budget); an array that spans several blocks is
-    /// assembled once, and the copy is charged to `ctx`'s `copied_bytes`.
+    /// assembled once in a buffer of the node's pool, and the copy is
+    /// charged to `ctx`'s `copied_bytes`.
     pub fn contiguous(&self, ctx: &mut WorkerContext<'_>) -> Bytes {
         match self.blocks.as_slice() {
             [(_, only)] => only.bytes().clone(),
             _ => {
                 ctx.copied_bytes += self.total;
-                Bytes::from(self.to_vec())
+                let mut out = ctx.output_buffer(self.total as usize);
+                for (_, b) in &self.blocks {
+                    out.extend_from_slice(b);
+                }
+                out.freeze()
             }
         }
     }
@@ -190,6 +195,9 @@ pub struct WorkerContext<'a> {
     client: &'a mut StorageClient,
     geometry: &'a HashMap<String, (u64, u64)>,
     pool: &'a ComputePool,
+    /// The node's buffer pool; `None` for a context built without a node
+    /// around it, whose buffers are plain allocations.
+    blocks: Option<&'a BlockPool>,
     /// Input bytes read during this execution (for the trace).
     pub(crate) input_bytes: u64,
     /// Bytes memcpy'd between storage buffers and task-local buffers during
@@ -225,12 +233,20 @@ impl<'a> WorkerContext<'a> {
             client,
             geometry,
             pool,
+            blocks: None,
             input_bytes: 0,
             copied_bytes: 0,
             wrote_outputs: false,
             #[cfg(feature = "model")]
             leak_read_grant_of_block: None,
         }
+    }
+
+    /// Takes this context's output buffers from `blocks`, the pool of the
+    /// node it runs on (see [`WorkerContext::output_buffer`]).
+    pub fn with_block_pool(mut self, blocks: &'a BlockPool) -> Self {
+        self.blocks = Some(blocks);
+        self
     }
 
     /// Consults the `worker.task.crash` failpoint: `Fire` (or `Error`) kills
@@ -257,6 +273,17 @@ impl<'a> WorkerContext<'a> {
     /// The node's persistent compute pool (built once per worker run).
     pub fn pool(&self) -> &ComputePool {
         self.pool
+    }
+
+    /// An empty buffer with room for `len` bytes, from the node's pool: fill
+    /// it and pass `buf.freeze()` to [`WorkerContext::write_bytes`], which
+    /// hands it to the storage layer as the block itself. The allocation
+    /// returns to the pool when the block's last reference is gone.
+    pub fn output_buffer(&self, len: usize) -> PoolBuf {
+        match self.blocks {
+            Some(pool) => pool.take(len),
+            None => PoolBuf::unpooled(len),
+        }
     }
 
     /// Input bytes read so far during this execution.
@@ -504,22 +531,23 @@ impl<'a> WorkerContext<'a> {
     }
 
     /// Creates and fully writes an array from a borrowed slice (one copy
-    /// into a [`Bytes`] buffer, then zero-copy per-block slices).
+    /// into a pooled buffer, then zero-copy per-block slices).
     pub fn write_array(&mut self, name: &str, data: &[u8]) -> std::result::Result<(), String> {
         self.copied_bytes += data.len() as u64;
-        self.write_bytes(name, Bytes::copy_from_slice(data))
+        let mut raw = self.output_buffer(data.len());
+        raw.extend_from_slice(data);
+        self.write_bytes(name, raw.freeze())
     }
 
-    /// Writes an `f64` array: serialized once into a single buffer, then
-    /// sent as zero-copy per-block slices (the old path copied every block a
-    /// second time).
+    /// Writes an `f64` array: serialized once into a single pooled buffer,
+    /// then sent as zero-copy per-block slices.
     pub fn write_f64s(&mut self, name: &str, xs: &[f64]) -> std::result::Result<(), String> {
-        let mut raw = Vec::with_capacity(8 * xs.len());
+        let mut raw = self.output_buffer(8 * xs.len());
         for x in xs {
             raw.extend_from_slice(&x.to_le_bytes());
         }
         self.copied_bytes += raw.len() as u64;
-        self.write_bytes(name, Bytes::from(raw))
+        self.write_bytes(name, raw.freeze())
     }
 
     /// [`WorkerContext::write_f64s`] for a slab-partitioned vector:
@@ -531,14 +559,14 @@ impl<'a> WorkerContext<'a> {
         name: &str,
         xs: &dooc_sparse::SlabVec,
     ) -> std::result::Result<(), String> {
-        let mut raw = Vec::with_capacity(8 * xs.len());
+        let mut raw = self.output_buffer(8 * xs.len());
         for slab in xs.slabs() {
             for x in slab {
                 raw.extend_from_slice(&x.to_le_bytes());
             }
         }
         self.copied_bytes += raw.len() as u64;
-        self.write_bytes(name, Bytes::from(raw))
+        self.write_bytes(name, raw.freeze())
     }
 }
 
@@ -659,6 +687,8 @@ pub(crate) struct WorkerFilter {
     pub config: DoocConfig,
     pub geometry: Arc<HashMap<String, (u64, u64)>>,
     pub client_base: Arc<dooc_sync::atomic::AtomicU64>,
+    /// The node's buffer pool (the one its I/O filter reads blocks into).
+    pub blocks: BlockPool,
     pub sinks: Arc<Sinks>,
     pub start: Instant,
 }
@@ -761,7 +791,8 @@ impl Filter for WorkerFilter {
                     &mut client,
                     &self.geometry,
                     &pool,
-                );
+                )
+                .with_block_pool(&self.blocks);
                 let outcome = self.executor.execute(&spec, &mut wctx);
                 #[cfg(feature = "faultline")]
                 if let Err(message) = &outcome {

@@ -11,7 +11,7 @@ use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_sparse::ComputePool;
 use dooc_storage::client::MapDelta;
 use dooc_storage::proto::{BlockAvail, MapEntry};
-use dooc_storage::{StorageClient, StorageCluster};
+use dooc_storage::{BlockPool, StorageClient, StorageCluster};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -35,10 +35,19 @@ fn run_node<F>(tag: &str, budget: u64, driver: F)
 where
     F: Fn(&mut StorageClient) + Send + Sync + 'static,
 {
+    run_node_pooled(tag, budget, move |sc, _| driver(sc))
+}
+
+/// [`run_node`] for drivers that also want the node's buffer pool.
+fn run_node_pooled<F>(tag: &str, budget: u64, driver: F)
+where
+    F: Fn(&mut StorageClient, &BlockPool) + Send + Sync + 'static,
+{
     let dirs = scratch_dirs(tag, 1);
     let mut layout = Layout::new();
     let mut cluster = StorageCluster::build(&mut layout, dirs.clone(), budget, 7);
-    let driver = Arc::new(driver);
+    let blocks = cluster.block_pool(0).clone();
+    let driver = Arc::new(move |sc: &mut StorageClient| driver(sc, &blocks));
     let drivers = layout.add_replicated("driver", vec![NodeId(0)], move |_| {
         let driver = Arc::clone(&driver);
         Box::new(
@@ -248,6 +257,59 @@ fn written_block_is_lent_back_by_pointer_until_it_is_evicted() {
             (4096, 4096, 1),
             "one spill, one load"
         );
+    });
+}
+
+/// One allocation, three tenants: the buffer a task serialized its output
+/// into is the stored block; deleted, it is the buffer the next output is
+/// serialized into; evicted, it is the buffer the I/O filter reloads the
+/// block into. The pool hands it on each time with nothing plumbed back.
+#[test]
+fn an_output_buffer_serves_the_next_output_and_then_the_reload() {
+    run_node_pooled("recycle", 1 << 22, |sc, blocks| {
+        const N: usize = 8000;
+        let geometry: HashMap<String, (u64, u64)> = ["a", "b"]
+            .map(|n| (n.to_string(), (8 * N as u64, 8 * N as u64)))
+            .into();
+        let pool = ComputePool::new(1);
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool).with_block_pool(blocks);
+        let block_ptr = |ctx: &mut WorkerContext, name: &str| {
+            let view = ctx.read_view(name).expect("view");
+            view.contiguous(ctx).as_ptr()
+        };
+        let until = |what: &str, done: &dyn Fn() -> bool| {
+            for _ in 0..5000 {
+                if done() {
+                    return;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            panic!("timed out waiting for {what}");
+        };
+
+        let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.5).collect();
+        ctx.write_f64s("a", &xs).expect("write a");
+        assert_eq!(ctx.copied_bytes(), 8 * N as u64, "accounting unchanged");
+        let first = block_ptr(&mut ctx, "a");
+        assert_eq!(blocks.retained_bytes(), 0, "the storage layer holds it");
+
+        ctx.storage().delete("a").expect("delete");
+        until("the dead block's buffer", &|| blocks.retained_bytes() > 0);
+        let ys: Vec<f64> = xs.iter().map(|x| -x).collect();
+        ctx.write_f64s("b", &ys).expect("write b");
+        assert_eq!(block_ptr(&mut ctx, "b"), first, "b lives where a did");
+        assert_eq!(blocks.retained_bytes(), 0);
+
+        ctx.storage().evict("b").expect("evict");
+        until("the spill", &|| blocks.retained_bytes() > 0);
+        assert_eq!(ctx.read_f64s("b").expect("reload"), ys);
+        assert_eq!(
+            block_ptr(&mut ctx, "b"),
+            first,
+            "reloaded into the same buffer"
+        );
+        let st = ctx.storage().stats().expect("stats");
+        assert_eq!((st.evictions, st.disk_read_bytes), (1, 8 * N as u64));
     });
 }
 

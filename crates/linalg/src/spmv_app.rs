@@ -493,13 +493,15 @@ impl SpmvAppBuilder {
 
 /// Executor for the SpMV task kinds.
 ///
-/// Inputs are computed on where the storage layer holds them: the matrix of
-/// a `multiply` and the partials of a `sum` are pinned, used straight from
-/// their little-endian bytes, and handed back — the read request / release
-/// pair of §III-B with the kernel in between, and no decoded copy of a block
-/// in the task. The static audit charges a task's inputs as resident for
-/// its whole execution, so holding the pin through the kernel claims no
-/// memory the budget has not already granted.
+/// Inputs are computed on where the storage layer holds them: the matrix and
+/// the vector of a `multiply` and the partials of a `sum` are pinned, used
+/// straight from their little-endian bytes, and handed back — the read
+/// request / release pair of §III-B with the kernel in between, and no
+/// decoded copy of a block in the task. A `multiply` writes its product the
+/// same way round: as stored bytes, into a buffer of the node's pool that
+/// the storage layer then adopts as the block. The static audit charges a
+/// task's inputs as resident for its whole execution, so holding the pins
+/// through the kernel claims no memory the budget has not already granted.
 pub struct SpmvExecutor;
 
 impl SpmvExecutor {
@@ -513,6 +515,17 @@ impl SpmvExecutor {
         let bytes = view.contiguous(ctx);
         Ok((view, bytes))
     }
+
+    /// A vector's bytes must be whole `f64`s.
+    fn check_f64_aligned(name: &str, bytes: &[u8]) -> std::result::Result<(), String> {
+        if !bytes.len().is_multiple_of(8) {
+            return Err(format!(
+                "array '{name}' length {} not f64-aligned",
+                bytes.len()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl TaskExecutor for SpmvExecutor {
@@ -521,17 +534,24 @@ impl TaskExecutor for SpmvExecutor {
             "multiply" => {
                 // inputs[0] = matrix file array, inputs[1] = x sub-vector.
                 // The small vector first, so the matrix block is pinned for
-                // the validation and the kernel only.
-                let x = ctx.read_f64s(&task.inputs[1].array)?;
+                // the validation and the kernel only. Both are multiplied
+                // where the storage layer holds them, and the product is
+                // written, as the bytes it is stored as, into the pooled
+                // buffer that becomes its block.
+                let (x_pin, x) = Self::pin(ctx, &task.inputs[1].array)?;
+                Self::check_f64_aligned(&task.inputs[1].array, &x)?;
                 let (pin, bytes) = Self::pin(ctx, &task.inputs[0].array)?;
                 let m = CsrBytes::new(bytes).map_err(|e| format!("decode matrix: {e}"))?;
-                let mut y = vec![0.0; m.view().nrows() as usize];
+                let len = 8 * m.view().nrows() as usize;
+                let mut out = ctx.output_buffer(len);
+                out.resize(len, 0);
+                let (y, _) = out.as_chunks_mut::<8>();
                 // The node's persistent pool, not per-call scoped threads.
                 ctx.pool()
-                    .spmv(&Arc::new(m), &Arc::new(x), &mut y)
+                    .spmv(&Arc::new(m), &x, y)
                     .map_err(|e| format!("spmv: {e}"))?;
-                drop(pin);
-                ctx.write_f64s(&task.outputs[0].array, &y)
+                drop((pin, x_pin));
+                ctx.write_bytes(&task.outputs[0].array, out.freeze())
             }
             "sum" | "sum_final" => {
                 // The accumulator lives in slab form so the pool's fan-out
@@ -544,13 +564,7 @@ impl TaskExecutor for SpmvExecutor {
                         continue; // synchronization token, not data
                     }
                     let (_pin, x) = Self::pin(ctx, &input.array)?;
-                    if x.len() % 8 != 0 {
-                        return Err(format!(
-                            "array '{}' length {} not f64-aligned",
-                            input.array,
-                            x.len()
-                        ));
-                    }
+                    Self::check_f64_aligned(&input.array, &x)?;
                     match &mut acc {
                         None => acc = Some(SlabVec::from_le_bytes(&x, DEFAULT_SLAB_LEN)),
                         Some(a) if 8 * a.len() != x.len() => {

@@ -89,11 +89,24 @@ fn multiply(
     x: &[f64],
     nrows: u64,
 ) -> (Result<Vec<f64>, String>, u64, u64) {
+    multiply_blocked(sc, tag, matrix, block, x, 8 * x.len() as u64, nrows)
+}
+
+/// [`multiply`] with `x` stored in blocks of `xblock` bytes.
+fn multiply_blocked(
+    sc: &mut StorageClient,
+    tag: &str,
+    matrix: Vec<u8>,
+    block: u64,
+    x: &[f64],
+    xblock: u64,
+    nrows: u64,
+) -> (Result<Vec<f64>, String>, u64, u64) {
     let (alen, xlen, ylen) = (matrix.len() as u64, 8 * x.len() as u64, 8 * nrows);
     let [a, xv, y] = ["A", "x", "y"].map(|n| format!("{tag}{n}"));
     let geometry: HashMap<String, (u64, u64)> = [
         (a.clone(), (alen, block)),
-        (xv.clone(), (xlen, xlen)),
+        (xv.clone(), (xlen, xblock)),
         (y.clone(), (ylen, ylen)),
     ]
     .into();
@@ -127,8 +140,9 @@ fn multiply_over_a_single_block_copies_no_matrix_byte() {
                 bits(&m.spmv(&x).expect("dims")),
                 "{tag}"
             );
-            // All that was copied is the result vector being serialized.
-            assert_eq!(copied, 8 * m.nrows(), "{tag}: matrix bytes were copied");
+            // Neither input was copied, and the product was computed into
+            // the buffer that became its block.
+            assert_eq!(copied, 0, "{tag}: a byte was copied");
             assert_eq!(pinned, 0, "{tag}: a pin outlived the task");
         }
     });
@@ -147,7 +161,34 @@ fn multiply_over_a_multi_block_matrix_assembles_once() {
                 bits(&m.spmv(&x).expect("dims")),
                 "{tag}"
             );
-            assert_eq!(copied, len + 8 * m.nrows(), "{tag}: one assembled copy");
+            assert_eq!(copied, len, "{tag}: one assembled copy");
+            assert_eq!(pinned, 0, "{tag}");
+        }
+    });
+}
+
+/// `x` is gathered from its stored bytes wherever the block boundaries
+/// fall: blocks of a length coprime to 8 cut through its values, the one
+/// assembled copy is all that is copied, and the product's bits are those
+/// of multiplying the decoded vector.
+#[test]
+fn multiply_gathers_x_from_its_bytes_across_odd_block_boundaries() {
+    run_node("xblocks", |sc| {
+        let (m, mut x) = sample();
+        x[0] = -0.0;
+        x[1] = f64::from_bits(1);
+        x[2] = f64::from_bits(0x7ff8_0000_dead_beef);
+        let xlen = 8 * x.len() as u64;
+        for (tag, raw, _, _) in encodings(&m) {
+            let len = raw.len() as u64;
+            let (y, copied, pinned) =
+                multiply_blocked(sc, tag, raw, len, &x, xlen / 3 + 5, m.nrows());
+            assert_eq!(
+                bits(&y.expect("multiply")),
+                bits(&m.spmv(&x).expect("dims")),
+                "{tag}"
+            );
+            assert_eq!(copied, xlen, "{tag}: x assembled once, nothing else");
             assert_eq!(pinned, 0, "{tag}");
         }
     });

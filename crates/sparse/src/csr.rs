@@ -61,6 +61,28 @@ impl Elem<f64> for [u8; 8] {
     }
 }
 
+/// An [`Elem`] a kernel can also store its result in: a native `f64`, or the
+/// 8 little-endian bytes of one — the form a vector is kept in by the storage
+/// layer, so a product can be written where it will live.
+pub trait ElemMut<T>: Elem<T> {
+    /// The element holding `v`.
+    fn of(v: T) -> Self;
+}
+
+impl ElemMut<f64> for f64 {
+    #[inline(always)]
+    fn of(v: f64) -> f64 {
+        v
+    }
+}
+
+impl ElemMut<f64> for [u8; 8] {
+    #[inline(always)]
+    fn of(v: f64) -> [u8; 8] {
+        v.to_le_bytes()
+    }
+}
+
 /// One row's gather-dot `Σ v[k] * x[col[k]]`, unrolled 4-wide with four
 /// independent accumulators (the add chain is the bottleneck on top of the
 /// irregular gather) and a fixed combine order.
@@ -69,9 +91,10 @@ impl Elem<f64> for [u8; 8] {
 /// [`CsrRef::spmv_rows`], and through them every [`CsrMatrix`],
 /// [`crate::view::CsrView`] and pool path — funnels through this one
 /// function, so serial and pool fan-out results are bitwise identical for any
-/// row partition, for owned and borrowed matrices and for either index width.
+/// row partition, for owned and borrowed matrices, for either index width and
+/// for an `x` gathered from native `f64`s or from its stored bytes.
 #[inline]
-fn row_dot<I: Elem<u64>, V: Elem<f64>>(cols: &[I], vals: &[V], x: &[f64]) -> f64 {
+fn row_dot<I: Elem<u64>, V: Elem<f64>, X: Elem<f64>>(cols: &[I], vals: &[V], x: &[X]) -> f64 {
     let mut a0 = 0.0f64;
     let mut a1 = 0.0f64;
     let mut a2 = 0.0f64;
@@ -79,14 +102,14 @@ fn row_dot<I: Elem<u64>, V: Elem<f64>>(cols: &[I], vals: &[V], x: &[f64]) -> f64
     let mut cc = cols.chunks_exact(4);
     let mut vc = vals.chunks_exact(4);
     for (cs, vs) in (&mut cc).zip(&mut vc) {
-        a0 += vs[0].get() * x[cs[0].get() as usize];
-        a1 += vs[1].get() * x[cs[1].get() as usize];
-        a2 += vs[2].get() * x[cs[2].get() as usize];
-        a3 += vs[3].get() * x[cs[3].get() as usize];
+        a0 += vs[0].get() * x[cs[0].get() as usize].get();
+        a1 += vs[1].get() * x[cs[1].get() as usize].get();
+        a2 += vs[2].get() * x[cs[2].get() as usize].get();
+        a3 += vs[3].get() * x[cs[3].get() as usize].get();
     }
     let mut tail = 0.0f64;
     for (&c, &v) in cc.remainder().iter().zip(vc.remainder()) {
-        tail += v.get() * x[c.get() as usize];
+        tail += v.get() * x[c.get() as usize].get();
     }
     (a0 + a1) + (a2 + a3) + tail
 }
@@ -212,7 +235,7 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
         self.col_idx.len() as u64
     }
 
-    pub(crate) fn check_dims(&self, x: &[f64], y: &[f64]) -> Result<()> {
+    pub(crate) fn check_dims<X, Y>(&self, x: &[X], y: &[Y]) -> Result<()> {
         if x.len() as u64 != self.ncols {
             return Err(SparseError::DimensionMismatch {
                 got: (x.len() as u64, 1),
@@ -230,7 +253,7 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
 
     /// Row `r` of `A * x`.
     #[inline]
-    fn row(&self, r: usize, x: &[f64]) -> f64 {
+    fn row<X: Elem<f64>>(&self, r: usize, x: &[X]) -> f64 {
         let (s, e) = (
             self.row_ptr[r].get() as usize,
             self.row_ptr[r + 1].get() as usize,
@@ -238,19 +261,23 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
         row_dot(&self.col_idx[s..e], &self.values[s..e], x)
     }
 
-    /// Serial SpMV into a caller-provided output: `y = A * x`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+    /// Serial SpMV into a caller-provided output: `y = A * x`. Both vectors
+    /// may be native `f64`s or the little-endian bytes of them, at any
+    /// alignment; the arithmetic, and so every result bit, is the same.
+    pub fn spmv_into<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], y: &mut [Y]) -> Result<()> {
         self.check_dims(x, y)?;
         for (r, yr) in y.iter_mut().enumerate() {
-            *yr = self.row(r, x);
+            *yr = Y::of(self.row(r, x));
         }
         Ok(())
     }
 
     /// Computes rows `[r0, r1)` of `A * x` into a fresh vector (the slab a
     /// pool worker produces; see [`crate::pool::ComputePool::spmv`]).
-    pub fn spmv_rows(&self, x: &[f64], r0: u64, r1: u64) -> Vec<f64> {
-        (r0 as usize..r1 as usize).map(|r| self.row(r, x)).collect()
+    pub fn spmv_rows<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], r0: u64, r1: u64) -> Vec<Y> {
+        (r0 as usize..r1 as usize)
+            .map(|r| Y::of(self.row(r, x)))
+            .collect()
     }
 
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each

@@ -41,7 +41,7 @@ pub use csr::CsrMatrix;
 pub use genmat::GapGenerator;
 pub use pool::ComputePool;
 pub use slab::SlabVec;
-pub use view::{CsrBytes, CsrView, SpmvOperand};
+pub use view::{CsrBytes, CsrView, SpmvOperand, SpmvVector};
 
 /// Errors produced by the sparse substrate.
 #[derive(Debug)]

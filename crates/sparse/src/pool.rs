@@ -52,8 +52,9 @@
 //! worker sees `pending > 0` before the job is visible is a bounded retry
 //! (with a yield) rather than a park.
 
+use crate::csr::ElemMut;
 use crate::slab::SlabVec;
-use crate::view::SpmvOperand;
+use crate::view::{SpmvOperand, SpmvVector};
 use crate::{dense, Result};
 use bytes::Bytes;
 use dooc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -366,16 +367,23 @@ impl ComputePool {
 
     /// Pool-backed parallel SpMV `y = A * x`, nnz-balanced across the pool's
     /// workers, for an owned [`crate::CsrMatrix`] or a [`crate::CsrBytes`]
-    /// buffer alike. Matches [`crate::CsrMatrix::spmv_into`] bit-for-bit
-    /// (same per-row accumulation order).
-    pub fn spmv<M: SpmvOperand>(&self, m: &Arc<M>, x: &Arc<Vec<f64>>, y: &mut [f64]) -> Result<()> {
+    /// buffer alike, `x` and `y` as `f64`s or as their stored little-endian
+    /// bytes ([`SpmvVector`], [`ElemMut`]). Matches
+    /// [`crate::CsrMatrix::spmv_into`] bit-for-bit (same per-row
+    /// accumulation order).
+    pub fn spmv<M, X, Y>(&self, m: &Arc<M>, x: &X, y: &mut [Y]) -> Result<()>
+    where
+        M: SpmvOperand,
+        X: SpmvVector,
+        Y: ElemMut<f64>,
+    {
         let a = m.csr();
         let par = self.parallelism_hint().min(a.nrows().max(1) as usize);
         if par == 1 || (a.nnz() as usize) < SPMV_SERIAL_MAX_NNZ {
-            return a.spmv_into(x, y);
+            return a.spmv_into(x.elems(), y);
         }
         // The serial kernel checks dimensions itself; the fan-out indexes.
-        a.check_dims(x, y)?;
+        a.check_dims(x.elems(), y)?;
         self.spmv_fanout(m, x, y, par);
         Ok(())
     }
@@ -383,13 +391,12 @@ impl ComputePool {
     /// The fork-join body of [`ComputePool::spmv`] at an explicit
     /// `parallelism`, without the serial routing (kept public so tests and
     /// the race harness cover it at any input size and forced concurrency).
-    pub fn spmv_fanout<M: SpmvOperand>(
-        &self,
-        m: &Arc<M>,
-        x: &Arc<Vec<f64>>,
-        y: &mut [f64],
-        parallelism: usize,
-    ) {
+    pub fn spmv_fanout<M, X, Y>(&self, m: &Arc<M>, x: &X, y: &mut [Y], parallelism: usize)
+    where
+        M: SpmvOperand,
+        X: SpmvVector,
+        Y: ElemMut<f64>,
+    {
         let a = m.csr();
         let nrows = (a.nrows() as usize).max(1);
         let par = parallelism.clamp(1, nrows);
@@ -397,10 +404,10 @@ impl ComputePool {
         let bounds = a.nnz_balanced_row_partition(ntasks);
         let slabs = {
             let m = Arc::clone(m);
-            let x = Arc::clone(x);
+            let x = x.clone();
             let bounds = bounds.clone();
             self.fork_join_with(ntasks, par, move |t| {
-                let slab = m.csr().spmv_rows(&x, bounds[t], bounds[t + 1]);
+                let slab: Vec<Y> = m.csr().spmv_rows(x.elems(), bounds[t], bounds[t + 1]);
                 if let Some(first) = slab.first() {
                     record::data_write(record::addr_of(first));
                 }

@@ -15,7 +15,7 @@
 //! a matrix that lives in a storage block cross into the compute pool's
 //! `'static` jobs ([`SpmvOperand`]).
 
-use crate::csr::{CsrMatrix, CsrRef, Elem};
+use crate::csr::{CsrMatrix, CsrRef, Elem, ElemMut};
 use crate::fileio::{read_header_from, CrsHeader, Format, HEADER_BYTES};
 use crate::{Result, SparseError};
 use bytes::Bytes;
@@ -68,18 +68,19 @@ impl<'a> CsrView<'a> {
         with_csr!(self, a => a.nnz())
     }
 
-    pub(crate) fn check_dims(&self, x: &[f64], y: &[f64]) -> Result<()> {
+    pub(crate) fn check_dims<X, Y>(&self, x: &[X], y: &[Y]) -> Result<()> {
         with_csr!(self, a => a.check_dims(x, y))
     }
 
-    /// Serial SpMV into a caller-provided output: `y = A * x`.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+    /// Serial SpMV into a caller-provided output: `y = A * x` (see
+    /// [`CsrRef::spmv_into`] for the element types).
+    pub fn spmv_into<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], y: &mut [Y]) -> Result<()> {
         with_csr!(self, a => a.spmv_into(x, y))
     }
 
     /// Rows `[r0, r1)` of `A * x` as a fresh vector (see
     /// [`CsrRef::spmv_rows`]).
-    pub fn spmv_rows(&self, x: &[f64], r0: u64, r1: u64) -> Vec<f64> {
+    pub fn spmv_rows<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], r0: u64, r1: u64) -> Vec<Y> {
         with_csr!(self, a => a.spmv_rows(x, r0, r1))
     }
 
@@ -172,6 +173,33 @@ impl CsrBytes {
     /// The matrix over the owned bytes.
     pub fn view(&self) -> CsrView<'_> {
         view_of(&self.bytes, &self.header, false).expect("validated at construction")
+    }
+}
+
+/// A dense vector the compute pool's `'static` jobs can gather from: shared
+/// ownership of its elements, in either form [`CsrRef::spmv_into`] reads.
+pub trait SpmvVector: Clone + Send + Sync + 'static {
+    /// How one element is held.
+    type Elem: Elem<f64>;
+    /// The vector's elements.
+    fn elems(&self) -> &[Self::Elem];
+}
+
+impl SpmvVector for std::sync::Arc<Vec<f64>> {
+    type Elem = f64;
+    fn elems(&self) -> &[f64] {
+        self
+    }
+}
+
+/// The little-endian bytes of a vector, where they lie (a pinned storage
+/// block, say) and at any alignment. Bytes beyond the last whole element are
+/// not part of the vector; a caller for which that is an error checks the
+/// length first.
+impl SpmvVector for Bytes {
+    type Elem = [u8; 8];
+    fn elems(&self) -> &[[u8; 8]] {
+        self.as_chunks::<8>().0
     }
 }
 

@@ -2,7 +2,10 @@
 //! binary CRS bytes — the 4-byte-index encoding the library writes and the
 //! 8-byte-index version 1 it still reads — must be **bitwise** the owned
 //! matrix's SpMV, across shapes, empty rows, every row length mod the 4-wide
-//! unroll, forced pool fan-out and buffers that start at odd addresses; and
+//! unroll, forced pool fan-out and buffers that start at odd addresses —
+//! the vectors' buffers too: `x` gathered from its stored bytes and `y`
+//! written as stored bytes give exactly the bytes of decode, multiply,
+//! serialize; and
 //! the view must accept exactly the byte strings the decoder accepts, in
 //! either layout. The shared validator (flat passes, no per-row loop) is
 //! checked against a per-row reference on arrays that are usually *invalid*.
@@ -79,6 +82,31 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `n` values drawn from `seed`, a third of them the ones arithmetic treats
+/// specially: `-0.0`, subnormals, infinities, quiet and signalling NaNs with
+/// payloads.
+fn hostile_vector(n: u64, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = state >> 11;
+            let payload = r & 0x0007_ffff_ffff_ffff | 1;
+            match r % 16 {
+                0 => -0.0,
+                1 => f64::from_bits(payload >> 20),
+                2 => f64::from_bits(0x8000_0000_0000_0000 | payload >> 3),
+                3 => f64::from_bits(0x7ff8_0000_0000_0000 | payload),
+                4 => f64::from_bits(0xfff0_0000_0000_0000 | payload),
+                5 => f64::INFINITY,
+                _ => (r % 2000) as f64 * 0.01 - 10.0,
+            }
+        })
+        .collect()
+}
+
 /// The per-row validator `CsrMatrix::new` used to run, as the oracle for
 /// the flat one.
 fn reference_valid(nrows: u64, ncols: u64, row_ptr: &[u64], col_idx: &[u64], nvals: usize) -> bool {
@@ -128,6 +156,57 @@ proptest! {
             pool.spmv_fanout(&shared, &x, &mut y, par);
             prop_assert_eq!(bits(&y), bits(&owned));
         }
+    }
+
+    /// A multiply that gathers `x` from its little-endian bytes and writes
+    /// `y` as little-endian bytes, both where they lie at any address,
+    /// leaves exactly the bytes the old path produced by decoding `x` into
+    /// `f64`s, multiplying into `f64`s and serializing them.
+    #[test]
+    fn byte_backed_x_and_in_place_y_give_the_bytes_of_decode_multiply_serialize(
+        m in arb_matrix(),
+        seed in any::<u64>(),
+        xoff in 0usize..8,
+        yoff in 0usize..8,
+        par in 1usize..5,
+    ) {
+        let x = hostile_vector(m.ncols(), seed);
+        let mut decoded = vec![0.0; m.nrows() as usize];
+        m.spmv_into(&x, &mut decoded).expect("dims");
+        let old: Vec<u8> = decoded.iter().flat_map(|v| v.to_le_bytes()).collect();
+
+        let mut xbuf = vec![0xEEu8; xoff];
+        xbuf.extend(x.iter().flat_map(|v| v.to_le_bytes()));
+        let xbytes = Bytes::from(xbuf).slice(xoff..);
+        // `y` as the executor holds it: a zeroed byte buffer cut into
+        // 8-byte chunks, here starting `yoff` bytes into its allocation.
+        let multiply = |kernel: &dyn Fn(&mut [[u8; 8]])| {
+            let mut ybuf = vec![0u8; yoff + old.len()];
+            kernel(ybuf[yoff..].as_chunks_mut::<8>().0);
+            ybuf.split_off(yoff)
+        };
+        let pool = ComputePool::new(3);
+        for narrow in [true, false] {
+            let encoded = encode(&m, narrow).bytes;
+            let view = CsrView::parse(&encoded).expect("parses");
+            let serial = multiply(&|y| {
+                view.spmv_into(xbytes.as_chunks::<8>().0, y).expect("dims")
+            });
+            prop_assert_eq!(&serial, &old, "serial, narrow = {}", narrow);
+            let shared = Arc::new(CsrBytes::new(Bytes::from(encoded)).expect("valid"));
+            let routed = multiply(&|y| pool.spmv(&shared, &xbytes, y).expect("dims"));
+            prop_assert_eq!(&routed, &old, "pool routing, narrow = {}", narrow);
+            let fanned = multiply(&|y| pool.spmv_fanout(&shared, &xbytes, y, par));
+            prop_assert_eq!(&fanned, &old, "fan-out at {}, narrow = {}", par, narrow);
+        }
+        // The owned matrix through the same generic walk: bytes in, bytes out.
+        let owned = Arc::new(m.clone());
+        let fanned = multiply(&|y| pool.spmv_fanout(&owned, &xbytes, y, par));
+        prop_assert_eq!(&fanned, &old);
+        // And a mixed pair: byte-backed `x`, native `y`.
+        let mut native = vec![f64::NAN; m.nrows() as usize];
+        pool.spmv(&owned, &xbytes, &mut native).expect("dims");
+        prop_assert_eq!(bits(&native), bits(&decoded));
     }
 
     #[test]

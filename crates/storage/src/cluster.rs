@@ -10,6 +10,7 @@
 
 use crate::filterimpl::{ports, ClientPortMap, IoFilter, StorageFilter};
 use crate::node::{NodeConfig, RecoveryPolicy};
+use crate::pool::BlockPool;
 use dooc_filterstream::{Delivery, FilterId, Layout, NodeId};
 use dooc_sync::OrderedMutex;
 use std::path::PathBuf;
@@ -26,6 +27,8 @@ pub struct StorageCluster {
     /// The I/O filter declaration (one instance per node).
     pub io: FilterId,
     nnodes: usize,
+    /// Each node's buffer pool, shared by its I/O filter and its clients.
+    pools: Vec<BlockPool>,
     port_map: Arc<OrderedMutex<ClientPortMap>>,
     next_client_port: usize,
     next_client_base: u64,
@@ -91,9 +94,16 @@ impl StorageCluster {
             Box::new(StorageFilter::recoverable(cfg, dirs[i].clone(), snapshot))
         });
 
+        // The one place a node's pool is made: its I/O filter reads blocks
+        // into it, its clients take their output buffers from it, and every
+        // buffer finds its way back from wherever its last reference drops.
+        let pools: Vec<BlockPool> = (0..nnodes)
+            .map(|i| BlockPool::new(i as u64, memory_budget))
+            .collect();
         let dirs = scratch_dirs;
+        let io_pools = pools.clone();
         let io = layout.add_replicated("io", nodes, move |i| {
-            Box::new(IoFilter::new(dirs[i].clone()))
+            Box::new(IoFilter::new(dirs[i].clone(), io_pools[i].clone()))
         });
 
         // Peer-to-peer: addressed self-loop between storage instances.
@@ -127,6 +137,7 @@ impl StorageCluster {
             storage,
             io,
             nnodes,
+            pools,
             port_map,
             next_client_port: 0,
             next_client_base: 0,
@@ -136,6 +147,12 @@ impl StorageCluster {
     /// Number of nodes in the cluster.
     pub fn nnodes(&self) -> usize {
         self.nnodes
+    }
+
+    /// Node `node`'s buffer pool: what a client on that node fills its
+    /// outputs in, so they recycle with the blocks the node loads.
+    pub fn block_pool(&self, node: usize) -> &BlockPool {
+        &self.pools[node]
     }
 
     /// Attaches a client filter declaration with `ninstances` instances.

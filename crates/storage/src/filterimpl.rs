@@ -12,6 +12,7 @@
 
 use crate::meta::ArrayMeta;
 use crate::node::{Action, DiscoveredBlock, NodeConfig, StorageState};
+use crate::pool::BlockPool;
 use crate::proto::{ClientMsg, IoCmd, IoReply, PeerMsg};
 use bytes::Bytes;
 use dooc_filterstream::stream::{SelectEvent, SelectOutcome, StreamSet};
@@ -312,16 +313,20 @@ fn meta_path(scratch: &Path, array: &str) -> PathBuf {
 /// filter until the command stream closes.
 pub struct IoFilter {
     scratch: PathBuf,
+    /// The node's buffer pool: every block is read into one of its buffers.
+    pool: BlockPool,
     /// Arrays whose geometry sidecar this filter has already written (or
     /// found in place): later spills of the array skip the probe.
     sidecars: std::collections::HashSet<String>,
 }
 
 impl IoFilter {
-    /// Creates an I/O filter rooted at `scratch` (created if missing).
-    pub fn new(scratch: PathBuf) -> Self {
+    /// Creates an I/O filter rooted at `scratch` (created if missing) that
+    /// reads blocks into buffers of `pool`.
+    pub fn new(scratch: PathBuf, pool: BlockPool) -> Self {
         Self {
             scratch,
+            pool,
             sidecars: std::collections::HashSet::new(),
         }
     }
@@ -401,10 +406,11 @@ impl IoFilter {
         }
     }
 
-    /// Reads one block file into the buffer that becomes the block. The
-    /// read is bounded by the expected length, so a file the disk lies about
-    /// (longer or shorter than `len`) is a typed error that never buffers
-    /// more than `len + 1` bytes.
+    /// Reads one block file into the pooled buffer that becomes the block.
+    /// The read is bounded by the expected length, so a file the disk lies
+    /// about (longer or shorter than `len`) is a typed error that never
+    /// buffers more than `len + 1` bytes. On every error the buffer drops
+    /// here, which is its way back to the pool.
     fn read_block(&self, array: &str, block: u64, len: u64) -> std::io::Result<Bytes> {
         let mut path = block_path(&self.scratch, array, block);
         let f = match std::fs::File::open(&path) {
@@ -415,7 +421,9 @@ impl IoFilter {
             }
             other => other?,
         };
-        let mut buf = Vec::with_capacity(len as usize + 1);
+        let mut buf = self.pool.take(len as usize + 1);
+        // A recycled buffer must show nothing of its previous tenant.
+        buf.clear();
         f.take(len + 1).read_to_end(&mut buf)?;
         if buf.len() as u64 != len {
             return Err(std::io::Error::new(
@@ -427,7 +435,13 @@ impl IoFilter {
                 ),
             ));
         }
-        Ok(Bytes::from(buf))
+        let data = buf.freeze();
+        assert_eq!(
+            data.len() as u64,
+            len,
+            "the block is exactly what was asked"
+        );
+        Ok(data)
     }
 
     fn write_block(
@@ -573,7 +587,7 @@ mod tests {
     #[test]
     fn io_write_then_read_roundtrip() {
         let dir = tmpdir("rt");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         let data = Bytes::from(vec![7u8; 64]);
         let rep = io.exec(IoCmd::Write {
             array: "arr".into(),
@@ -616,7 +630,7 @@ mod tests {
         use crate::proto::Reply;
         let dir = tmpdir("ptr");
         std::fs::write(dir.join("A_0_0.crs"), vec![9u8; 4096]).expect("stage");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         let cfg = NodeConfig {
             node: 0,
             nnodes: 1,
@@ -660,7 +674,7 @@ mod tests {
     #[test]
     fn io_read_missing_is_error() {
         let dir = tmpdir("miss");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         assert!(matches!(
             io.exec(IoCmd::Read {
                 array: "ghost".into(),
@@ -675,7 +689,7 @@ mod tests {
     #[test]
     fn io_read_length_mismatch_is_error() {
         let dir = tmpdir("len");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         io.exec(IoCmd::Write {
             array: "a".into(),
             block: 0,
@@ -694,10 +708,93 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A pool holding one idle buffer of `len`'s class, every byte `0xEE`:
+    /// what a read finds when it recycles a larger, non-zero previous tenant.
+    fn seeded_pool(len: usize) -> (BlockPool, usize) {
+        let pool = BlockPool::new(0, 1 << 24);
+        let mut dirty = pool.take(len);
+        let cap = dirty.capacity();
+        dirty.resize(cap, 0xEE);
+        drop(dirty);
+        assert_eq!(pool.retained_bytes(), cap);
+        (pool, cap)
+    }
+
+    /// The lying disk against a recycled buffer: whatever the file turns out
+    /// to be, the block is exactly the file's bytes or a typed error, the
+    /// previous tenant's bytes never show, and the buffer is back in the
+    /// pool the moment nobody holds it.
+    #[test]
+    fn recycled_read_buffer_never_leaks_its_previous_tenant_and_always_returns() {
+        let dir = tmpdir("recycle");
+        const LEN: u64 = 10_000;
+        let (pool, cap) = seeded_pool(LEN as usize + 1);
+        let io = IoFilter::new(dir.clone(), pool.clone());
+        let file = dir.join("a@0");
+        let expect_err = |what: &str| match io.read_block("a", 0, LEN) {
+            Err(e) => assert!(e.to_string().contains(what), "{e}"),
+            Ok(b) => panic!("expected an error, read {} bytes", b.len()),
+        };
+
+        // Missing: typed error before any buffer is taken.
+        expect_err("No such file");
+        assert_eq!(pool.retained_bytes(), cap);
+        // Truncated and oversized: typed errors, the buffer comes back.
+        std::fs::write(&file, vec![1u8; 9]).expect("short file");
+        expect_err("(read 9)");
+        assert_eq!(pool.retained_bytes(), cap);
+        std::fs::write(&file, vec![2u8; 3 * LEN as usize]).expect("long file");
+        expect_err(&format!("(read {})", LEN + 1));
+        assert_eq!(pool.retained_bytes(), cap);
+
+        // Intact: exactly `LEN` bytes, all the file's, in the recycled
+        // allocation; the 0xEE beyond them is unreachable.
+        std::fs::write(&file, vec![3u8; LEN as usize]).expect("intact file");
+        let block = io.read_block("a", 0, LEN).expect("intact read");
+        assert_eq!(pool.retained_bytes(), 0, "the seeded buffer was reused");
+        assert_eq!(block.len() as u64, LEN);
+        assert!(block.iter().all(|&b| b == 3), "previous tenant leaked");
+        let reader = block.slice(100..200);
+        drop(block);
+        assert_eq!(pool.retained_bytes(), 0, "a reader still holds the block");
+        drop(reader);
+        assert_eq!(pool.retained_bytes(), cap);
+
+        // A shorter block next, in the same buffer again.
+        std::fs::write(dir.join("a@1"), vec![4u8; 9_500]).expect("second block");
+        let block = io.read_block("a", 1, 9_500).expect("second read");
+        assert_eq!(&block[..], &[4u8; 9_500][..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An injected `storage.io.read` fault fails the command before a buffer
+    /// is taken, so there is none to give back.
+    #[cfg(feature = "faultline")]
+    #[test]
+    fn injected_read_fault_takes_no_buffer() {
+        let dir = tmpdir("fault");
+        let (pool, cap) = seeded_pool(8192);
+        let mut io = IoFilter::new(dir.clone(), pool.clone());
+        std::fs::write(dir.join("a@0"), vec![5u8; 8000]).expect("block");
+        let _g = dooc_faultline::test_gate();
+        dooc_faultline::reset();
+        dooc_faultline::configure("storage.io.read", dooc_faultline::FaultSpec::error());
+        dooc_faultline::enable();
+        let reply = io.exec(IoCmd::Read {
+            array: "a".into(),
+            block: 0,
+            len: 8000,
+        });
+        dooc_faultline::reset();
+        assert!(matches!(reply, IoReply::Error { .. }), "{reply:?}");
+        assert_eq!(pool.retained_bytes(), cap);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn scan_finds_spilled_blocks_and_plain_files() {
         let dir = tmpdir("scan");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         io.exec(IoCmd::Write {
             array: "spilled".into(),
             block: 1,
@@ -739,7 +836,7 @@ mod tests {
     #[test]
     fn delete_files_removes_all_forms() {
         let dir = tmpdir("del");
-        let mut io = IoFilter::new(dir.clone());
+        let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
         io.exec(IoCmd::Write {
             array: "a".into(),
             block: 0,

@@ -42,6 +42,7 @@ pub mod cluster;
 pub mod filterimpl;
 pub mod meta;
 pub mod node;
+pub mod pool;
 pub mod proto;
 pub mod rangeset;
 
@@ -51,6 +52,7 @@ pub use client::{
 pub use cluster::StorageCluster;
 pub use meta::{ArrayMeta, BlockKey, Interval};
 pub use node::{NodeConfig, RecoveryPolicy, StorageState};
+pub use pool::{BlockPool, PoolBuf};
 
 /// Errors surfaced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

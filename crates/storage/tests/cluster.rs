@@ -46,9 +46,22 @@ fn run_cluster_in<F>(dirs: &[PathBuf], budget: u64, driver: F)
 where
     F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
 {
+    run_cluster_prepared(dirs, budget, |_| {}, driver)
+}
+
+/// [`run_cluster_in`] with a look at the assembled cluster before it runs.
+fn run_cluster_prepared<F>(
+    dirs: &[PathBuf],
+    budget: u64,
+    prepare: impl FnOnce(&StorageCluster),
+    driver: F,
+) where
+    F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
+{
     let nnodes = dirs.len();
     let mut layout = Layout::new();
     let mut cluster = StorageCluster::build(&mut layout, dirs.to_vec(), budget, 7);
+    prepare(&cluster);
     let driver = Arc::new(driver);
     let nodes: Vec<NodeId> = (0..nnodes).map(NodeId).collect();
     let drivers = layout.add_replicated("driver", nodes, move |_| {
@@ -225,33 +238,50 @@ fn persist_then_restart_discovers_arrays() {
 /// ROADMAP 4, the lying disk: a block file that is shorter, longer or gone
 /// by the time it is loaded is a typed error at the reader — after the
 /// node's bounded read retries — that leaves no grant behind, and the
-/// intact block next to it still reads.
-#[test]
-fn truncated_oversized_and_missing_block_files_are_typed_errors() {
-    let dirs = scratch_dirs("lying", 1);
-    run_cluster_in(&dirs, 1 << 20, |_, sc| {
-        sc.create("kept", 64, 16).expect("create");
+/// intact block next to it still reads. With `seed_pool` the blocks are
+/// large enough to be pooled and every load finds a recycled buffer that is
+/// larger than the block and full of `0xEE`.
+fn lying_disk(tag: &str, bs: u64, seed_pool: bool) {
+    let dirs = scratch_dirs(tag, 1);
+    run_cluster_in(&dirs, 1 << 20, move |_, sc| {
+        sc.create("kept", 4 * bs, bs).expect("create");
         for b in 0..4u64 {
             sc.write(
                 "kept",
-                Interval::new(b * 16, 16),
-                Bytes::from(vec![b as u8 + 1; 16]),
+                Interval::new(b * bs, bs),
+                Bytes::from(vec![b as u8 + 1; bs as usize]),
             )
             .expect("write");
         }
         sc.persist("kept").expect("persist");
     });
     std::fs::write(dirs[0].join("kept@0"), [1u8; 9]).expect("truncate block 0");
-    std::fs::write(dirs[0].join("kept@1"), vec![2u8; 4096]).expect("grow block 1");
+    std::fs::write(dirs[0].join("kept@1"), vec![2u8; 4 * bs as usize]).expect("grow block 1");
     let lost = dirs[0].join("kept@2");
-    run_cluster_in(&dirs, 1 << 20, move |_, sc| {
+    let seed = move |cluster: &StorageCluster| {
+        if seed_pool {
+            let pool = cluster.block_pool(0);
+            let dirty: Vec<_> = (0..4)
+                .map(|_| {
+                    let mut buf = pool.take(bs as usize + 1);
+                    let cap = buf.capacity();
+                    buf.resize(cap, 0xEE);
+                    buf
+                })
+                .collect();
+            drop(dirty);
+            assert!(pool.retained_bytes() >= 4 * bs as usize);
+        }
+    };
+    run_cluster_prepared(&dirs, 1 << 20, seed, move |_, sc| {
         // Gone after the restart scan found it (a reply proves the node is
         // up): a block missing at startup is just a block nobody has
         // written yet.
         assert_eq!(sc.map().expect("map").len(), 4, "all four discovered");
         std::fs::remove_file(&lost).expect("lose block 2");
-        for (b, what) in [(0u64, "(read 9)"), (1, "(read 17)"), (2, "")] {
-            match sc.read("kept", Interval::new(b * 16, 16)) {
+        let oversized = format!("(read {})", bs + 1);
+        for (b, what) in [(0u64, "(read 9)"), (1, oversized.as_str()), (2, "")] {
+            match sc.read("kept", Interval::new(b * bs, bs)) {
                 Err(dooc_storage::StorageError::IoFailed(m)) => {
                     assert!(m.contains(&format!("kept@{b}")) && m.contains(what), "{m}")
                 }
@@ -259,16 +289,27 @@ fn truncated_oversized_and_missing_block_files_are_typed_errors() {
             }
         }
         let d = sc
-            .read("kept", Interval::new(48, 16))
+            .read("kept", Interval::new(3 * bs, bs))
             .expect("intact block");
-        assert_eq!(&d[..], &[4u8; 16]);
+        assert_eq!(d.len() as u64, bs);
+        assert!(d.iter().all(|&b| b == 4), "a previous tenant's byte showed");
         drop(d);
         assert_eq!(sc.outstanding_grants(), 0, "failed reads hold no grant");
         let st = sc.stats().expect("stats");
-        assert_eq!(st.disk_read_bytes, 16, "only the intact block was loaded");
-        assert_eq!(st.resident_bytes, 16);
+        assert_eq!(st.disk_read_bytes, bs, "only the intact block was loaded");
+        assert_eq!(st.resident_bytes, bs);
     });
     cleanup(&dirs);
+}
+
+#[test]
+fn truncated_oversized_and_missing_block_files_are_typed_errors() {
+    lying_disk("lying", 16, false);
+}
+
+#[test]
+fn lying_disk_against_a_pool_seeded_with_larger_dirty_buffers() {
+    lying_disk("lying-pooled", 8192, true);
 }
 
 #[test]

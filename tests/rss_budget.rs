@@ -1,0 +1,187 @@
+//! The budget is the footprint: an out-of-core run's resident set grows by
+//! the memory budget, the idle buffers its pool may keep (a quarter of the
+//! budget) and a fixed allowance — not by whatever the allocator happens to
+//! leave between blocks of slightly different sizes.
+//!
+//! One test, alone in its file, so the process whose high-water mark is read
+//! is this run's and nothing else's. The binary counts its own live heap
+//! bytes (a pass-through global allocator) so that a failure says which part
+//! grew: live bytes, or the gap between them and the resident set.
+#![cfg(target_os = "linux")]
+
+use dooc::core::{DoocConfig, DoocRuntime};
+use dooc::linalg::spmv_app::{tiled_owner, SpmvAppBuilder, SpmvExecutor};
+use dooc::obs;
+use dooc::sparse::blockgrid::BlockGrid;
+use dooc::sparse::genmat::GapGenerator;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Live heap bytes and their high-water mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static LIVE_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counted.
+struct Counting;
+
+impl Counting {
+    fn grew(by: usize) {
+        let now = LIVE.fetch_add(by, Ordering::Relaxed) + by;
+        LIVE_PEAK.fetch_max(now, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` obligations are passed through.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            Self::grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            Self::grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// One `kB` field of `/proc/self/status`, in bytes.
+fn status_bytes(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with(field))
+        .unwrap_or_else(|| panic!("no {field} in /proc/self/status"));
+    let kb: u64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable {line:?}"));
+    kb * 1024
+}
+
+const MIB: u64 = 1 << 20;
+const BUDGET: u64 = 16 * MIB;
+const K: u64 = 8;
+const N: u64 = 128_000;
+const ITERS: u64 = 3;
+
+/// What a run may hold beyond the budget-charged blocks and the pool's idle
+/// buffers: the loads in flight (charged when they land; 1.6 MB each here),
+/// a `sum`'s accumulator and an assembled vector, the task graph, the task
+/// trace and the filters' stacks. Taken from measurement (EXPERIMENTS.md,
+/// "Memory footprint"): on the 2-cpu host this run grows the resident set
+/// by 20.0–20.2 MiB in a debug build and 21.5–21.6 MiB in a release build
+/// (one more load in flight), each 0.1 MiB above its live heap peak — the
+/// pool is not at its bound when the peak is reached, so a cell and a half
+/// is spare — where the parent commit grows it by 28.0–29.5 MiB over a live
+/// peak of 18.0–19.5 MiB, 4 MiB and more past this bound.
+const ALLOWANCE: u64 = 4 * MIB;
+
+#[test]
+fn resident_set_growth_of_an_out_of_core_run_stays_within_the_budget() {
+    let cfg = DoocConfig::in_temp_dirs("rss-budget", 1)
+        .expect("cfg")
+        .memory_budget(BUDGET);
+    let grid = BlockGrid::new(K, N);
+    // ~8 non-zeros per row of a cell: 64 cells of ~1.6 MB, a tenth of the
+    // budget each and six times the budget together.
+    let gen = GapGenerator::with_d(2000);
+    let blocks = SpmvAppBuilder::stage(&cfg.scratch_dirs, grid, &gen, 5, tiled_owner(K, 1))
+        .expect("stage matrices");
+    let dataset: u64 = blocks.iter().map(|b| b.bytes).sum();
+    assert!(
+        dataset >= 5 * BUDGET,
+        "matrix {dataset} B is not out of core"
+    );
+    let app = SpmvAppBuilder::new(grid, ITERS, blocks);
+    let x0: Vec<f64> = (0..N).map(|i| (i % 17) as f64 * 0.25 - 2.0).collect();
+    app.stage_initial_vector(&cfg.scratch_dirs, &x0)
+        .expect("stage x0");
+    let (graph, external, geometry) = app.build();
+    let mut run_cfg = cfg.clone();
+    for (name, len, bs) in geometry {
+        run_cfg = run_cfg.with_geometry(name, len, bs);
+    }
+
+    // Counters and gauges only: no span is sampled at this period.
+    obs::enable_sampled(u32::MAX);
+    let hits = obs::metrics::counter("storage.pool_hits");
+    let misses = obs::metrics::counter("storage.pool_misses");
+    // Forget the staging's high-water mark where the kernel allows it; it
+    // is far below the run's either way.
+    std::fs::write("/proc/self/clear_refs", "5").ok();
+    let (rss_before, live_before) = (status_bytes("VmRSS:"), LIVE.load(Ordering::Relaxed));
+    LIVE_PEAK.store(live_before, Ordering::Relaxed);
+
+    let report = DoocRuntime::new(run_cfg)
+        .run(graph, external, Arc::new(SpmvExecutor))
+        .expect("run");
+
+    let growth = status_bytes("VmHWM:").saturating_sub(rss_before);
+    let live_peak = (LIVE_PEAK.load(Ordering::Relaxed) - live_before) as u64;
+    let retained = obs::metrics::gauge("storage.pool_retained_bytes").get();
+    obs::disable();
+    let stats = &report.node_stats[0];
+    assert!(
+        stats.evictions > 0 && stats.disk_read_bytes >= 2 * dataset,
+        "the run was not out of core: {stats:?}"
+    );
+    let result = app
+        .collect_final_vector(&cfg.scratch_dirs)
+        .expect("final vector");
+    assert!(result.iter().all(|v| v.is_finite()) && result.iter().any(|&v| v != 0.0));
+    for dir in &cfg.scratch_dirs {
+        std::fs::remove_dir_all(dir.parent().unwrap_or(dir)).ok();
+    }
+
+    let bound = BUDGET + BUDGET / 4 + ALLOWANCE;
+    let mib = |b: u64| b as f64 / MIB as f64;
+    assert!(
+        growth <= bound,
+        "resident set grew by {:.1} MiB over the run, more than 1.25 x budget + allowance = \
+         {:.1} MiB: budget {:.1} MiB, live heap peak {:.1} MiB (so {:.1} MiB of the growth is \
+         not live bytes), pool retained {:.1} MiB at exit ({} hits, {} misses), pinned peak \
+         {:.1} MiB, matrix {:.1} MiB",
+        mib(growth),
+        mib(bound),
+        mib(BUDGET),
+        mib(live_peak),
+        mib(growth.saturating_sub(live_peak)),
+        mib(retained.max(0) as u64),
+        hits.get(),
+        misses.get(),
+        mib(stats.pinned_peak_bytes),
+        mib(dataset),
+    );
+    println!(
+        "rss_budget: growth {:.1} MiB <= {:.1} MiB; budget {:.1}, live heap peak {:.1}, pool \
+         retained {:.1} MiB ({} hits, {} misses)",
+        mib(growth),
+        mib(bound),
+        mib(BUDGET),
+        mib(live_peak),
+        mib(retained.max(0) as u64),
+        hits.get(),
+        misses.get(),
+    );
+}
