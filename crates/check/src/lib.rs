@@ -2,12 +2,13 @@
 //!
 //! Three subsystems:
 //!
-//! * [`model`] — an explicit-state model checker over a bounded abstraction
-//!   of the storage layer's request/release protocol (`storage::proto` +
-//!   `storage::node` semantics). It enumerates *every* interleaving of two
-//!   clients operating on two blocks and checks the protocol invariants on
-//!   every reachable state. Seedable bugs ([`model::BugConfig`]) prove the
-//!   checker actually catches violations.
+//! * [`model`] (feature `model`) — an explicit-state model checker over the
+//!   *real* storage node (`storage::node::StorageState`): it enumerates
+//!   every interleaving of a few scripted clients, I/O completions and
+//!   failures, and recovery ticks against one node, checking the protocol
+//!   invariants on every reachable state. The node's own seeded bugs
+//!   (`SeededBugs`) prove the checker catches violations. Run via
+//!   `cargo test -p dooc-check --features model --test model_checker`.
 //! * [`explore`] (feature `model`) — dooc-shuttle, a deterministic
 //!   interleaving explorer over the *real* runtime types: `dooc-sync`
 //!   primitives run on a virtual cooperative scheduler, and seeded
@@ -45,6 +46,7 @@ pub mod audit;
 #[cfg(feature = "model")]
 pub mod explore;
 pub mod lint;
+#[cfg(feature = "model")]
 pub mod model;
 pub mod race;
 pub mod syncgraph;

@@ -1,504 +1,512 @@
-//! Explicit-state model checker for the storage request/release protocol.
+//! Bounded model checker over the real storage node.
 //!
-//! The storage node (`dooc-storage::node`) is a single-threaded server, so
-//! its behaviour is fully described by the *interleaving* of the messages it
-//! processes: write requests, write releases (seals), read requests, read
-//! releases, reclaim (LRU eviction) and disk-load completions. This module
-//! builds a bounded abstraction of that protocol — [`NCLIENTS`] clients and
-//! [`NBLOCKS`] blocks, each client running a short fixed script — and
-//! explores **every** reachable interleaving by breadth-first search over
-//! the (hashable, finite) state space, checking the protocol invariants on
-//! every state:
+//! The storage node ([`StorageState`]) is a single-threaded server, so its
+//! behaviour is fully described by the interleaving of the messages it
+//! handles. This module explores every interleaving of a small scenario — a
+//! few clients, each running a short script of [`ClientMsg`]s against one
+//! node whose memory budget is one block — by breadth-first search over
+//! states made of
 //!
-//! 1. pin refcounts are never negative, and are balanced (zero) at
-//!    quiescence;
-//! 2. no read is ever served from a block whose write has not been released
-//!    (sealed);
-//! 3. at most one writer holds a grant per block;
-//! 4. reclaim never evicts a pinned block (`pins > 0` implies resident);
-//! 5. every blocked read is eventually answered once its producer releases
-//!    (no client is still parked at quiescence);
-//! 6. the incremental map protocol (`MapSince`/`MapDelta`) is monotonic: a
-//!    delta's version is never below the client's cursor;
-//! 7. deltas compose: folding every delta a client received always yields
-//!    exactly the node's current availability map at the moment of the last
-//!    query — no changed block is ever omitted;
-//! 8. every blocking wait is paired with a timeout transition: when the
-//!    event a parked client waits for *fails* (the model's `LoadError`),
-//!    the node must arm a recovery transition (`RetryLoad` — the real
-//!    system's backoff tick) that can still end the wait. A failed load
-//!    with nothing armed is a latent hang.
+//! * a clone of the node itself,
+//! * each client's script position and what it holds (write grants, read
+//!   pins, its mirror of the availability map), and
+//! * the I/O commands the node issued that have not completed, plus the
+//!   scratch disk they write to.
 //!
-//! Because the healthy model has no violations, [`BugConfig`] can seed
-//! specific protocol bugs (skip a release, grant two writers, evict a
-//! pinned block, forget to flush parked waiters, serve an unsealed read,
-//! forget a version bump on an availability change, drop the timeout
-//! transition after a failed load) to prove the checker finds them — each
-//! returns a [`Violation`] carrying the full action trace from the initial
-//! state.
+//! A step is one of: an unparked client sends its next message; one
+//! outstanding I/O command completes or fails; the recovery clock ticks
+//! (whenever `needs_tick()`). Every transition is the node's own handler —
+//! nothing here decides what the node does — so the checker cannot drift
+//! from the code it checks. States are deduplicated by the node's
+//! `fingerprint()` and the model's own fields.
+//!
+//! Invariants, read off the replies, `debug_block`, `map_version` and
+//! `needs_tick`:
+//!
+//! * `negative-refcount` — the node never holds fewer pins on a block than
+//!   the grants its clients hold (a release would underflow);
+//! * `balanced-at-quiescence` — at quiescence no pin is left;
+//! * `no-unsealed-read` — a read is served only from a sealed block, and
+//!   with the bytes its writer released;
+//! * `single-writer` — at most one client holds a write grant on a block;
+//! * `no-evict-pinned` — a pinned block is resident;
+//! * `reads-answered` — a sealed block stays readable (resident, on disk, or
+//!   on its way there), a read parked on a resident sealed block has been
+//!   served, and at quiescence every client finished its script;
+//! * `map-version-monotonic` — the node's map version never decreases and no
+//!   delta is older than the client's cursor;
+//! * `map-delta-composes` — folding each delta into the client's mirror
+//!   yields the node's map at that moment;
+//! * `wait-timeout-armed` — a read parked on a block that must come from
+//!   disk has that read in flight or a retry armed.
+//!
+//! The negative twins plant the node's own [`SeededBugs`], or give a client
+//! a script that never releases its pin; each must come back as a
+//! [`Violation`] carrying the shortest step trace from the initial state.
 
-use std::collections::{HashMap, VecDeque};
+use bytes::Bytes;
+use dooc_storage::node::{Action, SeededBugs};
+use dooc_storage::proto::{BlockAvail, ClientMsg, IoCmd, IoReply, Reply};
+use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageError, StorageState};
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
-/// Number of clients in the bounded model.
-pub const NCLIENTS: usize = 2;
-/// Number of blocks in the bounded model.
-pub const NBLOCKS: usize = 2;
+/// The scenario array.
+const ARRAY: &str = "a";
+/// Blocks of the scenario array.
+pub const NBLOCKS: u64 = 2;
+/// Bytes per block; the node's memory budget is one block, so a second
+/// resident block forces reclaim.
+const BLOCK: u64 = 8;
 
-/// One protocol operation in a client's script.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One message in a client's script. Every write and read covers a whole
+/// block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op {
-    /// `WriteReq`: ask for the write grant on a block.
-    StartWrite(usize),
-    /// `ReleaseWrite`: ship the data and seal the block.
-    SealWrite(usize),
-    /// `ReadReq`: ask for a pinned read of a block.
-    StartRead(usize),
-    /// `ReleaseRead`: unpin the block.
-    ReleaseRead(usize),
-    /// `MapSince(cursor)`: ask for the availability changes since the
-    /// client's version cursor and fold the delta into a local mirror.
+    /// `WriteReq`; a refusal skips the `Seal` that follows.
+    Write(u64),
+    /// `ReleaseWrite` with the block's bytes.
+    Seal(u64),
+    /// `ReadReq`; a failed read skips the `Release` that follows.
+    Read(u64),
+    /// `ReleaseRead`.
+    Release(u64),
+    /// `Evict` the array.
+    Evict,
+    /// `MapSince` the client's cursor; the delta is folded into its mirror.
     MapSince,
 }
 
-/// Deliberately seeded protocol bugs, for negative tests of the checker.
-/// All `false` models the protocol as implemented.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BugConfig {
-    /// Clients advance past `ReleaseRead` without unpinning — breaks
-    /// refcount balance at quiescence.
-    pub skip_release: bool,
-    /// A second `WriteReq` on a block being written is granted instead of
-    /// parked — breaks the single-writer invariant.
-    pub allow_double_grant: bool,
-    /// Reclaim may evict a block with a nonzero pin count — breaks the
-    /// pinned-blocks-stay-resident invariant.
-    pub evict_pinned: bool,
-    /// Seal and load events do not re-serve parked waiters (the
-    /// `flush_waiters` call is skipped) — leaves readers blocked forever.
-    pub skip_flush_waiters: bool,
-    /// A read of a resident-but-unsealed block is served immediately —
-    /// exposes bytes of an unreleased write.
-    pub serve_unsealed_read: bool,
-    /// An availability change detected during `MapSince` does not bump the
-    /// map version — the changed block is left out of the delta and the
-    /// client's mirror silently diverges from the node's map.
-    pub skip_version_bump: bool,
-    /// A failed load does not arm the retry/timeout transition (the real
-    /// system's `io_retry` backoff entry is forgotten) — the parked reader's
-    /// blocking wait can never end: a latent hang.
-    pub no_timeout_transition: bool,
-}
-
-/// Block availability as reported by the map protocol (the model's
-/// `BlockAvail`), derived from the block's protocol state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Avail {
-    /// Created, nothing written.
-    Unwritten,
-    /// A write grant is outstanding (the block is charged to the budget).
-    Partial,
-    /// Sealed and resident in memory.
-    InMemory,
-    /// Sealed and spilled to disk.
-    OnDisk,
-}
-
-/// One block of the abstract storage node.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-struct Block {
-    /// Outstanding write grants (the invariant says at most one).
-    writers: u8,
-    /// Write released; contents immutable from here on.
-    sealed: bool,
-    /// A copy lives in the node's memory.
-    resident: bool,
-    /// A copy lives on the node's scratch disk.
-    on_disk: bool,
-    /// Pinned-read refcount (signed so a broken protocol can go negative).
-    pins: i8,
-    /// Poison flag: a read was served while the block was unsealed.
-    served_unsealed: bool,
-    /// An in-flight load of this block failed (disk error injected by the
-    /// node's nondeterministic `LoadError` action).
-    load_failed: bool,
-    /// The failure armed a retry/timeout transition (`RetryLoad` enabled).
-    /// Invariant 8: `load_failed` without `timeout_armed` is a latent hang.
-    timeout_armed: bool,
-    /// Last availability observed by a map query (the node's lazy change
-    /// detection state).
-    last_avail: Option<Avail>,
-    /// Map version at which this block's availability last changed.
-    avail_version: u8,
-}
-
-impl Block {
-    /// Availability as the map protocol reports it.
-    fn avail(&self) -> Avail {
-        if self.sealed {
-            if self.resident {
-                Avail::InMemory
-            } else {
-                Avail::OnDisk
-            }
-        } else if self.writers > 0 || self.resident {
-            Avail::Partial
-        } else {
-            Avail::Unwritten
-        }
-    }
-}
-
-/// The map-querying client's incremental-snapshot state: its version cursor
-/// and its mirror of the node's availability map, plus poison flags set when
-/// a completed query exposes a protocol violation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-struct Mapper {
-    cursor: u8,
-    mirror: [Option<Avail>; NBLOCKS],
-    /// A completed `MapSince` left the mirror different from the node's map.
-    stale: bool,
-    /// A delta carried a version below the client's cursor.
-    nonmonotonic: bool,
-}
-
-/// One client: its program counter into the script and whether its current
-/// operation is parked waiting for a node event.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-struct Client {
-    pc: u8,
-    blocked: bool,
-}
-
-/// A global protocol state (hashable — the BFS visited-set key).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct State {
-    blocks: [Block; NBLOCKS],
-    clients: [Client; NCLIENTS],
-    /// Global monotonic map version (bumped on detected availability
-    /// changes).
-    map_version: u8,
-    /// Incremental-snapshot state of the map-querying client.
-    mapper: Mapper,
-}
-
-/// The bounded model: a bug configuration plus one script per client.
+/// A scenario: the node's seeded bugs and one script per client.
 #[derive(Clone, Debug)]
 pub struct Model {
-    /// Seeded bugs (all-false is the faithful protocol).
-    pub bug: BugConfig,
-    scripts: [Vec<Op>; NCLIENTS],
+    /// Bugs planted in the node (all off is the node as shipped).
+    pub bugs: SeededBugs,
+    scripts: Vec<Vec<Op>>,
 }
 
 impl Model {
-    /// The standard scenario: client `c` writes and seals block `c`, then
-    /// reads (and releases) both blocks. Covers write/seal/read/release,
-    /// cross-client reads of each other's blocks, parked reads served by a
-    /// later seal, and — interleaved with the system's reclaim/load actions
-    /// — eviction and reload of every block.
-    pub fn standard(bug: BugConfig) -> Self {
-        let script = |own: usize| {
+    /// Client `c` writes and seals block `c`, then reads and releases both
+    /// blocks; a third client evicts the array once, at any point.
+    pub fn standard(bugs: SeededBugs) -> Self {
+        let script = |own| {
+            use Op::*;
             vec![
-                Op::StartWrite(own),
-                Op::SealWrite(own),
-                Op::StartRead(0),
-                Op::ReleaseRead(0),
-                Op::StartRead(1),
-                Op::ReleaseRead(1),
+                Write(own),
+                Seal(own),
+                Read(0),
+                Release(0),
+                Read(1),
+                Release(1),
             ]
         };
         Self {
-            bug,
-            scripts: [script(0), script(1)],
+            bugs,
+            scripts: vec![script(0), script(1), vec![Op::Evict]],
         }
     }
 
-    /// A contention scenario: both clients write block 0. The second
-    /// `StartWrite` must park until the first seals — unless
-    /// [`BugConfig::allow_double_grant`] is seeded, which the single-writer
-    /// invariant then catches.
-    pub fn write_contention(bug: BugConfig) -> Self {
-        let script = vec![
-            Op::StartWrite(0),
-            Op::SealWrite(0),
-            Op::StartRead(0),
-            Op::ReleaseRead(0),
+    /// Both clients write block 0, then read it. Arrays are write-once: the
+    /// node refuses the second writer, whether it comes while the first
+    /// holds the grant or after the seal.
+    pub fn write_contention(bugs: SeededBugs) -> Self {
+        use Op::*;
+        let script = vec![Write(0), Seal(0), Read(0), Release(0)];
+        Self {
+            bugs,
+            scripts: vec![script.clone(), script],
+        }
+    }
+
+    /// Client 0 writes, seals, reads and releases both blocks while client 1
+    /// queries `MapSince` three times and a third client evicts once: every
+    /// availability transition races the incremental snapshot.
+    pub fn map_protocol(bugs: SeededBugs) -> Self {
+        use Op::*;
+        let writer = vec![
+            Write(0),
+            Seal(0),
+            Read(0),
+            Release(0),
+            Write(1),
+            Seal(1),
+            Read(1),
+            Release(1),
         ];
         Self {
-            bug,
-            scripts: [script.clone(), script],
+            bugs,
+            scripts: vec![writer, vec![MapSince; 3], vec![Evict]],
         }
     }
 
-    /// The map-protocol scenario: client 0 writes, seals, reads and releases
-    /// both blocks while client 1 issues repeated `MapSince` queries — with
-    /// the node's reclaim/load actions interleaved, every availability
-    /// transition (`Unwritten → Partial → InMemory ↔ OnDisk`) races the
-    /// incremental snapshot. Checks version monotonicity and that deltas
-    /// always compose to the full map.
-    pub fn map_protocol(bug: BugConfig) -> Self {
-        Self {
-            bug,
-            scripts: [
-                vec![
-                    Op::StartWrite(0),
-                    Op::SealWrite(0),
-                    Op::StartRead(0),
-                    Op::ReleaseRead(0),
-                    Op::StartWrite(1),
-                    Op::SealWrite(1),
-                    Op::StartRead(1),
-                    Op::ReleaseRead(1),
-                ],
-                vec![Op::MapSince, Op::MapSince, Op::MapSince],
-            ],
-        }
+    /// The same scenario with client `c` never releasing its read pins.
+    pub fn without_releases(mut self, c: usize) -> Self {
+        self.scripts[c].retain(|op| !matches!(op, Op::Release(_)));
+        self
+    }
+}
+
+/// A client's progress and holdings.
+#[derive(Clone, Debug, Default, Hash)]
+struct Client {
+    pc: usize,
+    /// `script[pc]` was sent and awaits its reply.
+    parked: bool,
+    /// Blocks this client holds a write grant on.
+    writing: Vec<u64>,
+    /// Blocks this client holds a read pin on.
+    pinned: Vec<u64>,
+    /// A write of this client was refused.
+    refused: bool,
+    /// Map cursor and mirror.
+    cursor: u64,
+    mirror: BTreeMap<u64, BlockAvail>,
+}
+
+/// One explored state.
+#[derive(Clone)]
+struct State {
+    node: StorageState,
+    clients: Vec<Client>,
+    /// I/O commands issued and not yet completed.
+    io: Vec<IoCmd>,
+    /// The scratch disk: block files written so far.
+    disk: BTreeMap<u64, Bytes>,
+    /// Blocks some client saw sealed.
+    sealed: [bool; NBLOCKS as usize],
+}
+
+impl State {
+    fn key(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.node.fingerprint().hash(&mut h);
+        self.clients.hash(&mut h);
+        let mut io: Vec<String> = self.io.iter().map(|c| format!("{c:?}")).collect();
+        io.sort_unstable();
+        (io, &self.disk, self.sealed).hash(&mut h);
+        h.finish()
     }
 
+    fn summary(&self) -> String {
+        let blocks: Vec<_> = (0..NBLOCKS)
+            .map(|b| self.node.debug_block(ARRAY, b))
+            .collect();
+        format!(
+            "blocks (pins, resident, on_disk) {blocks:?}; sealed {:?}; io {:?}; clients {:?}",
+            self.sealed, self.io, self.clients
+        )
+    }
+}
+
+fn iv(b: u64) -> Interval {
+    Interval::new(b * BLOCK, BLOCK)
+}
+
+/// The bytes a writer releases into block `b`.
+fn fill(b: u64) -> Bytes {
+    Bytes::from(vec![b as u8 + 1; BLOCK as usize])
+}
+
+fn req_of(c: usize, pc: usize) -> u64 {
+    ((c as u64) << 32) | pc as u64
+}
+
+/// The map a client should see now, from what the node holds
+/// (`debug_block`) and what the clients saw sealed.
+fn expected_map(s: &State) -> BTreeMap<u64, BlockAvail> {
+    (0..NBLOCKS)
+        .filter_map(|b| {
+            let (_, resident, on_disk) = s.node.debug_block(ARRAY, b)?;
+            let avail = match (s.sealed[b as usize], resident, on_disk) {
+                (true, true, _) => BlockAvail::InMemory,
+                (true, false, true) => BlockAvail::OnDisk,
+                _ => BlockAvail::Unwritten,
+            };
+            Some((b, avail))
+        })
+        .collect()
+}
+
+type Outcome = Result<(), &'static str>;
+
+impl Model {
     fn op(&self, s: &State, c: usize) -> Option<Op> {
-        self.scripts[c].get(s.clients[c].pc as usize).copied()
+        self.scripts[c].get(s.clients[c].pc).copied()
     }
 
-    /// Attempts client `c`'s current operation on `s`. Returns `true` and
-    /// advances the pc if the node can serve it now; returns `false` if the
-    /// request parks (the node registers a waiter).
-    fn attempt(&self, s: &mut State, c: usize) -> bool {
-        let Some(op) = self.op(s, c) else {
-            return false;
+    fn initial(&self) -> State {
+        let cfg = NodeConfig {
+            node: 0,
+            nnodes: 1,
+            memory_budget: BLOCK,
+            seed: 1,
+            recovery: RecoveryPolicy::default(),
         };
-        match op {
-            Op::StartWrite(b) => {
-                let blk = &mut s.blocks[b];
-                if blk.sealed {
-                    // Arrays are immutable: a write request for a sealed
-                    // block is refused with an error reply, and the client
-                    // abandons the write (skipping its seal too).
-                    s.clients[c].pc += 2;
-                    s.clients[c].blocked = false;
-                    true
-                } else if blk.writers == 0 || self.bug.allow_double_grant {
-                    blk.writers += 1;
-                    blk.resident = true; // charged from the grant on
-                    self.advance(s, c);
-                    true
-                } else {
-                    false
-                }
-            }
-            Op::SealWrite(b) => {
-                let blk = &mut s.blocks[b];
-                blk.writers = blk.writers.saturating_sub(1);
-                blk.sealed = true;
-                self.advance(s, c);
-                self.flush(s);
-                true
-            }
-            Op::StartRead(b) => {
-                let blk = &mut s.blocks[b];
-                if blk.sealed && blk.resident {
-                    blk.pins += 1;
-                    self.advance(s, c);
-                    true
-                } else if !blk.sealed && blk.resident && self.bug.serve_unsealed_read {
-                    blk.pins += 1;
-                    blk.served_unsealed = true;
-                    self.advance(s, c);
-                    true
-                } else {
-                    // Sealed-but-evicted waits for a Load; unsealed waits
-                    // for the Seal. Either way the node parks the request.
-                    false
-                }
-            }
-            Op::ReleaseRead(b) => {
-                if !self.bug.skip_release {
-                    s.blocks[b].pins -= 1;
-                }
-                self.advance(s, c);
-                true
-            }
-            Op::MapSince => {
-                // The node's lazy change detection (`StorageState::map_delta`):
-                // compare each block's current availability with the last
-                // observed one, bump the version on change, and ship every
-                // block stamped after the client's cursor. Served
-                // immediately — a map query never parks.
-                let since = s.mapper.cursor;
-                for b in 0..NBLOCKS {
-                    let now = s.blocks[b].avail();
-                    if s.blocks[b].last_avail != Some(now) {
-                        s.blocks[b].last_avail = Some(now);
-                        if !self.bug.skip_version_bump {
-                            s.map_version += 1;
-                        }
-                        s.blocks[b].avail_version = s.map_version;
-                    }
-                    if s.blocks[b].avail_version > since {
-                        s.mapper.mirror[b] = Some(now);
-                    }
-                }
-                if s.map_version < since {
-                    s.mapper.nonmonotonic = true;
-                }
-                s.mapper.cursor = s.map_version;
-                // Delta composition: folding the delta must leave the mirror
-                // identical to the node's current map.
-                if (0..NBLOCKS).any(|b| s.mapper.mirror[b] != Some(s.blocks[b].avail())) {
-                    s.mapper.stale = true;
-                }
-                self.advance(s, c);
-                true
-            }
+        let mut node = StorageState::new(cfg, Vec::new());
+        node.set_seeded_bugs(self.bugs);
+        let created = node.handle_client(ClientMsg::Create {
+            req: u64::MAX,
+            client: 0,
+            meta: ArrayMeta::new(ARRAY, NBLOCKS * BLOCK, BLOCK),
+        });
+        assert!(
+            matches!(
+                &created[..],
+                [Action::Reply {
+                    reply: Reply::Created { .. },
+                    ..
+                }]
+            ),
+            "{created:?}"
+        );
+        State {
+            node,
+            clients: vec![Client::default(); self.scripts.len()],
+            io: Vec::new(),
+            disk: BTreeMap::new(),
+            sealed: [false; NBLOCKS as usize],
         }
     }
 
-    fn advance(&self, s: &mut State, c: usize) {
-        s.clients[c].pc += 1;
-        s.clients[c].blocked = false;
+    /// Client `c` sends `script[pc]`.
+    fn send(&self, s: &mut State, c: usize, op: Op) -> Outcome {
+        let (req, client, array) = (req_of(c, s.clients[c].pc), c as u64, ARRAY.to_string());
+        let cl = &mut s.clients[c];
+        let msg = match op {
+            Op::Write(b) => ClientMsg::WriteReq {
+                req,
+                client,
+                array,
+                iv: iv(b),
+            },
+            Op::Seal(b) => ClientMsg::ReleaseWrite {
+                req,
+                client,
+                array,
+                iv: iv(b),
+                data: fill(b),
+            },
+            Op::Read(b) => ClientMsg::ReadReq {
+                req,
+                client,
+                array,
+                iv: iv(b),
+            },
+            Op::Release(b) => {
+                cl.pinned.retain(|&p| p != b);
+                ClientMsg::ReleaseRead { array, iv: iv(b) }
+            }
+            Op::Evict => ClientMsg::Evict { array },
+            Op::MapSince => ClientMsg::MapSince {
+                req,
+                client,
+                since: cl.cursor,
+            },
+        };
+        if matches!(op, Op::Release(_) | Op::Evict) {
+            cl.pc += 1; // no reply
+        } else {
+            cl.parked = true;
+        }
+        let acts = s.node.handle_client(msg);
+        self.absorb(s, acts)
     }
 
-    /// Re-serves parked waiters after a node event (seal or load) — the
-    /// model's `flush_waiters`. Loops to a fixpoint because serving one
-    /// waiter can unblock another.
-    fn flush(&self, s: &mut State) {
-        if self.bug.skip_flush_waiters {
-            return;
+    /// Queues the node's I/O commands and delivers its replies.
+    fn absorb(&self, s: &mut State, acts: Vec<Action>) -> Outcome {
+        for a in acts {
+            match a {
+                Action::Io(cmd) => s.io.push(cmd),
+                Action::Peer { node, msg } => panic!("single-node model sent {msg:?} to {node}"),
+                Action::Reply { client, reply } => self.deliver(s, client as usize, reply)?,
+            }
         }
-        loop {
-            let mut progressed = false;
-            for c in 0..NCLIENTS {
-                if s.clients[c].blocked && self.attempt(s, c) {
-                    progressed = true;
+        Ok(())
+    }
+
+    fn deliver(&self, s: &mut State, c: usize, reply: Reply) -> Outcome {
+        let pc = s.clients[c].pc;
+        let op = self.op(s, c);
+        assert!(
+            s.clients[c].parked && reply.req() == req_of(c, pc),
+            "client{c} got {reply:?} while not waiting for it"
+        );
+        // A refused write or failed read skips the matching release.
+        let skip = |next: Op| 1 + usize::from(self.scripts[c].get(pc + 1) == Some(&next));
+        let someone_writes = |b| s.clients.iter().any(|o| o.writing.contains(&b));
+        let advance = match (op, reply) {
+            (Some(Op::Write(b)), Reply::WriteGranted { .. }) => {
+                if someone_writes(b) {
+                    return Err("single-writer");
+                }
+                s.clients[c].writing.push(b);
+                1
+            }
+            (
+                Some(Op::Write(b)),
+                Reply::Err {
+                    error: StorageError::Immutability(_),
+                    ..
+                },
+            ) => {
+                s.clients[c].refused = true;
+                skip(Op::Seal(b))
+            }
+            (Some(Op::Seal(b)), Reply::WriteSealed { .. }) => {
+                s.clients[c].writing.retain(|&w| w != b);
+                s.sealed[b as usize] = true;
+                1
+            }
+            (Some(Op::Read(b)), Reply::ReadReady { data, .. }) => {
+                if !s.sealed[b as usize] || data != fill(b) {
+                    return Err("no-unsealed-read");
+                }
+                s.clients[c].pinned.push(b);
+                1
+            }
+            (
+                Some(Op::Read(b)),
+                Reply::Err {
+                    error: StorageError::IoFailed(_),
+                    ..
+                },
+            ) => skip(Op::Release(b)),
+            (
+                Some(Op::MapSince),
+                Reply::MapDelta {
+                    version, entries, ..
+                },
+            ) => {
+                let truth = expected_map(s);
+                let cl = &mut s.clients[c];
+                if version < cl.cursor {
+                    return Err("map-version-monotonic");
+                }
+                // A delta replaces the whole block set of the (one) array.
+                if !entries.is_empty() {
+                    cl.mirror = entries.iter().map(|e| (e.block, e.state)).collect();
+                }
+                cl.cursor = version;
+                if cl.mirror != truth {
+                    return Err("map-delta-composes");
+                }
+                1
+            }
+            (op, reply) => panic!("client{c}: unexpected {reply:?} to {op:?}"),
+        };
+        let cl = &mut s.clients[c];
+        cl.parked = false;
+        cl.pc += advance;
+        Ok(())
+    }
+
+    /// Outstanding I/O command `i` completes (`ok`) or fails.
+    fn finish_io(&self, s: &mut State, i: usize, ok: bool) -> Outcome {
+        let cmd = s.io.remove(i);
+        let reply = match cmd {
+            IoCmd::Read { array, block, .. } if ok => {
+                let data = s.disk.get(&block).cloned();
+                let data = data.unwrap_or_else(|| panic!("read of block {block} never written"));
+                IoReply::ReadDone { array, block, data }
+            }
+            IoCmd::Write {
+                array, block, data, ..
+            } if ok => {
+                let bytes = data.len() as u64;
+                s.disk.insert(block, data);
+                IoReply::WriteDone {
+                    array,
+                    block,
+                    bytes,
                 }
             }
-            if !progressed {
-                return;
+            IoCmd::DeleteFiles { .. } => panic!("the scenarios delete nothing"),
+            IoCmd::Read { array, block, .. } | IoCmd::Write { array, block, .. } => {
+                IoReply::Error {
+                    array,
+                    block,
+                    message: "injected".into(),
+                }
             }
-        }
+        };
+        let acts = s.node.handle_io(reply);
+        self.absorb(s, acts)
     }
 
-    /// All enabled transitions from `s`: each unparked client attempting
-    /// its next operation, plus the node's own nondeterministic actions
-    /// (reclaim an evictable block; load an on-disk block a reader waits
-    /// for).
-    fn successors(&self, s: &State) -> Vec<(String, State)> {
+    /// Every step enabled in `s`, with its label and outcome.
+    fn steps(&self, s: &State) -> Vec<(String, State, Outcome)> {
         let mut out = Vec::new();
-        for c in 0..NCLIENTS {
-            if s.clients[c].blocked {
-                continue; // parked: only a node event can wake it
-            }
-            let Some(op) = self.op(s, c) else {
-                continue; // script complete
+        for c in 0..s.clients.len() {
+            let Some(op) = self.op(s, c).filter(|_| !s.clients[c].parked) else {
+                continue;
             };
             let mut next = s.clone();
-            let label = if self.attempt(&mut next, c) {
-                format!("client{c}: {op:?}")
-            } else {
-                next.clients[c].blocked = true;
-                format!("client{c}: {op:?} (parked)")
-            };
-            out.push((label, next));
+            let outcome = self.send(&mut next, c, op);
+            out.push((format!("client{c}: {op:?}"), next, outcome));
         }
-        for b in 0..NBLOCKS {
-            let blk = &s.blocks[b];
-            // Reclaim: spill-and-evict a sealed, writer-free resident block.
-            if blk.resident
-                && blk.sealed
-                && blk.writers == 0
-                && (blk.pins == 0 || self.bug.evict_pinned)
-            {
+        for i in 0..s.io.len() {
+            for ok in [true, false] {
                 let mut next = s.clone();
-                next.blocks[b].on_disk = true;
-                next.blocks[b].resident = false;
-                out.push((format!("node: Reclaim(block{b})"), next));
+                let outcome = self.finish_io(&mut next, i, ok);
+                let verb = if ok { "done" } else { "failed" };
+                out.push((format!("io: {:?} {verb}", s.io[i]), next, outcome));
             }
-            // Load: bring an evicted block back for a parked reader.
-            let wanted = (0..NCLIENTS)
-                .any(|c| s.clients[c].blocked && self.op(s, c) == Some(Op::StartRead(b)));
-            if blk.on_disk && !blk.resident && blk.sealed && wanted && !blk.load_failed {
-                let mut next = s.clone();
-                next.blocks[b].resident = true;
-                self.flush(&mut next);
-                out.push((format!("node: Load(block{b})"), next));
-                // The same load can instead fail (disk error). The healthy
-                // node arms a retry/timeout transition in the same step; the
-                // seeded bug forgets it — leaving the parked reader's wait
-                // with no transition that can ever end it.
-                let mut next = s.clone();
-                next.blocks[b].load_failed = true;
-                next.blocks[b].timeout_armed = !self.bug.no_timeout_transition;
-                out.push((format!("node: LoadError(block{b})"), next));
-            }
-            // RetryLoad: the armed timeout fires (the real system's backoff
-            // tick re-issuing the read); the wait ends one way or the other.
-            if blk.load_failed && blk.timeout_armed {
-                let mut next = s.clone();
-                next.blocks[b].load_failed = false;
-                next.blocks[b].timeout_armed = false;
-                next.blocks[b].resident = true;
-                self.flush(&mut next);
-                out.push((format!("node: RetryLoad(block{b})"), next));
-            }
+        }
+        if s.node.needs_tick() {
+            let mut next = s.clone();
+            let acts = next.node.on_tick();
+            let outcome = self.absorb(&mut next, acts);
+            out.push(("node: tick".to_string(), next, outcome));
         }
         out
     }
 
-    /// Checks the per-state safety invariants; `Some(name)` on violation.
-    fn violated_invariant(&self, s: &State) -> Option<&'static str> {
-        // A parked read whose block is sealed and resident should have been
-        // served by the flush at the event that made it serviceable; such a
-        // state is only reachable when a flush was skipped. (The liveness
-        // half of "every blocked read is eventually answered": checking it
-        // as a state invariant also catches starvation hidden inside
-        // reclaim/load cycles that never quiesce.)
-        for c in 0..NCLIENTS {
-            if s.clients[c].blocked {
-                if let Some(Op::StartRead(b)) = self.op(s, c) {
-                    if s.blocks[b].sealed && s.blocks[b].resident {
-                        return Some("reads-answered");
-                    }
-                }
-            }
-        }
-        if s.mapper.nonmonotonic {
-            return Some("map-version-monotonic");
-        }
-        if s.mapper.stale {
-            return Some("map-delta-composes");
-        }
-        for blk in &s.blocks {
-            // Invariant 8: a failed load someone is blocked on must have a
-            // timeout/retry transition armed, or the wait can never end.
-            if blk.load_failed && !blk.timeout_armed {
-                return Some("wait-timeout-armed");
-            }
-            if blk.pins < 0 {
+    /// The per-state invariants.
+    fn violated(&self, s: &State) -> Option<&'static str> {
+        for b in 0..NBLOCKS {
+            let held = s
+                .clients
+                .iter()
+                .flat_map(|c| c.pinned.iter().chain(&c.writing));
+            let held = held.filter(|&&x| x == b).count() as u64;
+            let (pins, resident, on_disk) = s.node.debug_block(ARRAY, b).unwrap_or_default();
+            if pins < held {
                 return Some("negative-refcount");
             }
-            if blk.writers > 1 {
-                return Some("single-writer");
-            }
-            if blk.served_unsealed {
-                return Some("no-unsealed-read");
-            }
-            if blk.pins > 0 && !blk.resident {
+            if pins > 0 && !resident {
                 return Some("no-evict-pinned");
+            }
+            let sealed = s.sealed[b as usize];
+            let io_on = |write| {
+                s.io.iter().any(|cmd| match cmd {
+                    IoCmd::Write { block, .. } => write && *block == b,
+                    IoCmd::Read { block, .. } => !write && *block == b,
+                    IoCmd::DeleteFiles { .. } => false,
+                })
+            };
+            if sealed && !resident && !on_disk && !io_on(true) {
+                return Some("reads-answered"); // the only copy is gone
+            }
+            let parked_reader = (0..s.clients.len())
+                .any(|c| s.clients[c].parked && self.op(s, c) == Some(Op::Read(b)));
+            if parked_reader && sealed && resident {
+                return Some("reads-answered");
+            }
+            if parked_reader && sealed && on_disk && !io_on(false) && !s.node.needs_tick() {
+                return Some("wait-timeout-armed");
             }
         }
         None
     }
 
-    /// Checks the quiescence invariants on a terminal state (no enabled
-    /// transitions); `Some(name)` on violation.
-    fn violated_terminal_invariant(&self, s: &State) -> Option<&'static str> {
-        for c in 0..NCLIENTS {
-            if s.clients[c].blocked || self.op(s, c).is_some() {
-                return Some("reads-answered");
-            }
+    /// The invariants of a state with no enabled step.
+    fn violated_at_quiescence(&self, s: &State) -> Option<&'static str> {
+        let unfinished = |c: usize| s.clients[c].parked || self.op(s, c).is_some();
+        if (0..s.clients.len()).any(unfinished) {
+            return Some("reads-answered");
         }
-        if s.blocks.iter().any(|b| b.pins != 0) {
-            return Some("balanced-at-quiescence");
-        }
-        None
+        let pinned = (0..NBLOCKS).any(|b| s.node.debug_block(ARRAY, b).is_some_and(|d| d.0 > 0));
+        pinned.then_some("balanced-at-quiescence")
     }
 }
 
@@ -507,21 +515,24 @@ impl Model {
 pub struct ExploreStats {
     /// Distinct states reached.
     pub states: usize,
-    /// Transitions taken (including ones leading to already-seen states).
+    /// Steps taken (including ones leading to already-seen states).
     pub transitions: usize,
-    /// Terminal (quiescent) states.
+    /// Quiescent states: every script done, no I/O outstanding, no tick
+    /// due.
     pub terminals: usize,
+    /// Quiescent states in which some client's write had been refused.
+    pub refused: usize,
 }
 
 /// A found invariant violation: which invariant, the offending state, and
-/// the full action trace from the initial state that reaches it.
+/// the step trace from the initial state that reaches it.
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Name of the violated invariant.
     pub invariant: &'static str,
-    /// Debug rendering of the violating state.
+    /// Rendering of the violating state.
     pub state: String,
-    /// Action labels from the initial state to the violation.
+    /// Step labels from the initial state to the violation.
     pub trace: Vec<String>,
 }
 
@@ -535,81 +546,70 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Upper bound on explored states; the bounded models stay far below this,
-/// so hitting it indicates a modelling error rather than a big state space.
+/// Upper bound on explored states; the scenarios stay far below it, so
+/// hitting it indicates a modelling error rather than a big state space.
 const STATE_LIMIT: usize = 1_000_000;
 
-/// Exhaustively explores every interleaving of `model` by BFS, checking the
-/// safety invariants on every reachable state and the quiescence invariants
-/// on every terminal state.
+/// Explores every interleaving of `model` by BFS, checking the per-state
+/// invariants on every reachable state and the quiescence invariants on
+/// every state with no enabled step.
 pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
-    let init = State::default();
-    let mut arena: Vec<State> = vec![init.clone()];
-    // state -> index in arena; preds[i] = (parent index, action label).
-    let mut seen: HashMap<State, usize> = HashMap::from([(init, 0)]);
+    let init = model.initial();
+    // preds[i] = (parent index, step label) of the i-th state reached.
     let mut preds: Vec<Option<(usize, String)>> = vec![None];
-    let mut frontier: VecDeque<usize> = VecDeque::from([0]);
-    let mut transitions = 0usize;
-    let mut terminals = 0usize;
-
-    let trace_to = |preds: &[Option<(usize, String)>], mut i: usize| {
-        let mut t = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::from([init.key()]);
+    let mut frontier: VecDeque<(usize, State)> = VecDeque::from([(0, init)]);
+    let mut stats = ExploreStats {
+        states: 1,
+        transitions: 0,
+        terminals: 0,
+        refused: 0,
+    };
+    let violation = |preds: &[Option<(usize, String)>], mut i: usize, invariant, s: &State| {
+        let mut trace = Vec::new();
         while let Some((p, label)) = &preds[i] {
-            t.push(label.clone());
+            trace.push(label.clone());
             i = *p;
         }
-        t.reverse();
-        t
+        trace.reverse();
+        Violation {
+            invariant,
+            state: s.summary(),
+            trace,
+        }
     };
-
-    if let Some(inv) = model.violated_invariant(&arena[0]) {
-        return Err(Violation {
-            invariant: inv,
-            state: format!("{:?}", arena[0]),
-            trace: Vec::new(),
-        });
-    }
-
-    while let Some(idx) = frontier.pop_front() {
-        let succs = model.successors(&arena[idx]);
-        if succs.is_empty() {
-            terminals += 1;
-            if let Some(inv) = model.violated_terminal_invariant(&arena[idx]) {
-                return Err(Violation {
-                    invariant: inv,
-                    state: format!("{:?}", arena[idx]),
-                    trace: trace_to(&preds, idx),
-                });
+    while let Some((idx, s)) = frontier.pop_front() {
+        let steps = model.steps(&s);
+        if steps.is_empty() {
+            stats.terminals += 1;
+            stats.refused += usize::from(s.clients.iter().any(|c| c.refused));
+            if let Some(inv) = model.violated_at_quiescence(&s) {
+                return Err(violation(&preds, idx, inv, &s));
             }
             continue;
         }
-        for (label, next) in succs {
-            transitions += 1;
-            if seen.contains_key(&next) {
+        for (label, next, outcome) in steps {
+            stats.transitions += 1;
+            let regressed = next.node.map_version() < s.node.map_version();
+            let broken = outcome
+                .err()
+                .or(regressed.then_some("map-version-monotonic"))
+                .or_else(|| model.violated(&next));
+            if !seen.insert(next.key()) && broken.is_none() {
                 continue;
             }
-            let ni = arena.len();
+            let ni = preds.len();
             assert!(
                 ni < STATE_LIMIT,
                 "state space exceeded {STATE_LIMIT} states"
             );
-            seen.insert(next.clone(), ni);
-            arena.push(next);
             preds.push(Some((idx, label)));
-            if let Some(inv) = model.violated_invariant(&arena[ni]) {
-                return Err(Violation {
-                    invariant: inv,
-                    state: format!("{:?}", arena[ni]),
-                    trace: trace_to(&preds, ni),
-                });
+            if let Some(inv) = broken {
+                return Err(violation(&preds, ni, inv, &next));
             }
-            frontier.push_back(ni);
+            stats.states += 1;
+            frontier.push_back((ni, next));
         }
     }
-
-    Ok(ExploreStats {
-        states: arena.len(),
-        transitions,
-        terminals,
-    })
+    Ok(stats)
 }

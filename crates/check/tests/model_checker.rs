@@ -1,160 +1,100 @@
-//! End-to-end model-checker runs: the faithful protocol is violation-free
-//! over its whole bounded state space, and every seeded bug is caught with
-//! a concrete counterexample trace.
+//! End-to-end model-checker runs over the real storage node: the node as
+//! shipped is violation-free over each scenario's whole bounded state space,
+//! and every seeded bug is caught with a concrete counterexample trace.
+//!
+//! Run with `cargo test -p dooc-check --features model --test model_checker`.
 
-use dooc_check::model::{explore, BugConfig, Model};
+#![cfg(feature = "model")]
 
-#[test]
-fn faithful_protocol_has_no_violations() {
-    let stats = explore(&Model::standard(BugConfig::default()))
-        .unwrap_or_else(|v| panic!("unexpected violation:\n{v}"));
-    // Exhaustiveness sanity: two clients racing the node's reclaim/load
-    // actions produce a nontrivial interleaving space, fully covered.
-    assert!(stats.states > 200, "suspiciously small space: {stats:?}");
+use dooc_check::model::{explore, ExploreStats, Model};
+use dooc_storage::node::SeededBugs;
+
+fn clean(model: &Model) -> ExploreStats {
+    let stats = explore(model).unwrap_or_else(|v| panic!("unexpected violation:\n{v}"));
+    eprintln!("{stats:?}");
     assert!(stats.transitions > stats.states, "{stats:?}");
     assert!(stats.terminals >= 1, "{stats:?}");
+    stats
 }
 
-#[test]
-fn faithful_write_contention_has_no_violations() {
-    let stats = explore(&Model::write_contention(BugConfig::default()))
-        .unwrap_or_else(|v| panic!("unexpected violation:\n{v}"));
-    assert!(stats.states > 30, "{stats:?}");
-}
-
-fn expect_violation(model: &Model, invariant: &str) {
+fn expect_violation(model: &Model, invariant: &str) -> Vec<String> {
     match explore(model) {
-        Ok(stats) => panic!("bug {:?} went undetected over {stats:?}", model.bug),
+        Ok(stats) => panic!("{model:?} went undetected over {stats:?}"),
         Err(v) => {
             assert_eq!(v.invariant, invariant, "wrong invariant:\n{v}");
             assert!(
                 !v.trace.is_empty(),
                 "counterexample must carry a trace:\n{v}"
             );
+            v.trace
         }
     }
 }
 
 #[test]
-fn skipped_release_breaks_refcount_balance() {
-    expect_violation(
-        &Model::standard(BugConfig {
-            skip_release: true,
-            ..Default::default()
-        }),
-        "balanced-at-quiescence",
-    );
+fn faithful_protocol_has_no_violations() {
+    // Two writers, two readers of each block, one eviction at any point, and
+    // every I/O completing or failing: a nontrivial space, fully covered.
+    let stats = clean(&Model::standard(SeededBugs::default()));
+    assert!(stats.states > 1000, "suspiciously small space: {stats:?}");
+    assert_eq!(stats.refused, 0, "{stats:?}");
 }
 
 #[test]
-fn double_grant_breaks_single_writer() {
-    expect_violation(
-        &Model::write_contention(BugConfig {
-            allow_double_grant: true,
-            ..Default::default()
-        }),
-        "single-writer",
-    );
-}
-
-#[test]
-fn evicting_pinned_block_is_caught() {
-    expect_violation(
-        &Model::standard(BugConfig {
-            evict_pinned: true,
-            ..Default::default()
-        }),
-        "no-evict-pinned",
-    );
-}
-
-#[test]
-fn skipping_waiter_flush_leaves_reads_unanswered() {
-    expect_violation(
-        &Model::standard(BugConfig {
-            skip_flush_waiters: true,
-            ..Default::default()
-        }),
-        "reads-answered",
-    );
-}
-
-#[test]
-fn serving_unsealed_read_is_caught() {
-    expect_violation(
-        &Model::standard(BugConfig {
-            serve_unsealed_read: true,
-            ..Default::default()
-        }),
-        "no-unsealed-read",
-    );
-}
-
-#[test]
-fn failed_loads_with_armed_timeouts_have_no_violations() {
-    // The healthy model's loads can fail nondeterministically; every failure
-    // arms the retry/timeout transition, so no interleaving — including
-    // repeated fail/retry cycles — strands a parked reader.
-    let stats = explore(&Model::standard(BugConfig::default()))
-        .unwrap_or_else(|v| panic!("unexpected violation:\n{v}"));
-    assert!(stats.terminals >= 1, "{stats:?}");
-}
-
-#[test]
-fn missing_timeout_transition_is_a_latent_hang() {
-    // Invariant 8: a blocking wait whose load failed with no retry/timeout
-    // armed can never end. The checker must pinpoint the latent hang and
-    // carry the LoadError step in the counterexample.
-    let v = explore(&Model::standard(BugConfig {
-        no_timeout_transition: true,
-        ..Default::default()
-    }))
-    .expect_err("seeded bug");
-    assert_eq!(v.invariant, "wait-timeout-armed", "wrong invariant:\n{v}");
-    assert!(
-        v.trace.iter().any(|s| s.contains("LoadError")),
-        "counterexample must contain the failed load:\n{v}"
-    );
+fn write_contention_refuses_the_second_writer() {
+    // Write-once arrays: the second writer of block 0 is refused — never
+    // parked, never granted — on every interleaving.
+    let stats = clean(&Model::write_contention(SeededBugs::default()));
+    assert_eq!(stats.refused, stats.terminals, "{stats:?}");
 }
 
 #[test]
 fn faithful_map_protocol_has_no_violations() {
-    // Repeated MapSince queries race writes, seals, reads, evictions and
-    // reloads; version monotonicity and delta composition hold on every
+    // Repeated MapSince queries race writes, seals, reads, spills, evictions
+    // and reloads; version monotonicity and delta composition hold on every
     // interleaving.
-    let stats = explore(&Model::map_protocol(BugConfig::default()))
-        .unwrap_or_else(|v| panic!("unexpected violation:\n{v}"));
-    assert!(stats.states > 200, "suspiciously small space: {stats:?}");
-    assert!(stats.terminals >= 1, "{stats:?}");
+    let stats = clean(&Model::map_protocol(SeededBugs::default()));
+    assert!(stats.states > 1000, "suspiciously small space: {stats:?}");
+}
+
+#[test]
+fn evicting_pinned_block_is_caught() {
+    let bugs = SeededBugs {
+        evict_ignores_pins: true,
+        ..SeededBugs::default()
+    };
+    let trace = expect_violation(&Model::standard(bugs), "no-evict-pinned");
+    assert!(
+        trace.iter().any(|s| s.contains("Read")),
+        "the victim was pinned by a read: {trace:?}"
+    );
 }
 
 #[test]
 fn skipped_version_bump_breaks_delta_composition() {
-    expect_violation(
-        &Model::map_protocol(BugConfig {
-            skip_version_bump: true,
-            ..Default::default()
-        }),
-        "map-delta-composes",
+    let bugs = SeededBugs {
+        skip_map_version_bump: true,
+        ..SeededBugs::default()
+    };
+    expect_violation(&Model::map_protocol(bugs), "map-delta-composes");
+}
+
+#[test]
+fn eviction_without_spill_loses_data() {
+    let bugs = SeededBugs {
+        evict_skips_spill: true,
+        ..SeededBugs::default()
+    };
+    let trace = expect_violation(&Model::standard(bugs), "reads-answered");
+    // BFS: the shortest way to lose a block is to seal it and push it out.
+    assert!(
+        trace.len() <= 4,
+        "BFS finds a short counterexample: {trace:?}"
     );
 }
 
 #[test]
-fn counterexample_traces_replay_from_initial_state() {
-    // The trace of a violation is a sequence of labelled actions; its
-    // length bounds the BFS depth, so it should be short (minimal).
-    let v = explore(&Model::standard(BugConfig {
-        evict_pinned: true,
-        ..Default::default()
-    }))
-    .expect_err("seeded bug");
-    assert!(
-        v.trace.len() <= 8,
-        "BFS should find a short counterexample, got {} steps:\n{v}",
-        v.trace.len()
-    );
-    assert!(
-        v.trace.iter().any(|s| s.contains("Reclaim")),
-        "eviction trace must contain the reclaim action:\n{v}"
-    );
+fn skipped_release_breaks_refcount_balance() {
+    let model = Model::standard(SeededBugs::default()).without_releases(0);
+    expect_violation(&model, "balanced-at-quiescence");
 }

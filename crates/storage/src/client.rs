@@ -567,25 +567,9 @@ impl StorageClient {
     }
 
     /// Queries the node's availability map ("obtain a map of which part of
-    /// the arrays are currently available").
-    pub fn map(&mut self) -> Result<Vec<MapEntry>> {
-        let req = self.fresh();
-        self.send(&ClientMsg::MapQuery {
-            req,
-            client: self.client_id,
-        })?;
-        match self.wait(req)? {
-            Reply::Map { entries, .. } => Ok(entries),
-            Reply::Err { error, .. } => Err(error),
-            other => Err(StorageError::Protocol(format!(
-                "unexpected reply to map query: {other:?}"
-            ))),
-        }
-    }
-
-    /// Incremental form of [`StorageClient::map`]: returns only what changed
-    /// after map version `since` (0 = full snapshot) plus the node's current
-    /// version to use as the next cursor.
+    /// the arrays are currently available"): only what changed after map
+    /// version `since` (0 = full snapshot), plus the node's current version
+    /// to use as the next cursor.
     pub fn map_since(&mut self, since: u64) -> Result<MapDelta> {
         let mut attempt = 0u32;
         loop {

@@ -163,12 +163,9 @@ impl StorageFilter {
         // The scan may have rediscovered files whose removal is still queued
         // at the I/O filter; the tombstone drops them from the map again.
         for array in &rc.deleted {
-            let _ = st.handle_peer(
-                u64::MAX,
-                PeerMsg::DeleteNotice {
-                    array: array.clone(),
-                },
-            );
+            let _ = st.handle_peer(PeerMsg::DeleteNotice {
+                array: array.clone(),
+            });
         }
         self.state = st;
     }
@@ -253,22 +250,17 @@ impl Filter for StorageFilter {
                 SelectEvent::Buffer(1, buf) => {
                     let _span = dooc_obs::enabled()
                         .then(|| dooc_obs::span(dooc_obs::Category::Storage, "storage:peer", node));
-                    // The sender's node id is embedded in messages that need
-                    // it (Fetch carries from_node); other peer messages are
-                    // source-agnostic.
+                    // Messages that need an answer carry their reply address
+                    // (Fetch's from_node); the others are source-agnostic.
                     let msg = PeerMsg::decode(&buf)
                         .map_err(|e| ctx.error(format!("peer decode: {e}")))?;
-                    let from = match &msg {
-                        PeerMsg::Fetch { from_node, .. } => *from_node,
-                        _ => u64::MAX,
-                    };
                     #[cfg(feature = "faultline")]
                     if let (Some(rc), PeerMsg::DeleteNotice { array }) =
                         (self.restart.as_mut(), &msg)
                     {
                         rc.note_deleted(array);
                     }
-                    self.state.handle_peer(from, msg)
+                    self.state.handle_peer(msg)
                 }
                 SelectEvent::Buffer(_, buf) => {
                     let _span = dooc_obs::enabled()

@@ -9,7 +9,7 @@ use crate::{Result, StorageError};
 
 /// Geometry of a distributed array: a byte length split into fixed-size
 /// blocks (the last block may be shorter).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ArrayMeta {
     /// Cluster-unique array name.
     pub name: String,

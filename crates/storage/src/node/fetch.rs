@@ -1,0 +1,679 @@
+//! Peer lookup over the partitioned global map: serving other nodes'
+//! fetches, probing random peers for blocks this node lacks (one probe in
+//! flight per block), stalling when every peer denied and re-probing on the
+//! tick, abandoning silent peers past a deadline, and resolving the
+//! placeholder geometry of an array first met through a read.
+
+use super::{storage_obs, Action, BlockMem, ReadWaiter, StorageState};
+use crate::meta::ArrayMeta;
+use crate::proto::{PeerMsg, Reply};
+use crate::StorageError;
+use bytes::Bytes;
+use rand::Rng;
+
+/// State of an outstanding remote fetch for one block.
+#[derive(Clone, Hash)]
+pub(super) struct FetchState {
+    /// Our fetch request id.
+    pub(super) req: u64,
+    /// Peers already asked (includes the one currently in flight).
+    tried: Vec<u64>,
+    /// Ticks the current probe has been in flight (for the optional
+    /// [`super::RecoveryPolicy::fetch_deadline_ticks`] deadline).
+    age: u64,
+}
+
+/// Why a `FetchFound` answer cannot be installed, if it cannot: it must
+/// describe a real block of the array, carry exactly that block's bytes,
+/// and — when this node knows the geometry — agree with it and be the block
+/// that was asked for.
+fn bad_answer(
+    known: &ArrayMeta,
+    asked: u64,
+    found: &ArrayMeta,
+    block: u64,
+    data_len: u64,
+) -> Option<String> {
+    if found.block_size == 0 {
+        return Some("zero block size".into());
+    }
+    if block >= found.nblocks() {
+        return Some(format!("block {block} of {} blocks", found.nblocks()));
+    }
+    if data_len != found.block_len(block) {
+        return Some(format!(
+            "{data_len} bytes for a {}-byte block",
+            found.block_len(block)
+        ));
+    }
+    let placeholder = known.len == u64::MAX;
+    if !placeholder && (known.len, known.block_size, asked) != (found.len, found.block_size, block)
+    {
+        return Some(format!(
+            "block {block} of ({}, {}) answers block {asked} of ({}, {})",
+            found.len, found.block_size, known.len, known.block_size
+        ));
+    }
+    None
+}
+
+impl StorageState {
+    /// A peer asks for the block holding `offset`: answer from memory, load
+    /// it from disk, log the request if the block is produced here, or deny.
+    pub(super) fn serve_fetch(
+        &mut self,
+        req: u64,
+        from_node: u64,
+        array: String,
+        offset: u64,
+        out: &mut Vec<Action>,
+    ) {
+        let not_found = Action::Peer {
+            node: from_node,
+            msg: PeerMsg::FetchNotFound { req },
+        };
+        let Some(ainfo) = self.arrays.get_mut(&array).filter(|a| !a.is_placeholder()) else {
+            return out.push(not_found);
+        };
+        if offset >= ainfo.meta.len {
+            return out.push(not_found);
+        }
+        let meta = &ainfo.meta;
+        let block = offset / meta.block_size;
+        let block_len = meta.block_len(block);
+        let info = ainfo.blocks.entry(block).or_default();
+        if let Some(BlockMem::Sealed(bytes)) = &info.mem {
+            self.stats.peer_sent_bytes += bytes.len() as u64;
+            out.push(Action::Peer {
+                node: from_node,
+                msg: PeerMsg::FetchFound {
+                    req,
+                    len: meta.len,
+                    block_size: meta.block_size,
+                    block,
+                    data: bytes.clone(),
+                },
+            });
+            self.touch(&array, block);
+        } else if info.on_disk {
+            info.peer_waiters.push((req, from_node));
+            info.load(array, block, block_len, out);
+        } else if ainfo.home
+            || !info.write_granted.is_empty()
+            || !info.sealed.is_empty()
+            || info.mem.is_some()
+        {
+            // Production is local (home, or writes already in flight): log
+            // the request, answer once sealed.
+            info.peer_waiters.push((req, from_node));
+        } else {
+            out.push(not_found);
+        }
+    }
+
+    /// Begins (or joins) a remote fetch of `array`'s block containing
+    /// `offset`. `block` is this node's best guess of the block index (0 if
+    /// geometry unknown — re-keyed on reply).
+    pub(super) fn start_fetch(
+        &mut self,
+        array: String,
+        block: u64,
+        offset: u64,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(ainfo) = self.arrays.get_mut(&array) else {
+            return; // callers register the array first; a miss is a no-op
+        };
+        let info = ainfo.blocks.entry(block).or_default();
+        if info.fetch.is_some() {
+            return; // already in flight — "avoid asking for an interval multiple times"
+        }
+        let req = self.next_fetch_req;
+        self.next_fetch_req += 1;
+        let me = self.cfg.node;
+        let peer = loop {
+            let p = self.rng.gen_range(0..self.cfg.nnodes);
+            if p != me || self.cfg.nnodes == 1 {
+                break p;
+            }
+        };
+        info.fetch = Some(FetchState {
+            req,
+            tried: vec![peer],
+            age: 0,
+        });
+        self.fetches.insert(req, (array.clone(), block));
+        out.push(Action::Peer {
+            node: peer,
+            msg: PeerMsg::Fetch {
+                req,
+                from_node: me,
+                array,
+                offset,
+            },
+        });
+    }
+
+    /// One peer probe of fetch `req` came back empty — by an explicit
+    /// `FetchNotFound`, an unusable answer, or the fetch deadline. Try the
+    /// next random untried peer; once every peer denied, stall the fetch
+    /// for the tick loop ("the data may not exist *yet*").
+    pub(super) fn fetch_setback(&mut self, req: u64, out: &mut Vec<Action>) {
+        let Some((array, block)) = self.fetches.get(&req).cloned() else {
+            return;
+        };
+        let me = self.cfg.node;
+        let nnodes = self.cfg.nnodes;
+        let Some(ainfo) = self.arrays.get_mut(&array) else {
+            return;
+        };
+        let offset = if ainfo.is_placeholder() {
+            // Geometry unknown: waiters hold global offsets.
+            let first = ainfo
+                .blocks
+                .get(&block)
+                .and_then(|i| i.read_waiters.first());
+            first.map_or(0, |w| w.off)
+        } else {
+            ainfo.meta.block_start(block)
+        };
+        let Some(fetch) = ainfo.blocks.get_mut(&block).and_then(|i| i.fetch.as_mut()) else {
+            return;
+        };
+        let untried: Vec<u64> = (0..nnodes)
+            .filter(|&n| n != me && !fetch.tried.contains(&n))
+            .collect();
+        if untried.is_empty() {
+            // Every peer denied *right now*: the data may not exist yet (the
+            // producing task has not run). Stall and retry on the next tick,
+            // preserving "reply when the information becomes available".
+            if let Some(info) = ainfo.blocks.get_mut(&block) {
+                info.fetch = None;
+            }
+            self.fetches.remove(&req);
+            self.stalled.push((array, block, offset));
+        } else {
+            let peer = untried[self.rng.gen_range(0..untried.len())];
+            fetch.tried.push(peer);
+            fetch.age = 0;
+            out.push(Action::Peer {
+                node: peer,
+                msg: PeerMsg::Fetch {
+                    req,
+                    from_node: me,
+                    array,
+                    offset,
+                },
+            });
+        }
+    }
+
+    /// A peer answered fetch `req` with a block. Answers from outside the
+    /// node are checked before anything is installed: an unusable one
+    /// counts as a failed probe.
+    pub(super) fn fetch_found(
+        &mut self,
+        req: u64,
+        len: u64,
+        block_size: u64,
+        block: u64,
+        data: Bytes,
+        out: &mut Vec<Action>,
+    ) {
+        let Some((array, asked)) = self.fetches.get(&req).cloned() else {
+            return; // stale: answered already, abandoned, or array deleted
+        };
+        let Some(ainfo) = self.arrays.get(&array) else {
+            return;
+        };
+        let found = ArrayMeta {
+            name: array.clone(),
+            len,
+            block_size,
+        };
+        if let Some(why) = bad_answer(&ainfo.meta, asked, &found, block, data.len() as u64) {
+            dooc_obs::instant_arg(
+                dooc_obs::Category::Fault,
+                "storage:bad_fetch",
+                self.cfg.node as i64,
+                || format!("{array} fetch req {req}: {why}"),
+            );
+            return self.fetch_setback(req, out);
+        }
+        let placeholder = ainfo.is_placeholder();
+        self.fetches.remove(&req);
+        self.stall_rounds.remove(&(array.clone(), block));
+        self.stall_rounds.remove(&(array.clone(), asked));
+        self.stats.peer_recv_bytes += data.len() as u64;
+        if placeholder {
+            self.resolve_placeholder(&array, found, asked, Some((block, data)), out);
+        } else {
+            self.install_sealed(&array, block, data, out);
+        }
+    }
+
+    /// Real geometry arrived for an array known only by a placeholder —
+    /// from a `Register` hint or with a peer's block. Moves the reads parked
+    /// under block `parked` (global offsets) to their real blocks, installs
+    /// the block that came with the geometry, if any, and fetches every
+    /// other block that now has waiters but no fetch.
+    pub(super) fn resolve_placeholder(
+        &mut self,
+        array: &str,
+        meta: ArrayMeta,
+        parked: u64,
+        found: Option<(u64, Bytes)>,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(ainfo) = self.arrays.get_mut(array) else {
+            return;
+        };
+        ainfo.meta = meta;
+        if let Some(parked) = ainfo.blocks.remove(&parked) {
+            if let Some(f) = &parked.fetch {
+                self.fetches.remove(&f.req);
+            }
+            let bs = ainfo.meta.block_size;
+            for w in parked.read_waiters {
+                let b = w.off / bs;
+                ainfo
+                    .blocks
+                    .entry(b)
+                    .or_default()
+                    .read_waiters
+                    .push(ReadWaiter {
+                        off: w.off - b * bs,
+                        ..w
+                    });
+            }
+        }
+        if let Some((block, data)) = found {
+            self.install_sealed(array, block, data, out);
+        }
+        let Some(ainfo) = self.arrays.get(array) else {
+            return;
+        };
+        let mut pending: Vec<(u64, u64)> = ainfo
+            .blocks
+            .iter()
+            .filter(|(_, i)| !i.read_waiters.is_empty() && i.fetch.is_none())
+            .map(|(&b, _)| (b, ainfo.meta.block_start(b)))
+            .collect();
+        pending.sort_unstable();
+        for (b, off) in pending {
+            self.start_fetch(array.to_string(), b, off, out);
+        }
+    }
+
+    /// Retries every stalled fetch with a fresh probe cycle, or times its
+    /// waiters out once [`super::RecoveryPolicy::stall_retry_max`] rounds
+    /// are spent.
+    pub(super) fn retry_stalled(&mut self, out: &mut Vec<Action>) {
+        let stall_max = self.cfg.recovery.stall_retry_max;
+        for (array, block, offset) in std::mem::take(&mut self.stalled) {
+            let still_wanted = self
+                .arrays
+                .get(&array)
+                .and_then(|a| a.blocks.get(&block))
+                .is_some_and(|i| {
+                    !i.read_waiters.is_empty() && i.fetch.is_none() && i.mem.is_none()
+                });
+            let key = (array.clone(), block);
+            if !still_wanted {
+                self.stall_rounds.remove(&key);
+                continue;
+            }
+            let rounds = self.stall_rounds.entry(key.clone()).or_insert(0);
+            *rounds += 1;
+            if stall_max.is_none_or(|max| *rounds <= max) {
+                storage_obs().fetch_retries.inc();
+                self.start_fetch(array, block, offset, out);
+                continue;
+            }
+            // The data never appeared anywhere: stop hiding the hang.
+            self.stall_rounds.remove(&key);
+            let waiters = self
+                .arrays
+                .get_mut(&array)
+                .and_then(|a| a.blocks.get_mut(&block))
+                .map(|i| std::mem::take(&mut i.read_waiters))
+                .unwrap_or_default();
+            for w in waiters {
+                let m = format!("fetch of {array}@{block}: no peer produced the data");
+                out.push(Action::Reply {
+                    client: w.client,
+                    reply: Reply::Err {
+                        req: w.req,
+                        error: StorageError::Timeout(m),
+                    },
+                });
+            }
+            dooc_obs::instant_arg(
+                dooc_obs::Category::Fault,
+                "storage:fetch_timeout",
+                self.cfg.node as i64,
+                || format!("{array}@{block} after {stall_max:?} stall rounds"),
+            );
+        }
+    }
+
+    /// Ages in-flight peer probes; past [`super::RecoveryPolicy::fetch_deadline_ticks`]
+    /// the silent peer counts as having answered `FetchNotFound`.
+    pub(super) fn expire_fetches(&mut self, out: &mut Vec<Action>) {
+        let Some(deadline) = self.cfg.recovery.fetch_deadline_ticks else {
+            return;
+        };
+        let mut expired = Vec::new();
+        for (&req, (array, block)) in &self.fetches {
+            let fetch = self
+                .arrays
+                .get_mut(array)
+                .and_then(|a| a.blocks.get_mut(block))
+                .and_then(|i| i.fetch.as_mut());
+            if let Some(f) = fetch {
+                f.age += 1;
+                if f.age >= deadline {
+                    expired.push(req);
+                }
+            }
+        }
+        for req in expired {
+            storage_obs().fetch_retries.inc();
+            dooc_obs::instant_arg(
+                dooc_obs::Category::Fault,
+                "storage:fetch_deadline",
+                self.cfg.node as i64,
+                || format!("fetch req {req} unanswered for {deadline} ticks"),
+            );
+            self.fetch_setback(req, out);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::{Action, NodeConfig, RecoveryPolicy, StorageState};
+    use crate::meta::{ArrayMeta, Interval};
+    use crate::proto::{ClientMsg, PeerMsg};
+    use crate::StorageError;
+    use bytes::Bytes;
+    use std::collections::BTreeMap;
+
+    fn node(nnodes: u64, recovery: RecoveryPolicy) -> StorageState {
+        StorageState::new(
+            NodeConfig {
+                recovery,
+                ..cfg(0, nnodes, 1 << 20)
+            },
+            vec![],
+        )
+    }
+
+    /// The single action, which must be a peer fetch: `(peer, req, offset)`.
+    fn probe(acts: &[Action]) -> (u64, u64, u64) {
+        match acts {
+            [Action::Peer {
+                node,
+                msg: PeerMsg::Fetch { req, offset, .. },
+            }] => (*node, *req, *offset),
+            other => panic!("expected one peer fetch, got {other:?}"),
+        }
+    }
+
+    fn found(req: u64, len: u64, block_size: u64, block: u64, data: usize) -> PeerMsg {
+        PeerMsg::FetchFound {
+            req,
+            len,
+            block_size,
+            block,
+            data: Bytes::from(vec![8u8; data]),
+        }
+    }
+
+    fn peer_fetch(st: &mut StorageState, array: &str) -> Vec<Action> {
+        st.handle_peer(PeerMsg::Fetch {
+            req: 5,
+            from_node: 1,
+            array: array.into(),
+            offset: 0,
+        })
+    }
+
+    #[test]
+    fn remote_read_probes_random_peers_until_found() {
+        let mut st = node(4, RecoveryPolicy::default());
+        let (first, req, _) = probe(&read(&mut st, 1, 0, "remote", Interval::new(0, 8)));
+        assert_ne!(first, 0, "never asks itself");
+        let (second, _, _) = probe(&st.handle_peer(PeerMsg::FetchNotFound { req }));
+        assert_ne!(second, first, "tried peers are excluded");
+        let acts = st.handle_peer(found(req, 16, 16, 0, 16));
+        assert_eq!(&read_data(&acts, 1).expect("read served")[..], &[8u8; 8]);
+        assert_eq!(st.stats().peer_recv_bytes, 16);
+    }
+
+    #[test]
+    fn remote_read_stalls_after_all_peers_deny_then_retries() {
+        let mut st = node(3, RecoveryPolicy::default());
+        let (_, req, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
+        probe(&st.handle_peer(PeerMsg::FetchNotFound { req }));
+        let acts = st.handle_peer(PeerMsg::FetchNotFound { req });
+        assert!(acts.is_empty(), "no error: fetch stalls ({acts:?})");
+        assert!(st.has_stalled_fetches());
+        // A tick restarts the probe cycle.
+        probe(&st.on_tick());
+        assert!(!st.has_stalled_fetches());
+    }
+
+    #[test]
+    fn duplicate_fetches_are_suppressed() {
+        let mut st = node(2, RecoveryPolicy::default());
+        st.handle_client(ClientMsg::Register {
+            meta: ArrayMeta::new("r", 64, 32),
+        });
+        probe(&read(&mut st, 1, 0, "r", Interval::new(0, 8)));
+        let again = read(&mut st, 2, 0, "r", Interval::new(8, 8));
+        assert!(again.is_empty(), "same-block fetch deduplicated: {again:?}");
+        // Different block -> its own fetch.
+        probe(&read(&mut st, 3, 0, "r", Interval::new(32, 8)));
+    }
+
+    #[test]
+    fn peer_fetch_served_from_memory() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 6);
+        match &peer_fetch(&mut st, "a")[..] {
+            [Action::Peer {
+                node: 1,
+                msg:
+                    PeerMsg::FetchFound {
+                        req: 5,
+                        len: 32,
+                        block_size: 32,
+                        block: 0,
+                        data,
+                    },
+            }] => assert_eq!(&data[..], &[6u8; 32]),
+            other => panic!("expected FetchFound, got {other:?}"),
+        }
+        assert_eq!(st.stats().peer_sent_bytes, 32);
+    }
+
+    #[test]
+    fn peer_fetch_of_unwritten_home_block_is_queued() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        let acts = peer_fetch(&mut st, "a");
+        assert!(acts.is_empty(), "queued, not answered: {acts:?}");
+        let acts = write_all(&mut st, "a", Interval::new(0, 32), 2);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            Action::Peer {
+                node: 1,
+                msg: PeerMsg::FetchFound { req: 5, .. }
+            }
+        )));
+    }
+
+    #[test]
+    fn peer_fetch_of_unknown_array_is_not_found() {
+        let mut st = state(1 << 20);
+        assert!(matches!(
+            &peer_fetch(&mut st, "nope")[..],
+            [Action::Peer {
+                node: 1,
+                msg: PeerMsg::FetchNotFound { req: 5 }
+            }]
+        ));
+    }
+
+    #[test]
+    fn register_then_read_maps_blocks_correctly() {
+        let mut st = node(2, RecoveryPolicy::default());
+        st.handle_client(ClientMsg::Register {
+            meta: ArrayMeta::new("r", 64, 32),
+        });
+        // Read of second block probes with an offset inside that block.
+        let (_, _, offset) = probe(&read(&mut st, 1, 0, "r", Interval::new(40, 8)));
+        assert_eq!(offset / 32, 1, "fetch addressed inside block 1");
+    }
+
+    #[test]
+    fn stall_rounds_exhaust_into_timeout() {
+        let mut st = node(
+            2,
+            RecoveryPolicy {
+                stall_retry_max: Some(2),
+                ..RecoveryPolicy::default()
+            },
+        );
+        // Remote read: probe peer 1, which denies -> stall.
+        let (_, mut req, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
+        // Two full stall/retry rounds are allowed ...
+        for _ in 0..2 {
+            assert!(st.handle_peer(PeerMsg::FetchNotFound { req }).is_empty());
+            assert!(st.has_stalled_fetches());
+            req = probe(&st.on_tick()).1;
+        }
+        // ... the third denial times the waiter out on the next tick.
+        assert!(st.handle_peer(PeerMsg::FetchNotFound { req }).is_empty());
+        assert!(matches!(error(&st.on_tick()), StorageError::Timeout(_)));
+    }
+
+    #[test]
+    fn fetch_deadline_moves_to_next_peer() {
+        let mut st = node(
+            3,
+            RecoveryPolicy {
+                fetch_deadline_ticks: Some(2),
+                ..RecoveryPolicy::default()
+            },
+        );
+        let (first, _, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
+        assert!(st.needs_tick(), "deadline arms the tick loop");
+        // The probed peer stays silent (crashed): after the deadline the
+        // probe is abandoned and the other peer is asked.
+        assert!(st.on_tick().is_empty(), "first tick only ages the probe");
+        let (next, _, _) = probe(&st.on_tick());
+        assert_ne!(next, first, "silent peer not re-probed");
+    }
+
+    /// Where the logged reads of `array` wait: block -> (req, block offset).
+    fn layout(st: &StorageState, array: &str) -> BTreeMap<u64, Vec<(u64, u64)>> {
+        st.arrays[array]
+            .blocks
+            .iter()
+            .filter(|(_, i)| !i.read_waiters.is_empty())
+            .map(|(&b, i)| (b, i.read_waiters.iter().map(|w| (w.req, w.off)).collect()))
+            .collect()
+    }
+
+    fn fetched_offsets(acts: &[Action]) -> Vec<u64> {
+        let mut v: Vec<u64> = acts
+            .iter()
+            .filter_map(|a| match a {
+                Action::Peer {
+                    msg: PeerMsg::Fetch { offset, .. },
+                    ..
+                } => Some(*offset),
+                _ => None,
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    /// Both ways real geometry reaches a placeholder array — a `Register`
+    /// hint and a peer's answer — go through one re-key: the parked reads
+    /// land in the same blocks at the same offsets and the same blocks are
+    /// fetched next, except the block the answer itself brought.
+    #[test]
+    fn register_and_fetch_found_re_key_parked_reads_alike() {
+        let parked = || {
+            let mut st = node(3, RecoveryPolicy::default());
+            let (_, req, _) = probe(&read(&mut st, 1, 0, "r", Interval::new(40, 8)));
+            assert!(read(&mut st, 2, 0, "r", Interval::new(70, 8)).is_empty());
+            (st, req)
+        };
+        let (mut hinted, _) = parked();
+        let by_register = hinted.handle_client(ClientMsg::Register {
+            meta: ArrayMeta::new("r", 96, 32),
+        });
+        assert_eq!(
+            layout(&hinted, "r"),
+            BTreeMap::from([(1, vec![(1, 8)]), (2, vec![(2, 6)])])
+        );
+        assert_eq!(fetched_offsets(&by_register), vec![32, 64]);
+
+        let (mut answered, req) = parked();
+        let by_answer = answered.handle_peer(found(req, 96, 32, 1, 32));
+        assert_eq!(
+            served(&by_answer),
+            vec![1],
+            "the answered block serves its read"
+        );
+        let mut expected = layout(&hinted, "r");
+        expected.remove(&1);
+        assert_eq!(layout(&answered, "r"), expected);
+        assert_eq!(fetched_offsets(&by_answer), vec![64]);
+    }
+
+    /// A node that asked for block 1 of a (64, 32) array — or, with
+    /// `known == false`, for offset 40 of an array it has never seen —
+    /// receives `answer`: it must be refused as a failed probe, the next
+    /// peer asked, nothing installed.
+    fn rejects(known: bool, answer: impl FnOnce(u64) -> PeerMsg) {
+        let mut st = node(3, RecoveryPolicy::default());
+        if known {
+            st.handle_client(ClientMsg::Register {
+                meta: ArrayMeta::new("r", 64, 32),
+            });
+        }
+        let (first, req, _) = probe(&read(&mut st, 1, 0, "r", Interval::new(40, 8)));
+        let (next, again, _) = probe(&st.handle_peer(answer(req)));
+        assert_eq!(again, req, "the same fetch moves on");
+        assert_ne!(next, first, "to the next peer");
+        assert_eq!((st.stats().peer_recv_bytes, st.resident_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn fetch_found_with_zero_block_size_is_a_failed_probe() {
+        rejects(false, |req| found(req, 64, 0, 1, 32));
+    }
+
+    #[test]
+    fn fetch_found_past_the_last_block_is_a_failed_probe() {
+        rejects(true, |req| found(req, 64, 32, 2, 32));
+    }
+
+    #[test]
+    fn fetch_found_with_the_wrong_byte_count_is_a_failed_probe() {
+        rejects(true, |req| found(req, 64, 32, 1, 16));
+    }
+
+    #[test]
+    fn fetch_found_contradicting_known_geometry_is_a_failed_probe() {
+        rejects(true, |req| found(req, 128, 32, 1, 32));
+    }
+}

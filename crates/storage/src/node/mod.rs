@@ -1,0 +1,1168 @@
+//! The storage filter's protocol state machine.
+//!
+//! [`StorageState`] is deliberately *synchronous and I/O-free*: every message
+//! handler consumes one message and returns the list of [`Action`]s the
+//! surrounding filter must perform (reply to a client, message a peer, issue
+//! an I/O command). This makes the entire protocol — request logging,
+//! write-once enforcement, peer probing, LRU reclamation — unit-testable
+//! without threads or a filesystem, and lets `dooc-check`'s model checker
+//! explore the real node rather than a copy of it.
+//!
+//! Protocol recap (paper §III-B):
+//! * "When a request is received, either the storage has all the information
+//!   to answer it and it replies immediately, or it logs the request and
+//!   replies back when all the relevant information becomes available."
+//! * "When a data interval which is not contained in the storage is
+//!   requested, since global mapping … is not replicated on each node but
+//!   instead partitioned, the storage asks the storage filter on a randomly
+//!   selected compute node for this interval. To avoid asking for an
+//!   interval multiple times, the storage keeps track of which interval it
+//!   has requested from other computing nodes."
+//! * "All reading of the data stored on the filesystem are performed
+//!   implicitly … the write operations are performed explicitly upon request
+//!   of a filter."
+//! * "When reclaiming memory, the storage reclaims blocks that are stored on
+//!   the disk … and which are not currently used according to the Least
+//!   Recently Used policy."
+//!
+//! One concern per file, each transition written once:
+//! * this file — the node's state and its four entry points
+//!   ([`StorageState::handle_client`], [`StorageState::handle_peer`],
+//!   [`StorageState::handle_io`], [`StorageState::on_tick`]), array
+//!   creation, the availability map and array deletion;
+//! * `grants` — write-once grants, read pins, logged reads;
+//! * `residency` — what a block costs in memory (`BlockMem`), the budget,
+//!   the LRU, and the only two ways a block leaves memory: `evict_block` and
+//!   `spill_block`;
+//! * `fetch` — peer lookup: serving and issuing probes, stalls, deadlines,
+//!   and resolving placeholder geometry;
+//! * `recovery` — bounded retry with backoff for failed reads.
+
+mod fetch;
+mod grants;
+mod recovery;
+mod residency;
+#[cfg(test)]
+mod testkit;
+
+pub use recovery::RecoveryPolicy;
+
+use crate::meta::ArrayMeta;
+use crate::proto::{BlockAvail, ClientMsg, IoCmd, IoReply, MapEntry, NodeStats, PeerMsg, Reply};
+use crate::rangeset::RangeSet;
+use crate::StorageError;
+use bytes::Bytes;
+use dooc_obs::metrics::{counter, Counter};
+use fetch::FetchState;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use recovery::IoRetry;
+use residency::BlockMem;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::OnceLock;
+
+/// Storage-layer metric handles, resolved once. Forced in
+/// [`StorageState::new`] so every counter appears (zeroed) in metric dumps
+/// even before its first event.
+struct StorageObs {
+    bytes_loaded: &'static Counter,
+    blocks_loaded: &'static Counter,
+    blocks_evicted: &'static Counter,
+    blocks_spilled: &'static Counter,
+    blocks_sealed: &'static Counter,
+    read_hits: &'static Counter,
+    read_misses: &'static Counter,
+    io_retries: &'static Counter,
+    fetch_retries: &'static Counter,
+    dead_bytes_dropped: &'static Counter,
+}
+
+fn storage_obs() -> &'static StorageObs {
+    static O: OnceLock<StorageObs> = OnceLock::new();
+    O.get_or_init(|| StorageObs {
+        bytes_loaded: counter("storage.bytes_loaded"),
+        blocks_loaded: counter("storage.blocks_loaded"),
+        blocks_evicted: counter("storage.blocks_evicted"),
+        blocks_spilled: counter("storage.blocks_spilled"),
+        blocks_sealed: counter("storage.blocks_sealed"),
+        read_hits: counter("storage.read_hits"),
+        read_misses: counter("storage.read_misses"),
+        io_retries: counter("storage.io_retries"),
+        fetch_retries: counter("storage.fetch_retries"),
+        dead_bytes_dropped: counter("storage.dead_bytes_dropped"),
+    })
+}
+
+/// Configuration of one storage node.
+#[derive(Clone, Debug)]
+pub struct NodeConfig {
+    /// This node's id (also its peer-stream instance index).
+    pub node: u64,
+    /// Total number of nodes in the cluster.
+    pub nnodes: u64,
+    /// Memory budget in bytes; exceeding it triggers reclamation.
+    pub memory_budget: u64,
+    /// Seed for random peer selection.
+    pub seed: u64,
+    /// Retry/deadline policy for I/O errors and peer fetches.
+    pub recovery: RecoveryPolicy,
+}
+
+/// Side effect requested by a handler.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Action {
+    /// Send a reply to a local client instance.
+    Reply {
+        /// Destination client instance.
+        client: u64,
+        /// The reply.
+        reply: Reply,
+    },
+    /// Send a message to a peer storage node.
+    Peer {
+        /// Destination node id.
+        node: u64,
+        /// The message.
+        msg: PeerMsg,
+    },
+    /// Issue a command to the local I/O filter.
+    Io(IoCmd),
+}
+
+/// A local read waiting for data ("logged" request).
+#[derive(Clone, Hash)]
+struct ReadWaiter {
+    req: u64,
+    client: u64,
+    /// Offset within the block (global while the geometry is a placeholder).
+    off: u64,
+    len: u64,
+}
+
+/// Deliberately seeded invariant violations for dooc-check's negative tests
+/// (schedule exploration and the protocol model checker). Each flag disables
+/// one guard the positive tests prove necessary; the checkers must then find
+/// an interleaving that turns the missing guard into an observable failure.
+/// Without the `model` feature every flag is a compile-time `false`
+/// ([`StorageState::bug`]), so real builds carry no extra state or branches.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct SeededBugs {
+    /// Eviction ignores `pins`: blocks with live read guards get dropped.
+    pub evict_ignores_pins: bool,
+    /// [`StorageState::map_delta`] detects changes but never bumps
+    /// `map_version`, so incremental deltas go stale instead of composing.
+    pub skip_map_version_bump: bool,
+    /// Eviction (reclaim or `Evict`) drops not-yet-spilled blocks without
+    /// writing them first, losing the only copy of the data.
+    pub evict_skips_spill: bool,
+}
+
+#[derive(Clone, Default, Hash)]
+struct BlockInfo {
+    /// Ranges sealed (written + released), block-local coordinates.
+    sealed: RangeSet,
+    /// Ranges with an outstanding write grant.
+    write_granted: RangeSet,
+    /// Resident bytes, if any.
+    mem: Option<BlockMem>,
+    /// A full sealed copy exists in the local scratch directory.
+    on_disk: bool,
+    /// An I/O read for this block is in flight.
+    loading: bool,
+    /// An I/O write (spill or persist) for this block is in flight.
+    spilling: bool,
+    /// Reclaim memory as soon as the in-flight spill completes.
+    evict_after_spill: bool,
+    /// Active grants (read pins + write grants); pinned blocks are not
+    /// reclaimable.
+    pins: u64,
+    /// LRU clock value of the last access.
+    last_use: u64,
+    /// Logged local reads waiting for the data.
+    read_waiters: Vec<ReadWaiter>,
+    /// Peer fetches waiting for this block to seal (req, from_node).
+    peer_waiters: Vec<(u64, u64)>,
+    /// Outstanding remote fetch, if this node is trying to pull the block.
+    fetch: Option<FetchState>,
+    /// Availability last reported through a map query (lazy change
+    /// detection for [`ClientMsg::MapSince`] deltas).
+    last_avail: Option<BlockAvail>,
+}
+
+impl BlockInfo {
+    fn fully_sealed(&self, block_len: u64) -> bool {
+        self.sealed.covered() == block_len
+    }
+
+    /// Copies `[off, off+len)` out of the resident buffer, if any.
+    fn slice_resident(&self, off: u64, len: u64) -> Option<Bytes> {
+        match self.mem.as_ref()? {
+            BlockMem::Reserved => None,
+            BlockMem::Sealed(b) => Some(b.slice(off as usize..(off + len) as usize)),
+            BlockMem::Building(v) => Some(Bytes::copy_from_slice(
+                &v[off as usize..(off + len) as usize],
+            )),
+        }
+    }
+
+    fn avail(&self, block_len: u64) -> BlockAvail {
+        if self.fully_sealed(block_len) {
+            if matches!(self.mem, Some(BlockMem::Sealed(_))) {
+                BlockAvail::InMemory
+            } else if self.on_disk {
+                BlockAvail::OnDisk
+            } else if self.mem.is_some() {
+                // Sealed but only building-buffer resident (transient).
+                BlockAvail::InMemory
+            } else {
+                BlockAvail::Unwritten
+            }
+        } else if self.sealed.is_empty() {
+            BlockAvail::Unwritten
+        } else {
+            BlockAvail::Partial
+        }
+    }
+}
+
+#[derive(Clone)]
+struct ArrayInfo {
+    meta: ArrayMeta,
+    /// Created or discovered on this node (its "home"): reads of unwritten
+    /// intervals may be logged here instead of erroring.
+    home: bool,
+    blocks: HashMap<u64, BlockInfo>,
+    /// Pending persist: (req, client, blocks whose disk write is awaited).
+    persist: Option<(u64, u64, HashSet<u64>)>,
+    /// Map version at which any of this array's block availabilities last
+    /// changed. Deltas ship at array granularity: a client folding a delta
+    /// replaces the array's whole block set, which also makes block re-keys
+    /// (placeholder-geometry resolution) expressible.
+    avail_version: u64,
+    /// Block count at the last map query (detects block additions/removals
+    /// that leave every surviving block's availability untouched).
+    last_nblocks: usize,
+}
+
+impl ArrayInfo {
+    fn new(meta: ArrayMeta, home: bool) -> Self {
+        Self {
+            meta,
+            home,
+            blocks: HashMap::new(),
+            persist: None,
+            avail_version: 0,
+            last_nblocks: 0,
+        }
+    }
+
+    /// Unknown geometry: a single huge block, so waiters keep *global*
+    /// offsets until a peer's answer or a `Register` brings the real one.
+    fn placeholder(name: &str) -> Self {
+        Self::new(ArrayMeta::new(name, u64::MAX, u64::MAX), false)
+    }
+
+    fn is_placeholder(&self) -> bool {
+        self.meta.len == u64::MAX
+    }
+}
+
+/// A block found in the scratch directory at startup.
+#[derive(Clone, Debug)]
+pub struct DiscoveredBlock {
+    /// Array geometry from the file (single-file arrays) or sidecar.
+    pub meta: ArrayMeta,
+    /// Block index present on disk.
+    pub block: u64,
+}
+
+/// The storage node state machine.
+#[derive(Clone)]
+pub struct StorageState {
+    cfg: NodeConfig,
+    arrays: HashMap<String, ArrayInfo>,
+    /// Tombstones of deleted arrays, with the map version of the deletion.
+    deleted: HashMap<String, u64>,
+    /// Monotonic availability-map version; bumped whenever a map query
+    /// detects a changed array or an array is deleted. Clients use it as the
+    /// `since` cursor of [`ClientMsg::MapSince`].
+    map_version: u64,
+    /// LRU index: clock value -> (array, block). Values are unique.
+    lru: BTreeMap<u64, (String, u64)>,
+    clock: u64,
+    /// Outstanding fetch request ids -> (array, block).
+    fetches: HashMap<u64, (String, u64)>,
+    next_fetch_req: u64,
+    resident: u64,
+    /// Bytes of blocks currently pinned (pins > 0); feeds the
+    /// `pinned_peak_bytes` high-watermark in [`NodeStats`] that the static
+    /// audit's residency bound must dominate.
+    pinned_now: u64,
+    stats: NodeStats,
+    rng: StdRng,
+    /// Fetches that exhausted every peer without an answer: retried on the
+    /// next tick ("replies back when all the relevant information becomes
+    /// available" — the information may simply not exist *yet*).
+    stalled: Vec<(String, u64, u64)>,
+    /// Monotonic tick counter ([`Self::on_tick`]); the clock retries and
+    /// deadlines are measured against.
+    tick: u64,
+    /// Failed out-of-core reads awaiting their backoff tick.
+    io_retry: Vec<IoRetry>,
+    /// Read-retry attempts already spent per block.
+    io_attempts: HashMap<(String, u64), u32>,
+    /// Completed stall/re-probe rounds per block (for
+    /// [`RecoveryPolicy::stall_retry_max`]).
+    stall_rounds: HashMap<(String, u64), u64>,
+    /// This node's clients are quiescent (local Shutdown consumed).
+    local_done: bool,
+    /// Number of peers that sent a `Bye`.
+    byes: u64,
+    /// Seeded invariant violations for negative exploration tests.
+    #[cfg(feature = "model")]
+    seeded_bugs: SeededBugs,
+}
+
+impl StorageState {
+    /// Creates a node, registering any blocks discovered in its scratch
+    /// directory ("upon start of the system, the storage looks for files in
+    /// that directory and records the name of the arrays as well as their
+    /// sizes").
+    pub fn new(cfg: NodeConfig, discovered: Vec<DiscoveredBlock>) -> Self {
+        // Register the storage metrics up front so dumps show them zeroed
+        // rather than omitting layers that saw no traffic.
+        let _ = storage_obs();
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xD00C_D00C);
+        let mut st = Self {
+            cfg,
+            arrays: HashMap::new(),
+            deleted: HashMap::new(),
+            map_version: 0,
+            lru: BTreeMap::new(),
+            clock: 0,
+            fetches: HashMap::new(),
+            next_fetch_req: 0,
+            resident: 0,
+            pinned_now: 0,
+            stats: NodeStats::default(),
+            rng,
+            stalled: Vec::new(),
+            tick: 0,
+            io_retry: Vec::new(),
+            io_attempts: HashMap::new(),
+            stall_rounds: HashMap::new(),
+            local_done: false,
+            byes: 0,
+            #[cfg(feature = "model")]
+            seeded_bugs: SeededBugs::default(),
+        };
+        for d in discovered {
+            let entry = st
+                .arrays
+                .entry(d.meta.name.clone())
+                .or_insert_with(|| ArrayInfo::new(d.meta.clone(), true));
+            let block_len = entry.meta.block_len(d.block);
+            let info = entry.blocks.entry(d.block).or_default();
+            info.sealed = RangeSet::from_range(0, block_len);
+            info.on_disk = true;
+        }
+        st.stats.budget_bytes = st.cfg.memory_budget;
+        st
+    }
+
+    /// Plants deliberate bugs for negative schedule-exploration tests.
+    #[cfg(feature = "model")]
+    pub fn set_seeded_bugs(&mut self, bugs: SeededBugs) {
+        self.seeded_bugs = bugs;
+    }
+
+    #[cfg(feature = "model")]
+    fn bug(&self) -> SeededBugs {
+        self.seeded_bugs
+    }
+
+    #[cfg(not(feature = "model"))]
+    fn bug(&self) -> SeededBugs {
+        SeededBugs::default()
+    }
+
+    /// Model-build inspection: `(pins, resident_in_memory, on_disk)` for a
+    /// block, if known. Checkers assert residency invariants (e.g. "evict
+    /// never fires under a live guard") against this directly.
+    #[cfg(feature = "model")]
+    pub fn debug_block(&self, array: &str, block: u64) -> Option<(u64, bool, bool)> {
+        let info = self.arrays.get(array)?.blocks.get(&block)?;
+        Some((info.pins, info.mem.is_some(), info.on_disk))
+    }
+
+    /// Model-build fingerprint over every field of the node, maps hashed in
+    /// key order: two nodes with equal fingerprints answer every future
+    /// message alike. The model checker deduplicates states by it.
+    #[cfg(feature = "model")]
+    pub fn fingerprint(&self) -> u64 {
+        use rand::RngCore;
+        use std::hash::{Hash, Hasher};
+        fn sorted<K: Ord, V>(m: &HashMap<K, V>) -> Vec<(&K, &V)> {
+            let mut v: Vec<_> = m.iter().collect();
+            v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            v
+        }
+        // Destructured so a new field cannot be left out silently; `cfg`
+        // and `seeded_bugs` are fixed for the node's life.
+        let Self {
+            cfg: _,
+            arrays,
+            deleted,
+            map_version,
+            lru,
+            clock,
+            fetches,
+            next_fetch_req,
+            resident,
+            pinned_now,
+            stats,
+            rng,
+            stalled,
+            tick,
+            io_retry,
+            io_attempts,
+            stall_rounds,
+            local_done,
+            byes,
+            seeded_bugs: _,
+        } = self;
+        let mut h = std::hash::DefaultHasher::new();
+        for (name, a) in sorted(arrays) {
+            let ArrayInfo {
+                meta,
+                home,
+                blocks,
+                persist,
+                avail_version,
+                last_nblocks,
+            } = a;
+            (name, meta, home, avail_version, last_nblocks).hash(&mut h);
+            sorted(blocks).hash(&mut h);
+            let persist = persist.as_ref().map(|(req, client, awaited)| {
+                let mut awaited: Vec<_> = awaited.iter().collect();
+                awaited.sort_unstable();
+                (req, client, awaited)
+            });
+            persist.hash(&mut h);
+        }
+        sorted(deleted).hash(&mut h);
+        (
+            map_version,
+            lru,
+            clock,
+            next_fetch_req,
+            resident,
+            pinned_now,
+        )
+            .hash(&mut h);
+        (stats, sorted(fetches), rng.clone().next_u64()).hash(&mut h);
+        (stalled, tick, io_retry, local_done, byes).hash(&mut h);
+        (sorted(io_attempts), sorted(stall_rounds)).hash(&mut h);
+        h.finish()
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> NodeStats {
+        let mut s = self.stats;
+        s.resident_bytes = self.resident;
+        s
+    }
+
+    /// Number of bytes currently resident.
+    pub fn resident_bytes(&self) -> u64 {
+        self.resident
+    }
+
+    /// Current availability-map version (monotonic; 0 = nothing reported).
+    pub fn map_version(&self) -> u64 {
+        self.map_version
+    }
+
+    /// Computes the incremental availability map for a client that last saw
+    /// version `since` (0 = full snapshot). Changes are detected lazily by
+    /// comparing each block's current availability against the one recorded
+    /// at the previous query, so handlers never need to stamp versions at
+    /// every mutation site. Returns `(version, entries, deleted)`; `entries`
+    /// holds *every* block of each changed array (replacement granularity is
+    /// the array — see `ArrayInfo::avail_version`).
+    fn map_delta(&mut self, since: u64) -> (u64, Vec<MapEntry>, Vec<String>) {
+        let bugs = self.bug();
+        let mut entries = Vec::new();
+        for (name, ainfo) in self.arrays.iter_mut() {
+            let meta = &ainfo.meta;
+            let mut changed = ainfo.blocks.len() != ainfo.last_nblocks;
+            ainfo.last_nblocks = ainfo.blocks.len();
+            for (&b, info) in ainfo.blocks.iter_mut() {
+                let now = info.avail(meta.block_len(b));
+                if info.last_avail != Some(now) {
+                    info.last_avail = Some(now);
+                    changed = true;
+                }
+            }
+            if changed && !bugs.skip_map_version_bump {
+                self.map_version += 1;
+                ainfo.avail_version = self.map_version;
+            }
+            if ainfo.avail_version > since {
+                for (&b, info) in ainfo.blocks.iter() {
+                    entries.push(MapEntry {
+                        array: name.clone(),
+                        block: b,
+                        state: info.avail(meta.block_len(b)),
+                    });
+                }
+            }
+        }
+        entries.sort_by(|a, b| (&a.array, a.block).cmp(&(&b.array, b.block)));
+        let mut deleted: Vec<String> = self
+            .deleted
+            .iter()
+            .filter(|(_, &v)| v > since)
+            .map(|(a, _)| a.clone())
+            .collect();
+        deleted.sort();
+        (self.map_version, entries, deleted)
+    }
+
+    /// Marks the local side quiescent without a Shutdown message (used when
+    /// every client link closed, e.g. after a client crash). Returns the
+    /// `Bye` broadcast actions if this is the first quiescence signal.
+    pub fn force_local_done(&mut self) -> Vec<Action> {
+        if self.local_done {
+            return Vec::new();
+        }
+        self.handle_client(ClientMsg::Shutdown)
+    }
+
+    /// The whole cluster is quiescent: safe to close peer and I/O links.
+    pub fn ready_to_exit(&self) -> bool {
+        self.local_done && self.byes == self.cfg.nnodes.saturating_sub(1)
+    }
+
+    /// Are any remote fetches stalled awaiting a retry?
+    pub fn has_stalled_fetches(&self) -> bool {
+        !self.stalled.is_empty()
+    }
+
+    /// Is this node at a locally-quiescent point where a fail-stop crash
+    /// loses no unrecoverable state? True when no grant is outstanding, no
+    /// request is logged, no I/O or fetch is in flight, and every sealed
+    /// byte is safe on the local disk. Fault injection
+    /// (`storage.node.crash`) only fires at such points: a crash-restart
+    /// then forgets nothing that cannot be rebuilt from the scratch
+    /// directory, the metadata journal, and peer retries.
+    pub fn crash_safe(&self) -> bool {
+        if !self.fetches.is_empty()
+            || !self.stalled.is_empty()
+            || !self.io_retry.is_empty()
+            || self.local_done
+        {
+            return false;
+        }
+        self.arrays.values().all(|a| {
+            a.persist.is_none()
+                && a.blocks.iter().all(|(&b, i)| {
+                    i.pins == 0
+                        && i.write_granted.is_empty()
+                        && !i.loading
+                        && !i.spilling
+                        && i.read_waiters.is_empty()
+                        && i.peer_waiters.is_empty()
+                        && i.fetch.is_none()
+                        && (i.sealed.is_empty()
+                            || (i.fully_sealed(a.meta.block_len(b)) && i.on_disk))
+                })
+        })
+    }
+
+    /// Does the state machine need periodic [`Self::on_tick`] calls right
+    /// now? True while fetches are stalled, failed reads await their backoff
+    /// tick, or in-flight fetches are aging against a deadline.
+    pub fn needs_tick(&self) -> bool {
+        !self.stalled.is_empty()
+            || !self.io_retry.is_empty()
+            || (self.cfg.recovery.fetch_deadline_ticks.is_some() && !self.fetches.is_empty())
+    }
+
+    /// One step of the recovery clock. Retries every stalled fetch with a
+    /// fresh random probe cycle (or times its waiters out once
+    /// [`RecoveryPolicy::stall_retry_max`] rounds are spent), re-issues
+    /// failed reads whose backoff expired, and abandons in-flight peer
+    /// probes older than [`RecoveryPolicy::fetch_deadline_ticks`]. Called
+    /// periodically by the storage filter while [`Self::needs_tick`].
+    pub fn on_tick(&mut self) -> Vec<Action> {
+        self.tick += 1;
+        let mut out = Vec::new();
+        self.retry_stalled(&mut out);
+        self.reissue_due_reads(&mut out);
+        self.expire_fetches(&mut out);
+        out
+    }
+
+    // -- client messages ----------------------------------------------------
+
+    /// Handles one client request.
+    pub fn handle_client(&mut self, msg: ClientMsg) -> Vec<Action> {
+        let mut out = Vec::new();
+        match msg {
+            ClientMsg::Create { req, client, meta } => self.create(req, client, meta, &mut out),
+            ClientMsg::Register { meta } => self.register(meta, &mut out),
+            ClientMsg::ReadReq {
+                req,
+                client,
+                array,
+                iv,
+            } => self.client_read(req, client, array, iv, &mut out),
+            ClientMsg::WriteReq {
+                req,
+                client,
+                array,
+                iv,
+            } => self.client_write(req, client, array, iv, &mut out),
+            ClientMsg::ReleaseRead { array, iv } => self.release_read(array, iv),
+            ClientMsg::ReleaseWrite {
+                req,
+                client,
+                array,
+                iv,
+                data,
+            } => self.release_write(req, client, array, iv, data, &mut out),
+            ClientMsg::Prefetch { array, iv } => self.prefetch(array, iv, &mut out),
+            ClientMsg::Persist { req, client, array } => self.persist(req, client, array, &mut out),
+            ClientMsg::Delete { req, client, array } => self.delete(req, client, array, &mut out),
+            ClientMsg::MapSince { req, client, since } => {
+                // A cursor ahead of our version means the client talked to a
+                // previous incarnation of this node (crash + restart): serve
+                // a full snapshot so it can rebuild its mirror. The client
+                // detects the regression by `version < since`.
+                let since = if since > self.map_version { 0 } else { since };
+                let (version, entries, deleted) = self.map_delta(since);
+                let reply = Reply::MapDelta {
+                    req,
+                    version,
+                    entries,
+                    deleted,
+                };
+                out.push(Action::Reply { client, reply });
+            }
+            ClientMsg::StatsQuery { req, client } => {
+                let stats = self.stats();
+                out.push(Action::Reply {
+                    client,
+                    reply: Reply::Stats { req, stats },
+                });
+            }
+            ClientMsg::Evict { array } => self.explicit_evict(&array, &mut out),
+            ClientMsg::Shutdown => {
+                if !self.local_done {
+                    self.local_done = true;
+                    for n in (0..self.cfg.nnodes).filter(|&n| n != self.cfg.node) {
+                        out.push(Action::Peer {
+                            node: n,
+                            msg: PeerMsg::Bye,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn create(&mut self, req: u64, client: u64, meta: ArrayMeta, out: &mut Vec<Action>) {
+        // A geometry hint (Register) may already sit here; creation upgrades
+        // it to home status as long as no data exists here and the geometry
+        // agrees.
+        let hint_only = self.arrays.get(&meta.name).is_some_and(|a| {
+            !a.home
+                && a.blocks.values().all(|b| {
+                    b.sealed.is_empty()
+                        && b.write_granted.is_empty()
+                        && b.mem.is_none()
+                        && !b.on_disk
+                })
+        });
+        if let Some(a) = self.arrays.get_mut(&meta.name).filter(|_| hint_only) {
+            if !a.is_placeholder()
+                && (a.meta.len != meta.len || a.meta.block_size != meta.block_size)
+            {
+                let msg = format!(
+                    "create of '{}' conflicts with registered geometry",
+                    meta.name
+                );
+                return Self::err(client, req, StorageError::Protocol(msg), out);
+            }
+            a.meta = meta;
+            a.home = true;
+        } else if self.arrays.contains_key(&meta.name) || self.deleted.contains_key(&meta.name) {
+            return Self::err(client, req, StorageError::AlreadyExists(meta.name), out);
+        } else {
+            self.arrays
+                .insert(meta.name.clone(), ArrayInfo::new(meta, true));
+        }
+        out.push(Action::Reply {
+            client,
+            reply: Reply::Created { req },
+        });
+    }
+
+    /// Geometry hint: adopted only if the array is unknown or placeholder.
+    fn register(&mut self, meta: ArrayMeta, out: &mut Vec<Action>) {
+        match self.arrays.get(&meta.name) {
+            Some(a) if a.is_placeholder() => {
+                let name = meta.name.clone();
+                self.resolve_placeholder(&name, meta, 0, None, out);
+            }
+            Some(_) => {}
+            None if self.deleted.contains_key(&meta.name) => {}
+            None => {
+                self.arrays
+                    .insert(meta.name.clone(), ArrayInfo::new(meta, false));
+            }
+        }
+    }
+
+    fn err(client: u64, req: u64, error: StorageError, out: &mut Vec<Action>) {
+        out.push(Action::Reply {
+            client,
+            reply: Reply::Err { req, error },
+        });
+    }
+
+    /// The array's info, inserting placeholder geometry for a name never
+    /// seen (a read or prefetch of data that lives elsewhere).
+    fn array_or_placeholder<'a>(
+        arrays: &'a mut HashMap<String, ArrayInfo>,
+        array: &str,
+    ) -> Option<&'a mut ArrayInfo> {
+        if !arrays.contains_key(array) {
+            arrays.insert(array.to_string(), ArrayInfo::placeholder(array));
+        }
+        arrays.get_mut(array)
+    }
+
+    fn delete(&mut self, req: u64, client: u64, array: String, out: &mut Vec<Action>) {
+        let Some(ainfo) = self.arrays.get(&array) else {
+            return Self::err(client, req, StorageError::UnknownArray(array), out);
+        };
+        if ainfo.blocks.values().any(|b| b.pins > 0) {
+            let m = format!("delete of '{array}' while intervals are held");
+            return Self::err(client, req, StorageError::Immutability(m), out);
+        }
+        self.drop_array_local(&array, out);
+        for n in (0..self.cfg.nnodes).filter(|&n| n != self.cfg.node) {
+            out.push(Action::Peer {
+                node: n,
+                msg: PeerMsg::DeleteNotice {
+                    array: array.clone(),
+                },
+            });
+        }
+        out.push(Action::Reply {
+            client,
+            reply: Reply::Deleted { req },
+        });
+    }
+
+    /// Forgets an array on this node — resident bytes, LRU entries, fetches
+    /// in flight, files — and leaves a tombstone. Shared by a local delete
+    /// and a peer's [`PeerMsg::DeleteNotice`].
+    fn drop_array_local(&mut self, array: &str, out: &mut Vec<Action>) {
+        self.map_version += 1;
+        self.deleted.insert(array.to_string(), self.map_version);
+        let Some(ainfo) = self.arrays.remove(array) else {
+            return;
+        };
+        // A spill still in flight lands after this point: the I/O filter
+        // runs commands in order, so removing the files behind it is enough.
+        let has_files = ainfo.blocks.values().any(|b| b.on_disk || b.spilling);
+        let mut dead_bytes = 0;
+        for (b, info) in ainfo.blocks {
+            let block_len = ainfo.meta.block_len(b);
+            if info.mem.is_some() {
+                self.discharge(block_len);
+                if !info.on_disk && !info.spilling {
+                    dead_bytes += block_len;
+                }
+            }
+            if info.pins > 0 {
+                // Only a peer's notice can find a pin: the reader's release
+                // is queued behind it on another stream and will find no
+                // block to discharge.
+                self.pinned_now = self.pinned_now.saturating_sub(block_len);
+            }
+            self.lru_remove(info.last_use);
+            if let Some(f) = info.fetch {
+                self.fetches.remove(&f.req);
+            }
+        }
+        storage_obs().dead_bytes_dropped.add(dead_bytes);
+        dooc_obs::instant_arg(
+            dooc_obs::Category::Storage,
+            "storage:delete",
+            self.cfg.node as i64,
+            || format!("{array} ({dead_bytes} bytes dropped unspilled)"),
+        );
+        if has_files {
+            out.push(Action::Io(IoCmd::DeleteFiles {
+                array: array.to_string(),
+                nblocks: ainfo.meta.nblocks(),
+            }));
+        }
+    }
+
+    // -- peer messages and I/O completions ----------------------------------
+
+    /// Handles one peer message. Messages that need an answer carry their
+    /// reply address (`PeerMsg::Fetch::from_node`).
+    pub fn handle_peer(&mut self, msg: PeerMsg) -> Vec<Action> {
+        let mut out = Vec::new();
+        match msg {
+            PeerMsg::Fetch {
+                req,
+                from_node,
+                array,
+                offset,
+            } => self.serve_fetch(req, from_node, array, offset, &mut out),
+            PeerMsg::FetchFound {
+                req,
+                len,
+                block_size,
+                block,
+                data,
+            } => self.fetch_found(req, len, block_size, block, data, &mut out),
+            PeerMsg::FetchNotFound { req } => self.fetch_setback(req, &mut out),
+            PeerMsg::Bye => self.byes += 1,
+            PeerMsg::DeleteNotice { array } => self.drop_array_local(&array, &mut out),
+        }
+        out
+    }
+
+    /// Handles one I/O filter completion.
+    pub fn handle_io(&mut self, reply: IoReply) -> Vec<Action> {
+        let mut out = Vec::new();
+        match reply {
+            IoReply::ReadDone { array, block, data } => {
+                self.stats.disk_read_bytes += data.len() as u64;
+                storage_obs().bytes_loaded.add(data.len() as u64);
+                storage_obs().blocks_loaded.inc();
+                self.io_attempts.remove(&(array.clone(), block));
+                self.install_sealed(&array, block, data, &mut out);
+            }
+            IoReply::WriteDone {
+                array,
+                block,
+                bytes,
+            } => self.spill_done(&array, block, bytes, &mut out),
+            IoReply::Error {
+                array,
+                block,
+                message,
+            } => self.io_error(array, block, message, &mut out),
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+    use crate::meta::Interval;
+
+    #[test]
+    fn duplicate_create_rejected() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        let acts = st.handle_client(ClientMsg::Create {
+            req: 9,
+            client: 0,
+            meta: ArrayMeta::new("a", 64, 32),
+        });
+        assert!(matches!(error(&acts), StorageError::AlreadyExists(_)));
+    }
+
+    /// The full map, as a client with no mirror would see it now.
+    fn full_map(st: &StorageState) -> Vec<MapEntry> {
+        map_delta_of(&mut st.clone(), 0).1
+    }
+
+    /// A client's mirror of the map, keyed by (array, block).
+    type Mirror = BTreeMap<(String, u64), BlockAvail>;
+
+    /// Folds one delta into a mirror: a delta replaces the whole block set
+    /// of every array it mentions, a deletion drops the array.
+    fn fold_delta(mirror: &mut Mirror, entries: &[MapEntry], deleted: &[String]) {
+        mirror.retain(|(a, _), _| !deleted.contains(a) && !entries.iter().any(|e| &e.array == a));
+        mirror.extend(
+            entries
+                .iter()
+                .map(|e| ((e.array.clone(), e.block), e.state)),
+        );
+    }
+
+    fn flatten(mirror: &Mirror) -> Vec<MapEntry> {
+        let entry = |((array, block), &state): (&(String, u64), _)| MapEntry {
+            array: array.clone(),
+            block: *block,
+            state,
+        };
+        mirror.iter().map(entry).collect()
+    }
+
+    #[test]
+    fn map_since_zero_is_full_snapshot() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        create(&mut st, "b", 16, 16);
+        let (v, entries, deleted) = map_delta_of(&mut st, 0);
+        assert!(v > 0, "changes must have bumped the version");
+        let block0 = MapEntry {
+            array: "a".into(),
+            block: 0,
+            state: BlockAvail::InMemory,
+        };
+        assert_eq!(entries, vec![block0]);
+        assert_eq!(entries, full_map(&st), "and again on the next query");
+        assert!(deleted.is_empty());
+    }
+
+    #[test]
+    fn map_since_zero_reports_block_states() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        write_all(&mut st, "a", Interval::new(32, 16), 1);
+        let states: Vec<BlockAvail> = full_map(&st).iter().map(|e| e.state).collect();
+        assert_eq!(states, vec![BlockAvail::InMemory, BlockAvail::Partial]);
+    }
+
+    #[test]
+    fn map_since_version_monotonic_and_quiescent() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        let (v1, _, _) = map_delta_of(&mut st, 0);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        let (v2, e2, _) = map_delta_of(&mut st, v1);
+        assert!(v2 >= v1, "map version must be monotonic");
+        assert!(
+            e2.iter().any(|e| e.array == "a" && e.block == 0),
+            "the sealed block must appear in the delta: {e2:?}"
+        );
+        // No changes since v2: the delta is empty and the version stable.
+        let (v3, e3, d3) = map_delta_of(&mut st, v2);
+        assert_eq!(v3, v2);
+        assert!(
+            e3.is_empty() && d3.is_empty(),
+            "quiescent delta must be empty: {e3:?}"
+        );
+    }
+
+    #[test]
+    fn map_since_deltas_compose_to_full_map() {
+        let mut st = state(1 << 20);
+        let mut mirror = Mirror::new();
+        let mut cursor = 0u64;
+        let mut step = |st: &mut StorageState| {
+            let (v, entries, deleted) = map_delta_of(st, cursor);
+            assert!(v >= cursor, "version went backwards");
+            fold_delta(&mut mirror, &entries, &deleted);
+            cursor = v;
+            assert_eq!(
+                flatten(&mirror),
+                full_map(st),
+                "delta ∘ base must equal the full map"
+            );
+            deleted
+        };
+        step(&mut st);
+        create(&mut st, "a", 96, 32);
+        step(&mut st);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        write_all(&mut st, "a", Interval::new(32, 16), 2);
+        step(&mut st);
+        create(&mut st, "b", 32, 32);
+        write_all(&mut st, "b", Interval::new(0, 32), 3);
+        // Persist then evict: b's block transitions InMemory -> OnDisk.
+        let acts = st.handle_client(ClientMsg::Persist {
+            req: 50,
+            client: 0,
+            array: "b".into(),
+        });
+        for a in acts {
+            if let Action::Io(IoCmd::Write { array, block, .. }) = a {
+                st.handle_io(IoReply::WriteDone {
+                    array,
+                    block,
+                    bytes: 32,
+                });
+            }
+        }
+        st.handle_client(ClientMsg::Evict { array: "b".into() });
+        step(&mut st);
+        // Finish a, then delete it.
+        write_all(&mut st, "a", Interval::new(48, 16), 4);
+        write_all(&mut st, "a", Interval::new(64, 32), 5);
+        step(&mut st);
+        assert!(matches!(
+            reply(&delete(&mut st, "a")),
+            Reply::Deleted { .. }
+        ));
+        assert_eq!(step(&mut st), vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn delete_broadcasts_and_tombstones() {
+        let mut st = StorageState::new(cfg(0, 3, 1 << 20), vec![]);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        let acts = delete(&mut st, "a");
+        let notices = acts
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Peer {
+                        msg: PeerMsg::DeleteNotice { .. },
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(notices, 2, "both peers notified");
+        assert!(matches!(
+            acts.last(),
+            Some(Action::Reply {
+                reply: Reply::Deleted { .. },
+                ..
+            })
+        ));
+        assert_eq!(st.resident_bytes(), 0);
+        // Subsequent access errors with Deleted.
+        let acts = read(&mut st, 2, 0, "a", Interval::new(0, 8));
+        assert!(matches!(error(&acts), StorageError::Deleted(_)));
+    }
+
+    #[test]
+    fn delete_drops_unspilled_bytes_and_removes_files_of_a_spill_in_flight() {
+        let mut st = state(64);
+        // "mem" never leaves memory: deleting it touches no file.
+        create(&mut st, "mem", 32, 32);
+        write_all(&mut st, "mem", Interval::new(0, 32), 1);
+        let acts = delete(&mut st, "mem");
+        assert!(
+            !acts.iter().any(|a| matches!(a, Action::Io(_))),
+            "nothing on disk, nothing to remove: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 0);
+        // "spill" has three blocks; the third write pushes block 0 out, and
+        // the delete arrives while that spill is still at the I/O filter.
+        create(&mut st, "spill", 96, 32);
+        write_all(&mut st, "spill", Interval::new(0, 32), 1);
+        write_all(&mut st, "spill", Interval::new(32, 32), 2);
+        let acts = write_all(&mut st, "spill", Interval::new(64, 32), 3);
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, Action::Io(IoCmd::Write { block: 0, .. }))));
+        let acts = delete(&mut st, "spill");
+        assert!(
+            acts.contains(&Action::Io(IoCmd::DeleteFiles {
+                array: "spill".into(),
+                nblocks: 3
+            })),
+            "the file the spill is about to create is removed behind it: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 0);
+        assert!(st.lru.is_empty());
+        // The spill's completion finds no array and changes nothing.
+        let done = IoReply::WriteDone {
+            array: "spill".into(),
+            block: 0,
+            bytes: 32,
+        };
+        assert!(st.handle_io(done).is_empty());
+        assert_eq!(st.resident_bytes(), 0);
+        // Tombstones: the names cannot come back, by creation or by hint.
+        for name in ["mem", "spill"] {
+            let acts = st.handle_client(ClientMsg::Create {
+                req: 3,
+                client: 0,
+                meta: ArrayMeta::new(name, 32, 32),
+            });
+            assert!(matches!(error(&acts), StorageError::AlreadyExists(_)));
+            st.handle_client(ClientMsg::Register {
+                meta: ArrayMeta::new(name, 32, 32),
+            });
+        }
+        assert!(st.arrays.is_empty());
+        let (_, entries, deleted) = map_delta_of(&mut st, 0);
+        assert!(entries.is_empty());
+        assert_eq!(deleted, vec!["mem".to_string(), "spill".to_string()]);
+    }
+
+    #[test]
+    fn delete_notice_under_a_live_pin_settles_the_pinned_ledger() {
+        // A reader's release travels on the client stream, the notice on the
+        // peer stream: the notice can overtake the release.
+        let mut st = StorageState::new(cfg(1, 2, 1 << 20), vec![]);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        read(&mut st, 1, 0, "a", Interval::new(0, 32));
+        assert_eq!(st.pinned_now, 32);
+        let acts = st.handle_peer(PeerMsg::DeleteNotice { array: "a".into() });
+        assert!(acts.is_empty(), "memory only: {acts:?}");
+        assert_eq!((st.pinned_now, st.resident_bytes()), (0, 0));
+        unpin(&mut st, "a", Interval::new(0, 32));
+        assert_eq!(st.pinned_now, 0, "the late release finds nothing to unpin");
+    }
+
+    #[test]
+    fn delete_while_pinned_rejected() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        read(&mut st, 1, 0, "a", Interval::new(0, 8));
+        let acts = delete(&mut st, "a");
+        assert!(matches!(error(&acts), StorageError::Immutability(_)));
+    }
+
+    #[test]
+    fn shutdown_handshake_requires_all_byes() {
+        let mut st = StorageState::new(cfg(0, 3, 1 << 20), vec![]);
+        assert!(!st.ready_to_exit());
+        let acts = st.handle_client(ClientMsg::Shutdown);
+        let byes = acts
+            .iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Peer {
+                        msg: PeerMsg::Bye,
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(byes, 2, "bye broadcast to both peers");
+        assert!(!st.ready_to_exit(), "waits for peers");
+        st.handle_peer(PeerMsg::Bye);
+        assert!(!st.ready_to_exit());
+        st.handle_peer(PeerMsg::Bye);
+        assert!(st.ready_to_exit());
+        // Idempotent quiescence.
+        assert!(st.force_local_done().is_empty());
+    }
+
+    #[test]
+    fn single_node_shutdown_is_immediate() {
+        let mut st = state(1 << 20);
+        assert!(!st.ready_to_exit());
+        assert!(st.handle_client(ClientMsg::Shutdown).is_empty());
+        assert!(st.ready_to_exit());
+    }
+}

@@ -1,0 +1,656 @@
+//! Residency: what a block costs in memory, and how it leaves.
+//!
+//! Every resident form of a block ([`BlockMem`]) is charged to the budget
+//! for the block's full length from the moment it exists. When resident
+//! bytes exceed the budget, `reclaim` walks the LRU oldest first; a client's
+//! `Evict` does the same for one array. Both free a block through
+//! `release_block`, which takes one of the two exits written here once:
+//! `evict_block` when a disk copy exists, or `spill_block` first and
+//! `evict_block` when the write lands (`spill_done`). `persist` uses
+//! `spill_block` without the eviction.
+
+use super::{storage_obs, Action, BlockInfo, StorageState};
+use crate::meta::Interval;
+use crate::proto::{IoCmd, Reply};
+use crate::rangeset::RangeSet;
+use crate::StorageError;
+use bytes::Bytes;
+use std::collections::HashSet;
+
+/// Resident form of a block. Every form is charged to the budget for the
+/// block's full length from the moment it exists.
+#[derive(Clone, Hash)]
+pub(super) enum BlockMem {
+    /// Write grant over the whole block of a single-block array: nothing is
+    /// allocated, the release's own `Bytes` is adopted as the sealed block.
+    Reserved,
+    /// Being assembled from write intervals; partial reads copy out.
+    Building(Vec<u8>),
+    /// Fully sealed; reads are zero-copy slices.
+    Sealed(Bytes),
+}
+
+impl BlockMem {
+    /// A fully sealed block's assembly buffer becomes its shareable form.
+    pub(super) fn freeze(&mut self) {
+        if let BlockMem::Building(buf) = self {
+            *self = BlockMem::Sealed(Bytes::from(std::mem::take(buf)));
+        }
+    }
+}
+
+impl BlockInfo {
+    /// Issues the implicit out-of-core read of this block unless one is in
+    /// flight: every reader, local or peer, of a block on disk shares one
+    /// load.
+    pub(super) fn load(&mut self, array: String, block: u64, len: u64, out: &mut Vec<Action>) {
+        if !self.loading {
+            self.loading = true;
+            out.push(Action::Io(IoCmd::Read { array, block, len }));
+        }
+    }
+}
+
+impl StorageState {
+    // -- LRU and budget -----------------------------------------------------
+
+    pub(super) fn touch(&mut self, array: &str, block: u64) {
+        let Some(info) = self
+            .arrays
+            .get_mut(array)
+            .and_then(|a| a.blocks.get_mut(&block))
+        else {
+            return; // unknown block: nothing to age
+        };
+        if info.last_use != 0 {
+            self.lru.remove(&info.last_use);
+        }
+        self.clock += 1;
+        info.last_use = self.clock;
+        self.lru.insert(self.clock, (array.to_string(), block));
+    }
+
+    pub(super) fn lru_remove(&mut self, last_use: u64) {
+        if last_use != 0 {
+            self.lru.remove(&last_use);
+        }
+    }
+
+    pub(super) fn charge(&mut self, bytes: u64, out: &mut Vec<Action>) {
+        self.resident += bytes;
+        self.reclaim(out);
+    }
+
+    pub(super) fn discharge(&mut self, bytes: u64) {
+        debug_assert!(self.resident >= bytes);
+        self.resident -= bytes;
+    }
+
+    /// LRU reclamation: walk blocks least-recently-used first and free
+    /// unpinned sealed ones until the budget holds, counting spills in
+    /// flight as already freed.
+    fn reclaim(&mut self, out: &mut Vec<Action>) {
+        let budget = self.cfg.memory_budget;
+        let mut projected = self.resident;
+        // Stop once `projected` fits: reclaiming costs the victims it takes,
+        // not the blocks it keeps.
+        let mut next = 0;
+        while projected > budget {
+            let Some((&used, (array, block))) = self.lru.range(next..).next() else {
+                break;
+            };
+            next = used + 1;
+            let (array, block) = (array.clone(), *block);
+            if let Some(freed) = self.release_block(&array, block, "lru reclaim", out) {
+                projected = projected.saturating_sub(freed);
+            }
+        }
+    }
+
+    /// Explicit programmer-driven eviction of an array's resident blocks.
+    pub(super) fn explicit_evict(&mut self, array: &str, out: &mut Vec<Action>) {
+        let Some(ainfo) = self.arrays.get(array) else {
+            return;
+        };
+        let blocks: Vec<u64> = ainfo.blocks.keys().copied().collect();
+        for block in blocks {
+            self.release_block(array, block, "explicit", out);
+        }
+    }
+
+    /// Starts freeing one block's memory: evicts it now if a disk copy
+    /// exists, otherwise spills it and evicts when the write lands. Returns
+    /// the bytes this frees, now or later; `None` if the block cannot leave
+    /// memory (pinned, loading, not fully sealed, not resident).
+    fn release_block(
+        &mut self,
+        array: &str,
+        block: u64,
+        why: &str,
+        out: &mut Vec<Action>,
+    ) -> Option<u64> {
+        let bugs = self.bug();
+        let ainfo = self.arrays.get_mut(array)?;
+        let block_len = ainfo.meta.block_len(block);
+        let info = ainfo.blocks.get_mut(&block)?;
+        if (info.pins > 0 && !bugs.evict_ignores_pins)
+            || info.loading
+            || !info.fully_sealed(block_len)
+            || !matches!(info.mem, Some(BlockMem::Sealed(_)))
+        {
+            return None;
+        }
+        if info.spilling {
+            info.evict_after_spill = true;
+        } else if info.on_disk || bugs.evict_skips_spill {
+            self.evict_block(array, block, why);
+        } else {
+            info.evict_after_spill = true;
+            storage_obs().blocks_spilled.inc();
+            self.spill_block(array, block, out);
+        }
+        Some(block_len)
+    }
+
+    /// Drops a block's resident bytes: the one place a block leaves memory.
+    /// Callers have made sure the bytes are safe on disk.
+    fn evict_block(&mut self, array: &str, block: u64, why: &str) {
+        let Some(ainfo) = self.arrays.get_mut(array) else {
+            return;
+        };
+        let block_len = ainfo.meta.block_len(block);
+        let Some(info) = ainfo.blocks.get_mut(&block) else {
+            return;
+        };
+        if info.mem.take().is_none() {
+            return;
+        }
+        info.evict_after_spill = false;
+        let last_use = std::mem::take(&mut info.last_use);
+        self.lru_remove(last_use);
+        self.discharge(block_len);
+        self.stats.evictions += 1;
+        storage_obs().blocks_evicted.inc();
+        dooc_obs::instant_arg(
+            dooc_obs::Category::Storage,
+            "storage:evict",
+            self.cfg.node as i64,
+            || format!("{array}@{block} ({why})"),
+        );
+    }
+
+    /// Writes a sealed resident block to the local disk: the one place a
+    /// block file is written. Returns whether a write was issued.
+    fn spill_block(&mut self, array: &str, block: u64, out: &mut Vec<Action>) -> bool {
+        let Some(ainfo) = self.arrays.get_mut(array) else {
+            return false;
+        };
+        let (len, block_size) = (ainfo.meta.len, ainfo.meta.block_size);
+        let Some(info) = ainfo.blocks.get_mut(&block) else {
+            return false;
+        };
+        let Some(BlockMem::Sealed(data)) = &info.mem else {
+            return false;
+        };
+        let data = data.clone();
+        info.spilling = true;
+        out.push(Action::Io(IoCmd::Write {
+            array: array.to_string(),
+            block,
+            len,
+            block_size,
+            data,
+        }));
+        true
+    }
+
+    /// A spill or persist write landed: the block is on disk, a pending
+    /// persist may be complete, and a spill meant to free memory evicts.
+    pub(super) fn spill_done(
+        &mut self,
+        array: &str,
+        block: u64,
+        bytes: u64,
+        out: &mut Vec<Action>,
+    ) {
+        self.stats.disk_write_bytes += bytes;
+        let bugs = self.bug();
+        let Some(ainfo) = self.arrays.get_mut(array) else {
+            return;
+        };
+        let mut evict = false;
+        if let Some(info) = ainfo.blocks.get_mut(&block) {
+            info.spilling = false;
+            info.on_disk = true;
+            evict = info.evict_after_spill && (info.pins == 0 || bugs.evict_ignores_pins);
+        }
+        if let Some((req, client, mut awaited)) = ainfo.persist.take() {
+            awaited.remove(&block);
+            if awaited.is_empty() {
+                out.push(Action::Reply {
+                    client,
+                    reply: Reply::Persisted { req },
+                });
+            } else {
+                ainfo.persist = Some((req, client, awaited));
+            }
+        }
+        if evict {
+            self.evict_block(array, block, "after spill");
+        }
+    }
+
+    /// Installs a whole sealed block that arrived from disk or from a peer:
+    /// resident, fully sealed, its waiters served, LRU touched, budget
+    /// charged.
+    pub(super) fn install_sealed(
+        &mut self,
+        array: &str,
+        block: u64,
+        data: Bytes,
+        out: &mut Vec<Action>,
+    ) {
+        let Some(ainfo) = self.arrays.get_mut(array) else {
+            return; // deleted while on its way
+        };
+        let block_len = ainfo.meta.block_len(block);
+        let info = ainfo.blocks.entry(block).or_default();
+        info.loading = false;
+        info.fetch = None;
+        let newly = info.mem.is_none();
+        info.mem = Some(BlockMem::Sealed(data));
+        info.sealed = RangeSet::from_range(0, block_len);
+        let meta = &ainfo.meta;
+        Self::flush_waiters(
+            info,
+            meta,
+            block,
+            &mut self.pinned_now,
+            &mut self.stats,
+            out,
+        );
+        self.touch(array, block);
+        if newly {
+            self.charge(block_len, out);
+        }
+    }
+
+    /// Explicit persist ("the write operations are performed explicitly
+    /// upon request of a filter"): writes every sealed block not on disk yet
+    /// and replies once those and any spill in flight landed.
+    pub(super) fn persist(&mut self, req: u64, client: u64, array: String, out: &mut Vec<Action>) {
+        let Some(ainfo) = self.arrays.get(&array) else {
+            return Self::err(client, req, StorageError::UnknownArray(array), out);
+        };
+        if ainfo.persist.is_some() {
+            let e = StorageError::Protocol("persist already in progress".into());
+            return Self::err(client, req, e, out);
+        }
+        let mut awaited = HashSet::new();
+        let mut unwritten = Vec::new();
+        for (&b, info) in &ainfo.blocks {
+            if info.spilling {
+                awaited.insert(b); // piggyback on the in-flight spill
+            } else if info.fully_sealed(ainfo.meta.block_len(b)) && !info.on_disk {
+                unwritten.push(b);
+            }
+        }
+        for b in unwritten {
+            if self.spill_block(&array, b, out) {
+                awaited.insert(b);
+            }
+        }
+        if awaited.is_empty() {
+            out.push(Action::Reply {
+                client,
+                reply: Reply::Persisted { req },
+            });
+        } else if let Some(ainfo) = self.arrays.get_mut(&array) {
+            ainfo.persist = Some((req, client, awaited));
+        }
+    }
+
+    /// Hint: bring the block holding `iv` into memory — load it from disk,
+    /// or fetch it if it lives elsewhere. Bad hints are dropped.
+    pub(super) fn prefetch(&mut self, array: String, iv: Interval, out: &mut Vec<Action>) {
+        if self.deleted.contains_key(&array) {
+            return;
+        }
+        let Some(ainfo) = Self::array_or_placeholder(&mut self.arrays, &array) else {
+            return;
+        };
+        let Ok((block, _)) = ainfo.meta.locate(iv) else {
+            return;
+        };
+        let block_len = ainfo.meta.block_len(block);
+        let home = ainfo.home;
+        let info = ainfo.blocks.entry(block).or_default();
+        if info.mem.is_some() || info.loading || info.fetch.is_some() {
+            return; // already resident or on its way
+        }
+        if info.on_disk {
+            info.load(array, block, block_len, out);
+        } else if !home && info.sealed.is_empty() {
+            self.start_fetch(array, block, iv.offset, out);
+        }
+        // Home + unwritten: nothing to do until a writer shows up.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::super::StorageState;
+    use crate::meta::Interval;
+    use crate::proto::{ClientMsg, IoCmd, IoReply, Reply};
+    use bytes::Bytes;
+
+    fn write_done(st: &mut StorageState, name: &str, block: u64, bytes: u64) -> Vec<super::Action> {
+        st.handle_io(IoReply::WriteDone {
+            array: name.into(),
+            block,
+            bytes,
+        })
+    }
+
+    /// The zero-copy contract of the write path: the `Bytes` a worker
+    /// releases over the whole block of a single-block array *is* the sealed
+    /// block — what readers are lent and what a spill hands the I/O filter —
+    /// and the grant charged the budget without allocating anything.
+    #[test]
+    fn whole_block_release_into_a_single_block_array_is_adopted() {
+        let mut st = state(1 << 20);
+        create(&mut st, "v", 4096, 4096);
+        let iv = Interval::new(0, 4096);
+        grant(&mut st, "v", iv);
+        assert_eq!(st.resident_bytes(), 4096, "charged at grant");
+        assert_eq!(st.stats().pinned_peak_bytes, 4096);
+        let written = Bytes::from(vec![3u8; 4096]);
+        release(&mut st, "v", iv, written.clone());
+        let read = read_data(&read(&mut st, 3, 0, "v", iv), 3).expect("served");
+        unpin(&mut st, "v", iv);
+        assert_eq!(read.as_ptr(), written.as_ptr(), "adopted, not copied");
+        assert_eq!(st.resident_bytes(), 4096, "one copy of the block exists");
+        match &st.handle_client(ClientMsg::Evict { array: "v".into() })[..] {
+            [super::Action::Io(IoCmd::Write { data, .. })] => {
+                assert_eq!(
+                    data.as_ptr(),
+                    written.as_ptr(),
+                    "the spill writes that allocation"
+                )
+            }
+            other => panic!("expected one spill, got {other:?}"),
+        }
+    }
+
+    /// Blocks of a multi-block array arrive as slices of the writer's
+    /// array-sized buffer, so each is copied into memory the block owns:
+    /// evicting one block then frees exactly that block.
+    #[test]
+    fn whole_block_release_into_a_two_block_array_is_copied() {
+        let mut st = state(1 << 20);
+        create(&mut st, "m", 96, 64);
+        let array = Bytes::from((0..96u8).collect::<Vec<u8>>());
+        let mut blocks = Vec::new();
+        for (req, iv) in [(3, Interval::new(0, 64)), (4, Interval::new(64, 32))] {
+            grant(&mut st, "m", iv);
+            let slice = array.slice(iv.offset as usize..iv.end() as usize);
+            release(&mut st, "m", iv, slice);
+            blocks.push(read_data(&read(&mut st, req, 0, "m", iv), req).expect("served"));
+            unpin(&mut st, "m", iv);
+        }
+        assert_eq!(
+            (&blocks[0][..], &blocks[1][..]),
+            (&array[..64], &array[64..])
+        );
+        assert_ne!(
+            blocks[0].as_ptr(),
+            array.as_ptr(),
+            "block 0 owns its memory"
+        );
+        assert_eq!(st.stats().resident_bytes, 96);
+        // Drop block 0 only: spill it, then reclaim on completion.
+        st.cfg.memory_budget = 32;
+        let mut acts = Vec::new();
+        st.reclaim(&mut acts);
+        assert!(
+            matches!(
+                &acts[..],
+                [super::Action::Io(IoCmd::Write { block: 0, .. })]
+            ),
+            "LRU block 0 spills first: {acts:?}"
+        );
+        write_done(&mut st, "m", 0, 64);
+        assert_eq!(
+            st.stats().resident_bytes,
+            32,
+            "evicting block 0 freed exactly block_len(0)"
+        );
+        assert_eq!(st.stats().evictions, 1);
+    }
+
+    #[test]
+    fn lru_eviction_spills_then_drops() {
+        // Budget of one block: writing a second block must spill the first.
+        let mut st = state(32);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        assert_eq!(st.resident_bytes(), 32);
+        let acts = write_all(&mut st, "a", Interval::new(32, 32), 2);
+        let spill = acts.iter().find_map(|a| match a {
+            super::Action::Io(IoCmd::Write { array, block, .. }) => Some((array.clone(), *block)),
+            _ => None,
+        });
+        assert_eq!(spill, Some(("a".into(), 0)), "LRU block spilled");
+        assert_eq!(st.resident_bytes(), 64, "memory freed only on completion");
+        assert!(write_done(&mut st, "a", 0, 32).is_empty());
+        assert_eq!(st.resident_bytes(), 32, "block 0 dropped after spill");
+        assert_eq!(st.stats().evictions, 1);
+    }
+
+    #[test]
+    fn evicted_block_reloaded_from_disk() {
+        let mut st = state(32);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        write_all(&mut st, "a", Interval::new(32, 32), 2);
+        write_done(&mut st, "a", 0, 32);
+        // Read of block 0 now requires an implicit out-of-core read.
+        let acts = read(&mut st, 9, 1, "a", Interval::new(0, 32));
+        assert!(matches!(
+            &acts[..],
+            [super::Action::Io(IoCmd::Read { block: 0, .. })]
+        ));
+        let acts = st.handle_io(IoReply::ReadDone {
+            array: "a".into(),
+            block: 0,
+            data: Bytes::from(vec![1u8; 32]),
+        });
+        // The reload evicts block 1 (budget) and serves the read.
+        assert_eq!(served(&acts), vec![9]);
+        assert_eq!(st.stats().disk_read_bytes, 32);
+    }
+
+    #[test]
+    fn pinned_blocks_are_not_evicted() {
+        let mut st = state(32);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        assert_eq!(
+            served(&read(&mut st, 1, 0, "a", Interval::new(0, 32))),
+            vec![1]
+        );
+        // Write block 1: over budget, but block 0 is pinned: it must not be
+        // spilled to be dropped.
+        let acts = write_all(&mut st, "a", Interval::new(32, 32), 2);
+        assert!(
+            !acts
+                .iter()
+                .any(|a| matches!(a, super::Action::Io(IoCmd::Write { block: 0, .. }))),
+            "pinned block must not be spill-evicted: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 64);
+        unpin(&mut st, "a", Interval::new(0, 32));
+    }
+
+    #[test]
+    fn discovered_blocks_read_from_disk() {
+        let mut st = on_disk("m", 100, 100, &[0], 1 << 20);
+        let acts = read(&mut st, 1, 0, "m", Interval::new(0, 100));
+        assert!(matches!(
+            &acts[..],
+            [super::Action::Io(IoCmd::Read {
+                block: 0,
+                len: 100,
+                ..
+            })]
+        ));
+        let acts = st.handle_io(IoReply::ReadDone {
+            array: "m".into(),
+            block: 0,
+            data: Bytes::from(vec![3u8; 100]),
+        });
+        assert_eq!(served(&acts), vec![1]);
+    }
+
+    #[test]
+    fn concurrent_reads_share_one_io() {
+        let mut st = on_disk("m", 64, 64, &[0], 1 << 20);
+        let a1 = read(&mut st, 1, 0, "m", Interval::new(0, 8));
+        let a2 = read(&mut st, 2, 1, "m", Interval::new(8, 8));
+        assert_eq!(a1.len(), 1, "one io read");
+        assert!(a2.is_empty(), "second read joins the in-flight io");
+        let acts = st.handle_io(IoReply::ReadDone {
+            array: "m".into(),
+            block: 0,
+            data: Bytes::from(vec![1u8; 64]),
+        });
+        assert_eq!(served(&acts), vec![1, 2]);
+    }
+
+    #[test]
+    fn reclaim_takes_the_oldest_blocks_and_only_as_many_as_it_needs() {
+        // Four disk-backed blocks resident in a budget of four; one more
+        // block arrives. Exactly the least recently used one goes.
+        let mut st = on_disk("m", 160, 32, &[0, 1, 2, 3, 4], 128);
+        let load = |st: &mut StorageState, b: u64| {
+            st.handle_client(ClientMsg::Prefetch {
+                array: "m".into(),
+                iv: Interval::new(32 * b, 32),
+            });
+            st.handle_io(IoReply::ReadDone {
+                array: "m".into(),
+                block: b,
+                data: Bytes::from(vec![b as u8; 32]),
+            })
+        };
+        for b in [2, 0, 3, 1] {
+            load(&mut st, b);
+        }
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (128, 0));
+        load(&mut st, 4);
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (128, 1));
+        let in_memory = |st: &StorageState, b: u64| st.arrays["m"].blocks[&b].mem.is_some();
+        assert!(!in_memory(&st, 2), "the oldest block went");
+        assert!([0, 3, 1, 4].iter().all(|&b| in_memory(&st, b)));
+        assert_eq!(st.lru.len(), 4, "the victim left the LRU index");
+    }
+
+    #[test]
+    fn persist_writes_sealed_blocks_and_replies_when_done() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        write_all(&mut st, "a", Interval::new(32, 32), 2);
+        let acts = st.handle_client(ClientMsg::Persist {
+            req: 9,
+            client: 0,
+            array: "a".into(),
+        });
+        assert_eq!(acts.len(), 2, "two writes, no reply yet: {acts:?}");
+        assert!(acts
+            .iter()
+            .all(|a| matches!(a, super::Action::Io(IoCmd::Write { .. }))));
+        assert!(write_done(&mut st, "a", 0, 32).is_empty());
+        let acts = write_done(&mut st, "a", 1, 32);
+        assert!(matches!(reply(&acts), Reply::Persisted { req: 9 }));
+        assert_eq!(st.stats().disk_write_bytes, 64);
+    }
+
+    #[test]
+    fn persist_of_already_persisted_is_immediate() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        let persist = |st: &mut StorageState, req| {
+            st.handle_client(ClientMsg::Persist {
+                req,
+                client: 0,
+                array: "a".into(),
+            })
+        };
+        persist(&mut st, 1);
+        write_done(&mut st, "a", 0, 32);
+        assert!(matches!(
+            reply(&persist(&mut st, 2)),
+            Reply::Persisted { req: 2 }
+        ));
+    }
+
+    #[test]
+    fn explicit_evict_drops_disk_backed_and_spills_dirty() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 64, 32);
+        for b in 0..2u64 {
+            write_all(&mut st, "a", Interval::new(b * 32, 32), b as u8);
+        }
+        // Persist both blocks so they are disk-backed.
+        st.handle_client(ClientMsg::Persist {
+            req: 3,
+            client: 0,
+            array: "a".into(),
+        });
+        write_done(&mut st, "a", 0, 32);
+        write_done(&mut st, "a", 1, 32);
+        assert_eq!(st.resident_bytes(), 64);
+        let acts = st.handle_client(ClientMsg::Evict { array: "a".into() });
+        // Both blocks are on disk, so eviction drops both immediately.
+        assert!(acts.is_empty(), "{acts:?}");
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (0, 2));
+        // Reads go back through the I/O filter.
+        let acts = read(&mut st, 5, 0, "a", Interval::new(0, 32));
+        assert!(matches!(
+            &acts[..],
+            [super::Action::Io(IoCmd::Read { block: 0, .. })]
+        ));
+    }
+
+    #[test]
+    fn explicit_evict_spills_unspilled_blocks_first() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 7);
+        let acts = st.handle_client(ClientMsg::Evict { array: "a".into() });
+        assert!(
+            matches!(
+                &acts[..],
+                [super::Action::Io(IoCmd::Write { block: 0, .. })]
+            ),
+            "dirty block must spill: {acts:?}"
+        );
+        assert_eq!(st.resident_bytes(), 32, "freed only after the spill lands");
+        write_done(&mut st, "a", 0, 32);
+        assert_eq!(st.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn evict_skips_pinned_blocks() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 7);
+        read(&mut st, 3, 0, "a", Interval::new(0, 32));
+        let acts = st.handle_client(ClientMsg::Evict { array: "a".into() });
+        assert!(acts.is_empty(), "pinned block untouched: {acts:?}");
+        assert_eq!(st.resident_bytes(), 32);
+    }
+}

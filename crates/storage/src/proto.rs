@@ -27,7 +27,7 @@ use dooc_filterstream::DataBuffer;
 /// Availability of a block as reported by a map query ("obtain a map of
 /// which part of the arrays are currently available in the storage
 /// subsystem").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BlockAvail {
     /// Fully sealed and resident in this node's memory.
     InMemory,
@@ -74,7 +74,7 @@ pub struct MapEntry {
 /// Counters a storage node maintains; exposed to clients via
 /// [`ClientMsg::StatsQuery`] and used by the experiment harness as the
 /// "logs" bandwidth is extracted from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NodeStats {
     /// Bytes read from the local filesystem (I/O filter completions).
     pub disk_read_bytes: u64,
@@ -186,15 +186,10 @@ pub enum ClientMsg {
         /// Array name.
         array: String,
     },
-    /// Ask for the local availability map.
-    MapQuery {
-        /// Request id.
-        req: u64,
-        /// Reply address.
-        client: u64,
-    },
-    /// Ask for the availability entries that changed after map version
-    /// `since` (0 means "everything", i.e. a full snapshot). The reply is a
+    /// Ask for the local availability map ("obtain a map of which part of
+    /// the arrays are currently available in the storage subsystem"): the
+    /// entries that changed after map version `since`, 0 meaning a full
+    /// snapshot. The reply is a
     /// [`Reply::MapDelta`] carrying the node's current version, so repeated
     /// queries form an incremental snapshot protocol: the client folds each
     /// delta into its mirror instead of re-receiving every entry per tick.
@@ -262,13 +257,6 @@ pub enum Reply {
     Deleted {
         /// Echoed request id.
         req: u64,
-    },
-    /// The availability map.
-    Map {
-        /// Echoed request id.
-        req: u64,
-        /// Entries for every locally known block.
-        entries: Vec<MapEntry>,
     },
     /// Incremental availability map: only blocks whose availability changed
     /// after the `since` version of the matching [`ClientMsg::MapSince`],
@@ -438,6 +426,13 @@ fn iv_get(r: &mut PayloadReader) -> Option<Interval> {
     Some(Interval::new(r.u64()?, r.u64()?))
 }
 
+/// Array geometry from the wire; a zero block size is malformed, not a
+/// panic inside [`ArrayMeta::new`].
+fn meta_get(r: &mut PayloadReader) -> Option<ArrayMeta> {
+    let (name, len, block_size) = (r.str()?, r.u64()?, r.u64()?);
+    (block_size > 0).then(|| ArrayMeta::new(name, len, block_size))
+}
+
 fn err_put(pb: &mut PayloadBuilder, e: &StorageError) {
     let (k, a, b): (u64, &str, &str) = match e {
         StorageError::UnknownArray(a) => (0, a, ""),
@@ -547,10 +542,6 @@ impl ClientMsg {
                 pb.put_u64(*req).put_u64(*client).put_str(array);
                 pb.build(T_CLIENT + 7)
             }
-            ClientMsg::MapQuery { req, client } => {
-                pb.put_u64(*req).put_u64(*client);
-                pb.build(T_CLIENT + 8)
-            }
             ClientMsg::StatsQuery { req, client } => {
                 pb.put_u64(*req).put_u64(*client);
                 pb.build(T_CLIENT + 9)
@@ -575,11 +566,7 @@ impl ClientMsg {
             t if t == T_CLIENT => ClientMsg::Create {
                 req: r.u64().ok_or_else(e)?,
                 client: r.u64().ok_or_else(e)?,
-                meta: ArrayMeta::new(
-                    r.str().ok_or_else(e)?,
-                    r.u64().ok_or_else(e)?,
-                    r.u64().ok_or_else(e)?,
-                ),
+                meta: meta_get(&mut r).ok_or_else(e)?,
             },
             t if t == T_CLIENT + 1 => ClientMsg::ReadReq {
                 req: r.u64().ok_or_else(e)?,
@@ -618,10 +605,6 @@ impl ClientMsg {
                 client: r.u64().ok_or_else(e)?,
                 array: r.str().ok_or_else(e)?,
             },
-            t if t == T_CLIENT + 8 => ClientMsg::MapQuery {
-                req: r.u64().ok_or_else(e)?,
-                client: r.u64().ok_or_else(e)?,
-            },
             t if t == T_CLIENT + 9 => ClientMsg::StatsQuery {
                 req: r.u64().ok_or_else(e)?,
                 client: r.u64().ok_or_else(e)?,
@@ -636,11 +619,7 @@ impl ClientMsg {
                 since: r.u64().ok_or_else(e)?,
             },
             t if t == T_CLIENT + 11 => ClientMsg::Register {
-                meta: ArrayMeta::new(
-                    r.str().ok_or_else(e)?,
-                    r.u64().ok_or_else(e)?,
-                    r.u64().ok_or_else(e)?,
-                ),
+                meta: meta_get(&mut r).ok_or_else(e)?,
             },
             t => {
                 return Err(StorageError::Protocol(format!(
@@ -659,7 +638,6 @@ impl ClientMsg {
             | ClientMsg::ReleaseWrite { client, .. }
             | ClientMsg::Persist { client, .. }
             | ClientMsg::Delete { client, .. }
-            | ClientMsg::MapQuery { client, .. }
             | ClientMsg::MapSince { client, .. }
             | ClientMsg::StatsQuery { client, .. } => Some(*client),
             ClientMsg::ReleaseRead { .. }
@@ -699,15 +677,6 @@ impl Reply {
             Reply::Deleted { req } => {
                 pb.put_u64(*req);
                 pb.build(T_REPLY + 5)
-            }
-            Reply::Map { req, entries } => {
-                pb.put_u64(*req).put_u64(entries.len() as u64);
-                for en in entries {
-                    pb.put_str(&en.array)
-                        .put_u64(en.block)
-                        .put_u64(en.state.code());
-                }
-                pb.build(T_REPLY + 6)
             }
             Reply::Stats { req, stats } => {
                 pb.put_u64(*req)
@@ -773,19 +742,6 @@ impl Reply {
             t if t == T_REPLY + 5 => Reply::Deleted {
                 req: r.u64().ok_or_else(e)?,
             },
-            t if t == T_REPLY + 6 => {
-                let req = r.u64().ok_or_else(e)?;
-                let n = r.u64().ok_or_else(e)?;
-                let mut entries = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    entries.push(MapEntry {
-                        array: r.str().ok_or_else(e)?,
-                        block: r.u64().ok_or_else(e)?,
-                        state: BlockAvail::from_code(r.u64().ok_or_else(e)?).ok_or_else(e)?,
-                    });
-                }
-                Reply::Map { req, entries }
-            }
             t if t == T_REPLY + 7 => Reply::Stats {
                 req: r.u64().ok_or_else(e)?,
                 stats: NodeStats {
@@ -844,7 +800,6 @@ impl Reply {
             | Reply::WriteSealed { req }
             | Reply::Persisted { req }
             | Reply::Deleted { req }
-            | Reply::Map { req, .. }
             | Reply::MapDelta { req, .. }
             | Reply::Stats { req, .. }
             | Reply::Err { req, .. } => *req,
@@ -1103,7 +1058,6 @@ mod tests {
                 meta: ArrayMeta::new("reg", 64, 16),
             },
             ClientMsg::Evict { array: "ev".into() },
-            ClientMsg::MapQuery { req: 8, client: 4 },
             ClientMsg::MapSince {
                 req: 10,
                 client: 4,
@@ -1130,8 +1084,9 @@ mod tests {
             Reply::WriteSealed { req: 4 },
             Reply::Persisted { req: 5 },
             Reply::Deleted { req: 6 },
-            Reply::Map {
+            Reply::MapDelta {
                 req: 7,
+                version: 3,
                 entries: vec![
                     MapEntry {
                         array: "a".into(),
@@ -1144,6 +1099,7 @@ mod tests {
                         state: BlockAvail::Unwritten,
                     },
                 ],
+                deleted: vec![],
             },
             Reply::MapDelta {
                 req: 10,
@@ -1378,6 +1334,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_block_size_geometry_is_a_decode_error() {
+        for tag in [T_CLIENT, T_CLIENT + 11] {
+            let mut pb = PayloadBuilder::new();
+            if tag == T_CLIENT {
+                pb.put_u64(1).put_u64(2);
+            }
+            pb.put_str("z").put_u64(64).put_u64(0);
+            assert!(matches!(
+                ClientMsg::decode(&pb.build(tag)),
+                Err(StorageError::Protocol(_))
+            ));
+        }
+    }
+
+    #[test]
     fn cross_family_decode_fails() {
         let b = ClientMsg::Shutdown.encode();
         assert!(Reply::decode(&b).is_err());
@@ -1401,10 +1372,6 @@ mod tests {
 
     #[test]
     fn reply_client_extraction() {
-        assert_eq!(
-            ClientMsg::MapQuery { req: 1, client: 7 }.reply_client(),
-            Some(7)
-        );
         assert_eq!(
             ClientMsg::MapSince {
                 req: 1,

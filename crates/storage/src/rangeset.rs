@@ -6,7 +6,7 @@
 //! block sealed (and therefore spillable)?".
 
 /// A set of disjoint, coalesced half-open ranges `[start, end)` over `u64`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RangeSet {
     /// Sorted, pairwise-disjoint, non-adjacent ranges.
     ranges: Vec<(u64, u64)>,

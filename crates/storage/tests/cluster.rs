@@ -225,7 +225,7 @@ fn persist_then_restart_discovers_arrays() {
     // Second life: a brand-new cluster over the same scratch directory must
     // discover the array and serve it.
     run_cluster_in(&dirs, 1 << 20, |_, sc| {
-        let map = sc.map().expect("map");
+        let map = sc.map_since(0).expect("map").entries;
         let kept: Vec<_> = map.iter().filter(|e| e.array == "kept").collect();
         assert_eq!(kept.len(), 3, "all blocks discovered: {map:?}");
         assert!(kept.iter().all(|e| e.state == BlockAvail::OnDisk));
@@ -277,7 +277,11 @@ fn lying_disk(tag: &str, bs: u64, seed_pool: bool) {
         // Gone after the restart scan found it (a reply proves the node is
         // up): a block missing at startup is just a block nobody has
         // written yet.
-        assert_eq!(sc.map().expect("map").len(), 4, "all four discovered");
+        assert_eq!(
+            sc.map_since(0).expect("map").entries.len(),
+            4,
+            "all four discovered"
+        );
         std::fs::remove_file(&lost).expect("lose block 2");
         let oversized = format!("(read {})", bs + 1);
         for (b, what) in [(0u64, "(read 9)"), (1, oversized.as_str()), (2, "")] {
@@ -367,7 +371,7 @@ fn prefetch_brings_block_to_memory() {
         // pattern: issue prefetches, query the map).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            let map = sc.map().expect("map");
+            let map = sc.map_since(0).expect("map").entries;
             if map
                 .iter()
                 .any(|e| e.array == "mat" && e.state == BlockAvail::InMemory)
@@ -505,7 +509,7 @@ mod faults {
                 assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
                 let err = sc.create("dead", 16, 16).expect_err("the name is spent");
                 assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
-                let map = sc.map().expect("map");
+                let map = sc.map_since(0).expect("map").entries;
                 assert!(map.iter().all(|e| e.array == "kept"), "{map:?}");
                 assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
             },

@@ -110,8 +110,9 @@ fn check_script(tag: &str, steps: Vec<Step>) {
         sc.evict("arr").expect("evict");
         for attempt in 0..200 {
             let resident = sc
-                .map()
+                .map_since(0)
                 .expect("map")
+                .entries
                 .into_iter()
                 .filter(|e| e.array == "arr" && e.state == BlockAvail::InMemory)
                 .count();
