@@ -20,7 +20,6 @@
 //!   relative to that hook-free baseline.
 
 use bytes::Bytes;
-use dooc_core::sync::OrderedMutex;
 use dooc_core::{runtime_lane_specs, DoocConfig, DoocRuntime, WorkerContext};
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_linalg::spmv_app::{
@@ -31,6 +30,7 @@ use dooc_sparse::blockgrid::BlockGrid;
 use dooc_sparse::genmat::GapGenerator;
 use dooc_sparse::{dense, ComputePool};
 use dooc_storage::{StorageClient, StorageCluster};
+use dooc_sync::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -317,8 +317,7 @@ struct ReadLatency {
 /// `read_array_blocking` (one round trip per block) against the pipelined
 /// `read_array`, and records the bytes each path memcpy'd.
 fn read_latency(nblocks: u64, block_bytes: u64, reps: u32) -> ReadLatency {
-    let results: Arc<OrderedMutex<Vec<ReadLatency>>> =
-        Arc::new(OrderedMutex::new("bench.readlat", Vec::new()));
+    let results: Arc<Mutex<Vec<ReadLatency>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&results);
     let len = nblocks * block_bytes;
     let dir = std::env::temp_dir().join(format!("dooc-bench-readlat-{}", std::process::id()));

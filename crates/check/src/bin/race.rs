@@ -5,10 +5,6 @@
 //! * `--log <path>` — analyze a recorded `dooc-race v1` event log offline.
 //!   Exits 1 when a race is found (or the log is incomplete because the
 //!   recorder dropped events), 0 on a clean verdict.
-//! * `--syncgraph [root]` — print the static sync graph (lock classes,
-//!   order edges, channel topology) of the workspace and exit 1 if the
-//!   lock-order graph has a cycle. The root defaults to the nearest
-//!   ancestor directory holding `Cargo.toml` plus `crates/`.
 //! * `--spmv [--out <log path>]` — (needs the `record` feature) run a
 //!   recorded fault-free 2-node iterated SpMV on the real middleware
 //!   across several configurations plus one forced fork-join kernel run on
@@ -18,18 +14,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-fn find_root(start: PathBuf) -> Option<PathBuf> {
-    let mut dir = start;
-    loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
 
 fn analyze_log_file(path: &PathBuf) -> ExitCode {
     let log = match std::fs::read_to_string(path) {
@@ -50,35 +34,6 @@ fn analyze_log_file(path: &PathBuf) -> ExitCode {
         }
         Err(e) => {
             eprintln!("race: malformed log {}: {e}", path.display());
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn syncgraph(root_arg: Option<PathBuf>) -> ExitCode {
-    let root = match root_arg.or_else(|| find_root(std::env::current_dir().ok()?)) {
-        Some(r) => r,
-        None => {
-            eprintln!("race: no workspace root found (pass it after --syncgraph)");
-            return ExitCode::from(2);
-        }
-    };
-    match dooc_check::syncgraph::scan_workspace(&root) {
-        Ok(graph) => {
-            print!("{}", graph.render());
-            if let Some(cycle) = graph.find_cycle() {
-                eprintln!("race: lock-order cycle in the static sync graph:");
-                for e in cycle {
-                    eprintln!("  {e}");
-                }
-                ExitCode::FAILURE
-            } else {
-                println!("static lock-order graph is acyclic");
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("race: scan failed under {}: {e}", root.display());
             ExitCode::from(2)
         }
     }
@@ -273,7 +228,6 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("--syncgraph") => syncgraph(args.next().map(PathBuf::from)),
         Some("--spmv") => {
             let out = match (args.next().as_deref(), args.next()) {
                 (Some("--out"), Some(p)) => Some(PathBuf::from(p)),
@@ -286,10 +240,7 @@ fn main() -> ExitCode {
             spmv(out)
         }
         _ => {
-            eprintln!(
-                "usage: race --log <path> | race --syncgraph [root] | \
-                 race --spmv [--out <log path>]"
-            );
+            eprintln!("usage: race --log <path> | race --spmv [--out <log path>]");
             ExitCode::from(2)
         }
     }

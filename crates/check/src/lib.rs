@@ -1,6 +1,6 @@
 //! Verification tooling for the DOoC reproduction.
 //!
-//! Three subsystems:
+//! Five modules:
 //!
 //! * [`model`] (feature `model`) — an explicit-state model checker over the
 //!   *real* storage node (`storage::node::StorageState`): it enumerates
@@ -27,17 +27,11 @@
 //!   facade timeouts). Run via `cargo run -p dooc-check --bin lint`
 //!   (`--json` for machine-readable findings).
 //!
-//! Plus the two halves of **dooc-race**:
-//!
-//! * [`race`] — a FastTrack-style vector-clock happens-before analyzer
-//!   over the `dooc-race v1` sync-event logs that `dooc-sync` records
-//!   under its `record` feature. Offline:
+//! * [`race`] — **dooc-race**, a FastTrack-style vector-clock
+//!   happens-before analyzer over the `dooc-race v1` sync-event logs that
+//!   `dooc-sync` records under its `record` feature. Offline:
 //!   `cargo run -p dooc-check --bin race -- --log <path>`. The explorer
 //!   race-checks every schedule it runs when recording is compiled in.
-//! * [`syncgraph`] — a zero-dependency lexical scan of the workspace
-//!   sources extracting the static lock-acquisition-order graph
-//!   (`OrderedMutex` classes) and channel topology, with cycle detection;
-//!   mirror-tested against the dynamic `order-check` edge recorder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,4 +43,3 @@ pub mod lint;
 #[cfg(feature = "model")]
 pub mod model;
 pub mod race;
-pub mod syncgraph;

@@ -9,9 +9,8 @@
 //!    code (a trailing `#[cfg(test)]` module, or files under `tests/`) is
 //!    exempt.
 //! 2. **No `std::sync` locks** — the workspace standardises on the
-//!    `dooc-sync` facade (`Mutex`, `RwLock`, the checked `OrderedMutex`);
-//!    mixing lock families defeats both the lock-order instrumentation and
-//!    schedule exploration.
+//!    `dooc-sync` facade (`Mutex`, `RwLock`); a lock from another family
+//!    escapes both schedule exploration and the race recorder.
 //! 3. **No unbounded channels** — filter graphs rely on bounded streams
 //!    for backpressure; an unbounded channel reintroduces the unbounded
 //!    memory growth the paper's design avoids. The `sync` crate, which
@@ -235,10 +234,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
             }
         }
         if line.contains(PAT_STD_MUTEX) || line.contains(PAT_STD_RWLOCK) {
-            report(
-                "no-std-locks",
-                "std::sync lock — use dooc-sync (or its OrderedMutex)".into(),
-            );
+            report("no-std-locks", "std::sync lock — use dooc-sync".into());
         }
         if opts.ban_unbounded && line.contains(PAT_UNBOUNDED) {
             report(

@@ -49,7 +49,7 @@ fn rule2_std_locks_flagged_and_facade_passes() {
     // Rule 2 has no toggle — it holds even where every other rule is off.
     assert_eq!(rules(&rwlock, LintOpts::default()), ["no-std-locks"]);
 
-    let negative = "use dooc_sync::{Mutex, OrderedMutex, RwLock};\n";
+    let negative = "use dooc_sync::{Mutex, RwLock};\n";
     assert!(rules(negative, disciplined()).is_empty());
 }
 

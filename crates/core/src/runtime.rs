@@ -105,13 +105,11 @@ impl DoocRuntime {
         }
         // Static pre-run audit: per-task residency vs the storage budget and
         // lane-capacity deadlock freedom — both decidable from the graph
-        // alone, so reject bad jobs before assembling the cluster.
-        dooc_scheduler::audit(
-            &graph,
-            self.config.memory_budget,
-            &runtime_lane_specs(&graph, nnodes as u64),
-        )
-        .map_err(DoocError::Audit)?;
+        // alone, so reject bad jobs before assembling the cluster. The lanes
+        // are wired below from the same specs the audit checks.
+        let lanes = runtime_lane_specs(&graph, nnodes as u64);
+        dooc_scheduler::audit(&graph, self.config.memory_budget, &lanes)
+            .map_err(DoocError::Audit)?;
         // Global scheduling: affinity placement.
         let placement = Arc::new(assign_affinity(&graph, &external_location, nnodes as u64)?);
 
@@ -174,15 +172,17 @@ impl DoocRuntime {
         });
 
         // Completion broadcast: every worker (including the sender) sees
-        // every completion. Capacity covers the whole task count so sends
-        // never block on a busy peer.
+        // every completion. `runtime_lane_specs` declares this lane alone;
+        // its capacity covers the whole task count so sends never block on
+        // a busy peer.
+        let done = &lanes[0];
         layout.connect_with(
             workers,
             "done_out",
             workers,
             "done_in",
             Delivery::Broadcast,
-            graph.len() + 16,
+            done.capacity as usize,
         );
 
         let base = cluster.attach_clients(&mut layout, workers, nnodes, "sreq", "srep");
@@ -197,9 +197,9 @@ impl DoocRuntime {
         };
         let elapsed = start.elapsed();
 
-        // Shutdown leak audit: every buffer enqueued into a port must have
-        // been dequeued before the filters exited.
-        #[cfg(feature = "order-check")]
+        // Shutdown leak audit (debug builds): every buffer enqueued into a
+        // port must have been dequeued before the filters exited.
+        #[cfg(debug_assertions)]
         {
             let leaks: Vec<String> = streams
                 .undrained_ports()
@@ -243,8 +243,9 @@ impl DoocRuntime {
     }
 }
 
-/// The bounded lanes `run_inner` is about to wire, declared for the
-/// lane-capacity audit. The worker↔worker completion broadcast loops back
+/// The bounded lanes `run_inner` wires, declared for the lane-capacity
+/// audit; `run_inner` takes each lane's capacity from here, so the wiring
+/// is the audited spec. The worker↔worker completion broadcast loops back
 /// to its own senders, so it is a communication cycle: a send must never
 /// block, which the audit proves by `bound ≤ capacity`.
 ///

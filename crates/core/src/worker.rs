@@ -19,7 +19,7 @@ use dooc_storage::client::MapDelta;
 use dooc_storage::meta::{ArrayMeta, Interval};
 use dooc_storage::proto::{BlockAvail, NodeStats};
 use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, WriteTicket};
-use dooc_sync::OrderedMutex;
+use dooc_sync::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -666,18 +666,10 @@ impl ResidencyTracker {
 }
 
 /// Sinks the workers report into (collected by the runtime after the run).
+#[derive(Default)]
 pub(crate) struct Sinks {
-    pub trace: OrderedMutex<Vec<TraceEvent>>,
-    pub stats: OrderedMutex<Vec<(u64, NodeStats)>>,
-}
-
-impl Default for Sinks {
-    fn default() -> Self {
-        Self {
-            trace: OrderedMutex::new("core.sinks.trace", Vec::new()),
-            stats: OrderedMutex::new("core.sinks.stats", Vec::new()),
-        }
-    }
+    pub trace: Mutex<Vec<TraceEvent>>,
+    pub stats: Mutex<Vec<(u64, NodeStats)>>,
 }
 
 pub(crate) struct WorkerFilter {
@@ -849,13 +841,6 @@ impl Filter for WorkerFilter {
             }
         }
 
-        // Quiesce: every grant the tasks took must have been handed back.
-        #[cfg(feature = "order-check")]
-        assert_eq!(
-            client.outstanding_grants(),
-            0,
-            "grant leak: worker {node} finished with unreleased storage grants"
-        );
         // Report stats, then shut the local storage down.
         if let Ok(stats) = client.stats() {
             let mut sink = self.sinks.stats.lock();
@@ -866,6 +851,14 @@ impl Filter for WorkerFilter {
         ctx.close_output("done_out");
         // Drain remaining broadcasts so no peer blocks on our full lane.
         while done_in.recv().is_some() {}
+        // Shutdown grant audit: every grant the tasks took must have been
+        // handed back. Checked once the cluster has been told to stop, so a
+        // leak fails the run instead of stalling it.
+        debug_assert_eq!(
+            client.outstanding_grants(),
+            0,
+            "grant leak: worker {node} finished with unreleased storage grants"
+        );
         Ok(())
     }
 }

@@ -223,6 +223,48 @@ fn failing_task_aborts_run_with_task_error() {
     cleanup(&cfg);
 }
 
+/// The worker's shutdown grant audit (debug builds): a task that leaks a
+/// read grant fails the run instead of completing it.
+#[cfg(debug_assertions)]
+#[test]
+fn leaked_read_grant_fails_the_run() {
+    use dooc_core::{DoocError, Interval};
+    use dooc_filterstream::FsError;
+
+    /// Pins its input and forgets the guard, so the pin is never handed back.
+    struct LeakGrant;
+
+    impl TaskExecutor for LeakGrant {
+        fn execute(&self, task: &TaskSpec, ctx: &mut WorkerContext) -> ExecOutcome {
+            let guard = ctx.read_pinned(&task.inputs[0].array, Interval::new(0, 8))?;
+            std::mem::forget(guard);
+            ctx.write_f64s(&task.outputs[0].array, &[0.0])
+        }
+    }
+
+    let cfg = DoocConfig::in_temp_dirs("e2e-grant-leak", 1).expect("cfg");
+    stage_f64s(&cfg, 0, "in", &[1.0]);
+    let graph = TaskGraph::new(vec![TaskSpec::new("leak", "leak")
+        .input("in", 8)
+        .output("out", 8)])
+    .expect("graph");
+    let err = DoocRuntime::new(cfg.clone())
+        .run(
+            graph,
+            HashMap::from([("in".into(), 0)]),
+            Arc::new(LeakGrant),
+        )
+        .expect_err("a leaked grant must fail the run");
+    assert!(
+        matches!(
+            &err,
+            DoocError::Dataflow(FsError::FilterPanicked { filter, .. }) if filter == "worker"
+        ),
+        "got: {err}"
+    );
+    cleanup(&cfg);
+}
+
 #[test]
 fn fifo_and_data_aware_policies_both_complete() {
     for policy in [OrderPolicy::Fifo, OrderPolicy::DataAware] {

@@ -44,7 +44,6 @@ pub mod filter;
 pub mod layout;
 pub mod runtime;
 pub mod stream;
-pub mod sync;
 pub mod tcp;
 pub mod transport;
 
@@ -53,7 +52,6 @@ pub use filter::{Filter, FilterContext};
 pub use layout::{FilterId, Layout};
 pub use runtime::{PortReport, Runtime, RuntimeReport};
 pub use stream::{Delivery, SelectEvent, SelectOutcome, StreamReader, StreamSet, StreamWriter};
-pub use sync::OrderedMutex;
 pub use tcp::{ClusterSpec, TcpTransport};
 pub use transport::{ChannelTransport, FrameSink, Transport};
 

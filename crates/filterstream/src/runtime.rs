@@ -843,6 +843,52 @@ mod tests {
         ));
     }
 
+    /// The shutdown leak audit's input: a consumer that exits with buffers
+    /// still in its lane is named by `undrained_ports`. The producer fills
+    /// the `data` lane before it sends on `go`, and the consumer returns as
+    /// soon as `go` arrives, so every data buffer is abandoned in every
+    /// schedule.
+    #[test]
+    fn abandoned_buffers_are_reported_undrained() {
+        const CAP: u64 = 4;
+        let mut layout = Layout::new();
+        let prod = layout.add_filter(
+            "prod",
+            NodeId(0),
+            Box::new(|ctx: &mut FilterContext| {
+                for i in 0..CAP {
+                    ctx.output("data")?.send(DataBuffer::tag_only(i))?;
+                }
+                ctx.output("go")?.send(DataBuffer::tag_only(0))?;
+                Ok(())
+            }),
+        );
+        let cons = layout.add_filter(
+            "cons",
+            NodeId(0),
+            Box::new(|ctx: &mut FilterContext| {
+                ctx.input("go")?.recv();
+                Ok(())
+            }),
+        );
+        layout.connect_with(
+            prod,
+            "data",
+            cons,
+            "data",
+            Delivery::RoundRobin,
+            CAP as usize,
+        );
+        layout.connect(prod, "go", cons, "go");
+        let report = Runtime::run(layout).expect("run ok");
+        let undrained: Vec<_> = report
+            .undrained_ports()
+            .iter()
+            .map(|p| (p.name.as_str(), p.delivered, p.received))
+            .collect();
+        assert_eq!(undrained, [("cons.data", CAP, 0)]);
+    }
+
     /// A 2-node layout whose only stream crosses the node boundary: `src`
     /// on node 0 ships `n` bulk-carrying buffers to `sink` on node 1, which
     /// checks each block arrived intact.

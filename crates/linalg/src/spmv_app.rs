@@ -191,20 +191,7 @@ impl SpmvAppBuilder {
         scratch_dirs: &[std::path::PathBuf],
         x: &[f64],
     ) -> std::io::Result<()> {
-        assert_eq!(x.len() as u64, self.grid.n, "vector length mismatch");
-        for u in 0..self.grid.k {
-            let (s, e) = self.grid.range(u);
-            let mut raw = Vec::with_capacity(8 * (e - s) as usize);
-            for v in &x[s as usize..e as usize] {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            let node = self.row_root[u as usize];
-            std::fs::write(
-                scratch_dirs[node as usize].join(BlockGrid::vector_name(0, u)),
-                raw,
-            )?;
-        }
-        Ok(())
+        self.stage_vector_rows(x, |node| Some(scratch_dirs[node as usize].as_path()))
     }
 
     /// Per-process variant of [`SpmvAppBuilder::stage_initial_vector`]:
@@ -216,17 +203,26 @@ impl SpmvAppBuilder {
         me: u64,
         x: &[f64],
     ) -> std::io::Result<()> {
+        self.stage_vector_rows(x, |node| (node == me).then_some(scratch_dir))
+    }
+
+    /// Writes each row of `x^0` whose row root `dir_of` has a directory for.
+    fn stage_vector_rows<'d>(
+        &self,
+        x: &[f64],
+        dir_of: impl Fn(u64) -> Option<&'d Path>,
+    ) -> std::io::Result<()> {
         assert_eq!(x.len() as u64, self.grid.n, "vector length mismatch");
         for u in 0..self.grid.k {
-            if self.row_root[u as usize] != me {
+            let Some(dir) = dir_of(self.row_root[u as usize]) else {
                 continue;
-            }
+            };
             let (s, e) = self.grid.range(u);
             let mut raw = Vec::with_capacity(8 * (e - s) as usize);
             for v in &x[s as usize..e as usize] {
                 raw.extend_from_slice(&v.to_le_bytes());
             }
-            std::fs::write(scratch_dir.join(BlockGrid::vector_name(0, u)), raw)?;
+            std::fs::write(dir.join(BlockGrid::vector_name(0, u)), raw)?;
         }
         Ok(())
     }

@@ -268,8 +268,8 @@ impl StorageClient {
 
     /// Number of storage grants (pinned reads + write grants) received and
     /// not yet handed back — live [`ReadGuard`]s count. Zero at quiescence
-    /// when the application is balanced; the worker asserts this under the
-    /// `order-check` feature.
+    /// when the application is balanced; the worker asserts this in debug
+    /// builds.
     pub fn outstanding_grants(&self) -> u64 {
         self.rel.outstanding.load(Ordering::Acquire)
     }

@@ -12,7 +12,7 @@ use crate::filterimpl::{ports, ClientPortMap, IoFilter, StorageFilter};
 use crate::node::{NodeConfig, RecoveryPolicy};
 use crate::pool::BlockPool;
 use dooc_filterstream::{Delivery, FilterId, Layout, NodeId};
-use dooc_sync::OrderedMutex;
+use dooc_sync::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ pub struct StorageCluster {
     nnodes: usize,
     /// Each node's buffer pool, shared by its I/O filter and its clients.
     pools: Vec<BlockPool>,
-    port_map: Arc<OrderedMutex<ClientPortMap>>,
+    port_map: Arc<Mutex<ClientPortMap>>,
     next_client_port: usize,
     next_client_base: u64,
 }
@@ -66,10 +66,7 @@ impl StorageCluster {
         let nnodes = scratch_dirs.len();
         assert!(nnodes > 0, "a cluster needs at least one node");
         let nodes: Vec<NodeId> = (0..nnodes).map(NodeId).collect();
-        let port_map = Arc::new(OrderedMutex::new(
-            "storage.cluster.port_map",
-            ClientPortMap::default(),
-        ));
+        let port_map = Arc::new(Mutex::new(ClientPortMap::default()));
 
         let pm = Arc::clone(&port_map);
         let dirs = scratch_dirs.clone();

@@ -280,10 +280,13 @@ impl Filter for StorageFilter {
             if self.state.ready_to_exit() {
                 // The whole cluster is quiescent: no peer will fetch again.
                 // Close outgoing links (cascading I/O filter exit and, once
-                // every node does this, peer-stream closure), then drain.
+                // every node does this, peer-stream closure), then drain
+                // those two. The client link is not waited for: the local
+                // client has sent its Shutdown, and a read guard the
+                // application leaked would hold the link open forever.
                 ctx.close_output(ports::PEER_OUT);
                 ctx.close_output(ports::IO_OUT);
-                while set.event().is_some() {}
+                while !(set.is_closed(1) && set.is_closed(2)) && set.event().is_some() {}
                 return Ok(());
             }
         }

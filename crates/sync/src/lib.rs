@@ -26,20 +26,10 @@
 //!   costs one relaxed atomic load. `model` takes precedence when both
 //!   features are on: the modeled wrappers carry the same recording hooks,
 //!   so every explored schedule can be race-checked.
-//!
-//! [`OrderedMutex`] (lock-class deadlock detection under `order-check`)
-//! lives here too, moved from `dooc-filterstream::sync`, which now
-//! re-exports it.
 
 #![forbid(unsafe_code)]
 
-mod ordered;
 pub mod record;
-
-pub use ordered::{OrderedMutex, OrderedMutexGuard};
-
-#[cfg(feature = "order-check")]
-pub use ordered::order_graph_edges;
 
 #[cfg(all(not(feature = "model"), not(feature = "record")))]
 mod real;

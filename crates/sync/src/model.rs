@@ -43,7 +43,7 @@ pub enum Op {
     Start,
     /// Explicit `thread::yield_now`.
     Yield,
-    /// Mutex acquisition (facade `Mutex` or the mutex inside `OrderedMutex`).
+    /// Facade `Mutex` acquisition.
     MutexLock(usize),
     /// Shared RwLock acquisition.
     RwRead(usize),
