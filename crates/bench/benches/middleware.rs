@@ -64,6 +64,7 @@ fn storage_write_read_cycle(c: &mut Criterion) {
                     st.handle_client(ClientMsg::ReleaseRead {
                         array: name,
                         iv: Interval::new(0, block as u64),
+                        checked: false,
                     });
                     black_box(acts)
                 });

@@ -38,7 +38,10 @@
 //! * `map-delta-composes` — folding each delta into the client's mirror
 //!   yields the node's map at that moment;
 //! * `wait-timeout-armed` — a read parked on a block that must come from
-//!   disk has that read in flight or a retry armed.
+//!   disk has that read in flight or a retry armed;
+//! * `checked-dies-with-residency` — a read is served with the checked mark
+//!   only if a client released the block as checked after the block's last
+//!   install (its seal or a load): the mark never outlives the bytes.
 //!
 //! The negative twins plant the node's own [`SeededBugs`], or give a client
 //! a script that never releases its pin; each must come back as a
@@ -71,6 +74,8 @@ pub enum Op {
     Read(u64),
     /// `ReleaseRead`.
     Release(u64),
+    /// `ReleaseRead` marking the bytes checked.
+    ReleaseChecked(u64),
     /// `Evict` the array.
     Evict,
     /// `MapSince` the client's cursor; the delta is folded into its mirror.
@@ -87,7 +92,8 @@ pub struct Model {
 
 impl Model {
     /// Client `c` writes and seals block `c`, then reads and releases both
-    /// blocks; a third client evicts the array once, at any point.
+    /// blocks, marking block 0 checked; a third client evicts the array
+    /// once, at any point.
     pub fn standard(bugs: SeededBugs) -> Self {
         let script = |own| {
             use Op::*;
@@ -95,7 +101,7 @@ impl Model {
                 Write(own),
                 Seal(own),
                 Read(0),
-                Release(0),
+                ReleaseChecked(0),
                 Read(1),
                 Release(1),
             ]
@@ -141,7 +147,7 @@ impl Model {
 
     /// The same scenario with client `c` never releasing its read pins.
     pub fn without_releases(mut self, c: usize) -> Self {
-        self.scripts[c].retain(|op| !matches!(op, Op::Release(_)));
+        self.scripts[c].retain(|op| !matches!(op, Op::Release(_) | Op::ReleaseChecked(_)));
         self
     }
 }
@@ -174,6 +180,10 @@ struct State {
     disk: BTreeMap<u64, Bytes>,
     /// Blocks some client saw sealed.
     sealed: [bool; NBLOCKS as usize],
+    /// Blocks a client released as checked since their last install.
+    marked: [bool; NBLOCKS as usize],
+    /// Some read was served with the checked mark.
+    mark_seen: bool,
 }
 
 impl State {
@@ -183,7 +193,7 @@ impl State {
         self.clients.hash(&mut h);
         let mut io: Vec<String> = self.io.iter().map(|c| format!("{c:?}")).collect();
         io.sort_unstable();
-        (io, &self.disk, self.sealed).hash(&mut h);
+        (io, &self.disk, self.sealed, self.marked, self.mark_seen).hash(&mut h);
         h.finish()
     }
 
@@ -192,8 +202,9 @@ impl State {
             .map(|b| self.node.debug_block(ARRAY, b))
             .collect();
         format!(
-            "blocks (pins, resident, on_disk) {blocks:?}; sealed {:?}; io {:?}; clients {:?}",
-            self.sealed, self.io, self.clients
+            "blocks (pins, resident, on_disk) {blocks:?}; sealed {:?}; marked {:?}; io {:?}; \
+             clients {:?}",
+            self.sealed, self.marked, self.io, self.clients
         )
     }
 }
@@ -265,12 +276,17 @@ impl Model {
             io: Vec::new(),
             disk: BTreeMap::new(),
             sealed: [false; NBLOCKS as usize],
+            marked: [false; NBLOCKS as usize],
+            mark_seen: false,
         }
     }
 
     /// Client `c` sends `script[pc]`.
     fn send(&self, s: &mut State, c: usize, op: Op) -> Outcome {
         let (req, client, array) = (req_of(c, s.clients[c].pc), c as u64, ARRAY.to_string());
+        if let Op::ReleaseChecked(b) = op {
+            s.marked[b as usize] = true;
+        }
         let cl = &mut s.clients[c];
         let msg = match op {
             Op::Write(b) => ClientMsg::WriteReq {
@@ -292,9 +308,13 @@ impl Model {
                 array,
                 iv: iv(b),
             },
-            Op::Release(b) => {
+            Op::Release(b) | Op::ReleaseChecked(b) => {
                 cl.pinned.retain(|&p| p != b);
-                ClientMsg::ReleaseRead { array, iv: iv(b) }
+                ClientMsg::ReleaseRead {
+                    array,
+                    iv: iv(b),
+                    checked: matches!(op, Op::ReleaseChecked(_)),
+                }
             }
             Op::Evict => ClientMsg::Evict { array },
             Op::MapSince => ClientMsg::MapSince {
@@ -303,7 +323,7 @@ impl Model {
                 since: cl.cursor,
             },
         };
-        if matches!(op, Op::Release(_) | Op::Evict) {
+        if matches!(op, Op::Release(_) | Op::ReleaseChecked(_) | Op::Evict) {
             cl.pc += 1; // no reply
         } else {
             cl.parked = true;
@@ -332,7 +352,13 @@ impl Model {
             "client{c} got {reply:?} while not waiting for it"
         );
         // A refused write or failed read skips the matching release.
-        let skip = |next: Op| 1 + usize::from(self.scripts[c].get(pc + 1) == Some(&next));
+        let skip = |next: &[Op]| {
+            1 + usize::from(
+                self.scripts[c]
+                    .get(pc + 1)
+                    .is_some_and(|op| next.contains(op)),
+            )
+        };
         let someone_writes = |b| s.clients.iter().any(|o| o.writing.contains(&b));
         let advance = match (op, reply) {
             (Some(Op::Write(b)), Reply::WriteGranted { .. }) => {
@@ -350,17 +376,22 @@ impl Model {
                 },
             ) => {
                 s.clients[c].refused = true;
-                skip(Op::Seal(b))
+                skip(&[Op::Seal(b)])
             }
             (Some(Op::Seal(b)), Reply::WriteSealed { .. }) => {
                 s.clients[c].writing.retain(|&w| w != b);
                 s.sealed[b as usize] = true;
+                s.marked[b as usize] = false; // the seal installs the bytes
                 1
             }
-            (Some(Op::Read(b)), Reply::ReadReady { data, .. }) => {
+            (Some(Op::Read(b)), Reply::ReadReady { data, checked, .. }) => {
                 if !s.sealed[b as usize] || data != fill(b) {
                     return Err("no-unsealed-read");
                 }
+                if checked && !s.marked[b as usize] {
+                    return Err("checked-dies-with-residency");
+                }
+                s.mark_seen |= checked;
                 s.clients[c].pinned.push(b);
                 1
             }
@@ -370,7 +401,7 @@ impl Model {
                     error: StorageError::IoFailed(_),
                     ..
                 },
-            ) => skip(Op::Release(b)),
+            ) => skip(&[Op::Release(b), Op::ReleaseChecked(b)]),
             (
                 Some(Op::MapSince),
                 Reply::MapDelta {
@@ -407,6 +438,7 @@ impl Model {
             IoCmd::Read { array, block, .. } if ok => {
                 let data = s.disk.get(&block).cloned();
                 let data = data.unwrap_or_else(|| panic!("read of block {block} never written"));
+                s.marked[block as usize] = false; // the load installs the bytes
                 IoReply::ReadDone { array, block, data }
             }
             IoCmd::Write {
@@ -522,6 +554,9 @@ pub struct ExploreStats {
     pub terminals: usize,
     /// Quiescent states in which some client's write had been refused.
     pub refused: usize,
+    /// Quiescent states in which some read was served with the checked
+    /// mark (so `checked-dies-with-residency` was tested, not vacuous).
+    pub marked: usize,
 }
 
 /// A found invariant violation: which invariant, the offending state, and
@@ -564,6 +599,7 @@ pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
         transitions: 0,
         terminals: 0,
         refused: 0,
+        marked: 0,
     };
     let violation = |preds: &[Option<(usize, String)>], mut i: usize, invariant, s: &State| {
         let mut trace = Vec::new();
@@ -583,6 +619,7 @@ pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
         if steps.is_empty() {
             stats.terminals += 1;
             stats.refused += usize::from(s.clients.iter().any(|c| c.refused));
+            stats.marked += usize::from(s.mark_seen);
             if let Some(inv) = model.violated_at_quiescence(&s) {
                 return Err(violation(&preds, idx, inv, &s));
             }

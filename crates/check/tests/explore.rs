@@ -168,6 +168,7 @@ impl Node {
         let r = self.client(ClientMsg::ReleaseRead {
             array: name.to_string(),
             iv,
+            checked: false,
         });
         assert!(r.is_empty(), "release_pin replied {r:?}");
     }

@@ -115,6 +115,21 @@ impl ArrayView {
         &self.blocks
     }
 
+    /// Whether every block carries the checked mark: a task released these
+    /// resident bytes as checked ([`ArrayView::mark_checked`]) since they
+    /// were last installed, and none of them has left memory since.
+    pub fn checked(&self) -> bool {
+        self.blocks.iter().all(|(_, g)| g.checked())
+    }
+
+    /// Records that the caller checked the whole array: when the view drops,
+    /// every block is released as checked.
+    pub fn mark_checked(&mut self) {
+        for (_, g) in &mut self.blocks {
+            g.mark_checked();
+        }
+    }
+
     /// The whole array as one [`Bytes`], for kernels that compute straight
     /// from the stored representation: a single-block array lends its
     /// storage buffer (a reference count, nothing copied — keep the view

@@ -3,8 +3,9 @@
 //! hands every pin back, a matrix that spans several blocks is assembled
 //! once and still multiplies bit for bit — from the narrow-index encoding
 //! the library writes and from a version-1 file alike — a corrupt block is
-//! a task error rather than a panic, and the fused decode-and-add of `sum`
-//! is bitwise the AXPY it replaces.
+//! a task error rather than a panic, also when it is reloaded under a
+//! matrix validated before, and the fused decode-and-add of `sum` is
+//! bitwise the AXPY it replaces.
 
 use bytes::Bytes;
 use dooc_core::{TaskExecutor, TaskSpec, WorkerContext};
@@ -13,11 +14,17 @@ use dooc_linalg::spmv_app::SpmvExecutor;
 use dooc_sparse::{dense, fileio, ComputePool, CsrMatrix, GapGenerator};
 use dooc_storage::{StorageClient, StorageCluster};
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 #[path = "../../../tests/common/v1.rs"]
 mod v1;
 use v1::v1_bytes;
+
+/// The scratch directory of the node [`run_node`] runs for `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("dooc-zerocopy-{tag}-{}", std::process::id()))
+}
 
 /// Runs `driver(&mut client)` against a fresh single-node storage cluster and
 /// cleans up the scratch directory afterwards.
@@ -25,7 +32,7 @@ fn run_node<F>(tag: &str, driver: F)
 where
     F: Fn(&mut StorageClient) + Send + Sync + 'static,
 {
-    let dir = std::env::temp_dir().join(format!("dooc-zerocopy-{tag}-{}", std::process::id()));
+    let dir = scratch(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
     let mut layout = Layout::new();
@@ -219,6 +226,98 @@ fn corrupted_block_fails_the_task_with_a_decode_error() {
                 assert!(err.contains("decode matrix"), "{what}: {err}");
                 assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
             }
+        }
+    });
+}
+
+/// A matrix validated once is trusted only while its bytes stay resident:
+/// the second multiply in core skips the validation, but after an `Evict`
+/// the reload is checked again, so a block file rewritten behind the
+/// storage layer's back — same size, a column index out of range or two
+/// columns out of order inside a row — fails the task with the typed
+/// decode error, never a panic, a skipped check or a product.
+#[test]
+fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
+    dooc_obs::enable();
+    let skipped = dooc_obs::metrics::counter("linalg.matrix_checks_skipped");
+    run_node("reload", |sc| {
+        let (m, x) = sample();
+        let good = fileio::to_bytes(&m);
+        let first_col = 32 + (4 * (m.nrows() as usize + 1)).next_multiple_of(8);
+        let (alen, xlen, ylen) = (good.len() as u64, 8 * x.len() as u64, 8 * m.nrows());
+        let ys = ["y0", "y1", "y2", "y3"];
+        let mut geometry: HashMap<String, (u64, u64)> =
+            ys.iter().map(|y| (y.to_string(), (ylen, ylen))).collect();
+        geometry.insert("A".into(), (alen, alen));
+        geometry.insert("x".into(), (xlen, xlen));
+        let pool = ComputePool::new(1);
+        {
+            let mut stage = WorkerContext::new(0, 1, sc, &geometry, &pool);
+            stage
+                .write_bytes("A", Bytes::from(good.clone()))
+                .expect("A");
+            stage.write_f64s("x", &x).expect("x");
+        }
+        let multiply = |sc: &mut StorageClient, y: &str| {
+            let task = TaskSpec::new(y, "multiply")
+                .input("A", alen)
+                .input("x", xlen)
+                .output(y, ylen);
+            let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+            let result = SpmvExecutor
+                .execute(&task, &mut ctx)
+                .and_then(|()| ctx.read_f64s(y));
+            assert_eq!(
+                ctx.storage().outstanding_grants(),
+                0,
+                "{y}: a pin outlived it"
+            );
+            result
+        };
+        let want = bits(&m.spmv(&x).expect("dims"));
+        let before = skipped.get();
+        assert_eq!(bits(&multiply(sc, "y0").expect("first")), want);
+        assert_eq!(skipped.get(), before, "the first multiply validates");
+        assert_eq!(bits(&multiply(sc, "y1").expect("second")), want);
+        assert_eq!(skipped.get(), before + 1, "the second finds it checked");
+
+        // Two columns of one row, swapped: a descending pair inside it.
+        let row: Vec<u64> = m.triplets().map(|(r, _, _)| r).collect();
+        let k = (0..row.len() - 1)
+            .find(|&k| row[k] == row[k + 1])
+            .expect("a row with two entries");
+        type Corrupt = Box<dyn Fn(&mut [u8])>;
+        let ncols = m.ncols() as u32;
+        let corruptions: [(&str, Corrupt); 2] = [
+            (
+                "column index == ncols",
+                Box::new(move |b| {
+                    b[first_col..first_col + 4].copy_from_slice(&ncols.to_le_bytes())
+                }),
+            ),
+            (
+                "descending pair in a row",
+                Box::new(move |b| {
+                    let at = first_col + 4 * k;
+                    let (lo, hi) = b[at..at + 8].split_at_mut(4);
+                    lo.swap_with_slice(hi);
+                }),
+            ),
+        ];
+        let file = scratch("reload").join("A@0");
+        for ((what, corrupt), y) in corruptions.into_iter().zip(["y2", "y3"]) {
+            // On disk, then out of memory: the next read loads the file.
+            sc.persist("A").expect("persist");
+            sc.evict("A").expect("evict");
+            let mut raw = std::fs::read(&file).expect("spilled block");
+            assert_eq!(raw, good, "{what}: the spill wrote the block");
+            corrupt(&mut raw);
+            std::fs::write(&file, &raw).expect("rewrite at the same size");
+            let before = skipped.get();
+            let err = multiply(sc, y).expect_err(what);
+            assert!(err.contains("decode matrix"), "{what}: {err}");
+            assert_eq!(skipped.get(), before, "{what}: the reload was checked");
+            std::fs::write(&file, &good).expect("restore");
         }
     });
 }

@@ -130,10 +130,12 @@ pub struct CsrRef<'a, I, V> {
 impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
     /// Borrows raw CSR arrays, validating every invariant.
     ///
-    /// The checks are flat, branch-free passes over `row_ptr` and `col_idx`
-    /// rather than a loop per row: the rows of a sub-matrix are short (a
-    /// handful of entries), and a per-row loop spends its time mispredicting
-    /// their lengths — it cost as much as the SpMV it guards.
+    /// The checks are flat passes over `row_ptr` and `col_idx` rather than a
+    /// loop per row: the rows of a sub-matrix are short (a handful of
+    /// entries), and a per-row loop spends its time mispredicting their
+    /// lengths — it cost as much as the SpMV it guards. The first two passes
+    /// are branch-free; the last, over the row starts, branches once per
+    /// row to skip empty ones.
     pub fn new(
         nrows: u64,
         ncols: u64,

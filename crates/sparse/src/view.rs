@@ -154,8 +154,10 @@ where
 }
 
 /// A validated binary CRS buffer that owns its bytes: the checks of
-/// [`CsrView::parse`] ran once at construction, [`CsrBytes::view`]
-/// re-borrows the sections for free. Cloning shares the buffer.
+/// [`CsrView::parse`] ran at construction — or, for
+/// [`CsrBytes::already_validated`], at an earlier construction over the same
+/// bytes — and [`CsrBytes::view`] re-borrows the sections for free. Cloning
+/// shares the buffer.
 #[derive(Clone, Debug)]
 pub struct CsrBytes {
     bytes: Bytes,
@@ -167,6 +169,15 @@ impl CsrBytes {
     pub fn new(bytes: Bytes) -> Result<Self> {
         let header = parse_header(&bytes)?;
         view_of(&bytes, &header, true)?;
+        Ok(Self { bytes, header })
+    }
+
+    /// Takes ownership of bytes that [`CsrBytes::new`] has already accepted
+    /// — the same bytes, unchanged since — running only the O(1) header and
+    /// size check, none of the O(nnz) passes. Handing it anything else gives
+    /// a matrix whose kernels may panic on an out-of-range index.
+    pub fn already_validated(bytes: Bytes) -> Result<Self> {
+        let header = parse_header(&bytes)?;
         Ok(Self { bytes, header })
     }
 
@@ -249,6 +260,19 @@ mod tests {
         assert_eq!(owned.view().to_matrix(), m);
         assert_eq!(owned.clone().csr().nnz(), m.nnz());
         assert!(CsrBytes::new(Bytes::from(vec![0u8; 40])).is_err());
+    }
+
+    /// The cheap constructor lends the view the full one does, and still
+    /// refuses bytes whose header or size is wrong.
+    #[test]
+    fn already_validated_bytes_skip_only_the_structure_passes() {
+        let m = GapGenerator::with_d(2).generate(30, 20, 6);
+        let bytes = Bytes::from(to_bytes(&m));
+        let full = CsrBytes::new(bytes.clone()).expect("valid");
+        let cheap = CsrBytes::already_validated(bytes.clone()).expect("header ok");
+        assert_eq!(cheap.view().to_matrix(), full.view().to_matrix());
+        assert!(CsrBytes::already_validated(bytes.slice(..bytes.len() - 8)).is_err());
+        assert!(CsrBytes::already_validated(Bytes::from(vec![0u8; 40])).is_err());
     }
 
     #[test]

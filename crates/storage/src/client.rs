@@ -128,10 +128,11 @@ impl Releaser {
 
     /// Sends the unpin and decrements the grant count. Send failures are
     /// swallowed: a guard dropped after shutdown has nothing left to unpin.
-    fn release(&self, array: &str, iv: Interval) {
+    fn release(&self, array: &str, iv: Interval, checked: bool) {
         let _ = self.send(&ClientMsg::ReleaseRead {
             array: array.to_string(),
             iv,
+            checked,
         });
         self.take_grant();
     }
@@ -157,11 +158,16 @@ impl Releaser {
 /// by an early return. Guards share the client's outbound stream and may
 /// outlive individual client calls (but should drop before the storage
 /// filter shuts down for the release to take effect).
+///
+/// The guard also carries the block's *checked* mark: whether a reader
+/// released these same resident bytes as checked since they were installed.
+/// [`ReadGuard::mark_checked`] asks the release to set it.
 #[must_use = "dropping the guard immediately unpins the interval"]
 pub struct ReadGuard {
     data: Bytes,
     array: String,
     iv: Interval,
+    checked: bool,
     rel: Arc<Releaser>,
 }
 
@@ -169,6 +175,19 @@ impl ReadGuard {
     /// The pinned bytes (also available through `Deref`).
     pub fn bytes(&self) -> &Bytes {
         &self.data
+    }
+
+    /// Whether the pinned bytes carry the checked mark — set by this
+    /// guard's [`ReadGuard::mark_checked`], or by an earlier reader of the
+    /// same residency.
+    pub fn checked(&self) -> bool {
+        self.checked
+    }
+
+    /// Records that the caller checked the pinned bytes; the release marks
+    /// the resident block, and the mark lasts until the bytes leave memory.
+    pub fn mark_checked(&mut self) {
+        self.checked = true;
     }
 
     /// The array this interval was read from.
@@ -196,13 +215,14 @@ impl std::fmt::Debug for ReadGuard {
             .field("array", &self.array)
             .field("iv", &self.iv)
             .field("len", &self.data.len())
+            .field("checked", &self.checked)
             .finish()
     }
 }
 
 impl Drop for ReadGuard {
     fn drop(&mut self) {
-        self.rel.release(&self.array, self.iv);
+        self.rel.release(&self.array, self.iv, self.checked);
     }
 }
 
@@ -324,9 +344,13 @@ impl StorageClient {
             }
             if let Some(geometry) = self.abandoned.remove(&reply.req()) {
                 // Stale reply to a timed-out request. If it is a read grant,
-                // unpin it right away — nobody will redeem it.
+                // unpin it right away — nobody will redeem it, nor checked
+                // its bytes.
                 if let (Some((array, iv)), Reply::ReadReady { .. }) = (geometry, &reply) {
-                    let _ = self.rel.send(&ClientMsg::ReleaseRead { array, iv });
+                    let checked = false;
+                    let _ = self
+                        .rel
+                        .send(&ClientMsg::ReleaseRead { array, iv, checked });
                 }
                 continue;
             }
@@ -397,26 +421,27 @@ impl StorageClient {
     /// returned guard drops.
     pub fn wait_read(&mut self, t: ReadTicket) -> Result<ReadGuard> {
         let (array, iv) = self.take_pending(t.req)?;
-        let data = self.read_reply(t.req, &array, iv)?;
+        let (data, checked) = self.read_reply(t.req, &array, iv)?;
         self.rel.outstanding.fetch_add(1, Ordering::AcqRel);
         Ok(ReadGuard {
             data,
             array,
             iv,
+            checked,
             rel: Arc::clone(&self.rel),
         })
     }
 
-    /// Waits out a read reply, re-sending the (idempotent) request with a
-    /// fresh id on deadline expiry, up to [`RetryPolicy::max_retries`]
-    /// times. Timed-out ids are abandoned so a late grant is released rather
-    /// than leaked.
-    fn read_reply(&mut self, first_req: u64, array: &str, iv: Interval) -> Result<Bytes> {
+    /// Waits out a read reply — the bytes and their checked mark —
+    /// re-sending the (idempotent) request with a fresh id on deadline
+    /// expiry, up to [`RetryPolicy::max_retries`] times. Timed-out ids are
+    /// abandoned so a late grant is released rather than leaked.
+    fn read_reply(&mut self, first_req: u64, array: &str, iv: Interval) -> Result<(Bytes, bool)> {
         let mut req = first_req;
         let mut attempt = 0u32;
         loop {
             match self.wait(req) {
-                Ok(Reply::ReadReady { data, .. }) => return Ok(data),
+                Ok(Reply::ReadReady { data, checked, .. }) => return Ok((data, checked)),
                 Ok(Reply::Err { error, .. }) => return Err(error),
                 Ok(other) => {
                     return Err(StorageError::Protocol(format!(

@@ -82,7 +82,7 @@ impl StorageState {
         let block = offset / meta.block_size;
         let block_len = meta.block_len(block);
         let info = ainfo.blocks.entry(block).or_default();
-        if let Some(BlockMem::Sealed(bytes)) = &info.mem {
+        if let Some(BlockMem::Sealed { data: bytes, .. }) = &info.mem {
             self.stats.peer_sent_bytes += bytes.len() as u64;
             out.push(Action::Peer {
                 node: from_node,

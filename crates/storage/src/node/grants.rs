@@ -52,7 +52,7 @@ impl StorageState {
         let home = ainfo.home;
         let info = ainfo.blocks.entry(block).or_default();
         let sealed_here = info.sealed.covers(off, off + iv.len);
-        if let Some(data) = sealed_here
+        if let Some((data, checked)) = sealed_here
             .then(|| info.slice_resident(off, iv.len))
             .flatten()
         {
@@ -60,7 +60,7 @@ impl StorageState {
             Self::pin_block(&mut self.pinned_now, &mut self.stats, info, block_len);
             out.push(Action::Reply {
                 client,
-                reply: Reply::ReadReady { req, data },
+                reply: Reply::ReadReady { req, data, checked },
             });
             self.touch(&array, block);
             return;
@@ -139,7 +139,10 @@ impl StorageState {
         }
     }
 
-    pub(super) fn release_read(&mut self, array: String, iv: Interval) {
+    /// Drops a read pin; `checked` marks the sealed bytes the reader was
+    /// lent as checked. The pin is still held when the release arrives, so
+    /// those bytes are the resident ones: a pinned block is never evicted.
+    pub(super) fn release_read(&mut self, array: String, iv: Interval, checked: bool) {
         let Some(ainfo) = self.arrays.get_mut(&array) else {
             return;
         };
@@ -148,6 +151,12 @@ impl StorageState {
         };
         let block_len = ainfo.meta.block_len(block);
         if let Some(info) = ainfo.blocks.get_mut(&block) {
+            match &mut info.mem {
+                Some(BlockMem::Sealed { checked: mark, .. }) if checked && info.pins > 0 => {
+                    *mark = true;
+                }
+                _ => {}
+            }
             Self::unpin_block(&mut self.pinned_now, info, block_len);
         }
     }
@@ -197,7 +206,7 @@ impl StorageState {
             info.mem = Some(BlockMem::Building(vec![0u8; block_len as usize]));
         }
         match info.mem.as_mut() {
-            Some(mem @ BlockMem::Reserved) => *mem = BlockMem::Sealed(data),
+            Some(mem @ BlockMem::Reserved) => *mem = BlockMem::sealed(data),
             Some(BlockMem::Building(buf)) => {
                 buf[off as usize..end as usize].copy_from_slice(&data);
             }
@@ -246,11 +255,15 @@ impl StorageState {
         for w in waiters {
             let covered = info.sealed.covers(w.off, w.off + w.len);
             match covered.then(|| info.slice_resident(w.off, w.len)).flatten() {
-                Some(data) => {
+                Some((data, checked)) => {
                     Self::pin_block(pinned_now, stats, info, block_len);
                     out.push(Action::Reply {
                         client: w.client,
-                        reply: Reply::ReadReady { req: w.req, data },
+                        reply: Reply::ReadReady {
+                            req: w.req,
+                            data,
+                            checked,
+                        },
                     });
                 }
                 None => info.read_waiters.push(w),
@@ -259,7 +272,7 @@ impl StorageState {
         if !info.fully_sealed(block_len) {
             return;
         }
-        if let Some(BlockMem::Sealed(bytes)) = &info.mem {
+        if let Some(BlockMem::Sealed { data: bytes, .. }) = &info.mem {
             for (req, from_node) in info.peer_waiters.drain(..) {
                 stats.peer_sent_bytes += bytes.len() as u64;
                 out.push(Action::Peer {
@@ -280,6 +293,7 @@ impl StorageState {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
+    use super::super::StorageState;
     use crate::meta::Interval;
     use crate::proto::{ClientMsg, Reply};
     use crate::StorageError;
@@ -366,6 +380,58 @@ mod tests {
         create(&mut st, "a", 64, 32);
         let acts = read(&mut st, 1, 0, "a", Interval::new(30, 4));
         assert!(matches!(error(&acts), StorageError::BadInterval { .. }));
+    }
+
+    /// The checked mark is set by a releasing pin that asks for it and by
+    /// nothing else — not an unmarked release, not a release with no pin
+    /// behind it — and every later hit sees it, a reader that pinned the
+    /// block before the mark and re-reads included.
+    #[test]
+    fn checked_mark_is_set_by_a_marking_release_and_seen_by_every_later_hit() {
+        let mut st = state(1 << 20);
+        create(&mut st, "m", 32, 32);
+        write_all(&mut st, "m", Interval::new(0, 32), 4);
+        let whole = Interval::new(0, 32);
+        let mark_of = |st: &mut StorageState, req, client| {
+            let acts = read(st, req, client, "m", whole);
+            read_served(&acts, req).expect("a hit").1
+        };
+        assert!(!mark_of(&mut st, 1, 0), "a seal is born unchecked");
+        release_read(&mut st, "m", whole, false);
+        // No pin behind it: a stray release marks nothing.
+        release_read(&mut st, "m", whole, true);
+        assert!(!mark_of(&mut st, 2, 0), "an unmarked or stray release");
+        // Two readers hold the block; the second marks it, the first lets
+        // go unmarked afterwards, which clears nothing.
+        assert!(!mark_of(&mut st, 3, 1));
+        release_read(&mut st, "m", whole, true);
+        release_read(&mut st, "m", whole, false);
+        assert!(mark_of(&mut st, 4, 0), "the next hit sees the mark");
+        assert!(mark_of(&mut st, 5, 1), "and so does a second reader's");
+        release_read(&mut st, "m", whole, false);
+        release_read(&mut st, "m", whole, false);
+        assert_eq!(st.pinned_now, 0);
+    }
+
+    /// A partly written block is read out of its assembly buffer: a copy,
+    /// which carries no mark whatever its reader claims on release.
+    #[test]
+    fn reads_of_a_block_under_construction_are_never_checked() {
+        let mut st = state(1 << 20);
+        create(&mut st, "p", 32, 32);
+        write_all(&mut st, "p", Interval::new(0, 16), 1);
+        let half = Interval::new(0, 16);
+        let acts = read(&mut st, 1, 0, "p", half);
+        assert_eq!(read_served(&acts, 1).map(|(_, c)| c), Some(false));
+        release_read(&mut st, "p", half, true);
+        let acts = read(&mut st, 2, 0, "p", half);
+        assert_eq!(read_served(&acts, 2).map(|(_, c)| c), Some(false));
+        release_read(&mut st, "p", half, false);
+        // Sealing the rest installs the block, unchecked.
+        write_all(&mut st, "p", Interval::new(16, 16), 2);
+        let acts = read(&mut st, 3, 0, "p", Interval::new(0, 32));
+        assert_eq!(read_served(&acts, 3).map(|(_, c)| c), Some(false));
+        unpin(&mut st, "p", Interval::new(0, 32));
     }
 
     /// A grant over a whole single block that comes back in pieces is still

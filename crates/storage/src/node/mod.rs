@@ -194,20 +194,20 @@ impl BlockInfo {
         self.sealed.covered() == block_len
     }
 
-    /// Copies `[off, off+len)` out of the resident buffer, if any.
-    fn slice_resident(&self, off: u64, len: u64) -> Option<Bytes> {
+    /// Lends `[off, off+len)` of the resident buffer, if any, with the
+    /// block's checked mark (a partial block copied out has none).
+    fn slice_resident(&self, off: u64, len: u64) -> Option<(Bytes, bool)> {
+        let range = off as usize..(off + len) as usize;
         match self.mem.as_ref()? {
             BlockMem::Reserved => None,
-            BlockMem::Sealed(b) => Some(b.slice(off as usize..(off + len) as usize)),
-            BlockMem::Building(v) => Some(Bytes::copy_from_slice(
-                &v[off as usize..(off + len) as usize],
-            )),
+            BlockMem::Sealed { data, checked } => Some((data.slice(range), *checked)),
+            BlockMem::Building(v) => Some((Bytes::copy_from_slice(&v[range]), false)),
         }
     }
 
     fn avail(&self, block_len: u64) -> BlockAvail {
         if self.fully_sealed(block_len) {
-            if matches!(self.mem, Some(BlockMem::Sealed(_))) {
+            if matches!(self.mem, Some(BlockMem::Sealed { .. })) {
                 BlockAvail::InMemory
             } else if self.on_disk {
                 BlockAvail::OnDisk
@@ -624,7 +624,7 @@ impl StorageState {
                 array,
                 iv,
             } => self.client_write(req, client, array, iv, &mut out),
-            ClientMsg::ReleaseRead { array, iv } => self.release_read(array, iv),
+            ClientMsg::ReleaseRead { array, iv, checked } => self.release_read(array, iv, checked),
             ClientMsg::ReleaseWrite {
                 req,
                 client,

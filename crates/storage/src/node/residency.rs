@@ -27,14 +27,31 @@ pub(super) enum BlockMem {
     /// Being assembled from write intervals; partial reads copy out.
     Building(Vec<u8>),
     /// Fully sealed; reads are zero-copy slices.
-    Sealed(Bytes),
+    Sealed {
+        /// The block's bytes.
+        data: Bytes,
+        /// A reader checked these bytes and said so on release (what the
+        /// check was is the reader's business: a `multiply` validates a
+        /// matrix). Born `false` with every install — seal, load, peer
+        /// fetch — and dropped with the bytes, so it never outlives the
+        /// residency it describes.
+        checked: bool,
+    },
 }
 
 impl BlockMem {
+    /// Newly installed sealed bytes: nobody has checked them yet.
+    pub(super) fn sealed(data: Bytes) -> Self {
+        BlockMem::Sealed {
+            data,
+            checked: false,
+        }
+    }
+
     /// A fully sealed block's assembly buffer becomes its shareable form.
     pub(super) fn freeze(&mut self) {
         if let BlockMem::Building(buf) = self {
-            *self = BlockMem::Sealed(Bytes::from(std::mem::take(buf)));
+            *self = BlockMem::sealed(Bytes::from(std::mem::take(buf)));
         }
     }
 }
@@ -136,7 +153,7 @@ impl StorageState {
         if (info.pins > 0 && !bugs.evict_ignores_pins)
             || info.loading
             || !info.fully_sealed(block_len)
-            || !matches!(info.mem, Some(BlockMem::Sealed(_)))
+            || !matches!(info.mem, Some(BlockMem::Sealed { .. }))
         {
             return None;
         }
@@ -189,7 +206,7 @@ impl StorageState {
         let Some(info) = ainfo.blocks.get_mut(&block) else {
             return false;
         };
-        let Some(BlockMem::Sealed(data)) = &info.mem else {
+        let Some(BlockMem::Sealed { data, .. }) = &info.mem else {
             return false;
         };
         let data = data.clone();
@@ -241,8 +258,8 @@ impl StorageState {
     }
 
     /// Installs a whole sealed block that arrived from disk or from a peer:
-    /// resident, fully sealed, its waiters served, LRU touched, budget
-    /// charged.
+    /// resident, fully sealed, unchecked, its waiters served, LRU touched,
+    /// budget charged.
     pub(super) fn install_sealed(
         &mut self,
         array: &str,
@@ -258,7 +275,7 @@ impl StorageState {
         info.loading = false;
         info.fetch = None;
         let newly = info.mem.is_none();
-        info.mem = Some(BlockMem::Sealed(data));
+        info.mem = Some(BlockMem::sealed(data));
         info.sealed = RangeSet::from_range(0, block_len);
         let meta = &ainfo.meta;
         Self::flush_waiters(
@@ -342,7 +359,7 @@ mod tests {
     use super::super::testkit::*;
     use super::super::StorageState;
     use crate::meta::Interval;
-    use crate::proto::{ClientMsg, IoCmd, IoReply, Reply};
+    use crate::proto::{ClientMsg, IoCmd, IoReply, PeerMsg, Reply};
     use bytes::Bytes;
 
     fn write_done(st: &mut StorageState, name: &str, block: u64, bytes: u64) -> Vec<super::Action> {
@@ -469,6 +486,98 @@ mod tests {
         // The reload evicts block 1 (budget) and serves the read.
         assert_eq!(served(&acts), vec![9]);
         assert_eq!(st.stats().disk_read_bytes, 32);
+    }
+
+    /// The checked mark lives and dies with the resident bytes: a load
+    /// installs them unchecked — for every read it serves from its waiters —
+    /// a marking release sets it, and `Evict` takes it with the bytes, so
+    /// the reload is unchecked again.
+    #[test]
+    fn checked_mark_dies_with_eviction_and_reloads_unchecked() {
+        let mut st = on_disk("m", 64, 64, &[0], 1 << 20);
+        let whole = Interval::new(0, 64);
+        let load = |st: &mut StorageState| {
+            st.handle_io(IoReply::ReadDone {
+                array: "m".into(),
+                block: 0,
+                data: Bytes::from(vec![5u8; 64]),
+            })
+        };
+        for round in 0..2 {
+            // Two readers wait on the load; both are served unchecked.
+            assert_eq!(read(&mut st, 1, 0, "m", whole).len(), 1, "one io read");
+            assert!(read(&mut st, 2, 1, "m", whole).is_empty(), "joins the io");
+            let acts = load(&mut st);
+            for req in [1, 2] {
+                let (_, checked) = read_served(&acts, req).expect("served at the load");
+                assert!(!checked, "round {round}: read {req} after a load");
+            }
+            release_read(&mut st, "m", whole, true);
+            release_read(&mut st, "m", whole, false);
+            let acts = read(&mut st, 3, 0, "m", whole);
+            assert_eq!(read_served(&acts, 3).map(|(_, c)| c), Some(true));
+            unpin(&mut st, "m", whole);
+            let evicted = st.stats().evictions;
+            assert!(st
+                .handle_client(ClientMsg::Evict { array: "m".into() })
+                .is_empty());
+            assert_eq!(
+                st.stats().evictions,
+                evicted + 1,
+                "on disk: dropped at once"
+            );
+        }
+    }
+
+    /// A block fetched from a peer is a fresh install: unchecked until a
+    /// reader marks it, and the mark goes with the bytes when reclaim
+    /// spills and drops them.
+    #[test]
+    fn peer_fetched_block_installs_unchecked() {
+        let mut st = StorageState::new(cfg(0, 2, 64), vec![]);
+        st.handle_client(ClientMsg::Register {
+            meta: crate::meta::ArrayMeta::new("r", 64, 64),
+        });
+        let whole = Interval::new(0, 64);
+        let acts = read(&mut st, 1, 0, "r", whole);
+        let req = match &acts[..] {
+            [super::Action::Peer {
+                msg: PeerMsg::Fetch { req, .. },
+                ..
+            }] => *req,
+            other => panic!("expected a peer fetch, got {other:?}"),
+        };
+        let acts = st.handle_peer(PeerMsg::FetchFound {
+            req,
+            len: 64,
+            block_size: 64,
+            block: 0,
+            data: Bytes::from(vec![9u8; 64]),
+        });
+        assert_eq!(read_served(&acts, 1).map(|(_, c)| c), Some(false));
+        release_read(&mut st, "r", whole, true);
+        let acts = read(&mut st, 2, 0, "r", whole);
+        assert_eq!(read_served(&acts, 2).map(|(_, c)| c), Some(true));
+        unpin(&mut st, "r", whole);
+        // A second array pushes the fetched block out: spilled, dropped,
+        // reloaded from the local disk unchecked.
+        create(&mut st, "w", 64, 64);
+        let spill = write_all(&mut st, "w", whole, 1);
+        assert!(spill
+            .iter()
+            .any(|a| matches!(a, super::Action::Io(IoCmd::Write { array, .. }) if array == "r")));
+        write_done(&mut st, "r", 0, 64);
+        assert!(matches!(
+            &read(&mut st, 3, 0, "r", whole)[..],
+            [super::Action::Io(IoCmd::Read { .. })]
+        ));
+        let acts = st.handle_io(IoReply::ReadDone {
+            array: "r".into(),
+            block: 0,
+            data: Bytes::from(vec![9u8; 64]),
+        });
+        assert_eq!(read_served(&acts, 3).map(|(_, c)| c), Some(false));
+        unpin(&mut st, "r", whole);
     }
 
     #[test]

@@ -115,9 +115,15 @@ pub(super) fn read(
 }
 
 pub(super) fn unpin(st: &mut StorageState, name: &str, iv: Interval) {
+    release_read(st, name, iv, false);
+}
+
+/// Releases a read pin, marking the bytes checked if `checked`.
+pub(super) fn release_read(st: &mut StorageState, name: &str, iv: Interval, checked: bool) {
     let acts = st.handle_client(ClientMsg::ReleaseRead {
         array: name.into(),
         iv,
+        checked,
     });
     assert!(acts.is_empty(), "{acts:?}");
 }
@@ -161,11 +167,21 @@ pub(super) fn served(acts: &[Action]) -> Vec<u64> {
 
 /// The bytes read `req` was served, if it was.
 pub(super) fn read_data(acts: &[Action], req: u64) -> Option<Bytes> {
+    read_served(acts, req).map(|(data, _)| data)
+}
+
+/// The bytes read `req` was served and their checked mark, if it was.
+pub(super) fn read_served(acts: &[Action], req: u64) -> Option<(Bytes, bool)> {
     acts.iter().find_map(|a| match a {
         Action::Reply {
-            reply: Reply::ReadReady { req: r, data },
+            reply:
+                Reply::ReadReady {
+                    req: r,
+                    data,
+                    checked,
+                },
             ..
-        } if *r == req => Some(data.clone()),
+        } if *r == req => Some((data.clone(), *checked)),
         _ => None,
     })
 }

@@ -144,6 +144,10 @@ pub enum ClientMsg {
         array: String,
         /// The interval being released.
         iv: Interval,
+        /// The reader checked the bytes it was lent: mark the resident
+        /// block so a later [`Reply::ReadReady`] of the same residency
+        /// reports it. `false` leaves the mark as it is.
+        checked: bool,
     },
     /// Release a write interval, shipping the written bytes; the data
     /// becomes readable by other filters only now.
@@ -236,6 +240,10 @@ pub enum Reply {
         req: u64,
         /// The interval's bytes.
         data: Bytes,
+        /// A reader released these very bytes with
+        /// [`ClientMsg::ReleaseRead`]`{ checked: true }` since they were
+        /// installed (sealed, loaded or fetched).
+        checked: bool,
     },
     /// Write access granted; ship data with
     /// [`ClientMsg::ReleaseWrite`] when done.
@@ -426,6 +434,19 @@ fn iv_get(r: &mut PayloadReader) -> Option<Interval> {
     Some(Interval::new(r.u64()?, r.u64()?))
 }
 
+fn bool_put(pb: &mut PayloadBuilder, b: bool) {
+    pb.put_u64(u64::from(b));
+}
+
+/// A flag from the wire: 0 or 1, anything else is malformed.
+fn bool_get(r: &mut PayloadReader) -> Option<bool> {
+    match r.u64()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
 /// Array geometry from the wire; a zero block size is malformed, not a
 /// panic inside [`ArrayMeta::new`].
 fn meta_get(r: &mut PayloadReader) -> Option<ArrayMeta> {
@@ -512,9 +533,10 @@ impl ClientMsg {
                 iv_put(&mut pb, *iv);
                 pb.build(T_CLIENT + 2)
             }
-            ClientMsg::ReleaseRead { array, iv } => {
+            ClientMsg::ReleaseRead { array, iv, checked } => {
                 pb.put_str(array);
                 iv_put(&mut pb, *iv);
+                bool_put(&mut pb, *checked);
                 pb.build(T_CLIENT + 3)
             }
             ClientMsg::ReleaseWrite {
@@ -583,6 +605,7 @@ impl ClientMsg {
             t if t == T_CLIENT + 3 => ClientMsg::ReleaseRead {
                 array: r.str().ok_or_else(e)?,
                 iv: iv_get(&mut r).ok_or_else(e)?,
+                checked: bool_get(&mut r).ok_or_else(e)?,
             },
             t if t == T_CLIENT + 4 => ClientMsg::ReleaseWrite {
                 req: r.u64().ok_or_else(e)?,
@@ -658,8 +681,10 @@ impl Reply {
                 pb.put_u64(*req);
                 pb.build(T_REPLY)
             }
-            Reply::ReadReady { req, data } => {
-                pb.put_u64(*req).put_blob(data);
+            Reply::ReadReady { req, data, checked } => {
+                pb.put_u64(*req);
+                bool_put(&mut pb, *checked);
+                pb.put_blob(data);
                 pb.build(T_REPLY + 1)
             }
             Reply::WriteGranted { req } => {
@@ -728,6 +753,7 @@ impl Reply {
             },
             t if t == T_REPLY + 1 => Reply::ReadReady {
                 req: r.u64().ok_or_else(e)?,
+                checked: bool_get(&mut r).ok_or_else(e)?,
                 data: r.blob().ok_or_else(e)?,
             },
             t if t == T_REPLY + 2 => Reply::WriteGranted {
@@ -1032,6 +1058,12 @@ mod tests {
             ClientMsg::ReleaseRead {
                 array: "a".into(),
                 iv: iv(0, 8),
+                checked: false,
+            },
+            ClientMsg::ReleaseRead {
+                array: "m".into(),
+                iv: iv(64, 32),
+                checked: true,
             },
             ClientMsg::ReleaseWrite {
                 req: 5,
@@ -1079,6 +1111,12 @@ mod tests {
             Reply::ReadReady {
                 req: 2,
                 data: Bytes::from_static(b"xyz"),
+                checked: false,
+            },
+            Reply::ReadReady {
+                req: 14,
+                data: Bytes::from_static(b"checked"),
+                checked: true,
             },
             Reply::WriteGranted { req: 3 },
             Reply::WriteSealed { req: 4 },
@@ -1252,6 +1290,7 @@ mod tests {
                     Reply::ReadReady {
                         req: 3,
                         data: data.clone(),
+                        checked: true,
                     }
                     .encode(),
                     |b| match Reply::decode(b) {
@@ -1320,17 +1359,47 @@ mod tests {
                 }
             }
         }
-        // ... and the error is the typed one.
-        let mut cut = Reply::ReadReady {
+        // ... and the error is the typed one, wherever the head is cut —
+        // the checked flag included.
+        let read = Reply::ReadReady {
             req: 1,
             data: Bytes::from(vec![1u8; 8]),
+            checked: true,
         }
         .encode();
-        cut.payload = cut.payload.slice(0..10);
-        assert!(matches!(
-            Reply::decode(&cut),
-            Err(StorageError::Protocol(_))
-        ));
+        for at in 0..read.payload.len() {
+            let mut cut = read.clone();
+            cut.payload = read.payload.slice(0..at);
+            assert!(
+                matches!(Reply::decode(&cut), Err(StorageError::Protocol(_))),
+                "ReadReady cut at {at}"
+            );
+        }
+    }
+
+    /// The checked flags are read as flags: a head cut anywhere, or a flag
+    /// word that is neither 0 nor 1, is a protocol error.
+    #[test]
+    fn checked_flags_are_whole_and_boolean() {
+        let release = ClientMsg::ReleaseRead {
+            array: "m".into(),
+            iv: iv(0, 8),
+            checked: true,
+        }
+        .encode();
+        for at in 0..release.payload.len() {
+            let cut = DataBuffer::from_bytes(release.tag, release.payload.slice(0..at));
+            assert!(
+                matches!(ClientMsg::decode(&cut), Err(StorageError::Protocol(_))),
+                "ReleaseRead cut at {at}"
+            );
+        }
+        let mut pb = PayloadBuilder::new();
+        pb.put_str("m").put_u64(0).put_u64(8).put_u64(2);
+        assert!(ClientMsg::decode(&pb.build(T_CLIENT + 3)).is_err());
+        let mut pb = PayloadBuilder::new();
+        pb.put_u64(1).put_u64(7).put_blob(&Bytes::from_static(b"x"));
+        assert!(Reply::decode(&pb.build(T_REPLY + 1)).is_err());
     }
 
     #[test]

@@ -201,7 +201,7 @@ fn logged_reads_fifo_served() {
         .iter()
         .filter_map(|a| match a {
             Action::Reply {
-                reply: Reply::ReadReady { req, data },
+                reply: Reply::ReadReady { req, data, .. },
                 ..
             } => {
                 assert_eq!(data[0], *req as u8, "data starts at the request offset");
@@ -312,7 +312,7 @@ proptest! {
                         queue.extend(st.handle_io(reply));
                     }
                     Action::Io(_) => {} // spill/persist traffic: irrelevant here
-                    Action::Reply { reply: Reply::ReadReady { req, data }, .. } => {
+                    Action::Reply { reply: Reply::ReadReady { req, data, .. }, .. } => {
                         answered[req as usize] += 1;
                         let (blk, _) = reqs[req as usize];
                         let block = blk % nblocks;
@@ -320,6 +320,7 @@ proptest! {
                         let rel = st.handle_client(ClientMsg::ReleaseRead {
                             array: "m".into(),
                             iv: Interval::new(block * bs, bs),
+                            checked: false,
                         });
                         queue.extend(rel);
                     }
