@@ -2,6 +2,8 @@
 //! the synthetic matrix generator, dense vector ops, and the binary CRS
 //! (de)serialization that bounds out-of-core ingest speed.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dooc_sparse::genmat::GapGenerator;
 use dooc_sparse::{dense, fileio, CsrView};

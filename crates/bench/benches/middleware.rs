@@ -1,6 +1,8 @@
 //! Criterion benchmarks of the middleware layers: the storage protocol state
 //! machine, the schedulers, the dataflow streams, and the fluid simulator.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dooc_scheduler::{assign_affinity, LocalScheduler, OrderPolicy, TaskGraph, TaskSpec};

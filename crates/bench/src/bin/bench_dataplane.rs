@@ -14,10 +14,11 @@
 //!   SpMV (the numbers behind `DOT_SERIAL_MAX`, `AXPY_SERIAL_MAX` and
 //!   `SPMV_SERIAL_MAX_NNZ`);
 //! * `--baseline <json>`  a previous `BENCH_dataplane.json` produced by a
-//!   binary built *without* `--features faultline`/`record`; the
-//!   `faultline` and `race_record` sections then report the pipelined
-//!   `read_array` overhead of carrying the respective (disarmed) hooks
-//!   relative to that hook-free baseline.
+//!   binary built *without* `--features faultline`; the `faultline` section
+//!   then reports the pipelined `read_array` overhead of carrying the
+//!   (disarmed) failpoint hooks relative to that hook-free baseline.
+
+#![forbid(unsafe_code)]
 
 use bytes::Bytes;
 use dooc_core::{runtime_lane_specs, DoocConfig, DoocRuntime, WorkerContext};
@@ -125,28 +126,6 @@ fn main() {
         );
         json.push_str(&format!(
             ",\n    \"baseline_pipelined_us_per_read\": {base:.2},\n    \"overhead_pct_vs_baseline\": {fl_overhead_pct:.2}"
-        ));
-    }
-    json.push_str("\n  },\n");
-
-    // --- 1d. dooc-race recording overhead on read_array --------------------
-    // With `--features record` every dooc-sync facade operation carries a
-    // disarmed recording hook (one relaxed atomic load, `record::armed()`).
-    // As with faultline, a `--baseline` run of a hook-free build brackets
-    // the cost of compiling the hooks in.
-    let rec_compiled = cfg!(feature = "record");
-    json.push_str(&format!(
-        "  \"race_record\": {{\n    \"compiled\": {rec_compiled},\n    \"armed\": false,\n    \"pipelined_us_per_read\": {:.2}",
-        r.pipelined_us
-    ));
-    if let Some(base) = baseline_us {
-        let rec_overhead_pct = (r.pipelined_us / base - 1.0) * 100.0;
-        println!(
-            "read_array record overhead (compiled: {rec_compiled}, disarmed): baseline {base:.1} us, this build {:.1} us ({rec_overhead_pct:+.1}%)",
-            r.pipelined_us
-        );
-        json.push_str(&format!(
-            ",\n    \"baseline_pipelined_us_per_read\": {base:.2},\n    \"overhead_pct_vs_baseline\": {rec_overhead_pct:.2}"
         ));
     }
     json.push_str("\n  },\n");

@@ -3,6 +3,9 @@
 //! Finishes with a live traced 2-node SpMV on the real middleware, exported
 //! as `TRACE_reproduce.json` (Chrome `trace_event`; open in Perfetto) and
 //! `METRICS_reproduce.txt`.
+
+#![forbid(unsafe_code)]
+
 use dooc_bench::exhibits;
 use dooc_simulator::testbed::PolicyKind;
 use std::path::Path;

@@ -11,6 +11,8 @@
 //! each fails on the *intended* analysis (CI's proof the auditor catches
 //! what it claims to catch).
 
+#![forbid(unsafe_code)]
+
 use dooc_check::audit::{audit_graph, selftest, spmv_graph, AuditOutcome};
 use dooc_linalg::spmv_app::SyncPolicy;
 use std::process::ExitCode;

@@ -8,6 +8,8 @@
 //! "message"}, ...]}`) for editor and CI integration; the exit code is the
 //! same as in text mode.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

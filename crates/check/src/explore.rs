@@ -32,10 +32,8 @@
 //! failing tokens are deterministic for a given `base_seed`).
 
 use dooc_sync::model::{
-    ops_dependent, run, ChoiceCtx, Chooser, Event, Failure, FailureKind, RunOpts, RunOutcome,
-    TaskId,
+    ops_dependent, run, ChoiceCtx, Chooser, Event, Failure, RunOpts, RunOutcome, TaskId,
 };
-use dooc_sync::record;
 use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
@@ -206,13 +204,6 @@ pub struct ExploreOpts {
     pub dfs_budget: u64,
     /// Per-execution visible-operation budget (livelock guard).
     pub max_steps: u64,
-    /// Record the sync events of every explored execution and run the
-    /// dooc-race happens-before analyzer over it; an unordered conflicting
-    /// access pair fails the execution with [`FailureKind::Race`] and its
-    /// schedule token, exactly like a panic would. On by default — the
-    /// recorder costs one relaxed atomic load per operation when the
-    /// harness has no annotated accesses.
-    pub race_check: bool,
 }
 
 impl Default for ExploreOpts {
@@ -224,7 +215,6 @@ impl Default for ExploreOpts {
             preemption_bound: 2,
             dfs_budget: 512,
             max_steps: 200_000,
-            race_check: true,
         }
     }
 }
@@ -267,44 +257,13 @@ pub fn explore(
     let f = Arc::new(f);
     let run_once = |chooser: Box<dyn Chooser>| -> RunOutcome {
         let g = Arc::clone(&f);
-        // The recorder is process-global: serialize the whole recorded
-        // window against other explorations (parallel test threads).
-        let _session = opts.race_check.then(record::session);
-        if opts.race_check {
-            record::clear();
-            record::arm();
-        }
-        let mut outcome = run(
+        run(
             RunOpts {
                 max_steps: opts.max_steps,
             },
             chooser,
             move || g(),
-        );
-        if opts.race_check {
-            record::disarm();
-            let log = record::take_log();
-            // A schedule that already failed keeps its original verdict;
-            // race-check only promotes otherwise-clean executions.
-            if outcome.failure.is_none() {
-                match crate::race::analyze(&log) {
-                    Ok(report) if !report.clean() => {
-                        outcome.failure = Some(Failure {
-                            kind: FailureKind::Race,
-                            message: report.render(),
-                        });
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        outcome.failure = Some(Failure {
-                            kind: FailureKind::Race,
-                            message: format!("race analyzer rejected the recorded log: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-        outcome
+        )
     };
     let mut executions = 0u64;
 

@@ -1,6 +1,6 @@
 //! Verification tooling for the DOoC reproduction.
 //!
-//! Five modules:
+//! Four modules:
 //!
 //! * [`model`] (feature `model`) — an explicit-state model checker over the
 //!   *real* storage node (`storage::node::StorageState`): it enumerates
@@ -27,11 +27,9 @@
 //!   facade timeouts). Run via `cargo run -p dooc-check --bin lint`
 //!   (`--json` for machine-readable findings).
 //!
-//! * [`race`] — **dooc-race**, a FastTrack-style vector-clock
-//!   happens-before analyzer over the `dooc-race v1` sync-event logs that
-//!   `dooc-sync` records under its `record` feature. Offline:
-//!   `cargo run -p dooc-check --bin race -- --log <path>`. The explorer
-//!   race-checks every schedule it runs when recording is compiled in.
+//! There is no data-race detector: `forbid(unsafe_code)` in every crate
+//! root (lint rule 4) leaves data races to the compiler, and the explorer
+//! covers what safe Rust still allows — deadlocks and lost wakeups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,4 +40,3 @@ pub mod explore;
 pub mod lint;
 #[cfg(feature = "model")]
 pub mod model;
-pub mod race;

@@ -10,12 +10,21 @@
 //!    exempt.
 //! 2. **No `std::sync` locks** — the workspace standardises on the
 //!    `dooc-sync` facade (`Mutex`, `RwLock`); a lock from another family
-//!    escapes both schedule exploration and the race recorder.
+//!    is invisible to the `model` explorer, which can then neither
+//!    interleave around it nor report a deadlock through it.
 //! 3. **No unbounded channels** — filter graphs rely on bounded streams
 //!    for backpressure; an unbounded channel reintroduces the unbounded
 //!    memory growth the paper's design avoids. The `sync` crate, which
 //!    implements the channel facade, is exempt.
-//! 4. **`#![forbid(unsafe_code)]` in every crate root.**
+//! 4. **`#![forbid(unsafe_code)]` in every crate root** — every library,
+//!    binary, example and bench target of the umbrella package and of each
+//!    `crates/*` package, plus the vendored `vendor/*/src/lib.rs` stubs.
+//!    This is what lets the repo do without a data-race
+//!    detector: safe Rust cannot race, so the compiler checks what a
+//!    detector would. Integration tests (`tests/*.rs`) are exempt because
+//!    the root `tests/rss_budget.rs` counts allocations with a
+//!    `GlobalAlloc`, which cannot be implemented without `unsafe`; test
+//!    crates never ship.
 //! 5. **No bare `release_read` calls outside the `storage` crate** — the
 //!    storage client hands out RAII [`ReadGuard`]s that release their pin on
 //!    drop; callers that release manually reintroduce the leak class the
@@ -45,10 +54,9 @@
 //!    crates** — the crates in [`SYNC_DISCIPLINED_CRATES`] must block
 //!    through the facade (`dooc_sync::thread::sleep`, condvar
 //!    `wait_for`, channel timeouts). A raw sleep stalls a whole OS thread
-//!    invisibly to the model scheduler (no yield point, no schedule
-//!    decision) and invisibly to the dooc-race recorder; a spin loop turns
-//!    a blocked state the explorer could enumerate into a livelock. Test
-//!    code is exempt, like rules 1–3.
+//!    invisibly to the `model` explorer (no yield point, no schedule
+//!    decision); a spin loop turns a blocked state the explorer could
+//!    enumerate into a livelock. Test code is exempt, like rules 1–3.
 //!
 //! Scanning is line-based: lines whose trimmed form starts with `//` are
 //! skipped, and within a file everything from the first `#[cfg(test)]`
@@ -261,8 +269,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
                 report(
                     "no-raw-blocking",
                     "raw std::thread::sleep in a runtime crate — use \
-                     dooc_sync::thread::sleep so model builds get a yield point \
-                     and recorded builds see the blocking"
+                     dooc_sync::thread::sleep so the explorer gets a yield point"
                         .into(),
                 );
             }
@@ -329,6 +336,59 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// The `.rs` files directly inside `dir` (none when it does not exist).
+fn rust_files_in(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    if !dir.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// Every crate root rule 4 covers under `root`: for the umbrella package
+/// and each `crates/*` package, `src/lib.rs`, `src/main.rs` and every
+/// `src/bin`, `examples` and `benches` target; for each `vendor/*` stub,
+/// `src/lib.rs`. Integration tests (`tests/*.rs`) are left out on purpose,
+/// see rule 4.
+fn crate_roots(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut packages = vec![root.to_path_buf()];
+    let mut members: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    members.sort();
+    packages.extend(members);
+
+    let mut roots = Vec::new();
+    for pkg in &packages {
+        for file in ["src/lib.rs", "src/main.rs"] {
+            roots.push(pkg.join(file));
+        }
+        for dir in ["src/bin", "examples", "benches"] {
+            roots.extend(rust_files_in(&pkg.join(dir))?);
+        }
+    }
+    let vendor = root.join("vendor");
+    if vendor.is_dir() {
+        let mut stubs: Vec<PathBuf> = fs::read_dir(&vendor)?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path().join("src/lib.rs"))
+            .collect();
+        stubs.sort();
+        roots.extend(stubs);
+    }
+    roots.retain(|f| f.is_file());
+    Ok(roots)
+}
+
 /// Scan summary of [`lint_workspace`].
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
@@ -339,11 +399,11 @@ pub struct LintReport {
 }
 
 /// Lints the workspace rooted at `root`: every `crates/*/src` tree (rules
-/// 1–3 and 5, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
+/// 1–3 and 5–8, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
 /// exempting the `storage` crate's own internals) and every crate root
-/// including the umbrella `src/lib.rs` (rule 4). `crates/*/tests` and
-/// `crates/*/benches` trees, plus the root-level `tests/` and `examples/`
-/// trees, are scanned for rule 5 only; `vendor/` is skipped entirely.
+/// (rule 4, the only rule that reads `vendor/`).
+/// `crates/*/tests` and `crates/*/benches` trees, plus the root-level
+/// `tests/` and `examples/` trees, are scanned for rule 5 only.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut report = LintReport::default();
     let crates_dir = root.join("crates");
@@ -354,13 +414,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         .collect();
     crate_dirs.sort();
 
-    let mut roots: Vec<PathBuf> = vec![root.join("src/lib.rs")];
     for dir in &crate_dirs {
         let src = dir.join("src");
         if !src.is_dir() {
             continue;
         }
-        roots.push(src.join("lib.rs"));
         let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let opts = LintOpts {
             panic_free: PANIC_FREE_CRATES.contains(&crate_name),
@@ -422,10 +480,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         }
     }
 
-    for file in roots {
-        if !file.is_file() {
-            continue;
-        }
+    for file in crate_roots(root)? {
         let content = fs::read_to_string(&file)?;
         let rel = file.strip_prefix(root).unwrap_or(&file);
         report.findings.extend(lint_crate_root(rel, &content));

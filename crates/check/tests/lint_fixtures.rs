@@ -5,7 +5,7 @@
 //! code, which must pass). Banned tokens are assembled with `concat!` so
 //! the workspace lint never flags this file's own source.
 
-use dooc_check::lint::{lint_crate_root, lint_release_read, lint_source, LintOpts};
+use dooc_check::lint::{lint_crate_root, lint_release_read, lint_source, lint_workspace, LintOpts};
 use std::path::Path;
 
 /// All rules on, as `lint_workspace` would configure a disciplined
@@ -81,6 +81,51 @@ fn rule4_crate_root_must_forbid_unsafe() {
         concat!("#![forbid(", "unsafe_code)]")
     );
     assert!(lint_crate_root(root, &negative).is_empty());
+}
+
+#[test]
+fn rule4_covers_bin_example_bench_and_vendor_roots_but_not_tests() {
+    let tree = std::env::temp_dir().join(format!("dooc-lint-roots-{}", std::process::id()));
+    let forbid = concat!("#![forbid(", "unsafe_code)]");
+    let files = [
+        (
+            "crates/demo/src/lib.rs",
+            format!("{forbid}\npub fn f() {{}}\n"),
+        ),
+        ("crates/demo/src/bin/tool.rs", "fn main() {}\n".to_string()),
+        (
+            "crates/demo/benches/b.rs",
+            format!("{forbid}\nfn main() {{}}\n"),
+        ),
+        ("examples/demo.rs", "fn main() {}\n".to_string()),
+        ("vendor/stub/src/lib.rs", "pub fn g() {}\n".to_string()),
+        // Integration tests stay exempt (a counting `GlobalAlloc` needs
+        // `unsafe`).
+        ("tests/alloc.rs", "#[test]\nfn t() {}\n".to_string()),
+    ];
+    for (rel, content) in &files {
+        let path = tree.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(&path, content).expect("write fixture");
+    }
+    let report = lint_workspace(&tree);
+    std::fs::remove_dir_all(&tree).ok();
+    let mut flagged: Vec<String> = report
+        .expect("scan succeeds")
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == "forbid-unsafe")
+        .map(|f| f.file.display().to_string())
+        .collect();
+    flagged.sort();
+    assert_eq!(
+        flagged,
+        [
+            "crates/demo/src/bin/tool.rs",
+            "examples/demo.rs",
+            "vendor/stub/src/lib.rs"
+        ]
+    );
 }
 
 #[test]

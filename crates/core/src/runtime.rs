@@ -217,21 +217,11 @@ impl DoocRuntime {
             );
         }
 
-        // Collect sinks. dooc-race: draining writes the shared sinks; the
-        // sink locks must order these against the workers' pushes.
-        let mut trace = {
-            let mut sink = sinks.trace.lock();
-            dooc_sync::record::data_write(dooc_sync::record::addr_of(&sinks.trace));
-            std::mem::take(&mut *sink)
-        };
+        let mut trace = std::mem::take(&mut *sinks.trace.lock());
         trace.sort_by_key(|e| e.start);
         let mut node_stats = vec![NodeStats::default(); nnodes];
-        {
-            let mut sink = sinks.stats.lock();
-            dooc_sync::record::data_write(dooc_sync::record::addr_of(&sinks.stats));
-            for (node, st) in sink.drain(..) {
-                node_stats[node as usize] = st;
-            }
+        for (node, st) in sinks.stats.lock().drain(..) {
+            node_stats[node as usize] = st;
         }
 
         Ok(RunReport {

@@ -834,22 +834,15 @@ impl Filter for WorkerFilter {
                 })?;
                 obs().tasks_executed.inc();
                 let input_bytes = wctx.input_bytes;
-                {
-                    let mut trace = self.sinks.trace.lock();
-                    // dooc-race: the trace sink is shared across workers and
-                    // drained by the runtime; this annotated write under the
-                    // sink's lock must be ordered against every other access.
-                    dooc_sync::record::data_write(dooc_sync::record::addr_of(&self.sinks.trace));
-                    trace.push(TraceEvent {
-                        node,
-                        task: t,
-                        name: spec.name.clone(),
-                        kind: spec.kind.clone(),
-                        start: started,
-                        end: self.start.elapsed(),
-                        input_bytes,
-                    });
-                }
+                self.sinks.trace.lock().push(TraceEvent {
+                    node,
+                    task: t,
+                    name: spec.name.clone(),
+                    kind: spec.kind.clone(),
+                    start: started,
+                    end: self.start.elapsed(),
+                    input_bytes,
+                });
                 ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
             } else if let Some(b) = done_in.recv_timeout(Duration::from_millis(1)) {
                 ls.on_complete(&self.graph, TaskId(b.tag));
@@ -858,9 +851,7 @@ impl Filter for WorkerFilter {
 
         // Report stats, then shut the local storage down.
         if let Ok(stats) = client.stats() {
-            let mut sink = self.sinks.stats.lock();
-            dooc_sync::record::data_write(dooc_sync::record::addr_of(&self.sinks.stats));
-            sink.push((node, stats));
+            self.sinks.stats.lock().push((node, stats));
         }
         client.shutdown().ok();
         ctx.close_output("done_out");

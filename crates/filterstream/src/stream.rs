@@ -456,7 +456,6 @@ impl StreamWriter {
     }
 
     fn deliver(&self, buf: DataBuffer) -> Result<()> {
-        note_payload_write(&buf);
         let wire = buf.wire_size();
         match (&self.lanes, self.delivery) {
             (InboxLanes::Shared(LaneTx::Local(tx)), _) => {
@@ -546,7 +545,6 @@ impl StreamWriter {
     }
 
     fn deliver_to(&self, dest: NodeId, buf: DataBuffer) -> Result<()> {
-        note_payload_write(&buf);
         let wire = buf.wire_size();
         match &self.lanes {
             InboxLanes::PerConsumer(lanes) if self.delivery == Delivery::Addressed => {
@@ -625,53 +623,6 @@ impl Drop for StreamWriter {
     }
 }
 
-/// dooc-race annotation: the bytes a producer publishes into a stream —
-/// the payload and the bulk attachment, which is the memory that actually
-/// crosses threads when a block travels. A block is immutable and travels
-/// by reference, so the same bytes are published many times (storage to
-/// reader after reader, to a peer, to the I/O filter): the first
-/// publication of an address is the write that produced it, every later
-/// one a read. Pairs with [`note_payload_read`] on the consumer side — the
-/// channel's send→recv edge must order every access after that first
-/// write, so a fault in the stream plumbing (a buffer observable before its
-/// send) shows up as a race. Empty parts are skipped: `Bytes::new` shares
-/// one static allocation, which would alias unrelated streams. Compiled to
-/// a no-op without the `record` feature of `dooc-sync`.
-#[inline]
-fn note_payload_write(buf: &DataBuffer) {
-    if dooc_sync::record::armed() {
-        for part in [&buf.payload, &buf.bulk] {
-            if part.is_empty() {
-                continue;
-            }
-            let addr = part.as_ptr() as usize;
-            // Pin the allocation for the rest of the recording session: if
-            // the allocator recycled an annotated address for an unrelated
-            // payload on another thread, the shadow state would report
-            // phantom races.
-            if dooc_sync::record::pin(addr, Box::new(part.clone())) {
-                dooc_sync::record::data_write(addr);
-            } else {
-                dooc_sync::record::data_read(addr);
-            }
-        }
-    }
-}
-
-/// See [`note_payload_write`].
-#[inline]
-fn note_payload_read(buf: &DataBuffer) {
-    if dooc_sync::record::armed() {
-        for part in [&buf.payload, &buf.bulk] {
-            if !part.is_empty() {
-                let addr = part.as_ptr() as usize;
-                dooc_sync::record::pin(addr, Box::new(part.clone()));
-                dooc_sync::record::data_read(addr);
-            }
-        }
-    }
-}
-
 /// Consumer endpoint of one (filter instance, input port).
 pub struct StreamReader {
     port: String,
@@ -681,13 +632,12 @@ pub struct StreamReader {
 }
 
 impl StreamReader {
-    /// Consumer-side accounting for one received buffer: race annotation,
-    /// leak-audit tally (count + bytes), and the global recv counters. Every
-    /// receive path — `recv`, `try_recv`, `recv_timeout`, `drain`, and
-    /// [`StreamSet`] selection — funnels through this, so the send/recv byte
-    /// totals balance no matter how the buffer was consumed.
+    /// Consumer-side accounting for one received buffer: leak-audit tally
+    /// (count + bytes) and the global recv counters. Every receive path —
+    /// `recv`, `try_recv`, `recv_timeout`, `drain`, and [`StreamSet`]
+    /// selection — funnels through this, so the send/recv byte totals
+    /// balance no matter how the buffer was consumed.
     fn account_recv(&self, buf: &DataBuffer) {
-        note_payload_read(buf);
         let wire = buf.wire_size();
         self.counters.dequeued.fetch_add(1, Ordering::Relaxed);
         self.counters

@@ -11,8 +11,8 @@
 //! Two implementations ship:
 //!
 //! * [`ChannelTransport`] — in-process bounded channels between "nodes" that
-//!   are really thread groups. The default for tests, shuttle exploration,
-//!   and race recording; also the semantic reference the TCP path is checked
+//!   are really thread groups. The default for tests and shuttle
+//!   exploration; also the semantic reference the TCP path is checked
 //!   against.
 //! * [`crate::tcp::TcpTransport`] — one OS process per node, length-prefixed
 //!   frames over `TcpStream` (see [`crate::codec`]).

@@ -6,118 +6,35 @@
 //! `VecDeque` push. Rings register themselves in a global list on a
 //! thread's first event; [`take_events`] drains all of them into one
 //! timestamp-sorted snapshot.
-//!
-//! The registry/ring machinery is generic over the event type ([`Rings`])
-//! so other recorders can reuse it — the `dooc-sync` `record` feature
-//! instantiates a second set of rings for sync-event logs feeding the
-//! dooc-check race detector. The trace events of this crate are one
-//! instantiation ([`take_events`] and friends below).
 
 use crate::{enabled, now_us, now_us_coarse, Category};
 use parking_lot::Mutex;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::LocalKey;
+use std::sync::Arc;
 
 /// Maximum events buffered per thread; past this, new events are dropped
 /// (counted and reported in the snapshot, never silently).
 pub const RING_CAPACITY: usize = 1 << 16;
 
-/// One thread's bounded event buffer inside a [`Rings`] registry.
-pub struct RingBuf<T> {
-    /// Recorder-local thread id (dense, starts at 1).
-    pub tid: u64,
+/// One thread's bounded event buffer.
+struct Ring {
+    /// Trace thread id (dense, starts at 1).
+    tid: u64,
     /// OS thread name at ring creation (`"?"` when unnamed).
-    pub thread_name: String,
-    events: VecDeque<T>,
+    thread_name: String,
+    events: VecDeque<Event>,
     dropped: u64,
 }
 
-/// The per-thread slot callers must declare in a `thread_local!` of their
-/// own (thread-locals cannot be generic over an instance, so each [`Rings`]
-/// user supplies one).
-pub type LocalRing<T> = RefCell<Option<Arc<Mutex<RingBuf<T>>>>>;
+/// Every thread's ring, in registration order.
+static RINGS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
-/// A process-global set of per-thread bounded rings of `T`: the generic
-/// core behind this crate's trace buffer, reusable by other recorders.
-///
-/// Usage: declare a `static RINGS: Rings<MyEvent> = Rings::new(cap);` plus a
-/// `thread_local! { static LOCAL: LocalRing<MyEvent> = ...; }` and call
-/// [`Rings::record_in`] with both.
-pub struct Rings<T> {
-    registry: Mutex<Vec<Arc<Mutex<RingBuf<T>>>>>,
-    next_tid: AtomicU64,
-    capacity: usize,
-}
-
-impl<T> Rings<T> {
-    /// A new registry whose rings each hold at most `capacity` events.
-    pub const fn new(capacity: usize) -> Self {
-        Self {
-            registry: Mutex::new(Vec::new()),
-            next_tid: AtomicU64::new(1),
-            capacity,
-        }
-    }
-
-    /// Reserves the next thread id without binding it to a thread — used by
-    /// recorders that must name a child thread (e.g. in a spawn event)
-    /// before the child has recorded anything.
-    pub fn alloc_tid(&self) -> u64 {
-        self.next_tid.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Appends `ev` to the calling thread's ring, creating and registering
-    /// the ring on first use with the tid produced by `tid_for_new` (pass
-    /// `|| rings.alloc_tid()` unless the thread adopted a preallocated id).
-    pub fn record_in(
-        &'static self,
-        local: &'static LocalKey<LocalRing<T>>,
-        tid_for_new: impl FnOnce() -> u64,
-        ev: T,
-    ) {
-        local.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let ring = slot.get_or_insert_with(|| {
-                let ring = Arc::new(Mutex::new(RingBuf {
-                    tid: tid_for_new(),
-                    thread_name: std::thread::current().name().unwrap_or("?").to_string(),
-                    events: VecDeque::with_capacity(256),
-                    dropped: 0,
-                }));
-                self.registry.lock().push(Arc::clone(&ring));
-                ring
-            });
-            let mut r = ring.lock();
-            if r.events.len() >= self.capacity {
-                r.dropped += 1;
-            } else {
-                r.events.push_back(ev);
-            }
-        });
-    }
-
-    /// Drains every ring: `(tid, thread name, events)` per thread that ever
-    /// recorded, plus the total number of dropped events (drop counters are
-    /// reset). Per-thread event order is preserved; cross-thread merging is
-    /// the caller's business (trace events sort by timestamp, sync logs by
-    /// sequence number).
-    pub fn drain(&self) -> (Vec<(u64, String, Vec<T>)>, u64) {
-        let rings: Vec<Arc<Mutex<RingBuf<T>>>> = self.registry.lock().clone();
-        let mut out = Vec::with_capacity(rings.len());
-        let mut dropped = 0;
-        for ring in rings {
-            let mut r = ring.lock();
-            dropped += r.dropped;
-            r.dropped = 0;
-            let tid = r.tid;
-            let name = r.thread_name.clone();
-            out.push((tid, name, r.events.drain(..).collect()));
-        }
-        (out, dropped)
-    }
+thread_local! {
+    /// The calling thread's ring, once it has recorded an event.
+    static LOCAL: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
 }
 
 /// What an [`Event`] marks.
@@ -148,15 +65,6 @@ pub struct Event {
     pub arg: Option<String>,
 }
 
-fn rings() -> &'static Rings<Event> {
-    static R: OnceLock<Rings<Event>> = OnceLock::new();
-    R.get_or_init(|| Rings::new(RING_CAPACITY))
-}
-
-thread_local! {
-    static LOCAL: LocalRing<Event> = const { RefCell::new(None) };
-}
-
 fn record(mut ev: Event) {
     // Per-thread monotonic clamp: the coarse clock can lag the precise one,
     // so clamp each event to the thread's last emitted timestamp. Keeps the
@@ -170,8 +78,25 @@ fn record(mut ev: Event) {
         l.set(t);
         ev.t_us = t;
     });
-    let r = rings();
-    r.record_in(&LOCAL, || r.alloc_tid(), ev);
+    LOCAL.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let ring = slot.get_or_insert_with(|| {
+            let ring = Arc::new(Mutex::new(Ring {
+                tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+                thread_name: std::thread::current().name().unwrap_or("?").to_string(),
+                events: VecDeque::with_capacity(256),
+                dropped: 0,
+            }));
+            RINGS.lock().push(Arc::clone(&ring));
+            ring
+        });
+        let mut r = ring.lock();
+        if r.events.len() >= RING_CAPACITY {
+            r.dropped += 1;
+        } else {
+            r.events.push_back(ev);
+        }
+    });
 }
 
 thread_local! {
@@ -289,14 +214,16 @@ pub struct TraceSnapshot {
 /// Drains every thread's ring into one timestamp-sorted snapshot. Call
 /// after the traced workload has quiesced (so all span guards dropped).
 pub fn take_events() -> TraceSnapshot {
-    let (per_thread, dropped) = rings().drain();
+    let rings: Vec<Arc<Mutex<Ring>>> = RINGS.lock().clone();
     let mut events = Vec::new();
-    let mut threads = Vec::new();
-    for (tid, name, evs) in per_thread {
-        threads.push((tid, name));
-        for e in evs {
-            events.push((tid, e));
-        }
+    let mut threads = Vec::with_capacity(rings.len());
+    let mut dropped = 0;
+    for ring in rings {
+        let mut r = ring.lock();
+        dropped += std::mem::take(&mut r.dropped);
+        let tid = r.tid;
+        threads.push((tid, r.thread_name.clone()));
+        events.extend(r.events.drain(..).map(|e| (tid, e)));
     }
     events.sort_by_key(|(_, e)| e.t_us);
     threads.sort();
@@ -463,28 +390,5 @@ mod tests {
         let mine = snap.events.len();
         assert!(mine <= RING_CAPACITY);
         assert!(snap.dropped >= 10);
-    }
-
-    #[test]
-    fn generic_rings_preallocated_tid_and_drain() {
-        static TEST_RINGS: OnceLock<Rings<u32>> = OnceLock::new();
-        let r = TEST_RINGS.get_or_init(|| Rings::new(4));
-        thread_local! {
-            static TL: LocalRing<u32> = const { RefCell::new(None) };
-        }
-        let child = r.alloc_tid();
-        r.record_in(&TL, || child, 7);
-        for i in 0..6 {
-            r.record_in(&TL, || unreachable!(), i);
-        }
-        let (per_thread, dropped) = r.drain();
-        assert_eq!(per_thread.len(), 1);
-        let (tid, _, evs) = &per_thread[0];
-        assert_eq!(*tid, child);
-        assert_eq!(evs.len(), 4, "capacity bounds the ring");
-        assert_eq!(evs[0], 7);
-        assert_eq!(dropped, 3);
-        let (per_thread, dropped) = r.drain();
-        assert!(per_thread[0].2.is_empty() && dropped == 0);
     }
 }

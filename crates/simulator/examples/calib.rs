@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 use dooc_simulator::testbed::{run_testbed, PolicyKind, TestbedParams};
 fn main() {
     println!("policy nodes time gflops read_bw(GB/s) nonoverlap cpuh/iter");

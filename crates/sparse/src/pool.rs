@@ -36,8 +36,9 @@
 //!
 //! All synchronization goes through the `dooc-sync` facade, so `model`
 //! builds explore the steal/park/unpark protocol under the shuttle scheduler
-//! and `record` builds feed the race detector (the fan-out paths annotate
-//! their slab accesses with `record::data_read`/`data_write`).
+//! (`check/tests/explore_pool.rs`). The slab hand-off itself needs no
+//! checker: slots are `Mutex`es and slabs move by value, so safe Rust admits
+//! no unsynchronized access to one.
 //!
 //! # Park/unpark protocol
 //!
@@ -58,7 +59,6 @@ use crate::view::{SpmvOperand, SpmvVector};
 use crate::{dense, Result};
 use bytes::Bytes;
 use dooc_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use dooc_sync::record;
 use dooc_sync::{thread, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -390,7 +390,8 @@ impl ComputePool {
 
     /// The fork-join body of [`ComputePool::spmv`] at an explicit
     /// `parallelism`, without the serial routing (kept public so tests and
-    /// the race harness cover it at any input size and forced concurrency).
+    /// the schedule explorer cover it at any input size and forced
+    /// concurrency).
     pub fn spmv_fanout<M, X, Y>(&self, m: &Arc<M>, x: &X, y: &mut [Y], parallelism: usize)
     where
         M: SpmvOperand,
@@ -407,17 +408,11 @@ impl ComputePool {
             let x = x.clone();
             let bounds = bounds.clone();
             self.fork_join_with(ntasks, par, move |t| {
-                let slab: Vec<Y> = m.csr().spmv_rows(x.elems(), bounds[t], bounds[t + 1]);
-                if let Some(first) = slab.first() {
-                    record::data_write(record::addr_of(first));
-                }
-                slab
+                m.csr()
+                    .spmv_rows::<_, Y>(x.elems(), bounds[t], bounds[t + 1])
             })
         };
         for (t, slab) in slabs.iter().enumerate() {
-            if let Some(first) = slab.first() {
-                record::data_read(record::addr_of(first));
-            }
             let lo = bounds[t] as usize;
             y[lo..lo + slab.len()].copy_from_slice(slab);
         }
@@ -545,16 +540,8 @@ impl ComputePool {
             let mut slab = slots[i].lock().take().expect("slab moved out once");
             let (lo, hi) = ranges[i];
             f(lo, hi, &mut slab);
-            if let Some(first) = slab.first() {
-                record::data_write(record::addr_of(first));
-            }
             slab
         });
-        for slab in &out {
-            if let Some(first) = slab.first() {
-                record::data_read(record::addr_of(first));
-            }
-        }
         y.restore(out);
     }
 }

@@ -81,13 +81,7 @@ impl StorageCluster {
             // Snapshot the port map at spawn time (attach_clients must run
             // before Runtime::run, which is guaranteed since both consume
             // the layout by value).
-            let snapshot = {
-                let map = pm.lock();
-                // dooc-race: this read on the filter thread must be ordered
-                // (by the map's lock) against attach_clients' writes.
-                dooc_sync::record::data_read(dooc_sync::record::addr_of(&*pm));
-                Arc::new(map.clone())
-            };
+            let snapshot = Arc::new(pm.lock().clone());
             Box::new(StorageFilter::recoverable(cfg, dirs[i].clone(), snapshot))
         });
 
@@ -172,14 +166,10 @@ impl StorageCluster {
         let reply_out = format!("to_clients_{}", self.next_client_port);
         self.next_client_port += 1;
         self.next_client_base += ninstances as u64;
-        {
-            let mut map = self.port_map.lock();
-            // dooc-race twin of the spawn-time snapshot read: writes to the
-            // shared port map stay ordered by its lock.
-            dooc_sync::record::data_write(dooc_sync::record::addr_of(&*self.port_map));
-            map.entries
-                .push((reply_out.clone(), base, ninstances as u64));
-        }
+        self.port_map
+            .lock()
+            .entries
+            .push((reply_out.clone(), base, ninstances as u64));
         layout.connect_with(
             clients,
             req_port,

@@ -18,28 +18,17 @@
 //!   printed schedule token. Outside an execution the wrappers delegate to
 //!   the real primitives, so a `model` build remains safe to run normally.
 //!
-//! * **`record` builds**: each primitive delegates to the real one and,
-//!   while [`record::arm`]ed, logs every visible operation (with source
-//!   site and a global sequence number) into per-thread rings; the
-//!   dooc-check race detector replays the drained log (`record::take_log`)
-//!   through a vector-clock happens-before analysis. Disarmed, every hook
-//!   costs one relaxed atomic load. `model` takes precedence when both
-//!   features are on: the modeled wrappers carry the same recording hooks,
-//!   so every explored schedule can be race-checked.
+//! There is no data-race build: every crate root forbids `unsafe`, so the
+//! compiler already rules data races out. What safe Rust still allows —
+//! deadlocks, lost wakeups, logic races — is what the `model` explorer
+//! searches for.
 
 #![forbid(unsafe_code)]
 
-pub mod record;
-
-#[cfg(all(not(feature = "model"), not(feature = "record")))]
+#[cfg(not(feature = "model"))]
 mod real;
-#[cfg(all(not(feature = "model"), not(feature = "record")))]
+#[cfg(not(feature = "model"))]
 pub use real::*;
-
-#[cfg(all(not(feature = "model"), feature = "record"))]
-mod recorded;
-#[cfg(all(not(feature = "model"), feature = "record"))]
-pub use recorded::*;
 
 #[cfg(feature = "model")]
 pub mod model;

@@ -177,11 +177,6 @@ pub enum FailureKind {
     Deadlock,
     /// The execution exceeded its step budget (livelock guard).
     StepLimit,
-    /// The happens-before race detector reported conflicting unordered
-    /// accesses in this execution's recorded sync-event log (attached by
-    /// the dooc-check explorer when race checking is on; the scheduler
-    /// itself never produces this).
-    Race,
 }
 
 /// A failed execution's verdict, with a human-readable message.

@@ -21,10 +21,8 @@
 //!   engine's detection signal), rather than being contained to `join`.
 
 use crate::model::{self, BlockReason, Op, TaskId};
-use crate::record::{self, RecOp};
 use parking_lot as pl;
 use std::ops::{Deref, DerefMut};
-use std::panic::Location;
 use std::sync::Arc;
 
 fn addr_of<T: ?Sized>(r: &T) -> usize {
@@ -53,8 +51,6 @@ pub struct MutexGuard<'a, T> {
     /// `Some` when acquired under a scheduler: the execution to notify on
     /// release, plus this mutex's stable object id.
     model: Option<(Arc<model::Exec>, usize)>,
-    /// Acquisition site, reused for the recorded release event.
-    site: record::Site,
 }
 
 impl<T> Mutex<T> {
@@ -67,9 +63,7 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock; a scheduling point inside an execution.
-    #[track_caller]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let site = Location::caller();
         if let Some((exec, me)) = model::active() {
             let oid = exec.obj_id(addr_of(self));
             exec.yield_point(me, Op::MutexLock(oid));
@@ -78,28 +72,21 @@ impl<T> Mutex<T> {
                 .data
                 .try_lock()
                 .expect("model mutex data free once virtually granted");
-            record::ev_at(RecOp::LockAcq, addr_of(self), site);
             return MutexGuard {
                 mx: self,
                 inner: Some(inner),
                 model: Some((exec, oid)),
-                site,
             };
         }
-        let inner = self.data.lock();
-        record::ev_at(RecOp::LockAcq, addr_of(self), site);
         MutexGuard {
             mx: self,
-            inner: Some(inner),
+            inner: Some(self.data.lock()),
             model: None,
-            site,
         }
     }
 
     /// Attempts the lock without (virtually) blocking.
-    #[track_caller]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let site = Location::caller();
         if let Some((exec, me)) = model::active() {
             let oid = exec.obj_id(addr_of(self));
             exec.yield_point(me, Op::MutexLock(oid));
@@ -113,22 +100,16 @@ impl<T> Mutex<T> {
                 .data
                 .try_lock()
                 .expect("model mutex data free once virtually granted");
-            record::ev_at(RecOp::LockAcq, addr_of(self), site);
             return Some(MutexGuard {
                 mx: self,
                 inner: Some(inner),
                 model: Some((exec, oid)),
-                site,
             });
         }
-        self.data.try_lock().map(|inner| {
-            record::ev_at(RecOp::LockAcq, addr_of(self), site);
-            MutexGuard {
-                mx: self,
-                inner: Some(inner),
-                model: None,
-                site,
-            }
+        self.data.try_lock().map(|inner| MutexGuard {
+            mx: self,
+            inner: Some(inner),
+            model: None,
         })
     }
 
@@ -210,12 +191,6 @@ impl<T> DerefMut for MutexGuard<'_, T> {
 
 impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        // Release event before the release itself (linearization contract),
-        // unless the guard is parked in a condvar wait (inner already None,
-        // release recorded by the wait path).
-        if self.inner.is_some() {
-            record::ev_at(RecOp::LockRel, addr_of(self.mx), self.site);
-        }
         // Release the real lock first, then the virtual ownership, so the
         // next virtually-granted owner finds the data lock free.
         self.inner = None;
@@ -246,7 +221,6 @@ pub struct RwLockReadGuard<'a, T> {
     lk: &'a RwLock<T>,
     inner: Option<pl::RwLockReadGuard<'a, T>>,
     model: Option<(Arc<model::Exec>, usize, TaskId)>,
-    site: record::Site,
 }
 
 /// Exclusive-write RAII guard for the model-aware [`RwLock`].
@@ -254,7 +228,6 @@ pub struct RwLockWriteGuard<'a, T> {
     lk: &'a RwLock<T>,
     inner: Option<pl::RwLockWriteGuard<'a, T>>,
     model: Option<(Arc<model::Exec>, usize)>,
-    site: record::Site,
 }
 
 impl<T> RwLock<T> {
@@ -270,9 +243,7 @@ impl<T> RwLock<T> {
     }
 
     /// Acquires a shared read lock; a scheduling point inside an execution.
-    #[track_caller]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let site = Location::caller();
         if let Some((exec, me)) = model::active() {
             let oid = exec.obj_id(addr_of(self));
             exec.yield_point(me, Op::RwRead(oid));
@@ -286,29 +257,22 @@ impl<T> RwLock<T> {
                 }
                 exec.block(me, BlockReason::RwLock(oid));
             }
-            record::ev_at(RecOp::ReadAcq, addr_of(self), site);
             return RwLockReadGuard {
                 lk: self,
                 inner: Some(self.data.read()),
                 model: Some((exec, oid, me)),
-                site,
             };
         }
-        let inner = self.data.read();
-        record::ev_at(RecOp::ReadAcq, addr_of(self), site);
         RwLockReadGuard {
             lk: self,
-            inner: Some(inner),
+            inner: Some(self.data.read()),
             model: None,
-            site,
         }
     }
 
     /// Acquires an exclusive write lock; a scheduling point inside an
     /// execution.
-    #[track_caller]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let site = Location::caller();
         if let Some((exec, me)) = model::active() {
             let oid = exec.obj_id(addr_of(self));
             exec.yield_point(me, Op::RwWrite(oid));
@@ -322,21 +286,16 @@ impl<T> RwLock<T> {
                 }
                 exec.block(me, BlockReason::RwLock(oid));
             }
-            record::ev_at(RecOp::WriteAcq, addr_of(self), site);
             return RwLockWriteGuard {
                 lk: self,
                 inner: Some(self.data.write()),
                 model: Some((exec, oid)),
-                site,
             };
         }
-        let inner = self.data.write();
-        record::ev_at(RecOp::WriteAcq, addr_of(self), site);
         RwLockWriteGuard {
             lk: self,
-            inner: Some(inner),
+            inner: Some(self.data.write()),
             model: None,
-            site,
         }
     }
 
@@ -385,7 +344,6 @@ impl<T> DerefMut for RwLockWriteGuard<'_, T> {
 
 impl<T> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        record::ev_at(RecOp::ReadRel, addr_of(self.lk), self.site);
         self.inner = None;
         if let Some((exec, oid, me)) = self.model.take() {
             let mut ctl = self.lk.ctl.lock();
@@ -400,7 +358,6 @@ impl<T> Drop for RwLockReadGuard<'_, T> {
 
 impl<T> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        record::ev_at(RecOp::WriteRel, addr_of(self.lk), self.site);
         self.inner = None;
         if let Some((exec, oid)) = self.model.take() {
             self.lk.ctl.lock().writer = None;
@@ -449,10 +406,7 @@ impl Condvar {
 
     /// Atomically releases the guard's mutex and parks until notified,
     /// reacquiring the mutex before returning. A scheduling point.
-    #[track_caller]
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let site = Location::caller();
-        record::ev_at(RecOp::LockRel, addr_of(guard.mx), site);
         match model::active() {
             Some((exec, me)) if guard.model.is_some() => {
                 let oid = exec.obj_id(addr_of(self));
@@ -467,13 +421,10 @@ impl Condvar {
                     .wait(guard.inner.as_mut().expect("guard present outside wait"));
             }
         }
-        record::ev_at(RecOp::CvWaitReturn, addr_of(self), site);
-        record::ev_at(RecOp::LockAcq, addr_of(guard.mx), site);
     }
 
     /// Like [`wait`](Self::wait) with an upper bound on the blocking time.
     /// Inside an execution the timeout never fires (documented above).
-    #[track_caller]
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -485,23 +436,17 @@ impl Condvar {
                 WaitTimeoutResult(false)
             }
             _ => {
-                let site = Location::caller();
-                record::ev_at(RecOp::LockRel, addr_of(guard.mx), site);
                 let res = self.real.wait_for(
                     guard.inner.as_mut().expect("guard present outside wait"),
                     timeout,
                 );
-                record::ev_at(RecOp::CvWaitReturn, addr_of(self), site);
-                record::ev_at(RecOp::LockAcq, addr_of(guard.mx), site);
                 WaitTimeoutResult(res.timed_out())
             }
         }
     }
 
     /// Wakes the longest-parked waiter (deterministic FIFO in the model).
-    #[track_caller]
     pub fn notify_one(&self) {
-        record::ev(RecOp::CvNotify, addr_of(self));
         if let Some((exec, _)) = model::active() {
             let mut w = self.waiters.lock();
             if !w.is_empty() {
@@ -514,9 +459,7 @@ impl Condvar {
     }
 
     /// Wakes all parked waiters.
-    #[track_caller]
     pub fn notify_all(&self) {
-        record::ev(RecOp::CvNotify, addr_of(self));
         if let Some((exec, _)) = model::active() {
             let ids: Vec<TaskId> = self.waiters.lock().drain(..).collect();
             for id in ids {
@@ -538,8 +481,6 @@ pub mod atomic {
 
     use super::addr_of;
     use crate::model::{self, Op};
-    use crate::record::{self, AtomicOrd, RecOp};
-    use std::panic::Location;
 
     macro_rules! model_atomic {
         ($name:ident, $std:ty, $prim:ty) => {
@@ -568,95 +509,50 @@ pub mod atomic {
                     }
                 }
 
-                /// Records an armed atomic op together with the op itself
-                /// under the global recording mutex (linearization contract
-                /// of `crate::record`); runs the op directly when disarmed.
-                fn recorded(
-                    &self,
-                    op: RecOp,
-                    site: record::Site,
-                    f: impl FnOnce(&$std) -> $prim,
-                ) -> $prim {
-                    if record::armed() {
-                        let _g = record::atomic_section();
-                        let v = f(&self.v);
-                        record::ev_at(op, addr_of(self), site);
-                        return v;
-                    }
-                    f(&self.v)
-                }
-
                 /// Atomic load; a scheduling point inside an execution.
-                #[track_caller]
                 pub fn load(&self, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_load();
-                    self.recorded(RecOp::AtomicLoad(AtomicOrd::of(o)), site, |v| v.load(o))
+                    self.v.load(o)
                 }
 
                 /// Atomic store; a scheduling point inside an execution.
-                #[track_caller]
                 pub fn store(&self, val: $prim, o: Ordering) {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicStore(AtomicOrd::of(o)), site, |v| {
-                        v.store(val, o);
-                        val
-                    });
+                    self.v.store(val, o)
                 }
 
                 /// Atomic swap; a scheduling point inside an execution.
-                #[track_caller]
                 pub fn swap(&self, val: $prim, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| v.swap(val, o))
+                    self.v.swap(val, o)
                 }
 
                 /// Atomic add, returning the previous value.
-                #[track_caller]
                 pub fn fetch_add(&self, val: $prim, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| {
-                        v.fetch_add(val, o)
-                    })
+                    self.v.fetch_add(val, o)
                 }
 
                 /// Atomic subtract, returning the previous value.
-                #[track_caller]
                 pub fn fetch_sub(&self, val: $prim, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| {
-                        v.fetch_sub(val, o)
-                    })
+                    self.v.fetch_sub(val, o)
                 }
 
                 /// Atomic max, returning the previous value.
-                #[track_caller]
                 pub fn fetch_max(&self, val: $prim, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| {
-                        v.fetch_max(val, o)
-                    })
+                    self.v.fetch_max(val, o)
                 }
 
                 /// Atomic min, returning the previous value.
-                #[track_caller]
                 pub fn fetch_min(&self, val: $prim, o: Ordering) -> $prim {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| {
-                        v.fetch_min(val, o)
-                    })
+                    self.v.fetch_min(val, o)
                 }
 
-                /// Atomic compare-exchange (a successful exchange records
-                /// as an rmw, a failed one as a load of the failure
-                /// ordering).
-                #[track_caller]
+                /// Atomic compare-exchange; a scheduling point inside an
+                /// execution.
                 pub fn compare_exchange(
                     &self,
                     current: $prim,
@@ -664,18 +560,7 @@ pub mod atomic {
                     success: Ordering,
                     failure: Ordering,
                 ) -> Result<$prim, $prim> {
-                    let site = Location::caller();
                     self.yield_rmw();
-                    if record::armed() {
-                        let _g = record::atomic_section();
-                        let r = self.v.compare_exchange(current, new, success, failure);
-                        let op = match r {
-                            Ok(_) => RecOp::AtomicRmw(AtomicOrd::of(success)),
-                            Err(_) => RecOp::AtomicLoad(AtomicOrd::of(failure)),
-                        };
-                        record::ev_at(op, addr_of(self), site);
-                        return r;
-                    }
                     self.v.compare_exchange(current, new, success, failure)
                 }
 
@@ -721,56 +606,31 @@ pub mod atomic {
             }
         }
 
-        /// See the `model_atomic!` helper of the same name.
-        fn recorded(
-            &self,
-            op: RecOp,
-            site: record::Site,
-            f: impl FnOnce(&std::sync::atomic::AtomicBool) -> bool,
-        ) -> bool {
-            if record::armed() {
-                let _g = record::atomic_section();
-                let v = f(&self.v);
-                record::ev_at(op, addr_of(self), site);
-                return v;
-            }
-            f(&self.v)
-        }
-
         /// Atomic load; a scheduling point inside an execution.
-        #[track_caller]
         pub fn load(&self, o: Ordering) -> bool {
-            let site = Location::caller();
             if let Some((exec, me)) = model::active() {
                 let oid = exec.obj_id(addr_of(self));
                 exec.yield_point(me, Op::AtomicLoad(oid));
             }
-            self.recorded(RecOp::AtomicLoad(AtomicOrd::of(o)), site, |v| v.load(o))
+            self.v.load(o)
         }
 
         /// Atomic store; a scheduling point inside an execution.
-        #[track_caller]
         pub fn store(&self, val: bool, o: Ordering) {
-            let site = Location::caller();
             if let Some((exec, me)) = model::active() {
                 let oid = exec.obj_id(addr_of(self));
                 exec.yield_point(me, Op::AtomicRmw(oid));
             }
-            self.recorded(RecOp::AtomicStore(AtomicOrd::of(o)), site, |v| {
-                v.store(val, o);
-                val
-            });
+            self.v.store(val, o)
         }
 
         /// Atomic swap; a scheduling point inside an execution.
-        #[track_caller]
         pub fn swap(&self, val: bool, o: Ordering) -> bool {
-            let site = Location::caller();
             if let Some((exec, me)) = model::active() {
                 let oid = exec.obj_id(addr_of(self));
                 exec.yield_point(me, Op::AtomicRmw(oid));
             }
-            self.recorded(RecOp::AtomicRmw(AtomicOrd::of(o)), site, |v| v.swap(val, o))
+            self.v.swap(val, o)
         }
     }
 
@@ -800,20 +660,11 @@ pub mod channel {
     };
 
     use crate::model::{self, BlockReason, Op, VirtChan};
-    use crate::record::{self, RecOp};
-    use std::panic::Location;
     use std::sync::Arc;
     use std::time::Duration;
 
     fn chan_oid<T>(exec: &model::Exec, ch: &Arc<VirtChan<T>>) -> usize {
         exec.obj_id(Arc::as_ptr(ch) as usize)
-    }
-
-    /// Recorder object id for a virtual channel: the shared state address.
-    /// (Real-flavor halves are never recorded in model builds — the
-    /// explorer only records inside executions, where channels are Virt.)
-    fn chan_rid<T>(ch: &Arc<VirtChan<T>>) -> usize {
-        Arc::as_ptr(ch) as usize
     }
 
     enum SenderFlavor<T> {
@@ -893,9 +744,7 @@ pub mod channel {
     impl<T> Sender<T> {
         /// Blocks (virtually, inside an execution) until the value is
         /// enqueued, or fails if all receivers dropped.
-        #[track_caller]
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let site = Location::caller();
             match &self.f {
                 SenderFlavor::Real(tx) => {
                     if model::active().is_some() {
@@ -918,10 +767,6 @@ pub mod channel {
                             }
                             let full = st.cap.is_some_and(|c| st.queue.len() >= c);
                             if !full {
-                                // Release-flavored: stamped before the
-                                // message becomes dequeueable (the queue
-                                // lock is still held).
-                                record::ev_at(RecOp::ChanSend, chan_rid(ch), site);
                                 st.queue.push_back(value.take().expect("value unsent"));
                                 drop(st);
                                 model::wake_channel_readers(&exec, oid);
@@ -974,9 +819,7 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Blocks (virtually, inside an execution) until a message arrives
         /// or every sender is gone.
-        #[track_caller]
         pub fn recv(&self) -> Result<T, RecvError> {
-            let site = Location::caller();
             match &self.f {
                 ReceiverFlavor::Real(rx) => {
                     if model::active().is_some() {
@@ -994,9 +837,6 @@ pub mod channel {
                         {
                             let mut st = ch.st.lock();
                             if let Some(v) = st.queue.pop_front() {
-                                // Acquire-flavored: stamped after the
-                                // dequeue, under the same queue lock.
-                                record::ev_at(RecOp::ChanRecv, chan_rid(ch), site);
                                 drop(st);
                                 model::wake_channel_writers(&exec, oid);
                                 return Ok(v);
@@ -1013,9 +853,7 @@ pub mod channel {
 
         /// Non-blocking receive; still a scheduling point inside an
         /// execution.
-        #[track_caller]
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let site = Location::caller();
             match &self.f {
                 ReceiverFlavor::Real(rx) => {
                     if model::active().is_some() {
@@ -1031,7 +869,6 @@ pub mod channel {
                     exec.yield_point(me, Op::ChanRecv(oid));
                     let mut st = ch.st.lock();
                     if let Some(v) = st.queue.pop_front() {
-                        record::ev_at(RecOp::ChanRecv, chan_rid(ch), site);
                         drop(st);
                         model::wake_channel_writers(&exec, oid);
                         Ok(v)
@@ -1074,18 +911,13 @@ pub mod channel {
         }
 
         /// Select-side poll: dequeue or report closure; `None` = not ready.
-        fn poll_select(
-            &self,
-            exec: &model::Exec,
-            site: record::Site,
-        ) -> Option<Result<T, RecvError>> {
+        fn poll_select(&self, exec: &model::Exec) -> Option<Result<T, RecvError>> {
             let ReceiverFlavor::Virt(ch) = &self.f else {
                 real_inside_execution()
             };
             let oid = chan_oid(exec, ch);
             let mut st = ch.st.lock();
             if let Some(v) = st.queue.pop_front() {
-                record::ev_at(RecOp::ChanRecv, chan_rid(ch), site);
                 drop(st);
                 model::wake_channel_writers(exec, oid);
                 Some(Ok(v))
@@ -1171,9 +1003,7 @@ pub mod channel {
 
         /// Blocks until one registered receiver is ready (message or
         /// closed). A scheduling point inside an execution.
-        #[track_caller]
         pub fn select(&mut self) -> SelectedOperation<T> {
-            let site = Location::caller();
             match model::active() {
                 Some((exec, me)) => {
                     assert!(!self.rxs.is_empty(), "select with no operations");
@@ -1184,7 +1014,7 @@ pub mod channel {
                         let start = self.next_start % n;
                         for k in 0..n {
                             let i = (start + k) % n;
-                            if let Some(result) = self.rxs[i].poll_select(&exec, site) {
+                            if let Some(result) = self.rxs[i].poll_select(&exec) {
                                 self.next_start = i + 1;
                                 return SelectedOperation { index: i, result };
                             }
@@ -1215,7 +1045,6 @@ pub mod channel {
 
         /// Like [`select`](Self::select) with a timeout; inside an
         /// execution the timeout never fires (no virtual clock).
-        #[track_caller]
         pub fn select_timeout(
             &mut self,
             timeout: Duration,
@@ -1266,9 +1095,7 @@ pub mod channel {
 /// std threads outside.
 pub mod thread {
     use crate::model;
-    use crate::record::{self, RecOp};
     use parking_lot as pl;
-    use std::panic::Location;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1283,48 +1110,28 @@ pub mod thread {
     /// Handle to a spawned thread or model task.
     pub struct JoinHandle<T> {
         inner: Inner<T>,
-        /// Recorder tid preallocated for the child (0 when not recording).
-        child: u64,
     }
 
     /// Spawns a thread; inside an execution this creates a virtual task
     /// scheduled by the execution's chooser.
-    #[track_caller]
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        let site = Location::caller();
-        // Parent stamps Spawn(child) before the child can run (model tasks
-        // only start at a scheduling point), so the analyzer's spawn edge
-        // always precedes the child's first event.
-        let child = record::preallocate_tid();
-        record::ev_at(RecOp::Spawn(child), 0, site);
         if model::active().is_some() {
             let result = Arc::new(pl::Mutex::new(None));
             let slot = Arc::clone(&result);
             let id = model::spawn_task(Box::new(move || {
-                record::adopt_tid(child);
-                record::ev_at(RecOp::ThreadStart, 0, site);
                 let v = f();
                 *slot.lock() = Some(v);
-                record::ev_at(RecOp::ThreadEnd, 0, site);
             }));
             JoinHandle {
                 inner: Inner::Model { id, result },
-                child,
             }
         } else {
             JoinHandle {
-                inner: Inner::Std(std::thread::spawn(move || {
-                    record::adopt_tid(child);
-                    record::ev_at(RecOp::ThreadStart, 0, site);
-                    let v = f();
-                    record::ev_at(RecOp::ThreadEnd, 0, site);
-                    v
-                })),
-                child,
+                inner: Inner::Std(std::thread::spawn(f)),
             }
         }
     }
@@ -1333,11 +1140,8 @@ pub mod thread {
         /// Waits for the thread/task to finish. In the model a panic in the
         /// task fails the whole execution before `join` returns, so the
         /// `Err` variant only reports that no value was produced.
-        #[track_caller]
         pub fn join(self) -> std::thread::Result<T> {
-            let site = Location::caller();
-            let child = self.child;
-            let r: std::thread::Result<T> = match self.inner {
+            match self.inner {
                 Inner::Std(h) => h.join(),
                 Inner::Model { id, result } => {
                     model::join_task(id);
@@ -1346,11 +1150,7 @@ pub mod thread {
                         None => Err(Box::new("model task finished without a value")),
                     }
                 }
-            };
-            if r.is_ok() {
-                record::ev_at(RecOp::Join(child), 0, site);
             }
-            r
         }
     }
 

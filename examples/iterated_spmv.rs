@@ -7,6 +7,8 @@
 //! cargo run --release --example iterated_spmv
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::linalg::spmv_app::{
     tiled_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,

@@ -6,6 +6,8 @@
 //! cargo run --release --example lanczos_eigen
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dooc::linalg::cg::conjugate_gradient;
 use dooc::linalg::tridiag::tridiag_eigen;
 use dooc::linalg::{lanczos, LanczosOptions};

@@ -9,6 +9,8 @@
 //! data-aware, and moves bytes through the distributed storage layer (with
 //! spill-to-disk when a node's memory budget is exceeded).
 
+#![forbid(unsafe_code)]
+
 use dooc::core::{
     DoocConfig, DoocRuntime, ExecOutcome, TaskExecutor, TaskGraph, TaskSpec, WorkerContext,
 };

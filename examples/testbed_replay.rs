@@ -6,6 +6,8 @@
 //! cargo run --release --example testbed_replay -- 9
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dooc::simulator::testbed::{run_testbed, PolicyKind, TestbedParams};
 
 fn main() {

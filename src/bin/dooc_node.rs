@@ -19,6 +19,8 @@
 //! localhost cluster) collects the final vector after the run and checks it
 //! against the in-core reference product, exiting non-zero on mismatch.
 
+#![forbid(unsafe_code)]
+
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::filterstream::{ClusterSpec, TcpTransport};
 use dooc::linalg::spmv_app::{
