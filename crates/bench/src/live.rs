@@ -2,8 +2,8 @@
 //! observability enabled and export the captured events as a Chrome
 //! `trace_event` JSON file plus a plain-text metrics dump.
 //!
-//! Shared by `bench_dataplane` and `reproduce` so both emit the same
-//! artifact shape (and CI can schema-validate either).
+//! `reproduce` ends with one; its artifacts have the shape `obs_validate`
+//! checks.
 
 use dooc_core::{DoocConfig, DoocRuntime};
 use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy};

@@ -414,27 +414,6 @@ impl<'a> WorkerContext<'a> {
         Ok(out)
     }
 
-    /// Blocking (non-pipelined) variant of [`WorkerContext::read_array`]:
-    /// one request/reply round trip per block. Kept as the baseline the
-    /// pipelined path is benchmarked and property-tested against.
-    pub fn read_array_blocking(&mut self, name: &str) -> std::result::Result<Vec<u8>, String> {
-        self.maybe_crash()?;
-        let meta = self.meta_of(name)?;
-        let mut out = Vec::with_capacity(meta.len as usize);
-        for b in 0..meta.nblocks() {
-            let iv = Interval::new(meta.block_start(b), meta.block_len(b));
-            let guard = self
-                .client
-                .read(name, iv)
-                .map_err(|e| format!("read {name}[{b}]: {e}"))?;
-            out.extend_from_slice(&guard);
-        }
-        let n = out.len() as u64;
-        self.count_input(n);
-        self.copied_bytes += n;
-        Ok(out)
-    }
-
     /// Reads an entire array as a pinned zero-copy [`ArrayView`] (pipelined
     /// block requests, no copy-out). Every block unpins when the view drops.
     pub fn read_view(&mut self, name: &str) -> std::result::Result<ArrayView, String> {
@@ -567,7 +546,7 @@ impl<'a> WorkerContext<'a> {
 
     /// [`WorkerContext::write_f64s`] for a slab-partitioned vector:
     /// serializes straight from the slabs, so an accumulator kept in
-    /// [`dooc_sparse::SlabVec`] form (for the pool's zero-copy AXPY) never
+    /// [`dooc_sparse::SlabVec`] form (for the pool's zero-copy sum) never
     /// needs to be flattened into a contiguous `Vec<f64>` first.
     pub fn write_f64s_slabs(
         &mut self,

@@ -1,5 +1,5 @@
-//! Tests of the worker data plane: pipelined reads must be byte-for-byte
-//! identical to the blocking baseline under arbitrary array geometries, the
+//! Tests of the worker data plane: pipelined reads must return the written
+//! bytes exactly under arbitrary array geometries, the
 //! zero-copy f64 decode must survive block-straddling values, and the
 //! incremental residency tracker must agree with a from-scratch snapshot
 //! under partial residency.
@@ -92,11 +92,11 @@ fn payload(len: u64, seed: u64) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The pipelined read path returns exactly what the blocking baseline
-    /// returns (and what was written) for arbitrary length/block-size
-    /// geometries, including block sizes that are not f64-aligned.
+    /// The pipelined read path returns exactly what was written for
+    /// arbitrary length/block-size geometries, including block sizes that
+    /// are not f64-aligned.
     #[test]
-    fn pipelined_read_matches_blocking(
+    fn pipelined_read_returns_the_written_bytes(
         len in 1u64..3_000,
         bs in 1u64..700,
         seed in 0u64..u64::MAX,
@@ -109,8 +109,6 @@ proptest! {
             ctx.write_bytes("a", Bytes::from(data.clone())).expect("write");
             let pipelined = ctx.read_array("a").expect("pipelined read");
             assert_eq!(pipelined, data, "pipelined read differs from written bytes");
-            let blocking = ctx.read_array_blocking("a").expect("blocking read");
-            assert_eq!(pipelined, blocking, "pipelined and blocking reads differ");
         });
     }
 

@@ -1,9 +1,7 @@
 //! The SpMV executor computes on its inputs where the storage layer holds
 //! them: a `multiply` over a single-block matrix copies no matrix byte and
 //! hands every pin back, a matrix that spans several blocks is assembled
-//! once and still multiplies bit for bit — from the narrow-index encoding
-//! the library writes and from a version-1 file alike — a corrupt block is
-//! a task error rather than a panic, also when it is reloaded under a
+//! once and still multiplies bit for bit, a corrupt block is a task error rather than a panic, also when it is reloaded under a
 //! matrix validated before, and the fused decode-and-add of `sum` is
 //! bitwise the AXPY it replaces.
 
@@ -16,10 +14,6 @@ use dooc_storage::{StorageClient, StorageCluster};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-#[path = "../../../tests/common/v1.rs"]
-mod v1;
-use v1::v1_bytes;
 
 /// The scratch directory of the node [`run_node`] runs for `tag`.
 fn scratch(tag: &str) -> PathBuf {
@@ -70,19 +64,10 @@ fn sample() -> (CsrMatrix, Vec<f64>) {
     (m, x)
 }
 
-/// Both encodings of `m`, each with the offset of its first column index and
-/// the width of one.
-fn encodings(m: &CsrMatrix) -> [(&'static str, Vec<u8>, usize, usize); 2] {
+/// The encoding of `m` and the offset of its first (4-byte) column index.
+fn encoding(m: &CsrMatrix) -> (Vec<u8>, usize) {
     let nptrs = m.nrows() as usize + 1;
-    [
-        (
-            "v2",
-            fileio::to_bytes(m),
-            32 + (4 * nptrs).next_multiple_of(8),
-            4,
-        ),
-        ("v1", v1_bytes(m), 32 + 8 * nptrs, 8),
-    ]
+    (fileio::to_bytes(m), 32 + (4 * nptrs).next_multiple_of(8))
 }
 
 /// Stores `matrix` as array `<tag>A` in blocks of `block` bytes and `x` as
@@ -139,19 +124,17 @@ fn multiply_blocked(
 fn multiply_over_a_single_block_copies_no_matrix_byte() {
     run_node("single", |sc| {
         let (m, x) = sample();
-        for (tag, raw, _, _) in encodings(&m) {
-            let len = raw.len() as u64;
-            let (y, copied, pinned) = multiply(sc, tag, raw, len, &x, m.nrows());
-            assert_eq!(
-                bits(&y.expect("multiply")),
-                bits(&m.spmv(&x).expect("dims")),
-                "{tag}"
-            );
-            // Neither input was copied, and the product was computed into
-            // the buffer that became its block.
-            assert_eq!(copied, 0, "{tag}: a byte was copied");
-            assert_eq!(pinned, 0, "{tag}: a pin outlived the task");
-        }
+        let (raw, _) = encoding(&m);
+        let len = raw.len() as u64;
+        let (y, copied, pinned) = multiply(sc, "single", raw, len, &x, m.nrows());
+        assert_eq!(
+            bits(&y.expect("multiply")),
+            bits(&m.spmv(&x).expect("dims"))
+        );
+        // Neither input was copied, and the product was computed into the
+        // buffer that became its block.
+        assert_eq!(copied, 0, "a byte was copied");
+        assert_eq!(pinned, 0, "a pin outlived the task");
     });
 }
 
@@ -159,18 +142,16 @@ fn multiply_over_a_single_block_copies_no_matrix_byte() {
 fn multiply_over_a_multi_block_matrix_assembles_once() {
     run_node("multi", |sc| {
         let (m, x) = sample();
-        for (tag, raw, _, _) in encodings(&m) {
-            let len = raw.len() as u64;
-            // 7 is coprime to 8: block boundaries cut through words.
-            let (y, copied, pinned) = multiply(sc, tag, raw, len / 7 + 3, &x, m.nrows());
-            assert_eq!(
-                bits(&y.expect("multiply")),
-                bits(&m.spmv(&x).expect("dims")),
-                "{tag}"
-            );
-            assert_eq!(copied, len, "{tag}: one assembled copy");
-            assert_eq!(pinned, 0, "{tag}");
-        }
+        let (raw, _) = encoding(&m);
+        let len = raw.len() as u64;
+        // 7 is coprime to 8: block boundaries cut through words.
+        let (y, copied, pinned) = multiply(sc, "multi", raw, len / 7 + 3, &x, m.nrows());
+        assert_eq!(
+            bits(&y.expect("multiply")),
+            bits(&m.spmv(&x).expect("dims"))
+        );
+        assert_eq!(copied, len, "one assembled copy");
+        assert_eq!(pinned, 0);
     });
 }
 
@@ -186,18 +167,16 @@ fn multiply_gathers_x_from_its_bytes_across_odd_block_boundaries() {
         x[1] = f64::from_bits(1);
         x[2] = f64::from_bits(0x7ff8_0000_dead_beef);
         let xlen = 8 * x.len() as u64;
-        for (tag, raw, _, _) in encodings(&m) {
-            let len = raw.len() as u64;
-            let (y, copied, pinned) =
-                multiply_blocked(sc, tag, raw, len, &x, xlen / 3 + 5, m.nrows());
-            assert_eq!(
-                bits(&y.expect("multiply")),
-                bits(&m.spmv(&x).expect("dims")),
-                "{tag}"
-            );
-            assert_eq!(copied, xlen, "{tag}: x assembled once, nothing else");
-            assert_eq!(pinned, 0, "{tag}");
-        }
+        let (raw, _) = encoding(&m);
+        let len = raw.len() as u64;
+        let (y, copied, pinned) =
+            multiply_blocked(sc, "xblocks", raw, len, &x, xlen / 3 + 5, m.nrows());
+        assert_eq!(
+            bits(&y.expect("multiply")),
+            bits(&m.spmv(&x).expect("dims"))
+        );
+        assert_eq!(copied, xlen, "x assembled once, nothing else");
+        assert_eq!(pinned, 0);
     });
 }
 
@@ -205,27 +184,23 @@ fn multiply_gathers_x_from_its_bytes_across_odd_block_boundaries() {
 fn corrupted_block_fails_the_task_with_a_decode_error() {
     run_node("corrupt", |sc| {
         let (m, x) = sample();
-        type Corrupt = fn(&mut Vec<u8>, usize, usize);
+        type Corrupt = fn(&mut Vec<u8>, usize);
         let corruptions: [(&str, Corrupt); 3] = [
-            ("column out of range", |b, at, width| {
-                b[at..at + width].fill(0xFF)
-            }),
-            ("hostile nnz", |b, _, _| {
+            ("column out of range", |b, at| b[at..at + 4].fill(0xFF)),
+            ("hostile nnz", |b, _| {
                 b[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes())
             }),
-            ("bad magic", |b, _, _| b[0] = b'X'),
+            ("bad magic", |b, _| b[0] = b'X'),
         ];
-        for (tag, good, first_col, width) in encodings(&m) {
-            for (what, corrupt) in corruptions {
-                let what = format!("{tag} {what}");
-                let mut raw = good.clone();
-                corrupt(&mut raw, first_col, width);
-                let len = raw.len() as u64;
-                let (y, _, pinned) = multiply(sc, &what, raw, len, &x, m.nrows());
-                let err = y.expect_err(&what);
-                assert!(err.contains("decode matrix"), "{what}: {err}");
-                assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
-            }
+        let (good, first_col) = encoding(&m);
+        for (what, corrupt) in corruptions {
+            let mut raw = good.clone();
+            corrupt(&mut raw, first_col);
+            let len = raw.len() as u64;
+            let (y, _, pinned) = multiply(sc, what, raw, len, &x, m.nrows());
+            let err = y.expect_err(what);
+            assert!(err.contains("decode matrix"), "{what}: {err}");
+            assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
         }
     });
 }
@@ -242,8 +217,7 @@ fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
     let skipped = dooc_obs::metrics::counter("linalg.matrix_checks_skipped");
     run_node("reload", |sc| {
         let (m, x) = sample();
-        let good = fileio::to_bytes(&m);
-        let first_col = 32 + (4 * (m.nrows() as usize + 1)).next_multiple_of(8);
+        let (good, first_col) = encoding(&m);
         let (alen, xlen, ylen) = (good.len() as u64, 8 * x.len() as u64, 8 * m.nrows());
         let ys = ["y0", "y1", "y2", "y3"];
         let mut geometry: HashMap<String, (u64, u64)> =

@@ -1,5 +1,6 @@
 //! CLI validator for emitted trace/metrics artifacts; CI runs this against
-//! the files `bench_dataplane` and `reproduce` write.
+//! the files a traced `doocbench` run, `dooc-node` and the chaos suite
+//! write.
 //!
 //! ```text
 //! obs_validate --trace TRACE.json --metrics METRICS.txt \

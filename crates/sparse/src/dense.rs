@@ -3,27 +3,17 @@
 //! The Lanczos procedure's cost is "dominated by the associated sparse matrix
 //! vector multiplications (SpMV) and (to a smaller extent) orthonormalization
 //! of Lanczos vectors" (§II) — the orthonormalization is built from these
-//! axpy/dot/norm kernels. Parallel variants use crossbeam scoped threads with
-//! contiguous chunking; reductions sum per-thread partials in a fixed order
-//! so results are deterministic for a given thread count.
+//! axpy/dot/norm kernels. They are serial; the compute pool
+//! ([`crate::ComputePool`]) fans the slab-wise sum out across threads.
 
-/// Below this many elements `dot_parallel` (and the pool variant) runs
-/// serially: thread hand-off costs more than the reduction. Re-derived for
-/// the fork-join pool + unrolled kernels with `bench_dataplane --calibrate`
-/// (see BENCH_dataplane.json `calibration.dot`): serial/pool parity across
-/// the whole sweep (599 us vs 589 us at n = 1,048,576) on the 1-core host,
-/// where `parallelism_hint()` collapses the fork-join to the inline loop —
-/// so the threshold marks where task bookkeeping would be amortized on
-/// multi-core hosts, unchanged at 1M.
-pub const DOT_SERIAL_MAX: usize = 1_048_576;
-
-/// Below this many elements `axpy_parallel` (and the pool `axpy_slabs`
-/// variant) runs serially. The fork-join `axpy_slabs` path moves owned
-/// slabs — no copies — closing the old fan-out pool's 3.8x-at-1M copy
-/// regression to parity (634 us serial vs 630 us pool at n = 1,048,576,
-/// `calibration.axpy`, 2026-08). AXPY stays memory-bound, so no crossover
-/// exists below this size even with zero-copy fan-out; the threshold sits
-/// past every vector the experiments move.
+/// Below this many elements the pool's slab-wise sum
+/// ([`crate::ComputePool::add_le_slabs`]) runs inline on the caller. Its
+/// last calibration, on a 2-vCPU x86-64 host, had an AXPY through the same
+/// slab fan-out ahead of the serial loop in every run at 1 048 576 elements
+/// (1.4-1.8x) and in five of six at 262 144 (CHANGES.md keeps the rows), so
+/// the crossover lies far below this value. Moving it is a performance
+/// change for the end-to-end benchmark to judge, not a constant to retune
+/// from a micro-benchmark.
 pub const AXPY_SERIAL_MAX: usize = 4_194_304;
 
 /// Reference `y += alpha * x`: the plain scalar loop the unrolled kernel is
@@ -195,51 +185,6 @@ pub fn sum_vectors(parts: &[&[f64]]) -> Vec<f64> {
     acc
 }
 
-/// Parallel dot product over `nthreads` contiguous chunks. Deterministic for
-/// a fixed `nthreads` (partials are combined in chunk order).
-pub fn dot_parallel(x: &[f64], y: &[f64], nthreads: usize) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot operands must have equal length");
-    let nthreads = nthreads.max(1).min(x.len().max(1));
-    if nthreads == 1 || x.len() < DOT_SERIAL_MAX {
-        return dot(x, y);
-    }
-    let chunk = x.len().div_ceil(nthreads);
-    let mut partials = vec![0.0f64; nthreads];
-    crossbeam::scope(|scope| {
-        for (t, part) in partials.iter_mut().enumerate() {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(x.len());
-            if lo >= hi {
-                continue;
-            }
-            let (xs, ys) = (&x[lo..hi], &y[lo..hi]);
-            scope.spawn(move |_| {
-                *part = dot(xs, ys);
-            });
-        }
-    })
-    .expect("dot worker panicked");
-    partials.iter().sum()
-}
-
-/// Parallel `y += alpha * x` over contiguous chunks.
-pub fn axpy_parallel(alpha: f64, x: &[f64], y: &mut [f64], nthreads: usize) {
-    assert_eq!(x.len(), y.len(), "axpy operands must have equal length");
-    let nthreads = nthreads.max(1).min(x.len().max(1));
-    if nthreads == 1 || x.len() < AXPY_SERIAL_MAX {
-        return axpy(alpha, x, y);
-    }
-    let chunk = x.len().div_ceil(nthreads);
-    crossbeam::scope(|scope| {
-        for (t, ys) in y.chunks_mut(chunk).enumerate() {
-            let lo = t * chunk;
-            let xs = &x[lo..lo + ys.len()];
-            scope.spawn(move |_| axpy(alpha, xs, ys));
-        }
-    })
-    .expect("axpy worker panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,37 +267,5 @@ mod tests {
             assert!((d - r).abs() <= 1e-12 * r.abs().max(1.0), "dot ulp, n={n}");
             assert!((norm2(&x) - norm2_ref(&x)).abs() <= 1e-12 * norm2_ref(&x).max(1.0));
         }
-    }
-
-    #[test]
-    fn parallel_dot_matches_serial() {
-        let n = DOT_SERIAL_MAX + 10_000; // above the serial-routing threshold
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-        let reference = dot(&x, &y);
-        for nt in [1, 2, 3, 8] {
-            let d = dot_parallel(&x, &y, nt);
-            assert!((d - reference).abs() < 1e-9 * reference.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn parallel_axpy_matches_serial() {
-        let n = AXPY_SERIAL_MAX + 9_999; // above the serial-routing threshold
-        let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let mut y1: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5).collect();
-        let mut y2 = y1.clone();
-        axpy(1.5, &x, &mut y1);
-        axpy_parallel(1.5, &x, &mut y2, 4);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn parallel_kernels_handle_tiny_inputs() {
-        let x = vec![1.0];
-        let mut y = vec![2.0];
-        axpy_parallel(3.0, &x, &mut y, 8);
-        assert_eq!(y, vec![5.0]);
-        assert_eq!(dot_parallel(&x, &y, 8), 5.0);
     }
 }

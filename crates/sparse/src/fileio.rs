@@ -31,10 +31,6 @@
 //!   operands. Keeping their bits keeps the summation order and therefore
 //!   every result bit — 12 instead of 16 bytes per non-zero, same answer.
 //!
-//! Version 1 (`b"DOOCCRS1"`) has the same header and sections with 8-byte
-//! row pointers and column indices and no padding. Files in it keep reading
-//! — every reader dispatches once on the magic — but nothing here writes it.
-//!
 //! Reads and writes stream through `BufReader`/`BufWriter` in fixed-size
 //! chunks so that a sub-matrix larger than memory never requires a second
 //! resident copy during (de)serialization. The header's counts are
@@ -51,37 +47,19 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic bytes of the format version the writer emits (version 2).
+/// Magic bytes of the format version the writer emits and the readers
+/// accept (version 2).
 pub const MAGIC: &[u8; 8] = b"DOOCCRS2";
 
 pub(crate) const HEADER_BYTES: u64 = 32;
 
-/// On-disk layout version, named by the last byte of the magic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Format {
-    /// `DOOCCRS1`: 8-byte row pointers and column indices. Import only.
-    V1,
-    /// `DOOCCRS2`: 4-byte row pointers and column indices, sections padded
-    /// to a multiple of 8 bytes.
-    V2,
-}
-
-impl Format {
-    /// Bytes one row pointer or column index occupies.
-    fn index_bytes(self) -> u64 {
-        match self {
-            Format::V1 => 8,
-            Format::V2 => 4,
-        }
-    }
-}
+/// Bytes one row pointer or column index occupies.
+pub(crate) const INDEX_BYTES: usize = 4;
 
 /// Header of a binary CRS file (what `stat`+`peek` can learn without reading
 /// the payload; the storage layer's startup scan uses this).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrsHeader {
-    /// Layout of the sections that follow.
-    pub format: Format,
     /// Number of matrix rows.
     pub nrows: u64,
     /// Number of matrix columns.
@@ -91,7 +69,7 @@ pub struct CrsHeader {
 }
 
 impl CrsHeader {
-    /// Total file size implied by this header, in the layout it names.
+    /// Total file size implied by this header.
     /// Counts too large for any file saturate to `u64::MAX`, which no size
     /// compares equal to.
     pub fn file_size_bytes(&self) -> u64 {
@@ -101,21 +79,21 @@ impl CrsHeader {
     /// [`CrsHeader::file_size_bytes`] for a header that may be corrupt:
     /// `None` when the counts overflow `u64`.
     pub(crate) fn checked_file_size_bytes(&self) -> Option<u64> {
-        let row_ptr = self.index_section_bytes(self.nrows.checked_add(1)?)?;
-        let col_idx = self.index_section_bytes(self.nnz)?;
+        let row_ptr = index_section_bytes(self.nrows.checked_add(1)?)?;
+        let col_idx = index_section_bytes(self.nnz)?;
         let values = self.nnz.checked_mul(8)?;
         HEADER_BYTES
             .checked_add(row_ptr)?
             .checked_add(col_idx)?
             .checked_add(values)
     }
+}
 
-    /// Size of an index section of `count` entries, padding included.
-    fn index_section_bytes(&self, count: u64) -> Option<u64> {
-        count
-            .checked_mul(self.format.index_bytes())?
-            .checked_next_multiple_of(8)
-    }
+/// Size of an index section of `count` entries, padding included.
+fn index_section_bytes(count: u64) -> Option<u64> {
+    count
+        .checked_mul(INDEX_BYTES as u64)?
+        .checked_next_multiple_of(8)
 }
 
 /// Zero bytes that follow `count` `width`-byte words up to a multiple of 8.
@@ -203,7 +181,6 @@ fn header_of(m: &CsrMatrix) -> Result<CrsHeader> {
         }
     }
     Ok(CrsHeader {
-        format: Format::V2,
         nrows: m.nrows(),
         ncols: m.ncols(),
         nnz: m.nnz(),
@@ -241,27 +218,23 @@ pub fn read_header(path: &Path) -> Result<CrsHeader> {
     read_header_from(&mut r)
 }
 
-/// Reads a header from an arbitrary source. The magic decides the layout
-/// every later reader of the payload dispatches on.
+/// Reads a header from an arbitrary source. Any magic but version 2's is
+/// refused: another version digit as an unsupported version, anything else
+/// as a bad magic.
 pub fn read_header_from<R: Read>(r: &mut R) -> Result<CrsHeader> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)
         .map_err(|e| truncated_or_io(e, "magic"))?;
-    let format = match (&magic[..7], magic[7]) {
-        (b"DOOCCRS", b'1') => Format::V1,
-        (b"DOOCCRS", b'2') => Format::V2,
-        (b"DOOCCRS", version) => {
-            return Err(SparseError::BadFormat(format!(
-                "unsupported format version '{}' (this build reads 1 and 2)",
-                version.escape_ascii()
-            )))
-        }
-        _ => {
-            return Err(SparseError::BadFormat(format!(
-                "bad magic {magic:?}, expected {MAGIC:?}"
-            )))
-        }
-    };
+    if &magic != MAGIC {
+        return Err(SparseError::BadFormat(if magic[..7] == MAGIC[..7] {
+            format!(
+                "unsupported format version '{}' (this build reads 2)",
+                magic[7].escape_ascii()
+            )
+        } else {
+            format!("bad magic {magic:?}, expected {MAGIC:?}")
+        }));
+    }
     let mut word = || -> Result<u64> {
         let mut word = [0u8; 8];
         r.read_exact(&mut word)
@@ -269,12 +242,11 @@ pub fn read_header_from<R: Read>(r: &mut R) -> Result<CrsHeader> {
         Ok(u64::from_le_bytes(word))
     };
     let h = CrsHeader {
-        format,
         nrows: word()?,
         ncols: word()?,
         nnz: word()?,
     };
-    if format == Format::V2 && h.ncols.max(h.nnz) > u64::from(u32::MAX) {
+    if h.ncols.max(h.nnz) > u64::from(u32::MAX) {
         return Err(SparseError::BadFormat(format!(
             "header {h:?}: ncols and nnz of a version-2 file must fit 32 bits"
         )));
@@ -288,26 +260,16 @@ pub fn read_matrix(path: &Path) -> Result<CsrMatrix> {
     read_matrix_from(&mut r)
 }
 
-/// Reads a full matrix, of either format version, from an arbitrary source.
+/// Reads a full matrix from an arbitrary source.
 pub fn read_matrix_from<R: Read>(r: &mut R) -> Result<CsrMatrix> {
     let h = read_header_from(r)?;
     let nptrs = h
         .nrows
         .checked_add(1)
         .ok_or_else(|| SparseError::BadFormat(format!("header {h:?}: nrows + 1 overflows")))?;
-    let (row_ptr, col_idx) = match h.format {
-        Format::V1 => (
-            read_words(r, nptrs, "row_ptr", u64::from_le_bytes)?,
-            read_words(r, h.nnz, "col_idx", u64::from_le_bytes)?,
-        ),
-        Format::V2 => {
-            let widen = |w| u64::from(u32::from_le_bytes(w));
-            (
-                read_words(r, nptrs, "row_ptr", widen)?,
-                read_words(r, h.nnz, "col_idx", widen)?,
-            )
-        }
-    };
+    let widen = |w| u64::from(u32::from_le_bytes(w));
+    let row_ptr = read_words(r, nptrs, "row_ptr", widen)?;
+    let col_idx = read_words(r, h.nnz, "col_idx", widen)?;
     let values = read_words(r, h.nnz, "values", f64::from_le_bytes)?;
     // Full validation: files may come from outside this process.
     CsrMatrix::new(h.nrows, h.ncols, row_ptr, col_idx, values)
@@ -327,8 +289,8 @@ pub fn to_bytes(m: &CsrMatrix) -> Vec<u8> {
     out
 }
 
-/// Deserializes a matrix from bytes produced by [`to_bytes`] (or a version-1
-/// file's): the one in-memory decoder is a validated [`CsrView`] copied out.
+/// Deserializes a matrix from bytes produced by [`to_bytes`]: the one
+/// in-memory decoder is a validated [`CsrView`] copied out.
 pub fn from_bytes(bytes: &[u8]) -> Result<CsrMatrix> {
     Ok(CsrView::parse(bytes)?.to_matrix())
 }
@@ -405,7 +367,6 @@ mod tests {
         let m = GapGenerator::with_d(2).generate(10, 20, 1);
         let bytes = to_bytes(&m);
         let h = read_header_from(&mut &bytes[..]).expect("header");
-        assert_eq!(h.format, Format::V2);
         assert_eq!(h.nrows, 10);
         assert_eq!(h.ncols, 20);
         assert_eq!(h.nnz, m.nnz());
@@ -422,14 +383,18 @@ mod tests {
 
     #[test]
     fn an_unknown_version_is_named_as_such() {
-        let mut bytes = to_bytes(&CsrMatrix::identity(3));
-        bytes[7] = b'3';
-        for decoded in [from_bytes(&bytes), read_matrix_from(&mut &bytes[..])] {
-            match decoded {
-                Err(SparseError::BadFormat(m)) => {
-                    assert!(m.contains("unsupported format version '3'"), "{m}")
+        // '1' is the retired 8-byte-index layout: refused like any other.
+        for version in [b'1', b'3'] {
+            let mut bytes = to_bytes(&CsrMatrix::identity(3));
+            bytes[7] = version;
+            let named = format!("unsupported format version '{}'", version as char);
+            for decoded in [from_bytes(&bytes), read_matrix_from(&mut &bytes[..])] {
+                match decoded {
+                    Err(SparseError::BadFormat(m)) => {
+                        assert!(m.contains(&named) && !m.contains("reads 1"), "{m}")
+                    }
+                    other => panic!("{named} must be a format error, got {other:?}"),
                 }
-                other => panic!("DOOCCRS3 must be a format error, got {other:?}"),
             }
         }
     }

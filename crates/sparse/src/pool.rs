@@ -1,10 +1,8 @@
 //! Persistent fork-join compute pool for the node-local kernels.
 //!
-//! The scoped-thread kernels ([`dense::dot_parallel`],
-//! [`dense::axpy_parallel`]) spawn and join fresh OS
-//! threads on *every* call — fine for a one-off multiply, but a worker filter
-//! executing thousands of tasks pays the spawn/join latency each time.
-//! [`ComputePool`] keeps the threads alive for the lifetime of a worker run.
+//! A worker filter executing thousands of tasks cannot pay an OS thread
+//! spawn and join per kernel call. [`ComputePool`] keeps the threads alive
+//! for the lifetime of a worker run.
 //!
 //! # Design
 //!
@@ -18,9 +16,9 @@
 //!   writes its own `Mutex<Option<T>>` slot, so there is no output channel
 //!   and no reassembly protocol. For slab-resident vectors
 //!   ([`crate::slab::SlabVec`]) the slots carry *owned* slabs both ways, so
-//!   a parallel AXPY moves pointers, never element data (the repo forbids
-//!   `unsafe`, so `&mut` slices cannot cross into `'static` pool jobs; owned
-//!   slabs can).
+//!   a parallel slab-wise sum moves pointers, never element data (the repo
+//!   forbids `unsafe`, so `&mut` slices cannot cross into `'static` pool
+//!   jobs; owned slabs can).
 //! * The **submitting thread participates**: it drives the same task counter
 //!   as the workers, so a k-way kernel never idles the caller, and on a host
 //!   with a single effective core the fork-join degrades to a plain inline
@@ -67,13 +65,12 @@ use std::sync::Arc;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Below this many non-zeros an SpMV runs serially on the submitting thread:
-/// the fan-out costs more than the multiply itself. Re-derived for the
-/// fork-join pool with `bench_dataplane --calibrate` (see BENCH_dataplane.json
-/// `calibration.spmv`, 2026-08: serial 2467 us vs forced-fan-out 2533 us at
-/// 1M nnz): on the 1-core host the public path collapses to the inline loop
-/// and forced task partitioning costs ~3%, so the threshold marks where
-/// fan-out bookkeeping is amortized on multi-core hosts (~1M nnz, unchanged
-/// from the fan-out pool).
+/// the fan-out costs more than the multiply itself. Its last calibration, on
+/// a 2-vCPU x86-64 host, had the fan-out ahead of the serial kernel from
+/// 62 793 nnz up (1.0-2.1x; CHANGES.md keeps the rows), so the crossover
+/// lies far below this value. Moving it is a performance change for the
+/// end-to-end benchmark to judge, not a constant to retune from a
+/// micro-benchmark.
 pub const SPMV_SERIAL_MAX_NNZ: usize = 1_048_576;
 
 /// Per-worker deque capacity. Helpers beyond this are discarded (they only
@@ -83,10 +80,6 @@ pub const QUEUE_CAP: usize = 256;
 /// Fan-outs split into `parallelism * TASKS_PER_THREAD` chunks so the
 /// stealing deques can rebalance uneven chunks (nnz skew, cache effects).
 const TASKS_PER_THREAD: usize = 4;
-
-/// Never split a dense kernel below this many elements per task: the slot
-/// write + steal handshake costs more than the arithmetic.
-const MIN_DENSE_CHUNK: usize = 4096;
 
 /// Shared state between the pool handle and its workers.
 struct Inner {
@@ -418,88 +411,20 @@ impl ComputePool {
         }
     }
 
-    /// Pool-backed parallel dot product. Deterministic for a fixed
-    /// parallelism (chunk partials summed in task order). Falls back to the
-    /// serial kernel below [`dense::DOT_SERIAL_MAX`].
-    pub fn dot(&self, x: &Arc<Vec<f64>>, y: &Arc<Vec<f64>>) -> f64 {
-        assert_eq!(x.len(), y.len(), "dot operands must have equal length");
-        let n = x.len();
-        let par = self.parallelism_hint().min(n.max(1));
-        if par == 1 || n < dense::DOT_SERIAL_MAX {
-            return dense::dot(x, y);
-        }
-        self.dot_fanout(x, y, par)
-    }
-
-    /// The fork-join body of [`ComputePool::dot`] at an explicit
-    /// `parallelism`, without the serial routing.
-    pub fn dot_fanout(&self, x: &Arc<Vec<f64>>, y: &Arc<Vec<f64>>, parallelism: usize) -> f64 {
-        let n = x.len();
-        let par = parallelism.max(1).min(n.max(1));
-        let ntasks = (par * TASKS_PER_THREAD)
-            .min(n.div_ceil(MIN_DENSE_CHUNK))
-            .max(1);
-        let chunk = n.div_ceil(ntasks);
-        let partials = {
-            let x = Arc::clone(x);
-            let y = Arc::clone(y);
-            self.fork_join_with(ntasks, par, move |t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                dense::dot(&x[lo..hi], &y[lo..hi])
-            })
-        };
-        partials.iter().sum()
-    }
-
-    /// Pool-backed `y += alpha * x` on a contiguous `y`.
-    ///
-    /// A contiguous `&mut [f64]` cannot be lent to `'static` pool jobs
-    /// without copying it in and out (the measured 3.8x regression of the
-    /// old fan-out pool), so this routes serially below
-    /// [`dense::AXPY_SERIAL_MAX`] and through the zero-copy *scoped*-thread
-    /// kernel [`dense::axpy_parallel`] above it (spawn cost is amortized at
-    /// that size). Accumulators that want pool-parallel AXPY hold their data
-    /// as a [`SlabVec`] and call [`ComputePool::axpy_slabs`].
-    pub fn axpy(&self, alpha: f64, x: &Arc<Vec<f64>>, y: &mut [f64]) {
-        assert_eq!(x.len(), y.len(), "axpy operands must have equal length");
-        let par = self.parallelism_hint().min(x.len().max(1));
-        if par == 1 || x.len() < dense::AXPY_SERIAL_MAX {
-            return dense::axpy(alpha, x, y);
-        }
-        dense::axpy_parallel(alpha, x, y, par);
-    }
-
-    /// Pool-backed `y += alpha * x` where `y` is slab-partitioned: the
-    /// parallel path moves each owned slab into a task slot, updates it in
-    /// place on a worker, and moves it back — no element data is copied.
-    pub fn axpy_slabs(&self, alpha: f64, x: &Arc<Vec<f64>>, y: &mut SlabVec) {
-        self.update_slabs(y, axpy_range(alpha, x, y.len()));
-    }
-
-    /// The fork-join body of [`ComputePool::axpy_slabs`] at an explicit
-    /// `parallelism`, without the serial routing.
-    pub fn axpy_slabs_fanout(
-        &self,
-        alpha: f64,
-        x: &Arc<Vec<f64>>,
-        y: &mut SlabVec,
-        parallelism: usize,
-    ) {
-        self.update_slabs_fanout(y, parallelism, axpy_range(alpha, x, y.len()));
-    }
-
     /// Pool-backed `y += x` where `x` is still the little-endian bytes it
     /// was stored as (a pinned storage block, say): each slab is folded in
     /// with [`dense::add_assign_le`], so no `Vec<f64>` of `x` ever exists.
-    /// Bitwise equal to decoding `x` and calling
-    /// [`ComputePool::axpy_slabs`] with `alpha = 1.0`; same routing.
+    /// Bitwise equal to [`dense::add_assign`] of the decoded `x`.
     pub fn add_le_slabs(&self, x: &Bytes, y: &mut SlabVec) {
-        assert_eq!(x.len(), 8 * y.len(), "add operands must have equal length");
-        let x = x.clone();
-        self.update_slabs(y, move |lo, hi, slab: &mut [f64]| {
-            dense::add_assign_le(slab, &x[8 * lo..8 * hi])
-        });
+        self.update_slabs(y, add_le_range(x, y.len()));
+    }
+
+    /// The fork-join body of [`ComputePool::add_le_slabs`] at an explicit
+    /// `parallelism`, without the serial routing (kept public, as
+    /// [`ComputePool::spmv_fanout`] is, so tests cover the slab hand-off at
+    /// any length and forced concurrency).
+    pub fn add_le_slabs_fanout(&self, x: &Bytes, y: &mut SlabVec, parallelism: usize) {
+        self.update_slabs_fanout(y, parallelism, add_le_range(x, y.len()));
     }
 
     /// Applies `f(lo, hi, slab)` to every slab of `y` (`[lo, hi)` is the
@@ -546,15 +471,15 @@ impl ComputePool {
     }
 }
 
-/// The per-slab body of the slab AXPYs: `slab += alpha * x[lo..hi]`.
-fn axpy_range(
-    alpha: f64,
-    x: &Arc<Vec<f64>>,
+/// The per-slab body of the slab sums: `slab += x[lo..hi]`, with `x` still
+/// little-endian bytes.
+fn add_le_range(
+    x: &Bytes,
     ylen: usize,
 ) -> impl Fn(usize, usize, &mut [f64]) + Send + Sync + 'static {
-    assert_eq!(x.len(), ylen, "axpy operands must have equal length");
-    let x = Arc::clone(x);
-    move |lo, hi, slab| dense::axpy(alpha, &x[lo..hi], slab)
+    assert_eq!(x.len(), 8 * ylen, "add operands must have equal length");
+    let x = x.clone();
+    move |lo, hi, slab| dense::add_assign_le(slab, &x[8 * lo..8 * hi])
 }
 
 impl Drop for ComputePool {
@@ -730,45 +655,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_dot_and_axpy_match_serial() {
+    fn slab_sum_matches_contiguous_at_forced_parallelism() {
         let n = 100_000;
-        let x = Arc::new(
-            (0..n)
-                .map(|i| (i as f64 * 0.37).sin())
-                .collect::<Vec<f64>>(),
-        );
-        let yv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-        let y = Arc::new(yv.clone());
-        let reference = dense::dot(&x, &y);
-        let pool = ComputePool::new(4);
-        // Public API (routes serial below the thresholds)...
-        let d = pool.dot(&x, &y);
-        assert!((d - reference).abs() < 1e-9 * reference.abs().max(1.0));
-        // ...and the fan-out body itself at forced parallelism.
-        let d = pool.dot_fanout(&x, &y, 4);
-        assert!((d - reference).abs() < 1e-9 * reference.abs().max(1.0));
-        let mut y1 = yv.clone();
-        let mut y2 = yv.clone();
-        dense::axpy(1.5, &x, &mut y1);
-        pool.axpy(1.5, &x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn slab_axpy_matches_contiguous_at_forced_parallelism() {
-        let n = 100_000;
-        let x = Arc::new((0..n).map(|i| (i as f64 * 0.2).sin()).collect::<Vec<f64>>());
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).sin()).collect();
+        let xle = Bytes::from(x.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
         let yv: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let mut reference = yv.clone();
-        dense::axpy(-0.75, &x, &mut reference);
+        dense::add_assign(&mut reference, &x);
         let pool = ComputePool::new(4);
         // Serial-routed public API...
         let mut s = SlabVec::from_vec(yv.clone(), 8192);
-        pool.axpy_slabs(-0.75, &x, &mut s);
+        pool.add_le_slabs(&xle, &mut s);
         assert_eq!(s.to_vec(), reference);
         // ...and the fan-out body, bit-for-bit (same per-slab kernel).
         let mut s = SlabVec::from_vec(yv, 8192);
-        pool.axpy_slabs_fanout(-0.75, &x, &mut s, 4);
+        pool.add_le_slabs_fanout(&xle, &mut s, 4);
         assert_eq!(s.to_vec(), reference);
         assert_eq!(s.len(), n);
     }
@@ -783,16 +684,5 @@ mod tests {
             pool.spmv(&m, &x, &mut y).expect("dims ok");
             assert_eq!(y, *x);
         }
-    }
-
-    #[test]
-    fn tiny_inputs_route_serial() {
-        let pool = ComputePool::new(8);
-        let x = Arc::new(vec![1.0]);
-        let y = Arc::new(vec![5.0]);
-        assert_eq!(pool.dot(&x, &y), 5.0);
-        let mut yv = vec![2.0];
-        pool.axpy(3.0, &x, &mut yv);
-        assert_eq!(yv, vec![5.0]);
     }
 }

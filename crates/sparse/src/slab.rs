@@ -5,7 +5,7 @@
 //! own `Vec<f64>`, the compute pool can move slabs into per-task result slots,
 //! update them on worker threads, and move them back — transferring ownership
 //! by pointer instead of copying element data. This is what lets a parallel
-//! AXPY over a pool of `'static` workers stay zero-copy without `unsafe`
+//! sum over a pool of `'static` workers stay zero-copy without `unsafe`
 //! (`split_at_mut` borrows cannot cross into `'static` pool jobs; owned slabs
 //! can).
 //!
@@ -55,7 +55,7 @@ impl SlabVec {
 
     /// Re-chunk a contiguous vector into slabs. When `v` already fits in one
     /// slab the allocation is reused; otherwise this is the one copy paid at
-    /// accumulator construction (amortized over every later zero-copy AXPY).
+    /// accumulator construction (amortized over every later zero-copy sum).
     pub fn from_vec(v: Vec<f64>, slab_len: usize) -> Self {
         assert!(slab_len > 0, "slab_len must be positive");
         let len = v.len();

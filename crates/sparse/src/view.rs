@@ -6,32 +6,30 @@
 //! task; [`CsrView`] instead borrows the three sections where they lie and
 //! multiplies straight from them, fetching each index and value with
 //! `from_le_bytes`. Whichever way the arrays are held — a file's 4-byte
-//! indices (format version 2), a version-1 file's 8-byte ones, or an owned
-//! matrix's vectors — a view is one instance of [`CsrRef`], chosen once per
-//! block, so it is validated by, and multiplies with, exactly the code every
-//! other one runs: same accepted inputs, same result bits.
+//! indices or an owned matrix's vectors — a view is one instance of
+//! [`CsrRef`], chosen once per block, so it is validated by, and multiplies
+//! with, exactly the code the other one runs: same accepted inputs, same
+//! result bits.
 //!
 //! [`CsrBytes`] is a validated view that owns its buffer, which is what lets
 //! a matrix that lives in a storage block cross into the compute pool's
 //! `'static` jobs ([`SpmvOperand`]).
 
 use crate::csr::{CsrMatrix, CsrRef, Elem, ElemMut};
-use crate::fileio::{read_header_from, CrsHeader, Format, HEADER_BYTES};
+use crate::fileio::{read_header_from, CrsHeader, HEADER_BYTES, INDEX_BYTES};
 use crate::{Result, SparseError};
 use bytes::Bytes;
 
 /// A borrowed, allocation-free CSR matrix: the arrays of an owned
-/// [`CsrMatrix`], or the sections of a binary CRS file of either format
-/// version ([`CsrView::parse`]). Each method picks the instance once and
-/// runs [`CsrRef`]'s code for it; nothing branches per element.
+/// [`CsrMatrix`], or the sections of a binary CRS file
+/// ([`CsrView::parse`]). Each method picks the instance once and runs
+/// [`CsrRef`]'s code for it; nothing branches per element.
 #[derive(Clone, Copy, Debug)]
 pub enum CsrView<'a> {
     /// The `u64`/`f64` vectors of a [`CsrMatrix`].
     Owned(CsrRef<'a, u64, f64>),
-    /// File bytes, format version 1: 8-byte indices.
-    V1(CsrRef<'a, [u8; 8], [u8; 8]>),
     /// File bytes, format version 2: 4-byte indices.
-    V2(CsrRef<'a, [u8; 4], [u8; 8]>),
+    V2(CsrRef<'a, [u8; INDEX_BYTES], [u8; 8]>),
 }
 
 /// Evaluates `$body` with `$a` bound to whichever [`CsrRef`] `$view` holds.
@@ -39,7 +37,6 @@ macro_rules! with_csr {
     ($view:expr, $a:ident => $body:expr) => {
         match $view {
             CsrView::Owned($a) => $body,
-            CsrView::V1($a) => $body,
             CsrView::V2($a) => $body,
         }
     };
@@ -111,46 +108,34 @@ fn parse_header(bytes: &[u8]) -> Result<CrsHeader> {
 }
 
 /// The matrix over `bytes`, whose header `h` must have come from
-/// [`parse_header`] on the same bytes (so every range is in bounds): the one
-/// place the format version picks the index width. With `validate`, padding
-/// and every CSR invariant are checked in one streaming pass with nothing
-/// allocated; without, the bytes must have passed that before.
+/// [`parse_header`] on the same bytes (so every range is in bounds). With
+/// `validate`, padding and every CSR invariant are checked in one streaming
+/// pass with nothing allocated; without, the bytes must have passed that
+/// before.
 fn view_of<'a>(bytes: &'a [u8], h: &CrsHeader, validate: bool) -> Result<CsrView<'a>> {
-    Ok(match h.format {
-        Format::V1 => CsrView::V1(borrow(bytes, h, validate)?),
-        Format::V2 => CsrView::V2(borrow(bytes, h, validate)?),
-    })
-}
-
-/// Borrows the three sections of `bytes` with `N`-byte indices.
-fn borrow<'a, const N: usize>(
-    bytes: &'a [u8],
-    h: &CrsHeader,
-    validate: bool,
-) -> Result<CsrRef<'a, [u8; N], [u8; 8]>>
-where
-    [u8; N]: Elem<u64>,
-{
     let mut rest = &bytes[HEADER_BYTES as usize..];
-    // Splits `count` N-byte words and their padding off the front of `rest`.
+    // Splits `count` index words and their padding off the front of `rest`.
     let mut index_section = |count: usize| {
-        let (section, tail) = rest.split_at((N * count).next_multiple_of(8));
+        let len = INDEX_BYTES * count;
+        let (section, tail) = rest.split_at(len.next_multiple_of(8));
         rest = tail;
-        let (words, padding) = section.split_at(N * count);
-        (words.as_chunks::<N>().0, padding)
+        let (words, padding) = section.split_at(len);
+        (words.as_chunks::<INDEX_BYTES>().0, padding)
     };
     let (row_ptr, pad_ptr) = index_section(h.nrows as usize + 1);
     let (col_idx, pad_idx) = index_section(h.nnz as usize);
     let (values, _) = rest.as_chunks::<8>();
     if !validate {
-        return Ok(CsrRef::trusted(h.nrows, h.ncols, row_ptr, col_idx, values));
+        return Ok(CsrView::V2(CsrRef::trusted(
+            h.nrows, h.ncols, row_ptr, col_idx, values,
+        )));
     }
     if pad_ptr.iter().chain(pad_idx).any(|&b| b != 0) {
         return Err(SparseError::BadFormat(
             "non-zero padding after an index section".into(),
         ));
     }
-    CsrRef::new(h.nrows, h.ncols, row_ptr, col_idx, values)
+    CsrRef::new(h.nrows, h.ncols, row_ptr, col_idx, values).map(CsrView::V2)
 }
 
 /// A validated binary CRS buffer that owns its bytes: the checks of

@@ -1,10 +1,11 @@
-//! Property tests for the unrolled compute kernels (ISSUE 7 satellite): the
-//! 8-wide dense kernels and the pool's SpMV fan-out must match their scalar
+//! Property tests for the unrolled compute kernels: the 8-wide dense kernels
+//! and the pool's SpMV and slab-sum fan-outs must match their scalar
 //! references — bitwise where the element math is unchanged (axpy/axpby, any
-//! row partition of SpMV), ULP-bounded where the kernel reassociates a
-//! reduction (dot/norm2) — across sizes, offsets ("strides" into a larger
-//! buffer) and remainder lengths.
+//! row partition of SpMV, any slab partition of a sum), ULP-bounded where
+//! the kernel reassociates a reduction (dot/norm2) — across sizes, offsets
+//! ("strides" into a larger buffer) and remainder lengths.
 
+use bytes::Bytes;
 use dooc_sparse::{dense, slab::SlabVec, ComputePool, CsrMatrix};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -91,21 +92,23 @@ proptest! {
         prop_assert_eq!(y, serial);
     }
 
+    /// The slab fan-out every `sum` task takes: slabs moved out, summed on
+    /// workers and restored must give the bits of the contiguous sum.
     #[test]
-    fn pool_slab_axpy_is_bitwise(
+    fn pool_slab_sum_is_bitwise(
         (n, off) in arb_len_off(),
-        alpha in -5.0f64..5.0,
         slab_len in 1usize..40,
         par in 1usize..5,
     ) {
         let n = n + off; // plain length; slabs handle their own partitioning
-        let x = Arc::new(wave(n, 0.41));
+        let x = wave(n, 0.41);
+        let xle = Bytes::from(x.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
         let y = wave(n, 0.23);
         let mut reference = y.clone();
-        dense::axpy_ref(alpha, &x, &mut reference);
+        dense::add_assign(&mut reference, &x);
         let pool = ComputePool::new(2);
         let mut s = SlabVec::from_vec(y, slab_len);
-        pool.axpy_slabs_fanout(alpha, &x, &mut s, par);
+        pool.add_le_slabs_fanout(&xle, &mut s, par);
         prop_assert_eq!(s.to_vec(), reference);
     }
 }

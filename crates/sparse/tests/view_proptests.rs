@@ -1,14 +1,12 @@
 //! Property tests for the zero-copy CSR view: multiplying straight from
-//! binary CRS bytes — the 4-byte-index encoding the library writes and the
-//! 8-byte-index version 1 it still reads — must be **bitwise** the owned
-//! matrix's SpMV, across shapes, empty rows, every row length mod the 4-wide
-//! unroll, forced pool fan-out and buffers that start at odd addresses —
-//! the vectors' buffers too: `x` gathered from its stored bytes and `y`
-//! written as stored bytes give exactly the bytes of decode, multiply,
-//! serialize; and
-//! the view must accept exactly the byte strings the decoder accepts, in
-//! either layout. The shared validator (flat passes, no per-row loop) is
-//! checked against a per-row reference on arrays that are usually *invalid*.
+//! binary CRS bytes (4-byte indices) must be **bitwise** the owned matrix's
+//! SpMV, across shapes, empty rows, every row length mod the 4-wide unroll,
+//! forced pool fan-out and buffers that start at odd addresses — the
+//! vectors' buffers too: `x` gathered from its stored bytes and `y` written
+//! as stored bytes give exactly the bytes of decode, multiply, serialize;
+//! and the view must accept exactly the byte strings the decoder accepts.
+//! The shared validator (flat passes, no per-row loop) is checked against a
+//! per-row reference on arrays that are usually *invalid*.
 
 use bytes::Bytes;
 use dooc_sparse::fileio;
@@ -16,32 +14,24 @@ use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, CsrView, GapGenerator, Spars
 use proptest::prelude::*;
 use std::sync::Arc;
 
-#[path = "../../../tests/common/v1.rs"]
-mod v1;
-use v1::v1_bytes;
+/// Bytes per row pointer or column index in the file.
+const WIDTH: usize = 4;
 
-/// One encoding of a matrix with where its sections lie: `width` bytes per
-/// index, section starts `[row_ptr, col_idx, values]`.
+/// The encoding of a matrix with where its sections lie: section starts
+/// `[row_ptr, col_idx, values]`.
 struct Encoded {
     bytes: Vec<u8>,
-    width: usize,
     starts: [usize; 3],
 }
 
-/// Version 2 (`narrow`) or version 1 of `m`.
-fn encode(m: &CsrMatrix, narrow: bool) -> Encoded {
+fn encode(m: &CsrMatrix) -> Encoded {
     let (nptrs, nnz) = (m.nrows() as usize + 1, m.nnz() as usize);
-    let (bytes, width) = if narrow {
-        (fileio::to_bytes(m), 4)
-    } else {
-        (v1_bytes(m), 8)
-    };
-    let col_idx = 32 + (width * nptrs).next_multiple_of(8);
-    let values = col_idx + (width * nnz).next_multiple_of(8);
+    let bytes = fileio::to_bytes(m);
+    let col_idx = 32 + (WIDTH * nptrs).next_multiple_of(8);
+    let values = col_idx + (WIDTH * nnz).next_multiple_of(8);
     assert_eq!(bytes.len(), values + 8 * nnz);
     Encoded {
         bytes,
-        width,
         starts: [32, col_idx, values],
     }
 }
@@ -49,8 +39,8 @@ fn encode(m: &CsrMatrix, narrow: bool) -> Encoded {
 impl Encoded {
     /// Overwrites index `i` of section `section` (0 = row_ptr, 1 = col_idx).
     fn set_index(&mut self, section: usize, i: usize, val: u64) {
-        let at = self.starts[section] + self.width * i;
-        self.bytes[at..at + self.width].copy_from_slice(&val.to_le_bytes()[..self.width]);
+        let at = self.starts[section] + WIDTH * i;
+        self.bytes[at..at + WIDTH].copy_from_slice(&val.to_le_bytes()[..WIDTH]);
     }
 }
 
@@ -134,28 +124,25 @@ proptest! {
         m.spmv_into(&x, &mut owned).expect("dims");
         let pool = ComputePool::new(3);
 
-        for narrow in [true, false] {
-            // The file bytes at an arbitrary (odd, for off = 1, 3, …) address.
-            let mut buf = vec![0xEEu8; off];
-            buf.extend_from_slice(&encode(&m, narrow).bytes);
-            let view = CsrView::parse(&buf[off..]).expect("a well-formed encoding parses");
-            prop_assert_eq!(matches!(view, CsrView::V2(_)), narrow);
-            prop_assert_eq!((view.nrows(), view.ncols(), view.nnz()), (m.nrows(), m.ncols(), m.nnz()));
-            let mut borrowed = vec![f64::NAN; m.nrows() as usize];
-            view.spmv_into(&x, &mut borrowed).expect("dims");
-            prop_assert_eq!(bits(&borrowed), bits(&owned));
-            prop_assert_eq!(view.to_matrix(), m.clone());
+        // The file bytes at an arbitrary (odd, for off = 1, 3, …) address.
+        let mut buf = vec![0xEEu8; off];
+        buf.extend_from_slice(&encode(&m).bytes);
+        let view = CsrView::parse(&buf[off..]).expect("a well-formed encoding parses");
+        prop_assert_eq!((view.nrows(), view.ncols(), view.nnz()), (m.nrows(), m.ncols(), m.nnz()));
+        let mut borrowed = vec![f64::NAN; m.nrows() as usize];
+        view.spmv_into(&x, &mut borrowed).expect("dims");
+        prop_assert_eq!(bits(&borrowed), bits(&owned));
+        prop_assert_eq!(view.to_matrix(), m.clone());
 
-            // Through the pool, from an owned buffer: the public routing and
-            // the fork-join body at forced parallelism.
-            let shared = Arc::new(CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid"));
-            let mut y = vec![f64::NAN; m.nrows() as usize];
-            pool.spmv(&shared, &x, &mut y).expect("dims");
-            prop_assert_eq!(bits(&y), bits(&owned));
-            let mut y = vec![f64::NAN; m.nrows() as usize];
-            pool.spmv_fanout(&shared, &x, &mut y, par);
-            prop_assert_eq!(bits(&y), bits(&owned));
-        }
+        // Through the pool, from an owned buffer: the public routing and
+        // the fork-join body at forced parallelism.
+        let shared = Arc::new(CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid"));
+        let mut y = vec![f64::NAN; m.nrows() as usize];
+        pool.spmv(&shared, &x, &mut y).expect("dims");
+        prop_assert_eq!(bits(&y), bits(&owned));
+        let mut y = vec![f64::NAN; m.nrows() as usize];
+        pool.spmv_fanout(&shared, &x, &mut y, par);
+        prop_assert_eq!(bits(&y), bits(&owned));
     }
 
     /// A multiply that gathers `x` from its little-endian bytes and writes
@@ -186,19 +173,17 @@ proptest! {
             ybuf.split_off(yoff)
         };
         let pool = ComputePool::new(3);
-        for narrow in [true, false] {
-            let encoded = encode(&m, narrow).bytes;
-            let view = CsrView::parse(&encoded).expect("parses");
-            let serial = multiply(&|y| {
-                view.spmv_into(xbytes.as_chunks::<8>().0, y).expect("dims")
-            });
-            prop_assert_eq!(&serial, &old, "serial, narrow = {}", narrow);
-            let shared = Arc::new(CsrBytes::new(Bytes::from(encoded)).expect("valid"));
-            let routed = multiply(&|y| pool.spmv(&shared, &xbytes, y).expect("dims"));
-            prop_assert_eq!(&routed, &old, "pool routing, narrow = {}", narrow);
-            let fanned = multiply(&|y| pool.spmv_fanout(&shared, &xbytes, y, par));
-            prop_assert_eq!(&fanned, &old, "fan-out at {}, narrow = {}", par, narrow);
-        }
+        let encoded = encode(&m).bytes;
+        let view = CsrView::parse(&encoded).expect("parses");
+        let serial = multiply(&|y| {
+            view.spmv_into(xbytes.as_chunks::<8>().0, y).expect("dims")
+        });
+        prop_assert_eq!(&serial, &old, "serial");
+        let shared = Arc::new(CsrBytes::new(Bytes::from(encoded)).expect("valid"));
+        let routed = multiply(&|y| pool.spmv(&shared, &xbytes, y).expect("dims"));
+        prop_assert_eq!(&routed, &old, "pool routing");
+        let fanned = multiply(&|y| pool.spmv_fanout(&shared, &xbytes, y, par));
+        prop_assert_eq!(&fanned, &old, "fan-out at {}", par);
         // The owned matrix through the same generic walk: bytes in, bytes out.
         let owned = Arc::new(m.clone());
         let fanned = multiply(&|y| pool.spmv_fanout(&owned, &xbytes, y, par));
@@ -212,12 +197,11 @@ proptest! {
     #[test]
     fn view_and_decoder_accept_the_same_bytes(
         m in arb_matrix(),
-        narrow in any::<bool>(),
         kind in 0usize..7,
         pick in 0usize..1000,
         val in 0u64..60,
     ) {
-        let mut e = encode(&m, narrow);
+        let mut e = encode(&m);
         let (nrows, nnz) = (m.nrows() as usize, m.nnz() as usize);
         // Section boundaries: magic, header, row_ptr, col_idx, values.
         let bounds = [0, 8, e.starts[0], e.starts[1], e.starts[2], e.bytes.len()];
@@ -282,45 +266,43 @@ proptest! {
 }
 
 /// Truncation at *every* section boundary, deterministically (the proptest
-/// above samples them), in both layouts.
+/// above samples them).
 #[test]
 fn every_section_boundary_truncation_is_rejected_by_both() {
-    // 12 rows: 13 row pointers, so version 2 pads after them.
-    let m = dooc_sparse::GapGenerator::with_d(2).generate(12, 15, 5);
-    for narrow in [true, false] {
-        let e = encode(&m, narrow);
-        let b = &e.bytes;
-        let [row_ptr, col_idx, values] = e.starts;
-        // `col_idx - 2` is inside the padding word of the narrow layout.
-        for cut in [0, 8, row_ptr, col_idx - 2, col_idx, values, b.len() - 1] {
-            assert!(
-                CsrView::parse(&b[..cut]).is_err(),
-                "view accepted a cut at {cut}"
-            );
-            assert!(
-                fileio::from_bytes(&b[..cut]).is_err(),
-                "decoder accepted a cut at {cut}"
-            );
-            assert!(
-                fileio::read_matrix_from(&mut &b[..cut]).is_err(),
-                "streaming reader accepted a cut at {cut}"
-            );
-        }
-        assert!(CsrView::parse(b).is_ok() && fileio::from_bytes(b).is_ok());
+    // 12 rows: 13 row pointers, so the row pointer section is padded.
+    let m = GapGenerator::with_d(2).generate(12, 15, 5);
+    let e = encode(&m);
+    let b = &e.bytes;
+    let [row_ptr, col_idx, values] = e.starts;
+    // `col_idx - 2` is inside the padding word.
+    for cut in [0, 8, row_ptr, col_idx - 2, col_idx, values, b.len() - 1] {
+        assert!(
+            CsrView::parse(&b[..cut]).is_err(),
+            "view accepted a cut at {cut}"
+        );
+        assert!(
+            fileio::from_bytes(&b[..cut]).is_err(),
+            "decoder accepted a cut at {cut}"
+        );
+        assert!(
+            fileio::read_matrix_from(&mut &b[..cut]).is_err(),
+            "streaming reader accepted a cut at {cut}"
+        );
     }
+    assert!(CsrView::parse(b).is_ok() && fileio::from_bytes(b).is_ok());
 }
 
-/// Hostile version-2 input is a typed error from every reader, and a count
+/// Hostile input is a typed error from every reader, and a count
 /// nobody has vouched for reserves nothing: the cases with absurd counts
 /// finish at all only because no reader allocates for them.
 #[test]
-fn hostile_narrow_input_is_a_typed_error() {
+fn hostile_input_is_a_typed_error() {
     // 4 rows (5 row pointers: padded) of 3 entries each (12: not padded).
     let triplets: Vec<_> = (0..4u64)
         .flat_map(|r| (0..3u64).map(move |j| (r, r + 2 * j, 1.5 + j as f64)))
         .collect();
     let m = CsrMatrix::from_triplets(4, 11, &triplets).expect("in bounds");
-    let good = encode(&m, true);
+    let good = encode(&m);
     assert_eq!(good.starts, [32, 56, 104], "the layout this test pokes at");
 
     type Mutate = fn(&mut Encoded);
@@ -348,7 +330,7 @@ fn hostile_narrow_input_is_a_typed_error() {
         ),
     ];
     for (what, says, mutate) in cases {
-        let mut e = encode(&m, true);
+        let mut e = encode(&m);
         mutate(&mut e);
         let structural = what.starts_with("column") || what.starts_with("row pointer");
         let readers = [
