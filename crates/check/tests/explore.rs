@@ -25,7 +25,7 @@ use dooc_storage::{ArrayMeta, Interval, MapDelta, NodeConfig, RecoveryPolicy, St
 use dooc_sync::model::FailureKind;
 use dooc_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Harness: a single storage node driven directly (no streams), with an
@@ -495,19 +495,6 @@ fn explore_catches_seeded_map_version_skip() {
 //    every read grant must have been handed back.
 // ---------------------------------------------------------------------------
 
-/// Real compute threads are irrelevant to the read path under test; one
-/// shared pool avoids re-spawning per explored schedule. It MUST be
-/// initialized outside any execution (see `pipeline_window`): created
-/// inside one, the worker's startup (deque locks, sleepers lock, condvar
-/// park) would be modeled into whichever execution first touched the
-/// `OnceLock` — and only that one — making its trace unreplayable.
-/// Created outside, the workers are plain OS threads parked on real
-/// primitives, invisible to every explored schedule.
-fn shared_pool() -> &'static dooc_sparse::ComputePool {
-    static POOL: OnceLock<dooc_sparse::ComputePool> = OnceLock::new();
-    POOL.get_or_init(|| dooc_sparse::ComputePool::new(1))
-}
-
 /// The storage side of harness 4: a `StorageState` event loop servicing one
 /// client over real streams, with an in-memory disk (mirrors the
 /// `StorageFilter`/`IoFilter` pair without their layout plumbing).
@@ -556,9 +543,6 @@ fn serve(reqs: StreamReader, replies: StreamWriter) {
 }
 
 fn pipeline_window(leak: Option<u64>) -> impl Fn() + Send + Sync + 'static {
-    // Eager: this runs when the harness is *built* (outside the execution),
-    // pinning the pool's thread spawns to the real scheduler.
-    let _ = shared_pool();
     move || {
         let (to_srv, srv_in) = StreamSet::standalone("sreq", 8);
         let (srv_out, from_srv) = StreamSet::standalone("srep", 8);
@@ -572,8 +556,9 @@ fn pipeline_window(leak: Option<u64>) -> impl Fn() + Send + Sync + 'static {
         }
         let geometry: HashMap<String, (u64, u64)> =
             [("x".to_string(), (24u64, 8u64))].into_iter().collect();
+        let pool = dooc_sparse::ComputePool::new(1);
         {
-            let mut wc = dooc_core::WorkerContext::new(0, 1, &mut client, &geometry, shared_pool());
+            let mut wc = dooc_core::WorkerContext::new(0, 1, &mut client, &geometry, &pool);
             wc.leak_read_grant_of_block = leak;
             let data = wc.read_array("x").expect("read_array");
             assert_eq!(data.len(), 24, "assembled array length");

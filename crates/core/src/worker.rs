@@ -285,7 +285,7 @@ impl<'a> WorkerContext<'a> {
         self.client
     }
 
-    /// The node's persistent compute pool (built once per worker run).
+    /// How the node's kernels split across its cores.
     pub fn pool(&self) -> &ComputePool {
         self.pool
     }
@@ -543,25 +543,6 @@ impl<'a> WorkerContext<'a> {
         self.copied_bytes += raw.len() as u64;
         self.write_bytes(name, raw.freeze())
     }
-
-    /// [`WorkerContext::write_f64s`] for a slab-partitioned vector:
-    /// serializes straight from the slabs, so an accumulator kept in
-    /// [`dooc_sparse::SlabVec`] form (for the pool's zero-copy sum) never
-    /// needs to be flattened into a contiguous `Vec<f64>` first.
-    pub fn write_f64s_slabs(
-        &mut self,
-        name: &str,
-        xs: &dooc_sparse::SlabVec,
-    ) -> std::result::Result<(), String> {
-        let mut raw = self.output_buffer(8 * xs.len());
-        for slab in xs.slabs() {
-            for x in slab {
-                raw.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        self.copied_bytes += raw.len() as u64;
-        self.write_bytes(name, raw.freeze())
-    }
 }
 
 /// Incrementally maintained mirror of the node's availability map.
@@ -689,12 +670,8 @@ impl Filter for WorkerFilter {
         let base = self.client_base.load(dooc_sync::atomic::Ordering::Relaxed);
         let mut client = StorageClient::new(to_storage, from_storage, ctx.instance, base + node);
         client.set_retry_policy(self.config.client_retry.clone());
-        // Geometry hints on every node.
-        for (name, len, bs) in &self.config.geometry {
-            client
-                .register(name, *len, *bs)
-                .map_err(|e| ctx.error(format!("register {name}: {e}")))?;
-        }
+        // Geometry on every node: the runtime's table already holds the
+        // config's explicit hints over the defaults derived from the graph.
         for (name, (len, bs)) in self.geometry.iter() {
             client
                 .register(name, *len, *bs)
@@ -706,8 +683,6 @@ impl Filter for WorkerFilter {
             .with_prefetch_window(self.config.prefetch_window)
             .with_node(node as i64);
 
-        // Built once per worker run; every task execution reuses the same
-        // compute threads instead of spawning/joining per kernel call.
         let pool = ComputePool::new(self.config.threads_per_node);
         // Incremental mirror of the storage map: each tick fetches only what
         // changed since the last one.

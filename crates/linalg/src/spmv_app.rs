@@ -31,11 +31,10 @@ use dooc_core::{
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::fileio;
 use dooc_sparse::genmat::GapGenerator;
-use dooc_sparse::slab::DEFAULT_SLAB_LEN;
-use dooc_sparse::{CsrBytes, SlabVec};
+use dooc_sparse::CsrBytes;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// How often a `multiply` validated its matrix in full, and how often it
 /// found the matrix already validated in the same residency.
@@ -572,23 +571,22 @@ impl TaskExecutor for SpmvExecutor {
                 Self::check_f64_aligned(&task.inputs[1].array, &x)?;
                 let (mut pin, bytes) = Self::pin(ctx, &task.inputs[0].array)?;
                 let m = Self::matrix(&mut pin, bytes).map_err(|e| format!("decode matrix: {e}"))?;
-                let len = 8 * m.view().nrows() as usize;
+                let a = m.view();
+                let len = 8 * a.nrows() as usize;
                 let mut out = ctx.output_buffer(len);
                 out.resize(len, 0);
                 let (y, _) = out.as_chunks_mut::<8>();
-                // The node's persistent pool, not per-call scoped threads.
                 ctx.pool()
-                    .spmv(&Arc::new(m), &x, y)
+                    .spmv(a, x.as_chunks::<8>().0, y)
                     .map_err(|e| format!("spmv: {e}"))?;
                 drop((pin, x_pin));
                 ctx.write_bytes(&task.outputs[0].array, out.freeze())
             }
             "sum" | "sum_final" => {
-                // The accumulator lives in slab form so the pool's fan-out
-                // can move disjoint owned slabs into per-task result slots
-                // and back. Partials are pinned one at a time and folded in
-                // from their bytes; serialization at the end walks the slabs.
-                let mut acc: Option<SlabVec> = None;
+                // Partials are pinned one at a time and folded into the
+                // accumulator from their bytes. The first is decoded, not
+                // added to zeros: 0.0 + -0.0 would lose the sign.
+                let mut acc: Option<Vec<f64>> = None;
                 for input in &task.inputs {
                     if input.array.starts_with("bar_") {
                         continue; // synchronization token, not data
@@ -596,7 +594,10 @@ impl TaskExecutor for SpmvExecutor {
                     let (_pin, x) = Self::pin(ctx, &input.array)?;
                     Self::check_f64_aligned(&input.array, &x)?;
                     match &mut acc {
-                        None => acc = Some(SlabVec::from_le_bytes(&x, DEFAULT_SLAB_LEN)),
+                        None => {
+                            let words = x.as_chunks::<8>().0;
+                            acc = Some(words.iter().map(|w| f64::from_le_bytes(*w)).collect());
+                        }
                         Some(a) if 8 * a.len() != x.len() => {
                             return Err(format!(
                                 "array '{}' holds {} values, the sum so far {}",
@@ -605,13 +606,11 @@ impl TaskExecutor for SpmvExecutor {
                                 a.len()
                             ))
                         }
-                        // Pool-backed y += x (serial below the measured
-                        // threshold, pool fan-out above it).
-                        Some(a) => ctx.pool().add_le_slabs(&x, a),
+                        Some(a) => ctx.pool().add_le(a, &x),
                     }
                 }
                 let out = acc.ok_or("sum with no data inputs")?;
-                ctx.write_f64s_slabs(&task.outputs[0].array, &out)?;
+                ctx.write_f64s(&task.outputs[0].array, &out)?;
                 if task.kind == "sum_final" {
                     let name = task.outputs[0].array.clone();
                     ctx.storage()

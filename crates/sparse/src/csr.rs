@@ -15,6 +15,7 @@
 //! version 2) or 8-byte ones (version 1). All run the same code, so they
 //! accept the same matrices and produce the same bits.
 
+use crate::view::CsrView;
 use crate::{Result, SparseError};
 
 /// One stored element of a CSR array, however it is held in memory: a native
@@ -87,12 +88,12 @@ impl ElemMut<f64> for [u8; 8] {
 /// independent accumulators (the add chain is the bottleneck on top of the
 /// irregular gather) and a fixed combine order.
 ///
-/// Every SpMV walk in this crate — [`CsrRef::spmv_into`] and
-/// [`CsrRef::spmv_rows`], and through them every [`CsrMatrix`],
-/// [`crate::view::CsrView`] and pool path — funnels through this one
-/// function, so serial and pool fan-out results are bitwise identical for any
-/// row partition, for owned and borrowed matrices, for either index width and
-/// for an `x` gathered from native `f64`s or from its stored bytes.
+/// Every SpMV walk in this crate — [`CsrRef::spmv_into`] and the pieces of a
+/// fan-out, and through them every [`CsrMatrix`], [`crate::view::CsrView`]
+/// and pool path — funnels through this one function, so serial and pool
+/// fan-out results are bitwise identical for any row partition, for owned
+/// and borrowed matrices, for either index width and for an `x` gathered
+/// from native `f64`s or from its stored bytes.
 #[inline]
 fn row_dot<I: Elem<u64>, V: Elem<f64>, X: Elem<f64>>(cols: &[I], vals: &[V], x: &[X]) -> f64 {
     let mut a0 = 0.0f64;
@@ -268,22 +269,27 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
     /// alignment; the arithmetic, and so every result bit, is the same.
     pub fn spmv_into<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], y: &mut [Y]) -> Result<()> {
         self.check_dims(x, y)?;
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = Y::of(self.row(r, x));
-        }
+        self.spmv_rows_into(x, 0, y);
         Ok(())
     }
 
-    /// Computes rows `[r0, r1)` of `A * x` into a fresh vector (the slab a
-    /// pool worker produces; see [`crate::pool::ComputePool::spmv`]).
-    pub fn spmv_rows<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], r0: u64, r1: u64) -> Vec<Y> {
-        (r0 as usize..r1 as usize)
-            .map(|r| Y::of(self.row(r, x)))
-            .collect()
+    /// Rows `[r0, r0 + y.len())` of `A * x`, stored into `y`: the whole
+    /// product, or the piece of it one thread of a fan-out computes (see
+    /// [`crate::pool::ComputePool::spmv`]). The caller has checked the
+    /// dimensions.
+    pub(crate) fn spmv_rows_into<X: Elem<f64>, Y: ElemMut<f64>>(
+        &self,
+        x: &[X],
+        r0: u64,
+        y: &mut [Y],
+    ) {
+        for (r, yr) in (r0 as usize..).zip(y) {
+            *yr = Y::of(self.row(r, x));
+        }
     }
 
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
-    /// `[b[i], b[i+1])` slab carries roughly `nnz/p` non-zeros.
+    /// `[b[i], b[i+1])` piece carries roughly `nnz/p` non-zeros.
     pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
         let parts = parts.max(1);
         let nnz = self.nnz();
@@ -434,6 +440,11 @@ impl CsrMatrix {
         )
     }
 
+    /// The matrix as a [`CsrView`], the form the compute pool multiplies.
+    pub fn view(&self) -> CsrView<'_> {
+        CsrView::Owned(self.arrays())
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> u64 {
         self.nrows
@@ -522,7 +533,7 @@ impl CsrMatrix {
     }
 
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
-    /// `[b[i], b[i+1])` slab carries roughly `nnz/p` non-zeros.
+    /// `[b[i], b[i+1])` piece carries roughly `nnz/p` non-zeros.
     pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
         self.arrays().nnz_balanced_row_partition(parts)
     }

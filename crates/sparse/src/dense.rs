@@ -4,16 +4,15 @@
 //! vector multiplications (SpMV) and (to a smaller extent) orthonormalization
 //! of Lanczos vectors" (§II) — the orthonormalization is built from these
 //! axpy/dot/norm kernels. They are serial; the compute pool
-//! ([`crate::ComputePool`]) fans the slab-wise sum out across threads.
+//! ([`crate::ComputePool`]) splits a long sum across threads.
 
-/// Below this many elements the pool's slab-wise sum
-/// ([`crate::ComputePool::add_le_slabs`]) runs inline on the caller. Its
-/// last calibration, on a 2-vCPU x86-64 host, had an AXPY through the same
-/// slab fan-out ahead of the serial loop in every run at 1 048 576 elements
-/// (1.4-1.8x) and in five of six at 262 144 (CHANGES.md keeps the rows), so
-/// the crossover lies far below this value. Moving it is a performance
-/// change for the end-to-end benchmark to judge, not a constant to retune
-/// from a micro-benchmark.
+/// Below this many elements the pool's sum ([`crate::ComputePool::add_le`])
+/// runs inline on the caller. Its last calibration, on a 2-vCPU x86-64
+/// host, had an AXPY split across threads ahead of the serial loop in every
+/// run at 1 048 576 elements (1.4-1.8x) and in five of six at 262 144
+/// (CHANGES.md keeps the rows), so the crossover lies far below this value.
+/// Moving it is a performance change for the end-to-end benchmark to judge,
+/// not a constant to retune from a micro-benchmark.
 pub const AXPY_SERIAL_MAX: usize = 4_194_304;
 
 /// Reference `y += alpha * x`: the plain scalar loop the unrolled kernel is

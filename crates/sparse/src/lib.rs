@@ -17,7 +17,9 @@
 //! * [`blockgrid`] — the K×K square grid partitioning of a global matrix into
 //!   sub-matrices, including the file naming scheme and per-block generation;
 //! * [`dense`] — dense vector kernels (axpy/dot/norms/…) used by the iterated
-//!   SpMV application and by the Lanczos solver.
+//!   SpMV application and by the Lanczos solver;
+//! * [`pool`] — the split of one SpMV or sum across the node's cores, as
+//!   scoped threads over borrowed pieces of its operands.
 //!
 //! Everything is deterministic under a caller-supplied seed, `#![forbid(unsafe_code)]`,
 //! and sized with `u64` row/column indices so that paper-scale shapes
@@ -33,15 +35,13 @@ pub mod dense;
 pub mod fileio;
 pub mod genmat;
 pub mod pool;
-pub mod slab;
 pub mod view;
 
 pub use blockgrid::{BlockCoord, BlockGrid};
 pub use csr::CsrMatrix;
 pub use genmat::GapGenerator;
 pub use pool::ComputePool;
-pub use slab::SlabVec;
-pub use view::{CsrBytes, CsrView, SpmvOperand, SpmvVector};
+pub use view::{CsrBytes, CsrView};
 
 /// Errors produced by the sparse substrate.
 #[derive(Debug)]

@@ -11,9 +11,9 @@
 //! with, exactly the code the other one runs: same accepted inputs, same
 //! result bits.
 //!
-//! [`CsrBytes`] is a validated view that owns its buffer, which is what lets
-//! a matrix that lives in a storage block cross into the compute pool's
-//! `'static` jobs ([`SpmvOperand`]).
+//! [`CsrBytes`] is a validated view that owns its buffer: a matrix that
+//! lives in a storage block, held by the block's reference count for as
+//! long as a task needs it.
 
 use crate::csr::{CsrMatrix, CsrRef, Elem, ElemMut};
 use crate::fileio::{read_header_from, CrsHeader, HEADER_BYTES, INDEX_BYTES};
@@ -75,13 +75,18 @@ impl<'a> CsrView<'a> {
         with_csr!(self, a => a.spmv_into(x, y))
     }
 
-    /// Rows `[r0, r1)` of `A * x` as a fresh vector (see
-    /// [`CsrRef::spmv_rows`]).
-    pub fn spmv_rows<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], r0: u64, r1: u64) -> Vec<Y> {
-        with_csr!(self, a => a.spmv_rows(x, r0, r1))
+    /// Rows `[r0, r0 + y.len())` of `A * x`, stored into `y` (see
+    /// [`CsrRef::spmv_rows_into`]).
+    pub(crate) fn spmv_rows_into<X: Elem<f64>, Y: ElemMut<f64>>(
+        &self,
+        x: &[X],
+        r0: u64,
+        y: &mut [Y],
+    ) {
+        with_csr!(self, a => a.spmv_rows_into(x, r0, y))
     }
 
-    /// Row boundaries of `parts` slabs of roughly equal non-zero count (see
+    /// Row boundaries of `parts` pieces of roughly equal non-zero count (see
     /// [`CsrRef::nnz_balanced_row_partition`]).
     pub fn nnz_balanced_row_partition(&self, parts: usize) -> Vec<u64> {
         with_csr!(self, a => a.nnz_balanced_row_partition(parts))
@@ -172,52 +177,6 @@ impl CsrBytes {
     }
 }
 
-/// A dense vector the compute pool's `'static` jobs can gather from: shared
-/// ownership of its elements, in either form [`CsrRef::spmv_into`] reads.
-pub trait SpmvVector: Clone + Send + Sync + 'static {
-    /// How one element is held.
-    type Elem: Elem<f64>;
-    /// The vector's elements.
-    fn elems(&self) -> &[Self::Elem];
-}
-
-impl SpmvVector for std::sync::Arc<Vec<f64>> {
-    type Elem = f64;
-    fn elems(&self) -> &[f64] {
-        self
-    }
-}
-
-/// The little-endian bytes of a vector, where they lie (a pinned storage
-/// block, say) and at any alignment. Bytes beyond the last whole element are
-/// not part of the vector; a caller for which that is an error checks the
-/// length first.
-impl SpmvVector for Bytes {
-    type Elem = [u8; 8];
-    fn elems(&self) -> &[[u8; 8]] {
-        self.as_chunks::<8>().0
-    }
-}
-
-/// A matrix the kernels — and the compute pool's `'static` jobs — can
-/// multiply with: anything that lends its arrays as a [`CsrView`].
-pub trait SpmvOperand: Send + Sync + 'static {
-    /// The matrix's arrays.
-    fn csr(&self) -> CsrView<'_>;
-}
-
-impl SpmvOperand for CsrMatrix {
-    fn csr(&self) -> CsrView<'_> {
-        CsrView::Owned(self.arrays())
-    }
-}
-
-impl SpmvOperand for CsrBytes {
-    fn csr(&self) -> CsrView<'_> {
-        self.view()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +202,7 @@ mod tests {
         let m = GapGenerator::with_d(2).generate(9, 9, 4);
         let owned = CsrBytes::new(Bytes::from(to_bytes(&m))).expect("valid");
         assert_eq!(owned.view().to_matrix(), m);
-        assert_eq!(owned.clone().csr().nnz(), m.nnz());
+        assert_eq!(owned.clone().view().nnz(), m.nnz());
         assert!(CsrBytes::new(Bytes::from(vec![0u8; 40])).is_err());
     }
 

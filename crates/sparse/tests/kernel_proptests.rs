@@ -1,14 +1,13 @@
 //! Property tests for the unrolled compute kernels: the 8-wide dense kernels
-//! and the pool's SpMV and slab-sum fan-outs must match their scalar
-//! references — bitwise where the element math is unchanged (axpy/axpby, any
-//! row partition of SpMV, any slab partition of a sum), ULP-bounded where
-//! the kernel reassociates a reduction (dot/norm2) — across sizes, offsets
-//! ("strides" into a larger buffer) and remainder lengths.
+//! and the pool's SpMV and sum fan-outs must match their scalar references —
+//! bitwise where the element math is unchanged (axpy/axpby, any row
+//! partition of SpMV, any chunking of a sum), ULP-bounded where the kernel
+//! reassociates a reduction (dot/norm2) — across sizes, offsets ("strides"
+//! into a larger buffer) and remainder lengths.
 
-use bytes::Bytes;
-use dooc_sparse::{dense, slab::SlabVec, ComputePool, CsrMatrix};
+use dooc_sparse::pool::{add_le_fanout, spmv_fanout};
+use dooc_sparse::{dense, CsrMatrix};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Relative ULP-style bound for reassociated reductions: the unrolled and
 /// reference sums differ only in association over <= ~2^20 terms of bounded
@@ -82,33 +81,43 @@ proptest! {
     }
 
     #[test]
-    fn pool_fork_join_spmv_is_bitwise(m in arb_matrix(), par in 1usize..6) {
-        let m = Arc::new(m);
-        let x = Arc::new(wave(m.ncols() as usize, 0.3));
+    fn pool_fork_join_spmv_is_bitwise(m in arb_matrix(), par in 1usize..7) {
+        let x = wave(m.ncols() as usize, 0.3);
         let serial = m.spmv(&x).expect("dims");
-        let pool = ComputePool::new(2);
         let mut y = vec![0.0; m.nrows() as usize];
-        pool.spmv_fanout(&m, &x, &mut y, par);
+        spmv_fanout(m.view(), &x, &mut y, par).expect("dims");
         prop_assert_eq!(y, serial);
     }
 
-    /// The slab fan-out every `sum` task takes: slabs moved out, summed on
-    /// workers and restored must give the bits of the contiguous sum.
+    /// The split every long `sum` takes: `y` and the bytes of `x`, at any
+    /// offset into their buffers, cut into equal chunks and summed on
+    /// scoped threads, must give the bits of the contiguous sum — `-0.0`
+    /// and NaN payloads included.
     #[test]
-    fn pool_slab_sum_is_bitwise(
+    fn pool_sum_fanout_is_bitwise(
         (n, off) in arb_len_off(),
-        slab_len in 1usize..40,
-        par in 1usize..5,
+        xoff in 0usize..8,
+        par in 1usize..7,
     ) {
-        let n = n + off; // plain length; slabs handle their own partitioning
-        let x = wave(n, 0.41);
-        let xle = Bytes::from(x.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>());
-        let y = wave(n, 0.23);
+        let mut x = wave(n, 0.41);
+        if n > 2 {
+            x[0] = -0.0;
+            x[n / 2] = f64::from_bits(0x7ff8_0000_dead_beef);
+            x[n - 1] = f64::from_bits(0xfff0_0000_0000_0001);
+        }
+        let mut xbuf = vec![0xEEu8; xoff];
+        xbuf.extend(x.iter().flat_map(|v| v.to_le_bytes()));
+        let mut y = wave(n + off, 0.23);
+        if n > 0 {
+            y[off] = -0.0;
+        }
         let mut reference = y.clone();
-        dense::add_assign(&mut reference, &x);
-        let pool = ComputePool::new(2);
-        let mut s = SlabVec::from_vec(y, slab_len);
-        pool.add_le_slabs_fanout(&xle, &mut s, par);
-        prop_assert_eq!(s.to_vec(), reference);
+        dense::add_assign(&mut reference[off..], &x);
+        add_le_fanout(&mut y[off..], &xbuf[xoff..], par);
+        prop_assert_eq!(bits(&y), bits(&reference));
     }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }

@@ -10,9 +10,9 @@
 
 use bytes::Bytes;
 use dooc_sparse::fileio;
+use dooc_sparse::pool::spmv_fanout;
 use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, CsrView, GapGenerator, SparseError};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Bytes per row pointer or column index in the file.
 const WIDTH: usize = 4;
@@ -118,8 +118,8 @@ fn reference_valid(nrows: u64, ncols: u64, row_ptr: &[u64], col_idx: &[u64], nva
 
 proptest! {
     #[test]
-    fn view_spmv_is_bitwise_owned_spmv(m in arb_matrix(), off in 0usize..8, par in 1usize..5) {
-        let x = Arc::new(wave(m.ncols()));
+    fn view_spmv_is_bitwise_owned_spmv(m in arb_matrix(), off in 0usize..8, par in 1usize..7) {
+        let x = wave(m.ncols());
         let mut owned = vec![0.0; m.nrows() as usize];
         m.spmv_into(&x, &mut owned).expect("dims");
         let pool = ComputePool::new(3);
@@ -135,13 +135,13 @@ proptest! {
         prop_assert_eq!(view.to_matrix(), m.clone());
 
         // Through the pool, from an owned buffer: the public routing and
-        // the fork-join body at forced parallelism.
-        let shared = Arc::new(CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid"));
+        // the fan-out at forced parallelism.
+        let held = CsrBytes::new(Bytes::from(buf).slice(off..)).expect("valid");
         let mut y = vec![f64::NAN; m.nrows() as usize];
-        pool.spmv(&shared, &x, &mut y).expect("dims");
+        pool.spmv(held.view(), &x, &mut y).expect("dims");
         prop_assert_eq!(bits(&y), bits(&owned));
         let mut y = vec![f64::NAN; m.nrows() as usize];
-        pool.spmv_fanout(&shared, &x, &mut y, par);
+        spmv_fanout(held.view(), &x, &mut y, par).expect("dims");
         prop_assert_eq!(bits(&y), bits(&owned));
     }
 
@@ -155,7 +155,7 @@ proptest! {
         seed in any::<u64>(),
         xoff in 0usize..8,
         yoff in 0usize..8,
-        par in 1usize..5,
+        par in 1usize..7,
     ) {
         let x = hostile_vector(m.ncols(), seed);
         let mut decoded = vec![0.0; m.nrows() as usize];
@@ -164,7 +164,7 @@ proptest! {
 
         let mut xbuf = vec![0xEEu8; xoff];
         xbuf.extend(x.iter().flat_map(|v| v.to_le_bytes()));
-        let xbytes = Bytes::from(xbuf).slice(xoff..);
+        let xbytes = xbuf[xoff..].as_chunks::<8>().0;
         // `y` as the executor holds it: a zeroed byte buffer cut into
         // 8-byte chunks, here starting `yoff` bytes into its allocation.
         let multiply = |kernel: &dyn Fn(&mut [[u8; 8]])| {
@@ -175,22 +175,19 @@ proptest! {
         let pool = ComputePool::new(3);
         let encoded = encode(&m).bytes;
         let view = CsrView::parse(&encoded).expect("parses");
-        let serial = multiply(&|y| {
-            view.spmv_into(xbytes.as_chunks::<8>().0, y).expect("dims")
-        });
+        let serial = multiply(&|y| view.spmv_into(xbytes, y).expect("dims"));
         prop_assert_eq!(&serial, &old, "serial");
-        let shared = Arc::new(CsrBytes::new(Bytes::from(encoded)).expect("valid"));
-        let routed = multiply(&|y| pool.spmv(&shared, &xbytes, y).expect("dims"));
+        let held = CsrBytes::new(Bytes::from(encoded)).expect("valid");
+        let routed = multiply(&|y| pool.spmv(held.view(), xbytes, y).expect("dims"));
         prop_assert_eq!(&routed, &old, "pool routing");
-        let fanned = multiply(&|y| pool.spmv_fanout(&shared, &xbytes, y, par));
+        let fanned = multiply(&|y| spmv_fanout(held.view(), xbytes, y, par).expect("dims"));
         prop_assert_eq!(&fanned, &old, "fan-out at {}", par);
         // The owned matrix through the same generic walk: bytes in, bytes out.
-        let owned = Arc::new(m.clone());
-        let fanned = multiply(&|y| pool.spmv_fanout(&owned, &xbytes, y, par));
+        let fanned = multiply(&|y| spmv_fanout(m.view(), xbytes, y, par).expect("dims"));
         prop_assert_eq!(&fanned, &old);
         // And a mixed pair: byte-backed `x`, native `y`.
         let mut native = vec![f64::NAN; m.nrows() as usize];
-        pool.spmv(&owned, &xbytes, &mut native).expect("dims");
+        pool.spmv(m.view(), xbytes, &mut native).expect("dims");
         prop_assert_eq!(bits(&native), bits(&decoded));
     }
 
