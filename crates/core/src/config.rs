@@ -2,7 +2,7 @@
 
 use crate::{DoocError, Result};
 use dooc_scheduler::OrderPolicy;
-use dooc_storage::{RecoveryPolicy, RetryPolicy};
+use dooc_storage::RecoveryPolicy;
 use std::path::PathBuf;
 
 /// Configuration of a DOoC cluster run.
@@ -28,14 +28,9 @@ pub struct DoocConfig {
     /// Arrays not listed default to single-block geometry derived from the
     /// task graph's byte declarations.
     pub geometry: Vec<(String, u64, u64)>,
-    /// Storage-node fault recovery: I/O retry budget and backoff, peer-fetch
-    /// deadlines, stall timeouts. The default retries transient I/O errors
-    /// but never times out (matching the pre-fault-injection behaviour).
+    /// Storage-node fault recovery: the I/O-read retry budget and backoff.
+    /// Nothing times out: a request waits until its data exists.
     pub recovery: RecoveryPolicy,
-    /// Client-side request deadlines and idempotent-retry budget applied to
-    /// every worker's storage client. The default waits forever (no
-    /// deadline), so fault-free runs behave exactly as before.
-    pub client_retry: RetryPolicy,
 }
 
 impl DoocConfig {
@@ -50,7 +45,6 @@ impl DoocConfig {
             seed: 0xD00C,
             geometry: Vec::new(),
             recovery: RecoveryPolicy::default(),
-            client_retry: RetryPolicy::default(),
         }
     }
 
@@ -121,12 +115,6 @@ impl DoocConfig {
     /// Sets the storage nodes' fault-recovery policy.
     pub fn recovery(mut self, r: RecoveryPolicy) -> Self {
         self.recovery = r;
-        self
-    }
-
-    /// Sets the workers' client-side retry policy (request deadlines).
-    pub fn client_retry(mut self, r: RetryPolicy) -> Self {
-        self.client_retry = r;
         self
     }
 }

@@ -62,7 +62,7 @@ pub use dooc_scheduler::{
 };
 pub use dooc_storage::meta::Interval;
 pub use dooc_storage::proto::NodeStats;
-pub use dooc_storage::{RecoveryPolicy, RetryPolicy};
+pub use dooc_storage::RecoveryPolicy;
 
 /// Errors surfaced by the DOoC runtime.
 #[derive(Debug)]

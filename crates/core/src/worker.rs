@@ -669,7 +669,6 @@ impl Filter for WorkerFilter {
         // the spawn of this filter thread orders the two.
         let base = self.client_base.load(dooc_sync::atomic::Ordering::Relaxed);
         let mut client = StorageClient::new(to_storage, from_storage, ctx.instance, base + node);
-        client.set_retry_policy(self.config.client_retry.clone());
         // Geometry on every node: the runtime's table already holds the
         // config's explicit hints over the defaults derived from the graph.
         for (name, (len, bs)) in self.geometry.iter() {

@@ -1,18 +1,22 @@
 //! dooc-faultline — deterministic failpoint framework for the DOoC runtime.
 //!
 //! The paper's middleware is evaluated on a healthy SSD testbed, but its
-//! out-of-core premise only pays off at scale if slow or failed I/O and lost
-//! peers do not stall the iterated-SpMV pipeline. This crate makes failure a
-//! first-class, *injectable* scenario:
+//! out-of-core premise only pays off at scale if failed disks, crashed
+//! processes and slow links do not wreck the iterated-SpMV pipeline. This
+//! crate makes those failures *injectable*:
 //!
 //! * **I/O faults** — `storage.io.read` / `storage.io.write` sites inside the
 //!   storage node's asynchronous I/O filters inject filesystem errors and
 //!   latency;
-//! * **Message faults** — [`fail::message`] hooks in `filterstream` stream
-//!   writers drop, delay or reorder individual messages on a named stream;
+//! * **Link faults** — `fs.tcp.connect` fails or delays dial attempts and
+//!   `fs.tcp.frame` delays frames in the TCP writer;
 //! * **Crashes** — `storage.node.crash` fail-stops (and restarts) a storage
 //!   peer, `worker.task.crash` kills a worker mid-task so the local scheduler
 //!   must re-execute it from its immutable inputs.
+//!
+//! Nothing here loses or reorders a message: streams are reliable and
+//! ordered per peer by contract, and the runtime relies on that contract
+//! instead of guarding against its breach with timers.
 //!
 //! The design mirrors the `dooc-obs` gate: a process-global [`AtomicBool`]
 //! guards every site, so with injection disabled each hook costs **one
@@ -55,8 +59,6 @@ use std::sync::OnceLock;
 /// Every failpoint site compiled into non-test runtime code. Lint rule 6
 /// (`crates/check/src/lint.rs`) rejects `fail::at` calls whose site literal
 /// is not in this list, so the registry and the code cannot drift apart.
-/// Stream-level message faults are keyed by stream name at runtime (via
-/// [`fail::message`]) and are not listed here.
 pub const SITES: &[&str] = &[
     "fs.tcp.connect",
     "fs.tcp.frame",
@@ -97,10 +99,6 @@ pub enum Fault {
     Error,
     /// Stall the operation for this many milliseconds, then proceed.
     Delay(u64),
-    /// Silently drop the message (stream sites only).
-    Drop,
-    /// Hold the message back and emit it after the next one (stream sites).
-    Reorder,
     /// Fire the site's terminal behaviour (crash/restart sites).
     Fire,
 }
@@ -117,11 +115,6 @@ pub struct FaultSpec {
     pub after: u64,
     /// Maximum number of injections before the site goes quiet.
     pub max: u64,
-    /// Payload guards for message sites: if the payload's leading `u64`
-    /// (little-endian tag word) is listed here the message is never faulted.
-    /// Lets a schedule exercise drop/reorder without eating protocol
-    /// messages that have no retry path (e.g. shutdown `Bye`).
-    pub exempt_tags: Vec<u64>,
 }
 
 impl FaultSpec {
@@ -131,7 +124,6 @@ impl FaultSpec {
             prob: 1.0,
             after: 0,
             max: u64::MAX,
-            exempt_tags: Vec::new(),
         }
     }
 
@@ -143,16 +135,6 @@ impl FaultSpec {
     /// Injects `ms` milliseconds of latency.
     pub fn delay(ms: u64) -> Self {
         Self::new(Fault::Delay(ms))
-    }
-
-    /// Drops messages (stream sites).
-    pub fn drop_msg() -> Self {
-        Self::new(Fault::Drop)
-    }
-
-    /// Reorders adjacent messages (stream sites).
-    pub fn reorder() -> Self {
-        Self::new(Fault::Reorder)
     }
 
     /// Fires a crash site.
@@ -175,12 +157,6 @@ impl FaultSpec {
     /// Caps the number of injections.
     pub fn with_max(mut self, n: u64) -> Self {
         self.max = n;
-        self
-    }
-
-    /// Never faults payloads whose leading `u64` is in `tags`.
-    pub fn with_exempt_tags(mut self, tags: Vec<u64>) -> Self {
-        self.exempt_tags = tags;
         self
     }
 }
@@ -212,9 +188,8 @@ pub fn seed(s: u64) {
     registry().lock().rng = StdRng::seed_from_u64(s ^ 0xFA17_FA17);
 }
 
-/// Installs (or replaces) the schedule for `site`. Sites are plain strings:
-/// the registered [`SITES`] for code failpoints, stream names for message
-/// faults.
+/// Installs (or replaces) the schedule for `site`, one of the registered
+/// [`SITES`].
 pub fn configure(site: &str, spec: FaultSpec) {
     let mut reg = registry().lock();
     reg.sites.insert(
@@ -244,15 +219,10 @@ pub fn injected(site: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn decide(site: &str, tag: Option<u64>) -> Option<Fault> {
+fn decide(site: &str) -> Option<Fault> {
     let mut reg = registry().lock();
     let reg = &mut *reg;
     let state = reg.sites.get_mut(site)?;
-    if let (Some(tag), true) = (tag, !state.spec.exempt_tags.is_empty()) {
-        if state.spec.exempt_tags.contains(&tag) {
-            return None;
-        }
-    }
     state.hits += 1;
     if state.hits <= state.spec.after || state.injected >= state.spec.max {
         return None;
@@ -292,22 +262,7 @@ pub mod fail {
         if !super::enabled() {
             return None;
         }
-        super::decide(site, None)
-    }
-
-    /// Stream-message variant of [`at`]: keyed by stream name, with the
-    /// payload's leading `u64` (when the message is at least 8 bytes) made
-    /// available to the schedule's `exempt_tags` guard.
-    #[inline]
-    pub fn message(stream: &str, payload: &[u8]) -> Option<Fault> {
-        if !super::enabled() {
-            return None;
-        }
-        let tag = payload
-            .get(..8)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes);
-        super::decide(stream, tag)
+        super::decide(site)
     }
 }
 
@@ -380,28 +335,6 @@ mod tests {
         assert_ne!(a, c, "different seed, different schedule");
         let fired = a.iter().filter(|&&x| x).count();
         assert!(fired > 10 && fired < 54, "p=0.5 fired {fired}/64");
-    }
-
-    #[test]
-    fn exempt_tags_guard_messages() {
-        let _g = test_gate();
-        reset();
-        seed(2);
-        configure(
-            "storage.peer",
-            FaultSpec::drop_msg().with_exempt_tags(vec![0x999]),
-        );
-        enable();
-        let bye = 0x999u64.to_le_bytes();
-        let fetch = 0x111u64.to_le_bytes();
-        assert_eq!(fail::message("storage.peer", &bye), None, "exempt tag");
-        assert_eq!(fail::message("storage.peer", &fetch), Some(Fault::Drop));
-        assert_eq!(
-            fail::message("storage.peer", &[1, 2]),
-            Some(Fault::Drop),
-            "short payloads are fair game"
-        );
-        reset();
     }
 
     #[test]

@@ -889,38 +889,62 @@ mod tests {
         assert_eq!(undrained, [("cons.data", CAP, 0)]);
     }
 
-    /// A 2-node layout whose only stream crosses the node boundary: `src`
-    /// on node 0 ships `n` bulk-carrying buffers to `sink` on node 1, which
-    /// checks each block arrived intact.
-    fn bulk_layout(n: u64, block: usize) -> Layout {
+    /// A 2-node layout whose only stream crosses the node boundary: each
+    /// `src` instance on node 0 ships `n` bulk-carrying buffers to `sink` on
+    /// node 1, which checks that every producer's sequence arrives intact
+    /// and in order. One producer uses a round-robin stream into a single
+    /// sink; several are shaped like the storage `peer_out` stream — an
+    /// `Addressed` stream into a sink with one instance per node, every
+    /// producer sending to node 1.
+    fn bulk_layout(n: u64, block: usize, producers: usize) -> Layout {
         let mut layout = Layout::new();
-        let src = layout.add_filter(
-            "src",
-            NodeId(0),
+        let addressed = producers > 1;
+        let src = layout.add_replicated("src", vec![NodeId(0); producers], move |p| {
             Box::new(move |ctx: &mut FilterContext| {
+                let out = ctx.output("out")?;
                 for i in 0..n {
-                    let mut b = DataBuffer::from_u64s(i, &[i, block as u64]);
-                    b.bulk = bytes::Bytes::from(vec![i as u8; block]);
-                    ctx.output("out")?.send(b)?;
-                }
-                Ok(())
-            }),
-        );
-        let sink = layout.add_filter(
-            "sink",
-            NodeId(1),
-            Box::new(move |ctx: &mut FilterContext| {
-                let mut next = 0u64;
-                while let Some(b) = ctx.input("in")?.recv() {
-                    if b.as_u64s() != [next, block as u64] || b.bulk != vec![next as u8; block] {
-                        return Err(ctx.error(format!("buffer {next} arrived damaged")));
+                    let mut b = DataBuffer::from_u64s(i, &[p as u64, i, block as u64]);
+                    b.bulk = bytes::Bytes::from(vec![(i + p as u64) as u8; block]);
+                    if addressed {
+                        out.send_to(NodeId(1), b)?;
+                    } else {
+                        out.send(b)?;
                     }
-                    next += 1;
                 }
                 Ok(())
-            }),
-        );
-        layout.connect(src, "out", sink, "in");
+            })
+        });
+        let sinks = if addressed {
+            vec![NodeId(0), NodeId(1)]
+        } else {
+            vec![NodeId(1)]
+        };
+        let sink = layout.add_replicated("sink", sinks, move |_| {
+            Box::new(move |ctx: &mut FilterContext| {
+                let mut next = vec![0u64; producers];
+                while let Some(b) = ctx.input("in")?.recv() {
+                    let words = b.as_u64s();
+                    let p = words[0] as usize;
+                    let i = next[p];
+                    if words != [p as u64, i, block as u64]
+                        || b.bulk != vec![(i + p as u64) as u8; block]
+                    {
+                        return Err(ctx.error(format!("producer {p}: buffer {i} arrived damaged")));
+                    }
+                    next[p] += 1;
+                }
+                let expect = if ctx.node == NodeId(1) { n } else { 0 };
+                if next.iter().any(|&c| c != expect) {
+                    return Err(ctx.error(format!("per-producer counts {next:?}, want {expect}")));
+                }
+                Ok(())
+            })
+        });
+        if addressed {
+            layout.connect_with(src, "out", sink, "in", Delivery::Addressed, 8);
+        } else {
+            layout.connect(src, "out", sink, "in");
+        }
         layout
     }
 
@@ -928,12 +952,17 @@ mod tests {
     /// `transports` and checks each side's own books: the sender counted
     /// payload + bulk as sent, the receiver's router enqueued exactly what
     /// its consumer dequeued, and the leak audit is clean on both.
-    fn check_bulk_balance(transports: Vec<Arc<dyn Transport>>) {
+    fn check_bulk_balance(transports: Vec<Arc<dyn Transport>>, producers: usize) {
         let (n, block) = (6u64, 100_000usize); // blocks larger than a socket read chunk
-        let wire = n * (16 + 16 + block as u64);
+        let total = n * producers as u64;
+        let wire = total * (16 + 24 + block as u64);
         let reports: Vec<RuntimeReport> = transports
             .into_iter()
-            .map(|t| std::thread::spawn(move || Runtime::run_distributed(bulk_layout(n, block), t)))
+            .map(|t| {
+                std::thread::spawn(move || {
+                    Runtime::run_distributed(bulk_layout(n, block, producers), t)
+                })
+            })
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("node thread").expect("run ok"))
@@ -941,10 +970,10 @@ mod tests {
         let sent = reports[0].stream("src.out -> sink.in").expect("stream");
         assert_eq!(
             (sent.buffers, sent.bytes, sent.remote_bytes),
-            (n, wire, wire)
+            (total, wire, wire)
         );
         let port = &reports[1].ports[0];
-        assert_eq!((port.delivered, port.received), (n, n));
+        assert_eq!((port.delivered, port.received), (total, total));
         assert_eq!(port.delivered_bytes, wire, "router counts payload + bulk");
         assert_eq!(port.received_bytes, wire);
         for r in &reports {
@@ -955,14 +984,14 @@ mod tests {
         assert_eq!(reports[0].ports[0].delivered_bytes, 0);
     }
 
-    #[test]
-    fn port_byte_totals_balance_over_transports() {
-        check_bulk_balance(
-            crate::ChannelTransport::cluster(2)
-                .into_iter()
-                .map(|t| Arc::new(t) as Arc<dyn Transport>)
-                .collect(),
-        );
+    fn channel_pair() -> Vec<Arc<dyn Transport>> {
+        crate::ChannelTransport::cluster(2)
+            .into_iter()
+            .map(|t| Arc::new(t) as Arc<dyn Transport>)
+            .collect()
+    }
+
+    fn tcp_pair() -> Vec<Arc<dyn Transport>> {
         let listeners: Vec<_> = (0..2)
             .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind"))
             .collect();
@@ -981,13 +1010,20 @@ mod tests {
                 std::thread::spawn(move || crate::TcpTransport::with_listener(&spec, me, fp, l))
             })
             .collect();
-        check_bulk_balance(
-            mesh.into_iter()
-                .map(|h| {
-                    Arc::new(h.join().expect("mesh thread").expect("mesh")) as Arc<dyn Transport>
-                })
-                .collect(),
-        );
+        mesh.into_iter()
+            .map(|h| Arc::new(h.join().expect("mesh thread").expect("mesh")) as Arc<dyn Transport>)
+            .collect()
+    }
+
+    /// Also the contract the storage layer relies on: with three producers
+    /// addressed to one consumer on another node, each producer's buffers
+    /// arrive complete and in their own send order over both transports.
+    #[test]
+    fn port_byte_totals_balance_over_transports() {
+        for producers in [1, 3] {
+            check_bulk_balance(channel_pair(), producers);
+            check_bulk_balance(tcp_pair(), producers);
+        }
     }
 
     #[test]

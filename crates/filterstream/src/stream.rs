@@ -316,8 +316,6 @@ impl Inbox {
             from_node: node,
             consumer_nodes: Arc::clone(&self.consumer_nodes),
             transport: self.transport.clone(),
-            #[cfg(feature = "faultline")]
-            held: dooc_sync::Mutex::new(None),
         }
     }
 }
@@ -345,12 +343,6 @@ pub struct StreamWriter {
     consumer_nodes: Arc<[NodeId]>,
     /// Frame pipe for remote lanes; `None` in single-process runtimes.
     transport: Option<Arc<dyn Transport>>,
-    /// Reorder hold-back slot: a buffer a `Fault::Reorder` injection parked
-    /// so it is emitted *after* the next send (flushed on writer drop so no
-    /// message is ever lost to reordering). `None` dest means [`Self::send`],
-    /// `Some(d)` means [`Self::send_to`].
-    #[cfg(feature = "faultline")]
-    held: dooc_sync::Mutex<Option<(Option<NodeId>, DataBuffer)>>,
 }
 
 impl StreamWriter {
@@ -389,73 +381,10 @@ impl StreamWriter {
         t.send(peer, frame.with_bulk(buf.bulk.clone()))
     }
 
-    /// Consults the `faultline` message failpoint keyed by this writer's
-    /// producer port name, with the buffer's tag word exposed to the
-    /// schedule's `exempt_tags` guard. Returns `None` when the buffer was
-    /// consumed by the fault (dropped or parked for reordering).
-    #[cfg(feature = "faultline")]
-    fn inject(&self, dest: Option<NodeId>, buf: DataBuffer) -> Option<DataBuffer> {
-        use dooc_faultline::{fail, Fault};
-        match fail::message(&self.port, &buf.tag.to_le_bytes()) {
-            None | Some(Fault::Error) | Some(Fault::Fire) => Some(buf),
-            Some(Fault::Delay(ms)) => {
-                dooc_sync::thread::sleep(std::time::Duration::from_millis(ms));
-                Some(buf)
-            }
-            Some(Fault::Drop) => None,
-            Some(Fault::Reorder) => {
-                let mut held = self.held.lock();
-                if held.is_some() {
-                    // Already holding one back — deliver this buffer normally
-                    // rather than grow an unbounded reorder queue.
-                    return Some(buf);
-                }
-                *held = Some((dest, buf));
-                None
-            }
-        }
-    }
-
-    /// Emits a buffer parked by a `Reorder` injection, now that a later
-    /// message has overtaken it (or the writer is closing). The armed-gate
-    /// fast path skips the lock entirely: a buffer can only be parked while
-    /// injection is armed, and one parked across a disarm is flushed by the
-    /// writer's drop (which calls [`Self::flush_held_now`] unconditionally).
-    #[cfg(feature = "faultline")]
-    fn flush_held(&self) -> Result<()> {
-        if !dooc_faultline::enabled() {
-            return Ok(());
-        }
-        self.flush_held_now()
-    }
-
-    /// Unconditional variant of [`Self::flush_held`] for the drop path.
-    #[cfg(feature = "faultline")]
-    fn flush_held_now(&self) -> Result<()> {
-        let held = self.held.lock().take();
-        match held {
-            Some((Some(d), buf)) => self.deliver_to(d, buf),
-            Some((None, buf)) => self.deliver(buf),
-            None => Ok(()),
-        }
-    }
-
     /// Sends a buffer. Blocks when the stream is at capacity. Fails if every
     /// consumer has terminated, or if this is an addressed stream (use
     /// [`StreamWriter::send_to`]).
     pub fn send(&self, buf: DataBuffer) -> Result<()> {
-        #[cfg(feature = "faultline")]
-        let buf = match self.inject(None, buf) {
-            Some(b) => b,
-            None => return Ok(()),
-        };
-        self.deliver(buf)?;
-        #[cfg(feature = "faultline")]
-        self.flush_held()?;
-        Ok(())
-    }
-
-    fn deliver(&self, buf: DataBuffer) -> Result<()> {
         let wire = buf.wire_size();
         match (&self.lanes, self.delivery) {
             (InboxLanes::Shared(LaneTx::Local(tx)), _) => {
@@ -533,18 +462,6 @@ impl StreamWriter {
     /// and the type forces callers to say which node they mean rather than
     /// do raw index arithmetic.
     pub fn send_to(&self, dest: NodeId, buf: DataBuffer) -> Result<()> {
-        #[cfg(feature = "faultline")]
-        let buf = match self.inject(Some(dest), buf) {
-            Some(b) => b,
-            None => return Ok(()),
-        };
-        self.deliver_to(dest, buf)?;
-        #[cfg(feature = "faultline")]
-        self.flush_held()?;
-        Ok(())
-    }
-
-    fn deliver_to(&self, dest: NodeId, buf: DataBuffer) -> Result<()> {
         let wire = buf.wire_size();
         match &self.lanes {
             InboxLanes::PerConsumer(lanes) if self.delivery == Delivery::Addressed => {
@@ -612,13 +529,9 @@ impl StreamWriter {
     }
 }
 
-/// A dropped writer flushes any buffer a `Reorder` injection parked (so the
-/// reorder fault permutes delivery order but never loses the message), then
-/// announces the endpoint drop to every remote lane.
+/// A dropped writer announces the endpoint drop to every remote lane.
 impl Drop for StreamWriter {
     fn drop(&mut self) {
-        #[cfg(feature = "faultline")]
-        let _ = self.flush_held_now();
         self.send_closes();
     }
 }
@@ -746,9 +659,9 @@ impl StreamSet {
     /// Builds a standalone point-to-point stream outside any layout: one
     /// producer instance feeding one consumer instance (both as instance 0
     /// on node 0) with [`Delivery::Addressed`] delivery — send with
-    /// `send_to(NodeId(0), _)`. For harnesses (benches, dooc-check's
-    /// schedule exploration suite) that wire a client to a hand-rolled
-    /// server loop instead of standing up a full [`crate::Runtime`] layout.
+    /// `send_to(NodeId(0), _)`. For harnesses (dooc-check's schedule
+    /// exploration suite) that wire a client to a hand-rolled server loop
+    /// instead of standing up a full [`crate::Runtime`] layout.
     pub fn standalone(port: &str, capacity: usize) -> (StreamWriter, StreamReader) {
         let mut inbox = Inbox::new(Delivery::Addressed, capacity, &[NodeId(0)], port);
         let reader = inbox.take_reader(0);
@@ -1129,91 +1042,5 @@ mod tests {
         assert_eq!(r.recv().expect("first").tag, 5);
         assert_eq!(r.recv().expect("second").tag, 6);
         assert!(r.recv().is_none());
-    }
-
-    #[cfg(feature = "faultline")]
-    mod faults {
-        use super::*;
-        use dooc_faultline as faultline;
-
-        #[test]
-        fn injected_drop_loses_messages_silently() {
-            let _g = faultline::test_gate();
-            faultline::reset();
-            faultline::seed(11);
-            faultline::configure("out", faultline::FaultSpec::drop_msg().with_max(1));
-            faultline::enable();
-            let mut ib = inbox(Delivery::RoundRobin, 1);
-            let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
-            drop(ib);
-            w.send(DataBuffer::tag_only(1)).expect("dropped, not error");
-            w.send(DataBuffer::tag_only(2)).expect("open");
-            drop(w);
-            faultline::reset();
-            let tags: Vec<u64> = r.drain().into_iter().map(|b| b.tag).collect();
-            assert_eq!(tags, vec![2], "first message eaten by the fault");
-        }
-
-        #[test]
-        fn injected_reorder_swaps_adjacent_messages() {
-            let _g = faultline::test_gate();
-            faultline::reset();
-            faultline::seed(12);
-            faultline::configure("out", faultline::FaultSpec::reorder().with_max(1));
-            faultline::enable();
-            let mut ib = inbox(Delivery::Addressed, 1);
-            let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
-            drop(ib);
-            w.send_to(NodeId(0), DataBuffer::tag_only(1))
-                .expect("held back");
-            w.send_to(NodeId(0), DataBuffer::tag_only(2)).expect("open");
-            w.send_to(NodeId(0), DataBuffer::tag_only(3)).expect("open");
-            drop(w);
-            faultline::reset();
-            let tags: Vec<u64> = r.drain().into_iter().map(|b| b.tag).collect();
-            assert_eq!(tags, vec![2, 1, 3], "held message lands after the next");
-        }
-
-        #[test]
-        fn reorder_hold_back_flushed_on_writer_drop() {
-            let _g = faultline::test_gate();
-            faultline::reset();
-            faultline::seed(13);
-            faultline::configure("out", faultline::FaultSpec::reorder());
-            faultline::enable();
-            let mut ib = inbox(Delivery::RoundRobin, 1);
-            let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
-            drop(ib);
-            w.send(DataBuffer::tag_only(9)).expect("held back");
-            drop(w); // no later message overtakes it — the drop flush emits it
-            faultline::reset();
-            let tags: Vec<u64> = r.drain().into_iter().map(|b| b.tag).collect();
-            assert_eq!(tags, vec![9], "parked buffer not lost on close");
-        }
-
-        #[test]
-        fn exempt_tags_pass_through_untouched() {
-            let _g = faultline::test_gate();
-            faultline::reset();
-            faultline::seed(14);
-            faultline::configure(
-                "out",
-                faultline::FaultSpec::drop_msg().with_exempt_tags(vec![42]),
-            );
-            faultline::enable();
-            let mut ib = inbox(Delivery::RoundRobin, 1);
-            let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
-            drop(ib);
-            w.send(DataBuffer::tag_only(42)).expect("exempt");
-            w.send(DataBuffer::tag_only(7)).expect("dropped silently");
-            drop(w);
-            faultline::reset();
-            let tags: Vec<u64> = r.drain().into_iter().map(|b| b.tag).collect();
-            assert_eq!(tags, vec![42], "only the exempt tag survives");
-        }
     }
 }

@@ -37,11 +37,10 @@
 //!
 //! With the `faultline` feature, `fs.tcp.connect` can delay or fail dial
 //! attempts (exercising the retry loop) and `fs.tcp.frame` can delay data
-//! frames in the writer (exercising flush batching under jitter). Message
-//! *loss and reordering* stay at the stream-writer layer
-//! (`fail::message`), which runs before the transport — so chaos schedules
-//! behave identically over channels and sockets, and TCP's reliable-stream
-//! contract is never violated by the injector.
+//! frames in the writer (exercising flush batching under jitter). Neither
+//! loses or reorders a frame: the transport contract — reliable, ordered
+//! per peer — holds under every schedule, and there is no message-loss
+//! injector anywhere above it.
 
 use crate::codec::{Frame, FrameDecoder, FrameKind};
 use crate::transport::{FrameSink, Transport};
@@ -785,6 +784,63 @@ mod tests {
                 prop_assert_eq!(bulk, &payload(k + 7, m));
             }
         }
+    }
+
+    /// The link faults refuse or delay, never lose or reorder: with node 1's
+    /// first dials refused and frames stalling in node 0's writer, every
+    /// frame still arrives once, in send order.
+    #[cfg(feature = "faultline")]
+    #[test]
+    fn link_faults_neither_lose_nor_reorder_frames() {
+        use dooc_faultline as faultline;
+        let _g = faultline::test_gate();
+        faultline::reset();
+        faultline::seed(5);
+        faultline::configure("fs.tcp.connect", faultline::FaultSpec::error().with_max(2));
+        faultline::configure(
+            "fs.tcp.frame",
+            faultline::FaultSpec::delay(1).with_prob(0.5),
+        );
+        faultline::enable();
+        let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let spec = ClusterSpec::new(vec![
+            l0.local_addr().expect("addr").to_string(),
+            l1.local_addr().expect("addr").to_string(),
+        ]);
+        let fp = spec.fingerprint();
+        let spec1 = spec.clone();
+        let receiver = std::thread::spawn(move || {
+            let t = TcpTransport::with_listener(&spec1, 1, fp, l1).expect("mesh");
+            let sink = Arc::new(OrderedSink {
+                got: dooc_sync::Mutex::new(Vec::new()),
+            });
+            t.start(Arc::clone(&sink) as Arc<dyn FrameSink>)
+                .expect("start");
+            t.shutdown();
+            let tags: Vec<u64> = sink.got.lock().iter().map(|f| f.0).collect();
+            tags
+        });
+        let t0 = TcpTransport::with_listener(&spec, 0, fp, l0).expect("mesh");
+        t0.start(TotalSink::new() as Arc<dyn FrameSink>)
+            .expect("start");
+        for k in 0..40u64 {
+            t0.send(
+                NodeId(1),
+                Frame::data(0, 0, k, Bytes::from(vec![k as u8; 64])),
+            )
+            .expect("send");
+        }
+        t0.shutdown();
+        let tags = receiver.join().expect("receiver thread");
+        let fired = (
+            faultline::injected("fs.tcp.connect"),
+            faultline::injected("fs.tcp.frame"),
+        );
+        faultline::reset();
+        assert_eq!(tags, (0..40).collect::<Vec<u64>>());
+        assert_eq!(fired.0, 2, "both refused dials were retried");
+        assert!(fired.1 > 0, "no frame was delayed");
     }
 
     /// Fingerprint mismatch must refuse the connection on both sides.

@@ -67,37 +67,6 @@ pub type WriteTicket = Ticket<Write>;
 /// A pending seal confirmation ([`StorageClient::release_write_async`]).
 pub type SealTicket = Ticket<Seal>;
 
-/// Client-side deadline + retry policy.
-///
-/// The default (`deadline: None`) preserves the protocol's "log the request,
-/// reply when available" semantics: a read may legitimately wait for a
-/// producer that has not run yet, so waits are unbounded unless the caller
-/// opts in. With a deadline set, a wait that exceeds it surfaces as
-/// [`StorageError::Timeout`] instead of hanging, and *idempotent* requests —
-/// reads and map queries, which the immutable-array model lets us re-issue
-/// safely — are retried up to `max_retries` times with exponential backoff
-/// before the timeout is surfaced.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Per-wait deadline; `None` waits forever (seed behaviour).
-    pub deadline: Option<std::time::Duration>,
-    /// How many times a timed-out idempotent request is re-sent (with a
-    /// fresh request id) before the error is surfaced.
-    pub max_retries: u32,
-    /// Backoff before the first re-send; doubles per attempt.
-    pub backoff: std::time::Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            deadline: None,
-            max_retries: 0,
-            backoff: std::time::Duration::from_millis(10),
-        }
-    }
-}
-
 /// Incremental availability map returned by [`StorageClient::map_since`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MapDelta {
@@ -238,12 +207,6 @@ pub struct StorageClient {
     /// Geometry of reads in flight, so `wait_read` can build the guard (the
     /// `ReadReady` reply does not echo array/interval).
     pending_reads: HashMap<u64, (String, Interval)>,
-    /// Requests whose waiter gave up (deadline hit). A late reply keyed here
-    /// is dropped instead of stashed; for reads (`Some(geometry)`) the grant
-    /// the storage just took is released immediately so the pin cannot leak.
-    abandoned: HashMap<u64, Option<(String, Interval)>>,
-    /// Deadline/retry policy applied to every blocking wait.
-    retry: RetryPolicy,
     /// Shared with every [`ReadGuard`] handed out.
     rel: Arc<Releaser>,
 }
@@ -265,25 +228,12 @@ impl StorageClient {
             next_req: 1,
             stash: HashMap::new(),
             pending_reads: HashMap::new(),
-            abandoned: HashMap::new(),
-            retry: RetryPolicy::default(),
             rel: Arc::new(Releaser {
                 to_storage,
                 node,
                 outstanding: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Replaces the deadline/retry policy (default: wait forever, like the
-    /// raw protocol).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The active deadline/retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Number of storage grants (pinned reads + write grants) received and
@@ -304,79 +254,23 @@ impl StorageClient {
         self.rel.send(msg)
     }
 
+    /// Blocks until the reply to `req` arrives, stashing replies to other
+    /// requests on the way. There is no deadline: the storage protocol logs
+    /// a request and answers it when the data exists, and the stream neither
+    /// loses nor reorders the answer.
     fn wait(&mut self, req: u64) -> Result<Reply> {
         if let Some(r) = self.stash.remove(&req) {
             return Ok(r);
         }
-        let deadline = self.retry.deadline.map(|d| std::time::Instant::now() + d);
         loop {
-            let buf = match deadline {
-                None => self.from_storage.recv(),
-                Some(dl) => {
-                    let now = std::time::Instant::now();
-                    let left = dl.saturating_duration_since(now);
-                    if left.is_zero() {
-                        return Err(StorageError::Timeout(format!(
-                            "request {req}: no reply within {:?}",
-                            self.retry.deadline.unwrap_or_default()
-                        )));
-                    }
-                    // `recv_timeout` conflates expiry and closure; a `None`
-                    // before the deadline means the stream closed.
-                    match self.from_storage.recv_timeout(left) {
-                        Some(b) => Some(b),
-                        None if std::time::Instant::now() >= dl => {
-                            return Err(StorageError::Timeout(format!(
-                                "request {req}: no reply within {:?}",
-                                self.retry.deadline.unwrap_or_default()
-                            )));
-                        }
-                        None => None,
-                    }
-                }
-            };
-            let buf = buf.ok_or_else(|| {
+            let buf = self.from_storage.recv().ok_or_else(|| {
                 StorageError::Protocol("storage reply stream closed while waiting".into())
             })?;
             let reply = Reply::decode(&buf)?;
             if reply.req() == req {
                 return Ok(reply);
             }
-            if let Some(geometry) = self.abandoned.remove(&reply.req()) {
-                // Stale reply to a timed-out request. If it is a read grant,
-                // unpin it right away — nobody will redeem it, nor checked
-                // its bytes.
-                if let (Some((array, iv)), Reply::ReadReady { .. }) = (geometry, &reply) {
-                    let checked = false;
-                    let _ = self
-                        .rel
-                        .send(&ClientMsg::ReleaseRead { array, iv, checked });
-                }
-                continue;
-            }
             self.stash.insert(reply.req(), reply);
-        }
-    }
-
-    /// Marks a timed-out request abandoned so its eventual reply is dropped
-    /// (and, for reads, its grant released) instead of stashed forever.
-    fn abandon(&mut self, req: u64, read_geometry: Option<(String, Interval)>) {
-        self.abandoned.insert(req, read_geometry);
-    }
-
-    /// Exponential backoff + bookkeeping before re-sending an idempotent
-    /// request that timed out.
-    fn note_retry(&self, attempt: u32, what: &str) {
-        dooc_obs::metrics::counter("client.retries").inc();
-        dooc_obs::instant_arg(
-            dooc_obs::Category::Fault,
-            "client:retry",
-            self.node as i64,
-            || format!("{what}: retry {attempt}"),
-        );
-        let backoff = self.retry.backoff * 2u32.saturating_pow(attempt.min(16));
-        if !backoff.is_zero() {
-            dooc_sync::thread::sleep(backoff);
         }
     }
 
@@ -421,7 +315,15 @@ impl StorageClient {
     /// returned guard drops.
     pub fn wait_read(&mut self, t: ReadTicket) -> Result<ReadGuard> {
         let (array, iv) = self.take_pending(t.req)?;
-        let (data, checked) = self.read_reply(t.req, &array, iv)?;
+        let (data, checked) = match self.wait(t.req)? {
+            Reply::ReadReady { data, checked, .. } => (data, checked),
+            Reply::Err { error, .. } => return Err(error),
+            other => {
+                return Err(StorageError::Protocol(format!(
+                    "unexpected reply to read: {other:?}"
+                )))
+            }
+        };
         self.rel.outstanding.fetch_add(1, Ordering::AcqRel);
         Ok(ReadGuard {
             data,
@@ -430,42 +332,6 @@ impl StorageClient {
             checked,
             rel: Arc::clone(&self.rel),
         })
-    }
-
-    /// Waits out a read reply — the bytes and their checked mark —
-    /// re-sending the (idempotent) request with a fresh id on deadline
-    /// expiry, up to [`RetryPolicy::max_retries`] times. Timed-out ids are
-    /// abandoned so a late grant is released rather than leaked.
-    fn read_reply(&mut self, first_req: u64, array: &str, iv: Interval) -> Result<(Bytes, bool)> {
-        let mut req = first_req;
-        let mut attempt = 0u32;
-        loop {
-            match self.wait(req) {
-                Ok(Reply::ReadReady { data, checked, .. }) => return Ok((data, checked)),
-                Ok(Reply::Err { error, .. }) => return Err(error),
-                Ok(other) => {
-                    return Err(StorageError::Protocol(format!(
-                        "unexpected reply to read: {other:?}"
-                    )))
-                }
-                Err(StorageError::Timeout(m)) => {
-                    self.abandon(req, Some((array.to_string(), iv)));
-                    if attempt >= self.retry.max_retries {
-                        return Err(StorageError::Timeout(m));
-                    }
-                    self.note_retry(attempt + 1, "read");
-                    attempt += 1;
-                    req = self.fresh();
-                    self.send(&ClientMsg::ReadReq {
-                        req,
-                        client: self.client_id,
-                        array: array.to_string(),
-                        iv,
-                    })?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     fn take_pending(&mut self, req: u64) -> Result<(String, Interval)> {
@@ -596,45 +462,27 @@ impl StorageClient {
     /// version `since` (0 = full snapshot), plus the node's current version
     /// to use as the next cursor.
     pub fn map_since(&mut self, since: u64) -> Result<MapDelta> {
-        let mut attempt = 0u32;
-        loop {
-            let req = self.fresh();
-            self.send(&ClientMsg::MapSince {
-                req,
-                client: self.client_id,
-                since,
-            })?;
-            match self.wait(req) {
-                Ok(Reply::MapDelta {
-                    version,
-                    entries,
-                    deleted,
-                    ..
-                }) => {
-                    return Ok(MapDelta {
-                        version,
-                        entries,
-                        deleted,
-                    })
-                }
-                Ok(Reply::Err { error, .. }) => return Err(error),
-                Ok(other) => {
-                    return Err(StorageError::Protocol(format!(
-                        "unexpected reply to map-since query: {other:?}"
-                    )))
-                }
-                // Map lookups are idempotent: re-ask on deadline expiry
-                // (e.g. the node is mid crash-restart).
-                Err(StorageError::Timeout(m)) => {
-                    self.abandon(req, None);
-                    if attempt >= self.retry.max_retries {
-                        return Err(StorageError::Timeout(m));
-                    }
-                    self.note_retry(attempt + 1, "map_since");
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        let req = self.fresh();
+        self.send(&ClientMsg::MapSince {
+            req,
+            client: self.client_id,
+            since,
+        })?;
+        match self.wait(req)? {
+            Reply::MapDelta {
+                version,
+                entries,
+                deleted,
+                ..
+            } => Ok(MapDelta {
+                version,
+                entries,
+                deleted,
+            }),
+            Reply::Err { error, .. } => Err(error),
+            other => Err(StorageError::Protocol(format!(
+                "unexpected reply to map-since query: {other:?}"
+            ))),
         }
     }
 

@@ -55,7 +55,7 @@ impl StorageCluster {
     }
 
     /// Like [`StorageCluster::build`] but with an explicit fault-recovery
-    /// policy (I/O retry budget, fetch deadlines) applied to every node.
+    /// policy (the I/O-read retry budget and backoff) applied to every node.
     pub fn build_with(
         layout: &mut Layout,
         scratch_dirs: Vec<PathBuf>,

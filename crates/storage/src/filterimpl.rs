@@ -211,8 +211,8 @@ impl Filter for StorageFilter {
             #[cfg(feature = "faultline")]
             self.maybe_crash(ctx.node.0 as i64);
             // While the recovery clock has work (stalled fetches, read
-            // retries in backoff, fetch deadlines), poll with a short
-            // timeout and advance it on each tick.
+            // retries in backoff), poll with a short timeout and advance it
+            // on each tick.
             let timeout = self
                 .state
                 .needs_tick()

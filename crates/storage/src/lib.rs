@@ -46,9 +46,7 @@ pub mod pool;
 pub mod proto;
 pub mod rangeset;
 
-pub use client::{
-    MapDelta, ReadGuard, ReadTicket, RetryPolicy, SealTicket, StorageClient, Ticket, WriteTicket,
-};
+pub use client::{MapDelta, ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket, WriteTicket};
 pub use cluster::StorageCluster;
 pub use meta::{ArrayMeta, BlockKey, Interval};
 pub use node::{NodeConfig, RecoveryPolicy, StorageState};
@@ -82,10 +80,6 @@ pub enum StorageError {
     /// — which reports a single filesystem error verbatim — this is the
     /// storage node's final verdict on a block it could not produce.
     IoFailed(String),
-    /// A request exceeded its deadline: either the client-side wait deadline
-    /// (`StorageClient` retry policy) or the node's fetch/stall deadline on
-    /// a random-peer map lookup. Surfaced instead of hanging forever.
-    Timeout(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -101,7 +95,6 @@ impl std::fmt::Display for StorageError {
             StorageError::Io(m) => write!(f, "storage I/O error: {m}"),
             StorageError::Protocol(m) => write!(f, "storage protocol error: {m}"),
             StorageError::IoFailed(m) => write!(f, "storage read failed: {m}"),
-            StorageError::Timeout(m) => write!(f, "storage request timed out: {m}"),
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Peer lookup over the partitioned global map: serving other nodes'
 //! fetches, probing random peers for blocks this node lacks (one probe in
 //! flight per block), stalling when every peer denied and re-probing on the
-//! tick, abandoning silent peers past a deadline, and resolving the
-//! placeholder geometry of an array first met through a read.
+//! tick, and resolving the placeholder geometry of an array first met
+//! through a read.
 
 use super::{storage_obs, Action, BlockMem, ReadWaiter, StorageState};
 use crate::meta::ArrayMeta;
-use crate::proto::{PeerMsg, Reply};
-use crate::StorageError;
+use crate::proto::PeerMsg;
 use bytes::Bytes;
 use rand::Rng;
 
@@ -18,9 +17,6 @@ pub(super) struct FetchState {
     pub(super) req: u64,
     /// Peers already asked (includes the one currently in flight).
     tried: Vec<u64>,
-    /// Ticks the current probe has been in flight (for the optional
-    /// [`super::RecoveryPolicy::fetch_deadline_ticks`] deadline).
-    age: u64,
 }
 
 /// Why a `FetchFound` answer cannot be installed, if it cannot: it must
@@ -140,7 +136,6 @@ impl StorageState {
         info.fetch = Some(FetchState {
             req,
             tried: vec![peer],
-            age: 0,
         });
         self.fetches.insert(req, (array.clone(), block));
         out.push(Action::Peer {
@@ -155,7 +150,7 @@ impl StorageState {
     }
 
     /// One peer probe of fetch `req` came back empty — by an explicit
-    /// `FetchNotFound`, an unusable answer, or the fetch deadline. Try the
+    /// `FetchNotFound` or an unusable answer. Try the
     /// next random untried peer; once every peer denied, stall the fetch
     /// for the tick loop ("the data may not exist *yet*").
     pub(super) fn fetch_setback(&mut self, req: u64, out: &mut Vec<Action>) {
@@ -195,7 +190,6 @@ impl StorageState {
         } else {
             let peer = untried[self.rng.gen_range(0..untried.len())];
             fetch.tried.push(peer);
-            fetch.age = 0;
             out.push(Action::Peer {
                 node: peer,
                 msg: PeerMsg::Fetch {
@@ -221,7 +215,7 @@ impl StorageState {
         out: &mut Vec<Action>,
     ) {
         let Some((array, asked)) = self.fetches.get(&req).cloned() else {
-            return; // stale: answered already, abandoned, or array deleted
+            return; // stale: answered already or array deleted
         };
         let Some(ainfo) = self.arrays.get(&array) else {
             return;
@@ -242,8 +236,6 @@ impl StorageState {
         }
         let placeholder = ainfo.is_placeholder();
         self.fetches.remove(&req);
-        self.stall_rounds.remove(&(array.clone(), block));
-        self.stall_rounds.remove(&(array.clone(), asked));
         self.stats.peer_recv_bytes += data.len() as u64;
         if placeholder {
             self.resolve_placeholder(&array, found, asked, Some((block, data)), out);
@@ -305,11 +297,9 @@ impl StorageState {
         }
     }
 
-    /// Retries every stalled fetch with a fresh probe cycle, or times its
-    /// waiters out once [`super::RecoveryPolicy::stall_retry_max`] rounds
-    /// are spent.
+    /// Retries every stalled fetch that still has readers with a fresh
+    /// probe cycle: the data may simply not exist yet.
     pub(super) fn retry_stalled(&mut self, out: &mut Vec<Action>) {
-        let stall_max = self.cfg.recovery.stall_retry_max;
         for (array, block, offset) in std::mem::take(&mut self.stalled) {
             let still_wanted = self
                 .arrays
@@ -318,74 +308,10 @@ impl StorageState {
                 .is_some_and(|i| {
                     !i.read_waiters.is_empty() && i.fetch.is_none() && i.mem.is_none()
                 });
-            let key = (array.clone(), block);
-            if !still_wanted {
-                self.stall_rounds.remove(&key);
-                continue;
-            }
-            let rounds = self.stall_rounds.entry(key.clone()).or_insert(0);
-            *rounds += 1;
-            if stall_max.is_none_or(|max| *rounds <= max) {
+            if still_wanted {
                 storage_obs().fetch_retries.inc();
                 self.start_fetch(array, block, offset, out);
-                continue;
             }
-            // The data never appeared anywhere: stop hiding the hang.
-            self.stall_rounds.remove(&key);
-            let waiters = self
-                .arrays
-                .get_mut(&array)
-                .and_then(|a| a.blocks.get_mut(&block))
-                .map(|i| std::mem::take(&mut i.read_waiters))
-                .unwrap_or_default();
-            for w in waiters {
-                let m = format!("fetch of {array}@{block}: no peer produced the data");
-                out.push(Action::Reply {
-                    client: w.client,
-                    reply: Reply::Err {
-                        req: w.req,
-                        error: StorageError::Timeout(m),
-                    },
-                });
-            }
-            dooc_obs::instant_arg(
-                dooc_obs::Category::Fault,
-                "storage:fetch_timeout",
-                self.cfg.node as i64,
-                || format!("{array}@{block} after {stall_max:?} stall rounds"),
-            );
-        }
-    }
-
-    /// Ages in-flight peer probes; past [`super::RecoveryPolicy::fetch_deadline_ticks`]
-    /// the silent peer counts as having answered `FetchNotFound`.
-    pub(super) fn expire_fetches(&mut self, out: &mut Vec<Action>) {
-        let Some(deadline) = self.cfg.recovery.fetch_deadline_ticks else {
-            return;
-        };
-        let mut expired = Vec::new();
-        for (&req, (array, block)) in &self.fetches {
-            let fetch = self
-                .arrays
-                .get_mut(array)
-                .and_then(|a| a.blocks.get_mut(block))
-                .and_then(|i| i.fetch.as_mut());
-            if let Some(f) = fetch {
-                f.age += 1;
-                if f.age >= deadline {
-                    expired.push(req);
-                }
-            }
-        }
-        for req in expired {
-            storage_obs().fetch_retries.inc();
-            dooc_obs::instant_arg(
-                dooc_obs::Category::Fault,
-                "storage:fetch_deadline",
-                self.cfg.node as i64,
-                || format!("fetch req {req} unanswered for {deadline} ticks"),
-            );
-            self.fetch_setback(req, out);
         }
     }
 }
@@ -393,21 +319,14 @@ impl StorageState {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
-    use super::super::{Action, NodeConfig, RecoveryPolicy, StorageState};
+    use super::super::{Action, StorageState};
     use crate::meta::{ArrayMeta, Interval};
     use crate::proto::{ClientMsg, PeerMsg};
-    use crate::StorageError;
     use bytes::Bytes;
     use std::collections::BTreeMap;
 
-    fn node(nnodes: u64, recovery: RecoveryPolicy) -> StorageState {
-        StorageState::new(
-            NodeConfig {
-                recovery,
-                ..cfg(0, nnodes, 1 << 20)
-            },
-            vec![],
-        )
+    fn node(nnodes: u64) -> StorageState {
+        StorageState::new(cfg(0, nnodes, 1 << 20), vec![])
     }
 
     /// The single action, which must be a peer fetch: `(peer, req, offset)`.
@@ -442,7 +361,7 @@ mod tests {
 
     #[test]
     fn remote_read_probes_random_peers_until_found() {
-        let mut st = node(4, RecoveryPolicy::default());
+        let mut st = node(4);
         let (first, req, _) = probe(&read(&mut st, 1, 0, "remote", Interval::new(0, 8)));
         assert_ne!(first, 0, "never asks itself");
         let (second, _, _) = probe(&st.handle_peer(PeerMsg::FetchNotFound { req }));
@@ -454,7 +373,7 @@ mod tests {
 
     #[test]
     fn remote_read_stalls_after_all_peers_deny_then_retries() {
-        let mut st = node(3, RecoveryPolicy::default());
+        let mut st = node(3);
         let (_, req, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
         probe(&st.handle_peer(PeerMsg::FetchNotFound { req }));
         let acts = st.handle_peer(PeerMsg::FetchNotFound { req });
@@ -467,7 +386,7 @@ mod tests {
 
     #[test]
     fn duplicate_fetches_are_suppressed() {
-        let mut st = node(2, RecoveryPolicy::default());
+        let mut st = node(2);
         st.handle_client(ClientMsg::Register {
             meta: ArrayMeta::new("r", 64, 32),
         });
@@ -530,53 +449,13 @@ mod tests {
 
     #[test]
     fn register_then_read_maps_blocks_correctly() {
-        let mut st = node(2, RecoveryPolicy::default());
+        let mut st = node(2);
         st.handle_client(ClientMsg::Register {
             meta: ArrayMeta::new("r", 64, 32),
         });
         // Read of second block probes with an offset inside that block.
         let (_, _, offset) = probe(&read(&mut st, 1, 0, "r", Interval::new(40, 8)));
         assert_eq!(offset / 32, 1, "fetch addressed inside block 1");
-    }
-
-    #[test]
-    fn stall_rounds_exhaust_into_timeout() {
-        let mut st = node(
-            2,
-            RecoveryPolicy {
-                stall_retry_max: Some(2),
-                ..RecoveryPolicy::default()
-            },
-        );
-        // Remote read: probe peer 1, which denies -> stall.
-        let (_, mut req, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
-        // Two full stall/retry rounds are allowed ...
-        for _ in 0..2 {
-            assert!(st.handle_peer(PeerMsg::FetchNotFound { req }).is_empty());
-            assert!(st.has_stalled_fetches());
-            req = probe(&st.on_tick()).1;
-        }
-        // ... the third denial times the waiter out on the next tick.
-        assert!(st.handle_peer(PeerMsg::FetchNotFound { req }).is_empty());
-        assert!(matches!(error(&st.on_tick()), StorageError::Timeout(_)));
-    }
-
-    #[test]
-    fn fetch_deadline_moves_to_next_peer() {
-        let mut st = node(
-            3,
-            RecoveryPolicy {
-                fetch_deadline_ticks: Some(2),
-                ..RecoveryPolicy::default()
-            },
-        );
-        let (first, _, _) = probe(&read(&mut st, 1, 0, "ghost", Interval::new(0, 8)));
-        assert!(st.needs_tick(), "deadline arms the tick loop");
-        // The probed peer stays silent (crashed): after the deadline the
-        // probe is abandoned and the other peer is asked.
-        assert!(st.on_tick().is_empty(), "first tick only ages the probe");
-        let (next, _, _) = probe(&st.on_tick());
-        assert_ne!(next, first, "silent peer not re-probed");
     }
 
     /// Where the logged reads of `array` wait: block -> (req, block offset).
@@ -611,7 +490,7 @@ mod tests {
     #[test]
     fn register_and_fetch_found_re_key_parked_reads_alike() {
         let parked = || {
-            let mut st = node(3, RecoveryPolicy::default());
+            let mut st = node(3);
             let (_, req, _) = probe(&read(&mut st, 1, 0, "r", Interval::new(40, 8)));
             assert!(read(&mut st, 2, 0, "r", Interval::new(70, 8)).is_empty());
             (st, req)
@@ -644,7 +523,7 @@ mod tests {
     /// receives `answer`: it must be refused as a failed probe, the next
     /// peer asked, nothing installed.
     fn rejects(known: bool, answer: impl FnOnce(u64) -> PeerMsg) {
-        let mut st = node(3, RecoveryPolicy::default());
+        let mut st = node(3);
         if known {
             st.handle_client(ClientMsg::Register {
                 meta: ArrayMeta::new("r", 64, 32),

@@ -34,7 +34,7 @@
 //! * `residency` — what a block costs in memory (`BlockMem`), the budget,
 //!   the LRU, and the only two ways a block leaves memory: `evict_block` and
 //!   `spill_block`;
-//! * `fetch` — peer lookup: serving and issuing probes, stalls, deadlines,
+//! * `fetch` — peer lookup: serving and issuing probes, stalls,
 //!   and resolving placeholder geometry;
 //! * `recovery` — bounded retry with backoff for failed reads.
 
@@ -104,7 +104,7 @@ pub struct NodeConfig {
     pub memory_budget: u64,
     /// Seed for random peer selection.
     pub seed: u64,
-    /// Retry/deadline policy for I/O errors and peer fetches.
+    /// Retry policy for failed out-of-core reads.
     pub recovery: RecoveryPolicy,
 }
 
@@ -304,16 +304,13 @@ pub struct StorageState {
     /// next tick ("replies back when all the relevant information becomes
     /// available" — the information may simply not exist *yet*).
     stalled: Vec<(String, u64, u64)>,
-    /// Monotonic tick counter ([`Self::on_tick`]); the clock retries and
-    /// deadlines are measured against.
+    /// Monotonic tick counter ([`Self::on_tick`]); the clock read-retry
+    /// backoff is measured against.
     tick: u64,
     /// Failed out-of-core reads awaiting their backoff tick.
     io_retry: Vec<IoRetry>,
     /// Read-retry attempts already spent per block.
     io_attempts: HashMap<(String, u64), u32>,
-    /// Completed stall/re-probe rounds per block (for
-    /// [`RecoveryPolicy::stall_retry_max`]).
-    stall_rounds: HashMap<(String, u64), u64>,
     /// This node's clients are quiescent (local Shutdown consumed).
     local_done: bool,
     /// Number of peers that sent a `Bye`.
@@ -350,7 +347,6 @@ impl StorageState {
             tick: 0,
             io_retry: Vec::new(),
             io_attempts: HashMap::new(),
-            stall_rounds: HashMap::new(),
             local_done: false,
             byes: 0,
             #[cfg(feature = "model")]
@@ -426,7 +422,6 @@ impl StorageState {
             tick,
             io_retry,
             io_attempts,
-            stall_rounds,
             local_done,
             byes,
             seeded_bugs: _,
@@ -462,7 +457,7 @@ impl StorageState {
             .hash(&mut h);
         (stats, sorted(fetches), rng.clone().next_u64()).hash(&mut h);
         (stalled, tick, io_retry, local_done, byes).hash(&mut h);
-        (sorted(io_attempts), sorted(stall_rounds)).hash(&mut h);
+        sorted(io_attempts).hash(&mut h);
         h.finish()
     }
 
@@ -581,26 +576,21 @@ impl StorageState {
     }
 
     /// Does the state machine need periodic [`Self::on_tick`] calls right
-    /// now? True while fetches are stalled, failed reads await their backoff
-    /// tick, or in-flight fetches are aging against a deadline.
+    /// now? True while fetches are stalled or failed reads await their
+    /// backoff tick.
     pub fn needs_tick(&self) -> bool {
-        !self.stalled.is_empty()
-            || !self.io_retry.is_empty()
-            || (self.cfg.recovery.fetch_deadline_ticks.is_some() && !self.fetches.is_empty())
+        !self.stalled.is_empty() || !self.io_retry.is_empty()
     }
 
     /// One step of the recovery clock. Retries every stalled fetch with a
-    /// fresh random probe cycle (or times its waiters out once
-    /// [`RecoveryPolicy::stall_retry_max`] rounds are spent), re-issues
-    /// failed reads whose backoff expired, and abandons in-flight peer
-    /// probes older than [`RecoveryPolicy::fetch_deadline_ticks`]. Called
-    /// periodically by the storage filter while [`Self::needs_tick`].
+    /// fresh random probe cycle and re-issues failed reads whose backoff
+    /// expired. Called periodically by the storage filter while
+    /// [`Self::needs_tick`].
     pub fn on_tick(&mut self) -> Vec<Action> {
         self.tick += 1;
         let mut out = Vec::new();
         self.retry_stalled(&mut out);
         self.reissue_due_reads(&mut out);
-        self.expire_fetches(&mut out);
         out
     }
 

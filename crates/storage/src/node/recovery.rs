@@ -7,10 +7,10 @@ use super::{storage_obs, Action, StorageState};
 use crate::proto::{IoCmd, PeerMsg, Reply};
 use crate::StorageError;
 
-/// Fault-recovery knobs of one storage node. The defaults keep the seed
-/// behaviour except for bounded I/O-read retries: fetch deadlines and stall
-/// limits are opt-in because a fetch may legitimately wait forever for a
-/// producer task that has not run yet.
+/// Fault-recovery knobs of one storage node: how hard a failed disk read
+/// is retried. Peer fetches have no knobs — a fetch may legitimately wait
+/// forever for a producer task that has not run yet, and the streams that
+/// carry probes and answers neither lose nor reorder them.
 #[derive(Clone, Debug)]
 pub struct RecoveryPolicy {
     /// How many times a failed out-of-core *read* is re-issued before the
@@ -19,14 +19,6 @@ pub struct RecoveryPolicy {
     /// Ticks to wait before the first read retry; doubles on every further
     /// attempt (exponential backoff).
     pub io_retry_backoff_ticks: u64,
-    /// Ticks an in-flight peer fetch may stay unanswered before the probe is
-    /// abandoned and the next random peer is asked. `None` waits forever
-    /// (seed behaviour: only an explicit `FetchNotFound` moves on).
-    pub fetch_deadline_ticks: Option<u64>,
-    /// How many whole stall/retry rounds (every peer denied, tick, re-probe
-    /// everyone) a fetch may go through before its waiters get
-    /// [`StorageError::Timeout`]. `None` retries forever (seed behaviour).
-    pub stall_retry_max: Option<u64>,
 }
 
 impl Default for RecoveryPolicy {
@@ -34,8 +26,6 @@ impl Default for RecoveryPolicy {
         Self {
             io_retry_max: 2,
             io_retry_backoff_ticks: 1,
-            fetch_deadline_ticks: None,
-            stall_retry_max: None,
         }
     }
 }

@@ -464,7 +464,8 @@ fn err_put(pb: &mut PayloadBuilder, e: &StorageError) {
         StorageError::Io(m) => (5, m, ""),
         StorageError::Protocol(m) => (6, m, ""),
         StorageError::IoFailed(m) => (7, m, ""),
-        StorageError::Timeout(m) => (8, m, ""),
+        // Code 8 belonged to a retired request-timeout error: it stays
+        // unassigned so no code changes meaning on the wire.
     };
     pb.put_u64(k).put_str(a).put_str(b);
 }
@@ -485,7 +486,6 @@ fn err_get(r: &mut PayloadReader) -> Option<StorageError> {
         5 => StorageError::Io(a),
         6 => StorageError::Protocol(a),
         7 => StorageError::IoFailed(a),
-        8 => StorageError::Timeout(a),
         _ => return None,
     })
 }
@@ -1178,10 +1178,6 @@ mod tests {
             Reply::Err {
                 req: 12,
                 error: StorageError::IoFailed("a@0: 3 attempts".into()),
-            },
-            Reply::Err {
-                req: 13,
-                error: StorageError::Timeout("fetch of a@0".into()),
             },
         ];
         for m in msgs {

@@ -402,15 +402,11 @@ mod faults {
     use super::*;
     use dooc_faultline as faultline;
     use dooc_storage::node::RecoveryPolicy;
-    use dooc_storage::{RetryPolicy, StorageError};
+    use dooc_storage::StorageError;
 
-    /// [`run_cluster_in`] with explicit recovery + client retry policies.
-    fn run_cluster_faulty<F>(
-        dirs: &[PathBuf],
-        recovery: RecoveryPolicy,
-        retry: RetryPolicy,
-        driver: F,
-    ) where
+    /// [`run_cluster_in`] with an explicit recovery policy.
+    fn run_cluster_faulty<F>(dirs: &[PathBuf], recovery: RecoveryPolicy, driver: F)
+    where
         F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
     {
         let nnodes = dirs.len();
@@ -421,13 +417,11 @@ mod faults {
         let nodes: Vec<NodeId> = (0..nnodes).map(NodeId).collect();
         let drivers = layout.add_replicated("driver", nodes, move |_| {
             let driver = Arc::clone(&driver);
-            let retry = retry.clone();
             Box::new(
                 move |ctx: &mut FilterContext| -> dooc_filterstream::Result<()> {
                     let to = ctx.take_output("sreq")?;
                     let from = ctx.take_input("srep")?;
                     let mut sc = StorageClient::new(to, from, ctx.instance, ctx.instance as u64);
-                    sc.set_retry_policy(retry.clone());
                     driver(ctx.instance, &mut sc);
                     sc.shutdown().ok();
                     Ok(())
@@ -456,7 +450,6 @@ mod faults {
                 io_retry_max: 0, // retries disabled: the first error is final
                 ..RecoveryPolicy::default()
             },
-            RetryPolicy::default(),
             |_, sc| {
                 let err = sc
                     .read("mat", Interval::new(0, 64))
@@ -485,70 +478,36 @@ mod faults {
         std::fs::write(dirs[0].join("kept"), vec![2u8; 16]).expect("stage");
         faultline::reset();
         faultline::enable();
-        run_cluster_faulty(
-            &dirs,
-            RecoveryPolicy::default(),
-            RetryPolicy::default(),
-            |_, sc| {
-                let iv = Interval::new(0, 16);
-                for (name, byte) in [("dead", 1u8), ("kept", 2)] {
-                    sc.register(name, 16, 16).expect("register");
-                    assert_eq!(&sc.read(name, iv).expect("staged")[..], &[byte; 16]);
-                }
-                sc.delete("dead").expect("delete");
-                // What is left is on disk and nothing is in flight: the node
-                // is crash-safe, and crashes at its next loop turn.
-                faultline::configure(
-                    "storage.node.crash",
-                    faultline::FaultSpec::fire().with_max(1),
-                );
-                while faultline::injected("storage.node.crash") == 0 {
-                    sc.stats().expect("stats");
-                }
-                let err = sc.read("dead", iv).expect_err("deleted before the crash");
-                assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
-                let err = sc.create("dead", 16, 16).expect_err("the name is spent");
-                assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
-                let map = sc.map_since(0).expect("map").entries;
-                assert!(map.iter().all(|e| e.array == "kept"), "{map:?}");
-                assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
-            },
-        );
+        run_cluster_faulty(&dirs, RecoveryPolicy::default(), |_, sc| {
+            let iv = Interval::new(0, 16);
+            for (name, byte) in [("dead", 1u8), ("kept", 2)] {
+                sc.register(name, 16, 16).expect("register");
+                assert_eq!(&sc.read(name, iv).expect("staged")[..], &[byte; 16]);
+            }
+            sc.delete("dead").expect("delete");
+            // What is left is on disk and nothing is in flight: the node
+            // is crash-safe, and crashes at its next loop turn.
+            faultline::configure(
+                "storage.node.crash",
+                faultline::FaultSpec::fire().with_max(1),
+            );
+            while faultline::injected("storage.node.crash") == 0 {
+                sc.stats().expect("stats");
+            }
+            let err = sc.read("dead", iv).expect_err("deleted before the crash");
+            assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
+            let err = sc.create("dead", 16, 16).expect_err("the name is spent");
+            assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
+            let map = sc.map_since(0).expect("map").entries;
+            assert!(map.iter().all(|e| e.array == "kept"), "{map:?}");
+            assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
+        });
         faultline::reset();
         let files: Vec<String> = std::fs::read_dir(&dirs[0])
             .expect("scratch")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(files, vec!["kept"]);
-        cleanup(&dirs);
-    }
-
-    #[test]
-    fn too_short_deadline_surfaces_timeout() {
-        let _g = faultline::test_gate();
-        faultline::reset();
-        let dirs = scratch_dirs("neg-deadline", 1);
-        run_cluster_faulty(
-            &dirs,
-            RecoveryPolicy::default(),
-            RetryPolicy {
-                deadline: Some(std::time::Duration::from_millis(40)),
-                max_retries: 1,
-                backoff: std::time::Duration::from_millis(5),
-            },
-            |_, sc| {
-                // Registered but never written: the read parks server-side
-                // forever; only the client deadline can end the wait.
-                sc.register("ghost", 16, 16).expect("register");
-                let err = sc
-                    .read("ghost", Interval::new(0, 16))
-                    .expect_err("read of never-written data must time out");
-                assert!(
-                    matches!(err, StorageError::Timeout(_)),
-                    "expected typed Timeout, got {err:?}"
-                );
-            },
-        );
         cleanup(&dirs);
     }
 }

@@ -261,8 +261,6 @@ proptest! {
         let recovery = RecoveryPolicy {
             io_retry_max: 2,
             io_retry_backoff_ticks: 1,
-            fetch_deadline_ticks: None,
-            stall_retry_max: None,
         };
         let discovered: Vec<DiscoveredBlock> = (0..nblocks)
             .map(|b| DiscoveredBlock {

@@ -7,11 +7,10 @@ use bytes::Bytes;
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_storage::meta::Interval;
 use dooc_storage::proto::BlockAvail;
-use dooc_storage::{ReadGuard, RetryPolicy, StorageClient, StorageCluster, StorageError};
+use dooc_storage::{ReadGuard, StorageClient, StorageCluster};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const NBLOCKS: u64 = 4;
 const BLOCK: u64 = 64;
@@ -141,26 +140,18 @@ proptest! {
 
 /// A guard's checked mark round-trips through the node: a guard that
 /// `mark_checked`s releases the block as checked and the next guard reports
-/// it. A grant the client gave up on (its read timed out and the reply came
-/// late) is released by the client itself, and never as checked.
+/// it; a guard that does not mark leaves the block unchecked.
 #[test]
 fn only_a_guard_that_marks_releases_as_checked() {
     run_single_node("mark", |sc| {
         let iv = Interval::new(0, BLOCK);
         sc.create("late", BLOCK, BLOCK).expect("create");
-        // Nothing is written yet: the read is logged and times out.
-        sc.set_retry_policy(RetryPolicy {
-            deadline: Some(Duration::from_millis(30)),
-            ..RetryPolicy::default()
-        });
+        // Nothing is written yet: the read is logged, and the seal serves it
+        // while the client waits for its own write.
         let t = sc.read_async("late", iv).expect("read");
-        assert!(matches!(sc.wait_read(t), Err(StorageError::Timeout(_))));
-        sc.set_retry_policy(RetryPolicy::default());
-        // The seal serves the logged read; the client drops that stale grant
-        // while waiting for the next reply.
         sc.write("late", iv, Bytes::from(vec![3u8; BLOCK as usize]))
             .expect("write");
-        let g = sc.read("late", iv).expect("read");
+        let g = sc.wait_read(t).expect("logged read served");
         assert!(!g.checked(), "a fresh seal");
         drop(g);
         let mut g = sc.read("late", iv).expect("read");

@@ -1,9 +1,10 @@
-//! Chaos over real sockets: the faultline drop/delay/reorder schedules that
-//! the core chaos suite runs in-process, replayed with the peer traffic
-//! crossing actual loopback TCP connections. The runtime must converge to
-//! the bitwise-identical final vector regardless — message faults are
-//! injected at the writer (before framing), and the TCP connect/frame sites
-//! add socket-level delay on top.
+//! Chaos over real sockets: the I/O-error and worker-crash storms of the
+//! core chaos suite, replayed with the peer traffic crossing actual
+//! loopback TCP connections, plus a schedule that delays TCP frames in the
+//! writer. The runtime must converge to the bitwise-identical final vector
+//! regardless, and every scheduled site must inject at least once per seed.
+//! No schedule loses or reorders a frame: the transport is reliable and
+//! ordered per peer by contract.
 //!
 //! ```sh
 //! cargo test --features faultline --test chaos_sockets
@@ -18,6 +19,7 @@ use dooc::sparse::blockgrid::BlockGrid;
 use dooc::sparse::genmat::GapGenerator;
 use dooc::storage::RecoveryPolicy;
 use dooc_faultline as faultline;
+use faultline::FaultSpec;
 use std::sync::Arc;
 
 mod common;
@@ -29,10 +31,6 @@ const ITERS: u64 = 3;
 const MAT_SEED: u64 = 9;
 const NNODES: usize = 2;
 
-/// Wire tags a drop schedule must never eat (mirrors the core chaos suite):
-/// `Bye` and `DeleteNotice` have no retry path by design.
-const PEER_EXEMPT_TAGS: [u64; 2] = [0x304, 0x303];
-
 /// Seeds per schedule; `DOOC_CHAOS_SEEDS` overrides (CI sets `0,1,2`).
 fn seeds() -> Vec<u64> {
     match std::env::var("DOOC_CHAOS_SEEDS") {
@@ -41,9 +39,11 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-/// One 2-node run over loopback TCP under whatever schedule
-/// `configure_faults` installs; returns the persisted final vector.
-fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
+/// One 2-node run over loopback TCP under `schedule` — `(site, spec)` pairs
+/// armed after `faultline::seed(seed)`; returns the persisted final vector.
+/// Each scheduled site must have injected at least one fault by the end of
+/// the run (read before the registry is reset).
+fn run_spmv_tcp(tag: &str, seed: u64, schedule: &[(&str, FaultSpec)]) -> Vec<f64> {
     let base = DoocConfig::in_temp_dirs(tag, NNODES).expect("cfg");
     let grid = BlockGrid::new(K, N);
     let gen = GapGenerator::with_d(4);
@@ -64,7 +64,10 @@ fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
     let (graph, external, geometry) = app.build();
 
     faultline::reset();
-    configure_faults();
+    faultline::seed(seed);
+    for (site, spec) in schedule {
+        faultline::configure(site, spec.clone());
+    }
     faultline::enable();
 
     let handles: Vec<_> = tcp_mesh(NNODES)
@@ -76,8 +79,6 @@ fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
                 .recovery(RecoveryPolicy {
                     io_retry_max: 5,
                     io_retry_backoff_ticks: 1,
-                    fetch_deadline_ticks: Some(25),
-                    stall_retry_max: None,
                 });
             for (name, len, bs) in &geometry {
                 cfg = cfg.with_geometry(name.clone(), *len, *bs);
@@ -94,7 +95,16 @@ fn run_spmv_tcp(tag: &str, configure_faults: impl FnOnce()) -> Vec<f64> {
     for h in handles {
         h.join().expect("node thread");
     }
+    let silent: Vec<&str> = schedule
+        .iter()
+        .map(|&(site, _)| site)
+        .filter(|site| faultline::injected(site) == 0)
+        .collect();
     faultline::reset();
+    assert!(
+        silent.is_empty(),
+        "{tag} seed {seed}: sites {silent:?} never fired — the schedule proved nothing"
+    );
 
     let x = app
         .collect_final_vector(&base.scratch_dirs)
@@ -115,54 +125,38 @@ fn assert_bitwise(schedule: &str, seed: u64, got: &[f64], want: &[f64]) {
 }
 
 #[test]
-fn peer_drop_over_sockets_converges_bitwise() {
+fn io_error_storm_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-drop-base", || {});
+    let baseline = run_spmv_tcp("sock-io-base", 0, &[]);
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-drop", || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::drop_msg()
-                    .with_prob(0.10)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-drop", seed, &got, &baseline);
+        let storm = [("storage.io.read", FaultSpec::error().with_prob(0.10))];
+        let got = run_spmv_tcp("sock-io", seed, &storm);
+        assert_bitwise("io-error-storm", seed, &got, &baseline);
     }
 }
 
 #[test]
-fn peer_reorder_over_sockets_converges_bitwise() {
+fn worker_crash_storm_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-reorder-base", || {});
+    let baseline = run_spmv_tcp("sock-crash-base", 0, &[]);
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-reorder", || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::reorder()
-                    .with_prob(0.25)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-reorder", seed, &got, &baseline);
+        let storm = [(
+            "worker.task.crash",
+            FaultSpec::fire().with_prob(0.15).with_max(8),
+        )];
+        let got = run_spmv_tcp("sock-crash", seed, &storm);
+        assert_bitwise("worker-crash-storm", seed, &got, &baseline);
     }
 }
 
 #[test]
 fn frame_delay_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-delay-base", || {});
+    let baseline = run_spmv_tcp("sock-delay-base", 0, &[]);
     for seed in seeds() {
-        let got = run_spmv_tcp("sock-delay", || {
-            faultline::seed(seed);
-            // Socket-level: stall the framing writer on ~20% of data frames.
-            faultline::configure(
-                "fs.tcp.frame",
-                faultline::FaultSpec::delay(2).with_prob(0.20),
-            );
-        });
+        // Socket-level: stall the framing writer on ~20% of data frames.
+        let delay = [("fs.tcp.frame", FaultSpec::delay(2).with_prob(0.20))];
+        let got = run_spmv_tcp("sock-delay", seed, &delay);
         assert_bitwise("frame-delay", seed, &got, &baseline);
     }
 }
