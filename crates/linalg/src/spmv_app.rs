@@ -31,7 +31,7 @@ use dooc_core::{
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::fileio;
 use dooc_sparse::genmat::GapGenerator;
-use dooc_sparse::CsrBytes;
+use dooc_sparse::{ComputePool, CsrBytes, SparseError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -509,11 +509,15 @@ impl SpmvAppBuilder {
 /// the vector of a `multiply` and the partials of a `sum` are pinned, used
 /// straight from their little-endian bytes, and handed back — the read
 /// request / release pair of §III-B with the kernel in between, and no
-/// decoded copy of a block in the task. A `multiply` writes its product the
-/// same way round: as stored bytes, into a buffer of the node's pool that
-/// the storage layer then adopts as the block. The static audit charges a
-/// task's inputs as resident for its whole execution, so holding the pins
-/// through the kernel claims no memory the budget has not already granted.
+/// decoded copy of a block in the task. A `multiply` writes its product and
+/// a `sum` accumulates its partials the same way round: as stored bytes,
+/// into a buffer of the node's pool that the storage layer then adopts as
+/// the block. A matrix is checked once per residency of its blocks, on its
+/// first multiply and for a matrix with fewer entries than rows by the very
+/// walk that multiplies it; no product of bytes that fail the checks leaves
+/// the task. The static audit charges a task's inputs as resident for its
+/// whole execution, so holding the pins through the kernel claims no memory
+/// the budget has not already granted.
 pub struct SpmvExecutor;
 
 impl SpmvExecutor {
@@ -528,32 +532,44 @@ impl SpmvExecutor {
         Ok((view, bytes))
     }
 
-    /// The matrix in `bytes`, the contents of `pin`: validated in full the
-    /// first time this residency of its blocks is multiplied — the view is
-    /// then released as checked — and taken on its header alone by every
-    /// later multiply that finds the blocks still carrying that mark. No
-    /// kernel runs on bytes that have not passed `CsrRef::new` since they
-    /// were loaded.
-    fn matrix(pin: &mut ArrayView, bytes: bytes::Bytes) -> dooc_sparse::Result<CsrBytes> {
+    /// `y = A * x` for the matrix in `bytes`, the contents of `pin`. The
+    /// first multiply of this residency of its blocks validates it as it
+    /// multiplies ([`CsrBytes::new_multiplying`]) and, only once that is
+    /// `Ok`, releases the view as checked; every later multiply that finds
+    /// the blocks still carrying that mark takes the matrix on its header
+    /// alone. No product of bytes that fail the checks leaves the task: on
+    /// `Err` the caller drops `y`.
+    fn multiply(
+        pin: &mut ArrayView,
+        bytes: bytes::Bytes,
+        pool: &ComputePool,
+        x: &[[u8; 8]],
+        y: &mut [[u8; 8]],
+    ) -> dooc_sparse::Result<()> {
         if pin.checked() {
             obs().matrix_checks_skipped.inc();
-            return CsrBytes::already_validated(bytes);
+            let m = CsrBytes::already_validated(bytes)?;
+            return pool.spmv(m.view(), x, y);
         }
         obs().matrix_checks.inc();
-        let m = CsrBytes::new(bytes)?;
+        CsrBytes::new_multiplying(bytes, pool, x, y)?;
         pin.mark_checked();
-        Ok(m)
+        Ok(())
     }
 
-    /// A vector's bytes must be whole `f64`s.
-    fn check_f64_aligned(name: &str, bytes: &[u8]) -> std::result::Result<(), String> {
+    /// [`Self::pin`] for a vector, whose bytes must be whole `f64`s.
+    fn pin_f64s(
+        ctx: &mut WorkerContext,
+        name: &str,
+    ) -> std::result::Result<(ArrayView, bytes::Bytes), String> {
+        let (view, bytes) = Self::pin(ctx, name)?;
         if !bytes.len().is_multiple_of(8) {
             return Err(format!(
                 "array '{name}' length {} not f64-aligned",
                 bytes.len()
             ));
         }
-        Ok(())
+        Ok((view, bytes))
     }
 }
 
@@ -566,51 +582,47 @@ impl TaskExecutor for SpmvExecutor {
                 // the validation and the kernel only. Both are multiplied
                 // where the storage layer holds them, and the product is
                 // written, as the bytes it is stored as, into the pooled
-                // buffer that becomes its block.
-                let (x_pin, x) = Self::pin(ctx, &task.inputs[1].array)?;
-                Self::check_f64_aligned(&task.inputs[1].array, &x)?;
+                // buffer of the size the task declares, which becomes its
+                // block.
+                let (x_pin, x) = Self::pin_f64s(ctx, &task.inputs[1].array)?;
                 let (mut pin, bytes) = Self::pin(ctx, &task.inputs[0].array)?;
-                let m = Self::matrix(&mut pin, bytes).map_err(|e| format!("decode matrix: {e}"))?;
-                let a = m.view();
-                let len = 8 * a.nrows() as usize;
+                let len = task.outputs[0].bytes as usize;
                 let mut out = ctx.output_buffer(len);
                 out.resize(len, 0);
                 let (y, _) = out.as_chunks_mut::<8>();
-                ctx.pool()
-                    .spmv(a, x.as_chunks::<8>().0, y)
-                    .map_err(|e| format!("spmv: {e}"))?;
+                Self::multiply(&mut pin, bytes, ctx.pool(), x.as_chunks::<8>().0, y).map_err(
+                    |e| match e {
+                        SparseError::DimensionMismatch { .. } => format!("spmv: {e}"),
+                        e => format!("decode matrix: {e}"),
+                    },
+                )?;
                 drop((pin, x_pin));
                 ctx.write_bytes(&task.outputs[0].array, out.freeze())
             }
             "sum" | "sum_final" => {
                 // Partials are pinned one at a time and folded into the
-                // accumulator from their bytes. The first is decoded, not
-                // added to zeros: 0.0 + -0.0 would lose the sign.
-                let mut acc: Option<Vec<f64>> = None;
-                for input in &task.inputs {
-                    if input.array.starts_with("bar_") {
-                        continue; // synchronization token, not data
+                // pooled buffer that becomes the output block, from their
+                // bytes and as bytes. The first is copied in, not added to
+                // zeros: 0.0 + -0.0 would lose the sign.
+                let mut partials = task.inputs.iter().filter(|d| !d.array.starts_with("bar_"));
+                let first = partials.next().ok_or("sum with no data inputs")?;
+                let (pin, x) = Self::pin_f64s(ctx, &first.array)?;
+                let mut acc = ctx.output_buffer(x.len());
+                acc.extend_from_slice(&x);
+                drop(pin);
+                for input in partials {
+                    let (_pin, x) = Self::pin_f64s(ctx, &input.array)?;
+                    if x.len() != acc.len() {
+                        return Err(format!(
+                            "array '{}' holds {} values, the sum so far {}",
+                            input.array,
+                            x.len() / 8,
+                            acc.len() / 8
+                        ));
                     }
-                    let (_pin, x) = Self::pin(ctx, &input.array)?;
-                    Self::check_f64_aligned(&input.array, &x)?;
-                    match &mut acc {
-                        None => {
-                            let words = x.as_chunks::<8>().0;
-                            acc = Some(words.iter().map(|w| f64::from_le_bytes(*w)).collect());
-                        }
-                        Some(a) if 8 * a.len() != x.len() => {
-                            return Err(format!(
-                                "array '{}' holds {} values, the sum so far {}",
-                                input.array,
-                                x.len() / 8,
-                                a.len()
-                            ))
-                        }
-                        Some(a) => ctx.pool().add_le(a, &x),
-                    }
+                    ctx.pool().add_le(acc.as_chunks_mut::<8>().0, &x);
                 }
-                let out = acc.ok_or("sum with no data inputs")?;
-                ctx.write_f64s(&task.outputs[0].array, &out)?;
+                ctx.write_bytes(&task.outputs[0].array, acc.freeze())?;
                 if task.kind == "sum_final" {
                     let name = task.outputs[0].array.clone();
                     ctx.storage()

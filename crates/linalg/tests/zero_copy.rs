@@ -1,9 +1,14 @@
 //! The SpMV executor computes on its inputs where the storage layer holds
 //! them: a `multiply` over a single-block matrix copies no matrix byte and
 //! hands every pin back, a matrix that spans several blocks is assembled
-//! once and still multiplies bit for bit, a corrupt block is a task error rather than a panic, also when it is reloaded under a
-//! matrix validated before, and the fused decode-and-add of `sum` is
-//! bitwise the AXPY it replaces.
+//! once and still multiplies bit for bit, a corrupt block is a task error
+//! rather than a panic — also when it is reloaded under a matrix validated
+//! before, and also for a cell with fewer entries than rows, which its
+//! first multiply checks as it multiplies — and `sum` folds its partials
+//! into its output block bitwise as the AXPY it replaces.
+//!
+//! The tests count validations (`linalg.matrix_checks` / `_skipped`,
+//! process-wide counters), so they take turns.
 
 use bytes::Bytes;
 use dooc_core::{TaskExecutor, TaskSpec, WorkerContext};
@@ -13,7 +18,9 @@ use dooc_sparse::{dense, fileio, ComputePool, CsrMatrix, GapGenerator};
 use dooc_storage::{StorageClient, StorageCluster};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+static ONE_NODE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// The scratch directory of the node [`run_node`] runs for `tag`.
 fn scratch(tag: &str) -> PathBuf {
@@ -26,6 +33,7 @@ fn run_node<F>(tag: &str, driver: F)
 where
     F: Fn(&mut StorageClient) + Send + Sync + 'static,
 {
+    let _turn = ONE_NODE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch(tag);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -62,6 +70,21 @@ fn sample() -> (CsrMatrix, Vec<f64>) {
     let m = GapGenerator::with_d(3).generate(90, 70, 17);
     let x = (0..70).map(|i| (i as f64 * 0.29).cos() + 0.5).collect();
     (m, x)
+}
+
+/// A cell with fewer entries than rows (about one in three rows holds
+/// any), like those of a fine grid over a thin matrix.
+fn hypersparse_sample() -> (CsrMatrix, Vec<f64>) {
+    let m = GapGenerator::with_d(100).generate(300, 70, 17);
+    assert!(m.nnz() < m.nrows(), "{} entries", m.nnz());
+    let x = (0..70).map(|i| (i as f64 * 0.29).cos() + 0.5).collect();
+    (m, x)
+}
+
+/// The two validation counters, enabled.
+fn check_counters() -> [&'static dooc_obs::metrics::Counter; 2] {
+    dooc_obs::enable();
+    ["linalg.matrix_checks", "linalg.matrix_checks_skipped"].map(dooc_obs::metrics::counter)
 }
 
 /// The encoding of `m` and the offset of its first (4-byte) column index.
@@ -182,11 +205,26 @@ fn multiply_gathers_x_from_its_bytes_across_odd_block_boundaries() {
 
 #[test]
 fn corrupted_block_fails_the_task_with_a_decode_error() {
-    run_node("corrupt", |sc| {
+    corrupted_block_fails_on_first_load("corrupt", sample);
+}
+
+/// The first multiply of a cell with fewer entries than rows checks it in
+/// the pass that multiplies it; a corrupt one fails the same way.
+#[test]
+fn corrupted_hypersparse_block_fails_its_first_touch_with_a_decode_error() {
+    corrupted_block_fails_on_first_load("corrupt-hyper", hypersparse_sample);
+}
+
+/// Each corruption of `sample`'s cell fails its (first) multiply with the
+/// typed decode error, keeps no pin and counts one validation.
+fn corrupted_block_fails_on_first_load(tag: &str, sample: fn() -> (CsrMatrix, Vec<f64>)) {
+    let [checks, skipped] = check_counters();
+    run_node(tag, move |sc| {
         let (m, x) = sample();
         type Corrupt = fn(&mut Vec<u8>, usize);
-        let corruptions: [(&str, Corrupt); 3] = [
+        let corruptions: [(&str, Corrupt); 4] = [
             ("column out of range", |b, at| b[at..at + 4].fill(0xFF)),
+            ("row pointer past nnz", |b, _| b[36..40].fill(0xFF)),
             ("hostile nnz", |b, _| {
                 b[24..32].copy_from_slice(&(1u64 << 60).to_le_bytes())
             }),
@@ -197,10 +235,16 @@ fn corrupted_block_fails_the_task_with_a_decode_error() {
             let mut raw = good.clone();
             corrupt(&mut raw, first_col);
             let len = raw.len() as u64;
+            let counts = (checks.get(), skipped.get());
             let (y, _, pinned) = multiply(sc, what, raw, len, &x, m.nrows());
             let err = y.expect_err(what);
             assert!(err.contains("decode matrix"), "{what}: {err}");
             assert_eq!(pinned, 0, "{what}: the failed task kept a pin");
+            assert_eq!(
+                (checks.get(), skipped.get()),
+                (counts.0 + 1, counts.1),
+                "{what}"
+            );
         }
     });
 }
@@ -213,9 +257,19 @@ fn corrupted_block_fails_the_task_with_a_decode_error() {
 /// decode error, never a panic, a skipped check or a product.
 #[test]
 fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
-    dooc_obs::enable();
-    let skipped = dooc_obs::metrics::counter("linalg.matrix_checks_skipped");
-    run_node("reload", |sc| {
+    corruption_after_a_reload_is_caught("reload", sample);
+}
+
+/// The same for a cell with fewer entries than rows: the reload's first
+/// multiply checks it as it multiplies, and refuses it.
+#[test]
+fn corruption_after_a_reload_is_caught_by_a_hypersparse_first_touch() {
+    corruption_after_a_reload_is_caught("reload-hyper", hypersparse_sample);
+}
+
+fn corruption_after_a_reload_is_caught(tag: &'static str, sample: fn() -> (CsrMatrix, Vec<f64>)) {
+    let [checks, skipped] = check_counters();
+    run_node(tag, move |sc| {
         let (m, x) = sample();
         let (good, first_col) = encoding(&m);
         let (alen, xlen, ylen) = (good.len() as u64, 8 * x.len() as u64, 8 * m.nrows());
@@ -248,12 +302,21 @@ fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
             );
             result
         };
+        let counts = || (checks.get(), skipped.get());
         let want = bits(&m.spmv(&x).expect("dims"));
-        let before = skipped.get();
+        let before = counts();
         assert_eq!(bits(&multiply(sc, "y0").expect("first")), want);
-        assert_eq!(skipped.get(), before, "the first multiply validates");
+        assert_eq!(
+            counts(),
+            (before.0 + 1, before.1),
+            "the first multiply validates"
+        );
         assert_eq!(bits(&multiply(sc, "y1").expect("second")), want);
-        assert_eq!(skipped.get(), before + 1, "the second finds it checked");
+        assert_eq!(
+            counts(),
+            (before.0 + 1, before.1 + 1),
+            "the second finds it checked"
+        );
 
         // Two columns of one row, swapped: a descending pair inside it.
         let row: Vec<u64> = m.triplets().map(|(r, _, _)| r).collect();
@@ -278,7 +341,7 @@ fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
                 }),
             ),
         ];
-        let file = scratch("reload").join("A@0");
+        let file = scratch(tag).join("A@0");
         for ((what, corrupt), y) in corruptions.into_iter().zip(["y2", "y3"]) {
             // On disk, then out of memory: the next read loads the file.
             sc.persist("A").expect("persist");
@@ -287,10 +350,15 @@ fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
             assert_eq!(raw, good, "{what}: the spill wrote the block");
             corrupt(&mut raw);
             std::fs::write(&file, &raw).expect("rewrite at the same size");
-            let before = skipped.get();
-            let err = multiply(sc, y).expect_err(what);
-            assert!(err.contains("decode matrix"), "{what}: {err}");
-            assert_eq!(skipped.get(), before, "{what}: the reload was checked");
+            // Refused bytes are not marked checked: a retry on the same
+            // residency checks them again.
+            for attempt in 0..2 {
+                let before = counts();
+                let err = multiply(sc, y).expect_err(what);
+                assert!(err.contains("decode matrix"), "{what}: {err}");
+                let checked = (before.0 + 1, before.1);
+                assert_eq!(counts(), checked, "{what}: attempt {attempt} was checked");
+            }
             std::fs::write(&file, &good).expect("restore");
         }
     });
@@ -299,10 +367,11 @@ fn corruption_after_a_reload_is_caught_by_a_matrix_checked_before() {
 #[test]
 fn sum_folds_partials_from_their_bytes_bitwise() {
     run_node("sum", |sc| {
-        // An odd length, and a -0.0 the first partial must carry through
-        // (0.0 + -0.0 would lose its sign).
+        // An odd length; a -0.0 the first partial must carry through
+        // (0.0 + -0.0 would lose its sign); NaNs with payloads, signalling
+        // in the first partial, quiet in a later one.
         let n = 16_389;
-        let parts: Vec<Vec<f64>> = (0..3)
+        let mut parts: Vec<Vec<f64>> = (0..3)
             .map(|p| {
                 (0..n)
                     .map(|i| {
@@ -315,11 +384,16 @@ fn sum_folds_partials_from_their_bytes_bitwise() {
                     .collect()
             })
             .collect();
+        parts[0][11] = f64::from_bits(0x7ff0_0000_0000_beef);
+        parts[1][12] = f64::from_bits(0xfff8_0000_dead_0001);
+        parts[0][13] = -0.0;
+        parts[1][13] = 0.0;
         let len = 8 * n as u64;
         let mut geometry: HashMap<String, (u64, u64)> =
             (0..3).map(|p| (format!("p{p}"), (len, len))).collect();
         geometry.insert("p2".into(), (len, len / 3 + 5)); // one spans blocks
         geometry.insert("s".into(), (len, len));
+        geometry.insert("s0".into(), (len, len));
         let pool = ComputePool::new(1);
         {
             let mut stage = WorkerContext::new(0, 1, sc, &geometry, &pool);
@@ -335,8 +409,9 @@ fn sum_folds_partials_from_their_bytes_bitwise() {
         }
         let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
         SpmvExecutor.execute(&task, &mut ctx).expect("sum");
-        // Only the multi-block partial and the serialized result.
-        assert_eq!(ctx.copied_bytes(), 2 * len);
+        // Only the multi-block partial: the sum accumulates in the buffer
+        // that becomes its block, so nothing is serialized.
+        assert_eq!(ctx.copied_bytes(), len);
         let got = ctx.read_f64s("s").expect("read");
         assert_eq!(ctx.storage().outstanding_grants(), 0);
         let mut want = parts[0].clone();
@@ -345,5 +420,15 @@ fn sum_folds_partials_from_their_bytes_bitwise() {
         }
         assert_eq!(bits(&got), bits(&want));
         assert!(got[7].is_sign_negative(), "-0.0 + -0.0 + -0.0 is -0.0");
+        assert!(got[11].is_nan() && got[12].is_nan());
+        assert!(got[13].is_sign_positive(), "-0.0 + 0.0 + x");
+
+        // A sum of one partial is its bytes, bit for bit.
+        let task = TaskSpec::new("s0", "sum")
+            .input("p0", len)
+            .output("s0", len);
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        SpmvExecutor.execute(&task, &mut ctx).expect("sum of one");
+        assert_eq!(bits(&ctx.read_f64s("s0").expect("read")), bits(&parts[0]));
     });
 }

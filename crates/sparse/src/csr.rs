@@ -11,9 +11,11 @@
 //! The validation and the SpMV walks are written once, on [`CsrRef`]: three
 //! borrowed arrays, generic over how one element is held ([`Elem`]). An owned
 //! [`CsrMatrix`] lends its `u64`/`f64` vectors; the bytes of a binary CRS
-//! file lend their sections where they lie, with 4-byte indices (format
-//! version 2) or 8-byte ones (version 1). All run the same code, so they
-//! accept the same matrices and produce the same bits.
+//! file lend their sections where they lie, with 4-byte indices. All run the
+//! same code, so they produce the same bits. Two checkers enforce the one
+//! set of invariants: [`CsrRef::new`]'s flat passes, and the walk that
+//! checks a matrix with fewer entries than rows while it multiplies it; a
+//! property test holds them to the same verdict on every byte string.
 
 use crate::view::CsrView;
 use crate::{Result, SparseError};
@@ -93,8 +95,11 @@ impl ElemMut<f64> for [u8; 8] {
 /// and pool path — funnels through this one function, so serial and pool
 /// fan-out results are bitwise identical for any row partition, for owned
 /// and borrowed matrices, for either index width and for an `x` gathered
-/// from native `f64`s or from its stored bytes.
-#[inline]
+/// from native `f64`s or from its stored bytes (a row of one entry may take
+/// [`one_entry_dot`], which is this function's arithmetic without the
+/// loops). Its one caller is [`CsrRef::plain_rows`], which it is always
+/// inlined into.
+#[inline(always)]
 fn row_dot<I: Elem<u64>, V: Elem<f64>, X: Elem<f64>>(cols: &[I], vals: &[V], x: &[X]) -> f64 {
     let mut a0 = 0.0f64;
     let mut a1 = 0.0f64;
@@ -115,10 +120,58 @@ fn row_dot<I: Elem<u64>, V: Elem<f64>, X: Elem<f64>>(cols: &[I], vals: &[V], x: 
     (a0 + a1) + (a2 + a3) + tail
 }
 
+/// [`row_dot`] of a row with one entry, without its loops: the same adds in
+/// the same order — `(0 + 0) + (0 + 0) + (0 + v * x)` — so the same bits,
+/// `+0.0` for a `-0.0` product included. None of these adds can meet two
+/// NaNs, so, unlike a longer row's, their bits do not depend on which
+/// operand the compiler puts first, and the walk over mostly empty rows can
+/// inline them.
+#[inline(always)]
+fn one_entry_dot(v: f64, x: f64) -> f64 {
+    (0.0f64 + 0.0) + (0.0 + 0.0) + (0.0 + v * x)
+}
+
+/// Rows per tile of the walk over a piece with fewer entries than rows
+/// ([`CsrRef::spmv_rows_into`]): the list of a tile's non-empty rows lives
+/// on the stack.
+pub const TILE_ROWS: usize = 256;
+// The list holds a tile's row offsets as `u16`s.
+const _: () = assert!(TILE_ROWS <= 1 << 16);
+
+/// A non-empty row's columns, checked before they index `x`: strictly
+/// rising, the last (and so every one) below `ncols`.
+fn check_row<I: Elem<u64>>(cols: &[I], ncols: u64) -> Result<()> {
+    let rising = cols
+        .windows(2)
+        .fold(true, |ok, w| ok & (w[0].get() < w[1].get()));
+    if !rising {
+        return Err(columns_not_rising());
+    }
+    if cols.last().is_none_or(|c| c.get() >= ncols) {
+        return Err(column_out_of_range(ncols));
+    }
+    Ok(())
+}
+
+fn bad_row_ptr(nnz: usize, detail: String) -> SparseError {
+    SparseError::InvalidStructure(format!(
+        "row_ptr must rise from 0 to nnz={nnz} without decreasing ({detail})"
+    ))
+}
+
+fn column_out_of_range(ncols: u64) -> SparseError {
+    SparseError::InvalidStructure(format!("a column index is >= ncols {ncols}"))
+}
+
+fn columns_not_rising() -> SparseError {
+    SparseError::InvalidStructure("column indices not strictly increasing within a row".into())
+}
+
 /// Borrowed CSR arrays that satisfy the invariants listed on [`CsrMatrix`]:
-/// the one place they are checked ([`CsrRef::new`]) and the one
-/// implementation of the SpMV walks, for owned matrices (`I = u64`,
-/// `V = f64`) and for file bytes (`V = [u8; 8]`, `I = [u8; 4]` or `[u8; 8]`).
+/// where they are checked ([`CsrRef::new`], or for a matrix with fewer
+/// entries than rows [`CsrRef::spmv_checking`], in the pass that multiplies
+/// it) and the one implementation of the SpMV walks, for owned matrices
+/// (`I = u64`, `V = f64`) and for file bytes (`V = [u8; 8]`, `I = [u8; 4]`).
 #[derive(Clone, Copy, Debug)]
 pub struct CsrRef<'a, I, V> {
     nrows: u64,
@@ -130,13 +183,6 @@ pub struct CsrRef<'a, I, V> {
 
 impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
     /// Borrows raw CSR arrays, validating every invariant.
-    ///
-    /// The checks are flat passes over `row_ptr` and `col_idx` rather than a
-    /// loop per row: the rows of a sub-matrix are short (a handful of
-    /// entries), and a per-row loop spends its time mispredicting their
-    /// lengths — it cost as much as the SpMV it guards. The first two passes
-    /// are branch-free; the last, over the row starts, branches once per
-    /// row to skip empty ones.
     pub fn new(
         nrows: u64,
         ncols: u64,
@@ -144,26 +190,56 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
         col_idx: &'a [I],
         values: &'a [V],
     ) -> Result<Self> {
-        let bad = |m: String| Err(SparseError::InvalidStructure(m));
-        if nrows.checked_add(1) != Some(row_ptr.len() as u64) {
-            return bad(format!("row_ptr.len()={} but nrows={nrows}", row_ptr.len()));
+        Self::unchecked(nrows, ncols, row_ptr, col_idx, values).validated()
+    }
+
+    /// Borrows arrays without checking them. The caller either knows they
+    /// satisfy the invariants (they passed [`CsrRef::validated`] before, or
+    /// were built to satisfy them), or multiplies them only with
+    /// [`CsrRef::spmv_checking`], which checks as it goes.
+    pub(crate) fn unchecked(
+        nrows: u64,
+        ncols: u64,
+        row_ptr: &'a [I],
+        col_idx: &'a [I],
+        values: &'a [V],
+    ) -> Self {
+        Self {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            values,
         }
+    }
+
+    /// The arrays, once every invariant is checked.
+    ///
+    /// The checks are flat passes over `row_ptr` and `col_idx` rather than a
+    /// loop per row: the rows of a sub-matrix are short (a handful of
+    /// entries), and a per-row loop spends its time mispredicting their
+    /// lengths — it cost as much as the SpMV it guards. The first two passes
+    /// are branch-free; the last, over the row starts, branches once per
+    /// row to skip empty ones. A matrix with fewer entries than rows pays
+    /// most for that branch, and [`CsrRef::spmv_checking`] checks one in the
+    /// pass that multiplies it instead.
+    pub(crate) fn validated(self) -> Result<Self> {
+        let Self {
+            ncols,
+            row_ptr,
+            col_idx,
+            ..
+        } = self;
+        self.check_lengths()?;
         let nnz = col_idx.len();
-        if values.len() != nnz {
-            return bad(format!(
-                "col_idx.len()={nnz} but values.len()={}",
-                values.len()
-            ));
-        }
         // 0 = row_ptr[0] <= row_ptr[1] <= ... <= row_ptr[nrows] = nnz.
         let (rises, last) = row_ptr.iter().fold((true, 0u64), |(ok, prev), p| {
             (ok & (prev <= p.get()), p.get())
         });
         if row_ptr[0].get() != 0 || !rises || last != nnz as u64 {
-            return bad(format!(
-                "row_ptr must rise from 0 to nnz={nnz} without decreasing \
-                 (starts at {}, ends at {last})",
-                row_ptr[0].get()
+            return Err(bad_row_ptr(
+                nnz,
+                format!("starts at {}, ends at {last}", row_ptr[0].get()),
             ));
         }
         // One pass over col_idx: every index in range, and the number of
@@ -182,7 +258,7 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
             }
         }
         if !in_range {
-            return bad(format!("a column index is >= ncols {ncols}"));
+            return Err(column_out_of_range(ncols));
         }
         let mut at_row_starts = 0usize;
         let mut prev_start = 0usize;
@@ -194,33 +270,30 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
             }
         }
         if descents != at_row_starts {
-            return bad("column indices not strictly increasing within a row".into());
+            return Err(columns_not_rising());
         }
-        Ok(Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(self)
     }
 
-    /// Borrows arrays that are already known to satisfy the invariants
-    /// (they passed [`CsrRef::new`] before, or were built to satisfy them).
-    pub(crate) fn trusted(
-        nrows: u64,
-        ncols: u64,
-        row_ptr: &'a [I],
-        col_idx: &'a [I],
-        values: &'a [V],
-    ) -> Self {
-        Self {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
+    /// The O(1) checks: `nrows + 1` row pointers and one value per column
+    /// index.
+    fn check_lengths(&self) -> Result<()> {
+        let bad = |m: String| Err(SparseError::InvalidStructure(m));
+        if self.nrows.checked_add(1) != Some(self.row_ptr.len() as u64) {
+            return bad(format!(
+                "row_ptr.len()={} but nrows={}",
+                self.row_ptr.len(),
+                self.nrows
+            ));
         }
+        if self.values.len() != self.col_idx.len() {
+            return bad(format!(
+                "col_idx.len()={} but values.len()={}",
+                self.col_idx.len(),
+                self.values.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Number of rows.
@@ -254,14 +327,21 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
         Ok(())
     }
 
-    /// Row `r` of `A * x`.
-    #[inline]
-    fn row<X: Elem<f64>>(&self, r: usize, x: &[X]) -> f64 {
-        let (s, e) = (
-            self.row_ptr[r].get() as usize,
-            self.row_ptr[r + 1].get() as usize,
-        );
-        row_dot(&self.col_idx[s..e], &self.values[s..e], x)
+    /// Rows `[r0, r0 + y.len())` of `A * x`, row by row: the one caller of
+    /// [`row_dot`], and kept out of line, so that every walk computes the
+    /// dot of a row of two or more entries with this loop's machine code.
+    /// The walks then agree to the bit even where the compiler is free to
+    /// choose — which of two NaN operands an add passes on — and did choose
+    /// differently when the dot was inlined into more than one loop.
+    #[inline(never)]
+    fn plain_rows<X: Elem<f64>, Y: ElemMut<f64>>(&self, x: &[X], r0: usize, y: &mut [Y]) {
+        for (r, yr) in (r0..).zip(y) {
+            let (s, e) = (
+                self.row_ptr[r].get() as usize,
+                self.row_ptr[r + 1].get() as usize,
+            );
+            *yr = Y::of(row_dot(&self.col_idx[s..e], &self.values[s..e], x));
+        }
     }
 
     /// Serial SpMV into a caller-provided output: `y = A * x`. Both vectors
@@ -277,15 +357,114 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
     /// product, or the piece of it one thread of a fan-out computes (see
     /// [`crate::pool::ComputePool::spmv`]). The caller has checked the
     /// dimensions.
+    ///
+    /// A piece with at least one entry per row runs the plain row loop. One
+    /// with fewer entries than rows — a hypersparse cell of a fine grid,
+    /// where most rows are empty — runs [`CsrRef::sparse_rows`], which
+    /// multiplies only the non-empty rows; every result bit is the same.
     pub(crate) fn spmv_rows_into<X: Elem<f64>, Y: ElemMut<f64>>(
         &self,
         x: &[X],
         r0: u64,
         y: &mut [Y],
     ) {
-        for (r, yr) in (r0 as usize..).zip(y) {
-            *yr = Y::of(self.row(r, x));
+        let r0 = r0 as usize;
+        let entries = self.row_ptr[r0 + y.len()].get() - self.row_ptr[r0].get();
+        if entries >= y.len() as u64 {
+            return self.plain_rows(x, r0, y);
         }
+        let walked = self.sparse_rows::<false, X, Y>(x, r0, y);
+        debug_assert!(walked.is_ok(), "a walk that checks nothing failed");
+    }
+
+    /// `y = A * x` over arrays that have not been validated ([`Self::unchecked`]),
+    /// checking them in the pass that multiplies: every invariant
+    /// [`CsrRef::new`] enforces holds if this returns `Ok`, and no index is
+    /// used before it is checked, so hostile arrays give an error, never a
+    /// panic (and `y` then holds a partial product to throw away). Meant for
+    /// a matrix with fewer entries than rows, which it walks as
+    /// [`CsrRef::sparse_rows`] does; the bits are those of
+    /// [`CsrRef::spmv_into`]. `parallelism` pieces at the nnz-balanced row
+    /// partition, as [`crate::pool::spmv_fanout`] cuts them; 1 is serial.
+    pub(crate) fn spmv_checking<X: Elem<f64>, Y: ElemMut<f64>>(
+        &self,
+        x: &[X],
+        y: &mut [Y],
+        parallelism: usize,
+    ) -> Result<()> {
+        self.check_lengths()?;
+        self.check_dims(x, y)?;
+        // The two ends; the walk checks every pointer in between.
+        let (first, last) = (self.row_ptr[0].get(), self.row_ptr[y.len()].get());
+        if first != 0 || last != self.nnz() {
+            return Err(bad_row_ptr(
+                self.col_idx.len(),
+                format!("starts at {first}, ends at {last}"),
+            ));
+        }
+        let bounds = self.nnz_balanced_row_partition(parallelism.clamp(1, y.len().max(1)));
+        crate::pool::for_each_piece(&bounds, y, |r0, piece| {
+            self.sparse_rows::<true, X, Y>(x, r0 as usize, piece)
+        })
+    }
+
+    /// Rows `[r0, r0 + y.len())` of `A * x`, one tile of [`TILE_ROWS`] rows
+    /// at a time. A branch-free pass stores `+0.0` — what [`row_dot`]
+    /// returns for an empty row — into every row of the tile and lists the
+    /// non-empty ones; only those are multiplied: a row of one entry by
+    /// [`one_entry_dot`], inline, a longer one by [`CsrRef::plain_rows`].
+    ///
+    /// With `CHECK` the arrays have not been validated, and the same passes
+    /// enforce [`CsrRef::new`]'s invariants on the rows they walk: the first
+    /// that the tile's pointers never fall and never pass nnz (before any of
+    /// them bounds a slice), the second that each listed row's columns rise
+    /// strictly and stay below `ncols` (before any of them indexes `x`).
+    /// `row_ptr[r0]` is the previous piece's to check; it is no larger than
+    /// the first pointer checked here, so it bounds nothing unchecked.
+    fn sparse_rows<const CHECK: bool, X: Elem<f64>, Y: ElemMut<f64>>(
+        &self,
+        x: &[X],
+        r0: usize,
+        y: &mut [Y],
+    ) -> Result<()> {
+        let nnz = self.nnz();
+        let mut listed = [0u16; TILE_ROWS];
+        for (t, ys) in y.chunks_mut(TILE_ROWS).enumerate() {
+            let ptrs = &self.row_ptr[r0 + t * TILE_ROWS..][..=ys.len()];
+            let (mut n, mut ok, mut prev) = (0, true, ptrs[0].get());
+            for (i, (p, yr)) in ptrs[1..].iter().zip(ys.iter_mut()).enumerate() {
+                let p = p.get();
+                *yr = Y::of(0.0);
+                listed[n] = i as u16;
+                n += (p != prev) as usize;
+                ok &= (prev <= p) & (p <= nnz);
+                prev = p;
+            }
+            if CHECK && !ok {
+                return Err(bad_row_ptr(
+                    nnz as usize,
+                    format!(
+                        "in rows {}..{}",
+                        r0 + t * TILE_ROWS,
+                        r0 + t * TILE_ROWS + ys.len()
+                    ),
+                ));
+            }
+            for &i in &listed[..n] {
+                let i = usize::from(i);
+                let (s, e) = (ptrs[i].get() as usize, ptrs[i + 1].get() as usize);
+                if CHECK {
+                    check_row(&self.col_idx[s..e], self.ncols)?;
+                }
+                if e - s == 1 {
+                    let (v, c) = (self.values[s].get(), self.col_idx[s].get());
+                    ys[i] = Y::of(one_entry_dot(v, x[c as usize].get()));
+                } else {
+                    self.plain_rows(x, r0 + t * TILE_ROWS + i, &mut ys[i..=i]);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Row boundaries `b[0]=0 <= b[1] <= ... <= b[p]=nrows` such that each
@@ -298,7 +477,10 @@ impl<'a, I: Elem<u64>, V: Elem<f64>> CsrRef<'a, I, V> {
         for i in 1..parts {
             let target = nnz * i as u64 / parts as u64;
             // First row whose cumulative nnz exceeds the target.
-            let row = self.row_ptr.partition_point(|p| p.get() <= target) as u64 - 1;
+            // (`saturating_sub`: arrays `spmv_checking` has not checked yet
+            // may not be sorted.)
+            let row =
+                (self.row_ptr.partition_point(|p| p.get() <= target) as u64).saturating_sub(1);
             bounds.push(row.max(*bounds.last().expect("non-empty")));
         }
         bounds.push(self.nrows);
@@ -431,7 +613,7 @@ impl CsrMatrix {
 
     /// The matrix's arrays, borrowed for the kernels.
     pub(crate) fn arrays(&self) -> CsrRef<'_, u64, f64> {
-        CsrRef::trusted(
+        CsrRef::unchecked(
             self.nrows,
             self.ncols,
             &self.row_ptr,
@@ -750,5 +932,93 @@ mod tests {
     #[test]
     fn spmv_flops_counts_two_per_entry() {
         assert_eq!(sample().spmv_flops(), 8);
+    }
+
+    /// The loop-free dot of a one-entry row is `row_dot`'s, bit for bit, on
+    /// the values its adds treat specially.
+    #[test]
+    fn a_one_entry_dot_is_row_dot() {
+        let special = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+        ];
+        for v in special.into_iter().filter(|v| !v.is_nan()) {
+            for x in special {
+                let looped = row_dot(&[0u64], &[v], &[x]);
+                assert_eq!(one_entry_dot(v, x).to_bits(), looped.to_bits(), "{v} * {x}");
+            }
+        }
+    }
+
+    /// `nrows` rows, about nine in ten of them empty and the others holding
+    /// 1-9 entries (every remainder of the 4-wide unroll).
+    fn mostly_empty(nrows: u64, ncols: u64, seed: u64) -> CsrMatrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |span: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % span
+        };
+        let mut triplets = Vec::new();
+        for r in 0..nrows {
+            if next(10) != 0 {
+                continue;
+            }
+            let len = 1 + next(9);
+            let start = next(ncols);
+            for j in 0..len {
+                let v = (r as f64 + 1.0) * 0.37 - j as f64 * 1.3;
+                triplets.push((r, (start + 2 * j) % ncols, v));
+            }
+        }
+        CsrMatrix::from_triplets(nrows, ncols, &triplets).expect("in bounds")
+    }
+
+    /// The walk that multiplies only the non-empty rows, trusted or
+    /// checking, whole or cut into pieces anywhere (across tile boundaries
+    /// too), stores exactly the bits of the plain row loop — `+0.0` for an
+    /// empty row, `-0.0`, infinities and NaN payloads carried as they are.
+    #[test]
+    fn the_walk_over_non_empty_rows_is_bitwise_the_row_loop() {
+        let t = TILE_ROWS as u64;
+        for nrows in [1, 2, 9, t - 1, t, t + 1, 2 * t + 1, 3 * t + 7] {
+            for seed in 0..3 {
+                let m = mostly_empty(nrows, 23, seed);
+                let a = m.arrays();
+                let mut x: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
+                x[1] = -0.0;
+                x[2] = f64::INFINITY;
+                x[3] = f64::from_bits(0x7ff8_0000_dead_beef);
+                let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let mut plain = vec![f64::NAN; nrows as usize];
+                a.plain_rows(&x, 0, &mut plain);
+                let want = bits(&plain);
+                for cut in [0, 1, t - 1, t, nrows / 2, nrows] {
+                    let cut = cut.min(nrows);
+                    let mut y = vec![f64::NAN; nrows as usize];
+                    let (lo, hi) = y.split_at_mut(cut as usize);
+                    a.spmv_rows_into(&x, 0, lo);
+                    a.spmv_rows_into(&x, cut, hi);
+                    assert_eq!(bits(&y), want, "{nrows} rows, seed {seed}, cut at {cut}");
+                }
+                for par in 1..=6 {
+                    let mut y = vec![f64::NAN; nrows as usize];
+                    a.spmv_checking(&x, &mut y, par).expect("valid");
+                    assert_eq!(
+                        bits(&y),
+                        want,
+                        "{nrows} rows, seed {seed}, checking at {par}"
+                    );
+                }
+            }
+        }
     }
 }

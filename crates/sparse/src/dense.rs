@@ -6,6 +6,8 @@
 //! axpy/dot/norm kernels. They are serial; the compute pool
 //! ([`crate::ComputePool`]) splits a long sum across threads.
 
+use crate::csr::ElemMut;
+
 /// Below this many elements the pool's sum ([`crate::ComputePool::add_le`])
 /// runs inline on the caller. Its last calibration, on a 2-vCPU x86-64
 /// host, had an AXPY split across threads ahead of the serial loop in every
@@ -157,17 +159,18 @@ pub fn add_assign(y: &mut [f64], x: &[f64]) {
 /// Fused decode-and-add `y += x` where `x` is still little-endian `f64`
 /// bytes (`8 * y.len()` of them, at any alignment): what a sum task does
 /// with a partial straight out of its pinned storage block, instead of
-/// decoding it into a `Vec<f64>` first. Element math is `y[i] + x[i]`, so
-/// the result is **bitwise** that of `axpy(1.0, decoded_x, y)` (`1.0 * x` is
-/// exact) and of [`add_assign`].
-pub fn add_assign_le(y: &mut [f64], x_le: &[u8]) {
+/// decoding it into a `Vec<f64>` first. `y` is `f64`s, or the bytes of them
+/// it is stored as — the output block a sum accumulates in ([`ElemMut`]).
+/// Element math is `y[i] + x[i]`, so the result is **bitwise** that of
+/// `axpy(1.0, decoded_x, y)` (`1.0 * x` is exact) and of [`add_assign`].
+pub fn add_assign_le<Y: ElemMut<f64>>(y: &mut [Y], x_le: &[u8]) {
     let (xs, rest) = x_le.as_chunks::<8>();
     assert!(
         rest.is_empty() && xs.len() == y.len(),
         "add_assign_le operands must have equal length"
     );
     for (yi, xi) in y.iter_mut().zip(xs) {
-        *yi += f64::from_le_bytes(*xi);
+        *yi = Y::of(yi.get() + f64::from_le_bytes(*xi));
     }
 }
 

@@ -81,18 +81,29 @@ impl ComputePool {
         x: &[X],
         y: &mut [Y],
     ) -> Result<()> {
-        let par = self.parallelism_hint();
-        if par == 1 || (a.nnz() as usize) < SPMV_SERIAL_MAX_NNZ {
-            return a.spmv_into(x, y);
+        match self.spmv_parallelism(a.nnz()) {
+            1 => a.spmv_into(x, y),
+            par => spmv_fanout(a, x, y, par),
         }
-        spmv_fanout(a, x, y, par)
+    }
+
+    /// How many pieces [`Self::spmv`] cuts a matrix of `nnz` non-zeros
+    /// into: 1 (serial, on the caller) below [`SPMV_SERIAL_MAX_NNZ`] or on
+    /// a one-core host, else [`Self::parallelism_hint`].
+    pub(crate) fn spmv_parallelism(&self, nnz: u64) -> usize {
+        let par = self.parallelism_hint();
+        if par == 1 || nnz < SPMV_SERIAL_MAX_NNZ as u64 {
+            return 1;
+        }
+        par
     }
 
     /// `y += x` where `x` is still the little-endian bytes it was stored as
-    /// (a pinned storage block, say): serial below
-    /// [`dense::AXPY_SERIAL_MAX`], else [`add_le_fanout`] at the pool's
-    /// parallelism. Bitwise [`dense::add_assign_le`] either way.
-    pub fn add_le(&self, y: &mut [f64], x_le: &[u8]) {
+    /// (a pinned storage block, say) and `y` is `f64`s or their stored
+    /// bytes too ([`ElemMut`]): serial below [`dense::AXPY_SERIAL_MAX`],
+    /// else [`add_le_fanout`] at the pool's parallelism. Bitwise
+    /// [`dense::add_assign_le`] either way.
+    pub fn add_le<Y: ElemMut<f64>>(&self, y: &mut [Y], x_le: &[u8]) {
         let par = self.parallelism_hint();
         if par == 1 || y.len() < dense::AXPY_SERIAL_MAX {
             return dense::add_assign_le(y, x_le);
@@ -113,20 +124,35 @@ pub fn spmv_fanout<X: Elem<f64>, Y: ElemMut<f64>>(
 ) -> Result<()> {
     a.check_dims(x, y)?;
     let bounds = a.nnz_balanced_row_partition(parallelism.clamp(1, y.len().max(1)));
+    for_each_piece(&bounds, y, |r0, piece| {
+        a.spmv_rows_into(x, r0, piece);
+        Ok(())
+    })
+}
+
+/// Cuts `y` at the row `bounds` (`b[0] = 0 <= b[1] <= ... <= b[p] =
+/// y.len()`) and runs `f(r0, piece)` on each piece as [`scoped`] does;
+/// the first error in row order, once all have joined.
+pub(crate) fn for_each_piece<Y: Send>(
+    bounds: &[u64],
+    y: &mut [Y],
+    f: impl Fn(u64, &mut [Y]) -> Result<()> + Sync,
+) -> Result<()> {
     let mut rest = y;
     let pieces = bounds.windows(2).map(|w| {
         let (piece, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) as usize);
         rest = tail;
         (w[0], piece)
     });
-    scoped(pieces, |(r0, piece)| a.spmv_rows_into(x, r0, piece));
-    Ok(())
+    scoped(pieces, |(r0, piece)| f(r0, piece))
+        .into_iter()
+        .collect()
 }
 
 /// The fan-out of [`ComputePool::add_le`] at an explicit `parallelism`,
 /// without the serial routing (public so tests cover it at any length):
 /// `y` and `x` are split into equal chunks.
-pub fn add_le_fanout(y: &mut [f64], x_le: &[u8], parallelism: usize) {
+pub fn add_le_fanout<Y: ElemMut<f64>>(y: &mut [Y], x_le: &[u8], parallelism: usize) {
     assert_eq!(
         x_le.len(),
         8 * y.len(),

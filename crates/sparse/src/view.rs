@@ -13,10 +13,13 @@
 //!
 //! [`CsrBytes`] is a validated view that owns its buffer: a matrix that
 //! lives in a storage block, held by the block's reference count for as
-//! long as a task needs it.
+//! long as a task needs it. Its first multiply can be its validation too
+//! ([`CsrBytes::new_multiplying`]): no product of bytes that fail the checks
+//! is returned.
 
 use crate::csr::{CsrMatrix, CsrRef, Elem, ElemMut};
 use crate::fileio::{read_header_from, CrsHeader, HEADER_BYTES, INDEX_BYTES};
+use crate::pool::{spmv_fanout, ComputePool};
 use crate::{Result, SparseError};
 use bytes::Bytes;
 
@@ -47,7 +50,7 @@ impl<'a> CsrView<'a> {
     /// on bytes that are not one. `bytes` may start at any address.
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
         let h = parse_header(bytes)?;
-        view_of(bytes, &h, true)
+        padded_sections(bytes, &h)?.validated().map(CsrView::V2)
     }
 
     /// Number of rows.
@@ -112,12 +115,11 @@ fn parse_header(bytes: &[u8]) -> Result<CrsHeader> {
     }
 }
 
-/// The matrix over `bytes`, whose header `h` must have come from
-/// [`parse_header`] on the same bytes (so every range is in bounds). With
-/// `validate`, padding and every CSR invariant are checked in one streaming
-/// pass with nothing allocated; without, the bytes must have passed that
-/// before.
-fn view_of<'a>(bytes: &'a [u8], h: &CrsHeader, validate: bool) -> Result<CsrView<'a>> {
+/// The matrix's arrays over `bytes`, whose header `h` must have come from
+/// [`parse_header`] on the same bytes (so every range is in bounds), none of
+/// its structure checked; and whether the padding after each index section
+/// is zero.
+fn sections<'a>(bytes: &'a [u8], h: &CrsHeader) -> (V2Ref<'a>, bool) {
     let mut rest = &bytes[HEADER_BYTES as usize..];
     // Splits `count` index words and their padding off the front of `rest`.
     let mut index_section = |count: usize| {
@@ -130,21 +132,28 @@ fn view_of<'a>(bytes: &'a [u8], h: &CrsHeader, validate: bool) -> Result<CsrView
     let (row_ptr, pad_ptr) = index_section(h.nrows as usize + 1);
     let (col_idx, pad_idx) = index_section(h.nnz as usize);
     let (values, _) = rest.as_chunks::<8>();
-    if !validate {
-        return Ok(CsrView::V2(CsrRef::trusted(
-            h.nrows, h.ncols, row_ptr, col_idx, values,
-        )));
-    }
-    if pad_ptr.iter().chain(pad_idx).any(|&b| b != 0) {
-        return Err(SparseError::BadFormat(
-            "non-zero padding after an index section".into(),
-        ));
-    }
-    CsrRef::new(h.nrows, h.ncols, row_ptr, col_idx, values).map(CsrView::V2)
+    let zero_padding = pad_ptr.iter().chain(pad_idx).all(|&b| b == 0);
+    let arrays = CsrRef::unchecked(h.nrows, h.ncols, row_ptr, col_idx, values);
+    (arrays, zero_padding)
 }
 
+/// [`sections`], refused unless the padding is zero: what is left to check
+/// is the CSR structure.
+fn padded_sections<'a>(bytes: &'a [u8], h: &CrsHeader) -> Result<V2Ref<'a>> {
+    match sections(bytes, h) {
+        (arrays, true) => Ok(arrays),
+        (_, false) => Err(SparseError::BadFormat(
+            "non-zero padding after an index section".into(),
+        )),
+    }
+}
+
+/// The arrays of a format-version-2 file.
+type V2Ref<'a> = CsrRef<'a, [u8; INDEX_BYTES], [u8; 8]>;
+
 /// A validated binary CRS buffer that owns its bytes: the checks of
-/// [`CsrView::parse`] ran at construction — or, for
+/// [`CsrView::parse`] ran at construction — in one pass with the first
+/// product for [`CsrBytes::new_multiplying`], or, for
 /// [`CsrBytes::already_validated`], at an earlier construction over the same
 /// bytes — and [`CsrBytes::view`] re-borrows the sections for free. Cloning
 /// shares the buffer.
@@ -158,7 +167,53 @@ impl CsrBytes {
     /// Takes ownership of `bytes` after validating them as a matrix.
     pub fn new(bytes: Bytes) -> Result<Self> {
         let header = parse_header(&bytes)?;
-        view_of(&bytes, &header, true)?;
+        padded_sections(&bytes, &header)?.validated()?;
+        Ok(Self { bytes, header })
+    }
+
+    /// [`CsrBytes::new`] and `y = A * x` in one call, split as
+    /// [`ComputePool::spmv`] splits a product: the constructor for a
+    /// matrix's first multiply. A matrix with fewer entries than rows is
+    /// checked by the walk that multiplies it ([`CsrRef::spmv_checking`]):
+    /// one pass over its indices instead of two. Any other runs
+    /// [`CsrRef::new`] and then the product. On `Err` the bytes are not a
+    /// matrix (or `x`, `y` do not fit it) and `y` holds nothing to keep.
+    pub fn new_multiplying<X: Elem<f64>, Y: ElemMut<f64>>(
+        bytes: Bytes,
+        pool: &ComputePool,
+        x: &[X],
+        y: &mut [Y],
+    ) -> Result<Self> {
+        let header = parse_header(&bytes)?;
+        let parallelism = pool.spmv_parallelism(header.nnz);
+        Self::multiplying(bytes, header, x, y, parallelism)
+    }
+
+    /// [`CsrBytes::new_multiplying`] at an explicit `parallelism`, without
+    /// the serial routing (public so tests cover the fan-out at any size).
+    pub fn new_multiplying_at<X: Elem<f64>, Y: ElemMut<f64>>(
+        bytes: Bytes,
+        x: &[X],
+        y: &mut [Y],
+        parallelism: usize,
+    ) -> Result<Self> {
+        let header = parse_header(&bytes)?;
+        Self::multiplying(bytes, header, x, y, parallelism)
+    }
+
+    fn multiplying<X: Elem<f64>, Y: ElemMut<f64>>(
+        bytes: Bytes,
+        header: CrsHeader,
+        x: &[X],
+        y: &mut [Y],
+        parallelism: usize,
+    ) -> Result<Self> {
+        let arrays = padded_sections(&bytes, &header)?;
+        if arrays.nnz() < arrays.nrows() {
+            arrays.spmv_checking(x, y, parallelism)?;
+        } else {
+            spmv_fanout(CsrView::V2(arrays.validated()?), x, y, parallelism)?;
+        }
         Ok(Self { bytes, header })
     }
 
@@ -173,7 +228,7 @@ impl CsrBytes {
 
     /// The matrix over the owned bytes.
     pub fn view(&self) -> CsrView<'_> {
-        view_of(&self.bytes, &self.header, false).expect("validated at construction")
+        CsrView::V2(sections(&self.bytes, &self.header).0)
     }
 }
 

@@ -89,10 +89,10 @@ proptest! {
         prop_assert_eq!(y, serial);
     }
 
-    /// The split every long `sum` takes: `y` and the bytes of `x`, at any
-    /// offset into their buffers, cut into equal chunks and summed on
-    /// scoped threads, must give the bits of the contiguous sum — `-0.0`
-    /// and NaN payloads included.
+    /// The split every long `sum` takes: `y` (as `f64`s or as its stored
+    /// bytes) and the bytes of `x`, at any offset into their buffers, cut
+    /// into equal chunks and summed on scoped threads, must give the bits
+    /// of the contiguous sum — `-0.0` and NaN payloads included.
     #[test]
     fn pool_sum_fanout_is_bitwise(
         (n, off) in arb_len_off(),
@@ -113,8 +113,15 @@ proptest! {
         }
         let mut reference = y.clone();
         dense::add_assign(&mut reference[off..], &x);
+        // `y` as the bytes a sum accumulates in, at an odd address for
+        // odd `xoff`, too.
+        let mut ybuf = vec![0xEEu8; xoff];
+        ybuf.extend(y[off..].iter().flat_map(|v| v.to_le_bytes()));
+        add_le_fanout(ybuf[xoff..].as_chunks_mut::<8>().0, &xbuf[xoff..], par);
         add_le_fanout(&mut y[off..], &xbuf[xoff..], par);
         prop_assert_eq!(bits(&y), bits(&reference));
+        let as_bytes: Vec<u8> = reference[off..].iter().flat_map(|v| v.to_le_bytes()).collect();
+        prop_assert_eq!(&ybuf[xoff..], &as_bytes[..]);
     }
 }
 

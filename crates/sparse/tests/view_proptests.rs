@@ -6,9 +6,14 @@
 //! as stored bytes give exactly the bytes of decode, multiply, serialize;
 //! and the view must accept exactly the byte strings the decoder accepts.
 //! The shared validator (flat passes, no per-row loop) is checked against a
-//! per-row reference on arrays that are usually *invalid*.
+//! per-row reference on arrays that are usually *invalid*. So is the
+//! first-touch constructor (`CsrBytes::new_multiplying`), which checks a
+//! matrix with fewer entries than rows in the pass that multiplies it: it
+//! accepts exactly what the validator accepts, and then stores exactly the
+//! trusted walk's bits.
 
 use bytes::Bytes;
+use dooc_sparse::csr::TILE_ROWS;
 use dooc_sparse::fileio;
 use dooc_sparse::pool::spmv_fanout;
 use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, CsrView, GapGenerator, SparseError};
@@ -60,6 +65,76 @@ fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
         }
         CsrMatrix::from_triplets(lens.len() as u64, ncols, &triplets).expect("in bounds")
     })
+}
+
+/// A valid matrix with about nine rows in ten empty — fewer entries than
+/// rows, the matrices the first touch checks as it multiplies — whose other
+/// rows hold 1-9 entries. Row counts straddle the walk's tiles.
+fn arb_hypersparse() -> impl Strategy<Value = CsrMatrix> {
+    let t = TILE_ROWS as u64;
+    let nrows = [
+        1,
+        2,
+        7,
+        40,
+        t - 1,
+        t,
+        t + 1,
+        2 * t - 1,
+        2 * t + 1,
+        3 * t + 5,
+    ];
+    (0usize..nrows.len(), 10u64..40, any::<u64>()).prop_map(move |(pick, ncols, seed)| {
+        let nrows = nrows[pick];
+        let mut state = seed | 1;
+        let mut next = move |span: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % span
+        };
+        let mut triplets = Vec::new();
+        for r in 0..nrows {
+            if next(10) == 0 {
+                let (len, start) = (1 + next(9), next(ncols));
+                for j in 0..len {
+                    let c = (start + j) % ncols;
+                    triplets.push((r, c, (r as f64 + 1.0) * 0.37 - j as f64 * 1.3));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(nrows, ncols, &triplets).expect("in bounds")
+    })
+}
+
+/// What the first-touch constructor makes of `bytes`: its verdict, and on
+/// `Ok` the product's bytes, `x` and `y` each starting `off` bytes into
+/// its buffer, split into `parallelism` pieces. `x` and `y` take the
+/// dimensions the header declares (checked again by the constructor).
+fn first_touch(
+    bytes: &[u8],
+    x: &[f64],
+    off: usize,
+    parallelism: usize,
+) -> Result<Vec<u8>, SparseError> {
+    let nrows = fileio::read_header_from(&mut &bytes[..]).map_or(0, |h| h.nrows);
+    let mut xbuf = vec![0xEEu8; off];
+    xbuf.extend(x.iter().flat_map(|v| v.to_le_bytes()));
+    let mut ybuf = vec![0xEEu8; off + 8 * nrows.min(1 << 20) as usize];
+    CsrBytes::new_multiplying_at(
+        Bytes::copy_from_slice(bytes),
+        xbuf[off..].as_chunks::<8>().0,
+        ybuf[off..].as_chunks_mut::<8>().0,
+        parallelism,
+    )?;
+    Ok(ybuf.split_off(off))
+}
+
+/// `x` for the matrix whose header `bytes` start with: `ncols` values of
+/// `hostile_vector`, none if the header is unreadable.
+fn x_for(bytes: &[u8], seed: u64) -> Vec<f64> {
+    let ncols = fileio::read_header_from(&mut &bytes[..]).map_or(0, |h| h.ncols);
+    hostile_vector(ncols.min(1 << 20), seed)
 }
 
 fn wave(n: u64) -> Vec<f64> {
@@ -192,11 +267,38 @@ proptest! {
     }
 
     #[test]
+    fn flat_validator_matches_per_row_reference(
+        nrows in 0u64..6,
+        ncols in 1u64..6,
+        row_ptr in proptest::collection::vec(0u64..8, 1..8),
+        col_idx in proptest::collection::vec(0u64..7, 0..8),
+        short_vals in 0usize..4,
+    ) {
+        // Steer a good share of cases to the right lengths, where the
+        // ordering rules (not the length checks) decide.
+        let mut row_ptr = row_ptr;
+        if short_vals > 0 {
+            row_ptr.resize(nrows as usize + 1, col_idx.len() as u64);
+            row_ptr[0] = 0;
+            row_ptr.sort_unstable();
+        }
+        let nvals = if short_vals == 3 { col_idx.len().saturating_sub(1) } else { col_idx.len() };
+        let expect = reference_valid(nrows, ncols, &row_ptr, &col_idx, nvals);
+        let got = CsrMatrix::new(nrows, ncols, row_ptr.clone(), col_idx.clone(), vec![1.0; nvals]);
+        prop_assert_eq!(got.is_ok(), expect, "{:?} {:?} nvals={}", row_ptr, col_idx, nvals);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
     fn view_and_decoder_accept_the_same_bytes(
-        m in arb_matrix(),
+        m in prop_oneof![arb_matrix(), arb_hypersparse()],
         kind in 0usize..7,
         pick in 0usize..1000,
         val in 0u64..60,
+        (off, par) in (0usize..8, 1usize..7),
     ) {
         let mut e = encode(&m);
         let (nrows, nnz) = (m.nrows() as usize, m.nnz() as usize);
@@ -237,33 +339,75 @@ proptest! {
         if kind == 6 {
             prop_assert!(viewed.is_ok());
         }
+        // The first touch, which checks a matrix with fewer entries than
+        // rows as it multiplies it: the validator's verdict, and on `Ok`
+        // the trusted walk's bits — from `x` and into `y` at any offset,
+        // in any number of pieces, and through the pool's routing.
+        let x = x_for(b, pick as u64);
+        let touched = first_touch(b, &x, off, par);
+        prop_assert_eq!(touched.is_ok(), viewed.is_ok(), "{:?}", touched.as_ref().err());
+        let mut routed = vec![f64::NAN; touched.as_ref().map_or(0, |y| y.len() / 8)];
+        let pool = ComputePool::new(3);
+        let routed_ok = CsrBytes::new_multiplying(Bytes::copy_from_slice(b), &pool, &x, &mut routed);
+        if let (Ok(v), Ok(y)) = (&viewed, &touched) {
+            let mut want = vec![0.0; v.nrows() as usize];
+            v.spmv_into(x.as_slice(), &mut want).expect("dims");
+            let want_bytes: Vec<u8> = want.iter().flat_map(|w| w.to_le_bytes()).collect();
+            prop_assert_eq!(y, &want_bytes);
+            prop_assert!(routed_ok.is_ok());
+            prop_assert_eq!(bits(&routed), bits(&want));
+        }
     }
 
+    /// The first touch against the per-row reference on arrays with fewer
+    /// entries than rows, usually invalid: pointers that fall or pass nnz,
+    /// columns out of order or out of range, in one piece or several.
     #[test]
-    fn flat_validator_matches_per_row_reference(
-        nrows in 0u64..6,
-        ncols in 1u64..6,
-        row_ptr in proptest::collection::vec(0u64..8, 1..8),
-        col_idx in proptest::collection::vec(0u64..7, 0..8),
-        short_vals in 0usize..4,
+    fn first_touch_matches_per_row_reference(
+        nrows in 1u64..12,
+        ncols in 0u64..6,
+        row_ptr in proptest::collection::vec(0u64..8, 13..14),
+        col_idx in proptest::collection::vec(0u64..7, 0..12),
+        (sorted, par) in (0usize..3, 1usize..5),
     ) {
-        // Steer a good share of cases to the right lengths, where the
-        // ordering rules (not the length checks) decide.
-        let mut row_ptr = row_ptr;
-        if short_vals > 0 {
-            row_ptr.resize(nrows as usize + 1, col_idx.len() as u64);
-            row_ptr[0] = 0;
+        let mut col_idx = col_idx;
+        col_idx.truncate(nrows as usize - 1);
+        let nnz = col_idx.len() as u64;
+        // Pointers from 0 to nnz, sorted in two cases of three: there the
+        // columns decide.
+        let mut row_ptr: Vec<u64> = row_ptr[..=nrows as usize].iter().map(|p| p % (nnz + 2)).collect();
+        if sorted > 0 {
+            row_ptr.iter_mut().for_each(|p| *p = (*p).min(nnz));
             row_ptr.sort_unstable();
+            row_ptr[0] = 0;
+            row_ptr[nrows as usize] = nnz;
         }
-        let nvals = if short_vals == 3 { col_idx.len().saturating_sub(1) } else { col_idx.len() };
-        let expect = reference_valid(nrows, ncols, &row_ptr, &col_idx, nvals);
-        let got = CsrMatrix::new(nrows, ncols, row_ptr.clone(), col_idx.clone(), vec![1.0; nvals]);
-        prop_assert_eq!(got.is_ok(), expect, "{:?} {:?} nvals={}", row_ptr, col_idx, nvals);
+        let expect = reference_valid(nrows, ncols, &row_ptr, &col_idx, col_idx.len());
+        let b = raw_file(nrows, ncols, &row_ptr, &col_idx);
+        let got = first_touch(&b, &vec![1.0; ncols as usize], 1, par);
+        prop_assert_eq!(got.is_ok(), expect, "{:?} {:?} {:?}", row_ptr, col_idx, got.err());
+        prop_assert_eq!(CsrView::parse(&b).is_ok(), expect);
     }
+
 }
 
-/// Truncation at *every* section boundary, deterministically (the proptest
-/// above samples them).
+/// A binary CRS file holding the given arrays as they are (values all 1.0),
+/// valid or not: the sizes are the ones the header implies.
+fn raw_file(nrows: u64, ncols: u64, row_ptr: &[u64], col_idx: &[u64]) -> Vec<u8> {
+    let mut b = fileio::MAGIC.to_vec();
+    for count in [nrows, ncols, col_idx.len() as u64] {
+        b.extend(count.to_le_bytes());
+    }
+    for section in [row_ptr, col_idx] {
+        b.extend(section.iter().flat_map(|&i| (i as u32).to_le_bytes()));
+        b.resize(b.len().next_multiple_of(8), 0);
+    }
+    b.extend(col_idx.iter().flat_map(|_| 1.0f64.to_le_bytes()));
+    b
+}
+
+/// Truncation at *every* section boundary, deterministically (the proptests
+/// above sample them).
 #[test]
 fn every_section_boundary_truncation_is_rejected_by_both() {
     // 12 rows: 13 row pointers, so the row pointer section is padded.
@@ -285,8 +429,13 @@ fn every_section_boundary_truncation_is_rejected_by_both() {
             fileio::read_matrix_from(&mut &b[..cut]).is_err(),
             "streaming reader accepted a cut at {cut}"
         );
+        assert!(
+            first_touch(&b[..cut], &x_for(b, 1), 1, 2).is_err(),
+            "first touch accepted a cut at {cut}"
+        );
     }
     assert!(CsrView::parse(b).is_ok() && fileio::from_bytes(b).is_ok());
+    assert!(first_touch(b, &x_for(b, 1), 1, 2).is_ok());
 }
 
 /// Hostile input is a typed error from every reader, and a count
@@ -338,6 +487,10 @@ fn hostile_input_is_a_typed_error() {
             ),
             ("decoder", fileio::from_bytes(&e.bytes)),
             ("stream", fileio::read_matrix_from(&mut &e.bytes[..])),
+            (
+                "first touch",
+                first_touch(&e.bytes, &[1.0; 11], 3, 2).map(|_| m.clone()),
+            ),
         ];
         for (reader, got) in readers {
             if what == "trailing bytes" && reader == "stream" {
@@ -353,6 +506,103 @@ fn hostile_input_is_a_typed_error() {
             // message must name is only checked where it is the first defect.
             if reader == "stream" || !what.starts_with("truncation") {
                 assert!(msg.contains(says), "{what} through the {reader}: {msg}");
+            }
+        }
+    }
+}
+
+/// Hostile bytes for a matrix with fewer entries than rows, which the first
+/// touch checks in the pass that multiplies it: the same typed verdict as
+/// the validator for each case, never a panic. One case is valid and must
+/// be accepted by both: a row may start below where the previous
+/// non-empty row ended, however many empty rows lie between.
+#[test]
+fn hostile_cells_with_mostly_empty_rows_get_the_validators_verdict() {
+    // Two tiles and a bit of rows; one entry in every ninth row, two in
+    // every 45th (so some row holds a pair to put out of order).
+    let nrows = 2 * TILE_ROWS as u64 + 10;
+    let triplets: Vec<_> = (0..nrows)
+        .filter(|r| r % 9 == 0)
+        .flat_map(|r| {
+            let c = r % 13 + 2;
+            let pair = (r % 45 == 0).then_some((r, c + 3, -2.5));
+            std::iter::once((r, c, 1.0 + r as f64)).chain(pair)
+        })
+        .collect();
+    let m = CsrMatrix::from_triplets(nrows, 20, &triplets).expect("in bounds");
+    let (nnz, ptr) = (m.nnz(), m.row_ptr());
+    assert!(nnz < nrows, "the walk is what this test exercises");
+    // Where the entries of the first row of the second tile that holds a
+    // pair start: a run of empty rows lies before it.
+    let pair = (TILE_ROWS..nrows as usize)
+        .find(|&r| ptr[r + 1] - ptr[r] == 2)
+        .map(|r| ptr[r] as usize)
+        .expect("a pair in the second tile");
+    type Mutate = Box<dyn Fn(&mut Encoded)>;
+    let cases: Vec<(&str, bool, &str, Mutate)> = vec![
+        (
+            "row_ptr passes nnz in one tile and falls in a later one",
+            false,
+            "row_ptr",
+            Box::new(move |e| {
+                // Rows 10..TILE_ROWS+4 end past nnz (their columns would
+                // be read out of bounds); row TILE_ROWS+4 falls back.
+                for r in 10..TILE_ROWS + 4 {
+                    e.set_index(0, r, nnz + 7);
+                }
+            }),
+        ),
+        (
+            "a column equal to ncols as a row's last entry",
+            false,
+            "ncols",
+            Box::new(move |e| e.set_index(1, pair + 1, 20)),
+        ),
+        (
+            "a descent at the first entry after a run of empty rows",
+            true,
+            "",
+            // The row before the run now ends at column 19; the row after
+            // it starts, as it did, lower.
+            Box::new(move |e| e.set_index(1, pair - 1, 19)),
+        ),
+        (
+            "a descent inside the first row after a run of empty rows",
+            false,
+            "strictly increasing",
+            Box::new(move |e| {
+                e.set_index(1, pair, 1);
+                e.set_index(1, pair + 1, 0);
+            }),
+        ),
+        (
+            "ncols = 0 with nnz > 0",
+            false,
+            "ncols",
+            Box::new(|e| e.bytes[16..24].copy_from_slice(&0u64.to_le_bytes())),
+        ),
+    ];
+    for (what, valid, says, mutate) in cases {
+        let mut e = encode(&m);
+        mutate(&mut e);
+        let viewed = CsrView::parse(&e.bytes);
+        let x = x_for(&e.bytes, 5);
+        for par in [1, 2, 5] {
+            match (first_touch(&e.bytes, &x, 1, par), &viewed) {
+                (Ok(y), Ok(v)) if valid => {
+                    let mut want = vec![0.0; v.nrows() as usize];
+                    v.spmv_into(x.as_slice(), &mut want).expect("dims");
+                    let want: Vec<u8> = want.iter().flat_map(|w| w.to_le_bytes()).collect();
+                    assert_eq!(y, want, "{what} at {par}");
+                }
+                (
+                    Err(SparseError::InvalidStructure(msg)),
+                    Err(SparseError::InvalidStructure(by_validator)),
+                ) if !valid => {
+                    assert!(msg.contains(says), "{what} at {par}: {msg}");
+                    assert!(by_validator.contains(says), "{what}: {by_validator}");
+                }
+                (touched, viewed) => panic!("{what} at {par}: {touched:?} / {viewed:?}"),
             }
         }
     }
