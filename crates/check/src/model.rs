@@ -9,7 +9,7 @@
 //!
 //! * a clone of the node itself,
 //! * each client's script position and what it holds (write grants, read
-//!   pins, its mirror of the availability map), and
+//!   pins), and
 //! * the I/O commands the node issued that have not completed, plus the
 //!   scratch disk they write to.
 //!
@@ -20,8 +20,7 @@
 //! from the code it checks. States are deduplicated by the node's
 //! `fingerprint()` and the model's own fields.
 //!
-//! Invariants, read off the replies, `debug_block`, `map_version` and
-//! `needs_tick`:
+//! Invariants, read off the replies, `debug_block` and `needs_tick`:
 //!
 //! * `negative-refcount` — the node never holds fewer pins on a block than
 //!   the grants its clients hold (a release would underflow);
@@ -33,11 +32,10 @@
 //! * `reads-answered` — a sealed block stays readable (resident, on disk, or
 //!   on its way there), a read parked on a resident sealed block has been
 //!   served, and at quiescence every client finished its script;
-//! * `map-version-monotonic` — the node's map version never decreases and no
-//!   delta is older than the client's cursor;
-//! * `map-delta-composes` — folding each delta into the client's mirror
-//!   yields the node's map at that moment;
-//! * `wait-timeout-armed` — a read parked on a block that must come from
+//! * `resident-is-truth` — the node names the array resident exactly when
+//!   every block is one a client saw sealed and `debug_block` reports in
+//!   memory;
+//! * `parked-read-progresses` — a read parked on a block that must come from
 //!   disk has that read in flight or a retry armed;
 //! * `checked-dies-with-residency` — a read is served with the checked mark
 //!   only if a client released the block as checked after the block's last
@@ -49,7 +47,7 @@
 
 use bytes::Bytes;
 use dooc_storage::node::{Action, SeededBugs};
-use dooc_storage::proto::{BlockAvail, ClientMsg, IoCmd, IoReply, Reply};
+use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, Reply};
 use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageError, StorageState};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -78,8 +76,8 @@ pub enum Op {
     ReleaseChecked(u64),
     /// `Evict` the array.
     Evict,
-    /// `MapSince` the client's cursor; the delta is folded into its mirror.
-    MapSince,
+    /// `Resident`: which arrays are fully in memory.
+    Resident,
 }
 
 /// A scenario: the node's seeded bugs and one script per client.
@@ -125,9 +123,9 @@ impl Model {
     }
 
     /// Client 0 writes, seals, reads and releases both blocks while client 1
-    /// queries `MapSince` three times and a third client evicts once: every
-    /// availability transition races the incremental snapshot.
-    pub fn map_protocol(bugs: SeededBugs) -> Self {
+    /// asks `Resident` three times and a third client evicts once: every
+    /// residency transition races the query.
+    pub fn resident_protocol(bugs: SeededBugs) -> Self {
         use Op::*;
         let writer = vec![
             Write(0),
@@ -141,7 +139,7 @@ impl Model {
         ];
         Self {
             bugs,
-            scripts: vec![writer, vec![MapSince; 3], vec![Evict]],
+            scripts: vec![writer, vec![Resident; 3], vec![Evict]],
         }
     }
 
@@ -164,9 +162,6 @@ struct Client {
     pinned: Vec<u64>,
     /// A write of this client was refused.
     refused: bool,
-    /// Map cursor and mirror.
-    cursor: u64,
-    mirror: BTreeMap<u64, BlockAvail>,
 }
 
 /// One explored state.
@@ -184,6 +179,8 @@ struct State {
     marked: [bool; NBLOCKS as usize],
     /// Some read was served with the checked mark.
     mark_seen: bool,
+    /// Some `Resident` answer named the array.
+    listed: bool,
 }
 
 impl State {
@@ -193,7 +190,8 @@ impl State {
         self.clients.hash(&mut h);
         let mut io: Vec<String> = self.io.iter().map(|c| format!("{c:?}")).collect();
         io.sort_unstable();
-        (io, &self.disk, self.sealed, self.marked, self.mark_seen).hash(&mut h);
+        (io, &self.disk, self.sealed, self.marked).hash(&mut h);
+        (self.mark_seen, self.listed).hash(&mut h);
         h.finish()
     }
 
@@ -222,20 +220,12 @@ fn req_of(c: usize, pc: usize) -> u64 {
     ((c as u64) << 32) | pc as u64
 }
 
-/// The map a client should see now, from what the node holds
+/// Whether the array should be resident now, from what the node holds
 /// (`debug_block`) and what the clients saw sealed.
-fn expected_map(s: &State) -> BTreeMap<u64, BlockAvail> {
-    (0..NBLOCKS)
-        .filter_map(|b| {
-            let (_, resident, on_disk) = s.node.debug_block(ARRAY, b)?;
-            let avail = match (s.sealed[b as usize], resident, on_disk) {
-                (true, true, _) => BlockAvail::InMemory,
-                (true, false, true) => BlockAvail::OnDisk,
-                _ => BlockAvail::Unwritten,
-            };
-            Some((b, avail))
-        })
-        .collect()
+fn expected_resident(s: &State) -> bool {
+    (0..NBLOCKS).all(|b| {
+        s.sealed[b as usize] && s.node.debug_block(ARRAY, b).is_some_and(|(_, mem, _)| mem)
+    })
 }
 
 type Outcome = Result<(), &'static str>;
@@ -278,6 +268,7 @@ impl Model {
             sealed: [false; NBLOCKS as usize],
             marked: [false; NBLOCKS as usize],
             mark_seen: false,
+            listed: false,
         }
     }
 
@@ -317,11 +308,7 @@ impl Model {
                 }
             }
             Op::Evict => ClientMsg::Evict { array },
-            Op::MapSince => ClientMsg::MapSince {
-                req,
-                client,
-                since: cl.cursor,
-            },
+            Op::Resident => ClientMsg::Resident { req, client },
         };
         if matches!(op, Op::Release(_) | Op::ReleaseChecked(_) | Op::Evict) {
             cl.pc += 1; // no reply
@@ -402,25 +389,12 @@ impl Model {
                     ..
                 },
             ) => skip(&[Op::Release(b), Op::ReleaseChecked(b)]),
-            (
-                Some(Op::MapSince),
-                Reply::MapDelta {
-                    version, entries, ..
-                },
-            ) => {
-                let truth = expected_map(s);
-                let cl = &mut s.clients[c];
-                if version < cl.cursor {
-                    return Err("map-version-monotonic");
+            (Some(Op::Resident), Reply::Resident { arrays, .. }) => {
+                let listed = arrays.iter().any(|a| a == ARRAY);
+                if listed != expected_resident(s) || arrays.iter().any(|a| a != ARRAY) {
+                    return Err("resident-is-truth");
                 }
-                // A delta replaces the whole block set of the (one) array.
-                if !entries.is_empty() {
-                    cl.mirror = entries.iter().map(|e| (e.block, e.state)).collect();
-                }
-                cl.cursor = version;
-                if cl.mirror != truth {
-                    return Err("map-delta-composes");
-                }
+                s.listed |= listed;
                 1
             }
             (op, reply) => panic!("client{c}: unexpected {reply:?} to {op:?}"),
@@ -525,7 +499,7 @@ impl Model {
                 return Some("reads-answered");
             }
             if parked_reader && sealed && on_disk && !io_on(false) && !s.node.needs_tick() {
-                return Some("wait-timeout-armed");
+                return Some("parked-read-progresses");
             }
         }
         None
@@ -557,6 +531,9 @@ pub struct ExploreStats {
     /// Quiescent states in which some read was served with the checked
     /// mark (so `checked-dies-with-residency` was tested, not vacuous).
     pub marked: usize,
+    /// Quiescent states in which some `Resident` answer named the array (so
+    /// `resident-is-truth` was tested on both answers, not one).
+    pub listed: usize,
 }
 
 /// A found invariant violation: which invariant, the offending state, and
@@ -600,6 +577,7 @@ pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
         terminals: 0,
         refused: 0,
         marked: 0,
+        listed: 0,
     };
     let violation = |preds: &[Option<(usize, String)>], mut i: usize, invariant, s: &State| {
         let mut trace = Vec::new();
@@ -620,6 +598,7 @@ pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
             stats.terminals += 1;
             stats.refused += usize::from(s.clients.iter().any(|c| c.refused));
             stats.marked += usize::from(s.mark_seen);
+            stats.listed += usize::from(s.listed);
             if let Some(inv) = model.violated_at_quiescence(&s) {
                 return Err(violation(&preds, idx, inv, &s));
             }
@@ -627,11 +606,7 @@ pub fn explore(model: &Model) -> Result<ExploreStats, Violation> {
         }
         for (label, next, outcome) in steps {
             stats.transitions += 1;
-            let regressed = next.node.map_version() < s.node.map_version();
-            let broken = outcome
-                .err()
-                .or(regressed.then_some("map-version-monotonic"))
-                .or_else(|| model.violated(&next));
+            let broken = outcome.err().or_else(|| model.violated(&next));
             if !seen.insert(next.key()) && broken.is_none() {
                 continue;
             }

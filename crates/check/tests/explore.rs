@@ -1,7 +1,7 @@
 //! dooc-shuttle exploration tests over the *real* runtime types.
 //!
 //! Each harness here drives genuine production structures — `StorageState`'s
-//! grant ledger and LRU reclaim, the worker's `ResidencyTracker`, the
+//! grant ledger and LRU reclaim, the
 //! `StorageClient` ↔ storage event-loop protocol and the worker's pipelined
 //! read window — under the virtual cooperative scheduler, and asserts an
 //! invariant that must hold on *every* interleaving. Each positive test has
@@ -17,11 +17,10 @@
 
 use bytes::Bytes;
 use dooc_check::explore::{explore, replay, ExploreOpts, FailureCase, ScheduleToken};
-use dooc_core::ResidencyTracker;
 use dooc_filterstream::{NodeId, StreamReader, StreamSet, StreamWriter};
 use dooc_storage::node::{Action, SeededBugs};
 use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, Reply};
-use dooc_storage::{ArrayMeta, Interval, MapDelta, NodeConfig, RecoveryPolicy, StorageState};
+use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageState};
 use dooc_sync::model::FailureKind;
 use dooc_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -171,28 +170,6 @@ impl Node {
             checked: false,
         });
         assert!(r.is_empty(), "release_pin replied {r:?}");
-    }
-
-    fn map_since(&mut self, since: u64) -> MapDelta {
-        let req = self.fresh();
-        let r = self.client(ClientMsg::MapSince {
-            req,
-            client: 0,
-            since,
-        });
-        match r.as_slice() {
-            [Reply::MapDelta {
-                version,
-                entries,
-                deleted,
-                ..
-            }] => MapDelta {
-                version: *version,
-                entries: entries.clone(),
-                deleted: deleted.clone(),
-            },
-            other => panic!("map_since({since}): expected MapDelta, got {other:?}"),
-        }
     }
 }
 
@@ -401,101 +378,13 @@ fn explore_catches_seeded_spill_skip() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Map snapshots: incremental `map_since` deltas folded through the real
-//    `ResidencyTracker` must compose to the truth while two writers bump
-//    the map version concurrently with the tracker's interim refreshes.
-// ---------------------------------------------------------------------------
-
-fn map_deltas_compose(bugs: SeededBugs) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let geometry: HashMap<String, (u64, u64)> = [
-            ("a".to_string(), (16u64, 8u64)),
-            ("b".to_string(), (8u64, 8u64)),
-        ]
-        .into_iter()
-        .collect();
-        let node = Arc::new(Mutex::new(Node::new(1 << 20, bugs)));
-        let wa = {
-            let n = Arc::clone(&node);
-            dooc_sync::thread::spawn(move || {
-                n.lock().create("a", 16, 8);
-                n.lock()
-                    .write_block("a", Interval::new(0, 8), Bytes::from(vec![1; 8]));
-                n.lock()
-                    .write_block("a", Interval::new(8, 8), Bytes::from(vec![2; 8]));
-            })
-        };
-        let wb = {
-            let n = Arc::clone(&node);
-            dooc_sync::thread::spawn(move || {
-                n.lock().create("b", 8, 8);
-                n.lock()
-                    .write_block("b", Interval::new(0, 8), Bytes::from(vec![3; 8]));
-            })
-        };
-        let mut tracker = ResidencyTracker::new();
-        // Interim refreshes race the writers: each folds whatever changed
-        // since the tracker's cursor, exercising delta composition mid-write.
-        for _ in 0..2 {
-            let delta = node.lock().map_since(tracker.cursor());
-            tracker.apply(&delta, &geometry);
-        }
-        wa.join().expect("writer a");
-        wb.join().expect("writer b");
-        let delta = node.lock().map_since(tracker.cursor());
-        tracker.apply(&delta, &geometry);
-        assert!(
-            tracker.resident().contains("a") && tracker.resident().contains("b"),
-            "incrementally folded deltas missed sealed arrays: resident = {:?}",
-            tracker.resident()
-        );
-        // The folded mirror must agree with a from-scratch full snapshot.
-        let mut fresh = ResidencyTracker::new();
-        let full = node.lock().map_since(0);
-        fresh.apply(&full, &geometry);
-        assert_eq!(
-            tracker.resident(),
-            fresh.resident(),
-            "incremental fold diverged from the full snapshot"
-        );
-    }
-}
-
-#[test]
-fn explore_map_since_deltas_compose_under_concurrent_bumps() {
-    explore(
-        "map_delta",
-        quick(),
-        map_deltas_compose(SeededBugs::default()),
-    )
-    .assert_clean("map_delta");
-}
-
-#[test]
-fn explore_catches_seeded_map_version_skip() {
-    let bugs = SeededBugs {
-        skip_map_version_bump: true,
-        ..SeededBugs::default()
-    };
-    let report = explore("map_delta[bug]", quick(), map_deltas_compose(bugs));
-    let case = report.expect_failure("map_delta[bug]");
-    assert_eq!(case.failure.kind, FailureKind::Panic);
-    assert!(
-        case.failure.message.contains("missed sealed arrays"),
-        "{}",
-        case.failure.message
-    );
-    assert_replay_reproduces(case, map_deltas_compose(bugs));
-}
-
-// ---------------------------------------------------------------------------
-// 4. Worker pipeline window over the real protocol: a `StorageClient`
+// 3. Worker pipeline window over the real protocol: a `StorageClient`
 //    talking across real streams to a storage event loop running as a
 //    second task. After `read_array` drains the pipelined ticket window,
 //    every read grant must have been handed back.
 // ---------------------------------------------------------------------------
 
-/// The storage side of harness 4: a `StorageState` event loop servicing one
+/// The storage side of harness 3: a `StorageState` event loop servicing one
 /// client over real streams, with an in-memory disk (mirrors the
 /// `StorageFilter`/`IoFilter` pair without their layout plumbing).
 fn serve(reqs: StreamReader, replies: StreamWriter) {

@@ -57,12 +57,15 @@ fn write_contention_refuses_the_second_writer() {
 }
 
 #[test]
-fn faithful_map_protocol_has_no_violations() {
-    // Repeated MapSince queries race writes, seals, reads, spills, evictions
-    // and reloads; version monotonicity and delta composition hold on every
-    // interleaving.
-    let stats = clean(&Model::map_protocol(SeededBugs::default()));
-    assert!(stats.states > 1000, "suspiciously small space: {stats:?}");
+fn faithful_resident_protocol_has_no_violations() {
+    // Repeated Resident queries race writes, seals, reads, spills, evictions
+    // and reloads; every answer matches what the node holds at that moment.
+    let stats = clean(&Model::resident_protocol(SeededBugs::default()));
+    // Both answers were checked: some runs see the array listed, some never.
+    assert!(
+        0 < stats.listed && stats.listed < stats.terminals,
+        "{stats:?}"
+    );
 }
 
 #[test]
@@ -76,15 +79,6 @@ fn evicting_pinned_block_is_caught() {
         trace.iter().any(|s| s.contains("Read")),
         "the victim was pinned by a read: {trace:?}"
     );
-}
-
-#[test]
-fn skipped_version_bump_breaks_delta_composition() {
-    let bugs = SeededBugs {
-        skip_map_version_bump: true,
-        ..SeededBugs::default()
-    };
-    expect_violation(&Model::map_protocol(bugs), "map-delta-composes");
 }
 
 #[test]

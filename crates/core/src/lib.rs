@@ -53,7 +53,7 @@ pub mod worker;
 pub use config::DoocConfig;
 pub use report::{render_trace_gantt, RunReport, TraceEvent};
 pub use runtime::{runtime_lane_specs, DoocRuntime};
-pub use worker::{ArrayView, ExecOutcome, ResidencyTracker, TaskExecutor, WorkerContext};
+pub use worker::{ArrayView, ExecOutcome, TaskExecutor, WorkerContext};
 
 // Re-export the pieces applications touch, so `dooc-core` is self-sufficient.
 pub use dooc_obs::metrics::{counter, Counter};

@@ -1,11 +1,11 @@
 //! The per-node worker filter: local scheduler + computing filter.
 //!
 //! Each node runs one worker. The worker owns the node's
-//! [`LocalScheduler`], queries the storage map ("periodically queries the
-//! state of the storage to know which data are available in memory"), issues
-//! prefetches, executes ready tasks through the application's
-//! [`TaskExecutor`], and broadcasts completions to every other worker so all
-//! local schedulers observe cluster-wide DAG progress.
+//! [`LocalScheduler`], asks its storage node which arrays are resident
+//! ("periodically queries the state of the storage to know which data are
+//! available in memory"), issues prefetches, executes ready tasks through
+//! the application's [`TaskExecutor`], and broadcasts completions to every
+//! other worker so all local schedulers observe cluster-wide DAG progress.
 
 use crate::report::TraceEvent;
 use crate::DoocConfig;
@@ -15,12 +15,11 @@ use dooc_obs::metrics::{counter, histogram, Counter, Gauge, Histogram};
 use dooc_obs::Category;
 use dooc_scheduler::{LocalScheduler, Placement, TaskGraph, TaskId, TaskSpec};
 use dooc_sparse::ComputePool;
-use dooc_storage::client::MapDelta;
 use dooc_storage::meta::{ArrayMeta, Interval};
-use dooc_storage::proto::{BlockAvail, NodeStats};
+use dooc_storage::proto::NodeStats;
 use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, WriteTicket};
 use dooc_sync::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -545,101 +544,6 @@ impl<'a> WorkerContext<'a> {
     }
 }
 
-/// Incrementally maintained mirror of the node's availability map.
-///
-/// Instead of re-fetching (and re-cloning) every array name each worker loop
-/// tick, the tracker issues [`StorageClient::map_since`] with its version
-/// cursor and folds the returned delta: on a quiescent tick the delta is
-/// empty and *nothing* is allocated or cloned. Residency (every block of an
-/// array in memory) is recomputed only for arrays the delta touched.
-#[derive(Default)]
-pub struct ResidencyTracker {
-    cursor: u64,
-    blocks: HashMap<String, HashMap<u64, BlockAvail>>,
-    resident: HashSet<String>,
-}
-
-impl ResidencyTracker {
-    /// A tracker that has seen nothing (first query returns a full map).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The version cursor (the `since` of the next query).
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Arrays whose blocks are all resident in this node's memory.
-    pub fn resident(&self) -> &HashSet<String> {
-        &self.resident
-    }
-
-    /// Queries the storage for changes since the last refresh and folds them
-    /// in. Returns the updated residency set.
-    pub fn refresh(
-        &mut self,
-        client: &mut StorageClient,
-        geometry: &HashMap<String, (u64, u64)>,
-    ) -> std::result::Result<&HashSet<String>, String> {
-        let delta = client
-            .map_since(self.cursor)
-            .map_err(|e| format!("map-since query: {e}"))?;
-        self.apply(&delta, geometry);
-        Ok(&self.resident)
-    }
-
-    /// Folds one delta into the mirror. Deltas replace arrays wholesale (the
-    /// protocol ships every block of a changed array), so the fold is:
-    /// deleted arrays drop, named arrays swap in their new block set, and
-    /// residency is recomputed for exactly the touched arrays.
-    pub fn apply(&mut self, delta: &MapDelta, geometry: &HashMap<String, (u64, u64)>) {
-        if delta.version < self.cursor {
-            // Version regression: the storage node crash-restarted and
-            // rebuilt its map from scratch (the server answers a from-the-
-            // future `since` with a full snapshot). Everything the mirror
-            // believed about residency predates the crash — drop it and
-            // refold from the snapshot.
-            self.blocks.clear();
-            self.resident.clear();
-        }
-        self.cursor = delta.version;
-        for a in &delta.deleted {
-            self.blocks.remove(a);
-            self.resident.remove(a);
-        }
-        let mut touched: HashSet<&str> = HashSet::new();
-        for e in &delta.entries {
-            if touched.insert(&e.array) {
-                self.blocks.insert(e.array.clone(), HashMap::new());
-            }
-        }
-        for e in &delta.entries {
-            if let Some(blocks) = self.blocks.get_mut(&e.array) {
-                blocks.insert(e.block, e.state);
-            }
-        }
-        for name in touched {
-            let all_in_mem = self.blocks.get(name).is_some_and(|blocks| {
-                !blocks.is_empty() && blocks.values().all(|s| *s == BlockAvail::InMemory)
-            });
-            let complete = all_in_mem
-                && match geometry.get(name) {
-                    Some(&(len, bs)) => {
-                        let nblocks = ArrayMeta::new(name, len, bs).nblocks();
-                        self.blocks.get(name).map(|b| b.len() as u64) == Some(nblocks)
-                    }
-                    None => true, // unknown geometry: all known blocks resident
-                };
-            if complete {
-                self.resident.insert(name.to_string());
-            } else {
-                self.resident.remove(name);
-            }
-        }
-    }
-}
-
 /// Sinks the workers report into (collected by the runtime after the run).
 #[derive(Default)]
 pub(crate) struct Sinks {
@@ -683,9 +587,6 @@ impl Filter for WorkerFilter {
             .with_node(node as i64);
 
         let pool = ComputePool::new(self.config.threads_per_node);
-        // Incremental mirror of the storage map: each tick fetches only what
-        // changed since the last one.
-        let mut tracker = ResidencyTracker::new();
 
         let done_in = ctx.take_input("done_in")?;
         // Per-task re-execution budget for injected worker crashes.
@@ -710,13 +611,12 @@ impl Filter for WorkerFilter {
             if ls.graph_done() {
                 break;
             }
-            // 2. Storage map delta (the oracle, fetched incrementally; a
-            //    quiescent tick allocates nothing).
-            let resident = tracker
-                .refresh(&mut client, &self.geometry)
-                .map_err(|e| ctx.error(e))?;
+            // 2. Ask the storage which arrays are resident (the oracle).
+            let resident = client
+                .resident()
+                .map_err(|e| ctx.error(format!("resident query: {e}")))?;
             // 3. Prefetch the inputs of upcoming tasks.
-            for arr in ls.prefetch_candidates(&self.graph, resident) {
+            for arr in ls.prefetch_candidates(&self.graph, &resident) {
                 if let Some(&(len, bs)) = self.geometry.get(&arr) {
                     dooc_obs::instant_arg(
                         Category::Scheduler,
@@ -735,7 +635,7 @@ impl Filter for WorkerFilter {
             }
             obs().ready_tasks.set(ls.ready_count() as i64);
             // 4. Run one task, or wait for progress.
-            if let Some(t) = ls.next_task(&self.graph, resident) {
+            if let Some(t) = ls.next_task(&self.graph, &resident) {
                 let spec = self.graph.task(t).clone();
                 let _task_span = dooc_obs::enabled().then(|| {
                     dooc_obs::span(

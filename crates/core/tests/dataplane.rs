@@ -1,19 +1,17 @@
 //! Tests of the worker data plane: pipelined reads must return the written
 //! bytes exactly under arbitrary array geometries, the
 //! zero-copy f64 decode must survive block-straddling values, and the
-//! incremental residency tracker must agree with a from-scratch snapshot
-//! under partial residency.
+//! node's answer to "which arrays are resident" must name exactly the arrays
+//! whose every block is in memory.
 
 use bytes::Bytes;
-use dooc_core::worker::ResidencyTracker;
 use dooc_core::WorkerContext;
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_sparse::ComputePool;
-use dooc_storage::client::MapDelta;
-use dooc_storage::proto::{BlockAvail, MapEntry};
+use dooc_storage::meta::Interval;
 use dooc_storage::{BlockPool, StorageClient, StorageCluster};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -311,147 +309,40 @@ fn an_output_buffer_serves_the_next_output_and_then_the_reload() {
     });
 }
 
-/// The incremental map protocol: a quiescent repeat query returns an empty
-/// delta (this is what makes the per-tick snapshot allocation-free), and the
-/// tracker folds deltas into the same residency the full map implies.
+/// The worker's oracle asked of a live node: an array is resident exactly
+/// while every one of its blocks is sealed and in memory — not while a block
+/// is unwritten or only on disk, again once it is read back, and never after
+/// it is deleted.
 #[test]
-fn tracker_refresh_uses_empty_deltas_when_quiescent() {
-    run_node("tick", 1 << 22, |sc| {
-        let geometry = geometry_of("a", 64, 32);
+fn resident_names_the_arrays_whose_every_block_is_in_memory() {
+    run_node("resident", 1 << 22, |sc| {
+        let geometry: HashMap<String, (u64, u64)> = ["a", "part"]
+            .map(|n| (n.to_string(), (100, 40))) // 3 blocks each
+            .into();
         let pool = ComputePool::new(1);
-        let mut tracker = ResidencyTracker::new();
-        {
-            let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
-            ctx.write_bytes("a", Bytes::from(payload(64, 7)))
+        let mut ctx = WorkerContext::new(0, 1, sc, &geometry, &pool);
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<HashSet<_>>();
+        let resident = |ctx: &mut WorkerContext| ctx.storage().resident().expect("resident");
+        ctx.write_bytes("a", Bytes::from(payload(100, 7)))
+            .expect("write");
+        let sc = ctx.storage();
+        sc.create("part", 100, 40).expect("create");
+        for b in 0..2 {
+            sc.write("part", Interval::new(b * 40, 40), Bytes::from(vec![1; 40]))
                 .expect("write");
         }
-        let resident = tracker.refresh(sc, &geometry).expect("refresh").clone();
-        assert!(
-            resident.contains("a"),
-            "fully written array must be resident"
-        );
-        // Quiescent tick: the wire-level delta is empty — nothing to clone.
-        let cursor = tracker.cursor();
-        let delta = sc.map_since(cursor).expect("map_since");
-        assert_eq!(delta.version, cursor, "no new version when nothing changed");
-        assert!(delta.entries.is_empty(), "quiescent delta ships no entries");
-        assert!(delta.deleted.is_empty());
-        tracker.apply(&delta, &geometry);
-        assert!(
-            tracker.resident().contains("a"),
-            "residency survives empty deltas"
-        );
+        assert_eq!(resident(&mut ctx), names(&["a"]), "two of three blocks");
+        ctx.storage().evict("a").expect("evict");
+        for _ in 0..5000 {
+            if resident(&mut ctx).is_empty() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(resident(&mut ctx), names(&[]), "spilled and evicted");
+        assert_eq!(ctx.read_array("a").expect("reload"), payload(100, 7));
+        assert_eq!(resident(&mut ctx), names(&["a"]), "read back");
+        ctx.storage().delete("a").expect("delete");
+        assert_eq!(resident(&mut ctx), names(&[]));
     });
-}
-
-// ---- ResidencyTracker unit tests (pure fold logic, no cluster) -------------
-
-fn entry(array: &str, block: u64, state: BlockAvail) -> MapEntry {
-    MapEntry {
-        array: array.to_string(),
-        block,
-        state,
-    }
-}
-
-#[test]
-fn tracker_partial_residency_is_not_resident() {
-    let geometry = geometry_of("a", 100, 40); // 3 blocks
-    let mut t = ResidencyTracker::new();
-    t.apply(
-        &MapDelta {
-            version: 1,
-            entries: vec![
-                entry("a", 0, BlockAvail::InMemory),
-                entry("a", 1, BlockAvail::OnDisk),
-                entry("a", 2, BlockAvail::InMemory),
-            ],
-            deleted: vec![],
-        },
-        &geometry,
-    );
-    assert!(
-        !t.resident().contains("a"),
-        "an evicted block must block residency"
-    );
-    // The evicted block comes back: the delta re-ships the whole array.
-    t.apply(
-        &MapDelta {
-            version: 2,
-            entries: vec![
-                entry("a", 0, BlockAvail::InMemory),
-                entry("a", 1, BlockAvail::InMemory),
-                entry("a", 2, BlockAvail::InMemory),
-            ],
-            deleted: vec![],
-        },
-        &geometry,
-    );
-    assert!(t.resident().contains("a"));
-    assert_eq!(t.cursor(), 2);
-}
-
-#[test]
-fn tracker_requires_every_block_of_known_geometry() {
-    let geometry = geometry_of("a", 100, 40); // 3 blocks expected
-    let mut t = ResidencyTracker::new();
-    t.apply(
-        &MapDelta {
-            version: 5,
-            entries: vec![
-                entry("a", 0, BlockAvail::InMemory),
-                entry("a", 1, BlockAvail::InMemory),
-            ],
-            deleted: vec![],
-        },
-        &geometry,
-    );
-    assert!(
-        !t.resident().contains("a"),
-        "two of three blocks is not residency"
-    );
-}
-
-#[test]
-fn tracker_delete_drops_residency_and_later_deltas_replace_arrays() {
-    let geometry = geometry_of("a", 64, 64);
-    let mut t = ResidencyTracker::new();
-    t.apply(
-        &MapDelta {
-            version: 1,
-            entries: vec![entry("a", 0, BlockAvail::InMemory)],
-            deleted: vec![],
-        },
-        &geometry,
-    );
-    assert!(t.resident().contains("a"));
-    t.apply(
-        &MapDelta {
-            version: 2,
-            entries: vec![],
-            deleted: vec!["a".to_string()],
-        },
-        &geometry,
-    );
-    assert!(!t.resident().contains("a"));
-    assert_eq!(t.cursor(), 2);
-    // Untouched arrays keep their residency across unrelated deltas.
-    t.apply(
-        &MapDelta {
-            version: 3,
-            entries: vec![entry("b", 0, BlockAvail::InMemory)],
-            deleted: vec![],
-        },
-        &HashMap::new(),
-    );
-    t.apply(
-        &MapDelta {
-            version: 4,
-            entries: vec![entry("c", 0, BlockAvail::Partial)],
-            deleted: vec![],
-        },
-        &HashMap::new(),
-    );
-    assert!(t.resident().contains("b"));
-    assert!(!t.resident().contains("c"));
 }

@@ -53,9 +53,9 @@ pub enum OrderPolicy {
     DataAware,
 }
 
-/// The storage-map oracle the local scheduler queries. Implemented over a
-/// `StorageClient::map()` snapshot in live runs, or over a model in the
-/// simulator and tests.
+/// The storage-map oracle the local scheduler queries. In live runs it is the
+/// set `StorageClient::resident()` returns for the tick; the simulator and
+/// tests implement it over a model.
 pub trait MemoryOracle {
     /// Is the array fully resident in this node's memory?
     fn resident(&self, array: &str) -> bool;

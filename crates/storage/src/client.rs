@@ -21,12 +21,12 @@
 //!   goes, one that computes on the bytes keeps the guard for as long.
 
 use crate::meta::{ArrayMeta, Interval};
-use crate::proto::{ClientMsg, MapEntry, NodeStats, Reply};
+use crate::proto::{ClientMsg, NodeStats, Reply};
 use crate::{Result, StorageError};
 use bytes::Bytes;
 use dooc_filterstream::{NodeId, StreamReader, StreamWriter};
 use dooc_sync::atomic::{AtomicU64, Ordering};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -66,19 +66,6 @@ pub type ReadTicket = Ticket<Read>;
 pub type WriteTicket = Ticket<Write>;
 /// A pending seal confirmation ([`StorageClient::release_write_async`]).
 pub type SealTicket = Ticket<Seal>;
-
-/// Incremental availability map returned by [`StorageClient::map_since`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MapDelta {
-    /// The node's map version at reply time; pass as the next `since`.
-    pub version: u64,
-    /// Every block of every array whose availability changed since `since`
-    /// (array-granularity replacement: fold by swapping each named array's
-    /// whole block set).
-    pub entries: Vec<MapEntry>,
-    /// Arrays deleted since `since`.
-    pub deleted: Vec<String>,
-}
 
 /// The shared half of the client a [`ReadGuard`] needs to unpin on drop:
 /// the outbound stream plus the grant counter.
@@ -457,31 +444,20 @@ impl StorageClient {
         }
     }
 
-    /// Queries the node's availability map ("obtain a map of which part of
-    /// the arrays are currently available"): only what changed after map
-    /// version `since` (0 = full snapshot), plus the node's current version
-    /// to use as the next cursor.
-    pub fn map_since(&mut self, since: u64) -> Result<MapDelta> {
+    /// Asks the node which arrays are fully resident in its memory: every
+    /// block present, sealed and in memory. The answer is computed afresh
+    /// on each call; nothing is cached on either side.
+    pub fn resident(&mut self) -> Result<HashSet<String>> {
         let req = self.fresh();
-        self.send(&ClientMsg::MapSince {
+        self.send(&ClientMsg::Resident {
             req,
             client: self.client_id,
-            since,
         })?;
         match self.wait(req)? {
-            Reply::MapDelta {
-                version,
-                entries,
-                deleted,
-                ..
-            } => Ok(MapDelta {
-                version,
-                entries,
-                deleted,
-            }),
+            Reply::Resident { arrays, .. } => Ok(arrays.into_iter().collect()),
             Reply::Err { error, .. } => Err(error),
             other => Err(StorageError::Protocol(format!(
-                "unexpected reply to map-since query: {other:?}"
+                "unexpected reply to resident query: {other:?}"
             ))),
         }
     }

@@ -46,7 +46,7 @@ pub mod pool;
 pub mod proto;
 pub mod rangeset;
 
-pub use client::{MapDelta, ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket, WriteTicket};
+pub use client::{ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket, WriteTicket};
 pub use cluster::StorageCluster;
 pub use meta::{ArrayMeta, BlockKey, Interval};
 pub use node::{NodeConfig, RecoveryPolicy, StorageState};

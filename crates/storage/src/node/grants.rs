@@ -38,7 +38,7 @@ impl StorageState {
         iv: Interval,
         out: &mut Vec<Action>,
     ) {
-        if self.deleted.contains_key(&array) {
+        if self.deleted.contains(&array) {
             return Self::err(client, req, StorageError::Deleted(array), out);
         }
         let Some(ainfo) = Self::array_or_placeholder(&mut self.arrays, &array) else {
@@ -91,7 +91,7 @@ impl StorageState {
         iv: Interval,
         out: &mut Vec<Action>,
     ) {
-        if self.deleted.contains_key(&array) {
+        if self.deleted.contains(&array) {
             return Self::err(client, req, StorageError::Deleted(array), out);
         }
         let Some(ainfo) = self.arrays.get_mut(&array) else {

@@ -48,7 +48,7 @@ mod testkit;
 pub use recovery::RecoveryPolicy;
 
 use crate::meta::ArrayMeta;
-use crate::proto::{BlockAvail, ClientMsg, IoCmd, IoReply, MapEntry, NodeStats, PeerMsg, Reply};
+use crate::proto::{ClientMsg, IoCmd, IoReply, NodeStats, PeerMsg, Reply};
 use crate::rangeset::RangeSet;
 use crate::StorageError;
 use bytes::Bytes;
@@ -149,9 +149,6 @@ struct ReadWaiter {
 pub struct SeededBugs {
     /// Eviction ignores `pins`: blocks with live read guards get dropped.
     pub evict_ignores_pins: bool,
-    /// [`StorageState::map_delta`] detects changes but never bumps
-    /// `map_version`, so incremental deltas go stale instead of composing.
-    pub skip_map_version_bump: bool,
     /// Eviction (reclaim or `Evict`) drops not-yet-spilled blocks without
     /// writing them first, losing the only copy of the data.
     pub evict_skips_spill: bool,
@@ -184,9 +181,6 @@ struct BlockInfo {
     peer_waiters: Vec<(u64, u64)>,
     /// Outstanding remote fetch, if this node is trying to pull the block.
     fetch: Option<FetchState>,
-    /// Availability last reported through a map query (lazy change
-    /// detection for [`ClientMsg::MapSince`] deltas).
-    last_avail: Option<BlockAvail>,
 }
 
 impl BlockInfo {
@@ -205,23 +199,15 @@ impl BlockInfo {
         }
     }
 
-    fn avail(&self, block_len: u64) -> BlockAvail {
-        if self.fully_sealed(block_len) {
-            if matches!(self.mem, Some(BlockMem::Sealed { .. })) {
-                BlockAvail::InMemory
-            } else if self.on_disk {
-                BlockAvail::OnDisk
-            } else if self.mem.is_some() {
-                // Sealed but only building-buffer resident (transient).
-                BlockAvail::InMemory
-            } else {
-                BlockAvail::Unwritten
+    /// Fully sealed and resident in memory: as a sealed buffer, or (while
+    /// no disk copy exists) as the building buffer the last write filled.
+    fn in_memory(&self, block_len: u64) -> bool {
+        self.fully_sealed(block_len)
+            && match self.mem {
+                Some(BlockMem::Sealed { .. }) => true,
+                Some(_) => !self.on_disk,
+                None => false,
             }
-        } else if self.sealed.is_empty() {
-            BlockAvail::Unwritten
-        } else {
-            BlockAvail::Partial
-        }
     }
 }
 
@@ -234,14 +220,6 @@ struct ArrayInfo {
     blocks: HashMap<u64, BlockInfo>,
     /// Pending persist: (req, client, blocks whose disk write is awaited).
     persist: Option<(u64, u64, HashSet<u64>)>,
-    /// Map version at which any of this array's block availabilities last
-    /// changed. Deltas ship at array granularity: a client folding a delta
-    /// replaces the array's whole block set, which also makes block re-keys
-    /// (placeholder-geometry resolution) expressible.
-    avail_version: u64,
-    /// Block count at the last map query (detects block additions/removals
-    /// that leave every surviving block's availability untouched).
-    last_nblocks: usize,
 }
 
 impl ArrayInfo {
@@ -251,8 +229,6 @@ impl ArrayInfo {
             home,
             blocks: HashMap::new(),
             persist: None,
-            avail_version: 0,
-            last_nblocks: 0,
         }
     }
 
@@ -264,6 +240,16 @@ impl ArrayInfo {
 
     fn is_placeholder(&self) -> bool {
         self.meta.len == u64::MAX
+    }
+
+    /// Every block of the array is here, fully sealed and in memory.
+    fn resident(&self) -> bool {
+        !self.is_placeholder()
+            && self.blocks.len() as u64 == self.meta.nblocks()
+            && self
+                .blocks
+                .iter()
+                .all(|(&b, info)| info.in_memory(self.meta.block_len(b)))
     }
 }
 
@@ -281,12 +267,8 @@ pub struct DiscoveredBlock {
 pub struct StorageState {
     cfg: NodeConfig,
     arrays: HashMap<String, ArrayInfo>,
-    /// Tombstones of deleted arrays, with the map version of the deletion.
-    deleted: HashMap<String, u64>,
-    /// Monotonic availability-map version; bumped whenever a map query
-    /// detects a changed array or an array is deleted. Clients use it as the
-    /// `since` cursor of [`ClientMsg::MapSince`].
-    map_version: u64,
+    /// Tombstones of deleted arrays: a deleted name cannot come back.
+    deleted: HashSet<String>,
     /// LRU index: clock value -> (array, block). Values are unique.
     lru: BTreeMap<u64, (String, u64)>,
     clock: u64,
@@ -333,8 +315,7 @@ impl StorageState {
         let mut st = Self {
             cfg,
             arrays: HashMap::new(),
-            deleted: HashMap::new(),
-            map_version: 0,
+            deleted: HashSet::new(),
             lru: BTreeMap::new(),
             clock: 0,
             fetches: HashMap::new(),
@@ -409,7 +390,6 @@ impl StorageState {
             cfg: _,
             arrays,
             deleted,
-            map_version,
             lru,
             clock,
             fetches,
@@ -433,10 +413,8 @@ impl StorageState {
                 home,
                 blocks,
                 persist,
-                avail_version,
-                last_nblocks,
             } = a;
-            (name, meta, home, avail_version, last_nblocks).hash(&mut h);
+            (name, meta, home).hash(&mut h);
             sorted(blocks).hash(&mut h);
             let persist = persist.as_ref().map(|(req, client, awaited)| {
                 let mut awaited: Vec<_> = awaited.iter().collect();
@@ -445,16 +423,10 @@ impl StorageState {
             });
             persist.hash(&mut h);
         }
-        sorted(deleted).hash(&mut h);
-        (
-            map_version,
-            lru,
-            clock,
-            next_fetch_req,
-            resident,
-            pinned_now,
-        )
-            .hash(&mut h);
+        let mut deleted: Vec<_> = deleted.iter().collect();
+        deleted.sort_unstable();
+        deleted.hash(&mut h);
+        (lru, clock, next_fetch_req, resident, pinned_now).hash(&mut h);
         (stats, sorted(fetches), rng.clone().next_u64()).hash(&mut h);
         (stalled, tick, io_retry, local_done, byes).hash(&mut h);
         sorted(io_attempts).hash(&mut h);
@@ -471,57 +443,6 @@ impl StorageState {
     /// Number of bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
         self.resident
-    }
-
-    /// Current availability-map version (monotonic; 0 = nothing reported).
-    pub fn map_version(&self) -> u64 {
-        self.map_version
-    }
-
-    /// Computes the incremental availability map for a client that last saw
-    /// version `since` (0 = full snapshot). Changes are detected lazily by
-    /// comparing each block's current availability against the one recorded
-    /// at the previous query, so handlers never need to stamp versions at
-    /// every mutation site. Returns `(version, entries, deleted)`; `entries`
-    /// holds *every* block of each changed array (replacement granularity is
-    /// the array — see `ArrayInfo::avail_version`).
-    fn map_delta(&mut self, since: u64) -> (u64, Vec<MapEntry>, Vec<String>) {
-        let bugs = self.bug();
-        let mut entries = Vec::new();
-        for (name, ainfo) in self.arrays.iter_mut() {
-            let meta = &ainfo.meta;
-            let mut changed = ainfo.blocks.len() != ainfo.last_nblocks;
-            ainfo.last_nblocks = ainfo.blocks.len();
-            for (&b, info) in ainfo.blocks.iter_mut() {
-                let now = info.avail(meta.block_len(b));
-                if info.last_avail != Some(now) {
-                    info.last_avail = Some(now);
-                    changed = true;
-                }
-            }
-            if changed && !bugs.skip_map_version_bump {
-                self.map_version += 1;
-                ainfo.avail_version = self.map_version;
-            }
-            if ainfo.avail_version > since {
-                for (&b, info) in ainfo.blocks.iter() {
-                    entries.push(MapEntry {
-                        array: name.clone(),
-                        block: b,
-                        state: info.avail(meta.block_len(b)),
-                    });
-                }
-            }
-        }
-        entries.sort_by(|a, b| (&a.array, a.block).cmp(&(&b.array, b.block)));
-        let mut deleted: Vec<String> = self
-            .deleted
-            .iter()
-            .filter(|(_, &v)| v > since)
-            .map(|(a, _)| a.clone())
-            .collect();
-        deleted.sort();
-        (self.map_version, entries, deleted)
     }
 
     /// Marks the local side quiescent without a Shutdown message (used when
@@ -625,20 +546,17 @@ impl StorageState {
             ClientMsg::Prefetch { array, iv } => self.prefetch(array, iv, &mut out),
             ClientMsg::Persist { req, client, array } => self.persist(req, client, array, &mut out),
             ClientMsg::Delete { req, client, array } => self.delete(req, client, array, &mut out),
-            ClientMsg::MapSince { req, client, since } => {
-                // A cursor ahead of our version means the client talked to a
-                // previous incarnation of this node (crash + restart): serve
-                // a full snapshot so it can rebuild its mirror. The client
-                // detects the regression by `version < since`.
-                let since = if since > self.map_version { 0 } else { since };
-                let (version, entries, deleted) = self.map_delta(since);
-                let reply = Reply::MapDelta {
-                    req,
-                    version,
-                    entries,
-                    deleted,
-                };
-                out.push(Action::Reply { client, reply });
+            ClientMsg::Resident { req, client } => {
+                let arrays = self
+                    .arrays
+                    .iter()
+                    .filter(|(_, a)| a.resident())
+                    .map(|(name, _)| name.clone())
+                    .collect();
+                out.push(Action::Reply {
+                    client,
+                    reply: Reply::Resident { req, arrays },
+                });
             }
             ClientMsg::StatsQuery { req, client } => {
                 let stats = self.stats();
@@ -688,7 +606,7 @@ impl StorageState {
             }
             a.meta = meta;
             a.home = true;
-        } else if self.arrays.contains_key(&meta.name) || self.deleted.contains_key(&meta.name) {
+        } else if self.arrays.contains_key(&meta.name) || self.deleted.contains(&meta.name) {
             return Self::err(client, req, StorageError::AlreadyExists(meta.name), out);
         } else {
             self.arrays
@@ -708,7 +626,7 @@ impl StorageState {
                 self.resolve_placeholder(&name, meta, 0, None, out);
             }
             Some(_) => {}
-            None if self.deleted.contains_key(&meta.name) => {}
+            None if self.deleted.contains(&meta.name) => {}
             None => {
                 self.arrays
                     .insert(meta.name.clone(), ArrayInfo::new(meta, false));
@@ -762,8 +680,7 @@ impl StorageState {
     /// in flight, files — and leaves a tombstone. Shared by a local delete
     /// and a peer's [`PeerMsg::DeleteNotice`].
     fn drop_array_local(&mut self, array: &str, out: &mut Vec<Action>) {
-        self.map_version += 1;
-        self.deleted.insert(array.to_string(), self.map_version);
+        self.deleted.insert(array.to_string());
         let Some(ainfo) = self.arrays.remove(array) else {
             return;
         };
@@ -876,109 +793,24 @@ mod tests {
         assert!(matches!(error(&acts), StorageError::AlreadyExists(_)));
     }
 
-    /// The full map, as a client with no mirror would see it now.
-    fn full_map(st: &StorageState) -> Vec<MapEntry> {
-        map_delta_of(&mut st.clone(), 0).1
-    }
-
-    /// A client's mirror of the map, keyed by (array, block).
-    type Mirror = BTreeMap<(String, u64), BlockAvail>;
-
-    /// Folds one delta into a mirror: a delta replaces the whole block set
-    /// of every array it mentions, a deletion drops the array.
-    fn fold_delta(mirror: &mut Mirror, entries: &[MapEntry], deleted: &[String]) {
-        mirror.retain(|(a, _), _| !deleted.contains(a) && !entries.iter().any(|e| &e.array == a));
-        mirror.extend(
-            entries
-                .iter()
-                .map(|e| ((e.array.clone(), e.block), e.state)),
-        );
-    }
-
-    fn flatten(mirror: &Mirror) -> Vec<MapEntry> {
-        let entry = |((array, block), &state): (&(String, u64), _)| MapEntry {
-            array: array.clone(),
-            block: *block,
-            state,
-        };
-        mirror.iter().map(entry).collect()
-    }
-
     #[test]
-    fn map_since_zero_is_full_snapshot() {
-        let mut st = state(1 << 20);
+    fn resident_lists_exactly_the_fully_resident_arrays() {
+        let mut st = StorageState::new(cfg(0, 2, 1 << 20), vec![]);
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // A partial write: nothing written, then one block of two sealed,
+        // then the second half-sealed.
         create(&mut st, "a", 64, 32);
+        assert_eq!(resident_of(&mut st), names(&[]));
         write_all(&mut st, "a", Interval::new(0, 32), 1);
-        create(&mut st, "b", 16, 16);
-        let (v, entries, deleted) = map_delta_of(&mut st, 0);
-        assert!(v > 0, "changes must have bumped the version");
-        let block0 = MapEntry {
-            array: "a".into(),
-            block: 0,
-            state: BlockAvail::InMemory,
-        };
-        assert_eq!(entries, vec![block0]);
-        assert_eq!(entries, full_map(&st), "and again on the next query");
-        assert!(deleted.is_empty());
-    }
-
-    #[test]
-    fn map_since_zero_reports_block_states() {
-        let mut st = state(1 << 20);
-        create(&mut st, "a", 64, 32);
-        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        assert_eq!(resident_of(&mut st), names(&[]));
         write_all(&mut st, "a", Interval::new(32, 16), 1);
-        let states: Vec<BlockAvail> = full_map(&st).iter().map(|e| e.state).collect();
-        assert_eq!(states, vec![BlockAvail::InMemory, BlockAvail::Partial]);
-    }
-
-    #[test]
-    fn map_since_version_monotonic_and_quiescent() {
-        let mut st = state(1 << 20);
-        create(&mut st, "a", 64, 32);
-        let (v1, _, _) = map_delta_of(&mut st, 0);
-        write_all(&mut st, "a", Interval::new(0, 32), 1);
-        let (v2, e2, _) = map_delta_of(&mut st, v1);
-        assert!(v2 >= v1, "map version must be monotonic");
-        assert!(
-            e2.iter().any(|e| e.array == "a" && e.block == 0),
-            "the sealed block must appear in the delta: {e2:?}"
-        );
-        // No changes since v2: the delta is empty and the version stable.
-        let (v3, e3, d3) = map_delta_of(&mut st, v2);
-        assert_eq!(v3, v2);
-        assert!(
-            e3.is_empty() && d3.is_empty(),
-            "quiescent delta must be empty: {e3:?}"
-        );
-    }
-
-    #[test]
-    fn map_since_deltas_compose_to_full_map() {
-        let mut st = state(1 << 20);
-        let mut mirror = Mirror::new();
-        let mut cursor = 0u64;
-        let mut step = |st: &mut StorageState| {
-            let (v, entries, deleted) = map_delta_of(st, cursor);
-            assert!(v >= cursor, "version went backwards");
-            fold_delta(&mut mirror, &entries, &deleted);
-            cursor = v;
-            assert_eq!(
-                flatten(&mirror),
-                full_map(st),
-                "delta ∘ base must equal the full map"
-            );
-            deleted
-        };
-        step(&mut st);
-        create(&mut st, "a", 96, 32);
-        step(&mut st);
-        write_all(&mut st, "a", Interval::new(0, 32), 1);
-        write_all(&mut st, "a", Interval::new(32, 16), 2);
-        step(&mut st);
+        assert_eq!(resident_of(&mut st), names(&[]));
+        // Sealed: every block sealed and in memory.
+        write_all(&mut st, "a", Interval::new(48, 16), 1);
         create(&mut st, "b", 32, 32);
-        write_all(&mut st, "b", Interval::new(0, 32), 3);
-        // Persist then evict: b's block transitions InMemory -> OnDisk.
+        write_all(&mut st, "b", Interval::new(0, 32), 2);
+        assert_eq!(resident_of(&mut st), names(&["a", "b"]));
+        // Spilled and evicted: on disk only.
         let acts = st.handle_client(ClientMsg::Persist {
             req: 50,
             client: 0,
@@ -993,17 +825,36 @@ mod tests {
                 });
             }
         }
+        assert_eq!(resident_of(&mut st), names(&["a", "b"]), "spilled, kept");
         st.handle_client(ClientMsg::Evict { array: "b".into() });
-        step(&mut st);
-        // Finish a, then delete it.
-        write_all(&mut st, "a", Interval::new(48, 16), 4);
-        write_all(&mut st, "a", Interval::new(64, 32), 5);
-        step(&mut st);
-        assert!(matches!(
-            reply(&delete(&mut st, "a")),
-            Reply::Deleted { .. }
-        ));
-        assert_eq!(step(&mut st), vec!["a".to_string()]);
+        assert_eq!(resident_of(&mut st), names(&["a"]));
+        // Reloaded: listed again once the load lands, not while it is out.
+        let acts = read(&mut st, 7, 0, "b", Interval::new(0, 32));
+        let [Action::Io(IoCmd::Read { array, block, .. })] = &acts[..] else {
+            panic!("expected one load: {acts:?}");
+        };
+        let (array, block) = (array.clone(), *block);
+        assert_eq!(resident_of(&mut st), names(&["a"]), "load in flight");
+        let acts = st.handle_io(IoReply::ReadDone {
+            array,
+            block,
+            data: Bytes::from(vec![2; 32]),
+        });
+        assert_eq!(served(&acts), vec![7]);
+        unpin(&mut st, "b", Interval::new(0, 32));
+        assert_eq!(resident_of(&mut st), names(&["a", "b"]));
+        // Deleted (the peer is told, too).
+        delete(&mut st, "a");
+        assert_eq!(resident_of(&mut st), names(&["b"]));
+        // A peer-hinted placeholder: a read of a name this node never saw
+        // parks on unknown geometry while the peers are asked for it.
+        let acts = read(&mut st, 8, 0, "elsewhere", Interval::new(0, 8));
+        assert!(
+            acts.iter().any(|a| matches!(a, Action::Peer { .. })),
+            "{acts:?}"
+        );
+        assert!(st.arrays["elsewhere"].is_placeholder());
+        assert_eq!(resident_of(&mut st), names(&["b"]));
     }
 
     #[test]
@@ -1090,9 +941,8 @@ mod tests {
             });
         }
         assert!(st.arrays.is_empty());
-        let (_, entries, deleted) = map_delta_of(&mut st, 0);
-        assert!(entries.is_empty());
-        assert_eq!(deleted, vec!["mem".to_string(), "spill".to_string()]);
+        assert!(resident_of(&mut st).is_empty());
+        assert_eq!(st.deleted, HashSet::from(["mem".into(), "spill".into()]));
     }
 
     #[test]

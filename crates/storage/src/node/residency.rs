@@ -330,7 +330,7 @@ impl StorageState {
     /// Hint: bring the block holding `iv` into memory — load it from disk,
     /// or fetch it if it lives elsewhere. Bad hints are dropped.
     pub(super) fn prefetch(&mut self, array: String, iv: Interval, out: &mut Vec<Action>) {
-        if self.deleted.contains_key(&array) {
+        if self.deleted.contains(&array) {
             return;
         }
         let Some(ainfo) = Self::array_or_placeholder(&mut self.arrays, &array) else {

@@ -3,7 +3,7 @@
 
 use super::{Action, DiscoveredBlock, NodeConfig, RecoveryPolicy, StorageState};
 use crate::meta::{ArrayMeta, Interval};
-use crate::proto::{ClientMsg, MapEntry, Reply};
+use crate::proto::{ClientMsg, Reply};
 use crate::StorageError;
 use bytes::Bytes;
 
@@ -186,20 +186,18 @@ pub(super) fn read_served(acts: &[Action], req: u64) -> Option<(Bytes, bool)> {
     })
 }
 
-/// Runs a MapSince query and unpacks the reply.
-pub(super) fn map_delta_of(st: &mut StorageState, since: u64) -> (u64, Vec<MapEntry>, Vec<String>) {
-    let acts = st.handle_client(ClientMsg::MapSince {
+/// Asks which arrays are resident; the names, sorted.
+pub(super) fn resident_of(st: &mut StorageState) -> Vec<String> {
+    let acts = st.handle_client(ClientMsg::Resident {
         req: 900,
         client: 0,
-        since,
     });
     match reply(&acts) {
-        Reply::MapDelta {
-            version,
-            entries,
-            deleted,
-            ..
-        } => (*version, entries.clone(), deleted.clone()),
-        other => panic!("expected MapDelta, got {other:?}"),
+        Reply::Resident { arrays, .. } => {
+            let mut arrays = arrays.clone();
+            arrays.sort();
+            arrays
+        }
+        other => panic!("expected Resident, got {other:?}"),
     }
 }

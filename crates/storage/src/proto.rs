@@ -24,53 +24,6 @@ use bytes::Bytes;
 use dooc_filterstream::buffer::{PayloadBuilder, PayloadReader};
 use dooc_filterstream::DataBuffer;
 
-/// Availability of a block as reported by a map query ("obtain a map of
-/// which part of the arrays are currently available in the storage
-/// subsystem").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BlockAvail {
-    /// Fully sealed and resident in this node's memory.
-    InMemory,
-    /// Fully sealed and on this node's disk (not resident).
-    OnDisk,
-    /// Some intervals sealed, others not yet written.
-    Partial,
-    /// Known (array created here) but no byte written yet.
-    Unwritten,
-}
-
-impl BlockAvail {
-    fn code(self) -> u64 {
-        match self {
-            BlockAvail::InMemory => 0,
-            BlockAvail::OnDisk => 1,
-            BlockAvail::Partial => 2,
-            BlockAvail::Unwritten => 3,
-        }
-    }
-
-    fn from_code(c: u64) -> Option<Self> {
-        Some(match c {
-            0 => BlockAvail::InMemory,
-            1 => BlockAvail::OnDisk,
-            2 => BlockAvail::Partial,
-            3 => BlockAvail::Unwritten,
-            _ => return None,
-        })
-    }
-}
-
-/// One entry of a map reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MapEntry {
-    /// Array name.
-    pub array: String,
-    /// Block index.
-    pub block: u64,
-    /// Local availability.
-    pub state: BlockAvail,
-}
-
 /// Counters a storage node maintains; exposed to clients via
 /// [`ClientMsg::StatsQuery`] and used by the experiment harness as the
 /// "logs" bandwidth is extracted from.
@@ -190,20 +143,16 @@ pub enum ClientMsg {
         /// Array name.
         array: String,
     },
-    /// Ask for the local availability map ("obtain a map of which part of
-    /// the arrays are currently available in the storage subsystem"): the
-    /// entries that changed after map version `since`, 0 meaning a full
-    /// snapshot. The reply is a
-    /// [`Reply::MapDelta`] carrying the node's current version, so repeated
-    /// queries form an incremental snapshot protocol: the client folds each
-    /// delta into its mirror instead of re-receiving every entry per tick.
-    MapSince {
+    /// Ask which arrays are fully resident in this node's memory ("the
+    /// local scheduler periodically queries the state of the storage to
+    /// know which data are available in memory"). Stateless: the
+    /// [`Reply::Resident`] is computed afresh from the node's own blocks,
+    /// so nothing on either side has to be kept in step between queries.
+    Resident {
         /// Request id.
         req: u64,
         /// Reply address.
         client: u64,
-        /// Last map version the client has folded in.
-        since: u64,
     },
     /// Ask for this node's counters.
     StatsQuery {
@@ -266,19 +215,13 @@ pub enum Reply {
         /// Echoed request id.
         req: u64,
     },
-    /// Incremental availability map: only blocks whose availability changed
-    /// after the `since` version of the matching [`ClientMsg::MapSince`],
-    /// plus arrays deleted since then. Folding `entries`/`deleted` into the
-    /// client's mirror of version `since` yields the full map at `version`.
-    MapDelta {
+    /// Every array on this node with known geometry whose blocks are all
+    /// present, fully sealed and in memory.
+    Resident {
         /// Echoed request id.
         req: u64,
-        /// The node's map version at reply time; pass as the next `since`.
-        version: u64,
-        /// Entries whose availability changed in `(since, version]`.
-        entries: Vec<MapEntry>,
-        /// Arrays deleted in `(since, version]` (drop them from the mirror).
-        deleted: Vec<String>,
+        /// Array names, in no particular order.
+        arrays: Vec<String>,
     },
     /// Node counters.
     Stats {
@@ -572,8 +515,8 @@ impl ClientMsg {
                 pb.put_str(array);
                 pb.build(T_CLIENT + 12)
             }
-            ClientMsg::MapSince { req, client, since } => {
-                pb.put_u64(*req).put_u64(*client).put_u64(*since);
+            ClientMsg::Resident { req, client } => {
+                pb.put_u64(*req).put_u64(*client);
                 pb.build(T_CLIENT + 13)
             }
             ClientMsg::Shutdown => pb.build(T_CLIENT + 10),
@@ -636,10 +579,9 @@ impl ClientMsg {
             t if t == T_CLIENT + 12 => ClientMsg::Evict {
                 array: r.str().ok_or_else(e)?,
             },
-            t if t == T_CLIENT + 13 => ClientMsg::MapSince {
+            t if t == T_CLIENT + 13 => ClientMsg::Resident {
                 req: r.u64().ok_or_else(e)?,
                 client: r.u64().ok_or_else(e)?,
-                since: r.u64().ok_or_else(e)?,
             },
             t if t == T_CLIENT + 11 => ClientMsg::Register {
                 meta: meta_get(&mut r).ok_or_else(e)?,
@@ -661,7 +603,7 @@ impl ClientMsg {
             | ClientMsg::ReleaseWrite { client, .. }
             | ClientMsg::Persist { client, .. }
             | ClientMsg::Delete { client, .. }
-            | ClientMsg::MapSince { client, .. }
+            | ClientMsg::Resident { client, .. }
             | ClientMsg::StatsQuery { client, .. } => Some(*client),
             ClientMsg::ReleaseRead { .. }
             | ClientMsg::Prefetch { .. }
@@ -720,22 +662,9 @@ impl Reply {
                 err_put(&mut pb, error);
                 pb.build(T_REPLY + 8)
             }
-            Reply::MapDelta {
-                req,
-                version,
-                entries,
-                deleted,
-            } => {
-                pb.put_u64(*req)
-                    .put_u64(*version)
-                    .put_u64(entries.len() as u64);
-                for en in entries {
-                    pb.put_str(&en.array)
-                        .put_u64(en.block)
-                        .put_u64(en.state.code());
-                }
-                pb.put_u64(deleted.len() as u64);
-                for a in deleted {
+            Reply::Resident { req, arrays } => {
+                pb.put_u64(*req).put_u64(arrays.len() as u64);
+                for a in arrays {
                     pb.put_str(a);
                 }
                 pb.build(T_REPLY + 9)
@@ -785,30 +714,16 @@ impl Reply {
                 req: r.u64().ok_or_else(e)?,
                 error: err_get(&mut r).ok_or_else(e)?,
             },
-            t if t == T_REPLY + 9 => {
-                let req = r.u64().ok_or_else(e)?;
-                let version = r.u64().ok_or_else(e)?;
-                let n = r.u64().ok_or_else(e)?;
-                let mut entries = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    entries.push(MapEntry {
-                        array: r.str().ok_or_else(e)?,
-                        block: r.u64().ok_or_else(e)?,
-                        state: BlockAvail::from_code(r.u64().ok_or_else(e)?).ok_or_else(e)?,
-                    });
-                }
-                let nd = r.u64().ok_or_else(e)?;
-                let mut deleted = Vec::with_capacity(nd as usize);
-                for _ in 0..nd {
-                    deleted.push(r.str().ok_or_else(e)?);
-                }
-                Reply::MapDelta {
-                    req,
-                    version,
-                    entries,
-                    deleted,
-                }
-            }
+            t if t == T_REPLY + 9 => Reply::Resident {
+                req: r.u64().ok_or_else(e)?,
+                arrays: {
+                    let n = r.u64().ok_or_else(e)?;
+                    (0..n)
+                        .map(|_| r.str())
+                        .collect::<Option<_>>()
+                        .ok_or_else(e)?
+                },
+            },
             t => {
                 return Err(StorageError::Protocol(format!(
                     "unexpected tag {t:#x} for reply message"
@@ -826,7 +741,7 @@ impl Reply {
             | Reply::WriteSealed { req }
             | Reply::Persisted { req }
             | Reply::Deleted { req }
-            | Reply::MapDelta { req, .. }
+            | Reply::Resident { req, .. }
             | Reply::Stats { req, .. }
             | Reply::Err { req, .. } => *req,
         }
@@ -1090,11 +1005,7 @@ mod tests {
                 meta: ArrayMeta::new("reg", 64, 16),
             },
             ClientMsg::Evict { array: "ev".into() },
-            ClientMsg::MapSince {
-                req: 10,
-                client: 4,
-                since: 17,
-            },
+            ClientMsg::Resident { req: 10, client: 4 },
             ClientMsg::StatsQuery { req: 9, client: 5 },
             ClientMsg::Shutdown,
         ];
@@ -1122,38 +1033,13 @@ mod tests {
             Reply::WriteSealed { req: 4 },
             Reply::Persisted { req: 5 },
             Reply::Deleted { req: 6 },
-            Reply::MapDelta {
+            Reply::Resident {
                 req: 7,
-                version: 3,
-                entries: vec![
-                    MapEntry {
-                        array: "a".into(),
-                        block: 0,
-                        state: BlockAvail::InMemory,
-                    },
-                    MapEntry {
-                        array: "b".into(),
-                        block: 3,
-                        state: BlockAvail::Unwritten,
-                    },
-                ],
-                deleted: vec![],
+                arrays: vec!["a".into(), "b".into()],
             },
-            Reply::MapDelta {
-                req: 10,
-                version: 42,
-                entries: vec![MapEntry {
-                    array: "c".into(),
-                    block: 1,
-                    state: BlockAvail::OnDisk,
-                }],
-                deleted: vec!["gone".into(), "also-gone".into()],
-            },
-            Reply::MapDelta {
+            Reply::Resident {
                 req: 11,
-                version: 0,
-                entries: vec![],
-                deleted: vec![],
+                arrays: vec![],
             },
             Reply::Stats {
                 req: 8,
@@ -1415,11 +1301,22 @@ mod tests {
 
     #[test]
     fn cross_family_decode_fails() {
-        let b = ClientMsg::Shutdown.encode();
-        assert!(Reply::decode(&b).is_err());
+        for b in [
+            ClientMsg::Shutdown.encode(),
+            ClientMsg::Resident { req: 1, client: 2 }.encode(),
+        ] {
+            assert!(Reply::decode(&b).is_err());
+            assert!(PeerMsg::decode(&b).is_err());
+            assert!(IoCmd::decode(&b).is_err());
+            assert!(IoReply::decode(&b).is_err());
+        }
+        let b = Reply::Resident {
+            req: 1,
+            arrays: vec!["a".into()],
+        }
+        .encode();
+        assert!(ClientMsg::decode(&b).is_err());
         assert!(PeerMsg::decode(&b).is_err());
-        assert!(IoCmd::decode(&b).is_err());
-        assert!(IoReply::decode(&b).is_err());
     }
 
     #[test]
@@ -1433,17 +1330,26 @@ mod tests {
         .encode();
         let cut = DataBuffer::from_bytes(b.tag, b.payload.slice(0..12));
         assert!(ClientMsg::decode(&cut).is_err());
+        let b = ClientMsg::Resident { req: 1, client: 2 }.encode();
+        for at in 0..b.payload.len() {
+            let cut = DataBuffer::from_bytes(b.tag, b.payload.slice(0..at));
+            assert!(ClientMsg::decode(&cut).is_err(), "Resident cut at {at}");
+        }
+        let b = Reply::Resident {
+            req: 1,
+            arrays: vec!["a".into(), "bc".into()],
+        }
+        .encode();
+        for at in 0..b.payload.len() {
+            let cut = DataBuffer::from_bytes(b.tag, b.payload.slice(0..at));
+            assert!(Reply::decode(&cut).is_err(), "Resident reply cut at {at}");
+        }
     }
 
     #[test]
     fn reply_client_extraction() {
         assert_eq!(
-            ClientMsg::MapSince {
-                req: 1,
-                client: 6,
-                since: 0
-            }
-            .reply_client(),
+            ClientMsg::Resident { req: 1, client: 6 }.reply_client(),
             Some(6)
         );
         assert_eq!(ClientMsg::Shutdown.reply_client(), None);

@@ -5,7 +5,6 @@
 use bytes::Bytes;
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_storage::meta::Interval;
-use dooc_storage::proto::BlockAvail;
 use dooc_storage::{StorageClient, StorageCluster};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -225,12 +224,14 @@ fn persist_then_restart_discovers_arrays() {
     // Second life: a brand-new cluster over the same scratch directory must
     // discover the array and serve it.
     run_cluster_in(&dirs, 1 << 20, |_, sc| {
-        let map = sc.map_since(0).expect("map").entries;
-        let kept: Vec<_> = map.iter().filter(|e| e.array == "kept").collect();
-        assert_eq!(kept.len(), 3, "all blocks discovered: {map:?}");
-        assert!(kept.iter().all(|e| e.state == BlockAvail::OnDisk));
-        let d = sc.read("kept", Interval::new(16, 16)).expect("read");
-        assert_eq!(&d[..], &[2u8; 16]);
+        assert!(sc.resident().expect("resident").is_empty(), "on disk only");
+        for b in 0..3u64 {
+            let d = sc.read("kept", Interval::new(b * 16, 16)).expect("read");
+            assert_eq!(&d[..], &[b as u8 + 1; 16]);
+        }
+        let st = sc.stats().expect("stats");
+        assert_eq!(st.disk_read_bytes, 48, "all blocks discovered on disk");
+        assert!(sc.resident().expect("resident").contains("kept"));
     });
     cleanup(&dirs);
 }
@@ -277,11 +278,7 @@ fn lying_disk(tag: &str, bs: u64, seed_pool: bool) {
         // Gone after the restart scan found it (a reply proves the node is
         // up): a block missing at startup is just a block nobody has
         // written yet.
-        assert_eq!(
-            sc.map_since(0).expect("map").entries.len(),
-            4,
-            "all four discovered"
-        );
+        sc.stats().expect("node up");
         std::fs::remove_file(&lost).expect("lose block 2");
         let oversized = format!("(read {})", bs + 1);
         for (b, what) in [(0u64, "(read 9)"), (1, oversized.as_str()), (2, "")] {
@@ -367,15 +364,11 @@ fn prefetch_brings_block_to_memory() {
     std::fs::write(dirs[0].join("mat"), vec![4u8; 128]).expect("stage");
     run_cluster_in(&dirs, 1 << 20, |_, sc| {
         sc.prefetch("mat", Interval::new(0, 128)).expect("prefetch");
-        // Poll the map until the block is resident (the local scheduler's
-        // pattern: issue prefetches, query the map).
+        // Poll until the array is resident (the local scheduler's pattern:
+        // issue prefetches, ask what is resident).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
-            let map = sc.map_since(0).expect("map").entries;
-            if map
-                .iter()
-                .any(|e| e.array == "mat" && e.state == BlockAvail::InMemory)
-            {
+            if sc.resident().expect("resident").contains("mat") {
                 break;
             }
             assert!(
@@ -403,6 +396,7 @@ mod faults {
     use dooc_faultline as faultline;
     use dooc_storage::node::RecoveryPolicy;
     use dooc_storage::StorageError;
+    use std::collections::HashSet;
 
     /// [`run_cluster_in`] with an explicit recovery policy.
     fn run_cluster_faulty<F>(dirs: &[PathBuf], recovery: RecoveryPolicy, driver: F)
@@ -485,6 +479,8 @@ mod faults {
                 assert_eq!(&sc.read(name, iv).expect("staged")[..], &[byte; 16]);
             }
             sc.delete("dead").expect("delete");
+            let kept = HashSet::from(["kept".to_string()]);
+            assert_eq!(sc.resident().expect("resident"), kept);
             // What is left is on disk and nothing is in flight: the node
             // is crash-safe, and crashes at its next loop turn.
             faultline::configure(
@@ -498,9 +494,11 @@ mod faults {
             assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
             let err = sc.create("dead", 16, 16).expect_err("the name is spent");
             assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
-            let map = sc.map_since(0).expect("map").entries;
-            assert!(map.iter().all(|e| e.array == "kept"), "{map:?}");
+            // The restarted node found "kept" on disk: it is not resident
+            // until it is read back, and then it is.
+            assert!(sc.resident().expect("resident").is_empty());
             assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
+            assert_eq!(sc.resident().expect("resident"), kept);
         });
         faultline::reset();
         let files: Vec<String> = std::fs::read_dir(&dirs[0])

@@ -6,7 +6,6 @@
 use bytes::Bytes;
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_storage::meta::Interval;
-use dooc_storage::proto::BlockAvail;
 use dooc_storage::{ReadGuard, StorageClient, StorageCluster};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -106,17 +105,11 @@ fn check_script(tag: &str, steps: Vec<Step>) {
         drop(held);
         assert_eq!(sc.outstanding_grants(), 0, "all pins returned on drop");
         // With zero pins every block must be evictable: spill + evict, then
-        // poll the map until no block reports InMemory.
+        // poll until the node holds no byte of the array in memory.
         sc.evict("arr").expect("evict");
         for attempt in 0..200 {
-            let resident = sc
-                .map_since(0)
-                .expect("map")
-                .entries
-                .into_iter()
-                .filter(|e| e.array == "arr" && e.state == BlockAvail::InMemory)
-                .count();
-            if resident == 0 {
+            let gone = !sc.resident().expect("resident").contains("arr");
+            if gone && sc.stats().expect("stats").resident_bytes == 0 {
                 return;
             }
             if attempt % 20 == 19 {
