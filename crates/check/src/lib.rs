@@ -1,6 +1,6 @@
 //! Verification tooling for the DOoC reproduction.
 //!
-//! Four modules:
+//! Three modules:
 //!
 //! * [`model`] (feature `model`) — an explicit-state model checker over the
 //!   *real* storage node (`storage::node::StorageState`): it enumerates
@@ -9,12 +9,6 @@
 //!   invariants on every reachable state. The node's own seeded bugs
 //!   (`SeededBugs`) prove the checker catches violations. Run via
 //!   `cargo test -p dooc-check --features model --test model_checker`.
-//! * [`explore`] (feature `model`) — dooc-shuttle, a deterministic
-//!   interleaving explorer over the *real* runtime types: `dooc-sync`
-//!   primitives run on a virtual cooperative scheduler, and seeded
-//!   random-walk plus bounded-preemption DFS search the schedule space.
-//!   Failures come with a replayable schedule token. Run via
-//!   `cargo test -p dooc-check --features model -- explore`.
 //! * [`audit`] — the workspace face of the static task-graph auditor
 //!   (`dooc_scheduler::audit`): builds the shipping SpMV graphs (no disk
 //!   staging), the seeded-bug negative twins, and the selftest the
@@ -27,16 +21,16 @@
 //!   facade timeouts). Run via `cargo run -p dooc-check --bin lint`
 //!   (`--json` for machine-readable findings).
 //!
-//! There is no data-race detector: `forbid(unsafe_code)` in every crate
-//! root (lint rule 4) leaves data races to the compiler, and the explorer
-//! covers what safe Rust still allows — deadlocks and lost wakeups.
+//! There is no data-race detector and no thread-schedule explorer:
+//! `forbid(unsafe_code)` in every crate root (lint rule 4) leaves data races
+//! to the compiler, and the storage node is a single-threaded state machine
+//! whose behaviour is set by the order of the messages it handles — the
+//! order the model checker enumerates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
-#[cfg(feature = "model")]
-pub mod explore;
 pub mod lint;
 #[cfg(feature = "model")]
 pub mod model;

@@ -9,9 +9,9 @@
 //!    code (a trailing `#[cfg(test)]` module, or files under `tests/`) is
 //!    exempt.
 //! 2. **No `std::sync` locks** — the workspace standardises on the
-//!    `dooc-sync` facade (`Mutex`, `RwLock`); a lock from another family
-//!    is invisible to the `model` explorer, which can then neither
-//!    interleave around it nor report a deadlock through it.
+//!    `dooc-sync` facade (`Mutex`, `RwLock`); a lock from another family,
+//!    with poisoning and a `LockResult` at every call site, would be a
+//!    second sync vocabulary in the runtime.
 //! 3. **No unbounded channels** — filter graphs rely on bounded streams
 //!    for backpressure; an unbounded channel reintroduces the unbounded
 //!    memory growth the paper's design avoids. The `sync` crate, which
@@ -43,20 +43,20 @@
 //!    call) is exempt, as is test code.
 //! 7. **Runtime crates import sync primitives from `dooc-sync`** — the
 //!    crates in [`SYNC_DISCIPLINED_CRATES`] must not reference
-//!    `parking_lot` or `crossbeam` directly. The dooc-sync facade is what
-//!    lets the dooc-check schedule explorer swap every lock, atomic and
-//!    channel for virtual-scheduler versions (the `model` feature); a
-//!    direct import silently escapes exploration and replay. The exemption
+//!    `parking_lot` or `crossbeam` directly. The dooc-sync facade keeps
+//!    every lock, atomic, channel and thread of the runtime behind one
+//!    crate, so the runtime has one sync vocabulary and one place where a
+//!    primitive is chosen or swapped; a direct import is a second
+//!    vocabulary that no review of the facade sees. The exemption
 //!    list ([`SYNC_DISCIPLINE_EXEMPT_CRATES`]) is closed: a mirror test
 //!    asserts the two lists exactly partition `crates/`, so a new crate
 //!    must be classified explicitly.
 //! 8. **No raw `std::thread::sleep` or spin-loop busy-waits in runtime
 //!    crates** — the crates in [`SYNC_DISCIPLINED_CRATES`] must block
 //!    through the facade (`dooc_sync::thread::sleep`, condvar
-//!    `wait_for`, channel timeouts). A raw sleep stalls a whole OS thread
-//!    invisibly to the `model` explorer (no yield point, no schedule
-//!    decision); a spin loop turns a blocked state the explorer could
-//!    enumerate into a livelock. Test code is exempt, like rules 1–3.
+//!    `wait_for`, channel timeouts), so every wait in the runtime is a
+//!    facade call a reader can find; a spin loop burns a core the node's
+//!    compute needs and turns a blocked state into a livelock. Test code is exempt, like rules 1–3.
 //!
 //! Scanning is line-based: lines whose trimmed form starts with `//` are
 //! skipped, and within a file everything from the first `#[cfg(test)]`
@@ -84,11 +84,12 @@ pub const REGISTERED_FAULT_SITES: &[&str] = &[
 
 /// Crates whose library code must take locks, atomics and channels from
 /// `dooc-sync` rather than `parking_lot`/`crossbeam` directly (rule 7), so
-/// the schedule explorer's `model` builds capture every primitive.
+/// the runtime has one sync vocabulary behind one crate. They are also the
+/// crates rule 8 keeps free of raw sleeps and busy-waits.
 pub const SYNC_DISCIPLINED_CRATES: &[&str] = &["core", "filterstream", "scheduler", "storage"];
 
 /// Crates exempt from rule 7. `sync` implements the facade itself; the rest
-/// sit outside the explored runtime (tooling, observability, math kernels,
+/// sit outside the runtime (tooling, observability, math kernels,
 /// benches and the discrete-event simulator). Together with
 /// [`SYNC_DISCIPLINED_CRATES`] this must exactly partition `crates/` — a
 /// mirror test enforces it so new crates are classified deliberately.
@@ -260,7 +261,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
             report(
                 "sync-discipline",
                 "direct parking_lot/crossbeam reference in a runtime crate — import \
-                 the primitive from dooc-sync so model builds can explore it"
+                 the primitive from dooc-sync, the runtime's one sync vocabulary"
                     .into(),
             );
         }
@@ -269,7 +270,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
                 report(
                     "no-raw-blocking",
                     "raw std::thread::sleep in a runtime crate — use \
-                     dooc_sync::thread::sleep so the explorer gets a yield point"
+                     dooc_sync::thread::sleep or block on a facade condvar/channel"
                         .into(),
                 );
             }
@@ -277,7 +278,7 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
                 report(
                     "no-raw-blocking",
                     "spin-loop busy-wait in a runtime crate — block on a facade \
-                     condvar/channel so the explorer can schedule the wakeup"
+                     condvar/channel so the thread sleeps until its wakeup"
                         .into(),
                 );
             }
@@ -422,9 +423,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
         let opts = LintOpts {
             panic_free: PANIC_FREE_CRATES.contains(&crate_name),
-            // The sync crate implements the channel facade (including the
-            // model scheduler's virtual channels); everyone else must stay
-            // bounded.
+            // The sync crate implements the channel facade (it re-exports
+            // `unbounded` itself); everyone else must stay bounded.
             ban_unbounded: crate_name != "sync",
             // The storage crate implements the protocol; its internal
             // `release_read` handling is the thing everyone else must not

@@ -222,12 +222,6 @@ pub struct WorkerContext<'a> {
     /// only re-executable while this is false: inputs are immutable, but a
     /// half-written output would make the replay's `create` collide.
     pub(crate) wrote_outputs: bool,
-    /// Model builds: [`Self::read_array`] deliberately leaks the read grant
-    /// of this block index (`mem::forget` of its guard) instead of dropping
-    /// it — seeded bug for the grant-leak negative exploration test in
-    /// dooc-check.
-    #[cfg(feature = "model")]
-    pub leak_read_grant_of_block: Option<u64>,
 }
 
 impl<'a> WorkerContext<'a> {
@@ -251,8 +245,6 @@ impl<'a> WorkerContext<'a> {
             input_bytes: 0,
             copied_bytes: 0,
             wrote_outputs: false,
-            #[cfg(feature = "model")]
-            leak_read_grant_of_block: None,
         }
     }
 
@@ -400,15 +392,7 @@ impl<'a> WorkerContext<'a> {
     pub fn read_array(&mut self, name: &str) -> std::result::Result<Vec<u8>, String> {
         let meta = self.meta_of(name)?;
         let mut out = Vec::with_capacity(meta.len as usize);
-        #[cfg(feature = "model")]
-        let leak = self.leak_read_grant_of_block;
-        self.read_blocks_pinned(&meta, |_b, guard| {
-            out.extend_from_slice(&guard);
-            #[cfg(feature = "model")]
-            if leak == Some(_b) {
-                std::mem::forget(guard);
-            }
-        })?;
+        self.read_blocks_pinned(&meta, |_, guard| out.extend_from_slice(&guard))?;
         self.copied_bytes += out.len() as u64;
         Ok(out)
     }

@@ -12,6 +12,7 @@ use dooc_storage::meta::Interval;
 use dooc_storage::{BlockPool, StorageClient, StorageCluster};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -53,8 +54,14 @@ where
                 let to = ctx.take_output("sreq")?;
                 let from = ctx.take_input("srep")?;
                 let mut sc = StorageClient::new(to, from, ctx.instance, ctx.instance as u64);
-                driver(&mut sc);
+                // A failed assertion in the driver must fail the run, not
+                // hang it: the storage node serves until its client says
+                // shutdown, so say it before the panic propagates.
+                let run = catch_unwind(AssertUnwindSafe(|| driver(&mut sc)));
                 sc.shutdown().ok();
+                if let Err(panic) = run {
+                    resume_unwind(panic);
+                }
                 Ok(())
             },
         )
@@ -155,6 +162,11 @@ fn pipelined_read_beyond_window() {
         ctx.write_bytes("big", Bytes::from(data.clone()))
             .expect("write");
         assert_eq!(ctx.read_array("big").expect("read"), data);
+        assert_eq!(
+            ctx.storage().outstanding_grants(),
+            0,
+            "read_array must hand every pin back once its copy is done"
+        );
         let view = ctx.read_view("big").expect("view");
         assert_eq!(view.blocks().len(), 586);
         assert_eq!(view.to_vec(), data);

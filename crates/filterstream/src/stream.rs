@@ -659,9 +659,9 @@ impl StreamSet {
     /// Builds a standalone point-to-point stream outside any layout: one
     /// producer instance feeding one consumer instance (both as instance 0
     /// on node 0) with [`Delivery::Addressed`] delivery — send with
-    /// `send_to(NodeId(0), _)`. For harnesses (dooc-check's schedule
-    /// exploration suite) that wire a client to a hand-rolled server loop
-    /// instead of standing up a full [`crate::Runtime`] layout.
+    /// `send_to(NodeId(0), _)`. Test-only: production streams are wired by
+    /// a [`crate::Runtime`] layout.
+    #[cfg(test)]
     pub fn standalone(port: &str, capacity: usize) -> (StreamWriter, StreamReader) {
         let mut inbox = Inbox::new(Delivery::Addressed, capacity, &[NodeId(0)], port);
         let reader = inbox.take_reader(0);

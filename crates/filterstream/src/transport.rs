@@ -11,9 +11,8 @@
 //! Two implementations ship:
 //!
 //! * [`ChannelTransport`] — in-process bounded channels between "nodes" that
-//!   are really thread groups. The default for tests and shuttle
-//!   exploration; also the semantic reference the TCP path is checked
-//!   against.
+//!   are really thread groups. The default for tests; also the semantic
+//!   reference the TCP path is checked against.
 //! * [`crate::tcp::TcpTransport`] — one OS process per node, length-prefixed
 //!   frames over `TcpStream` (see [`crate::codec`]).
 //!

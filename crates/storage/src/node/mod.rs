@@ -139,10 +139,10 @@ struct ReadWaiter {
     len: u64,
 }
 
-/// Deliberately seeded invariant violations for dooc-check's negative tests
-/// (schedule exploration and the protocol model checker). Each flag disables
-/// one guard the positive tests prove necessary; the checkers must then find
-/// an interleaving that turns the missing guard into an observable failure.
+/// Deliberately seeded invariant violations for the negative tests of
+/// dooc-check's protocol model checker. Each flag disables one guard the
+/// positive tests prove necessary; the checker must then find an
+/// interleaving that turns the missing guard into an observable failure.
 /// Without the `model` feature every flag is a compile-time `false`
 /// ([`StorageState::bug`]), so real builds carry no extra state or branches.
 #[derive(Debug, Default, Clone, Copy)]
@@ -297,7 +297,7 @@ pub struct StorageState {
     local_done: bool,
     /// Number of peers that sent a `Bye`.
     byes: u64,
-    /// Seeded invariant violations for negative exploration tests.
+    /// Seeded invariant violations for the model checker's negative tests.
     #[cfg(feature = "model")]
     seeded_bugs: SeededBugs,
 }
@@ -347,7 +347,7 @@ impl StorageState {
         st
     }
 
-    /// Plants deliberate bugs for negative schedule-exploration tests.
+    /// Plants deliberate bugs for the model checker's negative tests.
     #[cfg(feature = "model")]
     pub fn set_seeded_bugs(&mut self, bugs: SeededBugs) {
         self.seeded_bugs = bugs;

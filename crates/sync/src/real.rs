@@ -1,13 +1,10 @@
-//! Real-build surface: transparent re-exports.
+//! The facade's surface: transparent re-exports.
 //!
 //! Nothing here defines a type — the facade names *are* the underlying
-//! `parking_lot` / `std` / `crossbeam` types, so real builds pay nothing
-//! for routing imports through dooc-sync. The `model` build replaces this
-//! module with `modeled`, which defines wrapper types under the same paths.
+//! `parking_lot` / `std` / `crossbeam` types, so the runtime pays nothing
+//! for routing imports through dooc-sync.
 
-pub use parking_lot::{
-    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-};
+pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 /// Atomic integers and `Ordering`, re-exported from `std::sync::atomic`.
 pub mod atomic {
@@ -18,14 +15,13 @@ pub mod atomic {
 /// re-exported from the (vendored) crossbeam channel implementation.
 pub mod channel {
     pub use crossbeam::channel::{
-        bounded, unbounded, Receiver, RecvError, RecvTimeoutError, Select, SelectTimeoutError,
-        SelectedOperation, SendError, Sender, TryRecvError,
+        bounded, unbounded, Receiver, RecvError, Select, Sender, TryRecvError,
     };
 }
 
-/// Thread spawn/join/yield/sleep, re-exported from `std::thread`. Runtime
-/// crates must block through this facade path (dooc-check lint rule 8) so
-/// `model` builds can virtualize the wait.
+/// Thread spawn/join/sleep, re-exported from `std::thread`. Runtime
+/// crates must sleep through this facade path and never spin (dooc-check
+/// lint rule 8), so every wait in the runtime is a visible facade call.
 pub mod thread {
-    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
+    pub use std::thread::{sleep, spawn, JoinHandle};
 }
