@@ -36,7 +36,9 @@ impl DoocRuntime {
         Self { config }
     }
 
-    /// Executes a task DAG.
+    /// Executes a task DAG with every node in this process; streams between
+    /// nodes ride the in-process transport, wired exactly as
+    /// [`DoocRuntime::run_distributed`] wires one process's node.
     ///
     /// * `graph` — the application's tasks (inputs/outputs declared);
     /// * `external_location` — node hosting each file-backed input array

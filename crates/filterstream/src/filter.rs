@@ -100,16 +100,6 @@ impl FilterContext {
             })
     }
 
-    /// Names of all connected input ports.
-    pub fn input_ports(&self) -> impl Iterator<Item = &str> {
-        self.inputs.keys().map(String::as_str)
-    }
-
-    /// Names of all connected output ports.
-    pub fn output_ports(&self) -> impl Iterator<Item = &str> {
-        self.outputs.keys().map(String::as_str)
-    }
-
     /// Closes an output port early (before the filter returns), signalling
     /// end-of-stream to downstream consumers that wait on it.
     pub fn close_output(&mut self, port: &str) {

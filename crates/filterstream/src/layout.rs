@@ -137,6 +137,8 @@ impl Layout {
     /// * fan-in is allowed — several streams may target the same input port —
     ///   but they must agree on the delivery policy;
     /// * aligned streams require equal producer/consumer instance counts;
+    /// * the consumers of a round-robin stream share a node (a shared,
+    ///   demand-driven lane cannot cross nodes);
     /// * no stream connects a port to itself on the same filter.
     pub fn validate(&self) -> Result<()> {
         let nf = self.filters.len();
@@ -167,6 +169,19 @@ impl Layout {
                 return Err(FsError::InvalidLayout(format!(
                     "aligned stream '{}'.'{}' -> '{}'.'{}' requires equal instance counts",
                     self.filters[s.from.0].name, s.from_port, self.filters[s.to.0].name, s.to_port
+                )));
+            }
+            if s.delivery == Delivery::RoundRobin
+                && self.filters[s.to.0]
+                    .placements
+                    .windows(2)
+                    .any(|w| w[0] != w[1])
+            {
+                return Err(FsError::InvalidLayout(format!(
+                    "round-robin stream into '{}.{}' spans nodes — a shared \
+                     demand-driven lane cannot cross nodes; use aligned, \
+                     broadcast or addressed delivery",
+                    self.filters[s.to.0].name, s.to_port
                 )));
             }
             match in_ports.entry((s.to.0, s.to_port.as_str())) {

@@ -29,11 +29,16 @@
 //! ## Substituted hardware
 //!
 //! The original DataCutter rides on MPI across cluster nodes. Here a *node*
-//! ([`NodeId`]) is a placement label: every filter instance is pinned to a
-//! node, and all inter-filter traffic is accounted per (source node, target
-//! node) pair so the testbed simulator can later charge network time for
-//! exactly the bytes that crossed node boundaries. The dataflow semantics —
-//! what DOoC builds on — are identical.
+//! ([`NodeId`]) is a thread group with its own [`Transport`]: every filter
+//! instance is pinned to a node, a buffer between two filters on one node
+//! moves through a channel, and a buffer between nodes is a frame on the
+//! sending node's transport, delivered by the receiving node's router. The
+//! nodes of a run share one process over [`ChannelTransport`]
+//! ([`Runtime::run`]) or are one process each over [`TcpTransport`]
+//! ([`Runtime::run_distributed`]); the wiring is the same. Stream traffic is
+//! accounted per stream, with the bytes that crossed node boundaries apart,
+//! so the testbed simulator can charge network time for exactly those
+//! bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,29 +1,29 @@
 //! The execution engine: threads, wiring, and run reports.
 //!
-//! [`Runtime::run`] validates a [`Layout`], builds one inbox per
-//! *(consumer filter, input port)* — merging fanned-in streams — spawns one
-//! OS thread per filter instance, waits for every filter to finish, and
+//! One engine runs the nodes whose [`Transport`]s it is handed. For each
+//! node it builds one inbox per *(consumer filter, input port)* — merging
+//! fanned-in streams — whose lanes for consumers on that node are channels
+//! and whose other lanes are frames on the node's transport. It starts the
+//! node's [`Router`], which delivers incoming frames into the node's lanes,
+//! and spawns one OS thread per filter instance placed on the node. Once
+//! every local filter has finished it shuts the transports down together and
 //! returns a [`RuntimeReport`] with the per-stream traffic counters. Filter
 //! errors and panics are collected and reported (the first error wins;
 //! remaining filters unwind naturally as their streams close).
 //!
-//! [`Runtime::run_distributed`] is the same engine restricted to one node of
-//! a cluster: every process runs the *same* layout, but only the filter
-//! instances placed on its [`crate::Transport::node`] are spawned locally.
-//! Inboxes for local consumers get real channel lanes; lanes of consumers
-//! placed elsewhere become frame sends over the transport. Incoming frames
-//! from remote producers are dispatched by a [`Router`] that mirrors the
-//! producer-endpoint refcount: a local port closes once every local writer
-//! has dropped *and* a `Close` frame has arrived for every remote producer
-//! endpoint that could reach it — the exact closure rule of the in-process
-//! runtime, split across processes.
+//! [`Runtime::run`] hands the engine every node of an in-process
+//! [`ChannelTransport`] cluster; [`Runtime::run_distributed`] hands it the
+//! one node of a cluster that this process runs. Either way a buffer between
+//! two nodes is a frame on the sender's transport, and a lane fed from other
+//! nodes closes once every local writer has dropped *and* a `Close` frame
+//! has arrived from every remote producer endpoint that could reach it.
 
 use crate::buffer::DataBuffer;
 use crate::codec::{Frame, FrameKind};
 use crate::filter::FilterContext;
-use crate::layout::Layout;
-use crate::stream::{Delivery, Inbox, PortCounters, StreamStats};
-use crate::transport::{FrameSink, Transport};
+use crate::layout::{FilterDecl, Layout, StreamDecl};
+use crate::stream::{reachable_lanes, Delivery, Inbox, PortCounters, StreamStats};
+use crate::transport::{ChannelTransport, FrameSink, Transport};
 use crate::{FsError, NodeId, Result};
 use dooc_sync::channel::Sender;
 use dooc_sync::Mutex;
@@ -102,7 +102,7 @@ impl RuntimeReport {
 /// lane go, and how many `Close` frames each remote producer node still owes
 /// before the lane's sender clone can be released.
 struct LaneState {
-    tx: Option<Sender<DataBuffer>>,
+    tx: Sender<DataBuffer>,
     counters: Arc<PortCounters>,
     /// `peer node -> outstanding remote producer endpoints`. While non-empty
     /// the router keeps `tx` alive, holding the port open on behalf of the
@@ -110,15 +110,53 @@ struct LaneState {
     refs: HashMap<usize, usize>,
 }
 
-/// Consumer-side dispatcher for frames arriving over a [`Transport`]: maps
-/// `(inbox, lane)` to the matching local channel lane and mirrors the
-/// producer-endpoint close protocol (see [`crate::stream::StreamWriter`]'s
-/// drop impl, which emits the `Close` frames this router consumes).
+/// Consumer-side dispatcher for frames arriving over a node's [`Transport`]:
+/// maps `(inbox, lane)` to the matching local channel lane and holds it open
+/// until every remote producer endpoint that can reach it has sent its
+/// `Close` frame (see [`crate::stream::StreamWriter`]'s drop impl).
 pub(crate) struct Router {
     lanes: Mutex<HashMap<(u16, u32), LaneState>>,
 }
 
 impl Router {
+    /// The router of node `me`: one reference per producer instance on
+    /// another node on every lane of `me` that instance can reach.
+    /// `inboxes[port_of[s]]` is `me`'s inbox for stream `s`.
+    fn new(
+        me: NodeId,
+        filters: &[FilterDecl],
+        streams: &[StreamDecl],
+        port_of: &[usize],
+        inboxes: &[Inbox],
+    ) -> Self {
+        let mut lanes: HashMap<(u16, u32), LaneState> = HashMap::new();
+        for (s, &port) in streams.iter().zip(port_of) {
+            let inbox = &inboxes[port];
+            for (inst, &pnode) in filters[s.from.0].placements.iter().enumerate() {
+                if pnode == me {
+                    continue;
+                }
+                for lane in reachable_lanes(s.delivery, inst, inbox.nlanes()) {
+                    let Some(tx) = inbox.local_lane_sender(lane) else {
+                        continue;
+                    };
+                    let entry =
+                        lanes
+                            .entry((port as u16, lane as u32))
+                            .or_insert_with(|| LaneState {
+                                tx,
+                                counters: Arc::clone(&inbox.counters),
+                                refs: HashMap::new(),
+                            });
+                    *entry.refs.entry(pnode.0).or_insert(0) += 1;
+                }
+            }
+        }
+        Router {
+            lanes: Mutex::new(lanes),
+        }
+    }
+
     fn release(lanes: &mut HashMap<(u16, u32), LaneState>, key: (u16, u32), from: usize, n: usize) {
         if let Some(l) = lanes.get_mut(&key) {
             if let Some(c) = l.refs.get_mut(&from) {
@@ -150,11 +188,12 @@ impl FrameSink for Router {
                     let lanes = self.lanes.lock();
                     lanes
                         .get(&key)
-                        .and_then(|l| l.tx.clone().map(|tx| (tx, Arc::clone(&l.counters))))
+                        .map(|l| (l.tx.clone(), Arc::clone(&l.counters)))
                 };
                 let Some((tx, counters)) = slot else {
-                    // Consumers already exited (error shutdown) — drop the
-                    // frame, as a local writer's failed send would.
+                    // No open lane here for this address (its remote
+                    // endpoints have all closed, or their node has gone):
+                    // drop the frame.
                     dooc_obs::instant(
                         dooc_obs::Category::Filterstream,
                         "fs.router.orphan_frame",
@@ -168,6 +207,8 @@ impl FrameSink for Router {
                     bulk: frame.bulk,
                 };
                 let wire = buf.wire_size();
+                // A send fails once the lane's consumers have all returned;
+                // the frame is dropped, as it would be over a wire.
                 if tx.send(buf).is_ok() {
                     use dooc_sync::atomic::Ordering;
                     counters.enqueued.fetch_add(1, Ordering::Relaxed);
@@ -200,42 +241,37 @@ impl FrameSink for Router {
     }
 }
 
-/// Checks the extra constraints a multi-process run imposes on a layout.
-fn validate_distributed(layout: &Layout, nnodes: usize) -> Result<()> {
-    for f in &layout.filters {
-        for &n in &f.placements {
-            if n.0 >= nnodes {
-                return Err(FsError::InvalidLayout(format!(
-                    "filter '{}' placed on {n} but the cluster has {nnodes} nodes",
-                    f.name
-                )));
-            }
-        }
-    }
-    for s in &layout.streams {
-        if s.delivery == Delivery::RoundRobin {
-            let consumers = &layout.filters[s.to.0].placements;
-            if consumers.windows(2).any(|w| w[0] != w[1]) {
-                return Err(FsError::InvalidLayout(format!(
-                    "round-robin stream into '{}.{}' spans nodes — a shared \
-                     demand-driven lane cannot cross processes; use aligned, \
-                     broadcast or addressed delivery",
-                    layout.filters[s.to.0].name, s.to_port
-                )));
-            }
-        }
-    }
-    Ok(())
+/// One (consumer filter, input port) of a layout. The streams fanned into it
+/// share its inbox on every node, its wire index and its delivery tally.
+struct Port {
+    filter: usize,
+    name: String,
+    delivery: Delivery,
+    capacity: usize,
+    counters: Arc<PortCounters>,
 }
 
 /// The filter-stream execution engine.
 pub struct Runtime;
 
 impl Runtime {
-    /// Runs a layout to completion in this process (every node is a thread
-    /// group; no transport involved).
+    /// Runs a layout to completion in this process: nodes 0 up to the
+    /// highest node the layout places a filter on, each a node of one
+    /// in-process [`ChannelTransport`] cluster, so streams between nodes
+    /// ride frames and routers exactly as they do between processes.
     pub fn run(layout: Layout) -> Result<RuntimeReport> {
-        Self::run_inner(layout, None)
+        let nnodes = layout
+            .filters
+            .iter()
+            .flat_map(|f| &f.placements)
+            .map(|n| n.0 + 1)
+            .max()
+            .unwrap_or(1);
+        let transports = ChannelTransport::cluster(nnodes)
+            .into_iter()
+            .map(|t| Arc::new(t) as Arc<dyn Transport>)
+            .collect();
+        Self::run_nodes(layout, transports)
     }
 
     /// Runs this node's share of a layout: spawns only the filter instances
@@ -251,172 +287,121 @@ impl Runtime {
     /// The returned report covers *this process's* view: stream stats count
     /// local producers only, port tallies cover local lanes only.
     pub fn run_distributed(layout: Layout, transport: Arc<dyn Transport>) -> Result<RuntimeReport> {
-        Self::run_inner(layout, Some(transport))
+        Self::run_nodes(layout, vec![transport])
     }
 
-    fn run_inner(layout: Layout, transport: Option<Arc<dyn Transport>>) -> Result<RuntimeReport> {
+    /// The engine: runs the share of `layout` placed on the nodes of
+    /// `transports`, which all belong to one cluster.
+    fn run_nodes(layout: Layout, transports: Vec<Arc<dyn Transport>>) -> Result<RuntimeReport> {
         layout.validate()?;
-        if let Some(t) = &transport {
-            validate_distributed(&layout, t.nnodes())?;
+        let nnodes = transports.first().map_or(0, |t| t.nnodes());
+        for f in &layout.filters {
+            if let Some(n) = f.placements.iter().find(|n| n.0 >= nnodes) {
+                return Err(FsError::InvalidLayout(format!(
+                    "filter '{}' placed on {n} but the cluster has {nnodes} nodes",
+                    f.name
+                )));
+            }
         }
-        // `None` means "everything is local" (single-process run).
-        let me: Option<NodeId> = transport.as_ref().map(|t| t.node());
-        let is_local = |n: NodeId| me.is_none_or(|m| m == n);
         let Layout {
             mut filters,
             streams,
         } = layout;
 
-        // One inbox per (consumer filter, input port); fanned-in streams
-        // share it. Validation guaranteed delivery agreement. Inbox indices
+        // One port per (consumer filter, input port); fanned-in streams
+        // share it. Validation guaranteed delivery agreement. Port indices
         // follow first occurrence in stream declaration order, so identical
         // layouts yield identical wire addresses on every node.
-        let mut inbox_idx: HashMap<(usize, String), u16> = HashMap::new();
-        let mut inboxes: HashMap<(usize, String), Inbox> = HashMap::new();
+        let mut ports: Vec<Port> = Vec::new();
+        let mut port_of: Vec<usize> = Vec::with_capacity(streams.len());
         for s in &streams {
-            let key = (s.to.0, s.to_port.clone());
-            if inboxes.contains_key(&key) {
-                continue;
-            }
-            let idx = u16::try_from(inbox_idx.len())
-                .map_err(|_| FsError::InvalidLayout("more than 65535 input ports".into()))?;
-            inbox_idx.insert(key.clone(), idx);
-            let placements = &filters[s.to.0].placements;
-            let inbox = match &transport {
-                Some(t) => Inbox::new_on(
-                    s.delivery,
-                    s.capacity,
-                    placements,
-                    &s.to_port,
-                    idx,
-                    Arc::clone(t),
-                ),
-                None => Inbox::new(s.delivery, s.capacity, placements, &s.to_port),
+            let found = ports
+                .iter()
+                .position(|p| p.filter == s.to.0 && p.name == s.to_port);
+            let port = match found {
+                Some(i) => i,
+                None => {
+                    u16::try_from(ports.len()).map_err(|_| {
+                        FsError::InvalidLayout("more than 65535 input ports".into())
+                    })?;
+                    ports.push(Port {
+                        filter: s.to.0,
+                        name: s.to_port.clone(),
+                        delivery: s.delivery,
+                        capacity: s.capacity,
+                        counters: Arc::default(),
+                    });
+                    ports.len() - 1
+                }
             };
-            inboxes.insert(key, inbox);
+            port_of.push(port);
         }
-
-        // Per-stream stats and per-producer-instance writers — writers exist
-        // only for producer instances in this process (remote ones announce
-        // themselves through the transport).
-        let mut stream_stats: Vec<(String, Arc<StreamStats>)> = Vec::with_capacity(streams.len());
-        // writers[fidx][inst] : Vec<(port, StreamWriter)>
-        let mut writers: Vec<Vec<Vec<(String, crate::stream::StreamWriter)>>> = filters
+        let stream_stats: Vec<(String, Arc<StreamStats>)> = streams
             .iter()
-            .map(|f| (0..f.placements.len()).map(|_| Vec::new()).collect())
+            .map(|s| {
+                let name = format!(
+                    "{}.{} -> {}.{}",
+                    filters[s.from.0].name, s.from_port, filters[s.to.0].name, s.to_port
+                );
+                (name, Arc::default())
+            })
             .collect();
-        for s in &streams {
-            let name = format!(
-                "{}.{} -> {}.{}",
-                filters[s.from.0].name, s.from_port, filters[s.to.0].name, s.to_port
-            );
-            let stats = Arc::new(StreamStats::default());
-            stream_stats.push((name, Arc::clone(&stats)));
-            let inbox = &inboxes[&(s.to.0, s.to_port.clone())];
-            for (inst, &node) in filters[s.from.0].placements.iter().enumerate() {
-                if !is_local(node) {
-                    continue;
-                }
-                let w = inbox.writer(&s.from_port, inst, node, Arc::clone(&stats));
-                writers[s.from.0][inst].push((s.from_port.clone(), w));
-            }
-        }
 
-        // In distributed mode, build the router (it holds sender clones for
-        // lanes remote producers can reach) and start frame delivery before
-        // any local filter runs.
-        if let Some(t) = &transport {
-            let m = t.node();
-            let mut lanes: HashMap<(u16, u32), LaneState> = HashMap::new();
-            for s in &streams {
-                let key = (s.to.0, s.to_port.clone());
-                let idx = inbox_idx[&key];
-                let inbox = &inboxes[&key];
-                let consumers = &filters[s.to.0].placements;
-                for &pnode in filters[s.from.0].placements.iter() {
-                    if pnode == m {
-                        continue;
-                    }
-                    // Lanes on this node the remote endpoint can reach —
-                    // must mirror StreamWriter::send_closes exactly.
-                    let reachable: Vec<u32> = match s.delivery {
-                        Delivery::RoundRobin => {
-                            if consumers[0] == m {
-                                vec![0]
-                            } else {
-                                vec![]
-                            }
-                        }
-                        Delivery::Aligned => Vec::new(), // filled below per-instance
-                        Delivery::Broadcast | Delivery::Addressed => consumers
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &n)| n == m)
-                            .map(|(i, _)| i as u32)
-                            .collect(),
-                    };
-                    for lane in reachable {
-                        let entry = lanes.entry((idx, lane)).or_insert_with(|| LaneState {
-                            tx: inbox.local_lane_sender(lane as usize),
-                            counters: Arc::clone(&inbox.counters),
-                            refs: HashMap::new(),
-                        });
-                        *entry.refs.entry(pnode.0).or_insert(0) += 1;
-                    }
-                }
-                if s.delivery == Delivery::Aligned {
-                    for (p, &pnode) in filters[s.from.0].placements.iter().enumerate() {
-                        if pnode == m || consumers.get(p) != Some(&m) {
-                            continue;
-                        }
-                        let lane = p as u32;
-                        let entry = lanes.entry((idx, lane)).or_insert_with(|| LaneState {
-                            tx: inbox.local_lane_sender(p),
-                            counters: Arc::clone(&inbox.counters),
-                            refs: HashMap::new(),
-                        });
-                        *entry.refs.entry(pnode.0).or_insert(0) += 1;
+        // Each filter instance's endpoints, [filter][instance] -> port ->
+        // endpoint, wired by the node the instance is placed on. Every
+        // router starts before any filter runs.
+        let mut readers = per_instance(&filters);
+        let mut writers = per_instance(&filters);
+        for t in &transports {
+            let me = t.node();
+            let mut inboxes: Vec<Inbox> = ports
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let consumers = &filters[p.filter].placements;
+                    let is_local = |n| n == me;
+                    let counters = Arc::clone(&p.counters);
+                    Inbox::new(
+                        p.delivery, p.capacity, consumers, &p.name, is_local, i as u16, counters,
+                    )
+                })
+                .collect();
+            for ((s, &port), (_, stats)) in streams.iter().zip(&port_of).zip(&stream_stats) {
+                for (inst, &node) in filters[s.from.0].placements.iter().enumerate() {
+                    if node == me {
+                        let w = inboxes[port].writer(
+                            &s.from_port,
+                            inst,
+                            Arc::clone(stats),
+                            Arc::clone(t),
+                        );
+                        writers[s.from.0][inst].insert(s.from_port.clone(), w);
                     }
                 }
             }
-            let router = Arc::new(Router {
-                lanes: Mutex::new(lanes),
-            });
-            t.start(router)?;
-        }
-
-        // Distribute readers (local consumer instances only); keep each
-        // inbox's delivery tally for the post-run leak audit.
-        // readers[fidx][inst] : Vec<(port, StreamReader)>
-        let mut readers: Vec<Vec<Vec<(String, crate::stream::StreamReader)>>> = filters
-            .iter()
-            .map(|f| (0..f.placements.len()).map(|_| Vec::new()).collect())
-            .collect();
-        let mut port_counters: Vec<(String, Arc<PortCounters>)> = Vec::new();
-        for ((fidx, port), mut inbox) in inboxes {
-            port_counters.push((
-                format!("{}.{}", filters[fidx].name, port),
-                Arc::clone(&inbox.counters),
-            ));
-            for (inst, slot) in readers[fidx].iter_mut().enumerate() {
-                if is_local(filters[fidx].placements[inst]) {
-                    slot.push((port.clone(), inbox.take_reader(inst)));
+            let router = Router::new(me, &filters, &streams, &port_of, &inboxes);
+            t.start(Arc::new(router))?;
+            for (p, inbox) in ports.iter().zip(&mut inboxes) {
+                for (inst, &node) in filters[p.filter].placements.iter().enumerate() {
+                    if node == me {
+                        readers[p.filter][inst].insert(p.name.clone(), inbox.take_reader(inst));
+                    }
                 }
             }
         }
-        port_counters.sort_by(|a, b| a.0.cmp(&b.0));
 
         // Spawn every local filter instance.
+        let local: Vec<NodeId> = transports.iter().map(|t| t.node()).collect();
         let started = Instant::now();
         let mut handles = Vec::new();
-        for (fidx, decl) in filters.iter_mut().enumerate().rev() {
+        for (fidx, decl) in filters.iter_mut().enumerate() {
             let replicas = decl.placements.len();
-            for (inst, &node) in decl.placements.iter().enumerate().rev() {
-                if !is_local(node) {
+            for (inst, &node) in decl.placements.iter().enumerate() {
+                if !local.contains(&node) {
                     continue;
                 }
-                let inputs: HashMap<_, _> = readers[fidx].pop_if_last(inst);
-                let outputs: HashMap<_, _> = writers[fidx].pop_if_last(inst);
+                let inputs = std::mem::take(&mut readers[fidx][inst]);
+                let outputs = std::mem::take(&mut writers[fidx][inst]);
                 let mut ctx =
                     FilterContext::new(decl.name.clone(), node, inst, replicas, inputs, outputs);
                 let mut filter = (decl.factory)(inst);
@@ -465,13 +450,17 @@ impl Runtime {
                 }
             }
         }
-        // Every local producer endpoint has dropped (and emitted its Close
-        // frames) — flush, announce, and drain. Runs on the error path too,
-        // so a failing node still tells its peers it is gone rather than
-        // leaving them blocked on a silent socket.
-        if let Some(t) = &transport {
-            t.shutdown();
-        }
+        // Every local producer endpoint has dropped (and sent its Close
+        // frames) — flush, announce, and drain. The transports shut down
+        // together: an in-process cluster's shutdown returns only once every
+        // node of it has shut down. Runs on the error path too, so a failing
+        // node still tells its peers it is gone rather than leaving them
+        // blocked on a silent socket.
+        std::thread::scope(|scope| {
+            for t in &transports {
+                scope.spawn(move || t.shutdown());
+            }
+        });
         if let Some(e) = first_error {
             return Err(e);
         }
@@ -489,12 +478,13 @@ impl Runtime {
                 }
             })
             .collect();
-        let ports = port_counters
+        let mut ports: Vec<PortReport> = ports
             .into_iter()
-            .map(|(name, c)| {
+            .map(|p| {
                 use dooc_sync::atomic::Ordering;
+                let c = p.counters;
                 PortReport {
-                    name,
+                    name: format!("{}.{}", filters[p.filter].name, p.name),
                     delivered: c.enqueued.load(Ordering::Relaxed),
                     received: c.dequeued.load(Ordering::Relaxed),
                     delivered_bytes: c.bytes_enqueued.load(Ordering::Relaxed),
@@ -502,6 +492,7 @@ impl Runtime {
                 }
             })
             .collect();
+        ports.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(RuntimeReport {
             elapsed,
             streams,
@@ -510,16 +501,12 @@ impl Runtime {
     }
 }
 
-/// Helper: move instance `inst`'s endpoint list out of a per-filter vector,
-/// leaving an empty slot (instances are consumed back-to-front).
-trait PopIfLast<T> {
-    fn pop_if_last(&mut self, inst: usize) -> HashMap<String, T>;
-}
-
-impl<T> PopIfLast<T> for Vec<Vec<(String, T)>> {
-    fn pop_if_last(&mut self, inst: usize) -> HashMap<String, T> {
-        std::mem::take(&mut self[inst]).into_iter().collect()
-    }
+/// An empty endpoint map per filter instance, `[filter][instance]`.
+fn per_instance<T>(filters: &[FilterDecl]) -> Vec<Vec<HashMap<String, T>>> {
+    filters
+        .iter()
+        .map(|f| f.placements.iter().map(|_| HashMap::new()).collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -948,40 +935,56 @@ mod tests {
         layout
     }
 
-    /// Runs [`bulk_layout`] as two processes' worth of runtimes over
-    /// `transports` and checks each side's own books: the sender counted
-    /// payload + bulk as sent, the receiver's router enqueued exactly what
-    /// its consumer dequeued, and the leak audit is clean on both.
-    fn check_bulk_balance(transports: Vec<Arc<dyn Transport>>, producers: usize) {
-        let (n, block) = (6u64, 100_000usize); // blocks larger than a socket read chunk
-        let total = n * producers as u64;
-        let wire = total * (16 + 24 + block as u64);
-        let reports: Vec<RuntimeReport> = transports
+    /// Runs `layout()` as one process's worth of runtime per transport, one
+    /// thread each, and returns the reports in node order.
+    fn run_per_node(
+        transports: Vec<Arc<dyn Transport>>,
+        layout: impl Fn() -> Layout,
+    ) -> Vec<RuntimeReport> {
+        transports
             .into_iter()
             .map(|t| {
-                std::thread::spawn(move || {
-                    Runtime::run_distributed(bulk_layout(n, block, producers), t)
-                })
+                let layout = layout();
+                std::thread::spawn(move || Runtime::run_distributed(layout, t))
             })
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("node thread").expect("run ok"))
-            .collect();
-        let sent = reports[0].stream("src.out -> sink.in").expect("stream");
+            .collect()
+    }
+
+    /// Runs [`bulk_layout`] in one [`Runtime::run`] when `transports` is
+    /// `None`, else as two processes' worth of runtimes over them, and checks
+    /// the books: the sender counted payload + bulk as sent, all of it
+    /// remote; the receiving node's router enqueued exactly what its consumer
+    /// dequeued; and the leak audit is clean on every report.
+    fn check_bulk_balance(transports: Option<Vec<Arc<dyn Transport>>>, producers: usize) {
+        let (n, block) = (6u64, 100_000usize); // blocks larger than a socket read chunk
+        let total = n * producers as u64;
+        let wire = total * (16 + 24 + block as u64);
+        let layout = || bulk_layout(n, block, producers);
+        let reports = match transports {
+            None => vec![Runtime::run(layout()).expect("run ok")],
+            Some(t) => run_per_node(t, layout),
+        };
+        let (sender, receiver) = (&reports[0], &reports[reports.len() - 1]);
+        let sent = sender.stream("src.out -> sink.in").expect("stream");
         assert_eq!(
             (sent.buffers, sent.bytes, sent.remote_bytes),
             (total, wire, wire)
         );
-        let port = &reports[1].ports[0];
+        let port = &receiver.ports[0];
         assert_eq!((port.delivered, port.received), (total, total));
         assert_eq!(port.delivered_bytes, wire, "router counts payload + bulk");
         assert_eq!(port.received_bytes, wire);
         for r in &reports {
             assert!(r.undrained_ports().is_empty());
         }
-        // The sending process enqueues nothing locally: each process
-        // balances on its own.
-        assert_eq!(reports[0].ports[0].delivered_bytes, 0);
+        if reports.len() == 2 {
+            // The sending process enqueues nothing locally: each process
+            // balances on its own.
+            assert_eq!(sender.ports[0].delivered_bytes, 0);
+        }
     }
 
     fn channel_pair() -> Vec<Arc<dyn Transport>> {
@@ -1021,8 +1024,85 @@ mod tests {
     #[test]
     fn port_byte_totals_balance_over_transports() {
         for producers in [1, 3] {
-            check_bulk_balance(channel_pair(), producers);
-            check_bulk_balance(tcp_pair(), producers);
+            check_bulk_balance(None, producers);
+            check_bulk_balance(Some(channel_pair()), producers);
+            check_bulk_balance(Some(tcp_pair()), producers);
+        }
+    }
+
+    #[test]
+    fn round_robin_consumers_spanning_nodes_are_rejected() {
+        let mut layout = Layout::new();
+        let src = layout.add_filter("src", NodeId(0), Box::new(|_: &mut FilterContext| Ok(())));
+        let workers = layout.add_replicated("worker", vec![NodeId(0), NodeId(1)], |_| {
+            Box::new(|_: &mut FilterContext| Ok(()))
+        });
+        layout.connect(src, "out", workers, "in");
+        match Runtime::run(layout) {
+            Err(FsError::InvalidLayout(m)) => assert!(m.contains("'worker.in'"), "{m}"),
+            other => panic!("expected an invalid layout, got {other:?}"),
+        }
+    }
+
+    /// Buffers `src` sends after its consumer has returned.
+    const ORPHANS: u64 = 100;
+
+    /// `src` on node 0 sends one buffer to `sink` on node 1, waits until the
+    /// sink has taken it and dropped its input, then sends [`ORPHANS`] more.
+    fn orphan_layout(gone: Arc<std::sync::Barrier>) -> Layout {
+        let mut layout = Layout::new();
+        let sent_first = Arc::clone(&gone);
+        let src = layout.add_filter(
+            "src",
+            NodeId(0),
+            Box::new(move |ctx: &mut FilterContext| {
+                let out = ctx.output("out")?;
+                out.send(DataBuffer::tag_only(0))?;
+                sent_first.wait();
+                for i in 1..=ORPHANS {
+                    out.send(DataBuffer::tag_only(i))?;
+                }
+                Ok(())
+            }),
+        );
+        let sink = layout.add_filter(
+            "sink",
+            NodeId(1),
+            Box::new(move |ctx: &mut FilterContext| {
+                let inp = ctx.take_input("in")?;
+                inp.recv().ok_or_else(|| ctx.error("no first buffer"))?;
+                drop(inp);
+                gone.wait();
+                Ok(())
+            }),
+        );
+        layout.connect(src, "out", sink, "in");
+        layout
+    }
+
+    /// A producer that keeps sending after its consumer on another node has
+    /// returned completes the run: the receiving router drops its frames, in
+    /// one process exactly as between processes, and the leak audit stays
+    /// clean. (On one node the send fails instead:
+    /// `send_fails_when_all_consumers_gone`.)
+    #[test]
+    fn sends_to_a_consumer_gone_on_another_node_are_dropped() {
+        let barrier = || Arc::new(std::sync::Barrier::new(2));
+        let in_process = Runtime::run(orphan_layout(barrier())).expect("run ok");
+        let gone = barrier();
+        let per_node = run_per_node(channel_pair(), || orphan_layout(Arc::clone(&gone)));
+        let sent = |r: &RuntimeReport| {
+            let s = r.stream("src.out -> sink.in").expect("stream");
+            (s.buffers, s.bytes, s.remote_bytes)
+        };
+        let all = (1 + ORPHANS, 16 * (1 + ORPHANS), 16 * (1 + ORPHANS));
+        assert_eq!(sent(&in_process), all);
+        assert_eq!(sent(&per_node[0]), all);
+        let port = |r: &RuntimeReport| (r.ports[0].delivered, r.ports[0].received);
+        assert_eq!(port(&in_process), (1, 1), "only the first buffer delivered");
+        assert_eq!(port(&per_node[1]), (1, 1));
+        for r in per_node.iter().chain([&in_process]) {
+            assert!(r.undrained_ports().is_empty());
         }
     }
 

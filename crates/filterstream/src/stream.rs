@@ -6,7 +6,7 @@
 //!
 //! * [`Delivery::RoundRobin`] — demand-driven work sharing: all consumer
 //!   instances pull from one shared queue (data parallelism for replicated,
-//!   stateless filters);
+//!   stateless filters; the consumers share a node);
 //! * [`Delivery::Broadcast`] — every consumer instance receives every buffer
 //!   (payloads are shared, not copied);
 //! * [`Delivery::Aligned`] — producer instance *i* feeds consumer instance
@@ -26,16 +26,15 @@
 //!
 //! # Local and remote lanes
 //!
-//! Each consumer lane is either a channel in this process or an address on a
-//! [`Transport`] ([`LaneTx`]). A writer routes per buffer: local lanes get
+//! Each consumer lane is either a channel on the writer's node or an address
+//! on another node ([`LaneTx`]). A writer routes per buffer: local lanes get
 //! the `DataBuffer` directly (payload and bulk attachment moved through the
-//! channel, never copied); remote lanes get a [`Frame`] whose payload and
-//! bulk are the same shared [`bytes::Bytes`]. The delivery policy is applied
-//! entirely on the producer side, so in-process and distributed runs make
-//! identical routing decisions. When a writer with remote lanes drops, it
-//! sends one `Close` frame per reachable remote lane; the receiving
-//! runtime's router mirrors the producer-endpoint refcount and closes the
-//! port once local drops and remote closes agree (see [`crate::runtime`]).
+//! channel, never copied); remote lanes get a [`Frame`] on the writer's
+//! [`Transport`] whose payload and bulk are the same shared
+//! [`bytes::Bytes`]. The delivery policy is applied entirely on the producer
+//! side. When a writer drops, it sends one `Close` frame per remote lane it
+//! could reach; the receiving node's router holds the lane open until every
+//! such frame has arrived (see [`crate::runtime`]).
 
 use crate::buffer::DataBuffer;
 use crate::codec::Frame;
@@ -44,6 +43,7 @@ use crate::{FsError, NodeId, Result};
 use dooc_obs::metrics::{counter, Counter};
 use dooc_sync::atomic::{AtomicU64, Ordering};
 use dooc_sync::channel::{bounded, Receiver, Select, Sender};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Stream-layer metric handles, resolved once (updates are gated relaxed
@@ -92,8 +92,8 @@ pub struct StreamStats {
     pub buffers: AtomicU64,
     /// Total wire bytes sent by producers (before any broadcast fan-out).
     pub bytes: AtomicU64,
-    /// Wire bytes that crossed a node boundary (sender node != receiver
-    /// node). For broadcast this counts each remote replica.
+    /// Wire bytes sent as frames to another node. For broadcast this counts
+    /// each remote replica.
     pub remote_bytes: AtomicU64,
 }
 
@@ -113,9 +113,9 @@ impl StreamStats {
 /// one) should eventually be dequeued by a consumer; a shortfall at the end
 /// of a run means buffers were abandoned in a lane. Byte totals use the
 /// buffer wire size, so `bytes_enqueued == bytes_dequeued` at the end of a
-/// clean run — the send/recv balance the obs tests assert. In distributed
-/// runs the *receiving* process counts the enqueue (its router does the lane
-/// insert), keeping the per-process balance exact.
+/// clean run — the send/recv balance the obs tests assert. A buffer from
+/// another node is counted by the receiving node's router, which does the
+/// lane insert, so each node's balance is exact on its own.
 #[derive(Debug, Default)]
 pub struct PortCounters {
     /// Buffers enqueued into consumer lanes.
@@ -128,149 +128,98 @@ pub struct PortCounters {
     pub bytes_dequeued: AtomicU64,
 }
 
-/// Producer-side address of one consumer lane: a channel in this process or
-/// an `(inbox, lane)` slot on a remote node.
+/// Producer-side address of one consumer lane: a channel on the writer's
+/// node or an `(inbox, lane)` slot on another node.
 #[derive(Clone)]
 pub(crate) enum LaneTx {
     Local(Sender<DataBuffer>),
     Remote { peer: NodeId, inbox: u16, lane: u32 },
 }
 
-/// The consumer-side channel set of one (filter, input port): either a
-/// single shared queue or one lane per consumer instance.
-#[derive(Clone)]
-pub(crate) enum InboxLanes {
-    Shared(LaneTx),
-    PerConsumer(Vec<LaneTx>),
+/// The lanes of an inbox with `nlanes` lanes that producer instance
+/// `producer` can write to: its own lane under aligned delivery, every lane
+/// otherwise (a round-robin inbox has one). A writer's `Close` frames and
+/// the receiving router's refcount both follow this rule.
+pub(crate) fn reachable_lanes(delivery: Delivery, producer: usize, nlanes: usize) -> Range<usize> {
+    match delivery {
+        Delivery::Aligned => producer..producer + 1,
+        _ => 0..nlanes,
+    }
 }
 
-/// Inbox of one (consumer filter, input port): the receiving half that
-/// consumer instances read from. Built once per port; every fanned-in stream
-/// sends into the same lanes. In a distributed runtime only the lanes of
-/// consumer instances placed in this process are backed by channels; the
-/// rest are [`LaneTx::Remote`] addresses.
+/// Inbox of one (consumer filter, input port) as one node sees it: the
+/// receiving half that consumer instances read from. Built once per port and
+/// node; every fanned-in stream sends into the same lanes. Only the lanes of
+/// consumer instances on this node are channels; the rest are
+/// [`LaneTx::Remote`] addresses.
 pub(crate) struct Inbox {
-    pub delivery: Delivery,
-    pub lanes: InboxLanes,
+    delivery: Delivery,
+    /// One lane per consumer instance, or for round-robin delivery a single
+    /// lane every instance pulls from.
+    lanes: Vec<LaneTx>,
     readers: Vec<Option<StreamReader>>,
-    pub consumer_nodes: Arc<[NodeId]>,
     pub counters: Arc<PortCounters>,
-    transport: Option<Arc<dyn Transport>>,
 }
 
 impl Inbox {
-    /// An all-local inbox (single-process runtime).
+    /// Lanes of consumers for which `is_local` holds are channels of
+    /// `capacity` buffers; the rest address `inbox_idx` on their node. For
+    /// round-robin delivery every consumer must sit on one node
+    /// ([`crate::Layout::validate`] checks this). `counters` is the port's
+    /// delivery tally, shared by its inbox on every node of the run.
     pub fn new(
         delivery: Delivery,
         capacity: usize,
         consumer_nodes: &[NodeId],
         consumer_port: &str,
-    ) -> Self {
-        Self::build(delivery, capacity, consumer_nodes, consumer_port, None)
-    }
-
-    /// A distributed inbox: lanes for consumer instances placed on
-    /// `transport.node()` are channels; the rest address `inbox_idx` on
-    /// their owning node. For round-robin delivery every consumer must sit
-    /// on one node (the runtime validates this before building inboxes).
-    pub fn new_on(
-        delivery: Delivery,
-        capacity: usize,
-        consumer_nodes: &[NodeId],
-        consumer_port: &str,
+        is_local: impl Fn(NodeId) -> bool,
         inbox_idx: u16,
-        transport: Arc<dyn Transport>,
+        counters: Arc<PortCounters>,
     ) -> Self {
-        Self::build(
-            delivery,
-            capacity,
-            consumer_nodes,
-            consumer_port,
-            Some((inbox_idx, transport)),
-        )
-    }
-
-    fn build(
-        delivery: Delivery,
-        capacity: usize,
-        consumer_nodes: &[NodeId],
-        consumer_port: &str,
-        remote: Option<(u16, Arc<dyn Transport>)>,
-    ) -> Self {
-        assert!(
-            !consumer_nodes.is_empty(),
-            "inbox needs at least one consumer"
-        );
-        let counters = Arc::new(PortCounters::default());
-        let local = remote.as_ref().map(|(_, t)| t.node());
-        let is_local = |n: NodeId| local.is_none_or(|me| me == n);
-        let (lanes, readers) = match delivery {
-            Delivery::RoundRobin => {
-                if is_local(consumer_nodes[0]) {
-                    debug_assert!(
-                        consumer_nodes.iter().all(|&n| is_local(n)),
-                        "round-robin consumers must share a node in distributed mode"
-                    );
-                    let (tx, rx) = bounded(capacity);
-                    let readers = consumer_nodes
-                        .iter()
-                        .map(|_| {
-                            Some(StreamReader {
-                                port: consumer_port.to_string(),
-                                rx: rx.clone(),
-                                counters: Arc::clone(&counters),
-                            })
-                        })
-                        .collect();
-                    (InboxLanes::Shared(LaneTx::Local(tx)), readers)
-                } else {
-                    let inbox_idx = remote.as_ref().map(|(i, _)| *i).unwrap_or(0);
-                    let lane = LaneTx::Remote {
-                        peer: consumer_nodes[0],
-                        inbox: inbox_idx,
-                        lane: 0,
-                    };
-                    let readers = consumer_nodes.iter().map(|_| None).collect();
-                    (InboxLanes::Shared(lane), readers)
-                }
-            }
-            Delivery::Broadcast | Delivery::Aligned | Delivery::Addressed => {
-                let mut txs = Vec::with_capacity(consumer_nodes.len());
-                let mut readers = Vec::with_capacity(consumer_nodes.len());
-                for (i, &n) in consumer_nodes.iter().enumerate() {
-                    if is_local(n) {
-                        let (tx, rx) = bounded(capacity);
-                        txs.push(LaneTx::Local(tx));
-                        readers.push(Some(StreamReader {
-                            port: consumer_port.to_string(),
-                            rx,
-                            counters: Arc::clone(&counters),
-                        }));
-                    } else {
-                        let inbox_idx = remote.as_ref().map(|(i, _)| *i).unwrap_or(0);
-                        txs.push(LaneTx::Remote {
-                            peer: n,
-                            inbox: inbox_idx,
-                            lane: i as u32,
-                        });
-                        readers.push(None);
-                    }
-                }
-                (InboxLanes::PerConsumer(txs), readers)
+        let lane = |i: usize, n: NodeId| {
+            if is_local(n) {
+                let (tx, rx) = bounded(capacity);
+                (LaneTx::Local(tx), Some(rx))
+            } else {
+                let remote = LaneTx::Remote {
+                    peer: n,
+                    inbox: inbox_idx,
+                    lane: i as u32,
+                };
+                (remote, None)
             }
         };
+        let (lanes, rxs): (Vec<_>, Vec<_>) = match delivery {
+            Delivery::RoundRobin => {
+                let (tx, rx) = lane(0, consumer_nodes[0]);
+                (vec![tx], vec![rx; consumer_nodes.len()])
+            }
+            _ => consumer_nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| lane(i, n))
+                .unzip(),
+        };
+        let readers = rxs
+            .into_iter()
+            .map(|rx| {
+                rx.map(|rx| StreamReader {
+                    port: consumer_port.to_string(),
+                    rx,
+                    counters: Arc::clone(&counters),
+                })
+            })
+            .collect();
         Self {
             delivery,
             lanes,
             readers,
-            consumer_nodes: consumer_nodes.into(),
             counters,
-            transport: remote.map(|(_, t)| t),
         }
     }
 
-    /// Takes the reader of consumer instance `i` (exactly once; only local
-    /// instances have one in distributed mode).
+    /// Takes the reader of consumer instance `i` (exactly once; only
+    /// instances on this node have one).
     pub fn take_reader(&mut self, i: usize) -> StreamReader {
         match self.readers[i].take() {
             Some(r) => r,
@@ -278,34 +227,29 @@ impl Inbox {
         }
     }
 
-    /// A sender clone for a local lane, used by the distributed runtime's
-    /// router to feed frames from remote producers into the inbox. `None`
-    /// for remote lanes.
+    /// A sender clone for lane `lane` if it is a channel on this node, used
+    /// by the router to feed frames from other nodes into the inbox.
     pub fn local_lane_sender(&self, lane: usize) -> Option<Sender<DataBuffer>> {
-        match &self.lanes {
-            InboxLanes::Shared(LaneTx::Local(tx)) if lane == 0 => Some(tx.clone()),
-            InboxLanes::Shared(_) => None,
-            InboxLanes::PerConsumer(lanes) => match lanes.get(lane) {
-                Some(LaneTx::Local(tx)) => Some(tx.clone()),
-                _ => None,
-            },
+        match self.lanes.get(lane) {
+            Some(LaneTx::Local(tx)) => Some(tx.clone()),
+            _ => None,
         }
     }
 
-    /// Creates a writer for producer instance `instance` placed on `node`.
+    /// Number of lanes (one per consumer instance, or one shared lane).
+    pub fn nlanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Creates a writer for producer instance `instance`, sending to other
+    /// nodes through its node's `transport`.
     pub fn writer(
         &self,
         producer_port: &str,
         instance: usize,
-        node: NodeId,
         stats: Arc<StreamStats>,
+        transport: Arc<dyn Transport>,
     ) -> StreamWriter {
-        if self.delivery == Delivery::Aligned {
-            assert!(
-                instance < self.consumer_nodes.len(),
-                "aligned stream requires consumer instance {instance} to exist"
-            );
-        }
         StreamWriter {
             port: producer_port.to_string(),
             delivery: self.delivery,
@@ -313,9 +257,7 @@ impl Inbox {
             stats,
             counters: Arc::clone(&self.counters),
             instance,
-            from_node: node,
-            consumer_nodes: Arc::clone(&self.consumer_nodes),
-            transport: self.transport.clone(),
+            transport,
         }
     }
 }
@@ -327,132 +269,83 @@ impl Inbox {
 pub struct StreamWriter {
     port: String,
     delivery: Delivery,
-    lanes: InboxLanes,
+    lanes: Vec<LaneTx>,
     stats: Arc<StreamStats>,
     /// Inbox-level enqueue tally (shared by all streams fanned into the
     /// consumer port) for the shutdown leak audit.
     counters: Arc<PortCounters>,
     /// Producer instance index (selects the lane for aligned delivery).
     instance: usize,
-    /// Node of the filter holding this writer.
-    from_node: NodeId,
-    /// Node of each consumer instance. For the shared (round-robin) lane the
-    /// precise receiver of a buffer is unknowable before a demand-driven
-    /// pull, so a buffer is charged as remote if *any* consumer sits on a
-    /// different node — the pessimistic bound.
-    consumer_nodes: Arc<[NodeId]>,
-    /// Frame pipe for remote lanes; `None` in single-process runtimes.
-    transport: Option<Arc<dyn Transport>>,
+    /// The frame pipe of this writer's node, for its remote lanes.
+    transport: Arc<dyn Transport>,
 }
 
 impl StreamWriter {
-    /// Producer-side accounting shared by every delivery: global counters
-    /// plus the per-stream stats. Local lane inserts additionally call
-    /// [`Self::account_enqueued`].
-    fn account_sent(&self, wire: u64, remote: bool) {
+    /// Delivers `buf` into one consumer lane. A local lane's enqueue is
+    /// tallied here for the leak audit; a remote lane's is tallied by the
+    /// receiving node's router when it performs the insert, so each node's
+    /// books balance on their own.
+    fn put(&self, lane: &LaneTx, buf: DataBuffer) -> Result<()> {
+        let wire = buf.wire_size();
+        match lane {
+            LaneTx::Local(tx) => {
+                tx.send(buf).map_err(|_| FsError::StreamClosed {
+                    port: self.port.clone(),
+                })?;
+                self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .bytes_enqueued
+                    .fetch_add(wire, Ordering::Relaxed);
+            }
+            LaneTx::Remote { peer, inbox, lane } => {
+                let frame = Frame::data(*inbox, *lane, buf.tag, buf.payload);
+                self.transport.send(*peer, frame.with_bulk(buf.bulk))?;
+                self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// Producer-side accounting of one sent buffer, once per send whatever
+    /// the number of replicas: global counters plus the per-stream stats.
+    fn account_sent(&self, wire: u64) {
         fs_obs().buffers_sent.inc();
         fs_obs().bytes_sent.add(wire);
         self.stats.buffers.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(wire, Ordering::Relaxed);
-        if remote {
-            self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
-        }
     }
 
-    /// Leak-audit tally for a buffer placed into a *local* lane. Remote
-    /// sends skip this: the receiving process's router counts the enqueue
-    /// when it performs the lane insert, so each process balances on its
-    /// own.
-    fn account_enqueued(&self, wire: u64) {
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_enqueued
-            .fetch_add(wire, Ordering::Relaxed);
-    }
-
-    fn send_remote(&self, peer: NodeId, inbox: u16, lane: u32, buf: &DataBuffer) -> Result<()> {
-        let Some(t) = &self.transport else {
-            return Err(FsError::Transport(format!(
-                "port '{}' routes to {peer} but this writer has no transport",
-                self.port
-            )));
-        };
-        let frame = Frame::data(inbox, lane, buf.tag, buf.payload.clone());
-        t.send(peer, frame.with_bulk(buf.bulk.clone()))
-    }
-
-    /// Sends a buffer. Blocks when the stream is at capacity. Fails if every
-    /// consumer has terminated, or if this is an addressed stream (use
-    /// [`StreamWriter::send_to`]).
+    /// Sends a buffer. Blocks when the stream is at capacity. Fails if the
+    /// consumers of its lane on this node have all terminated, or if this is
+    /// an addressed stream (use [`StreamWriter::send_to`]). A frame for a
+    /// consumer on another node that has terminated is dropped by that
+    /// node's router.
     pub fn send(&self, buf: DataBuffer) -> Result<()> {
         let wire = buf.wire_size();
-        match (&self.lanes, self.delivery) {
-            (InboxLanes::Shared(LaneTx::Local(tx)), _) => {
-                let remote = self.consumer_nodes.iter().any(|&n| n != self.from_node);
-                tx.send(buf).map_err(|_| FsError::StreamClosed {
-                    port: self.port.clone(),
-                })?;
-                self.account_enqueued(wire);
-                self.account_sent(wire, remote);
-            }
-            (InboxLanes::Shared(LaneTx::Remote { peer, inbox, lane }), _) => {
-                self.send_remote(*peer, *inbox, *lane, &buf)?;
-                self.account_sent(wire, true);
-            }
-            (InboxLanes::PerConsumer(lanes), Delivery::Broadcast) => {
-                let mut delivered = 0usize;
-                for (i, lane) in lanes.iter().enumerate() {
-                    match lane {
-                        LaneTx::Local(tx) => {
-                            if tx.send(buf.clone()).is_ok() {
-                                delivered += 1;
-                                self.account_enqueued(wire);
-                                if self.consumer_nodes[i] != self.from_node {
-                                    self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        LaneTx::Remote { peer, inbox, lane } => {
-                            if self.send_remote(*peer, *inbox, *lane, &buf).is_ok() {
-                                delivered += 1;
-                                self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+        match self.delivery {
+            Delivery::RoundRobin => self.put(&self.lanes[0], buf)?,
+            Delivery::Aligned => self.put(&self.lanes[self.instance], buf)?,
+            Delivery::Broadcast => {
+                // A replica whose consumers have gone is skipped; the send
+                // fails only if no replica was delivered.
+                let delivered = self
+                    .lanes
+                    .iter()
+                    .filter(|lane| self.put(lane, buf.clone()).is_ok())
+                    .count();
                 if delivered == 0 {
                     return Err(FsError::StreamClosed {
                         port: self.port.clone(),
                     });
                 }
-                fs_obs().buffers_sent.inc();
-                fs_obs().bytes_sent.add(wire);
-                self.stats.buffers.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes.fetch_add(wire, Ordering::Relaxed);
             }
-            (InboxLanes::PerConsumer(lanes), Delivery::Aligned) => match &lanes[self.instance] {
-                LaneTx::Local(tx) => {
-                    let remote = self.consumer_nodes[self.instance] != self.from_node;
-                    tx.send(buf).map_err(|_| FsError::StreamClosed {
-                        port: self.port.clone(),
-                    })?;
-                    self.account_enqueued(wire);
-                    self.account_sent(wire, remote);
-                }
-                LaneTx::Remote { peer, inbox, lane } => {
-                    self.send_remote(*peer, *inbox, *lane, &buf)?;
-                    self.account_sent(wire, true);
-                }
-            },
-            (InboxLanes::PerConsumer(_), Delivery::Addressed) => {
+            Delivery::Addressed => {
                 return Err(FsError::StreamClosed {
                     port: format!("{} (addressed stream requires send_to)", self.port),
                 });
             }
-            (InboxLanes::PerConsumer(_), Delivery::RoundRobin) => {
-                unreachable!("round-robin inbox always uses a shared lane")
-            }
         }
+        self.account_sent(wire);
         Ok(())
     }
 
@@ -462,65 +355,21 @@ impl StreamWriter {
     /// and the type forces callers to say which node they mean rather than
     /// do raw index arithmetic.
     pub fn send_to(&self, dest: NodeId, buf: DataBuffer) -> Result<()> {
-        let wire = buf.wire_size();
-        match &self.lanes {
-            InboxLanes::PerConsumer(lanes) if self.delivery == Delivery::Addressed => {
-                let lane = lanes.get(dest.0).ok_or_else(|| FsError::StreamClosed {
-                    port: format!("{} (no consumer instance {dest})", self.port),
-                })?;
-                match lane {
-                    LaneTx::Local(tx) => {
-                        let remote = self.consumer_nodes[dest.0] != self.from_node;
-                        tx.send(buf).map_err(|_| FsError::StreamClosed {
-                            port: self.port.clone(),
-                        })?;
-                        self.account_enqueued(wire);
-                        self.account_sent(wire, remote);
-                    }
-                    LaneTx::Remote { peer, inbox, lane } => {
-                        self.send_remote(*peer, *inbox, *lane, &buf)?;
-                        self.account_sent(wire, true);
-                    }
-                }
-                Ok(())
-            }
-            _ => Err(FsError::StreamClosed {
+        if self.delivery != Delivery::Addressed {
+            return Err(FsError::StreamClosed {
                 port: format!("{} (send_to requires an addressed stream)", self.port),
-            }),
+            });
         }
-    }
-
-    /// One `Close` frame per remote lane this endpoint could have written
-    /// to; the consumer-side router decrements its mirrored refcount.
-    fn send_closes(&self) {
-        let Some(t) = &self.transport else { return };
-        let close = |peer: NodeId, inbox: u16, lane: u32| {
-            // Best effort: the peer may already have shut down.
-            let _ = t.send(peer, Frame::close(inbox, lane));
-        };
-        match (&self.lanes, self.delivery) {
-            (InboxLanes::Shared(LaneTx::Remote { peer, inbox, lane }), _) => {
-                close(*peer, *inbox, *lane);
-            }
-            (InboxLanes::Shared(LaneTx::Local(_)), _) => {}
-            (InboxLanes::PerConsumer(lanes), Delivery::Aligned) => {
-                if let Some(LaneTx::Remote { peer, inbox, lane }) = lanes.get(self.instance) {
-                    close(*peer, *inbox, *lane);
-                }
-            }
-            (InboxLanes::PerConsumer(lanes), _) => {
-                for l in lanes {
-                    if let LaneTx::Remote { peer, inbox, lane } = l {
-                        close(*peer, *inbox, *lane);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of consumer instances reachable through this writer.
-    pub fn consumer_count(&self) -> usize {
-        self.consumer_nodes.len()
+        let lane = self
+            .lanes
+            .get(dest.0)
+            .ok_or_else(|| FsError::StreamClosed {
+                port: format!("{} (no consumer instance {dest})", self.port),
+            })?;
+        let wire = buf.wire_size();
+        self.put(lane, buf)?;
+        self.account_sent(wire);
+        Ok(())
     }
 
     /// The port name this writer was bound to.
@@ -529,10 +378,17 @@ impl StreamWriter {
     }
 }
 
-/// A dropped writer announces the endpoint drop to every remote lane.
+/// A dropped writer sends one `Close` frame per remote lane it could have
+/// written to; the consumer-side router decrements its mirrored refcount.
 impl Drop for StreamWriter {
     fn drop(&mut self) {
-        self.send_closes();
+        let reachable = reachable_lanes(self.delivery, self.instance, self.lanes.len());
+        for lane in &self.lanes[reachable] {
+            if let LaneTx::Remote { peer, inbox, lane } = lane {
+                // Best effort: the peer may already have shut down.
+                let _ = self.transport.send(*peer, Frame::close(*inbox, *lane));
+            }
+        }
     }
 }
 
@@ -663,9 +519,18 @@ impl StreamSet {
     /// a [`crate::Runtime`] layout.
     #[cfg(test)]
     pub fn standalone(port: &str, capacity: usize) -> (StreamWriter, StreamReader) {
-        let mut inbox = Inbox::new(Delivery::Addressed, capacity, &[NodeId(0)], port);
+        let mut inbox = Inbox::new(
+            Delivery::Addressed,
+            capacity,
+            &[NodeId(0)],
+            port,
+            |_| true,
+            0,
+            Arc::default(),
+        );
         let reader = inbox.take_reader(0);
-        let writer = inbox.writer(port, 0, NodeId(0), Arc::new(StreamStats::default()));
+        let node = crate::ChannelTransport::cluster(1).remove(0);
+        let writer = inbox.writer(port, 0, Arc::default(), Arc::new(node));
         (writer, reader)
     }
 
@@ -765,8 +630,48 @@ mod tests {
         Arc::new(StreamStats::default())
     }
 
+    /// The transports of an in-process cluster of `n` nodes. A frame toward
+    /// a node is accepted while its transport is alive.
+    fn nodes(n: usize) -> Vec<Arc<dyn Transport>> {
+        crate::ChannelTransport::cluster(n)
+            .into_iter()
+            .map(|t| Arc::new(t) as Arc<dyn Transport>)
+            .collect()
+    }
+
+    fn local() -> Arc<dyn Transport> {
+        nodes(1).remove(0)
+    }
+
+    /// An inbox whose every lane is a channel.
+    fn inbox_of(delivery: Delivery, capacity: usize, consumers: &[NodeId]) -> Inbox {
+        Inbox::new(
+            delivery,
+            capacity,
+            consumers,
+            "in",
+            |_| true,
+            0,
+            Arc::default(),
+        )
+    }
+
     fn inbox(delivery: Delivery, consumers: usize) -> Inbox {
-        Inbox::new(delivery, 8, &vec![NodeId(0); consumers], "in")
+        inbox_of(delivery, 8, &vec![NodeId(0); consumers])
+    }
+
+    /// An inbox as node 0 sees it: lanes of consumers on node 0 are
+    /// channels, the rest address other nodes.
+    fn inbox_on_node0(delivery: Delivery, consumers: &[NodeId]) -> Inbox {
+        Inbox::new(
+            delivery,
+            4,
+            consumers,
+            "in",
+            |n| n == NodeId(0),
+            0,
+            Arc::default(),
+        )
     }
 
     #[test]
@@ -774,7 +679,7 @@ mod tests {
         let mut ib = inbox(Delivery::RoundRobin, 2);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         for i in 0..6 {
             w.send(DataBuffer::tag_only(i)).expect("open");
@@ -790,7 +695,7 @@ mod tests {
     fn broadcast_each_buffer_everywhere() {
         let mut ib = inbox(Delivery::Broadcast, 3);
         let readers: Vec<_> = (0..3).map(|i| ib.take_reader(i)).collect();
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         w.send(DataBuffer::tag_only(7)).expect("open");
         drop(w);
@@ -805,8 +710,8 @@ mod tests {
         let mut ib = inbox(Delivery::Aligned, 2);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w0 = ib.writer("out", 0, NodeId(0), stats());
-        let w1 = ib.writer("out", 1, NodeId(0), stats());
+        let w0 = ib.writer("out", 0, stats(), local());
+        let w1 = ib.writer("out", 1, stats(), local());
         drop(ib);
         w0.send(DataBuffer::tag_only(10)).expect("open");
         w1.send(DataBuffer::tag_only(11)).expect("open");
@@ -821,7 +726,7 @@ mod tests {
     fn addressed_routes_by_destination() {
         let mut ib = inbox(Delivery::Addressed, 3);
         let readers: Vec<_> = (0..3).map(|i| ib.take_reader(i)).collect();
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         w.send_to(NodeId(2), DataBuffer::tag_only(2)).expect("open");
         w.send_to(NodeId(0), DataBuffer::tag_only(0)).expect("open");
@@ -843,8 +748,8 @@ mod tests {
     fn fan_in_merges_writers() {
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let r = ib.take_reader(0);
-        let w1 = ib.writer("a", 0, NodeId(0), stats());
-        let w2 = ib.writer("b", 0, NodeId(0), stats());
+        let w1 = ib.writer("a", 0, stats(), local());
+        let w2 = ib.writer("b", 0, stats(), local());
         drop(ib);
         w1.send(DataBuffer::tag_only(1)).expect("open");
         w2.send(DataBuffer::tag_only(2)).expect("open");
@@ -867,7 +772,7 @@ mod tests {
     fn send_fails_when_all_consumers_gone() {
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         drop(r);
         assert!(matches!(
@@ -881,7 +786,7 @@ mod tests {
         let st = stats();
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let _r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
+        let w = ib.writer("out", 0, Arc::clone(&st), local());
         w.send(DataBuffer::from_u64s(0, &[1, 2])).expect("open");
         w.send(DataBuffer::tag_only(0)).expect("open");
         let (bufs, bytes, remote) = st.snapshot();
@@ -893,10 +798,10 @@ mod tests {
     #[test]
     fn remote_bytes_counted_across_nodes() {
         let st = stats();
-        let mut ib = Inbox::new(Delivery::Broadcast, 4, &[NodeId(0), NodeId(1)], "in");
+        let cluster = nodes(2);
+        let mut ib = inbox_on_node0(Delivery::Broadcast, &[NodeId(0), NodeId(1)]);
         let _r0 = ib.take_reader(0);
-        let _r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
+        let w = ib.writer("out", 0, Arc::clone(&st), Arc::clone(&cluster[0]));
         w.send(DataBuffer::tag_only(0)).expect("open");
         let (_, bytes, remote) = st.snapshot();
         assert_eq!(bytes, 16);
@@ -906,10 +811,10 @@ mod tests {
     #[test]
     fn addressed_remote_accounting_is_per_destination() {
         let st = stats();
-        let mut ib = Inbox::new(Delivery::Addressed, 4, &[NodeId(0), NodeId(1)], "in");
+        let cluster = nodes(2);
+        let mut ib = inbox_on_node0(Delivery::Addressed, &[NodeId(0), NodeId(1)]);
         let _r0 = ib.take_reader(0);
-        let _r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
+        let w = ib.writer("out", 0, Arc::clone(&st), Arc::clone(&cluster[0]));
         w.send_to(NodeId(0), DataBuffer::tag_only(0))
             .expect("local");
         w.send_to(NodeId(1), DataBuffer::tag_only(0))
@@ -921,9 +826,9 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_then_resumes() {
-        let mut ib = Inbox::new(Delivery::RoundRobin, 2, &[NodeId(0)], "in");
+        let mut ib = inbox_of(Delivery::RoundRobin, 2, &[NodeId(0)]);
         let r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         w.send(DataBuffer::tag_only(0)).expect("open");
         w.send(DataBuffer::tag_only(1)).expect("open");
@@ -941,8 +846,8 @@ mod tests {
         let mut b = inbox(Delivery::RoundRobin, 1);
         let ra = a.take_reader(0);
         let rb = b.take_reader(0);
-        let wa = a.writer("out", 0, NodeId(0), stats());
-        let wb = b.writer("out", 0, NodeId(0), stats());
+        let wa = a.writer("out", 0, stats(), local());
+        let wb = b.writer("out", 0, stats(), local());
         drop((a, b));
         wa.send(DataBuffer::tag_only(1)).expect("open");
         wb.send(DataBuffer::tag_only(2)).expect("open");
@@ -963,8 +868,8 @@ mod tests {
         let mut b = inbox(Delivery::RoundRobin, 1);
         let ra = a.take_reader(0);
         let rb = b.take_reader(0);
-        let wa = a.writer("out", 0, NodeId(0), stats());
-        let wb = b.writer("out", 0, NodeId(0), stats());
+        let wa = a.writer("out", 0, stats(), local());
+        let wb = b.writer("out", 0, stats(), local());
         drop((a, b));
         let mut set = StreamSet::new(vec![ra, rb]);
         assert!(matches!(
@@ -997,7 +902,7 @@ mod tests {
         let counters = Arc::clone(&ib.counters);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats(), local());
         drop(ib);
         w.send(DataBuffer::from_u64s(1, &[1, 2, 3])).expect("open");
         w.send(DataBuffer::from_u64s(2, &[4])).expect("open");

@@ -1,8 +1,8 @@
 //! Transport abstraction: how frames move between nodes.
 //!
 //! The stream layer ([`crate::stream`]) routes a [`crate::buffer::DataBuffer`]
-//! either into a local channel lane (consumer in this process) or into a
-//! [`Frame`] handed to a [`Transport`] (consumer on another node). The
+//! either into a local channel lane (consumer on the writer's node) or into a
+//! [`Frame`] handed to the node's [`Transport`] (consumer on another node). The
 //! transport is *only* a reliable, ordered, per-peer frame pipe — all
 //! delivery semantics (fan-in, broadcast, alignment, addressing, close
 //! refcounts) live above it, so swapping transports cannot change routing
@@ -10,9 +10,9 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`ChannelTransport`] — in-process bounded channels between "nodes" that
-//!   are really thread groups. The default for tests; also the semantic
-//!   reference the TCP path is checked against.
+//! * [`ChannelTransport`] — in-process bounded channels between nodes that
+//!   are thread groups of one process. [`crate::Runtime::run`] wires every
+//!   node of an in-process run over it.
 //! * [`crate::tcp::TcpTransport`] — one OS process per node, length-prefixed
 //!   frames over `TcpStream` (see [`crate::codec`]).
 //!
@@ -107,11 +107,14 @@ impl ExchangeBoard {
     }
 }
 
-/// In-process transport: every "node" is a thread group in this process and
-/// frames travel over bounded channels. Semantically identical to the TCP
-/// transport (same frames, same close protocol, same backpressure shape)
-/// minus the sockets — which is exactly what makes it the reference
-/// implementation for equivalence tests.
+/// In-process transport: every node is a thread group in this process and
+/// frames travel over bounded channels, one pump thread per node delivering
+/// them to its router. Semantically identical to the TCP transport (same
+/// frames, same close protocol, same backpressure shape) minus the sockets.
+/// [`crate::Runtime::run`] carries every in-process run's traffic between
+/// nodes over it. [`Transport::shutdown`] returns only once every node of
+/// the cluster has shut down, so the nodes of one cluster must shut down
+/// concurrently, not one after another from one thread.
 pub struct ChannelTransport {
     node: NodeId,
     nnodes: usize,

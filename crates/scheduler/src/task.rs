@@ -273,11 +273,6 @@ impl ReadyTracker {
         newly
     }
 
-    /// Has the task completed?
-    pub fn is_done(&self, id: TaskId) -> bool {
-        self.done[id.0 as usize]
-    }
-
     /// Have all tasks completed?
     pub fn all_done(&self) -> bool {
         self.done.iter().all(|&d| d)

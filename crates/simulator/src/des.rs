@@ -161,11 +161,6 @@ impl FluidSim {
         id
     }
 
-    /// Number of in-flight flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Is anything pending?
     pub fn idle(&self) -> bool {
         self.flows.is_empty() && self.timers.is_empty()

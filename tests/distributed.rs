@@ -1,6 +1,8 @@
 //! Multi-process-shaped integration tests: the same iterated-SpMV workload
-//! run (a) classically in one process, (b) distributed over the in-process
-//! channel transport, and (c) distributed over real loopback TCP sockets.
+//! run (a) classically: one process, every node over the in-process
+//! transport (`DoocRuntime::run`), (b) one node per thread over the
+//! in-process channel transport (`run_distributed`), and (c) one node per
+//! thread over real loopback TCP sockets.
 //! All three must produce *bitwise* identical final vectors — the transport
 //! is pure plumbing and must never change a floating-point reduction order —
 //! and so must all three [`SyncPolicy`] graphs: barriers only remove
