@@ -8,41 +8,18 @@ use dooc_linalg::spmv_app::{SpmvAppBuilder, StagedBlock, SyncPolicy};
 use dooc_scheduler::{audit, AuditError, AuditReport, LaneSpec, TaskGraph, TaskSpec};
 use dooc_sparse::{BlockCoord, BlockGrid};
 
-/// One audited graph: the label, the run-digest-style graph fingerprint,
-/// and either the report or the typed rejection.
+/// One audited graph: the label, the graph's fingerprint, and either the
+/// report or the typed rejection.
 #[derive(Clone, Debug)]
 pub struct AuditOutcome {
     /// Human-readable graph label (e.g. `spmv-none k=4 n=2000`).
     pub graph: String,
-    /// FNV-1a fingerprint over the graph's tasks and data declarations —
-    /// the piece of the runtime bootstrap digest the audit sees, letting CI
-    /// correlate reports across distributed digest variants.
+    /// The graph's [`TaskGraph::fingerprint`] — the graph's share of the
+    /// runtime bootstrap digest, letting CI correlate reports across
+    /// distributed digest variants.
     pub digest: u64,
     /// The audit verdict.
     pub result: Result<AuditReport, AuditError>,
-}
-
-/// FNV-1a fingerprint of a graph's audit-relevant structure (mirrors the
-/// graph portion of the runtime's bootstrap digest).
-pub fn graph_digest(graph: &TaskGraph) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(b"dooc-audit-v1");
-    for id in graph.ids() {
-        let t = graph.task(id);
-        eat(t.name.as_bytes());
-        eat(t.kind.as_bytes());
-        for d in t.inputs.iter().chain(t.outputs.iter()) {
-            eat(d.array.as_bytes());
-            eat(&d.bytes.to_le_bytes());
-        }
-    }
-    h
 }
 
 /// Builds the iterated-SpMV task graph under the given sync policy without
@@ -70,7 +47,7 @@ pub fn spmv_graph(sync: SyncPolicy, k: u64, n: u64, iters: u64, nnodes: u64) -> 
 pub fn audit_graph(label: &str, graph: &TaskGraph, budget: u64, nnodes: u64) -> AuditOutcome {
     AuditOutcome {
         graph: label.to_string(),
-        digest: graph_digest(graph),
+        digest: graph.fingerprint(),
         result: audit(graph, budget, &runtime_lane_specs(graph, nnodes)),
     }
 }
@@ -163,12 +140,12 @@ mod tests {
     fn digests_differ_between_policies_and_agree_per_graph() {
         let none = spmv_graph(SyncPolicy::None, 4, 2000, 4, 4);
         let barrier = spmv_graph(SyncPolicy::IterationBarrier, 4, 2000, 4, 4);
-        assert_ne!(graph_digest(&none), graph_digest(&barrier));
+        assert_ne!(none.fingerprint(), barrier.fingerprint());
         // Same parameters → same graph → same digest: every process of a
         // distributed run reports the same fingerprint, which is what CI
         // correlates the digest variants on.
         let again = spmv_graph(SyncPolicy::None, 4, 2000, 4, 4);
-        assert_eq!(graph_digest(&none), graph_digest(&again));
+        assert_eq!(none.fingerprint(), again.fingerprint());
     }
 
     #[test]

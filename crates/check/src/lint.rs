@@ -35,8 +35,7 @@
 //!    protocol.
 //! 6. **Every `fail::at` failpoint in library code names a registered
 //!    site** — the site argument must be a string literal from
-//!    [`REGISTERED_FAULT_SITES`] (mirroring `dooc_faultline::SITES`, with a
-//!    cross-check test keeping the two lists in sync). Ad-hoc site strings
+//!    `dooc_faultline::SITES`, the registry itself. Ad-hoc site strings
 //!    would silently never fire from a chaos schedule, and non-literal
 //!    arguments defeat auditability of where faults can be injected. The
 //!    `faultline` crate itself (whose API docs and internals mention the
@@ -69,18 +68,6 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose *library* code must be panic-free (rule 1).
 pub const PANIC_FREE_CRATES: &[&str] = &["filterstream", "storage", "scheduler", "core", "obs"];
-
-/// The failpoint sites library code may name in `fail::at` calls (rule 6).
-/// Must mirror `dooc_faultline::SITES`; a test cross-checks the two lists
-/// against the faultline crate's source so they cannot drift apart.
-pub const REGISTERED_FAULT_SITES: &[&str] = &[
-    "fs.tcp.connect",
-    "fs.tcp.frame",
-    "storage.io.read",
-    "storage.io.write",
-    "storage.node.crash",
-    "worker.task.crash",
-];
 
 /// Crates whose library code must take locks, atomics and channels from
 /// `dooc-sync` rather than `parking_lot`/`crossbeam` directly (rule 7), so
@@ -183,7 +170,7 @@ fn check_fail_site(line: &str) -> Option<String> {
             return Some("fail::at site literal does not close on this line".into());
         };
         let site = &lit[..end];
-        if !REGISTERED_FAULT_SITES.contains(&site) {
+        if !dooc_faultline::SITES.contains(&site) {
             return Some(format!(
                 "fail::at site \"{site}\" is not in the registered site list \
                  (dooc_faultline::SITES) — chaos schedules cannot reach it"
@@ -626,23 +613,6 @@ mod tests {
             concat!("fail::", "at("),
         );
         assert!(lint_source(Path::new("a.rs"), &src, opts(false, false, true)).is_empty());
-    }
-
-    #[test]
-    fn registered_sites_mirror_faultline_sites() {
-        // Parse `pub const SITES` out of the faultline crate's source so the
-        // lint's copy cannot silently drift from the real registry.
-        let src = std::fs::read_to_string(
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../faultline/src/lib.rs"),
-        )
-        .expect("read faultline source");
-        let start = src.find("pub const SITES").expect("SITES declaration");
-        let body = &src[start..start + src[start..].find("];").expect("array end")];
-        let declared: Vec<&str> = body.split('"').skip(1).step_by(2).collect();
-        assert_eq!(
-            declared, REGISTERED_FAULT_SITES,
-            "lint.rs REGISTERED_FAULT_SITES must mirror dooc_faultline::SITES"
-        );
     }
 
     #[test]

@@ -259,7 +259,8 @@ pub fn runtime_lane_specs(graph: &TaskGraph, _nnodes: u64) -> Vec<dooc_scheduler
 }
 
 /// FNV-1a digest of everything that shapes cluster assembly: node count,
-/// storage knobs, geometry hints, the task graph and the external map.
+/// storage knobs, geometry hints, the task graph's
+/// [fingerprint](TaskGraph::fingerprint) and the external map.
 /// Scratch-dir *paths* are deliberately excluded — they legitimately differ
 /// across hosts; only their count matters for layout identity.
 fn run_digest(
@@ -277,7 +278,7 @@ fn run_digest(
         eat(h, &v.to_le_bytes());
     }
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    eat(&mut h, b"dooc-run-v2");
+    eat(&mut h, b"dooc-run-v3");
     eat_u64(&mut h, config.nnodes() as u64);
     eat_u64(&mut h, config.memory_budget);
     eat_u64(&mut h, config.seed);
@@ -286,17 +287,7 @@ fn run_digest(
         eat_u64(&mut h, *len);
         eat_u64(&mut h, *bs);
     }
-    for id in graph.ids() {
-        let t = graph.task(id);
-        eat(&mut h, t.name.as_bytes());
-        eat(&mut h, t.kind.as_bytes());
-        for d in t.inputs.iter().chain(t.outputs.iter()) {
-            eat(&mut h, d.array.as_bytes());
-            eat_u64(&mut h, d.bytes);
-        }
-        eat_u64(&mut h, t.flops);
-        eat_u64(&mut h, t.pin.map(|p| p + 1).unwrap_or(0));
-    }
+    eat_u64(&mut h, graph.fingerprint());
     let mut ext: Vec<(&String, &u64)> = external_location.iter().collect();
     ext.sort();
     for (name, node) in ext {

@@ -27,10 +27,6 @@ use std::time::{Duration, Instant};
 /// lock; the per-event updates are gated relaxed atomics).
 struct WorkerObs {
     tasks_executed: &'static Counter,
-    /// Only bumped by the faultline re-execution path, but registered
-    /// unconditionally so metric dumps have a uniform schema.
-    #[cfg_attr(not(feature = "faultline"), allow(dead_code))]
-    tasks_reexecuted: &'static Counter,
     input_bytes: &'static Counter,
     arrays_deleted: &'static Counter,
     prefetch_requests: &'static Counter,
@@ -42,7 +38,6 @@ fn obs() -> &'static WorkerObs {
     static O: OnceLock<WorkerObs> = OnceLock::new();
     O.get_or_init(|| WorkerObs {
         tasks_executed: counter("worker.tasks_executed"),
-        tasks_reexecuted: counter("worker.tasks_reexecuted"),
         input_bytes: counter("worker.input_bytes"),
         arrays_deleted: counter("worker.arrays_deleted"),
         prefetch_requests: counter("sched.prefetch_requests"),
@@ -50,21 +45,6 @@ fn obs() -> &'static WorkerObs {
         ready_tasks: dooc_obs::metrics::gauge("sched.ready_tasks"),
     })
 }
-
-/// Marker carried by the error string of an injected `worker.task.crash`
-/// fault. The worker filter recognises it (via [`is_injected_crash`]) and
-/// re-executes the task instead of failing the run, as long as the dead
-/// attempt had not started writing outputs.
-pub const WORKER_CRASH_MARKER: &str = "worker crashed (injected fault)";
-
-/// Whether a task error is an injected worker crash (re-executable).
-pub fn is_injected_crash(message: &str) -> bool {
-    message.contains(WORKER_CRASH_MARKER)
-}
-
-/// How many times one task may be re-executed after injected crashes before
-/// the failure is surfaced to the application.
-pub const TASK_RETRY_MAX: u32 = 3;
 
 /// Maximum block reads/writes a [`WorkerContext`] keeps in flight while
 /// pipelining an array operation. Bounds reply-stream occupancy well below
@@ -218,10 +198,6 @@ pub struct WorkerContext<'a> {
     /// this execution (the data-plane copy traffic the zero-copy paths
     /// avoid; reported by the bench harness).
     pub(crate) copied_bytes: u64,
-    /// Whether this execution started writing outputs. An injected crash is
-    /// only re-executable while this is false: inputs are immutable, but a
-    /// half-written output would make the replay's `create` collide.
-    pub(crate) wrote_outputs: bool,
 }
 
 impl<'a> WorkerContext<'a> {
@@ -244,7 +220,6 @@ impl<'a> WorkerContext<'a> {
             blocks: None,
             input_bytes: 0,
             copied_bytes: 0,
-            wrote_outputs: false,
         }
     }
 
@@ -253,21 +228,6 @@ impl<'a> WorkerContext<'a> {
     pub fn with_block_pool(mut self, blocks: &'a BlockPool) -> Self {
         self.blocks = Some(blocks);
         self
-    }
-
-    /// Consults the `worker.task.crash` failpoint: `Fire` (or `Error`) kills
-    /// this task attempt with [`WORKER_CRASH_MARKER`], `Delay` stalls it.
-    /// Compiled to nothing without the `faultline` feature.
-    fn maybe_crash(&self) -> std::result::Result<(), String> {
-        #[cfg(feature = "faultline")]
-        match dooc_faultline::fail::at("worker.task.crash") {
-            Some(dooc_faultline::Fault::Delay(ms)) => {
-                dooc_sync::thread::sleep(Duration::from_millis(ms));
-            }
-            Some(_) => return Err(WORKER_CRASH_MARKER.to_string()),
-            None => {}
-        }
-        Ok(())
     }
 
     /// Direct access to the storage client (for advanced patterns: async
@@ -332,9 +292,6 @@ impl<'a> WorkerContext<'a> {
     where
         F: FnMut(u64, ReadGuard),
     {
-        // Crash before any request is issued: no ticket is in flight, so the
-        // replayed attempt starts from a clean reply stream.
-        self.maybe_crash()?;
         let _span = dooc_obs::span(Category::Worker, "worker:read", self.node as i64);
         let name = &meta.name;
         let nblocks = meta.nblocks();
@@ -449,7 +406,6 @@ impl<'a> WorkerContext<'a> {
             ));
         }
         let _span = dooc_obs::span(Category::Worker, "worker:write", self.node as i64);
-        self.wrote_outputs = true;
         self.client
             .create(name, len, bs)
             .map_err(|e| format!("create {name}: {e}"))?;
@@ -573,9 +529,6 @@ impl Filter for WorkerFilter {
         let pool = ComputePool::new(self.config.threads_per_node);
 
         let done_in = ctx.take_input("done_in")?;
-        // Per-task re-execution budget for injected worker crashes.
-        #[cfg(feature = "faultline")]
-        let mut crash_retries: HashMap<TaskId, u32> = HashMap::new();
         // done_out stays in ctx so close_output semantics apply on exit.
         loop {
             // 1. Drain completion broadcasts.
@@ -637,36 +590,7 @@ impl Filter for WorkerFilter {
                     &pool,
                 )
                 .with_block_pool(&self.blocks);
-                let outcome = self.executor.execute(&spec, &mut wctx);
-                #[cfg(feature = "faultline")]
-                if let Err(message) = &outcome {
-                    if is_injected_crash(message) && !wctx.wrote_outputs {
-                        let attempts = crash_retries.entry(t).or_insert(0);
-                        if *attempts < TASK_RETRY_MAX {
-                            *attempts += 1;
-                            let attempt = *attempts;
-                            // The attempt died before writing anything:
-                            // inputs are immutable, so replaying the task is
-                            // safe. Hand it back to the local scheduler.
-                            ls.requeue(t);
-                            obs().tasks_reexecuted.inc();
-                            dooc_obs::instant_arg(
-                                Category::Worker,
-                                "worker:task_reexec",
-                                node as i64,
-                                || {
-                                    format!(
-                                        "task '{}' re-executed after injected crash \
-                                         (attempt {attempt}/{TASK_RETRY_MAX})",
-                                        spec.name
-                                    )
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                }
-                outcome.map_err(|message| {
+                self.executor.execute(&spec, &mut wctx).map_err(|message| {
                     ctx.error(format!("task '{}' failed: {message}", spec.name))
                 })?;
                 obs().tasks_executed.inc();

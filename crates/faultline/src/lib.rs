@@ -11,8 +11,7 @@
 //! * **Link faults** — `fs.tcp.connect` fails or delays dial attempts and
 //!   `fs.tcp.frame` delays frames in the TCP writer;
 //! * **Crashes** — `storage.node.crash` fail-stops (and restarts) a storage
-//!   peer, `worker.task.crash` kills a worker mid-task so the local scheduler
-//!   must re-execute it from its immutable inputs.
+//!   peer from its scratch directory and metadata journal.
 //!
 //! Nothing here loses or reorders a message: streams are reliable and
 //! ordered per peer by contract, and the runtime relies on that contract
@@ -65,7 +64,6 @@ pub const SITES: &[&str] = &[
     "storage.io.read",
     "storage.io.write",
     "storage.node.crash",
-    "worker.task.crash",
 ];
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -342,13 +340,13 @@ mod tests {
         let _g = test_gate();
         reset();
         seed(3);
-        configure("worker.task.crash", FaultSpec::fire().with_max(2));
+        configure("storage.node.crash", FaultSpec::fire().with_max(2));
         enable();
         dooc_obs::enable(); // counter updates are gated on the obs flag
         let before = dooc_obs::metrics::counter("fault.faults_injected").get();
-        assert_eq!(fail::at("worker.task.crash"), Some(Fault::Fire));
-        assert_eq!(fail::at("worker.task.crash"), Some(Fault::Fire));
-        assert_eq!(fail::at("worker.task.crash"), None);
+        assert_eq!(fail::at("storage.node.crash"), Some(Fault::Fire));
+        assert_eq!(fail::at("storage.node.crash"), Some(Fault::Fire));
+        assert_eq!(fail::at("storage.node.crash"), None);
         let after = dooc_obs::metrics::counter("fault.faults_injected").get();
         dooc_obs::disable();
         assert_eq!(after - before, 2);

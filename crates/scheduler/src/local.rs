@@ -91,8 +91,6 @@ pub struct LocalScheduler {
     ready: Vec<TaskId>,
     /// Number of outstanding prefetches to aim for.
     prefetch_window: usize,
-    /// Tasks handed out but not yet completed.
-    running: HashSet<TaskId>,
     /// Node id used when tracing scheduling decisions (-1 when unknown).
     node: i64,
     /// Every array some task produces. Everything below refers to tasks and
@@ -165,7 +163,6 @@ impl LocalScheduler {
             tracker,
             ready,
             prefetch_window: 2,
-            running: HashSet::new(),
             node: -1,
             arrays,
             reads,
@@ -190,10 +187,8 @@ impl LocalScheduler {
 
     /// Records a completion (local or remote); newly ready *local* tasks
     /// enter the ready queue, and arrays this completion was the last reader
-    /// of go dead. A task handed back by [`Self::requeue`] has not
-    /// completed, so its inputs stay counted.
+    /// of go dead.
     pub fn on_complete(&mut self, graph: &TaskGraph, id: TaskId) {
-        self.running.remove(&id);
         for t in self.tracker.complete(graph, id) {
             if self.mine.contains(&t) {
                 self.ready.push(t);
@@ -213,8 +208,9 @@ impl LocalScheduler {
     }
 
     /// The arrays produced on this node that went dead since the last call:
-    /// every task that reads them has completed, cluster-wide. Externals and
-    /// outputs no task reads (results) are never reported.
+    /// every task that reads them has completed, cluster-wide. A task that
+    /// is running but has not completed still counts as a reader. Externals
+    /// and outputs no task reads (results) are never reported.
     pub fn take_dead<'g>(&mut self, graph: &'g TaskGraph) -> Vec<&'g str> {
         self.dead
             .drain(..)
@@ -230,11 +226,6 @@ impl LocalScheduler {
     /// Number of ready local tasks.
     pub fn ready_count(&self) -> usize {
         self.ready.len()
-    }
-
-    /// Are all this node's tasks done?
-    pub fn idle(&self) -> bool {
-        self.ready.is_empty() && self.running.is_empty()
     }
 
     /// Is every task in the graph complete?
@@ -306,31 +297,7 @@ impl LocalScheduler {
                 best
             }
         };
-        let t = self.ready.remove(idx);
-        self.running.insert(t);
-        Some(t)
-    }
-
-    /// Returns a handed-out task to the *front* of the ready queue: its
-    /// worker died (or was crashed by fault injection) before reporting
-    /// completion. Replay is safe because task inputs are immutable arrays —
-    /// re-reading them yields the bytes the first attempt saw. Returns
-    /// `false` (and does nothing) if the task was not running.
-    pub fn requeue(&mut self, id: TaskId) -> bool {
-        if !self.running.remove(&id) {
-            return false;
-        }
-        self.ready.insert(0, id);
-        if dooc_obs::enabled() {
-            dooc_obs::metrics::counter("sched.requeues").inc();
-            dooc_obs::instant_arg(
-                dooc_obs::Category::Scheduler,
-                "sched:requeue",
-                self.node,
-                move || format!("task {} requeued for re-execution", id.0),
-            );
-        }
-        true
+        Some(self.ready.remove(idx))
     }
 
     /// The order the scheduler currently *plans* to run its ready tasks in
@@ -682,9 +649,8 @@ mod tests {
             producer.take_dead(&g).is_empty(),
             "c has not read A yet (listing it twice makes c one reader)"
         );
-        // c crashes and is re-queued: it has not completed, A stays.
+        // c is running but has not completed: A stays.
         assert_eq!(reader.next_task(&g, &oracle), Some(TaskId(2)));
-        assert!(reader.requeue(TaskId(2)));
         assert!(producer.take_dead(&g).is_empty());
         producer.on_complete(&g, TaskId(2));
         reader.on_complete(&g, TaskId(2));
@@ -712,7 +678,7 @@ mod tests {
         assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(0)));
         assert_eq!(ls.next_task(&g, &oracle), None);
         ls.on_complete(&g, TaskId(0));
-        assert!(ls.idle());
+        assert_eq!(ls.ready_count(), 0);
         assert!(!ls.graph_done(), "remote tasks still pending");
     }
 
@@ -754,36 +720,5 @@ mod tests {
             ls.prefetch_candidates(&g, &resident),
             vec!["M_0".to_string(), "M_1".to_string(), "M_2".to_string()]
         );
-    }
-
-    #[test]
-    fn requeue_replays_a_running_task() {
-        let g = iterated_spmv(1, 2);
-        let oracle: HashSet<String> = HashSet::new();
-        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        let t = ls.next_task(&g, &oracle).expect("ready");
-        assert!(ls.requeue(t), "running task goes back to the queue");
-        assert_eq!(
-            ls.next_task(&g, &oracle),
-            Some(t),
-            "requeued task is offered first"
-        );
-        ls.on_complete(&g, t);
-        assert!(!ls.requeue(t), "completed task cannot be requeued");
-        assert!(
-            !ls.requeue(TaskId(999)),
-            "never-scheduled task cannot be requeued"
-        );
-    }
-
-    #[test]
-    fn idle_tracks_running_tasks() {
-        let g = iterated_spmv(1, 2);
-        let oracle: HashSet<String> = HashSet::new();
-        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        let t = ls.next_task(&g, &oracle).expect("ready");
-        assert!(!ls.idle(), "a task is running");
-        ls.on_complete(&g, t);
-        assert!(!ls.idle(), "more tasks ready");
     }
 }

@@ -189,6 +189,31 @@ impl TaskGraph {
         (0..self.tasks.len() as u64).map(TaskId)
     }
 
+    /// FNV-1a fingerprint of every task's name, kind, data declarations,
+    /// flop estimate and pin, in declaration order. The runtime's bootstrap
+    /// digest and `dooc-audit`'s reports both carry it, so one graph has one
+    /// fingerprint in every process and every report.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for t in &self.tasks {
+            eat(t.name.as_bytes());
+            eat(t.kind.as_bytes());
+            for d in t.inputs.iter().chain(&t.outputs) {
+                eat(d.array.as_bytes());
+                eat(&d.bytes.to_le_bytes());
+            }
+            eat(&t.flops.to_le_bytes());
+            eat(&t.pin.map_or(0, |p| p + 1).to_le_bytes());
+        }
+        h
+    }
+
     /// Predecessors (tasks producing this task's inputs).
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
         &self.preds[id.0 as usize]
@@ -306,6 +331,22 @@ mod tests {
         assert_eq!(g.succs(TaskId(0)), &[TaskId(1), TaskId(2)]);
         assert_eq!(g.producer_of("C"), Some(TaskId(2)));
         assert_eq!(g.producer_of("external"), None);
+    }
+
+    #[test]
+    fn fingerprint_sees_flops_and_pins() {
+        let with = |flops: u64, pin: Option<u64>| {
+            let mut a = TaskSpec::new("a", "k").output("A", 10).flops(flops);
+            a.pin = pin;
+            TaskGraph::new(vec![a, TaskSpec::new("b", "k").input("A", 10)])
+                .expect("valid")
+                .fingerprint()
+        };
+        assert_eq!(with(5, None), with(5, None));
+        assert_ne!(with(5, None), with(6, None));
+        assert_ne!(with(5, None), with(5, Some(0)));
+        assert_ne!(with(5, Some(0)), with(5, Some(1)));
+        assert_ne!(diamond().fingerprint(), with(5, None));
     }
 
     #[test]

@@ -25,9 +25,10 @@ use std::sync::Arc;
 /// injected whole-node crash: its configuration, its scratch directory (for
 /// restart discovery) and a journal of the metadata messages it consumed
 /// (standing in for the durable metadata log a production deployment would
-/// keep). Requests in flight are *not* journaled — crashes are only injected
-/// at locally-quiescent points ([`StorageState::crash_safe`]), and clients
-/// recover cross-node losses through retries and map re-resolution.
+/// keep). Requests in flight are *not* journaled, because there are none:
+/// crashes fire only at [`StorageState::crash_safe`] points, where no grant
+/// is outstanding, no load, spill or fetch is in flight, and every sealed
+/// byte is on the local disk.
 #[cfg(feature = "faultline")]
 struct RestartContext {
     cfg: NodeConfig,
