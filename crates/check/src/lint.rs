@@ -33,13 +33,8 @@
 //!    guards too. Unlike rules 1–3 this rule also applies to `tests/` and
 //!    `benches/` trees: migrated test code must not drift back to the manual
 //!    protocol.
-//! 6. **Every `fail::at` failpoint in library code names a registered
-//!    site** — the site argument must be a string literal from
-//!    `dooc_faultline::SITES`, the registry itself. Ad-hoc site strings
-//!    would silently never fire from a chaos schedule, and non-literal
-//!    arguments defeat auditability of where faults can be injected. The
-//!    `faultline` crate itself (whose API docs and internals mention the
-//!    call) is exempt, as is test code.
+//! 6. *(retired)* Fault sites are the `dooc_filterstream::Site` enum, so an
+//!    unregistered site does not compile; the other rules keep their numbers.
 //! 7. **Runtime crates import sync primitives from `dooc-sync`** — the
 //!    crates in [`SYNC_DISCIPLINED_CRATES`] must not reference
 //!    `parking_lot` or `crossbeam` directly. The dooc-sync facade keeps
@@ -83,7 +78,6 @@ pub const SYNC_DISCIPLINED_CRATES: &[&str] = &["core", "filterstream", "schedule
 pub const SYNC_DISCIPLINE_EXEMPT_CRATES: &[&str] = &[
     "bench",
     "check",
-    "faultline",
     "linalg",
     "obs",
     "simulator",
@@ -126,7 +120,6 @@ const PAT_STD_RWLOCK: &str = concat!("std::sync::", "RwLock");
 const PAT_UNBOUNDED: &str = concat!("unbounded", "(");
 const PAT_FORBID_UNSAFE: &str = concat!("#![forbid(", "unsafe_code)]");
 const PAT_RELEASE_READ: &str = concat!(".release", "_read");
-const PAT_FAIL_AT: &str = concat!("fail::", "at(");
 const PAT_PARKING_LOT: &str = concat!("parking", "_lot");
 const PAT_CROSSBEAM: &str = concat!("cross", "beam");
 const PAT_STD_SLEEP: &str = concat!("std::thread::", "sleep(");
@@ -143,42 +136,12 @@ pub struct LintOpts {
     pub ban_unbounded: bool,
     /// Rule 5: ban bare `release_read*(` calls (off for the `storage` crate).
     pub ban_release_read: bool,
-    /// Rule 6: `fail::at` sites must be registered string literals (off for
-    /// the `faultline` crate).
-    pub check_fault_sites: bool,
     /// Rule 7: sync primitives must come from `dooc-sync`
     /// ([`SYNC_DISCIPLINED_CRATES`]).
     pub sync_discipline: bool,
     /// Rule 8: no raw `std::thread::sleep` / spin-loop busy-waits —
     /// blocking goes through the facade ([`SYNC_DISCIPLINED_CRATES`]).
     pub no_raw_blocking: bool,
-}
-
-/// Rule 6 helper: checks one line's `fail::at(` call sites. Returns an
-/// error message when the site argument is not a string literal naming a
-/// registered fault site.
-fn check_fail_site(line: &str) -> Option<String> {
-    let mut rest = line;
-    while let Some(pos) = rest.find(PAT_FAIL_AT) {
-        let args = rest[pos + PAT_FAIL_AT.len()..].trim_start();
-        let Some(lit) = args.strip_prefix('"') else {
-            return Some(
-                "fail::at site must be a string literal so injectable sites stay auditable".into(),
-            );
-        };
-        let Some(end) = lit.find('"') else {
-            return Some("fail::at site literal does not close on this line".into());
-        };
-        let site = &lit[..end];
-        if !dooc_faultline::SITES.contains(&site) {
-            return Some(format!(
-                "fail::at site \"{site}\" is not in the registered site list \
-                 (dooc_faultline::SITES) — chaos schedules cannot reach it"
-            ));
-        }
-        rest = &lit[end..];
-    }
-    None
 }
 
 /// Lints one source file's content under the given rule toggles; rules 2
@@ -237,11 +200,6 @@ pub fn lint_source(file: &Path, content: &str, opts: LintOpts) -> Vec<Finding> {
                 "no-unbounded-channels",
                 "unbounded channel — streams must be bounded for backpressure".into(),
             );
-        }
-        if opts.check_fault_sites {
-            if let Some(message) = check_fail_site(line) {
-                report("registered-fault-sites", message);
-            }
         }
         if opts.sync_discipline && (line.contains(PAT_PARKING_LOT) || line.contains(PAT_CROSSBEAM))
         {
@@ -387,7 +345,7 @@ pub struct LintReport {
 }
 
 /// Lints the workspace rooted at `root`: every `crates/*/src` tree (rules
-/// 1–3 and 5–8, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
+/// 1–3, 5, 7 and 8, with rule 1 scoped to [`PANIC_FREE_CRATES`] and rule 5
 /// exempting the `storage` crate's own internals) and every crate root
 /// (rule 4, the only rule that reads `vendor/`).
 /// `crates/*/tests` and `crates/*/benches` trees, plus the root-level
@@ -417,9 +375,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             // `release_read` handling is the thing everyone else must not
             // call.
             ban_release_read: crate_name != "storage",
-            // The faultline crate defines the failpoint API; everyone else
-            // must call it only with registered site literals (rule 6).
-            check_fault_sites: crate_name != "faultline",
             sync_discipline: SYNC_DISCIPLINED_CRATES.contains(&crate_name),
             no_raw_blocking: SYNC_DISCIPLINED_CRATES.contains(&crate_name),
         };
@@ -480,12 +435,11 @@ mod tests {
     use super::*;
 
     /// Old-signature shim: rule-3 on (the pre-LintOpts default), rule 7 off.
-    fn opts(panic_free: bool, ban_release_read: bool, check_fault_sites: bool) -> LintOpts {
+    fn opts(panic_free: bool, ban_release_read: bool) -> LintOpts {
         LintOpts {
             panic_free,
             ban_unbounded: true,
             ban_release_read,
-            check_fault_sites,
             sync_discipline: false,
             no_raw_blocking: false,
         }
@@ -494,11 +448,11 @@ mod tests {
     #[test]
     fn unwrap_flagged_only_in_panic_free_crates() {
         let src = "fn f() { x.unwrap(); }\n";
-        let f = lint_source(Path::new("a.rs"), src, opts(true, false, false));
+        let f = lint_source(Path::new("a.rs"), src, opts(true, false));
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-unwrap");
         assert_eq!(f[0].line, 1);
-        assert!(lint_source(Path::new("a.rs"), src, opts(false, false, false)).is_empty());
+        assert!(lint_source(Path::new("a.rs"), src, opts(false, false)).is_empty());
     }
 
     #[test]
@@ -511,7 +465,7 @@ mod tests {
     fn g() { x.unwrap(); }
 }
 ";
-        assert!(lint_source(Path::new("a.rs"), src, opts(true, false, false)).is_empty());
+        assert!(lint_source(Path::new("a.rs"), src, opts(true, false)).is_empty());
     }
 
     #[test]
@@ -522,7 +476,7 @@ mod tests {
             concat!("unbounded", ""),
             "()"
         );
-        let f = lint_source(Path::new("a.rs"), &src, opts(false, false, false));
+        let f = lint_source(Path::new("a.rs"), &src, opts(false, false));
         let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&"no-std-locks"), "{rules:?}");
         assert!(rules.contains(&"no-unbounded-channels"), "{rules:?}");
@@ -531,7 +485,7 @@ mod tests {
     #[test]
     fn unwrap_or_variants_not_flagged() {
         let src = "let x = y.unwrap_or(0).unwrap_or_else(f).unwrap_or_default();\n";
-        assert!(lint_source(Path::new("a.rs"), src, opts(true, false, false)).is_empty());
+        assert!(lint_source(Path::new("a.rs"), src, opts(true, false)).is_empty());
     }
 
     #[test]
@@ -541,11 +495,11 @@ mod tests {
             concat!(".release", "_read(\"a\", "),
             concat!(".release", "_read(\"a\", "),
         );
-        let f = lint_source(Path::new("a.rs"), &src, opts(false, true, false));
+        let f = lint_source(Path::new("a.rs"), &src, opts(false, true));
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().all(|x| x.rule == "no-bare-release-read"));
         assert!(
-            lint_source(Path::new("a.rs"), &src, opts(false, false, false)).is_empty(),
+            lint_source(Path::new("a.rs"), &src, opts(false, false)).is_empty(),
             "rule off for the storage crate itself"
         );
     }
@@ -571,48 +525,6 @@ mod tests {
         let f = lint_crate_root(Path::new("lib.rs"), bad);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "forbid-unsafe");
-    }
-
-    #[test]
-    fn registered_fault_sites_pass_rule_6() {
-        let src = format!(
-            "fn f() {{ if let Some(f) = dooc_faultline::{}\"storage.io.read\") {{}} }}\n",
-            concat!("fail::", "at("),
-        );
-        assert!(lint_source(Path::new("a.rs"), &src, opts(false, false, true)).is_empty());
-        // Rule off: the faultline crate itself may mention the call freely.
-        let bad = format!("fn f() {{ {}site) }}\n", concat!("fail::", "at("));
-        assert!(lint_source(Path::new("a.rs"), &bad, opts(false, false, false)).is_empty());
-    }
-
-    #[test]
-    fn unregistered_fault_site_flagged() {
-        let src = format!(
-            "fn f() {{ {}\"storage.made.up\"); }}\n",
-            concat!("fail::", "at("),
-        );
-        let f = lint_source(Path::new("a.rs"), &src, opts(false, false, true));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "registered-fault-sites");
-        assert!(f[0].message.contains("storage.made.up"), "{f:?}");
-    }
-
-    #[test]
-    fn non_literal_fault_site_flagged() {
-        let src = format!("fn f() {{ {}site_var); }}\n", concat!("fail::", "at("));
-        let f = lint_source(Path::new("a.rs"), &src, opts(false, false, true));
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "registered-fault-sites");
-        assert!(f[0].message.contains("string literal"), "{f:?}");
-    }
-
-    #[test]
-    fn fault_sites_exempt_in_test_modules() {
-        let src = format!(
-            "fn f() {{}}\n#[cfg(test)]\nmod t {{ fn g() {{ {}\"anything.goes\"); }} }}\n",
-            concat!("fail::", "at("),
-        );
-        assert!(lint_source(Path::new("a.rs"), &src, opts(false, false, true)).is_empty());
     }
 
     #[test]

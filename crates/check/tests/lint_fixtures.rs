@@ -15,7 +15,6 @@ fn disciplined() -> LintOpts {
         panic_free: true,
         ban_unbounded: true,
         ban_release_read: true,
-        check_fault_sites: true,
         sync_discipline: true,
         no_raw_blocking: true,
     }
@@ -148,24 +147,6 @@ fn rule5_bare_release_read_flagged_even_in_tests() {
     let negative = "let g = client.wait_read(id)?; // drop releases the pin\n";
     assert!(rules(negative, disciplined()).is_empty());
     assert!(lint_release_read(Path::new("tests/it.rs"), negative).is_empty());
-}
-
-#[test]
-fn rule6_fault_sites_must_be_registered_literals() {
-    let at = concat!("fail::", "at(");
-    let unregistered = format!("{}\"storage.not_a_site\")?;\n", at);
-    assert_eq!(
-        rules(&unregistered, disciplined()),
-        ["registered-fault-sites"]
-    );
-    let computed = format!("{}site_name)?;\n", at);
-    assert_eq!(rules(&computed, disciplined()), ["registered-fault-sites"]);
-
-    let negative = format!("{}\"storage.io.read\")?;\n", at);
-    assert!(
-        rules(&negative, disciplined()).is_empty(),
-        "registered site literal must pass"
-    );
 }
 
 #[test]

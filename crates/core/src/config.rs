@@ -1,6 +1,7 @@
 //! Runtime configuration.
 
 use crate::{DoocError, Result};
+use dooc_filterstream::FaultPlan;
 use dooc_scheduler::OrderPolicy;
 use dooc_storage::RecoveryPolicy;
 use std::path::PathBuf;
@@ -31,6 +32,10 @@ pub struct DoocConfig {
     /// Storage-node fault recovery: the I/O-read retry budget and backoff.
     /// Nothing times out: a request waits until its data exists.
     pub recovery: RecoveryPolicy,
+    /// Faults injected into this run's storage I/O (empty by default). The
+    /// TCP sites take theirs from the transport's
+    /// [`ClusterSpec`](dooc_filterstream::ClusterSpec).
+    pub faults: FaultPlan,
 }
 
 impl DoocConfig {
@@ -45,6 +50,7 @@ impl DoocConfig {
             seed: 0xD00C,
             geometry: Vec::new(),
             recovery: RecoveryPolicy::default(),
+            faults: FaultPlan::default(),
         }
     }
 
@@ -115,6 +121,12 @@ impl DoocConfig {
     /// Sets the storage nodes' fault-recovery policy.
     pub fn recovery(mut self, r: RecoveryPolicy) -> Self {
         self.recovery = r;
+        self
+    }
+
+    /// Sets the faults injected into the run's storage I/O.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
         self
     }
 }

@@ -56,6 +56,7 @@ pub use runtime::{runtime_lane_specs, DoocRuntime};
 pub use worker::{ArrayView, ExecOutcome, TaskExecutor, WorkerContext};
 
 // Re-export the pieces applications touch, so `dooc-core` is self-sufficient.
+pub use dooc_filterstream::{FaultPlan, FaultSpec, Site};
 pub use dooc_obs::metrics::{counter, Counter};
 pub use dooc_scheduler::{
     AuditError, AuditReport, DataRef, LaneSpec, OrderPolicy, TaskGraph, TaskId, TaskSpec,

@@ -147,6 +147,7 @@ impl DoocRuntime {
             self.config.memory_budget,
             self.config.seed,
             self.config.recovery.clone(),
+            self.config.faults.clone(),
         );
 
         let nodes: Vec<NodeId> = (0..nnodes).map(NodeId).collect();

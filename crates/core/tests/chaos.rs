@@ -1,31 +1,32 @@
 //! Chaos suite: deterministic fault schedules against a 2-node iterated
 //! SpMV (the paper's §IV workload).
 //!
-//! Each schedule — I/O error storm, whole-node storage crash, and an
-//! acceptance burst of disk errors — is driven by the seeded
-//! `dooc-faultline` registry and run for 10 fixed seeds. Under the
-//! immutable-array model both recovery paths (bounded I/O retry,
-//! crash-restart with journal replay and scratch rescan) must reproduce
-//! the fault-free result **bitwise**: floating-point
-//! summation order is fixed by the DAG, so any divergence means a recovery
-//! path corrupted or skipped data. Every seed must also see each scheduled
-//! site inject at least once, so a schedule that never triggers cannot pass.
-//! A failing seed is printed in the panic message for replay. No schedule
-//! loses or reorders a stream message: streams are reliable and ordered by
-//! contract, so nothing here needs a deadline.
+//! Each schedule — an I/O error storm and an acceptance burst of disk
+//! errors — is a [`FaultPlan`] carried by the run's config and run for 10
+//! fixed seeds. Under the immutable-array model the one in-run recovery
+//! path, the bounded I/O read retry, must reproduce the fault-free result
+//! **bitwise**: floating-point summation order is fixed by the DAG, so any
+//! divergence means recovery corrupted or skipped data. Every seed must
+//! also see each scheduled site inject at least once, so a schedule that
+//! never triggers cannot pass. A failing seed is printed in the panic
+//! message for replay. No schedule loses or reorders a stream message:
+//! streams are reliable and ordered by contract, so nothing here needs a
+//! deadline.
 //!
-//! All tests serialize on `faultline::test_gate()` — the fault registry and
-//! the obs metric registry are process-global.
+//! A plan belongs to its run, so the tests run in parallel, except the
+//! acceptance test: it switches on the process-global dooc-obs and exports
+//! its trace, so it runs alone ([`OBS`]).
 
-#![cfg(feature = "faultline")]
-
-use dooc_core::{DoocConfig, DoocRuntime, RecoveryPolicy};
-use dooc_faultline as faultline;
+use dooc_core::{DoocConfig, DoocRuntime, FaultPlan, FaultSpec, RecoveryPolicy, Site};
 use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy};
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::genmat::GapGenerator;
-use faultline::FaultSpec;
-use std::sync::Arc;
+use dooc_sync::RwLock;
+use std::sync::{Arc, Barrier};
+
+/// Held exclusively by the test that records the process-global obs trace,
+/// and shared by every other test, so the trace holds only its run.
+static OBS: RwLock<()> = RwLock::new(());
 
 /// Grid dimension: 2×2 sub-matrices over 2 nodes.
 const K: u64 = 2;
@@ -46,10 +47,11 @@ fn owner(c: BlockCoord) -> u64 {
 
 /// Seeds each schedule runs under. `DOOC_CHAOS_SEEDS` (comma-separated)
 /// overrides the default 10 fixed seeds — the CI `chaos-smoke` job sets it
-/// to a 3-seed subset to keep the job fast.
+/// to a 3-seed subset to keep the job fast. A list that does not parse
+/// fails the test instead of running no seed.
 fn seeds() -> Vec<u64> {
     match std::env::var("DOOC_CHAOS_SEEDS") {
-        Ok(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
+        Ok(s) => dooc_filterstream::parse_seeds(&s).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => (0..10).collect(),
     }
 }
@@ -64,10 +66,10 @@ fn cleanup(cfg: &DoocConfig) {
 }
 
 /// Runs the 2-node iterated SpMV once under `schedule` — `(site, spec)`
-/// pairs armed after `faultline::seed(seed)` — and returns the persisted
-/// final vector. Each scheduled site must have injected at least one fault
-/// by the end of the run (read before the registry is reset).
-fn run_spmv(tag: &str, seed: u64, schedule: &[(&str, FaultSpec)]) -> Vec<f64> {
+/// pairs of a plan drawn from `seed` — and returns the persisted final
+/// vector and the plan. Each scheduled site must have injected at least one
+/// fault by the end of the run.
+fn run_spmv(tag: &str, seed: u64, schedule: &[(Site, FaultSpec)]) -> (Vec<f64>, FaultPlan) {
     let base = DoocConfig::in_temp_dirs(tag, 2).expect("cfg");
     let grid = BlockGrid::new(K, N);
     let gen = GapGenerator::with_d(4);
@@ -80,7 +82,12 @@ fn run_spmv(tag: &str, seed: u64, schedule: &[(&str, FaultSpec)]) -> Vec<f64> {
     app.stage_initial_vector(&base.scratch_dirs, &x0)
         .expect("stage x0");
     let (graph, external, geometry) = app.build();
-    let mut cfg = base.clone().recovery(RecoveryPolicy {
+    let plan = schedule
+        .iter()
+        .fold(FaultPlan::new(seed), |p, (site, spec)| {
+            p.with(*site, spec.clone())
+        });
+    let mut cfg = base.clone().faults(plan.clone()).recovery(RecoveryPolicy {
         // Generous retry budget: five failures of one read in a row still
         // recover, so no storm capped at five injections can fail a run.
         io_retry_max: 5,
@@ -90,20 +97,14 @@ fn run_spmv(tag: &str, seed: u64, schedule: &[(&str, FaultSpec)]) -> Vec<f64> {
         cfg = cfg.with_geometry(name, len, bs);
     }
 
-    faultline::reset();
-    faultline::seed(seed);
-    for (site, spec) in schedule {
-        faultline::configure(site, spec.clone());
-    }
-    faultline::enable();
-    let report = DoocRuntime::new(cfg.clone()).run(graph, external, Arc::new(SpmvExecutor));
-    let silent: Vec<&str> = schedule
+    DoocRuntime::new(cfg.clone())
+        .run(graph, external, Arc::new(SpmvExecutor))
+        .expect("chaos run must complete");
+    let silent: Vec<Site> = schedule
         .iter()
         .map(|&(site, _)| site)
-        .filter(|site| faultline::injected(site) == 0)
+        .filter(|&site| plan.injected(site) == 0)
         .collect();
-    faultline::reset();
-    report.expect("chaos run must complete");
     assert!(
         silent.is_empty(),
         "{tag} seed {seed}: sites {silent:?} never fired — the schedule proved nothing"
@@ -113,7 +114,7 @@ fn run_spmv(tag: &str, seed: u64, schedule: &[(&str, FaultSpec)]) -> Vec<f64> {
         .collect_final_vector(&cfg.scratch_dirs)
         .expect("persisted final vector");
     cleanup(&base);
-    x
+    (x, plan)
 }
 
 /// Bitwise comparison with the failing seed in the panic message.
@@ -123,15 +124,15 @@ fn assert_bitwise(schedule: &str, seed: u64, got: &[f64], want: &[f64]) {
         assert!(
             g.to_bits() == w.to_bits(),
             "chaos schedule '{schedule}' seed {seed} diverged at x[{i}]: \
-             {g:?} != fault-free {w:?} — replay with faultline::seed({seed})"
+             {g:?} != fault-free {w:?} — replay with FaultPlan::new({seed})"
         );
     }
 }
 
 #[test]
 fn fault_free_run_matches_in_core_reference() {
-    let _g = faultline::test_gate();
-    let x = run_spmv("chaos-ref", 0, &[]);
+    let _obs = OBS.read();
+    let (x, _) = run_spmv("chaos-ref", 0, &[]);
     // Rebuild the app descriptor to get the reference (the staged files are
     // regenerated deterministically from MAT_SEED).
     let grid = BlockGrid::new(K, N);
@@ -160,36 +161,15 @@ fn fault_free_run_matches_in_core_reference() {
 
 #[test]
 fn io_error_storm_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-io-base", 0, &[]);
+    let _obs = OBS.read();
+    let (baseline, _) = run_spmv("chaos-io-base", 0, &[]);
     for seed in seeds() {
         // This run reads only a handful of blocks from disk, so a 10% storm
         // fires zero times for some seeds; half the reads fail instead, and
         // the cap keeps every read within its retry budget.
-        let storm = [(
-            "storage.io.read",
-            FaultSpec::error().with_prob(0.5).with_max(5),
-        )];
-        let got = run_spmv("chaos-io", seed, &storm);
+        let storm = [(Site::IoRead, FaultSpec::error().with_prob(0.5).with_max(5))];
+        let (got, _) = run_spmv("chaos-io", seed, &storm);
         assert_bitwise("io-error-storm", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn storage_node_crash_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-crash-base", 0, &[]);
-    for seed in seeds() {
-        // Fire-stop one storage node at its ~10th quiescent point (the
-        // crash site only consults the schedule when a restart cannot lose
-        // data), then let the journal replay + scratch rescan carry the
-        // run.
-        let crash = [(
-            "storage.node.crash",
-            FaultSpec::fire().with_after(10).with_max(1),
-        )];
-        let got = run_spmv("chaos-crash", seed, &crash);
-        assert_bitwise("node-crash", seed, &got, &baseline);
     }
 }
 
@@ -200,17 +180,14 @@ fn storage_node_crash_converges_bitwise() {
 /// probabilistic schedule can fire zero times for some seeds.)
 #[test]
 fn acceptance_io_retries_visible() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-accept-base", 0, &[]);
+    let _obs = OBS.write();
+    let (baseline, _) = run_spmv("chaos-accept-base", 0, &[]);
     dooc_obs::enable();
     let io_retries = dooc_obs::metrics::counter("storage.io_retries");
     let injected = dooc_obs::metrics::counter("fault.faults_injected");
     let (r0, f0) = (io_retries.get(), injected.get());
-    let burst = [(
-        "storage.io.read",
-        FaultSpec::error().with_prob(1.0).with_max(3),
-    )];
-    let got = run_spmv("chaos-accept", 7, &burst);
+    let burst = [(Site::IoRead, FaultSpec::error().with_max(3))];
+    let (got, plan) = run_spmv("chaos-accept", 7, &burst);
     let (r1, f1) = (io_retries.get(), injected.get());
     // CI `chaos-smoke` artifact: Chrome trace + metrics dump of the faulted
     // run, showing every injection and retry.
@@ -223,12 +200,41 @@ fn acceptance_io_retries_visible() {
     }
     dooc_obs::disable();
     assert_bitwise("acceptance", 7, &got, &baseline);
-    assert!(
-        f1 > f0,
-        "fault.faults_injected did not count the injections"
-    );
+    // Each node's first three disk reads fail.
+    assert_eq!(plan.injected(Site::IoRead), 6);
+    assert_eq!(f1 - f0, 6, "fault.faults_injected counts each injection");
     assert!(
         r1 > r0,
         "trace shows no storage I/O retry despite the error storm"
     );
+}
+
+/// Two runs in one process at the same moment, one fault-free and one in
+/// an I/O error storm: each run sees only its own plan. The fault-free plan
+/// injects nothing, and both final vectors are bitwise the baseline.
+#[test]
+fn a_fault_free_run_beside_a_storm_sees_none_of_its_faults() {
+    let _obs = OBS.read();
+    let (baseline, _) = run_spmv("chaos-pair-base", 0, &[]);
+    let start = Arc::new(Barrier::new(2));
+    let storm = [(Site::IoRead, FaultSpec::error().with_prob(0.5).with_max(5))];
+    let runs: Vec<_> = [
+        ("chaos-pair-calm", &[][..]),
+        ("chaos-pair-storm", &storm[..]),
+    ]
+    .into_iter()
+    .map(|(tag, schedule)| {
+        let (start, schedule) = (Arc::clone(&start), schedule.to_vec());
+        std::thread::spawn(move || {
+            start.wait();
+            run_spmv(tag, 3, &schedule)
+        })
+    })
+    .collect();
+    let mut results = runs.into_iter().map(|r| r.join().expect("run thread"));
+    let (calm, calm_plan) = results.next().expect("calm run");
+    let (stormy, _) = results.next().expect("storm run");
+    assert_eq!(calm_plan.injected(Site::IoRead), 0);
+    assert_bitwise("calm-beside-storm", 3, &calm, &baseline);
+    assert_bitwise("storm-beside-calm", 3, &stormy, &baseline);
 }

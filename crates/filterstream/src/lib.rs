@@ -45,6 +45,7 @@
 
 pub mod buffer;
 pub mod codec;
+pub mod fault;
 pub mod filter;
 pub mod layout;
 pub mod runtime;
@@ -53,6 +54,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use buffer::DataBuffer;
+pub use fault::{parse_seeds, Fault, FaultPlan, FaultSpec, Site};
 pub use filter::{Filter, FilterContext};
 pub use layout::{FilterId, Layout};
 pub use runtime::{PortReport, Runtime, RuntimeReport};

@@ -35,14 +35,15 @@
 //!
 //! # Fault sites
 //!
-//! With the `faultline` feature, `fs.tcp.connect` can delay or fail dial
-//! attempts (exercising the retry loop) and `fs.tcp.frame` can delay data
-//! frames in the writer (exercising flush batching under jitter). Neither
-//! loses or reorders a frame: the transport contract — reliable, ordered
-//! per peer — holds under every schedule, and there is no message-loss
-//! injector anywhere above it.
+//! The spec's [`FaultPlan`] ([`ClusterSpec::with_faults`]) can delay or fail
+//! dial attempts at [`Site::TcpConnect`] (exercising the retry loop) and
+//! delay data frames in the writer at [`Site::TcpFrame`] (exercising flush
+//! batching under jitter). Neither loses or reorders a frame: the transport
+//! contract — reliable, ordered per peer — holds under every schedule, and
+//! there is no message-loss injector anywhere above it.
 
 use crate::codec::{Frame, FrameDecoder, FrameKind};
+use crate::fault::{Fault, FaultPlan, Site};
 use crate::transport::{FrameSink, Transport};
 use crate::{FsError, NodeId, Result};
 use bytes::Bytes;
@@ -77,15 +78,27 @@ const WRITE_BUF: usize = 64 * 1024;
 /// node 0 127.0.0.1:7100
 /// node 1 127.0.0.1:7101
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct ClusterSpec {
     addrs: Vec<String>,
+    faults: FaultPlan,
 }
 
 impl ClusterSpec {
     /// A spec from in-memory addresses (`addrs[i]` = node `i`).
     pub fn new(addrs: Vec<String>) -> Self {
-        Self { addrs }
+        Self {
+            addrs,
+            faults: FaultPlan::default(),
+        }
+    }
+
+    /// The same membership with `faults` injected at the TCP sites of every
+    /// transport built from it. The plan is not part of the
+    /// [fingerprint](Self::fingerprint).
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// Parses the text form. Node ids must be unique and dense from 0.
@@ -126,9 +139,7 @@ impl ClusterSpec {
                 )));
             }
         }
-        Ok(Self {
-            addrs: entries.into_iter().map(|(_, a)| a).collect(),
-        })
+        Ok(Self::new(entries.into_iter().map(|(_, a)| a).collect()))
     }
 
     /// Loads and parses a spec file.
@@ -276,30 +287,25 @@ fn handshake(
     Ok(f.tag)
 }
 
-/// Dials `addr`, retrying until [`CONNECT_DEADLINE`]; the `fs.tcp.connect`
-/// fault site can delay or fail individual attempts.
-fn dial(addr: &str, to: usize) -> Result<TcpStream> {
+/// Dials `addr` from node `me`, retrying until [`CONNECT_DEADLINE`]; the
+/// plan's [`Site::TcpConnect`] can delay or fail individual attempts.
+fn dial(addr: &str, to: usize, me: NodeId, faults: &FaultPlan) -> Result<TcpStream> {
     let deadline = Instant::now() + CONNECT_DEADLINE;
     loop {
-        #[cfg(feature = "faultline")]
-        {
-            match dooc_faultline::fail::at("fs.tcp.connect") {
-                Some(dooc_faultline::Fault::Delay(ms)) => {
-                    dooc_sync::thread::sleep(Duration::from_millis(ms));
+        match faults.at(me, Site::TcpConnect) {
+            Some(Fault::Delay(ms)) => dooc_sync::thread::sleep(Duration::from_millis(ms)),
+            Some(Fault::Error) => {
+                // Simulated refused attempt: skip the dial, take the retry
+                // path.
+                if Instant::now() >= deadline {
+                    return Err(FsError::Transport(format!(
+                        "dial node {to} at {addr}: injected connect failures until deadline"
+                    )));
                 }
-                Some(dooc_faultline::Fault::Error) => {
-                    // Simulated refused attempt: skip the dial, take the
-                    // retry path.
-                    if Instant::now() >= deadline {
-                        return Err(FsError::Transport(format!(
-                            "dial node {to} at {addr}: injected connect failures until deadline"
-                        )));
-                    }
-                    dooc_sync::thread::sleep(RETRY_PAUSE);
-                    continue;
-                }
-                _ => {}
+                dooc_sync::thread::sleep(RETRY_PAUSE);
+                continue;
             }
+            None => {}
         }
         match TcpStream::connect(addr) {
             Ok(s) => return Ok(s),
@@ -315,7 +321,7 @@ fn dial(addr: &str, to: usize) -> Result<TcpStream> {
     }
 }
 
-fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
+fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, me: NodeId, peer: i64, faults: FaultPlan) {
     let mut w = std::io::BufWriter::with_capacity(WRITE_BUF, stream);
     let bytes_out = metrics::counter("fs.tcp.bytes_out");
     let frames_out = metrics::counter("fs.tcp.frames_out");
@@ -323,11 +329,8 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
     'outer: while let Ok(frame) = rx.recv() {
         let mut frame = frame;
         loop {
-            #[cfg(feature = "faultline")]
             if frame.kind == FrameKind::Data {
-                if let Some(dooc_faultline::Fault::Delay(ms)) =
-                    dooc_faultline::fail::at("fs.tcp.frame")
-                {
+                if let Some(Fault::Delay(ms)) = faults.at(me, Site::TcpFrame) {
                     dooc_sync::thread::sleep(Duration::from_millis(ms));
                 }
             }
@@ -438,7 +441,7 @@ impl TcpTransport {
         // Dial every lower id; their listeners may not be up yet, so `dial`
         // retries inside the deadline.
         for (j, slot) in peers.iter_mut().enumerate().take(node) {
-            let mut stream = dial(spec.addr(j), j)?;
+            let mut stream = dial(spec.addr(j), j, NodeId(node), &spec.faults)?;
             let mut dec = FrameDecoder::new();
             let claimed = handshake(&mut stream, &mut dec, node, fingerprint)?;
             if claimed != j as u64 {
@@ -447,7 +450,7 @@ impl TcpTransport {
                     spec.addr(j)
                 )));
             }
-            *slot = Some(Peer::spawn(node, NodeId(j), stream, dec)?);
+            *slot = Some(Peer::spawn(node, NodeId(j), stream, dec, &spec.faults)?);
         }
 
         // Accept every higher id (they identify themselves in the hello).
@@ -475,7 +478,13 @@ impl TcpTransport {
                             "node {claimed} connected twice"
                         )));
                     }
-                    peers[claimed] = Some(Peer::spawn(node, NodeId(claimed), stream, dec)?);
+                    peers[claimed] = Some(Peer::spawn(
+                        node,
+                        NodeId(claimed),
+                        stream,
+                        dec,
+                        &spec.faults,
+                    )?);
                     remaining -= 1;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -502,14 +511,21 @@ impl TcpTransport {
 impl Peer {
     /// Wires up one handshaked connection: outbox + writer thread now, read
     /// half parked for `exchange`/`start`.
-    fn spawn(local: usize, id: NodeId, stream: TcpStream, dec: FrameDecoder) -> Result<Peer> {
+    fn spawn(
+        local: usize,
+        id: NodeId,
+        stream: TcpStream,
+        dec: FrameDecoder,
+        faults: &FaultPlan,
+    ) -> Result<Peer> {
         let write_stream = stream
             .try_clone()
             .map_err(|e| transport_err("clone stream", e))?;
         let (tx, rx) = bounded::<Frame>(OUTBOX_CAP);
+        let faults = faults.clone();
         let handle = std::thread::Builder::new()
             .name(format!("fs-tcp-w-{local}-{id}"))
-            .spawn(move || writer_loop(write_stream, rx, id.0 as i64))
+            .spawn(move || writer_loop(write_stream, rx, NodeId(local), id.0 as i64, faults))
             .map_err(|e| transport_err("spawn writer", e))?;
         Ok(Peer {
             outbox: Mutex::new(Some(tx)),
@@ -789,25 +805,19 @@ mod tests {
     /// The link faults refuse or delay, never lose or reorder: with node 1's
     /// first dials refused and frames stalling in node 0's writer, every
     /// frame still arrives once, in send order.
-    #[cfg(feature = "faultline")]
     #[test]
     fn link_faults_neither_lose_nor_reorder_frames() {
-        use dooc_faultline as faultline;
-        let _g = faultline::test_gate();
-        faultline::reset();
-        faultline::seed(5);
-        faultline::configure("fs.tcp.connect", faultline::FaultSpec::error().with_max(2));
-        faultline::configure(
-            "fs.tcp.frame",
-            faultline::FaultSpec::delay(1).with_prob(0.5),
-        );
-        faultline::enable();
+        use crate::fault::{FaultPlan, FaultSpec, Site};
+        let plan = FaultPlan::new(5)
+            .with(Site::TcpConnect, FaultSpec::error().with_max(2))
+            .with(Site::TcpFrame, FaultSpec::delay(1).with_prob(0.5));
         let l0 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let l1 = TcpListener::bind("127.0.0.1:0").expect("bind");
         let spec = ClusterSpec::new(vec![
             l0.local_addr().expect("addr").to_string(),
             l1.local_addr().expect("addr").to_string(),
-        ]);
+        ])
+        .with_faults(plan.clone());
         let fp = spec.fingerprint();
         let spec1 = spec.clone();
         let receiver = std::thread::spawn(move || {
@@ -834,10 +844,9 @@ mod tests {
         t0.shutdown();
         let tags = receiver.join().expect("receiver thread");
         let fired = (
-            faultline::injected("fs.tcp.connect"),
-            faultline::injected("fs.tcp.frame"),
+            plan.injected(Site::TcpConnect),
+            plan.injected(Site::TcpFrame),
         );
-        faultline::reset();
         assert_eq!(tags, (0..40).collect::<Vec<u64>>());
         assert_eq!(fired.0, 2, "both refused dials were retried");
         assert!(fired.1 > 0, "no frame was delayed");

@@ -109,7 +109,7 @@ pub enum Category {
     Scheduler,
     /// The per-node worker: task executions, read/write pipeline windows.
     Worker,
-    /// Fault injection and recovery: injected failpoints, retries, replays.
+    /// Fault injection and recovery: injected faults and the retries they provoke.
     Fault,
 }
 
@@ -176,7 +176,7 @@ pub fn intern(s: &str) -> &'static str {
 
 /// Serializes unit tests that toggle the global enable flag or drain rings.
 #[cfg(test)]
-pub(crate) fn test_gate() -> parking_lot::MutexGuard<'static, ()> {
+pub(crate) fn serial_tests() -> parking_lot::MutexGuard<'static, ()> {
     static GATE: OnceLock<parking_lot::Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| parking_lot::Mutex::new(())).lock()
 }

@@ -235,11 +235,11 @@ pub fn dump_metrics() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_gate;
+    use crate::serial_tests;
 
     #[test]
     fn counters_are_deduplicated_and_gated() {
-        let _g = test_gate();
+        let _g = serial_tests();
         crate::disable();
         let a = counter("test.gated");
         a.inc();
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn gauge_set_and_get() {
-        let _g = test_gate();
+        let _g = serial_tests();
         crate::enable();
         gauge("test.gauge").set(-7);
         crate::disable();
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_power_of_two() {
-        let _g = test_gate();
+        let _g = serial_tests();
         crate::enable();
         let h = histogram("test.hist");
         for v in [0, 1, 2, 3, 1024] {
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn dump_is_sorted_and_parses() {
-        let _g = test_gate();
+        let _g = serial_tests();
         crate::enable();
         counter("test.dump.z").add(2);
         counter("test.dump.a").inc();
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn derived_cache_hit_rate_appears() {
-        let _g = test_gate();
+        let _g = serial_tests();
         crate::enable();
         counter("storage.read_hits").add(3);
         counter("storage.read_misses").add(1);

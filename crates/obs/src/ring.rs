@@ -241,7 +241,7 @@ mod tests {
 
     // The enable flag and rings are process-global; serialize the tests
     // that toggle them.
-    use crate::test_gate as serial;
+    use crate::serial_tests as serial;
 
     #[test]
     fn disabled_records_nothing() {

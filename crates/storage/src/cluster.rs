@@ -11,7 +11,7 @@
 use crate::filterimpl::{ports, ClientPortMap, IoFilter, StorageFilter};
 use crate::node::{NodeConfig, RecoveryPolicy};
 use crate::pool::BlockPool;
-use dooc_filterstream::{Delivery, FilterId, Layout, NodeId};
+use dooc_filterstream::{Delivery, FaultPlan, FilterId, Layout, NodeId};
 use dooc_sync::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -51,17 +51,20 @@ impl StorageCluster {
             memory_budget,
             seed,
             RecoveryPolicy::default(),
+            FaultPlan::default(),
         )
     }
 
     /// Like [`StorageCluster::build`] but with an explicit fault-recovery
-    /// policy (the I/O-read retry budget and backoff) applied to every node.
+    /// policy (the I/O-read retry budget and backoff) applied to every node,
+    /// and the run's `faults` injected at every node's I/O filter.
     pub fn build_with(
         layout: &mut Layout,
         scratch_dirs: Vec<PathBuf>,
         memory_budget: u64,
         seed: u64,
         recovery: RecoveryPolicy,
+        faults: FaultPlan,
     ) -> Self {
         let nnodes = scratch_dirs.len();
         assert!(nnodes > 0, "a cluster needs at least one node");
@@ -94,7 +97,10 @@ impl StorageCluster {
         let dirs = scratch_dirs;
         let io_pools = pools.clone();
         let io = layout.add_replicated("io", nodes, move |i| {
-            Box::new(IoFilter::new(dirs[i].clone(), io_pools[i].clone()))
+            Box::new(
+                IoFilter::new(dirs[i].clone(), io_pools[i].clone())
+                    .with_faults(NodeId(i), faults.clone()),
+            )
         });
 
         // Peer-to-peer: addressed self-loop between storage instances.

@@ -16,40 +16,10 @@ use crate::pool::BlockPool;
 use crate::proto::{ClientMsg, IoCmd, IoReply, PeerMsg};
 use bytes::Bytes;
 use dooc_filterstream::stream::{SelectEvent, SelectOutcome, StreamSet};
-use dooc_filterstream::{Filter, FilterContext, NodeId};
+use dooc_filterstream::{Fault, FaultPlan, Filter, FilterContext, NodeId, Site};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// What a storage filter needs to rebuild its state machine after an
-/// injected whole-node crash: its configuration, its scratch directory (for
-/// restart discovery) and a journal of the metadata messages it consumed
-/// (standing in for the durable metadata log a production deployment would
-/// keep). Requests in flight are *not* journaled, because there are none:
-/// crashes fire only at [`StorageState::crash_safe`] points, where no grant
-/// is outstanding, no load, spill or fetch is in flight, and every sealed
-/// byte is on the local disk.
-#[cfg(feature = "faultline")]
-struct RestartContext {
-    cfg: NodeConfig,
-    scratch: PathBuf,
-    /// `Create`/`Register` messages of arrays that still exist.
-    journal: Vec<ClientMsg>,
-    /// Arrays deleted here or by a peer's notice: replayed as tombstones,
-    /// so a restart neither resurrects one nor re-admits its name.
-    deleted: Vec<String>,
-}
-
-#[cfg(feature = "faultline")]
-impl RestartContext {
-    fn note_deleted(&mut self, array: &str) {
-        self.journal.retain(|m| match m {
-            ClientMsg::Create { meta, .. } | ClientMsg::Register { meta } => meta.name != array,
-            _ => true,
-        });
-        self.deleted.push(array.to_string());
-    }
-}
 
 /// Port names used by the storage filter.
 pub mod ports {
@@ -92,83 +62,18 @@ impl ClientPortMap {
 pub struct StorageFilter {
     state: StorageState,
     ports: Arc<ClientPortMap>,
-    #[cfg(feature = "faultline")]
-    restart: Option<RestartContext>,
 }
 
 impl StorageFilter {
-    /// Wraps a prepared state machine.
-    pub fn new(state: StorageState, ports: Arc<ClientPortMap>) -> Self {
-        Self {
-            state,
-            ports,
-            #[cfg(feature = "faultline")]
-            restart: None,
-        }
-    }
-
-    /// Builds the state machine from `cfg` + scratch-directory discovery and
-    /// keeps both around so an injected `storage.node.crash` failpoint can
-    /// rebuild the node from scratch (crash-restart recovery).
+    /// Builds the node's state machine from `cfg` and what a scan of its
+    /// scratch directory finds there (arrays staged before the run, or
+    /// persisted by an earlier one).
     pub fn recoverable(cfg: NodeConfig, scratch: PathBuf, ports: Arc<ClientPortMap>) -> Self {
         let discovered = scan_scratch(&scratch).unwrap_or_default();
-        let state = StorageState::new(cfg.clone(), discovered);
-        #[cfg(not(feature = "faultline"))]
-        let _ = (cfg, scratch);
         Self {
-            state,
+            state: StorageState::new(cfg, discovered),
             ports,
-            #[cfg(feature = "faultline")]
-            restart: Some(RestartContext {
-                cfg,
-                scratch,
-                journal: Vec::new(),
-                deleted: Vec::new(),
-            }),
         }
-    }
-
-    /// Consults the `storage.node.crash` failpoint at a locally-quiescent
-    /// point and, when it fires, rebuilds the node: fresh state machine,
-    /// restart discovery of the scratch directory, metadata journal replay
-    /// (replies re-generated during replay are dropped — the clients already
-    /// received them in the previous incarnation).
-    #[cfg(feature = "faultline")]
-    fn maybe_crash(&mut self, node: i64) {
-        // Gate first: with injection disarmed this is one relaxed atomic
-        // load, not an O(blocks) `crash_safe` scan per filter-loop turn.
-        if !dooc_faultline::enabled() {
-            return;
-        }
-        let Some(rc) = self.restart.as_ref() else {
-            return;
-        };
-        if !self.state.crash_safe() {
-            return;
-        }
-        if dooc_faultline::fail::at("storage.node.crash").is_none() {
-            return;
-        }
-        dooc_obs::instant_arg(
-            dooc_obs::Category::Fault,
-            "storage:node_crash",
-            node,
-            || format!("node {node}: crash-restart injected"),
-        );
-        dooc_obs::metrics::counter("storage.node_restarts").inc();
-        let discovered = scan_scratch(&rc.scratch).unwrap_or_default();
-        let mut st = StorageState::new(rc.cfg.clone(), discovered);
-        for msg in &rc.journal {
-            let _ = st.handle_client(msg.clone());
-        }
-        // The scan may have rediscovered files whose removal is still queued
-        // at the I/O filter; the tombstone drops them from the map again.
-        for array in &rc.deleted {
-            let _ = st.handle_peer(PeerMsg::DeleteNotice {
-                array: array.clone(),
-            });
-        }
-        self.state = st;
     }
 
     fn perform(
@@ -209,8 +114,6 @@ impl Filter for StorageFilter {
             ctx.take_input(ports::IO_IN)?,
         ]);
         loop {
-            #[cfg(feature = "faultline")]
-            self.maybe_crash(ctx.node.0 as i64);
             // While the recovery clock has work (stalled fetches, read
             // retries in backoff), poll with a short timeout and advance it
             // on each tick.
@@ -235,17 +138,6 @@ impl Filter for StorageFilter {
                     });
                     let msg = ClientMsg::decode(&buf)
                         .map_err(|e| ctx.error(format!("client decode: {e}")))?;
-                    #[cfg(feature = "faultline")]
-                    if let Some(rc) = self.restart.as_mut() {
-                        // Metadata journal for crash-restart replay.
-                        match &msg {
-                            ClientMsg::Create { .. } | ClientMsg::Register { .. } => {
-                                rc.journal.push(msg.clone());
-                            }
-                            ClientMsg::Delete { array, .. } => rc.note_deleted(array),
-                            _ => {}
-                        }
-                    }
                     self.state.handle_client(msg)
                 }
                 SelectEvent::Buffer(1, buf) => {
@@ -255,12 +147,6 @@ impl Filter for StorageFilter {
                     // (Fetch's from_node); the others are source-agnostic.
                     let msg = PeerMsg::decode(&buf)
                         .map_err(|e| ctx.error(format!("peer decode: {e}")))?;
-                    #[cfg(feature = "faultline")]
-                    if let (Some(rc), PeerMsg::DeleteNotice { array }) =
-                        (self.restart.as_mut(), &msg)
-                    {
-                        rc.note_deleted(array);
-                    }
                     self.state.handle_peer(msg)
                 }
                 SelectEvent::Buffer(_, buf) => {
@@ -314,6 +200,9 @@ pub struct IoFilter {
     /// Arrays whose geometry sidecar this filter has already written (or
     /// found in place): later spills of the array skip the probe.
     sidecars: std::collections::HashSet<String>,
+    /// The node this filter serves, and the run's faults at its sites.
+    node: NodeId,
+    faults: FaultPlan,
 }
 
 impl IoFilter {
@@ -324,41 +213,45 @@ impl IoFilter {
             scratch,
             pool,
             sidecars: std::collections::HashSet::new(),
+            node: NodeId(0),
+            faults: FaultPlan::default(),
         }
     }
 
+    /// The same filter, serving `node` and injecting `faults` at
+    /// [`Site::IoRead`] and [`Site::IoWrite`].
+    pub fn with_faults(mut self, node: NodeId, faults: FaultPlan) -> Self {
+        self.node = node;
+        self.faults = faults;
+        self
+    }
+
     fn exec(&mut self, cmd: IoCmd) -> IoReply {
-        // Deterministic fault injection on the async I/O path: an injected
-        // error reports the command as failed without touching the disk (the
-        // storage node's retry policy takes over); an injected delay models
-        // a slow device.
-        #[cfg(feature = "faultline")]
-        {
-            let (fault, site) = match &cmd {
-                IoCmd::Read { .. } => (dooc_faultline::fail::at("storage.io.read"), "read"),
-                IoCmd::Write { .. } | IoCmd::DeleteFiles { .. } => {
-                    (dooc_faultline::fail::at("storage.io.write"), "write")
-                }
-            };
-            match fault {
-                Some(dooc_faultline::Fault::Delay(ms)) => {
-                    dooc_sync::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                Some(_) => {
-                    let (array, block) = match &cmd {
-                        IoCmd::Read { array, block, .. } | IoCmd::Write { array, block, .. } => {
-                            (array.clone(), *block)
-                        }
-                        IoCmd::DeleteFiles { array, .. } => (array.clone(), u64::MAX),
-                    };
-                    return IoReply::Error {
-                        array,
-                        block,
-                        message: format!("injected fault at storage.io.{site}"),
-                    };
-                }
-                None => {}
+        // An injected error reports the command as failed without touching
+        // the disk (the storage node's retry policy takes over); an injected
+        // delay models a slow device.
+        let site = match &cmd {
+            IoCmd::Read { .. } => Site::IoRead,
+            IoCmd::Write { .. } | IoCmd::DeleteFiles { .. } => Site::IoWrite,
+        };
+        match self.faults.at(self.node, site) {
+            Some(Fault::Delay(ms)) => {
+                dooc_sync::thread::sleep(std::time::Duration::from_millis(ms));
             }
+            Some(Fault::Error) => {
+                let (array, block) = match cmd {
+                    IoCmd::Read { array, block, .. } | IoCmd::Write { array, block, .. } => {
+                        (array, block)
+                    }
+                    IoCmd::DeleteFiles { array, .. } => (array, u64::MAX),
+                };
+                return IoReply::Error {
+                    array,
+                    block,
+                    message: format!("injected fault at {site}"),
+                };
+            }
+            None => {}
         }
         match cmd {
             IoCmd::Read { array, block, len } => match self.read_block(&array, block, len) {
@@ -765,23 +658,19 @@ mod tests {
 
     /// An injected `storage.io.read` fault fails the command before a buffer
     /// is taken, so there is none to give back.
-    #[cfg(feature = "faultline")]
     #[test]
     fn injected_read_fault_takes_no_buffer() {
+        use dooc_filterstream::FaultSpec;
         let dir = tmpdir("fault");
         let (pool, cap) = seeded_pool(8192);
-        let mut io = IoFilter::new(dir.clone(), pool.clone());
+        let faults = FaultPlan::new(0).with(Site::IoRead, FaultSpec::error());
+        let mut io = IoFilter::new(dir.clone(), pool.clone()).with_faults(NodeId(0), faults);
         std::fs::write(dir.join("a@0"), vec![5u8; 8000]).expect("block");
-        let _g = dooc_faultline::test_gate();
-        dooc_faultline::reset();
-        dooc_faultline::configure("storage.io.read", dooc_faultline::FaultSpec::error());
-        dooc_faultline::enable();
         let reply = io.exec(IoCmd::Read {
             array: "a".into(),
             block: 0,
             len: 8000,
         });
-        dooc_faultline::reset();
         assert!(matches!(reply, IoReply::Error { .. }), "{reply:?}");
         assert_eq!(pool.retained_bytes(), cap);
         std::fs::remove_dir_all(&dir).ok();

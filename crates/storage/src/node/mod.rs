@@ -465,14 +465,12 @@ impl StorageState {
         !self.stalled.is_empty()
     }
 
-    /// Is this node at a locally-quiescent point where a fail-stop crash
-    /// loses no unrecoverable state? True when no grant is outstanding, no
-    /// request is logged, no I/O or fetch is in flight, and every sealed
-    /// byte is safe on the local disk. Fault injection
-    /// (`storage.node.crash`) only fires at such points: a crash-restart
-    /// then forgets nothing that cannot be rebuilt from the scratch
-    /// directory, the metadata journal, and peer retries.
-    pub fn crash_safe(&self) -> bool {
+    /// Is the ledger clean? True when no block is pinned or write-granted,
+    /// no reader or peer waits, no load, spill, persist, fetch or read retry
+    /// is in flight, the node has not shut down, and every sealed byte is
+    /// on the local disk — the state a node returns to once every request
+    /// it took has been answered and released.
+    pub fn is_quiescent(&self) -> bool {
         if !self.fetches.is_empty()
             || !self.stalled.is_empty()
             || !self.io_retry.is_empty()

@@ -388,25 +388,30 @@ fn prefetch_brings_block_to_memory() {
     cleanup(&dirs);
 }
 
-/// Negative tests: with recovery *disabled*, injected faults must surface
-/// as the typed errors of the fault model — never as hangs or panics.
-#[cfg(feature = "faultline")]
+/// Negative tests: injected faults the recovery policy does not absorb must
+/// surface as the typed errors of the fault model — never as hangs or
+/// panics.
 mod faults {
     use super::*;
-    use dooc_faultline as faultline;
+    use dooc_filterstream::{FaultPlan, FaultSpec, Site};
     use dooc_storage::node::RecoveryPolicy;
     use dooc_storage::StorageError;
-    use std::collections::HashSet;
+    use std::time::Duration;
 
-    /// [`run_cluster_in`] with an explicit recovery policy.
-    fn run_cluster_faulty<F>(dirs: &[PathBuf], recovery: RecoveryPolicy, driver: F)
-    where
+    /// [`run_cluster_in`] with an explicit recovery policy and fault plan.
+    fn run_cluster_faulty<F>(
+        dirs: &[PathBuf],
+        budget: u64,
+        recovery: RecoveryPolicy,
+        faults: FaultPlan,
+        driver: F,
+    ) where
         F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
     {
         let nnodes = dirs.len();
         let mut layout = Layout::new();
         let mut cluster =
-            StorageCluster::build_with(&mut layout, dirs.to_vec(), 1 << 20, 7, recovery);
+            StorageCluster::build_with(&mut layout, dirs.to_vec(), budget, 7, recovery, faults);
         let driver = Arc::new(driver);
         let nodes: Vec<NodeId> = (0..nnodes).map(NodeId).collect();
         let drivers = layout.add_replicated("driver", nodes, move |_| {
@@ -428,22 +433,17 @@ mod faults {
 
     #[test]
     fn injected_io_error_without_retries_is_io_failed() {
-        let _g = faultline::test_gate();
         let dirs = scratch_dirs("neg-ioerr", 1);
         std::fs::write(dirs[0].join("mat"), vec![3u8; 64]).expect("stage");
-        faultline::reset();
-        faultline::seed(1);
-        faultline::configure(
-            "storage.io.read",
-            faultline::FaultSpec::error().with_prob(1.0),
-        );
-        faultline::enable();
+        let faults = FaultPlan::new(1).with(Site::IoRead, FaultSpec::error());
         run_cluster_faulty(
             &dirs,
+            1 << 20,
             RecoveryPolicy {
                 io_retry_max: 0, // retries disabled: the first error is final
                 ..RecoveryPolicy::default()
             },
+            faults.clone(),
             |_, sc| {
                 let err = sc
                     .read("mat", Interval::new(0, 64))
@@ -454,58 +454,53 @@ mod faults {
                 );
             },
         );
-        faultline::reset();
+        assert_eq!(faults.injected(Site::IoRead), 1);
         cleanup(&dirs);
     }
 
-    /// Crash-restart with deletion in play: the restarted node rebuilds its
-    /// arrays from the scratch directory and the metadata journal, and a
-    /// deleted array must come back from neither. (Replaying its `Register`
-    /// would leave a hint with no data anywhere — a read of it would probe
-    /// for a peer forever instead of failing.) A node is only crash-safe
-    /// while it has granted no write, so the arrays here are staged files.
+    /// Every disk write fails on one node whose budget forces spills: the
+    /// spills of an array four times the budget fail (the blocks stay
+    /// resident, over budget, and are spilled again), and its persist ends
+    /// in a typed [`StorageError::Io`] within the deadline, never a hang.
     #[test]
-    fn crash_restart_does_not_resurrect_a_deleted_array() {
-        let _g = faultline::test_gate();
-        let dirs = scratch_dirs("crash-deleted", 1);
-        std::fs::write(dirs[0].join("dead"), vec![1u8; 16]).expect("stage");
-        std::fs::write(dirs[0].join("kept"), vec![2u8; 16]).expect("stage");
-        faultline::reset();
-        faultline::enable();
-        run_cluster_faulty(&dirs, RecoveryPolicy::default(), |_, sc| {
-            let iv = Interval::new(0, 16);
-            for (name, byte) in [("dead", 1u8), ("kept", 2)] {
-                sc.register(name, 16, 16).expect("register");
-                assert_eq!(&sc.read(name, iv).expect("staged")[..], &[byte; 16]);
-            }
-            sc.delete("dead").expect("delete");
-            let kept = HashSet::from(["kept".to_string()]);
-            assert_eq!(sc.resident().expect("resident"), kept);
-            // What is left is on disk and nothing is in flight: the node
-            // is crash-safe, and crashes at its next loop turn.
-            faultline::configure(
-                "storage.node.crash",
-                faultline::FaultSpec::fire().with_max(1),
-            );
-            while faultline::injected("storage.node.crash") == 0 {
-                sc.stats().expect("stats");
-            }
-            let err = sc.read("dead", iv).expect_err("deleted before the crash");
-            assert!(matches!(err, StorageError::Deleted(_)), "{err:?}");
-            let err = sc.create("dead", 16, 16).expect_err("the name is spent");
-            assert!(matches!(err, StorageError::AlreadyExists(_)), "{err:?}");
-            // The restarted node found "kept" on disk: it is not resident
-            // until it is read back, and then it is.
-            assert!(sc.resident().expect("resident").is_empty());
-            assert_eq!(&sc.read("kept", iv).expect("survivor")[..], &[2u8; 16]);
-            assert_eq!(sc.resident().expect("resident"), kept);
+    fn failing_writes_end_a_persist_in_a_typed_io_error() {
+        const BLOCK: u64 = 4096;
+        const BLOCKS: u64 = 16;
+        let dirs = scratch_dirs("neg-write", 1);
+        let faults = FaultPlan::new(1).with(Site::IoWrite, FaultSpec::error());
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let (run_dirs, run_faults) = (dirs.clone(), faults.clone());
+        let run = std::thread::spawn(move || {
+            run_cluster_faulty(
+                &run_dirs,
+                BLOCKS * BLOCK / 4,
+                RecoveryPolicy::default(),
+                run_faults,
+                move |_, sc| {
+                    sc.create("v", BLOCKS * BLOCK, BLOCK).expect("create");
+                    for b in 0..BLOCKS {
+                        let iv = Interval::new(b * BLOCK, BLOCK);
+                        sc.write("v", iv, Bytes::from(vec![b as u8; BLOCK as usize]))
+                            .expect("a write lands in memory");
+                    }
+                    tx.send(sc.persist("v")).expect("report the persist");
+                },
+            )
         });
-        faultline::reset();
-        let files: Vec<String> = std::fs::read_dir(&dirs[0])
-            .expect("scratch")
-            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(files, vec!["kept"]);
+        let persisted = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the persist must end, not hang");
+        let err = persisted.expect_err("no write reached the disk");
+        assert!(
+            matches!(&err, StorageError::Io(m) if m.contains("injected fault at storage.io.write")),
+            "expected a typed Io error, got {err:?}"
+        );
+        run.join().expect("cluster run");
+        let failed = faults.injected(Site::IoWrite);
+        assert!(
+            failed > BLOCKS,
+            "spills were retried: {failed} write faults"
+        );
         cleanup(&dirs);
     }
 }

@@ -248,9 +248,8 @@ proptest! {
     /// ledger. Every request terminates — `ReadReady` (then released) or a
     /// typed [`StorageError::IoFailed`] once the retry budget is spent — and
     /// afterwards the node is back at a quiescent point: no pinned block, no
-    /// `loading` flag stuck, no retry queued ([`StorageState::crash_safe`]
-    /// checks exactly the ledger + evictability state this satellite is
-    /// about).
+    /// `loading` flag stuck, no retry queued ([`StorageState::is_quiescent`]
+    /// checks exactly that ledger).
     #[test]
     fn injected_read_failures_preserve_ledger(
         nblocks in 1u64..4,
@@ -360,7 +359,7 @@ proptest! {
         // Ledger clean: no pins, no write grants, no loading/spilling block,
         // no parked waiter, nothing unevictable.
         prop_assert!(
-            st.crash_safe(),
+            st.is_quiescent(),
             "node not quiescent after fault interleaving (leaked pin/grant/loading state)"
         );
     }

@@ -1,7 +1,7 @@
 //! Helpers shared by the multi-node integration tests.
 
 use dooc::core::DoocConfig;
-use dooc::filterstream::{ClusterSpec, TcpTransport, Transport};
+use dooc::filterstream::{ClusterSpec, FaultPlan, TcpTransport, Transport};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -16,8 +16,8 @@ pub fn cleanup(cfg: &DoocConfig) {
 }
 
 /// Builds a loopback TCP mesh on OS-assigned ports (race-free: listeners
-/// are bound before the spec is written).
-pub fn tcp_mesh(nnodes: usize) -> Vec<Arc<dyn Transport>> {
+/// are bound before the spec is written) whose transports inject `faults`.
+pub fn tcp_mesh(nnodes: usize, faults: FaultPlan) -> Vec<Arc<dyn Transport>> {
     let listeners: Vec<TcpListener> = (0..nnodes)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
         .collect();
@@ -26,7 +26,8 @@ pub fn tcp_mesh(nnodes: usize) -> Vec<Arc<dyn Transport>> {
             .iter()
             .map(|l| l.local_addr().expect("addr").to_string())
             .collect(),
-    );
+    )
+    .with_faults(faults);
     let fp = spec.fingerprint();
     // Handshakes block until the peer dials in, so the transports must be
     // constructed concurrently.

@@ -9,7 +9,7 @@
 //! schedules, every sum still folds its partials in declared input order.
 
 use dooc::core::{DoocConfig, DoocRuntime};
-use dooc::filterstream::{ChannelTransport, Transport};
+use dooc::filterstream::{ChannelTransport, FaultPlan, Transport};
 use dooc::linalg::spmv_app::{
     striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy,
 };
@@ -135,7 +135,11 @@ fn channel_transport_matches_classic_run_bitwise() {
 #[test]
 fn tcp_transport_matches_classic_run_bitwise() {
     let classic = run_classic("dist-classic-tcp", SyncPolicy::None);
-    let tcp = run_over("dist-tcp", tcp_mesh(NNODES), SyncPolicy::None);
+    let tcp = run_over(
+        "dist-tcp",
+        tcp_mesh(NNODES, FaultPlan::default()),
+        SyncPolicy::None,
+    );
     assert_bitwise("tcp vs classic", &tcp, &classic);
 }
 
@@ -179,7 +183,11 @@ fn sync_policies_match_over_channel_transport() {
 fn sync_policies_match_over_tcp_sockets() {
     let oracle = run_classic("dist-sync-to", SyncPolicy::IterationBarrier);
     for (name, sync) in POLICIES {
-        let x = run_over(&format!("dist-sync-t-{name}"), tcp_mesh(NNODES), sync);
+        let x = run_over(
+            &format!("dist-sync-t-{name}"),
+            tcp_mesh(NNODES, FaultPlan::default()),
+            sync,
+        );
         assert_bitwise(&format!("{name} vs iteration barrier (tcp)"), &x, &oracle);
     }
 }

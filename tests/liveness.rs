@@ -13,7 +13,7 @@
 //! directly.
 
 use dooc::core::{DoocConfig, DoocRuntime, RunReport};
-use dooc::filterstream::{ChannelTransport, Transport};
+use dooc::filterstream::{ChannelTransport, FaultPlan, Transport};
 use dooc::linalg::spmv_app::{
     striped_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock, SyncPolicy,
 };
@@ -340,5 +340,5 @@ fn two_nodes_over_channels_delete_everywhere_and_agree_bitwise() {
 
 #[test]
 fn two_nodes_over_tcp_delete_everywhere_and_agree_bitwise() {
-    two_nodes_delete_everywhere("tcp", || tcp_mesh(2));
+    two_nodes_delete_everywhere("tcp", || tcp_mesh(2, FaultPlan::default()));
 }
