@@ -2,13 +2,13 @@
 //!
 //! Three modules:
 //!
-//! * [`model`] (feature `model`) — an explicit-state model checker over the
+//! * [`model`] — an explicit-state model checker over the
 //!   *real* storage node (`storage::node::StorageState`): it enumerates
 //!   every interleaving of a few scripted clients, I/O completions and
 //!   failures, and recovery ticks against one node, checking the protocol
 //!   invariants on every reachable state. The node's own seeded bugs
 //!   (`SeededBugs`) prove the checker catches violations. Run via
-//!   `cargo test -p dooc-check --features model --test model_checker`.
+//!   `cargo test -p dooc-check --test model_checker`.
 //! * [`audit`] — the workspace face of the static task-graph auditor
 //!   (`dooc_scheduler::audit`): builds the shipping SpMV graphs (no disk
 //!   staging), the seeded-bug negative twins, and the selftest the
@@ -32,5 +32,4 @@
 
 pub mod audit;
 pub mod lint;
-#[cfg(feature = "model")]
 pub mod model;

@@ -2,9 +2,7 @@
 //! shipped is violation-free over each scenario's whole bounded state space,
 //! and every seeded bug is caught with a concrete counterexample trace.
 //!
-//! Run with `cargo test -p dooc-check --features model --test model_checker`.
-
-#![cfg(feature = "model")]
+//! Run with `cargo test -p dooc-check --test model_checker`.
 
 use dooc_check::model::{explore, ExploreStats, Model};
 use dooc_storage::node::SeededBugs;

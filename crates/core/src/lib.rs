@@ -52,7 +52,7 @@ pub mod worker;
 
 pub use config::DoocConfig;
 pub use report::{render_trace_gantt, RunReport, TraceEvent};
-pub use runtime::{runtime_lane_specs, DoocRuntime};
+pub use runtime::{geometry_table, runtime_lane_specs, DoocRuntime};
 pub use worker::{ArrayView, ExecOutcome, TaskExecutor, WorkerContext};
 
 // Re-export the pieces applications touch, so `dooc-core` is self-sufficient.

@@ -115,25 +115,7 @@ impl DoocRuntime {
         // Global scheduling: affinity placement.
         let placement = Arc::new(assign_affinity(&graph, &external_location, nnodes as u64)?);
 
-        // Geometry table: explicit hints, plus single-block defaults derived
-        // from the task declarations.
-        let mut geometry: HashMap<String, (u64, u64)> = HashMap::new();
-        for id in graph.ids() {
-            for d in graph
-                .task(id)
-                .inputs
-                .iter()
-                .chain(graph.task(id).outputs.iter())
-            {
-                geometry
-                    .entry(d.array.clone())
-                    .or_insert((d.bytes, d.bytes.max(1)));
-            }
-        }
-        for (name, len, bs) in &self.config.geometry {
-            geometry.insert(name.clone(), (*len, *bs));
-        }
-        let geometry = Arc::new(geometry);
+        let geometry = Arc::new(geometry_table(&graph, &self.config.geometry));
 
         let graph = Arc::new(graph);
         let sinks = Arc::new(Sinks::default());
@@ -257,6 +239,28 @@ pub fn runtime_lane_specs(graph: &TaskGraph, _nnodes: u64) -> Vec<dooc_scheduler
         bound: len,
         cyclic: true,
     }]
+}
+
+/// The geometry table every worker registers: `(len, block_size)` per
+/// array, the explicit `hints` over single-block defaults derived from the
+/// task declarations.
+pub fn geometry_table(
+    graph: &TaskGraph,
+    hints: &[(String, u64, u64)],
+) -> HashMap<String, (u64, u64)> {
+    let mut geometry: HashMap<String, (u64, u64)> = HashMap::new();
+    for id in graph.ids() {
+        let task = graph.task(id);
+        for d in task.inputs.iter().chain(&task.outputs) {
+            geometry
+                .entry(d.array.clone())
+                .or_insert((d.bytes, d.bytes.max(1)));
+        }
+    }
+    for (name, len, bs) in hints {
+        geometry.insert(name.clone(), (*len, *bs));
+    }
+    geometry
 }
 
 /// FNV-1a digest of everything that shapes cluster assembly: node count,

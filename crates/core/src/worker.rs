@@ -21,7 +21,7 @@ use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, Wri
 use dooc_sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Worker-layer metric handles, resolved once (the registry lookup takes a
 /// lock; the per-event updates are gated relaxed atomics).
@@ -605,7 +605,13 @@ impl Filter for WorkerFilter {
                     input_bytes,
                 });
                 ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
-            } else if let Some(b) = done_in.recv_timeout(Duration::from_millis(1)) {
+            } else {
+                // `next_task` is `None` only while no local task is ready,
+                // and only a completion broadcast (this worker's own among
+                // them) makes one ready: wait for it.
+                let Some(b) = done_in.recv() else {
+                    return Err(ctx.error("completion stream closed before the graph finished"));
+                };
                 ls.on_complete(&self.graph, TaskId(b.tag));
             }
         }

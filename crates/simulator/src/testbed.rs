@@ -3,15 +3,25 @@
 //! The *logic* is the real middleware's: the task DAG comes from
 //! [`dooc_linalg::spmv_app::SpmvAppBuilder`], placement from the real global
 //! scheduler, per-node ordering and prefetching from the real
-//! [`LocalScheduler`]. Only *time* is modelled, by the fluid simulator:
+//! [`LocalScheduler`], and every block's residency from one real
+//! [`StorageState`] per node. Each node's worker speaks the real
+//! [`ClientMsg`] protocol to its storage node in the order the runtime's
+//! worker loop does: delete the dead arrays, ask what is resident, prefetch
+//! for the planned tasks, read a task's inputs, compute once every read is
+//! served, write the outputs, release the inputs, broadcast the completion.
+//! The budget, the LRU, spills, dead-array deletes and peer fetches are the
+//! storage node's own. Only *time* is modelled, by the fluid simulator:
 //!
-//! * every sub-matrix load is a flow through the shared GPFS ceiling and the
-//!   node's GPFS client link ("Data is streamed from the I/O nodes to the
-//!   requesting compute nodes using the 4X QDR InfiniBand interconnect");
-//! * every cross-node vector transfer is a flow through the sender's and
-//!   receiver's InfiniBand NICs;
-//! * multiplies/sums occupy the node's compute for `flops/node_flops` or
-//!   `bytes/sum_bw` seconds;
+//! * every disk read or write a storage node issues is a flow through the
+//!   shared GPFS ceiling and the node's GPFS client link ("Data is streamed
+//!   from the I/O nodes to the requesting compute nodes using the 4X QDR
+//!   InfiniBand interconnect"); its completion goes back to the node;
+//! * every block a peer answers a fetch with is a flow through the
+//!   sender's and receiver's InfiniBand NICs; control messages take no time;
+//! * a task's compute is a timer of `flops/node_flops` or `bytes/sum_bw`
+//!   seconds;
+//! * a storage node's recovery clock ticks every 2 ms of virtual time while
+//!   it asks for one, as the storage filter polls it;
 //! * per-(node, iteration) lognormal bandwidth jitter models the "noticeable
 //!   variation in read bandwidth observed by individual compute nodes" of
 //!   the shared GPFS — the mechanism that makes global barriers expensive.
@@ -20,12 +30,19 @@
 //! to Table IV's single-node row; everything else is prediction.
 
 use crate::des::{FluidSim, ResourceId};
+use bytes::Bytes;
+use dooc_core::geometry_table;
 use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, StagedBlock, SyncPolicy};
-use dooc_scheduler::{assign_affinity, LocalScheduler, NodeId, OrderPolicy, TaskId};
+use dooc_scheduler::{
+    assign_affinity, LocalScheduler, NodeId, OrderPolicy, TaskGraph, TaskId, TaskSpec,
+};
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
+use dooc_storage::node::{Action, DiscoveredBlock};
+use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, PeerMsg, Reply};
+use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Which §V experiment policy to replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +80,7 @@ pub struct TestbedParams {
     pub node_flops: f64,
     /// Sum-task processing rate, input bytes/s.
     pub sum_bw: f64,
-    /// Usable block-cache bytes per node.
+    /// Storage-node memory budget per node: every block it holds counts.
     pub memory_budget: u64,
     /// Lognormal sigma of per-(node, iteration) read-bandwidth jitter.
     pub jitter_sigma: f64,
@@ -91,9 +108,15 @@ impl TestbedParams {
     /// nodes); `node_flops` 6 GF/s keeps multiply compute hidden behind I/O
     /// (as observed); `sum_bw` 0.35 GB/s makes the un-overlapped reduction
     /// phase of the simple policy cost ≈13% at one node (Table III row 1);
-    /// `memory_budget` 9 GB (two sub-matrices plus vectors, out of 24 GB —
-    /// the rest holds partials, DataCutter buffers and the page cache)
-    /// matches the observed near-full re-read per iteration;
+    /// `memory_budget` 14 GB of the node's 24 GB is the storage node's whole
+    /// footprint — the sub-matrix being multiplied, up to two more the
+    /// prefetch window asks for (a re-ranked plan can ask for a new one
+    /// before the last one is used), and every vector and partial — the
+    /// rest holds DataCutter buffers and the page cache. It is the smallest
+    /// whole-GB budget at which the replay reads each sub-matrix exactly
+    /// once per iteration, as measured (read volume == iterations × matrix
+    /// size in every row); at 9 GB the third sub-matrix and the partials
+    /// push prefetched sub-matrices out before use and reads rise 9–13%;
     /// `jitter_sigma` 0.10 reproduces the growth of non-overlapped time with
     /// node count under barriers.
     pub fn paper(nnodes: usize) -> Self {
@@ -109,7 +132,7 @@ impl TestbedParams {
             ib_bw: 4.0e9,
             node_flops: 6.0e9,
             sum_bw: 0.35e9,
-            memory_budget: 9_000_000_000,
+            memory_budget: 14_000_000_000,
             jitter_sigma: 0.10,
             prefetch_window: 2,
             seed: 1,
@@ -168,8 +191,18 @@ pub struct TestbedResult {
     pub non_overlapped: f64,
     /// CPU-hour cost of one iteration (nnodes × 8 cores).
     pub cpu_hours_per_iter: f64,
-    /// Total bytes read from the filesystem.
+    /// Sub-matrix bytes read from the filesystem: the read volume of
+    /// Tables III/IV.
     pub bytes_read: u64,
+    /// Every byte read from the filesystem: sub-matrices, the initial
+    /// vector, and spilled blocks read back.
+    pub disk_read_bytes: u64,
+    /// Blocks the storage nodes dropped from memory (`NodeStats::evictions`,
+    /// summed over nodes).
+    pub evictions: u64,
+    /// Bytes the storage nodes spilled to the filesystem (the replay
+    /// persists nothing, so every write is a spill).
+    pub bytes_spilled: u64,
 }
 
 impl TestbedResult {
@@ -181,48 +214,84 @@ impl TestbedResult {
     }
 }
 
-const KIND_LOAD: u64 = 1;
-const KIND_XFER: u64 = 2;
-const KIND_COMP: u64 = 3;
+/// The storage nodes hold every payload and budget at 1/`BYTE_SCALE` of its
+/// size, so a paper-scale node (14 GB) holds 3.4 MB. Time and reported
+/// bytes are nominal again: a disk flow carries the nominal size of the
+/// block it names, a fetched block's flow its payload times `BYTE_SCALE`.
+const BYTE_SCALE: u64 = 4096;
 
-fn tag(kind: u64, node: u64, idx: u64) -> u64 {
-    (kind << 56) | (node << 40) | idx
+/// Period of a storage node's recovery clock while it asks for one: the
+/// storage filter's 2 ms poll while `StorageState::needs_tick`.
+const TICK_S: f64 = 0.002;
+
+/// What a simulator event delivers when it fires.
+enum Pending {
+    /// An I/O command's completion, for `node`'s storage.
+    Io { node: usize, reply: IoReply },
+    /// A peer message whose payload has crossed the InfiniBand.
+    Peer { to: usize, msg: PeerMsg },
+    /// `node`'s worker finished the compute of its task's current step.
+    Compute { node: usize },
+    /// `node`'s storage recovery tick.
+    Tick { node: usize },
 }
 
-fn untag(t: u64) -> (u64, u64, u64) {
-    (t >> 56, (t >> 40) & 0xFFFF, t & 0xFF_FFFF_FFFF)
+/// An array of the plan: its nominal size, and the one-block geometry the
+/// storage nodes hold it at.
+struct Array {
+    nominal: u64,
+    meta: ArrayMeta,
 }
 
-/// Array classification for transfer modelling.
-#[derive(Clone, Debug)]
-enum ArrayKind {
-    /// Sub-matrix file (read through GPFS; evictable).
-    MatrixFile,
-    /// Produced vector/partial/token (transferred over IB from its
-    /// producer's node; freed once all consumers finished).
-    Produced { producer: TaskId },
-    /// Staged initial vector on a node.
-    Staged { node: u64 },
+/// The task a node's worker runs, step by step.
+struct Running {
+    task: TaskId,
+    steps: Vec<Step>,
+    /// The step under way.
+    next: usize,
+    /// `ReadReady` replies the step still waits for.
+    reads_left: usize,
 }
 
-struct ArrayInfo {
-    bytes: u64,
-    kind: ArrayKind,
-    /// Consumer tasks remaining (for freeing produced arrays).
-    remaining_consumers: u64,
+/// One step of a task as the SpMV executor runs it: pin `inputs`, compute
+/// on them for `seconds`, release them.
+struct Step {
+    inputs: Vec<String>,
+    seconds: f64,
+}
+
+/// A task's steps, in the order the SpMV executor pins its inputs: a
+/// multiply holds its vector and then its sub-matrix for the kernel, a sum
+/// folds in one partial at a time, and a barrier reads nothing (the
+/// dependency is the DAG's); each then writes its output.
+fn executor_steps(params: &TestbedParams, spec: &TaskSpec) -> Vec<Step> {
+    match spec.kind.as_str() {
+        "multiply" => vec![Step {
+            inputs: vec![spec.inputs[1].array.clone(), spec.inputs[0].array.clone()],
+            seconds: spec.flops as f64 / params.node_flops,
+        }],
+        "sum" | "sum_final" => spec
+            .inputs
+            .iter()
+            .filter(|d| !d.array.starts_with("bar_"))
+            .map(|d| Step {
+                inputs: vec![d.array.clone()],
+                seconds: d.bytes as f64 / params.sum_bw,
+            })
+            .collect(),
+        _ => vec![Step {
+            inputs: Vec::new(),
+            seconds: 1e-4,
+        }],
+    }
 }
 
 struct VNode {
+    storage: StorageState,
     ls: LocalScheduler,
-    resident: HashSet<String>,
-    pinned: HashMap<String, u64>,
-    /// LRU clock per resident *evictable* array.
-    matrix_last_use: HashMap<String, u64>,
-    mem_used: u64,
-    in_flight: HashSet<String>,
-    compute_busy: bool,
-    pending: Option<TaskId>,
-    /// Active filesystem loads (for overlap accounting).
+    running: Option<Running>,
+    tick_armed: bool,
+    /// Disk reads in flight (for overlap accounting).
     io_active: u64,
     io_time: f64,
     last_change: f64,
@@ -235,6 +304,10 @@ struct VNode {
 
 /// Replays one configuration and returns its table row.
 pub fn run_testbed(params: &TestbedParams, policy: PolicyKind) -> TestbedResult {
+    replay(params, policy, BYTE_SCALE)
+}
+
+fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResult {
     let k = params.grid_k();
     let side = params.side();
     let per = k / side;
@@ -269,374 +342,156 @@ pub fn run_testbed(params: &TestbedParams, policy: PolicyKind) -> TestbedResult 
     let placement =
         assign_affinity(&graph, &external, params.nnodes as u64).expect("valid SpMV DAG");
 
-    // Array catalogue.
-    let mut arrays: HashMap<String, ArrayInfo> = HashMap::new();
-    for (name, len, _bs) in &geometry {
-        let kind = if name.ends_with(".crs") {
-            ArrayKind::MatrixFile
-        } else {
-            ArrayKind::Staged {
-                node: external[name],
-            }
-        };
-        arrays.insert(
-            name.clone(),
-            ArrayInfo {
-                bytes: *len,
-                kind,
-                remaining_consumers: 0,
-            },
-        );
-    }
-    for id in graph.ids() {
-        for out in &graph.task(id).outputs {
-            arrays.insert(
-                out.array.clone(),
-                ArrayInfo {
-                    bytes: out.bytes,
-                    kind: ArrayKind::Produced { producer: id },
-                    remaining_consumers: 0,
-                },
+    // The geometry table the runtime's workers register, shrunk.
+    let arrays: BTreeMap<String, Array> = geometry_table(&graph, &geometry)
+        .into_iter()
+        .map(|(name, (nominal, block_size))| {
+            assert_eq!(
+                nominal, block_size,
+                "every array of the SpMV plan is one block"
             );
-        }
-    }
-    for id in graph.ids() {
-        for inp in &graph.task(id).inputs {
-            if let Some(a) = arrays.get_mut(&inp.array) {
-                a.remaining_consumers += 1;
-            }
-        }
-    }
+            let len = nominal.div_ceil(scale).max(1);
+            let meta = ArrayMeta::new(name.clone(), len, len);
+            (name, Array { nominal, meta })
+        })
+        .collect();
+    let largest = arrays.values().map(|a| a.meta.len).max().unwrap_or(0);
 
-    // Simulator resources.
     let mut sim = FluidSim::new();
     let gpfs = sim.add_resource(params.gpfs_bw);
-    let mut nodes: Vec<VNode> = (0..params.nnodes as u64)
+    let nnodes = params.nnodes as u64;
+    let nodes: Vec<VNode> = (0..nnodes)
         .map(|n| {
-            let client_link = sim.add_resource(params.client_bw);
-            let ib_in = sim.add_resource(params.ib_bw);
-            let ib_out = sim.add_resource(params.ib_bw);
-            let mut ls = LocalScheduler::new(
-                &graph,
-                placement.tasks_of(NodeId(n as usize)),
-                OrderPolicy::DataAware,
-            )
-            .with_prefetch_window(params.prefetch_window);
-            // Staged vectors start resident on their node (they are tiny and
-            // written into memory/the page cache during staging).
-            let _ = &mut ls;
+            // The node's staged files (its sub-matrices, and the pieces of
+            // the initial vector it is row root for) sit in its scratch
+            // directory.
+            let discovered = geometry
+                .iter()
+                .filter(|(name, _, _)| external[name] == n)
+                .map(|(name, _, _)| DiscoveredBlock {
+                    meta: arrays[name].meta.clone(),
+                    block: 0,
+                })
+                .collect();
+            let cfg = NodeConfig {
+                node: n,
+                nnodes,
+                memory_budget: params.memory_budget / scale,
+                seed: params.seed.wrapping_add(n),
+                recovery: RecoveryPolicy::default(),
+            };
             VNode {
-                ls,
-                resident: HashSet::new(),
-                pinned: HashMap::new(),
-                matrix_last_use: HashMap::new(),
-                mem_used: 0,
-                in_flight: HashSet::new(),
-                compute_busy: false,
-                pending: None,
+                storage: StorageState::new(cfg, discovered),
+                ls: LocalScheduler::new(
+                    &graph,
+                    placement.tasks_of(NodeId(n as usize)),
+                    OrderPolicy::DataAware,
+                )
+                .with_prefetch_window(params.prefetch_window),
+                running: None,
+                tick_armed: false,
                 io_active: 0,
                 io_time: 0.0,
                 last_change: 0.0,
                 cur_iter: 1,
-                client_link,
-                ib_in,
-                ib_out,
+                client_link: sim.add_resource(params.client_bw),
+                ib_in: sim.add_resource(params.ib_bw),
+                ib_out: sim.add_resource(params.ib_bw),
             }
         })
         .collect();
-    // Stage initial vectors.
-    for (name, info) in &arrays {
-        if let ArrayKind::Staged { node } = info.kind {
-            nodes[node as usize].resident.insert(name.clone());
-        }
-    }
 
     // Jitter multipliers per (node, iteration).
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let iters = params.iterations as usize;
     let jitter: Vec<Vec<f64>> = (0..params.nnodes)
         .map(|_| {
-            (0..=iters)
+            (0..=params.iterations)
                 .map(|_| {
-                    let z: f64 = {
-                        // Box-Muller from two uniforms.
-                        let u1: f64 = rng.gen_range(1e-12..1.0);
-                        let u2: f64 = rng.gen_range(0.0..1.0);
-                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-                    };
+                    // Box-Muller from two uniforms.
+                    let u1: f64 = rng.gen_range(1e-12..1.0);
+                    let u2: f64 = rng.gen_range(0.0..1.0);
+                    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                     (params.jitter_sigma * z).exp()
                 })
                 .collect()
         })
         .collect();
 
-    // Global completion fan-out + array name indexing for tags.
-    let mut name_index: Vec<String> = Vec::new();
-    let mut index_of: HashMap<String, u64> = HashMap::new();
-    let idx = |name: &str, name_index: &mut Vec<String>, index_of: &mut HashMap<String, u64>| {
-        *index_of.entry(name.to_string()).or_insert_with(|| {
-            name_index.push(name.to_string());
-            name_index.len() as u64 - 1
-        })
+    let mut r = Replay {
+        params,
+        graph: &graph,
+        scale,
+        sim,
+        gpfs,
+        nodes,
+        arrays,
+        zeros: Bytes::from(vec![0u8; largest as usize]),
+        jitter,
+        pending: HashMap::new(),
+        next_tag: 0,
+        next_req: 0,
+        bytes_read: 0,
+        disk_read_bytes: 0,
+        bytes_spilled: 0,
+        completed: 0,
     };
 
-    let mut clock_lru = 0u64;
-    let mut bytes_read_nominal: u64 = 0;
-    let mut produced_done: HashSet<TaskId> = HashSet::new();
-    let mut completed = 0usize;
-    let total_tasks = graph.len();
-
-    // Task iteration extraction (x_i_..., q_i_..., bar_mul_i, bar_iter_i).
-    let task_iter = |name: &str| -> u64 {
-        name.split('_')
-            .find_map(|p| p.parse::<u64>().ok())
-            .unwrap_or(1)
-            .min(params.iterations)
-    };
-
-    // -- driver closures as macros over captured state -----------------------
-    macro_rules! update_io {
-        ($vn:expr, $now:expr, $delta:expr) => {{
-            let vn: &mut VNode = $vn;
-            if vn.io_active > 0 {
-                vn.io_time += $now - vn.last_change;
-            }
-            vn.last_change = $now;
-            let new = vn.io_active as i64 + $delta;
-            vn.io_active = new.max(0) as u64;
-        }};
-    }
-
-    macro_rules! make_resident {
-        ($node:expr, $name:expr) => {{
-            let n = $node as usize;
-            let name: &str = $name;
-            if !nodes[n].resident.contains(name) {
-                let bytes = arrays[name].bytes;
-                nodes[n].resident.insert(name.to_string());
-                // The budget governs the sub-matrix block cache; vectors and
-                // partials live in the remaining node memory (the 9-of-24 GB
-                // calibration embeds exactly this split).
-                if matches!(arrays[name].kind, ArrayKind::MatrixFile) {
-                    nodes[n].mem_used += bytes;
-                    clock_lru += 1;
-                    nodes[n].matrix_last_use.insert(name.to_string(), clock_lru);
-                }
-                // Evict LRU unpinned matrices while over budget.
-                while nodes[n].mem_used > params.memory_budget {
-                    let victim = nodes[n]
-                        .matrix_last_use
-                        .iter()
-                        .filter(|(a, _)| nodes[n].pinned.get(*a).copied().unwrap_or(0) == 0)
-                        .min_by_key(|(_, &lu)| lu)
-                        .map(|(a, _)| a.clone());
-                    match victim {
-                        Some(a) => {
-                            nodes[n].matrix_last_use.remove(&a);
-                            nodes[n].resident.remove(&a);
-                            nodes[n].mem_used -= arrays[&a].bytes;
-                        }
-                        None => break, // nothing evictable: tolerate overshoot
-                    }
-                }
-            }
-        }};
-    }
-
-    // Request an input for node `n`; returns true if resident.
-    macro_rules! request_input {
-        ($sim:expr, $n:expr, $name:expr, $iter:expr) => {{
-            let n = $n as usize;
-            let name: &str = $name;
-            if nodes[n].resident.contains(name) {
-                true
-            } else {
-                if !nodes[n].in_flight.contains(name) {
-                    let available = match &arrays[name].kind {
-                        ArrayKind::MatrixFile => true,
-                        ArrayKind::Staged { .. } => true,
-                        ArrayKind::Produced { producer } => produced_done.contains(producer),
-                    };
-                    if available {
-                        let ai = idx(name, &mut name_index, &mut index_of);
-                        match &arrays[name].kind {
-                            ArrayKind::MatrixFile => {
-                                let mult = jitter[n][($iter as usize).min(iters)];
-                                bytes_read_nominal += arrays[name].bytes;
-                                update_io!(&mut nodes[n], $sim.now(), 1);
-                                $sim.start_flow(
-                                    arrays[name].bytes as f64 * mult,
-                                    vec![gpfs, nodes[n].client_link],
-                                    tag(KIND_LOAD, n as u64, ai),
-                                );
-                            }
-                            ArrayKind::Staged { node: src } => {
-                                // Staged vector on another node: IB transfer.
-                                let src = *src as usize;
-                                $sim.start_flow(
-                                    arrays[name].bytes as f64,
-                                    vec![nodes[src].ib_out, nodes[n].ib_in],
-                                    tag(KIND_XFER, n as u64, ai),
-                                );
-                            }
-                            ArrayKind::Produced { producer } => {
-                                let src = placement.node(*producer).0;
-                                $sim.start_flow(
-                                    arrays[name].bytes as f64,
-                                    vec![nodes[src].ib_out, nodes[n].ib_in],
-                                    tag(KIND_XFER, n as u64, ai),
-                                );
-                            }
-                        }
-                        nodes[n].in_flight.insert(name.to_string());
-                    }
-                }
-                false
-            }
-        }};
-    }
-
-    macro_rules! drive {
-        ($sim:expr, $n:expr) => {{
-            let n = $n as usize;
-            // 1. Try to start compute.
-            if !nodes[n].compute_busy {
-                if nodes[n].pending.is_none() {
-                    let oracle = nodes[n].resident.clone();
-                    nodes[n].pending = nodes[n].ls.next_task(&graph, &oracle);
-                }
-                if let Some(t) = nodes[n].pending {
-                    let spec = graph.task(t).clone();
-                    let it = task_iter(&spec.name);
-                    nodes[n].cur_iter = nodes[n].cur_iter.max(it);
-                    let mut all = true;
-                    for inp in &spec.inputs {
-                        if !request_input!($sim, n, &inp.array, it) {
-                            all = false;
-                        }
-                    }
-                    if all {
-                        // Pin inputs; start compute.
-                        for inp in &spec.inputs {
-                            *nodes[n].pinned.entry(inp.array.clone()).or_insert(0) += 1;
-                            if let Some(lu) = nodes[n].matrix_last_use.get_mut(&inp.array) {
-                                clock_lru += 1;
-                                *lu = clock_lru;
-                            }
-                        }
-                        let dur = match spec.kind.as_str() {
-                            "multiply" => spec.flops as f64 / params.node_flops,
-                            "sum" | "sum_final" => spec.input_bytes() as f64 / params.sum_bw,
-                            _ => 1e-4, // barrier token
-                        };
-                        nodes[n].compute_busy = true;
-                        nodes[n].pending = None;
-                        $sim.start_timer(dur, tag(KIND_COMP, n as u64, t.0));
-                    }
-                }
-            }
-            // 2. Prefetch.
-            let oracle = nodes[n].resident.clone();
-            let candidates = nodes[n].ls.prefetch_candidates(&graph, &oracle);
-            for arr in candidates {
-                let is_matrix = matches!(arrays[&arr].kind, ArrayKind::MatrixFile);
-                let bytes = if is_matrix { arrays[&arr].bytes } else { 0 };
-                let inflight_bytes: u64 = nodes[n]
-                    .in_flight
-                    .iter()
-                    .filter(|a| matches!(arrays[*a].kind, ArrayKind::MatrixFile))
-                    .map(|a| arrays[a].bytes)
-                    .sum();
-                if nodes[n].mem_used + inflight_bytes + bytes <= params.memory_budget {
-                    let it = nodes[n].cur_iter;
-                    let _ = request_input!($sim, n, &arr, it);
-                }
-            }
-        }};
-    }
-
-    // Kick off.
+    // Every worker registers the whole geometry table with its node.
+    let metas: Vec<ArrayMeta> = r.arrays.values().map(|a| a.meta.clone()).collect();
     for n in 0..params.nnodes {
-        drive!(sim, n);
+        for meta in &metas {
+            r.send(n, ClientMsg::Register { meta: meta.clone() });
+        }
+    }
+    for n in 0..params.nnodes {
+        r.step(n);
     }
 
-    // Event loop.
-    while completed < total_tasks {
-        let Some(event) = sim.next_event() else {
+    let total_tasks = graph.len();
+    while r.completed < total_tasks {
+        let Some(event) = r.sim.next_event() else {
             panic!(
-                "simulation deadlock: {completed}/{total_tasks} tasks done (policy {policy:?}, {} nodes)",
-                params.nnodes
+                "simulation deadlock: {}/{total_tasks} tasks done (policy {policy:?}, {} nodes)",
+                r.completed, params.nnodes
             );
         };
-        let now = event.time();
-        let (kind, node, index) = untag(event.tag());
-        match kind {
-            KIND_LOAD => {
-                let name = name_index[index as usize].clone();
-                update_io!(&mut nodes[node as usize], now, -1);
-                nodes[node as usize].in_flight.remove(&name);
-                make_resident!(node, &name);
-                drive!(sim, node);
-            }
-            KIND_XFER => {
-                let name = name_index[index as usize].clone();
-                nodes[node as usize].in_flight.remove(&name);
-                make_resident!(node, &name);
-                drive!(sim, node);
-            }
-            KIND_COMP => {
-                let t = TaskId(index);
-                let spec = graph.task(t).clone();
-                let n = node as usize;
-                nodes[n].compute_busy = false;
-                // Unpin inputs; decrement consumer counts; free dead arrays.
-                for inp in &spec.inputs {
-                    if let Some(p) = nodes[n].pinned.get_mut(&inp.array) {
-                        *p = p.saturating_sub(1);
-                    }
-                    // Paper mode: a consumed sub-matrix is released and
-                    // reclaimed right away (the measured system re-reads the
-                    // full matrix every iteration).
-                    if !params.cross_iteration_reuse
-                        && matches!(arrays[&inp.array].kind, ArrayKind::MatrixFile)
-                        && nodes[n].pinned.get(&inp.array).copied().unwrap_or(0) == 0
-                        && nodes[n].resident.remove(&inp.array)
-                    {
-                        nodes[n].matrix_last_use.remove(&inp.array);
-                        nodes[n].mem_used =
-                            nodes[n].mem_used.saturating_sub(arrays[&inp.array].bytes);
-                    }
-                    let dead = {
-                        let a = arrays.get_mut(&inp.array).expect("known array");
-                        a.remaining_consumers = a.remaining_consumers.saturating_sub(1);
-                        a.remaining_consumers == 0 && !matches!(a.kind, ArrayKind::MatrixFile)
-                    };
-                    if dead {
-                        for vn in nodes.iter_mut() {
-                            vn.resident.remove(&inp.array);
+        match r
+            .pending
+            .remove(&event.tag())
+            .expect("every event is pending")
+        {
+            Pending::Io { node, reply } => {
+                match &reply {
+                    IoReply::ReadDone { array, .. } => {
+                        r.io_edge(node, -1);
+                        r.disk_read_bytes += r.arrays[array].nominal;
+                        if is_matrix(array) {
+                            r.bytes_read += r.arrays[array].nominal;
                         }
                     }
+                    IoReply::WriteDone { array, .. } => r.bytes_spilled += r.arrays[array].nominal,
+                    IoReply::Error { .. } => unreachable!("the modelled disk does not fail"),
                 }
-                // Outputs are resident on the producer.
-                for out in &spec.outputs {
-                    make_resident!(node, &out.array);
-                }
-                produced_done.insert(t);
-                completed += 1;
-                for vn in nodes.iter_mut() {
-                    vn.ls.on_complete(&graph, t);
-                }
-                for m in 0..params.nnodes {
-                    drive!(sim, m);
-                }
+                let actions = r.nodes[node].storage.handle_io(reply);
+                r.perform_async(node, actions);
             }
-            other => panic!("unknown event kind {other}"),
+            Pending::Peer { to, msg } => {
+                let actions = r.nodes[to].storage.handle_peer(msg);
+                r.perform_async(to, actions);
+            }
+            Pending::Compute { node } => r.end_step(node),
+            Pending::Tick { node } => {
+                r.nodes[node].tick_armed = false;
+                let actions = r.nodes[node].storage.on_tick();
+                r.perform_async(node, actions);
+            }
         }
     }
 
-    let time_s = sim.now();
+    let time_s = r.sim.now();
     // Close out I/O accounting.
-    let non_overlap_per_node: Vec<f64> = nodes
+    let non_overlap_per_node: Vec<f64> = r
+        .nodes
         .iter_mut()
         .map(|vn| {
             if vn.io_active > 0 {
@@ -648,7 +503,8 @@ pub fn run_testbed(params: &TestbedParams, policy: PolicyKind) -> TestbedResult 
     let non_overlapped = non_overlap_per_node.iter().sum::<f64>() / params.nnodes as f64;
     // "We extracted the bandwidth obtained by the filesystem I/O components
     // from the logs": bytes over the time spent reading, not over makespan.
-    let mean_io_time = nodes.iter().map(|vn| vn.io_time).sum::<f64>() / params.nnodes as f64;
+    let mean_io_time = r.nodes.iter().map(|vn| vn.io_time).sum::<f64>() / params.nnodes as f64;
+    let evictions = r.nodes.iter().map(|vn| vn.storage.stats().evictions).sum();
 
     let flops = 2.0 * params.total_nnz() as f64 * params.iterations as f64;
     TestbedResult {
@@ -658,10 +514,344 @@ pub fn run_testbed(params: &TestbedParams, policy: PolicyKind) -> TestbedResult 
         matrix_bytes: params.matrix_bytes(),
         time_s,
         gflops: flops / time_s / 1e9,
-        read_bw: bytes_read_nominal as f64 / mean_io_time.max(1e-9),
+        read_bw: r.bytes_read as f64 / mean_io_time.max(1e-9),
         non_overlapped,
         cpu_hours_per_iter: params.nnodes as f64 * 8.0 * time_s / params.iterations as f64 / 3600.0,
-        bytes_read: bytes_read_nominal,
+        bytes_read: r.bytes_read,
+        disk_read_bytes: r.disk_read_bytes,
+        evictions,
+        bytes_spilled: r.bytes_spilled,
+    }
+}
+
+fn is_matrix(array: &str) -> bool {
+    array.ends_with(".crs")
+}
+
+/// The iteration a task belongs to (x_i_..., q_i_..., bar_mul_i, bar_iter_i).
+fn task_iter(name: &str, iterations: u64) -> u64 {
+    name.split('_')
+        .find_map(|p| p.parse::<u64>().ok())
+        .unwrap_or(1)
+        .min(iterations)
+}
+
+/// The whole of a one-block array.
+fn whole(meta: &ArrayMeta) -> Interval {
+    Interval::new(0, meta.len)
+}
+
+/// The replay's state: the simulator, one worker and storage node per
+/// virtual node, and what is in flight between them.
+struct Replay<'a> {
+    params: &'a TestbedParams,
+    graph: &'a TaskGraph,
+    scale: u64,
+    sim: FluidSim,
+    gpfs: ResourceId,
+    nodes: Vec<VNode>,
+    arrays: BTreeMap<String, Array>,
+    /// Every payload is a slice of this buffer.
+    zeros: Bytes,
+    jitter: Vec<Vec<f64>>,
+    pending: HashMap<u64, Pending>,
+    next_tag: u64,
+    next_req: u64,
+    /// Nominal bytes: sub-matrices read, everything read, spilled.
+    bytes_read: u64,
+    disk_read_bytes: u64,
+    bytes_spilled: u64,
+    completed: usize,
+}
+
+impl Replay<'_> {
+    fn req(&mut self) -> u64 {
+        self.next_req += 1;
+        self.next_req
+    }
+
+    fn park(&mut self, pending: Pending) -> u64 {
+        self.next_tag += 1;
+        self.pending.insert(self.next_tag, pending);
+        self.next_tag
+    }
+
+    fn flow(&mut self, bytes: f64, path: Vec<ResourceId>, pending: Pending) {
+        let tag = self.park(pending);
+        self.sim.start_flow(bytes, path, tag);
+    }
+
+    fn timer(&mut self, seconds: f64, pending: Pending) {
+        let tag = self.park(pending);
+        self.sim.start_timer(seconds, tag);
+    }
+
+    fn io_edge(&mut self, n: usize, delta: i64) {
+        let now = self.sim.now();
+        let vn = &mut self.nodes[n];
+        if vn.io_active > 0 {
+            vn.io_time += now - vn.last_change;
+        }
+        vn.last_change = now;
+        vn.io_active = (vn.io_active as i64 + delta).max(0) as u64;
+    }
+
+    /// A request node `n` answers at once; returns the answer.
+    fn call(&mut self, n: usize, msg: ClientMsg) -> Reply {
+        let actions = self.nodes[n].storage.handle_client(msg);
+        let mut replies = self.perform(n, actions);
+        assert_eq!(replies.len(), 1, "one answer to a synchronous request");
+        replies.pop().expect("one answer")
+    }
+
+    /// A message with no answer, or whose answer (read data) may come later.
+    fn send(&mut self, n: usize, msg: ClientMsg) {
+        let actions = self.nodes[n].storage.handle_client(msg);
+        self.perform_async(n, actions);
+    }
+
+    fn perform_async(&mut self, n: usize, actions: Vec<Action>) {
+        let replies = self.perform(n, actions);
+        assert!(replies.is_empty(), "unsolicited replies: {replies:?}");
+    }
+
+    /// Carries out node `n`'s actions and every action they cascade into on
+    /// other nodes. Read data goes to the waiting task; a disk command is a
+    /// flow through GPFS and the node's client link, a peer message that
+    /// carries a block a flow through the InfiniBand, and any other peer
+    /// message is handled at once. Returns the other replies to `n`'s
+    /// worker.
+    fn perform(&mut self, n: usize, actions: Vec<Action>) -> Vec<Reply> {
+        let mut queue: VecDeque<(usize, Action)> = actions.into_iter().map(|a| (n, a)).collect();
+        let mut replies = Vec::new();
+        while let Some((at, action)) = queue.pop_front() {
+            match action {
+                Action::Reply {
+                    client,
+                    reply: Reply::ReadReady { .. },
+                } => self.read_ready(client as usize),
+                Action::Reply {
+                    client,
+                    reply: Reply::Err { error, .. },
+                } => panic!("storage node {at} refused worker {client}: {error}"),
+                Action::Reply { client, reply } => {
+                    assert_eq!(client as usize, n, "reply to a worker that did not ask");
+                    replies.push(reply);
+                }
+                Action::Peer { node, msg } => {
+                    let to = node as usize;
+                    let payload = match &msg {
+                        PeerMsg::FetchFound { data, .. } => Some(data.len() as u64 * self.scale),
+                        _ => None,
+                    };
+                    match payload {
+                        Some(bytes) => {
+                            let path = vec![self.nodes[at].ib_out, self.nodes[to].ib_in];
+                            self.flow(bytes as f64, path, Pending::Peer { to, msg });
+                        }
+                        None => {
+                            let actions = self.nodes[to].storage.handle_peer(msg);
+                            queue.extend(actions.into_iter().map(|a| (to, a)));
+                        }
+                    }
+                }
+                Action::Io(IoCmd::Read { array, block, len }) => {
+                    let vn = &self.nodes[at];
+                    let mult = self.jitter[at][vn.cur_iter as usize];
+                    let path = vec![self.gpfs, vn.client_link];
+                    let bytes = self.arrays[&array].nominal as f64 * mult;
+                    let data = self.zeros.slice(..len as usize);
+                    self.io_edge(at, 1);
+                    let reply = IoReply::ReadDone { array, block, data };
+                    self.flow(bytes, path, Pending::Io { node: at, reply });
+                }
+                Action::Io(IoCmd::Write {
+                    array, block, data, ..
+                }) => {
+                    let path = vec![self.gpfs, self.nodes[at].client_link];
+                    let bytes = self.arrays[&array].nominal as f64;
+                    let reply = IoReply::WriteDone {
+                        array,
+                        block,
+                        bytes: data.len() as u64,
+                    };
+                    self.flow(bytes, path, Pending::Io { node: at, reply });
+                }
+                // Removing files takes no modelled time, and its completion
+                // finds the array gone.
+                Action::Io(IoCmd::DeleteFiles { .. }) => {}
+            }
+        }
+        for m in 0..self.nodes.len() {
+            if !self.nodes[m].tick_armed && self.nodes[m].storage.needs_tick() {
+                self.nodes[m].tick_armed = true;
+                self.timer(TICK_S, Pending::Tick { node: m });
+            }
+        }
+        replies
+    }
+
+    /// One pass of `n`'s worker loop while it has no task: delete the arrays
+    /// that went dead, ask which arrays are resident, prefetch for the
+    /// planned tasks, and start the next ready task, if any. With none, the
+    /// worker waits for the next completion broadcast.
+    fn step(&mut self, n: usize) {
+        let graph = self.graph;
+        for array in self.nodes[n].ls.take_dead(graph) {
+            let req = self.req();
+            let msg = ClientMsg::Delete {
+                req,
+                client: n as u64,
+                array: array.to_string(),
+            };
+            assert!(matches!(self.call(n, msg), Reply::Deleted { .. }));
+        }
+        if self.nodes[n].ls.graph_done() {
+            return;
+        }
+        let req = self.req();
+        let msg = ClientMsg::Resident {
+            req,
+            client: n as u64,
+        };
+        let Reply::Resident { arrays, .. } = self.call(n, msg) else {
+            panic!("the resident query is answered with the resident set");
+        };
+        let resident: HashSet<String> = arrays.into_iter().collect();
+        for array in self.nodes[n].ls.prefetch_candidates(graph, &resident) {
+            let iv = whole(&self.arrays[&array].meta);
+            self.send(n, ClientMsg::Prefetch { array, iv });
+        }
+        let Some(task) = self.nodes[n].ls.next_task(graph, &resident) else {
+            return;
+        };
+        let spec = graph.task(task);
+        let vn = &mut self.nodes[n];
+        vn.cur_iter = vn
+            .cur_iter
+            .max(task_iter(&spec.name, self.params.iterations));
+        vn.running = Some(Running {
+            task,
+            steps: executor_steps(self.params, spec),
+            next: 0,
+            reads_left: 0,
+        });
+        self.begin_step(n);
+    }
+
+    /// Reads the inputs of `n`'s next step; it computes once all are served.
+    fn begin_step(&mut self, n: usize) {
+        let running = self.nodes[n].running.as_mut().expect("a running task");
+        let step = &running.steps[running.next];
+        let (inputs, seconds) = (step.inputs.clone(), step.seconds);
+        running.reads_left = inputs.len();
+        if inputs.is_empty() {
+            self.timer(seconds, Pending::Compute { node: n });
+        }
+        for array in inputs {
+            let req = self.req();
+            let iv = whole(&self.arrays[&array].meta);
+            let client = n as u64;
+            self.send(
+                n,
+                ClientMsg::ReadReq {
+                    req,
+                    client,
+                    array,
+                    iv,
+                },
+            );
+        }
+    }
+
+    fn read_ready(&mut self, n: usize) {
+        let running = self.nodes[n]
+            .running
+            .as_mut()
+            .expect("read data answers a running task");
+        running.reads_left -= 1;
+        if running.reads_left == 0 {
+            let seconds = running.steps[running.next].seconds;
+            self.timer(seconds, Pending::Compute { node: n });
+        }
+    }
+
+    /// `n`'s step finished computing: its inputs are released (and, without
+    /// cross-iteration reuse, a consumed sub-matrix evicted), then the next
+    /// step begins or the task finishes.
+    fn end_step(&mut self, n: usize) {
+        let running = self.nodes[n].running.as_mut().expect("a running task");
+        let inputs = std::mem::take(&mut running.steps[running.next].inputs);
+        running.next += 1;
+        let more = running.next < running.steps.len();
+        for array in inputs {
+            let iv = whole(&self.arrays[&array].meta);
+            let msg = ClientMsg::ReleaseRead {
+                array: array.clone(),
+                iv,
+                checked: false,
+            };
+            self.send(n, msg);
+            // Paper mode: the measured system re-read every sub-matrix every
+            // iteration, so a consumed one is dropped by explicit memory
+            // management (§III-B) rather than left to the LRU.
+            if !self.params.cross_iteration_reuse && is_matrix(&array) {
+                self.send(n, ClientMsg::Evict { array });
+            }
+        }
+        if more {
+            self.begin_step(n);
+        } else {
+            self.finish(n);
+        }
+    }
+
+    /// Creates and writes one array on node `n`, as a task's output is.
+    fn write(&mut self, n: usize, array: &str) {
+        let client = n as u64;
+        let meta = self.arrays[array].meta.clone();
+        let iv = whole(&meta);
+        let data = self.zeros.slice(..meta.len as usize);
+        let req = self.req();
+        let created = self.call(n, ClientMsg::Create { req, client, meta });
+        assert!(matches!(created, Reply::Created { .. }));
+        let req = self.req();
+        let array = array.to_string();
+        let msg = ClientMsg::WriteReq {
+            req,
+            client,
+            array: array.clone(),
+            iv,
+        };
+        assert!(matches!(self.call(n, msg), Reply::WriteGranted { .. }));
+        let req = self.req();
+        let msg = ClientMsg::ReleaseWrite {
+            req,
+            client,
+            array,
+            iv,
+            data,
+        };
+        assert!(matches!(self.call(n, msg), Reply::WriteSealed { .. }));
+    }
+
+    /// `n`'s task ran its last step: its outputs are written and its
+    /// completion is broadcast. Every idle worker wakes.
+    fn finish(&mut self, n: usize) {
+        let graph = self.graph;
+        let running = self.nodes[n].running.take().expect("a running task");
+        for out in &graph.task(running.task).outputs {
+            self.write(n, &out.array);
+        }
+        self.completed += 1;
+        for vn in &mut self.nodes {
+            vn.ls.on_complete(graph, running.task);
+        }
+        for m in 0..self.nodes.len() {
+            if self.nodes[m].running.is_none() {
+                self.step(m);
+            }
+        }
     }
 }
 
@@ -770,6 +960,29 @@ mod tests {
         let r = run_testbed(&p, PolicyKind::Interleaved);
         assert_eq!(r.dimension, 30 * (p.subvector_bytes / 8));
         assert!(r.bytes_read >= 4 * 900 * p.submatrix_bytes * 9 / 10);
+    }
+
+    /// The storage nodes run at a byte scale; the replay's time and read
+    /// volume must not depend on it, with or without spills.
+    #[test]
+    fn the_byte_scale_does_not_move_the_replay() {
+        let mut tight = small(4);
+        tight.memory_budget = 2 * tight.submatrix_bytes + 10 * tight.subvector_bytes;
+        tight.cross_iteration_reuse = true;
+        for (p, policy) in [
+            (small(1), PolicyKind::Interleaved),
+            (small(4), PolicyKind::Simple),
+            (tight, PolicyKind::Interleaved),
+        ] {
+            let a = replay(&p, policy, BYTE_SCALE);
+            let b = replay(&p, policy, BYTE_SCALE / 2);
+            let close = |x: f64, y: f64| (x - y).abs() <= 0.005 * x.max(y);
+            assert!(
+                close(a.time_s, b.time_s) && close(a.bytes_read as f64, b.bytes_read as f64),
+                "{policy:?} on {} nodes: {a:?} vs {b:?}",
+                p.nnodes
+            );
+        }
     }
 
     #[test]

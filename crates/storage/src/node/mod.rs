@@ -143,8 +143,9 @@ struct ReadWaiter {
 /// dooc-check's protocol model checker. Each flag disables one guard the
 /// positive tests prove necessary; the checker must then find an
 /// interleaving that turns the missing guard into an observable failure.
-/// Without the `model` feature every flag is a compile-time `false`
-/// ([`StorageState::bug`]), so real builds carry no extra state or branches.
+/// A node starts with every flag off and only
+/// [`StorageState::set_seeded_bugs`] turns one on; what a real node pays for
+/// them is two `bool` reads, one on the evict path and one on the spill path.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SeededBugs {
     /// Eviction ignores `pins`: blocks with live read guards get dropped.
@@ -298,7 +299,6 @@ pub struct StorageState {
     /// Number of peers that sent a `Bye`.
     byes: u64,
     /// Seeded invariant violations for the model checker's negative tests.
-    #[cfg(feature = "model")]
     seeded_bugs: SeededBugs,
 }
 
@@ -330,7 +330,6 @@ impl StorageState {
             io_attempts: HashMap::new(),
             local_done: false,
             byes: 0,
-            #[cfg(feature = "model")]
             seeded_bugs: SeededBugs::default(),
         };
         for d in discovered {
@@ -348,34 +347,26 @@ impl StorageState {
     }
 
     /// Plants deliberate bugs for the model checker's negative tests.
-    #[cfg(feature = "model")]
+    #[doc(hidden)]
     pub fn set_seeded_bugs(&mut self, bugs: SeededBugs) {
         self.seeded_bugs = bugs;
     }
 
-    #[cfg(feature = "model")]
     fn bug(&self) -> SeededBugs {
         self.seeded_bugs
     }
 
-    #[cfg(not(feature = "model"))]
-    fn bug(&self) -> SeededBugs {
-        SeededBugs::default()
-    }
-
-    /// Model-build inspection: `(pins, resident_in_memory, on_disk)` for a
+    /// Inspection for checkers: `(pins, resident_in_memory, on_disk)` for a
     /// block, if known. Checkers assert residency invariants (e.g. "evict
     /// never fires under a live guard") against this directly.
-    #[cfg(feature = "model")]
     pub fn debug_block(&self, array: &str, block: u64) -> Option<(u64, bool, bool)> {
         let info = self.arrays.get(array)?.blocks.get(&block)?;
         Some((info.pins, info.mem.is_some(), info.on_disk))
     }
 
-    /// Model-build fingerprint over every field of the node, maps hashed in
-    /// key order: two nodes with equal fingerprints answer every future
-    /// message alike. The model checker deduplicates states by it.
-    #[cfg(feature = "model")]
+    /// Fingerprint over every field of the node, maps hashed in key order:
+    /// two nodes with equal fingerprints answer every future message alike.
+    /// The model checker deduplicates states by it.
     pub fn fingerprint(&self) -> u64 {
         use rand::RngCore;
         use std::hash::{Hash, Hasher};
