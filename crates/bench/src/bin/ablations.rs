@@ -1,7 +1,5 @@
 //! Ablation studies for the design decisions DESIGN.md calls out.
 
-#![forbid(unsafe_code)]
-
 use dooc_bench::gantt;
 use dooc_bench::tablefmt::Table;
 use dooc_scheduler::{assign_affinity, assign_round_robin, OrderPolicy};

@@ -1,7 +1,5 @@
 //! Regenerates paper Fig. 6.
 
-#![forbid(unsafe_code)]
-
 use dooc_bench::exhibits::{fig6, run_scaling, NODE_COUNTS};
 use dooc_simulator::testbed::PolicyKind;
 fn main() {

@@ -4,8 +4,6 @@
 //! as `TRACE_reproduce.json` (Chrome `trace_event`; open in Perfetto) and
 //! `METRICS_reproduce.txt`.
 
-#![forbid(unsafe_code)]
-
 use dooc_bench::exhibits;
 use dooc_simulator::testbed::PolicyKind;
 use std::path::Path;

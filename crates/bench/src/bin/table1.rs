@@ -1,7 +1,5 @@
 //! Regenerates paper Table I.
 
-#![forbid(unsafe_code)]
-
 fn main() {
     println!("{}", dooc_bench::exhibits::table1());
 }

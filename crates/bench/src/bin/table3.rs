@@ -1,7 +1,5 @@
 //! Regenerates paper Table III (simple scheduling policy).
 
-#![forbid(unsafe_code)]
-
 use dooc_bench::exhibits::{run_scaling, table3, NODE_COUNTS};
 use dooc_simulator::testbed::PolicyKind;
 fn main() {

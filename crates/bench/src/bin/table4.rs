@@ -1,7 +1,5 @@
 //! Regenerates paper Table IV (interleaving + local aggregation).
 
-#![forbid(unsafe_code)]
-
 use dooc_bench::exhibits::{run_scaling, table4, NODE_COUNTS};
 use dooc_simulator::testbed::PolicyKind;
 fn main() {

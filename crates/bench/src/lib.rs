@@ -6,7 +6,6 @@
 //! the claims under test are the *shapes*: who wins, by what factor, where
 //! the crossovers sit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exhibits;

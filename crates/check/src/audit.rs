@@ -1,7 +1,7 @@
 //! Workspace-facing wrapper around the static graph auditor
 //! (`dooc_scheduler::audit`): builds the shipping SpMV graphs without
-//! staging any files, constructs the seeded-bug negative twins, and renders
-//! results for the `dooc-audit` bin in the same JSON shape as `lint --json`.
+//! staging any files, constructs the seeded-bug negative twins, and hands
+//! each verdict to the `dooc-audit` bin as an [`AuditOutcome`].
 
 use dooc_core::runtime_lane_specs;
 use dooc_linalg::spmv_app::{SpmvAppBuilder, StagedBlock, SyncPolicy};

@@ -4,14 +4,16 @@
 //! Builds the requested graph (no disk staging), runs the two static
 //! analyses — the peak-residency sweep against the budget and lane-capacity
 //! deadlock freedom — and prints the report. With `--json`, output is one
-//! JSON object per the `lint --json` convention; the exit code is 0 when
-//! every audited graph is clean, 1 when any is rejected, 2 on usage errors.
+//! JSON object, `{"graphs_audited": N, "findings": [...]}`, with one finding
+//! per graph: `graph`, `digest` (16 hex digits) and `clean`, then
+//! `peak_bytes`, `critical_path`, `widest_antichain`, `max_task_bytes`,
+//! `max_task` and `exact` for a clean graph or `error` for a rejected one.
+//! The exit code is 0 when every audited graph is clean, 1 when any is
+//! rejected, 2 on usage errors.
 //!
 //! `--selftest` instead runs the seeded-bug negative twins and asserts
 //! each fails on the *intended* analysis (CI's proof the auditor catches
 //! what it claims to catch).
-
-#![forbid(unsafe_code)]
 
 use dooc_check::audit::{audit_graph, selftest, spmv_graph, AuditOutcome};
 use dooc_linalg::spmv_app::SyncPolicy;

@@ -20,7 +20,10 @@ pub struct DoocConfig {
     pub threads_per_node: usize,
     /// Local scheduler ordering policy (data-aware by default).
     pub order_policy: OrderPolicy,
-    /// Number of upcoming tasks whose inputs the local scheduler keeps warm.
+    /// Number of planned tasks whose inputs the worker prefetches. The
+    /// worker asks for prefetches before it picks its next task, so the
+    /// window counts the task about to start: 1 looks no further than that
+    /// task, and the default 2 looks one task ahead of it.
     pub prefetch_window: usize,
     /// Seed for the storage layer's random peer probing.
     pub seed: u64,
@@ -100,7 +103,9 @@ impl DoocConfig {
         self
     }
 
-    /// Sets the prefetch window.
+    /// Sets the prefetch window: the number of planned tasks whose inputs
+    /// the worker prefetches, counting the task about to start (the
+    /// `prefetch_window` field says more).
     pub fn prefetch_window(mut self, w: usize) -> Self {
         self.prefetch_window = w;
         self

@@ -42,7 +42,7 @@
 //! println!("moved {} bytes between nodes", report.streams.total_remote_bytes());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod config;

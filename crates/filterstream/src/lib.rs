@@ -40,7 +40,7 @@
 //! so the testbed simulator can charge network time for exactly those
 //! bytes.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod buffer;

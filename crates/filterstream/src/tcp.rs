@@ -293,7 +293,7 @@ fn dial(addr: &str, to: usize, me: NodeId, faults: &FaultPlan) -> Result<TcpStre
     let deadline = Instant::now() + CONNECT_DEADLINE;
     loop {
         match faults.at(me, Site::TcpConnect) {
-            Some(Fault::Delay(ms)) => dooc_sync::thread::sleep(Duration::from_millis(ms)),
+            Some(Fault::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
             Some(Fault::Error) => {
                 // Simulated refused attempt: skip the dial, take the retry
                 // path.
@@ -302,7 +302,7 @@ fn dial(addr: &str, to: usize, me: NodeId, faults: &FaultPlan) -> Result<TcpStre
                         "dial node {to} at {addr}: injected connect failures until deadline"
                     )));
                 }
-                dooc_sync::thread::sleep(RETRY_PAUSE);
+                std::thread::sleep(RETRY_PAUSE);
                 continue;
             }
             None => {}
@@ -315,7 +315,7 @@ fn dial(addr: &str, to: usize, me: NodeId, faults: &FaultPlan) -> Result<TcpStre
                         "dial node {to} at {addr}: {e} (gave up after {CONNECT_DEADLINE:?})"
                     )));
                 }
-                dooc_sync::thread::sleep(RETRY_PAUSE);
+                std::thread::sleep(RETRY_PAUSE);
             }
         }
     }
@@ -331,7 +331,7 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, me: NodeId, peer: i64, fa
         loop {
             if frame.kind == FrameKind::Data {
                 if let Some(Fault::Delay(ms)) = faults.at(me, Site::TcpFrame) {
-                    dooc_sync::thread::sleep(Duration::from_millis(ms));
+                    std::thread::sleep(Duration::from_millis(ms));
                 }
             }
             let wrote = w
@@ -493,7 +493,7 @@ impl TcpTransport {
                             "timed out waiting for {remaining} peer connection(s)"
                         )));
                     }
-                    dooc_sync::thread::sleep(RETRY_PAUSE);
+                    std::thread::sleep(RETRY_PAUSE);
                 }
                 Err(e) => return Err(transport_err("accept", e)),
             }

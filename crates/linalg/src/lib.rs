@@ -13,7 +13,6 @@
 //!   kernel (Knottenbelt & Harrison's distributed disk-based Markov work the
 //!   paper cites).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cg;

@@ -10,9 +10,13 @@ use dooc_core::{DoocConfig, DoocRuntime, NodeStats};
 use dooc_linalg::spmv_app::{tiled_owner, ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy};
 use dooc_sparse::blockgrid::BlockGrid;
 use dooc_sparse::genmat::GapGenerator;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-static ONE_RUN_AT_A_TIME: Mutex<()> = Mutex::new(());
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test binary's serializing gate, not runtime code; poison is recovered at each lock"
+)]
+static ONE_RUN_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const K: u64 = 4;
 const ITERS: u64 = 3;

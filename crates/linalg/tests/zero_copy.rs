@@ -18,9 +18,13 @@ use dooc_sparse::{dense, fileio, ComputePool, CsrMatrix, GapGenerator};
 use dooc_storage::{StorageClient, StorageCluster};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-static ONE_NODE_AT_A_TIME: Mutex<()> = Mutex::new(());
+#[allow(
+    clippy::disallowed_types,
+    reason = "a test binary's serializing gate, not runtime code; poison is recovered at each lock"
+)]
+static ONE_NODE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The scratch directory of the node [`run_node`] runs for `tag`.
 fn scratch(tag: &str) -> PathBuf {

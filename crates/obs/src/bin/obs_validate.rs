@@ -11,7 +11,7 @@
 //! Exits 0 when every given artifact validates and every required
 //! category/metric is present, 1 on validation failure, 2 on usage errors.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use dooc_obs::validate::{validate_chrome_trace, validate_metrics_dump};
 use std::process::ExitCode;

@@ -32,7 +32,7 @@
 //! assert!(dooc_obs::validate::validate_chrome_trace(&json).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod json;

@@ -26,7 +26,7 @@
 //! these policies onto the dataflow runtime, and the testbed simulator
 //! replays their decisions against a hardware model.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod audit;

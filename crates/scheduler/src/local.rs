@@ -172,8 +172,10 @@ impl LocalScheduler {
         }
     }
 
-    /// Sets the prefetch window (number of upcoming tasks whose inputs are
-    /// kept warm).
+    /// Sets the prefetch window: the number of planned tasks, counted from
+    /// the one [`Self::next_task`] picks next, whose inputs
+    /// [`Self::prefetch_candidates`] names. Window 1 names only that task's
+    /// inputs; the default 2 adds the task after it.
     pub fn with_prefetch_window(mut self, w: usize) -> Self {
         self.prefetch_window = w;
         self
@@ -315,6 +317,11 @@ impl LocalScheduler {
     /// `prefetch_window` planned tasks, in plan order, deduplicated.
     /// "The local scheduler makes sure that there are a given number of
     /// ready tasks whose data are in memory."
+    ///
+    /// The first planned task is the one [`Self::next_task`] returns if
+    /// called now with the same oracle, and the worker calls this before it
+    /// calls `next_task`: the window counts the task about to start, so
+    /// window 1 looks no further ahead than that task.
     pub fn prefetch_candidates(&self, graph: &TaskGraph, oracle: &dyn MemoryOracle) -> Vec<String> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
@@ -719,6 +726,29 @@ mod tests {
         assert_eq!(
             ls.prefetch_candidates(&g, &resident),
             vec!["M_0".to_string(), "M_1".to_string(), "M_2".to_string()]
+        );
+    }
+
+    #[test]
+    fn window_one_names_only_the_inputs_of_the_task_about_to_start() {
+        let g = iterated_spmv(1, 3);
+        let resident: HashSet<String> = ["M_2".to_string()].into_iter().collect();
+        let mut ls =
+            LocalScheduler::new(&g, g.ids(), OrderPolicy::DataAware).with_prefetch_window(1);
+        // The worker's order: prefetch candidates first, then the next task.
+        let pf = ls.prefetch_candidates(&g, &resident);
+        let next = ls.next_task(&g, &resident).expect("a ready multiply");
+        assert_eq!(g.task(next).name, "p_1_2", "its matrix is resident");
+        let missing: Vec<String> = g
+            .task(next)
+            .inputs
+            .iter()
+            .map(|d| d.array.clone())
+            .filter(|a| !resident.contains(a))
+            .collect();
+        assert_eq!(
+            pf, missing,
+            "window 1 looks no further than the task about to start"
         );
     }
 }

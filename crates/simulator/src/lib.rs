@@ -25,7 +25,6 @@
 //! Calibration constants are documented where they are defined and recorded
 //! in `EXPERIMENTS.md` next to paper-vs-model tables.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cibasis;

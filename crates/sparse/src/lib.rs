@@ -21,12 +21,11 @@
 //! * [`pool`] — the split of one SpMV or sum across the node's cores, as
 //!   scoped threads over borrowed pieces of its operands.
 //!
-//! Everything is deterministic under a caller-supplied seed, `#![forbid(unsafe_code)]`,
+//! Everything is deterministic under a caller-supplied seed, free of `unsafe`,
 //! and sized with `u64` row/column indices so that paper-scale shapes
 //! (trillions of non-zeros) are representable even though laptop-scale tests
 //! only materialize a few million.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blockgrid;

@@ -236,7 +236,7 @@ impl IoFilter {
         };
         match self.faults.at(self.node, site) {
             Some(Fault::Delay(ms)) => {
-                dooc_sync::thread::sleep(std::time::Duration::from_millis(ms));
+                std::thread::sleep(std::time::Duration::from_millis(ms));
             }
             Some(Fault::Error) => {
                 let (array, block) = match cmd {

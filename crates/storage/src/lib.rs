@@ -34,7 +34,7 @@
 //! evicted least-recently-used first; dirty blocks are spilled through the
 //! I/O filter before their memory is reclaimed.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -374,11 +374,11 @@ mod tests {
         buf.resize(1 << 20, 1);
         let bytes = buf.freeze();
         let clone = bytes.clone();
-        dooc_sync::thread::spawn(move || drop(clone))
+        std::thread::spawn(move || drop(clone))
             .join()
             .expect("drop thread");
         assert_eq!(pool.retained_bytes(), 0);
-        dooc_sync::thread::spawn(move || drop(bytes))
+        std::thread::spawn(move || drop(bytes))
             .join()
             .expect("drop thread");
         assert_eq!(pool.retained_bytes(), 1 << 20);

@@ -11,17 +11,9 @@ pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 }
 
-/// Bounded/unbounded MPMC channels and the typed `Select` multiplexer,
-/// re-exported from the (vendored) crossbeam channel implementation.
+/// Bounded MPMC channels and the typed `Select` multiplexer, re-exported
+/// from the (vendored) crossbeam channel implementation. There is no
+/// unbounded constructor: streams rely on backpressure to bound memory.
 pub mod channel {
-    pub use crossbeam::channel::{
-        bounded, unbounded, Receiver, RecvError, Select, Sender, TryRecvError,
-    };
-}
-
-/// Thread spawn/join/sleep, re-exported from `std::thread`. Runtime
-/// crates must sleep through this facade path and never spin (dooc-check
-/// lint rule 8), so every wait in the runtime is a visible facade call.
-pub mod thread {
-    pub use std::thread::{sleep, spawn, JoinHandle};
+    pub use crossbeam::channel::{bounded, Receiver, RecvError, Select, Sender, TryRecvError};
 }

@@ -8,6 +8,10 @@
 //! bytes (a pass-through global allocator) so that a failure says which part
 //! grew: live bytes, or the gap between them and the resident set.
 #![cfg(target_os = "linux")]
+#![allow(
+    unsafe_code,
+    reason = "a counting `GlobalAlloc` cannot be implemented without `unsafe`"
+)]
 
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::linalg::spmv_app::{tiled_owner, SpmvAppBuilder, SpmvExecutor};
