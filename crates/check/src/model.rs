@@ -76,6 +76,9 @@ pub enum Op {
     ReleaseChecked(u64),
     /// `Evict` the array.
     Evict,
+    /// `Demote` the array: its resident blocks go to the cold end of the
+    /// LRU.
+    Demote,
     /// `Resident`: which arrays are fully in memory.
     Resident,
 }
@@ -140,6 +143,23 @@ impl Model {
         Self {
             bugs,
             scripts: vec![writer, vec![Resident; 3], vec![Evict]],
+        }
+    }
+
+    /// Client 0 writes and seals both blocks; client 1 reads and releases
+    /// both; a third client demotes the array twice, at any point: while a
+    /// read pin is held, while a block is dirty (sealed, not yet spilled),
+    /// while a spill or load is out. Demotion changes only which block
+    /// reclaim takes first, never whether it may take it.
+    pub fn demote_protocol(bugs: SeededBugs) -> Self {
+        use Op::*;
+        Self {
+            bugs,
+            scripts: vec![
+                vec![Write(0), Seal(0), Write(1), Seal(1)],
+                vec![Read(0), Release(0), Read(1), Release(1)],
+                vec![Demote, Demote],
+            ],
         }
     }
 
@@ -308,9 +328,13 @@ impl Model {
                 }
             }
             Op::Evict => ClientMsg::Evict { array },
+            Op::Demote => ClientMsg::Demote { array },
             Op::Resident => ClientMsg::Resident { req, client },
         };
-        if matches!(op, Op::Release(_) | Op::ReleaseChecked(_) | Op::Evict) {
+        if matches!(
+            op,
+            Op::Release(_) | Op::ReleaseChecked(_) | Op::Evict | Op::Demote
+        ) {
             cl.pc += 1; // no reply
         } else {
             cl.parked = true;

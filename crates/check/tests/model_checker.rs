@@ -98,3 +98,33 @@ fn skipped_release_breaks_refcount_balance() {
     let model = Model::standard(SeededBugs::default()).without_releases(0);
     expect_violation(&model, "balanced-at-quiescence");
 }
+
+#[test]
+fn faithful_demote_protocol_has_no_violations() {
+    // Demotions race pins, seals, spills, loads and failures: pinned blocks
+    // stay, dirty ones are written before they go, parked reads progress.
+    let stats = clean(&Model::demote_protocol(SeededBugs::default()));
+    assert!(stats.states > 1000, "suspiciously small space: {stats:?}");
+}
+
+#[test]
+fn demoting_does_not_hide_an_evicted_pin() {
+    let bugs = SeededBugs {
+        evict_ignores_pins: true,
+        ..SeededBugs::default()
+    };
+    let trace = expect_violation(&Model::demote_protocol(bugs), "no-evict-pinned");
+    assert!(
+        trace.iter().any(|s| s.contains("Read")),
+        "the victim was pinned by a read: {trace:?}"
+    );
+}
+
+#[test]
+fn demoting_does_not_hide_an_unspilled_eviction() {
+    let bugs = SeededBugs {
+        evict_skips_spill: true,
+        ..SeededBugs::default()
+    };
+    expect_violation(&Model::demote_protocol(bugs), "reads-answered");
+}

@@ -4,8 +4,9 @@
 //! [`LocalScheduler`], asks its storage node which arrays are resident
 //! ("periodically queries the state of the storage to know which data are
 //! available in memory"), issues prefetches, executes ready tasks through
-//! the application's [`TaskExecutor`], and broadcasts completions to every
-//! other worker so all local schedulers observe cluster-wide DAG progress.
+//! the application's [`TaskExecutor`], demotes the inputs a finished task
+//! leaves to no ready task, and broadcasts completions to every other
+//! worker so all local schedulers observe cluster-wide DAG progress.
 
 use crate::report::TraceEvent;
 use crate::DoocConfig;
@@ -604,6 +605,14 @@ impl Filter for WorkerFilter {
                     end: self.start.elapsed(),
                     input_bytes,
                 });
+                // Inputs no ready task reads go to the cold end of the LRU,
+                // so reclaim takes them before what the next tasks need; a
+                // task that becomes ready and reads one re-warms it.
+                for array in ls.idle_inputs(&self.graph, t) {
+                    client
+                        .demote(array)
+                        .map_err(|e| ctx.error(format!("demote {array}: {e}")))?;
+                }
                 ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
             } else {
                 // `next_task` is `None` only while no local task is ready,

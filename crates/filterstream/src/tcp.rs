@@ -65,7 +65,7 @@ const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 const RETRY_PAUSE: Duration = Duration::from_millis(25);
 /// Per-peer outbox depth (frames) before senders block.
 const OUTBOX_CAP: usize = 256;
-/// Socket read chunk size; each read becomes one shared `Bytes` segment.
+/// Socket read chunk size; each read becomes one `Bytes` segment.
 const READ_CHUNK: usize = 64 * 1024;
 /// BufWriter capacity on the send side.
 const WRITE_BUF: usize = 64 * 1024;
@@ -210,23 +210,43 @@ fn hello_frame(node: usize, fingerprint: u64) -> Frame {
     Frame::hello(node as u64, Bytes::from(p))
 }
 
+/// A connection's socket read buffer, zeroed once and reused by every read.
+struct ReadBuf(Vec<u8>);
+
+impl ReadBuf {
+    fn new() -> Self {
+        Self(vec![0u8; READ_CHUNK])
+    }
+
+    /// One socket read, as a segment of its own: a full chunk is handed on
+    /// whole (and replaced), a short read's prefix is copied out, so a small
+    /// frame keeps no 64 KiB chunk alive. Empty at end of stream.
+    fn read(&mut self, stream: &mut TcpStream) -> std::io::Result<Bytes> {
+        let n = stream.read(&mut self.0)?;
+        Ok(if n == self.0.len() {
+            Bytes::from(std::mem::replace(&mut self.0, vec![0u8; READ_CHUNK]))
+        } else {
+            Bytes::copy_from_slice(&self.0[..n])
+        })
+    }
+}
+
 /// Blocking-reads exactly one frame (used for handshake and exchange).
 fn read_one_frame(stream: &mut TcpStream, dec: &mut FrameDecoder) -> Result<Frame> {
+    let mut buf = ReadBuf::new();
     loop {
         if let Some(f) = dec.next_frame()? {
             return Ok(f);
         }
-        let mut chunk = vec![0u8; READ_CHUNK];
-        let n = stream
-            .read(&mut chunk)
+        let chunk = buf
+            .read(stream)
             .map_err(|e| transport_err("socket read", e))?;
-        if n == 0 {
+        if chunk.is_empty() {
             return Err(FsError::Transport(
                 "connection closed mid-handshake".to_string(),
             ));
         }
-        chunk.truncate(n);
-        dec.push(Bytes::from(chunk));
+        dec.push(chunk);
     }
 }
 
@@ -376,6 +396,7 @@ fn demux_loop(
 ) {
     let bytes_in = metrics::counter("fs.tcp.bytes_in");
     let frames_in = metrics::counter("fs.tcp.frames_in");
+    let mut buf = ReadBuf::new();
     loop {
         match dec.next_frame() {
             Ok(Some(f)) => {
@@ -398,15 +419,12 @@ fn demux_loop(
                 break;
             }
         }
-        let mut chunk = vec![0u8; READ_CHUNK];
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                chunk.truncate(n);
-                bytes_in.add(n as u64);
-                dec.push(Bytes::from(chunk));
+        match buf.read(&mut stream) {
+            Ok(chunk) if !chunk.is_empty() => {
+                bytes_in.add(chunk.len() as u64);
+                dec.push(chunk);
             }
-            Err(_) => break,
+            _ => break,
         }
     }
     sink.on_peer_closed(peer);

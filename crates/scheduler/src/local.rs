@@ -35,7 +35,11 @@
 //! lives until the last task that reads it completes, and an output nobody
 //! reads is a result. It counts readers per array and reports the arrays
 //! that went dead ([`LocalScheduler::take_dead`]) so the worker can delete
-//! them instead of leaving them to age out of the LRU and be spilled.
+//! them instead of leaving them to age out of the LRU and be spilled. It
+//! also knows what no task reads *next*: the inputs of a finished task that
+//! no ready task reads, nor one its completion makes ready
+//! ([`LocalScheduler::idle_inputs`]), which the worker demotes so the
+//! storage reclaims them before anything still in use.
 
 use crate::task::{ReadyTracker, TaskGraph, TaskId};
 use std::collections::{HashMap, HashSet};
@@ -223,6 +227,32 @@ impl LocalScheduler {
                     .as_str()
             })
             .collect()
+    }
+
+    /// The inputs of `id`, a local task that just finished and whose
+    /// completion has not been recorded yet, that no ready local task
+    /// reads — nor a local task this completion makes ready — each once.
+    /// Until another task becomes ready and reads one, nothing here runs on
+    /// them: the worker tells its storage so, and reclaim takes them before
+    /// the blocks the ready tasks need.
+    pub fn idle_inputs<'g>(&self, graph: &'g TaskGraph, id: TaskId) -> Vec<&'g str> {
+        let readied = graph
+            .succs(id)
+            .iter()
+            .filter(|&&s| self.mine.contains(&s) && self.tracker.pending(s) == 1);
+        let next: Vec<TaskId> = self.ready.iter().chain(readied).copied().collect();
+        let read_by_ready = |array: &str| {
+            next.iter()
+                .any(|&t| graph.task(t).inputs.iter().any(|d| d.array == array))
+        };
+        let mut idle: Vec<&str> = Vec::new();
+        for d in &graph.task(id).inputs {
+            let array = d.array.as_str();
+            if !idle.contains(&array) && !read_by_ready(array) {
+                idle.push(array);
+            }
+        }
+        idle
     }
 
     /// Number of ready local tasks.
@@ -674,6 +704,49 @@ mod tests {
             producer.take_dead(&g).is_empty(),
             "d reading its own output D does not make D an intermediate"
         );
+    }
+
+    #[test]
+    fn a_consumed_matrix_goes_idle_while_the_vector_it_shares_does_not() {
+        // Fig. 5: once p_1_0 completes, nothing ready reads M_0 (p_2_0 waits
+        // for x_1), while p_1_1 and p_1_2 still read x_0.
+        let g = iterated_spmv(2, 3);
+        let none: HashSet<String> = HashSet::new();
+        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
+        let first = ls.next_task(&g, &none).expect("ready");
+        assert_eq!(g.task(first).name, "p_1_0");
+        assert_eq!(ls.idle_inputs(&g, first), vec!["M_0"]);
+        ls.on_complete(&g, first);
+        let second = ls.next_task(&g, &none).expect("ready");
+        ls.on_complete(&g, second);
+        let last = ls.next_task(&g, &none).expect("ready");
+        assert_eq!(g.task(last).name, "p_1_2");
+        assert_eq!(
+            ls.idle_inputs(&g, last),
+            vec!["M_2", "x_0"],
+            "the iteration's last multiply leaves x_0 to nobody"
+        );
+    }
+
+    #[test]
+    fn what_the_finished_task_releases_is_not_idle() {
+        // The barrier's inputs are the x pieces the next iteration's
+        // multiplies read; its completion makes those multiplies ready, so
+        // nothing it read is idle. Each multiply's matrix cell is.
+        let g = grid_spmv(2, 2);
+        let none: HashSet<String> = HashSet::new();
+        let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::DataAware);
+        while let Some(t) = ls.next_task(&g, &none) {
+            let spec = g.task(t);
+            let idle = ls.idle_inputs(&g, t);
+            match spec.kind.as_str() {
+                "barrier" => assert!(idle.is_empty(), "{} left {idle:?}", spec.name),
+                "multiply" => assert!(idle.contains(&spec.inputs[0].array.as_str())),
+                _ => {}
+            }
+            ls.on_complete(&g, t);
+        }
+        assert!(ls.graph_done());
     }
 
     #[test]

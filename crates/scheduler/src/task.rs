@@ -283,6 +283,11 @@ impl ReadyTracker {
             .collect()
     }
 
+    /// Number of `id`'s predecessors that have not completed.
+    pub(crate) fn pending(&self, id: TaskId) -> usize {
+        self.indeg[id.0 as usize]
+    }
+
     /// Marks `id` complete; returns tasks that became ready.
     pub fn complete(&mut self, graph: &TaskGraph, id: TaskId) -> Vec<TaskId> {
         assert!(!self.done[id.0 as usize], "task {id} completed twice");

@@ -835,13 +835,18 @@ impl Replay<'_> {
         assert!(matches!(self.call(n, msg), Reply::WriteSealed { .. }));
     }
 
-    /// `n`'s task ran its last step: its outputs are written and its
-    /// completion is broadcast. Every idle worker wakes.
+    /// `n`'s task ran its last step: its outputs are written, the inputs no
+    /// ready task reads are demoted, and its completion is broadcast. Every
+    /// idle worker wakes.
     fn finish(&mut self, n: usize) {
         let graph = self.graph;
         let running = self.nodes[n].running.take().expect("a running task");
         for out in &graph.task(running.task).outputs {
             self.write(n, &out.array);
+        }
+        for array in self.nodes[n].ls.idle_inputs(graph, running.task) {
+            let array = array.to_string();
+            self.send(n, ClientMsg::Demote { array });
         }
         self.completed += 1;
         for vn in &mut self.nodes {

@@ -2,7 +2,7 @@
 //! K = 8, a budget of an eighth of the matrix and one compute thread,
 //! `run_testbed` at the same sizes must do what ten real `DoocRuntime` runs
 //! of the interleaved plan did to the storage node: the bytes it read from
-//! disk, the blocks it evicted and the bytes it spilled.
+//! disk, the blocks it evicted and the bytes it spilled — which is none.
 
 use dooc_core::{DoocConfig, DoocRuntime};
 use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, SpmvExecutor, SyncPolicy};
@@ -117,5 +117,13 @@ fn replay_matches_real_runs_on_one_node() {
     );
     agrees("disk read bytes", r.disk_read_bytes, reads);
     agrees("evictions", r.evictions, evictions);
+    // Every input the scheduler is done with is demoted, so reclaim takes
+    // consumed matrix cells ahead of the unspilled vectors and partials:
+    // nothing is written on either side.
+    assert_eq!(r.bytes_spilled, 0, "the replay spilled");
+    assert!(
+        spills.iter().all(|&s| s == 0),
+        "real runs spilled {spills:?}"
+    );
     agrees("spilled bytes", r.bytes_spilled, spills);
 }

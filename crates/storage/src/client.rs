@@ -486,6 +486,14 @@ impl StorageClient {
         })
     }
 
+    /// Tells the storage that no ready task reads `array` (fire-and-forget):
+    /// its resident blocks are reclaimed before any block still in use.
+    pub fn demote(&mut self, array: &str) -> Result<()> {
+        self.send(&ClientMsg::Demote {
+            array: array.to_string(),
+        })
+    }
+
     /// Asks the local storage filter to shut down (fire-and-forget; typically
     /// sent by every node's client when the application is quiescent). Warns
     /// through the observability layer if grants are still outstanding —

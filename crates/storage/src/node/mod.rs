@@ -32,8 +32,8 @@
 //!   creation, the availability map and array deletion;
 //! * `grants` — write-once grants, read pins, logged reads;
 //! * `residency` — what a block costs in memory (`BlockMem`), the budget,
-//!   the LRU, and the only two ways a block leaves memory: `evict_block` and
-//!   `spill_block`;
+//!   the LRU with its cold region for demoted blocks, and the only two ways
+//!   a block leaves memory: `evict_block` and `spill_block`;
 //! * `fetch` — peer lookup: serving and issuing probes, stalls,
 //!   and resolving placeholder geometry;
 //! * `recovery` — bounded retry with backoff for failed reads.
@@ -57,7 +57,7 @@ use fetch::FetchState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recovery::IoRetry;
-use residency::BlockMem;
+use residency::{BlockMem, LruKey};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -70,6 +70,7 @@ struct StorageObs {
     blocks_evicted: &'static Counter,
     blocks_spilled: &'static Counter,
     blocks_sealed: &'static Counter,
+    blocks_demoted: &'static Counter,
     read_hits: &'static Counter,
     read_misses: &'static Counter,
     io_retries: &'static Counter,
@@ -85,6 +86,7 @@ fn storage_obs() -> &'static StorageObs {
         blocks_evicted: counter("storage.blocks_evicted"),
         blocks_spilled: counter("storage.blocks_spilled"),
         blocks_sealed: counter("storage.blocks_sealed"),
+        blocks_demoted: counter("storage.blocks_demoted"),
         read_hits: counter("storage.read_hits"),
         read_misses: counter("storage.read_misses"),
         io_retries: counter("storage.io_retries"),
@@ -174,8 +176,8 @@ struct BlockInfo {
     /// Active grants (read pins + write grants); pinned blocks are not
     /// reclaimable.
     pins: u64,
-    /// LRU clock value of the last access.
-    last_use: u64,
+    /// Where the block is filed in the LRU index, if it is.
+    lru: Option<LruKey>,
     /// Logged local reads waiting for the data.
     read_waiters: Vec<ReadWaiter>,
     /// Peer fetches waiting for this block to seal (req, from_node).
@@ -270,8 +272,10 @@ pub struct StorageState {
     arrays: HashMap<String, ArrayInfo>,
     /// Tombstones of deleted arrays: a deleted name cannot come back.
     deleted: HashSet<String>,
-    /// LRU index: clock value -> (array, block). Values are unique.
-    lru: BTreeMap<u64, (String, u64)>,
+    /// LRU index: `(warm, clock)` -> (array, block). Cold (demoted) blocks
+    /// sort before every warm one, each region oldest first; keys are
+    /// unique.
+    lru: BTreeMap<LruKey, (String, u64)>,
     clock: u64,
     /// Outstanding fetch request ids -> (array, block).
     fetches: HashMap<u64, (String, u64)>,
@@ -555,6 +559,7 @@ impl StorageState {
                 });
             }
             ClientMsg::Evict { array } => self.explicit_evict(&array, &mut out),
+            ClientMsg::Demote { array } => self.demote(&array),
             ClientMsg::Shutdown => {
                 if !self.local_done {
                     self.local_done = true;
@@ -691,7 +696,7 @@ impl StorageState {
                 // block to discharge.
                 self.pinned_now = self.pinned_now.saturating_sub(block_len);
             }
-            self.lru_remove(info.last_use);
+            self.lru_remove(info.lru);
             if let Some(f) = info.fetch {
                 self.fetches.remove(&f.req);
             }

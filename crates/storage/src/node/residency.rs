@@ -8,6 +8,12 @@
 //! `evict_block` when a disk copy exists, or `spill_block` first and
 //! `evict_block` when the write lands (`spill_done`). `persist` uses
 //! `spill_block` without the eviction.
+//!
+//! The LRU has two regions: every use files a block as warm, a client's
+//! `Demote` (no ready task reads the array) refiles its resident blocks as
+//! cold, and cold blocks sort before warm ones, oldest demotion first. The
+//! one walk therefore takes what the scheduler is done with before anything
+//! it may still read.
 
 use super::{storage_obs, Action, BlockInfo, StorageState};
 use crate::meta::Interval;
@@ -16,6 +22,11 @@ use crate::rangeset::RangeSet;
 use crate::StorageError;
 use bytes::Bytes;
 use std::collections::HashSet;
+use std::ops::Bound;
+
+/// Where a block is filed in the LRU: `(warm, clock)`. A cold (demoted)
+/// key sorts before every warm one; within a region the older goes first.
+pub(super) type LruKey = (bool, u64);
 
 /// Resident form of a block. Every form is charged to the budget for the
 /// block's full length from the moment it exists.
@@ -71,7 +82,13 @@ impl BlockInfo {
 impl StorageState {
     // -- LRU and budget -----------------------------------------------------
 
+    /// A use of the block: filed as warm, newest.
     pub(super) fn touch(&mut self, array: &str, block: u64) {
+        self.file(array, block, true);
+    }
+
+    /// Files a known block at the young end of its region.
+    fn file(&mut self, array: &str, block: u64, warm: bool) {
         let Some(info) = self
             .arrays
             .get_mut(array)
@@ -79,17 +96,39 @@ impl StorageState {
         else {
             return; // unknown block: nothing to age
         };
-        if info.last_use != 0 {
-            self.lru.remove(&info.last_use);
+        if let Some(key) = info.lru {
+            self.lru.remove(&key);
         }
         self.clock += 1;
-        info.last_use = self.clock;
-        self.lru.insert(self.clock, (array.to_string(), block));
+        let key = (warm, self.clock);
+        info.lru = Some(key);
+        self.lru.insert(key, (array.to_string(), block));
     }
 
-    pub(super) fn lru_remove(&mut self, last_use: u64) {
-        if last_use != 0 {
-            self.lru.remove(&last_use);
+    pub(super) fn lru_remove(&mut self, key: Option<LruKey>) {
+        if let Some(key) = key {
+            self.lru.remove(&key);
+        }
+    }
+
+    /// Hint that no ready task reads `array`: its resident blocks are
+    /// refiled as cold, in block order, so reclaim takes them before any
+    /// warm block. Pins, loads and spills are untouched; an unknown or
+    /// deleted array is a no-op.
+    pub(super) fn demote(&mut self, array: &str) {
+        let Some(ainfo) = self.arrays.get(array) else {
+            return;
+        };
+        let mut blocks: Vec<u64> = ainfo
+            .blocks
+            .iter()
+            .filter(|(_, info)| info.mem.is_some())
+            .map(|(&b, _)| b)
+            .collect();
+        blocks.sort_unstable();
+        storage_obs().blocks_demoted.add(blocks.len() as u64);
+        for block in blocks {
+            self.file(array, block, false);
         }
     }
 
@@ -103,22 +142,28 @@ impl StorageState {
         self.resident -= bytes;
     }
 
-    /// LRU reclamation: walk blocks least-recently-used first and free
-    /// unpinned sealed ones until the budget holds, counting spills in
-    /// flight as already freed.
+    /// LRU reclamation: walk blocks cold first, then least-recently-used
+    /// first, and free unpinned sealed ones until the budget holds,
+    /// counting spills in flight as already freed.
     fn reclaim(&mut self, out: &mut Vec<Action>) {
         let budget = self.cfg.memory_budget;
         let mut projected = self.resident;
         // Stop once `projected` fits: reclaiming costs the victims it takes,
         // not the blocks it keeps.
-        let mut next = 0;
+        let mut after = Bound::Unbounded;
         while projected > budget {
-            let Some((&used, (array, block))) = self.lru.range(next..).next() else {
+            let Some((&key, (array, block))) = self.lru.range((after, Bound::Unbounded)).next()
+            else {
                 break;
             };
-            next = used + 1;
+            after = Bound::Excluded(key);
             let (array, block) = (array.clone(), *block);
-            if let Some(freed) = self.release_block(&array, block, "lru reclaim", out) {
+            let why = if key.0 {
+                "lru reclaim"
+            } else {
+                "lru reclaim (cold)"
+            };
+            if let Some(freed) = self.release_block(&array, block, why, out) {
                 projected = projected.saturating_sub(freed);
             }
         }
@@ -183,8 +228,8 @@ impl StorageState {
             return;
         }
         info.evict_after_spill = false;
-        let last_use = std::mem::take(&mut info.last_use);
-        self.lru_remove(last_use);
+        let key = info.lru.take();
+        self.lru_remove(key);
         self.discharge(block_len);
         self.stats.evictions += 1;
         storage_obs().blocks_evicted.inc();
@@ -663,6 +708,116 @@ mod tests {
         assert!(!in_memory(&st, 2), "the oldest block went");
         assert!([0, 3, 1, 4].iter().all(|&b| in_memory(&st, b)));
         assert_eq!(st.lru.len(), 4, "the victim left the LRU index");
+    }
+
+    fn demote(st: &mut StorageState, name: &str) -> Vec<super::Action> {
+        st.handle_client(ClientMsg::Demote { array: name.into() })
+    }
+
+    fn spilled(acts: &[super::Action]) -> Vec<String> {
+        acts.iter()
+            .filter_map(|a| match a {
+                super::Action::Io(IoCmd::Write { array, .. }) => Some(array.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Two single-block arrays fill a budget of two blocks, "old" written
+    /// first; `prepare` runs before a third array needs room.
+    fn third_block_pushes_out(
+        prepare: impl FnOnce(&mut StorageState),
+    ) -> (StorageState, Vec<String>) {
+        let mut st = state(64);
+        for (name, byte) in [("old", 1), ("new", 2)] {
+            create(&mut st, name, 32, 32);
+            write_all(&mut st, name, Interval::new(0, 32), byte);
+        }
+        create(&mut st, "x", 32, 32);
+        prepare(&mut st);
+        let victims = spilled(&write_all(&mut st, "x", Interval::new(0, 32), 3));
+        (st, victims)
+    }
+
+    #[test]
+    fn a_demoted_block_goes_before_an_older_warm_block() {
+        let (mut st, victims) = third_block_pushes_out(|st| {
+            assert!(demote(st, "new").is_empty(), "a hint has no reply");
+        });
+        assert_eq!(
+            victims,
+            ["new"],
+            "the cold block goes, not the older warm one"
+        );
+        assert_eq!(st.lru.keys().filter(|k| !k.0).count(), 1, "one cold block");
+        write_done(&mut st, "new", 0, 32);
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (64, 1));
+        assert!(st.arrays["old"].blocks[&0].mem.is_some());
+        assert!(st.lru.keys().all(|k| k.0), "the cold victim left the index");
+    }
+
+    #[test]
+    fn a_read_rewarms_a_demoted_block() {
+        let (_, victims) = third_block_pushes_out(|st| {
+            demote(st, "new");
+            let whole = Interval::new(0, 32);
+            assert_eq!(served(&read(st, 5, 0, "new", whole)), vec![5]);
+            unpin(st, "new", whole);
+        });
+        assert_eq!(
+            victims,
+            ["old"],
+            "read again, \"new\" is the newest warm block"
+        );
+    }
+
+    #[test]
+    fn a_demoted_pinned_block_stays() {
+        let whole = Interval::new(0, 32);
+        let (mut st, victims) = third_block_pushes_out(|st| {
+            assert_eq!(served(&read(st, 5, 0, "new", whole)), vec![5]);
+            demote(st, "new");
+        });
+        assert_eq!(victims, ["old"], "the pinned cold block is passed over");
+        assert!(st.arrays["new"].blocks[&0].mem.is_some());
+        unpin(&mut st, "new", whole);
+    }
+
+    #[test]
+    fn a_demoted_dirty_block_is_spilled_and_only_then_evicted() {
+        let (mut st, victims) = third_block_pushes_out(|st| {
+            demote(st, "new");
+        });
+        assert_eq!(victims, ["new"]);
+        assert_eq!(
+            st.resident_bytes(),
+            96,
+            "still resident while the spill runs"
+        );
+        assert_eq!(st.stats().evictions, 0);
+        assert!(st.arrays["new"].blocks[&0].mem.is_some());
+        write_done(&mut st, "new", 0, 32);
+        assert_eq!((st.resident_bytes(), st.stats().evictions), (64, 1));
+        // Back from disk on the next read, and warm again.
+        assert!(matches!(
+            &read(&mut st, 6, 0, "new", Interval::new(0, 32))[..],
+            [super::Action::Io(IoCmd::Read { .. })]
+        ));
+    }
+
+    #[test]
+    fn demote_of_an_unknown_or_deleted_array_is_a_no_op() {
+        let mut st = state(1 << 20);
+        create(&mut st, "a", 32, 32);
+        write_all(&mut st, "a", Interval::new(0, 32), 1);
+        let before = st.fingerprint();
+        assert!(demote(&mut st, "nowhere").is_empty());
+        assert_eq!(st.fingerprint(), before, "no placeholder, no clock tick");
+        delete(&mut st, "a");
+        let before = st.fingerprint();
+        assert!(demote(&mut st, "a").is_empty());
+        assert_eq!(st.fingerprint(), before);
+        assert!(st.arrays.is_empty() && st.lru.is_empty());
     }
 
     #[test]

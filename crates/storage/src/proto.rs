@@ -169,6 +169,15 @@ pub enum ClientMsg {
         /// Array name.
         array: String,
     },
+    /// Hint from the local scheduler: no ready task reads this array, so
+    /// its resident blocks are the first reclaim takes (before any block
+    /// in use), the earliest demoted first. A later read makes a block
+    /// count as in use again. Pinned, loading and unspilled blocks leave
+    /// memory by the usual rules. No reply.
+    Demote {
+        /// Array name.
+        array: String,
+    },
     /// Orderly shutdown: the storage filter finishes pending work, closes
     /// its peer/I/O links and exits.
     Shutdown,
@@ -515,6 +524,10 @@ impl ClientMsg {
                 pb.put_str(array);
                 pb.build(T_CLIENT + 12)
             }
+            ClientMsg::Demote { array } => {
+                pb.put_str(array);
+                pb.build(T_CLIENT + 14)
+            }
             ClientMsg::Resident { req, client } => {
                 pb.put_u64(*req).put_u64(*client);
                 pb.build(T_CLIENT + 13)
@@ -579,6 +592,9 @@ impl ClientMsg {
             t if t == T_CLIENT + 12 => ClientMsg::Evict {
                 array: r.str().ok_or_else(e)?,
             },
+            t if t == T_CLIENT + 14 => ClientMsg::Demote {
+                array: r.str().ok_or_else(e)?,
+            },
             t if t == T_CLIENT + 13 => ClientMsg::Resident {
                 req: r.u64().ok_or_else(e)?,
                 client: r.u64().ok_or_else(e)?,
@@ -609,6 +625,7 @@ impl ClientMsg {
             | ClientMsg::Prefetch { .. }
             | ClientMsg::Register { .. }
             | ClientMsg::Evict { .. }
+            | ClientMsg::Demote { .. }
             | ClientMsg::Shutdown => None,
         }
     }
@@ -1005,6 +1022,7 @@ mod tests {
                 meta: ArrayMeta::new("reg", 64, 16),
             },
             ClientMsg::Evict { array: "ev".into() },
+            ClientMsg::Demote { array: "dm".into() },
             ClientMsg::Resident { req: 10, client: 4 },
             ClientMsg::StatsQuery { req: 9, client: 5 },
             ClientMsg::Shutdown,
