@@ -29,9 +29,9 @@ use dooc_core::{
     counter, ArrayView, Counter, ExecOutcome, TaskExecutor, TaskGraph, TaskSpec, WorkerContext,
 };
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
-use dooc_sparse::fileio;
 use dooc_sparse::genmat::GapGenerator;
-use dooc_sparse::{ComputePool, CsrBytes, SparseError};
+use dooc_sparse::pool::{fork_join_with, host_parallelism};
+use dooc_sparse::{ComputePool, CsrBytes, CsrMatrix, SparseError};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -137,6 +137,11 @@ impl SpmvAppBuilder {
     /// Generates and writes all K² sub-matrix files into the owners' scratch
     /// directories with the paper's gap generator, returning the staged-block
     /// descriptions. `owner(coord)` maps a grid cell to a node.
+    ///
+    /// The cells are staged in parallel, at the host's parallelism
+    /// ([`BlockGrid::write_cells`]): each has a seed of its own derived from
+    /// `seed` and its coordinates, so a file's bytes never depend on the
+    /// thread count or on which thread wrote it.
     pub fn stage(
         scratch_dirs: &[std::path::PathBuf],
         grid: BlockGrid,
@@ -144,16 +149,22 @@ impl SpmvAppBuilder {
         seed: u64,
         owner: impl Fn(BlockCoord) -> u64,
     ) -> dooc_sparse::Result<Vec<StagedBlock>> {
-        Self::stage_cells(grid, gen, seed, owner, |node| {
-            Some(scratch_dirs[node as usize].as_path())
-        })
+        Self::stage_cells(
+            grid,
+            gen,
+            seed,
+            owner,
+            |node| Some(scratch_dirs[node as usize].as_path()),
+            host_parallelism(),
+        )
     }
 
     /// Per-process variant of [`SpmvAppBuilder::stage`] for multi-process
-    /// clusters: generates every block's *metadata* deterministically (so all
-    /// processes agree on sizes, nnz and ownership) but writes only the files
-    /// owned by node `me` into `scratch_dir`. Every process must call this
-    /// with the same grid, generator, seed and owner function.
+    /// clusters: generates every block (so all processes agree on sizes,
+    /// nnz and ownership) but writes only the files owned by node `me` into
+    /// `scratch_dir`. Every process must call this with the same grid,
+    /// generator, seed and owner function. Cells are staged in parallel as
+    /// [`SpmvAppBuilder::stage`] stages them, and its list is `stage`'s.
     pub fn stage_local(
         scratch_dir: &std::path::Path,
         me: u64,
@@ -162,42 +173,44 @@ impl SpmvAppBuilder {
         seed: u64,
         owner: impl Fn(BlockCoord) -> u64,
     ) -> dooc_sparse::Result<Vec<StagedBlock>> {
-        Self::stage_cells(grid, gen, seed, owner, |node| {
-            (node == me).then_some(scratch_dir)
-        })
+        Self::stage_cells(
+            grid,
+            gen,
+            seed,
+            owner,
+            |node| (node == me).then_some(scratch_dir),
+            host_parallelism(),
+        )
     }
 
-    /// Generates every cell and writes those whose owner `dir_of` has a
-    /// directory for. A cell's size is what the writer reports — for a cell
-    /// another process stages, what the writer's own header says it would
-    /// write ([`fileio::encoded_size`]) — never a formula kept beside the
-    /// writer: the storage layer checks each file against this number.
+    /// Generates every cell at `parallelism` and writes those whose owner
+    /// `dir_of` has a directory for. A cell's size is what the encoder
+    /// reports — for a cell another process stages, what the encoder's own
+    /// header says it would write
+    /// ([`dooc_sparse::fileio::encoded_size`]) — never a formula kept
+    /// beside it: the storage layer checks each file against this number.
     fn stage_cells<'d>(
         grid: BlockGrid,
         gen: &GapGenerator,
         seed: u64,
         owner: impl Fn(BlockCoord) -> u64,
         dir_of: impl Fn(u64) -> Option<&'d Path>,
+        parallelism: usize,
     ) -> dooc_sparse::Result<Vec<StagedBlock>> {
-        let mut out = Vec::with_capacity((grid.k * grid.k) as usize);
-        for coord in grid.coords() {
-            let node = owner(coord);
-            let m = grid.generate_block(gen, seed, coord);
-            let bytes = match dir_of(node) {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir)?;
-                    fileio::write_matrix(&dir.join(BlockGrid::file_name(coord)), &m)?
-                }
-                None => fileio::encoded_size(&m)?,
-            };
-            out.push(StagedBlock {
+        let nodes: Vec<u64> = grid.coords().map(owner).collect();
+        let dirs: Vec<Option<&Path>> = nodes.iter().map(|&node| dir_of(node)).collect();
+        let cells = grid.write_cells(gen, seed, &dirs, parallelism)?;
+        Ok(grid
+            .coords()
+            .zip(nodes)
+            .zip(cells)
+            .map(|((coord, node), cell)| StagedBlock {
                 coord,
                 node,
-                bytes,
-                nnz: m.nnz(),
-            });
-        }
-        Ok(out)
+                bytes: cell.bytes,
+                nnz: cell.nnz,
+            })
+            .collect())
     }
 
     /// Writes the initial vector `x^0` as per-row files `x_0_u` on each row
@@ -469,25 +482,47 @@ impl SpmvAppBuilder {
 
     /// Reference computation: the same iterated product, in-core, from the
     /// same deterministic blocks. Used by tests and EXPERIMENTS.md checks.
+    /// Each iteration's block rows are computed in parallel, at the host's
+    /// parallelism; the result is bitwise the serial row loop's.
     pub fn reference_result(&self, gen: &GapGenerator, seed: u64, x0: &[f64]) -> Vec<f64> {
-        let k = self.grid.k;
+        self.reference_result_at(gen, seed, x0, host_parallelism())
+    }
+
+    /// [`Self::reference_result`] at an explicit `parallelism`. Block row
+    /// `u` is one task of the fan-out and writes only `y_u`; within it the
+    /// partials are added in `v` order, each thread regenerating the cells
+    /// into one matrix it reuses.
+    fn reference_result_at(
+        &self,
+        gen: &GapGenerator,
+        seed: u64,
+        x0: &[f64],
+        parallelism: usize,
+    ) -> Vec<f64> {
+        let grid = &self.grid;
         let mut x = x0.to_vec();
         for _ in 0..self.iterations {
-            let mut y = vec![0.0; self.grid.n as usize];
-            for u in 0..k {
-                let (rs, _re) = self.grid.range(u);
-                for v in 0..k {
-                    let (cs, ce) = self.grid.range(v);
-                    let block = self.grid.generate_block(gen, seed, BlockCoord { u, v });
-                    let part = block
-                        .spmv(&x[cs as usize..ce as usize])
-                        .expect("block dims");
-                    for (j, p) in part.iter().enumerate() {
-                        y[rs as usize + j] += p;
+            let rows = fork_join_with(
+                grid.k as usize,
+                parallelism,
+                || CsrMatrix::zeros(0, 0),
+                |block, u| {
+                    let u = u as u64;
+                    let mut y = vec![0.0; grid.block_dim(u) as usize];
+                    for v in 0..grid.k {
+                        let (cs, ce) = grid.range(v);
+                        grid.generate_block_into(gen, seed, BlockCoord { u, v }, block);
+                        let part = block
+                            .spmv(&x[cs as usize..ce as usize])
+                            .expect("block dims");
+                        for (yj, p) in y.iter_mut().zip(&part) {
+                            *yj += p;
+                        }
                     }
-                }
-            }
-            x = y;
+                    y
+                },
+            );
+            x = rows.concat();
         }
         x
     }
@@ -670,7 +705,16 @@ pub fn staged_matrix_path(dir: &Path, coord: BlockCoord) -> std::path::PathBuf {
 mod tests {
     use super::*;
     use dooc_scheduler::{assign_affinity, LocalScheduler, NodeId, OrderPolicy};
+    use dooc_sparse::fileio;
     use std::collections::HashSet;
+    use std::path::PathBuf;
+
+    /// A fresh directory under the system temp dir, unique per test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dooc-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
     fn staged(k: u64, nnodes: u64) -> (BlockGrid, Vec<StagedBlock>) {
         let grid = BlockGrid::new(k, k * 10);
@@ -910,9 +954,44 @@ mod tests {
     }
 
     #[test]
+    fn staging_at_any_fan_out_is_the_serial_generate_and_encode_walk() {
+        let gen = GapGenerator::with_d(3);
+        let owner = striped_owner(2);
+        for (k, n) in [(1, 7), (3, 10), (8, 400)] {
+            let grid = BlockGrid::new(k, n);
+            for par in [1, 2] {
+                let tmp = scratch(&format!("stage-walk-{k}-{par}"));
+                let dirs = [tmp.join("n0"), tmp.join("n1")];
+                let staged = SpmvAppBuilder::stage_cells(
+                    grid,
+                    &gen,
+                    11,
+                    &owner,
+                    |node| Some(dirs[node as usize].as_path()),
+                    par,
+                )
+                .expect("stage");
+                assert_eq!(staged.len() as u64, k * k);
+                for (b, coord) in staged.iter().zip(grid.coords()) {
+                    let m = grid.generate_block(&gen, 11, coord);
+                    let want = fileio::to_bytes(&m);
+                    assert_eq!(
+                        (b.coord, b.node, b.bytes, b.nnz),
+                        (coord, owner(coord), want.len() as u64, m.nnz()),
+                        "K={k} at fan-out {par}"
+                    );
+                    let path = staged_matrix_path(&dirs[b.node as usize], coord);
+                    let got = std::fs::read(&path).expect("staged file");
+                    assert!(got == want, "{} at fan-out {par}", path.display());
+                }
+                std::fs::remove_dir_all(&tmp).expect("cleanup");
+            }
+        }
+    }
+
+    #[test]
     fn every_process_declares_the_sizes_the_owner_wrote() {
-        let tmp = std::env::temp_dir().join(format!("dooc-stage-local-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&tmp);
+        let tmp = scratch("stage-local");
         let (grid, gen, owner) = (
             BlockGrid::new(3, 31),
             GapGenerator::with_d(2),
@@ -923,20 +1002,101 @@ mod tests {
         for me in 0..2 {
             let dir = tmp.join(format!("local-{me}"));
             let mine = SpmvAppBuilder::stage_local(&dir, me, grid, &gen, 7, &owner).expect("stage");
+            assert_eq!(all.len(), mine.len());
             for (a, b) in all.iter().zip(&mine) {
                 assert_eq!(
                     (a.coord, a.node, a.bytes, a.nnz),
                     (b.coord, b.node, b.bytes, b.nnz)
                 );
-                // Declared for every cell, on disk only for the owned ones.
-                let file = std::fs::metadata(staged_matrix_path(&dir, b.coord));
-                assert_eq!(
-                    file.ok().map(|f| f.len()),
-                    (b.node == me).then_some(b.bytes)
-                );
+                // Declared for every cell, on disk only for the owned ones,
+                // and there the bytes `stage` wrote.
+                let file = std::fs::read(staged_matrix_path(&dir, b.coord));
+                let owned = std::fs::read(staged_matrix_path(&dirs[a.node as usize], a.coord));
+                assert_eq!(file.ok(), (b.node == me).then(|| owned.expect("staged")));
             }
         }
         std::fs::remove_dir_all(&tmp).expect("cleanup");
+    }
+
+    #[test]
+    fn a_scratch_dir_that_cannot_be_written_is_an_error_not_a_panic() {
+        let tmp = scratch("stage-unwritable");
+        std::fs::create_dir_all(&tmp).expect("tmp dir");
+        let (grid, gen) = (BlockGrid::new(3, 30), GapGenerator::with_d(2));
+        // A scratch "directory" that is a plain file: refused before any
+        // cell is generated, by `stage` and by `stage_local` alike.
+        let file = tmp.join("plain-file");
+        std::fs::write(&file, b"not a directory").expect("plain file");
+        let dirs = [file.clone()];
+        assert!(SpmvAppBuilder::stage(&dirs, grid, &gen, 1, |_| 0).is_err());
+        assert!(SpmvAppBuilder::stage_local(&file, 0, grid, &gen, 1, |_| 0).is_err());
+        // A cell whose file name a directory holds fails inside the
+        // fan-out; the error reaches the caller once every thread has
+        // joined (the fan-out is scoped), whichever thread met it.
+        let dir = tmp.join("squatted");
+        std::fs::create_dir_all(staged_matrix_path(&dir, BlockCoord { u: 2, v: 2 }))
+            .expect("squatter");
+        for par in [1, 2, 3] {
+            let err = SpmvAppBuilder::stage_cells(grid, &gen, 1, |_| 0, |_| Some(&dir), par)
+                .expect_err("a cell's file cannot be created");
+            assert!(matches!(err, SparseError::Io(_)), "{err}");
+        }
+        std::fs::remove_dir_all(&tmp).expect("cleanup");
+    }
+
+    /// The reference as a plain serial row loop over freshly generated
+    /// blocks, partials added in `v` order.
+    fn serial_reference(
+        app: &SpmvAppBuilder,
+        gen: &GapGenerator,
+        seed: u64,
+        x0: &[f64],
+    ) -> Vec<f64> {
+        let grid = app.grid;
+        let mut x = x0.to_vec();
+        for _ in 0..app.iterations {
+            let mut y = vec![0.0; grid.n as usize];
+            for coord in grid.coords() {
+                let (rs, _) = grid.range(coord.u);
+                let (cs, ce) = grid.range(coord.v);
+                let part = grid
+                    .generate_block(gen, seed, coord)
+                    .spmv(&x[cs as usize..ce as usize])
+                    .expect("block dims");
+                for (j, p) in part.iter().enumerate() {
+                    y[rs as usize + j] += p;
+                }
+            }
+            x = y;
+        }
+        x
+    }
+
+    #[test]
+    fn the_reference_at_any_fan_out_is_bitwise_the_serial_row_loop() {
+        // K = 3 over 10 rows: block rows of 4, 3 and 3.
+        let (grid, gen) = (BlockGrid::new(3, 10), GapGenerator::with_d(2));
+        let blocks = grid
+            .coords()
+            .map(|coord| StagedBlock {
+                coord,
+                node: 0,
+                bytes: 0,
+                nnz: 0,
+            })
+            .collect();
+        let app = SpmvAppBuilder::new(grid, 4, blocks);
+        let x0: Vec<f64> = (0..10).map(|i| (i as f64 * 0.37).cos() - 0.2).collect();
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let want = bits(serial_reference(&app, &gen, 3, &x0));
+        for par in [1, 2, 3, 4] {
+            assert_eq!(
+                bits(app.reference_result_at(&gen, 3, &x0, par)),
+                want,
+                "{par}"
+            );
+        }
+        assert_eq!(bits(app.reference_result(&gen, 3, &x0)), want);
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! coordinates on the grid, i.e., A_{u,v} … Each sub-matrix is stored in a
 //! separate file in binary Compressed Row Storage (CRS) format."
 //!
-//! [`BlockGrid`] carries the partition geometry; [`BlockGrid::generate_files`]
+//! [`BlockGrid`] carries the partition geometry; [`BlockGrid::write_cells`]
 //! materializes a full grid of generator-produced sub-matrix files the way
-//! the paper's experiments seed their runs, and [`BlockGrid::cut`] cuts an
-//! existing in-memory matrix into blocks (used by correctness tests to verify
-//! that the distributed product equals the monolithic one).
+//! the paper's experiments seed their runs, one cell per task of a fan-out,
+//! and [`BlockGrid::cut`] cuts an existing in-memory matrix into blocks
+//! (used by correctness tests to verify that the distributed product equals
+//! the monolithic one).
 
 use crate::csr::CsrMatrix;
 use crate::fileio;
 use crate::genmat::GapGenerator;
-use crate::Result;
+use crate::{pool, Result};
 use std::path::{Path, PathBuf};
 
 /// Coordinates of a sub-matrix on the K×K grid: `A_{u,v}` is row-block `u`,
@@ -110,7 +111,8 @@ impl BlockGrid {
     }
 
     /// Generates all K² sub-matrix files in `dir` using the paper's gap
-    /// generator, one deterministic seed per block derived from `seed`.
+    /// generator, one deterministic seed per block derived from `seed`
+    /// ([`BlockGrid::write_cells`] at the host's parallelism).
     /// Returns `(coord, path, nnz)` per block.
     pub fn generate_files(
         &self,
@@ -118,20 +120,81 @@ impl BlockGrid {
         gen: &GapGenerator,
         seed: u64,
     ) -> Result<Vec<(BlockCoord, PathBuf, u64)>> {
-        std::fs::create_dir_all(dir)?;
-        let mut out = Vec::with_capacity((self.k * self.k) as usize);
-        for coord in self.coords() {
-            let m = self.generate_block(gen, seed, coord);
-            let path = dir.join(Self::file_name(coord));
-            fileio::write_matrix(&path, &m)?;
-            out.push((coord, path, m.nnz()));
+        let dirs = vec![Some(dir); (self.k * self.k) as usize];
+        let cells = self.write_cells(gen, seed, &dirs, pool::host_parallelism())?;
+        Ok(self
+            .coords()
+            .zip(cells)
+            .map(|(coord, cell)| (coord, dir.join(Self::file_name(coord)), cell.nnz))
+            .collect())
+    }
+
+    /// Generates every cell of the grid and writes each one that `dirs`
+    /// (one entry per cell, in [`BlockGrid::coords`] order) names a
+    /// directory for, as [`BlockGrid::file_name`] in it; a `None` cell is
+    /// generated only to learn its size. Returns each cell's non-zeros and
+    /// the size of its file — for an unwritten cell the size its header
+    /// implies ([`fileio::encoded_size`]).
+    ///
+    /// The cells are generated and written on [`pool::fork_join_with`] at
+    /// `parallelism`, each thread into one matrix and one byte buffer it
+    /// reuses for every cell it stages. A cell's bytes depend only on the
+    /// generator, `seed` and its coordinates (one seed per cell), never on
+    /// the parallelism or on which thread staged it. The directories are
+    /// created before the fan-out starts; the first error in cell order is
+    /// returned once every thread has joined.
+    pub fn write_cells(
+        &self,
+        gen: &GapGenerator,
+        seed: u64,
+        dirs: &[Option<&Path>],
+        parallelism: usize,
+    ) -> Result<Vec<CellSize>> {
+        let coords: Vec<BlockCoord> = self.coords().collect();
+        assert_eq!(dirs.len(), coords.len(), "one directory entry per cell");
+        let mut distinct: Vec<&Path> = dirs.iter().flatten().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for dir in distinct {
+            std::fs::create_dir_all(dir)?;
         }
-        Ok(out)
+        let buffers = || (CsrMatrix::zeros(0, 0), Vec::new());
+        pool::fork_join_with(coords.len(), parallelism, buffers, |(m, buf), i| {
+            self.generate_block_into(gen, seed, coords[i], m);
+            let bytes = match dirs[i] {
+                Some(dir) => {
+                    let bytes = fileio::encode_into(m, buf)?;
+                    std::fs::write(dir.join(Self::file_name(coords[i])), &buf[..])?;
+                    bytes
+                }
+                None => fileio::encoded_size(m)?,
+            };
+            Ok(CellSize {
+                nnz: m.nnz(),
+                bytes,
+            })
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Generates the single block `A_{u,v}` deterministically (same content
     /// as the corresponding entry of [`BlockGrid::generate_files`]).
     pub fn generate_block(&self, gen: &GapGenerator, seed: u64, coord: BlockCoord) -> CsrMatrix {
+        let mut m = CsrMatrix::zeros(0, 0);
+        self.generate_block_into(gen, seed, coord, &mut m);
+        m
+    }
+
+    /// [`BlockGrid::generate_block`] into `m`, refilled in place
+    /// ([`GapGenerator::generate_into`]).
+    pub fn generate_block_into(
+        &self,
+        gen: &GapGenerator,
+        seed: u64,
+        coord: BlockCoord,
+        m: &mut CsrMatrix,
+    ) {
         let rows = self.block_dim(coord.u);
         let cols = self.block_dim(coord.v);
         // Mix the coordinates into the seed; SplitMix-style odd constants
@@ -140,8 +203,17 @@ impl BlockGrid {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(coord.u.wrapping_mul(0xBF58_476D_1CE4_E5B9))
             .wrapping_add(coord.v.wrapping_mul(0x94D0_49BB_1331_11EB));
-        gen.generate(rows, cols, block_seed)
+        gen.generate_into(rows, cols, block_seed, m);
     }
+}
+
+/// What [`BlockGrid::write_cells`] learned of one cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CellSize {
+    /// Stored non-zeros.
+    pub nnz: u64,
+    /// Size of the cell's file in bytes.
+    pub bytes: u64,
 }
 
 #[cfg(test)]

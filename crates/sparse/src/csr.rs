@@ -558,6 +558,22 @@ impl CsrMatrix {
         }
     }
 
+    /// The matrix's vectors, emptied but keeping their allocations, for a
+    /// caller that refills them and rebuilds a matrix from them with
+    /// [`CsrMatrix::from_parts_unchecked`].
+    pub(crate) fn into_cleared_parts(self) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+        let Self {
+            mut row_ptr,
+            mut col_idx,
+            mut values,
+            ..
+        } = self;
+        row_ptr.clear();
+        col_idx.clear();
+        values.clear();
+        (row_ptr, col_idx, values)
+    }
+
     /// An `nrows × ncols` matrix with no stored entries.
     pub fn zeros(nrows: u64, ncols: u64) -> Self {
         Self {

@@ -12,7 +12,8 @@ use crate::csr::ElemMut;
 /// runs inline on the caller. Its last calibration, on a 2-vCPU x86-64
 /// host, had an AXPY split across threads ahead of the serial loop in every
 /// run at 1 048 576 elements (1.4-1.8x) and in five of six at 262 144
-/// (CHANGES.md keeps the rows), so the crossover lies far below this value.
+/// (DESIGN.md, "Serial routing and the one-core collapse"), so the
+/// crossover lies far below this value.
 /// Moving it is a performance change for the end-to-end benchmark to judge,
 /// not a constant to retune from a micro-benchmark.
 pub const AXPY_SERIAL_MAX: usize = 4_194_304;

@@ -67,12 +67,24 @@ impl GapGenerator {
 
     /// Generates a matrix deterministically from `seed`.
     pub fn generate(&self, nrows: u64, ncols: u64, seed: u64) -> CsrMatrix {
+        let mut m = CsrMatrix::zeros(0, 0);
+        self.generate_into(nrows, ncols, seed, &mut m);
+        m
+    }
+
+    /// [`GapGenerator::generate`] into `m`, whose arrays are refilled in
+    /// place: a caller generating one matrix after another into the same
+    /// `m` allocates (and page-faults) its memory once, not per matrix.
+    pub fn generate_into(&self, nrows: u64, ncols: u64, seed: u64, m: &mut CsrMatrix) {
+        // The vectors are taken out of `m` so the loop pushes onto locals.
+        let (mut row_ptr, mut col_idx, mut values) =
+            std::mem::replace(m, CsrMatrix::zeros(0, 0)).into_cleared_parts();
         let mut rng = StdRng::seed_from_u64(seed);
         let est = self.expected_nnz(nrows, ncols) as usize;
-        let mut row_ptr = Vec::with_capacity(nrows as usize + 1);
+        row_ptr.reserve(nrows as usize + 1);
         row_ptr.push(0u64);
-        let mut col_idx = Vec::with_capacity(est + est / 8);
-        let mut values = Vec::with_capacity(est + est / 8);
+        col_idx.reserve(est + est / 8);
+        values.reserve(est + est / 8);
         let (lo, hi) = self.value_range;
         for _ in 0..nrows {
             // Walk along the row: start at a random offset in [0, 2d) so row
@@ -85,7 +97,7 @@ impl GapGenerator {
             }
             row_ptr.push(col_idx.len() as u64);
         }
-        CsrMatrix::from_parts_unchecked(nrows, ncols, row_ptr, col_idx, values)
+        *m = CsrMatrix::from_parts_unchecked(nrows, ncols, row_ptr, col_idx, values);
     }
 
     /// Generates a *symmetric-structure* diagonally dominant matrix: the gap

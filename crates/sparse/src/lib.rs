@@ -19,7 +19,8 @@
 //! * [`dense`] — dense vector kernels (axpy/dot/norms/…) used by the iterated
 //!   SpMV application and by the Lanczos solver;
 //! * [`pool`] — the split of one SpMV or sum across the node's cores, as
-//!   scoped threads over borrowed pieces of its operands.
+//!   scoped threads over borrowed pieces of its operands, and the same
+//!   threads handed independent tasks (staging a grid's cells).
 //!
 //! Everything is deterministic under a caller-supplied seed, free of `unsafe`,
 //! and sized with `u64` row/column indices so that paper-scale shapes

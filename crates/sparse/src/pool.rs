@@ -11,6 +11,11 @@
 //! kernel call. A panic in any piece reaches the caller at the join, with
 //! the piece's own payload.
 //!
+//! [`fork_join_with`] runs independent tasks on the same scoped threads —
+//! the cells of a grid to stage ([`crate::BlockGrid::write_cells`]), the
+//! block rows of an in-core reference product — handing out one index at a
+//! time, each thread keeping its buffers across the tasks it takes.
+//!
 //! Both kernels run serially below a size threshold
 //! ([`SPMV_SERIAL_MAX_NNZ`], [`dense::AXPY_SERIAL_MAX`]), and a split of
 //! either is bitwise the serial kernel: every element of `y` is computed by
@@ -19,14 +24,15 @@
 use crate::csr::{Elem, ElemMut};
 use crate::view::CsrView;
 use crate::{dense, Result};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this many non-zeros an SpMV runs serially on the submitting thread:
 /// the fan-out costs more than the multiply itself. Its last calibration, on
 /// a 2-vCPU x86-64 host, had the fan-out ahead of the serial kernel from
-/// 62 793 nnz up (1.0-2.1x; CHANGES.md keeps the rows), so the crossover
-/// lies far below this value. Moving it is a performance change for the
-/// end-to-end benchmark to judge, not a constant to retune from a
-/// micro-benchmark.
+/// 62 793 nnz up (1.0-2.1x; DESIGN.md, "Serial routing and the one-core
+/// collapse"), so the crossover lies far below this value. Moving it is a
+/// performance change for the end-to-end benchmark to judge, not a constant
+/// to retune from a micro-benchmark.
 pub const SPMV_SERIAL_MAX_NNZ: usize = 1_048_576;
 
 /// How many pieces a node's kernels split into. It owns no threads: each
@@ -42,9 +48,7 @@ impl ComputePool {
     pub fn new(nthreads: usize) -> Self {
         Self {
             nthreads: nthreads.max(1),
-            host_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            host_parallelism: host_parallelism(),
         }
     }
 
@@ -61,8 +65,8 @@ impl ComputePool {
         (self.nthreads + 1).min(self.host_parallelism).max(1)
     }
 
-    /// `gen(0)`, …, `gen(ntasks - 1)`, split into [`Self::parallelism_hint`]
-    /// contiguous ranges of indices; the outputs come back in index order.
+    /// `gen(0)`, …, `gen(ntasks - 1)` on [`Self::parallelism_hint`] threads
+    /// ([`fork_join_with`]); the outputs come back in index order.
     pub fn fork_join<T, G>(&self, ntasks: usize, gen: G) -> Vec<T>
     where
         T: Send,
@@ -164,20 +168,54 @@ pub fn add_le_fanout<Y: ElemMut<f64>>(y: &mut [Y], x_le: &[u8], parallelism: usi
     });
 }
 
+/// How many threads the host can run at once (1 if it cannot say).
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// [`ComputePool::fork_join`] at an explicit `parallelism`.
 fn fork_join_at<T: Send>(
     ntasks: usize,
     parallelism: usize,
     gen: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let chunk = ntasks.div_ceil(parallelism.max(1)).max(1);
-    let ranges = (0..ntasks)
-        .step_by(chunk)
-        .map(|lo| lo..(lo + chunk).min(ntasks));
-    scoped(ranges, |r| r.map(&gen).collect::<Vec<T>>())
-        .into_iter()
-        .flatten()
-        .collect()
+    fork_join_with(ntasks, parallelism, || (), |(), i| gen(i))
+}
+
+/// `f(&mut state, i)` for every `i` in `0..ntasks` on up to `parallelism`
+/// threads run as [`scoped`] runs its pieces. Each thread takes the next
+/// index not yet taken until none is left, so a thread slowed by whatever
+/// else the host runs takes fewer; its `state` comes from `init` and is
+/// kept across the indices it takes (buffers one task leaves for the next
+/// to reuse). The outputs come back in index order once every thread has
+/// joined.
+pub fn fork_join_with<S, T: Send>(
+    ntasks: usize,
+    parallelism: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    // Relaxed: the counter only has to hand out each index once.
+    let next = AtomicUsize::new(0);
+    let threads = parallelism.clamp(1, ntasks.max(1));
+    let mut done: Vec<(usize, T)> = scoped(0..threads, |_| {
+        let mut state = init();
+        let mut out = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= ntasks {
+                return out;
+            }
+            out.push((i, f(&mut state, i)));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Runs `f` on every piece, the first on the calling thread and each other
@@ -228,8 +266,27 @@ mod tests {
     }
 
     #[test]
+    fn a_thread_keeps_its_state_across_the_tasks_it_takes() {
+        // Each output is the tasks its thread has run so far: rising, ending
+        // at its own index, and together every index exactly once.
+        for par in [1usize, 2, 3] {
+            let out = fork_join_with(10, par, Vec::new, |seen: &mut Vec<usize>, i| {
+                seen.push(i);
+                seen.clone()
+            });
+            let mut inits = 0;
+            for (i, seen) in out.iter().enumerate() {
+                assert_eq!(seen.last(), Some(&i));
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+                inits += usize::from(seen.len() == 1);
+            }
+            assert!((1..=par).contains(&inits), "{inits} states at {par}");
+        }
+    }
+
+    #[test]
     fn a_panicking_piece_panics_the_caller() {
-        // Task 0 runs on the caller, the last task on a helper thread.
+        // The first and the last task, whichever thread takes each.
         for bad in [0usize, 7] {
             let err = std::panic::catch_unwind(|| {
                 fork_join_at(8, 4, |i| {

@@ -72,6 +72,21 @@ proptest! {
     }
 
     #[test]
+    fn generating_into_a_used_matrix_is_generate(
+        rows in 0u64..60,
+        cols in 0u64..80,
+        d in 1u64..9,
+        seed in 0u64..1000,
+        before in (0u64..60, 0u64..80),
+    ) {
+        // The matrix first holds another shape's arrays, larger or smaller.
+        let gen = GapGenerator::with_d(d);
+        let mut m = gen.generate(before.0, before.1, seed ^ 0x5a5a);
+        gen.generate_into(rows, cols, seed, &mut m);
+        prop_assert_eq!(m, gen.generate(rows, cols, seed));
+    }
+
+    #[test]
     fn balanced_partition_is_monotone_cover(m in arb_matrix(), p in 1usize..8) {
         let b = m.nnz_balanced_row_partition(p);
         prop_assert_eq!(b[0], 0);
