@@ -20,7 +20,7 @@ use dooc_storage::meta::{ArrayMeta, Interval};
 use dooc_storage::proto::NodeStats;
 use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, WriteTicket};
 use dooc_sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -268,13 +268,9 @@ impl<'a> WorkerContext<'a> {
         self.geometry.get(name).copied()
     }
 
-    fn geom(&self, name: &str) -> Option<(u64, u64)> {
-        self.geometry.get(name).copied()
-    }
-
     fn meta_of(&self, name: &str) -> std::result::Result<ArrayMeta, String> {
         let (len, bs) = self
-            .geom(name)
+            .geometry_of(name)
             .ok_or_else(|| format!("unknown geometry for array '{name}'"))?;
         Ok(ArrayMeta::new(name, len, bs))
     }
@@ -398,7 +394,7 @@ impl<'a> WorkerContext<'a> {
     /// grant/seal round trips of all blocks are pipelined.
     pub fn write_bytes(&mut self, name: &str, data: Bytes) -> std::result::Result<(), String> {
         let (len, bs) = self
-            .geom(name)
+            .geometry_of(name)
             .unwrap_or((data.len() as u64, data.len().max(1) as u64));
         if len != data.len() as u64 {
             return Err(format!(
@@ -485,6 +481,115 @@ impl<'a> WorkerContext<'a> {
     }
 }
 
+/// A worker's storage node as [`between_tasks`] and [`after_task`] speak to
+/// it: the runtime's through a [`StorageClient`], the testbed replay's in
+/// virtual time.
+pub trait StoragePort {
+    /// Why a request failed.
+    type Error;
+    /// Deletes a dead array cluster-wide and waits for the answer.
+    fn delete(&mut self, array: &str) -> Result<(), Self::Error>;
+    /// The arrays wholly resident in the node's memory.
+    fn resident(&mut self) -> Result<HashSet<String>, Self::Error>;
+    /// Asks for a whole array to be brought into memory (no answer).
+    fn prefetch(&mut self, array: String) -> Result<(), Self::Error>;
+    /// Sends an array to the cold end of the node's LRU (no answer).
+    fn demote(&mut self, array: &str) -> Result<(), Self::Error>;
+}
+
+/// The worker's pass between tasks (§III-C). Arrays produced here whose last
+/// reader completed (and so released its pins) are deleted cluster-wide,
+/// before they can age out of the LRU and be spilled for nobody. Unless the
+/// graph is then done, the storage is asked which arrays are resident, the
+/// inputs of the planned tasks are prefetched (before the pick: the window
+/// counts the task about to start) and the next task is picked, if one is
+/// ready.
+pub fn between_tasks<P: StoragePort>(
+    ls: &mut LocalScheduler,
+    graph: &TaskGraph,
+    port: &mut P,
+) -> Result<Option<TaskId>, P::Error> {
+    for array in ls.take_dead(graph) {
+        port.delete(array)?;
+    }
+    if ls.graph_done() {
+        return Ok(None);
+    }
+    let resident = port.resident()?;
+    for array in ls.prefetch_candidates(graph, &resident) {
+        port.prefetch(array)?;
+    }
+    Ok(ls.next_task(graph, &resident))
+}
+
+/// The worker's step after `task` ran, before its completion is broadcast:
+/// the inputs no ready task reads go to the cold end of the LRU, so reclaim
+/// takes them first; a task that becomes ready and reads one re-warms it.
+pub fn after_task<P: StoragePort>(
+    ls: &LocalScheduler,
+    graph: &TaskGraph,
+    task: TaskId,
+    port: &mut P,
+) -> Result<(), P::Error> {
+    for array in ls.idle_inputs(graph, task) {
+        port.demote(array)?;
+    }
+    Ok(())
+}
+
+/// The runtime worker's port: its storage client, and the geometry it
+/// prefetches an array by, block by block. An error names the request.
+struct ClientPort<'a> {
+    client: StorageClient,
+    geometry: &'a HashMap<String, (u64, u64)>,
+    node: u64,
+}
+
+impl StoragePort for ClientPort<'_> {
+    type Error = String;
+
+    fn delete(&mut self, array: &str) -> Result<(), String> {
+        self.client
+            .delete(array)
+            .map_err(|e| format!("delete of dead array '{array}': {e}"))?;
+        obs().arrays_deleted.inc();
+        Ok(())
+    }
+
+    fn resident(&mut self) -> Result<HashSet<String>, String> {
+        self.client
+            .resident()
+            .map_err(|e| format!("resident query: {e}"))
+    }
+
+    fn prefetch(&mut self, array: String) -> Result<(), String> {
+        let Some(&(len, bs)) = self.geometry.get(&array) else {
+            return Ok(());
+        };
+        dooc_obs::instant_arg(
+            Category::Scheduler,
+            "sched:prefetch",
+            self.node as i64,
+            || array.clone(),
+        );
+        let meta = ArrayMeta::new(array, len, bs);
+        for b in 0..meta.nblocks() {
+            obs().prefetch_requests.inc();
+            let iv = Interval::new(meta.block_start(b), meta.block_len(b));
+            self.client
+                .prefetch(&meta.name, iv)
+                .map_err(|e| format!("prefetch {}: {e}", meta.name))?;
+        }
+        Ok(())
+    }
+
+    fn demote(&mut self, array: &str) -> Result<(), String> {
+        self.client
+            .demote(array)
+            .map_err(|e| format!("demote {array}: {e}"))
+    }
+}
+
 /// Sinks the workers report into (collected by the runtime after the run).
 #[derive(Default)]
 pub(crate) struct Sinks {
@@ -513,11 +618,15 @@ impl Filter for WorkerFilter {
         // Relaxed pairs with the pre-spawn relaxed store in the runtime;
         // the spawn of this filter thread orders the two.
         let base = self.client_base.load(dooc_sync::atomic::Ordering::Relaxed);
-        let mut client = StorageClient::new(to_storage, from_storage, ctx.instance, base + node);
+        let mut port = ClientPort {
+            client: StorageClient::new(to_storage, from_storage, ctx.instance, base + node),
+            geometry: &self.geometry,
+            node,
+        };
         // Geometry on every node: the runtime's table already holds the
         // config's explicit hints over the defaults derived from the graph.
         for (name, (len, bs)) in self.geometry.iter() {
-            client
+            port.client
                 .register(name, *len, *bs)
                 .map_err(|e| ctx.error(format!("register {name}: {e}")))?;
         }
@@ -532,103 +641,67 @@ impl Filter for WorkerFilter {
         let done_in = ctx.take_input("done_in")?;
         // done_out stays in ctx so close_output semantics apply on exit.
         loop {
-            // 1. Drain completion broadcasts.
+            // Drain completion broadcasts.
             while let Some(b) = done_in.try_recv() {
                 ls.on_complete(&self.graph, TaskId(b.tag));
             }
-            // Arrays produced here whose last reader just completed are
-            // deleted cluster-wide, before they can age out of the LRU and
-            // be spilled for nobody. Every reader released its pins before
-            // it reported completion, so none is held.
-            for array in ls.take_dead(&self.graph) {
-                client
-                    .delete(array)
-                    .map_err(|e| ctx.error(format!("delete of dead array '{array}': {e}")))?;
-                obs().arrays_deleted.inc();
-            }
-            if ls.graph_done() {
-                break;
-            }
-            // 2. Ask the storage which arrays are resident (the oracle).
-            let resident = client
-                .resident()
-                .map_err(|e| ctx.error(format!("resident query: {e}")))?;
-            // 3. Prefetch the inputs of upcoming tasks.
-            for arr in ls.prefetch_candidates(&self.graph, &resident) {
-                if let Some(&(len, bs)) = self.geometry.get(&arr) {
-                    dooc_obs::instant_arg(
-                        Category::Scheduler,
-                        "sched:prefetch",
-                        node as i64,
-                        || arr.clone(),
-                    );
-                    let meta = ArrayMeta::new(arr.clone(), len, bs);
-                    for b in 0..meta.nblocks() {
-                        obs().prefetch_requests.inc();
-                        client
-                            .prefetch(&arr, Interval::new(meta.block_start(b), meta.block_len(b)))
-                            .map_err(|e| ctx.error(format!("prefetch {arr}: {e}")))?;
-                    }
+            let pass = between_tasks(&mut ls, &self.graph, &mut port);
+            let Some(t) = pass.map_err(|e| ctx.error(e))? else {
+                if ls.graph_done() {
+                    break;
                 }
-            }
-            obs().ready_tasks.set(ls.ready_count() as i64);
-            // 4. Run one task, or wait for progress.
-            if let Some(t) = ls.next_task(&self.graph, &resident) {
-                let spec = self.graph.task(t).clone();
-                let _task_span = dooc_obs::enabled().then(|| {
-                    dooc_obs::span(
-                        Category::Worker,
-                        dooc_obs::intern(&format!("task:{}", spec.kind)),
-                        node as i64,
-                    )
-                });
-                let started = self.start.elapsed();
-                let mut wctx = WorkerContext::new(
-                    node,
-                    self.config.threads_per_node,
-                    &mut client,
-                    &self.geometry,
-                    &pool,
-                )
-                .with_block_pool(&self.blocks);
-                self.executor.execute(&spec, &mut wctx).map_err(|message| {
-                    ctx.error(format!("task '{}' failed: {message}", spec.name))
-                })?;
-                obs().tasks_executed.inc();
-                let input_bytes = wctx.input_bytes;
-                self.sinks.trace.lock().push(TraceEvent {
-                    node,
-                    task: t,
-                    name: spec.name.clone(),
-                    kind: spec.kind.clone(),
-                    start: started,
-                    end: self.start.elapsed(),
-                    input_bytes,
-                });
-                // Inputs no ready task reads go to the cold end of the LRU,
-                // so reclaim takes them before what the next tasks need; a
-                // task that becomes ready and reads one re-warms it.
-                for array in ls.idle_inputs(&self.graph, t) {
-                    client
-                        .demote(array)
-                        .map_err(|e| ctx.error(format!("demote {array}: {e}")))?;
-                }
-                ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
-            } else {
-                // `next_task` is `None` only while no local task is ready,
-                // and only a completion broadcast (this worker's own among
-                // them) makes one ready: wait for it.
+                obs().ready_tasks.set(0);
+                // Only a completion broadcast (this worker's own among them)
+                // makes a local task ready: wait for it.
                 let Some(b) = done_in.recv() else {
                     return Err(ctx.error("completion stream closed before the graph finished"));
                 };
                 ls.on_complete(&self.graph, TaskId(b.tag));
-            }
+                continue;
+            };
+            // The ready set the pick chose from.
+            obs().ready_tasks.set(ls.ready_count() as i64 + 1);
+            let spec = self.graph.task(t);
+            let _task_span = dooc_obs::enabled().then(|| {
+                dooc_obs::span(
+                    Category::Worker,
+                    dooc_obs::intern(&format!("task:{}", spec.kind)),
+                    node as i64,
+                )
+            });
+            let started = self.start.elapsed();
+            let mut wctx = WorkerContext::new(
+                node,
+                self.config.threads_per_node,
+                &mut port.client,
+                &self.geometry,
+                &pool,
+            )
+            .with_block_pool(&self.blocks);
+            self.executor
+                .execute(spec, &mut wctx)
+                .map_err(|message| ctx.error(format!("task '{}' failed: {message}", spec.name)))?;
+            obs().tasks_executed.inc();
+            let input_bytes = wctx.input_bytes;
+            self.sinks.trace.lock().push(TraceEvent {
+                node,
+                task: t,
+                name: spec.name.clone(),
+                kind: spec.kind.clone(),
+                start: started,
+                end: self.start.elapsed(),
+                input_bytes,
+            });
+            after_task(&ls, &self.graph, t, &mut port).map_err(|e| ctx.error(e))?;
+            ctx.output("done_out")?.send(DataBuffer::tag_only(t.0))?;
         }
 
-        // Report stats, then shut the local storage down.
-        if let Ok(stats) = client.stats() {
-            self.sinks.stats.lock().push((node, stats));
-        }
+        // Report stats, then shut the local storage down. A failed query
+        // fails the run: a zeroed entry would read as the node's counters.
+        let client = &mut port.client;
+        let stats = client
+            .stats()
+            .map(|stats| self.sinks.stats.lock().push((node, stats)));
         client.shutdown().ok();
         ctx.close_output("done_out");
         // Drain remaining broadcasts so no peer blocks on our full lane.
@@ -641,6 +714,124 @@ impl Filter for WorkerFilter {
             0,
             "grant leak: worker {node} finished with unreleased storage grants"
         );
-        Ok(())
+        stats.map_err(|e| ctx.error(format!("stats query: {e}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, StagedBlock, SyncPolicy};
+    use dooc_scheduler::OrderPolicy;
+    use dooc_sparse::blockgrid::BlockGrid;
+    use std::convert::Infallible;
+
+    /// A message the worker sent its storage node.
+    #[derive(Debug, PartialEq)]
+    enum Sent {
+        Delete(String),
+        Resident,
+        Prefetch(String),
+        Demote(String),
+    }
+
+    /// A storage node that holds nothing in memory and records what it is
+    /// sent, in order.
+    #[derive(Default)]
+    struct Recorder(Vec<Sent>);
+
+    impl StoragePort for Recorder {
+        type Error = Infallible;
+
+        fn delete(&mut self, array: &str) -> Result<(), Infallible> {
+            self.0.push(Sent::Delete(array.to_string()));
+            Ok(())
+        }
+
+        fn resident(&mut self) -> Result<HashSet<String>, Infallible> {
+            self.0.push(Sent::Resident);
+            Ok(HashSet::new())
+        }
+
+        fn prefetch(&mut self, array: String) -> Result<(), Infallible> {
+            self.0.push(Sent::Prefetch(array));
+            Ok(())
+        }
+
+        fn demote(&mut self, array: &str) -> Result<(), Infallible> {
+            self.0.push(Sent::Demote(array.to_string()));
+            Ok(())
+        }
+    }
+
+    /// The worker's message order on one node, over a 2×2 SpMV plan of two
+    /// iterations with phase barriers. Each pass deletes the dead arrays,
+    /// then asks what is resident once, then prefetches: with nothing
+    /// resident and a window of one, exactly the inputs of the task the
+    /// pass then picks (a prefetch after the pick would look one task
+    /// further). After each task come the demotes of its idle inputs. Once
+    /// the graph is done, a pass only deletes.
+    #[test]
+    fn the_pass_deletes_then_asks_then_prefetches_for_the_task_it_picks() {
+        let grid = BlockGrid::new(2, 20);
+        let blocks = grid
+            .coords()
+            .map(|coord| StagedBlock {
+                coord,
+                node: 0,
+                bytes: 1000,
+                nnz: 100,
+            })
+            .collect();
+        let (graph, _, _) = SpmvAppBuilder::new(grid, 2, blocks)
+            .reduction(ReductionPlan::RowRoot)
+            .sync(SyncPolicy::PhaseBarriers)
+            .build();
+        let mut ls = LocalScheduler::new(&graph, graph.ids(), OrderPolicy::DataAware)
+            .with_prefetch_window(1);
+        let mut port = Recorder::default();
+        let (mut tasks, mut deletes, mut demotes) = (0, 0, 0);
+        loop {
+            let Ok(picked) = between_tasks(&mut ls, &graph, &mut port);
+            let pass = std::mem::take(&mut port.0);
+            let dead = pass
+                .iter()
+                .take_while(|m| matches!(m, Sent::Delete(_)))
+                .count();
+            deletes += dead;
+            let Some(t) = picked else {
+                assert!(ls.graph_done(), "one node never waits for a completion");
+                assert_eq!(dead, pass.len(), "a done graph is only deleted: {pass:?}");
+                break;
+            };
+            let task = graph.task(t);
+            let prefetched = task.inputs.iter().map(|d| Sent::Prefetch(d.array.clone()));
+            let asked: Vec<Sent> = std::iter::once(Sent::Resident).chain(prefetched).collect();
+            assert_eq!(pass[dead..], asked, "the pass that picked {}", task.name);
+
+            let idle: Vec<Sent> = ls
+                .idle_inputs(&graph, t)
+                .into_iter()
+                .map(|a| Sent::Demote(a.to_string()))
+                .collect();
+            let Ok(()) = after_task(&ls, &graph, t, &mut port);
+            assert_eq!(port.0, idle, "after {}", task.name);
+            demotes += std::mem::take(&mut port.0).len();
+            ls.on_complete(&graph, t);
+            tasks += 1;
+        }
+        assert_eq!(tasks, graph.len());
+        assert!(
+            deletes > 0 && demotes > 0,
+            "{deletes} deletes, {demotes} demotes"
+        );
+        let Ok(None) = between_tasks(&mut ls, &graph, &mut port) else {
+            panic!("a done graph picks nothing");
+        };
+        assert!(
+            port.0.is_empty(),
+            "a done graph sends nothing: {:?}",
+            port.0
+        );
     }
 }

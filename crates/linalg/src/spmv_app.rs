@@ -26,7 +26,8 @@
 //! used by the Fig. 3/4/5 reproductions and the ablation benches.
 
 use dooc_core::{
-    counter, ArrayView, Counter, ExecOutcome, TaskExecutor, TaskGraph, TaskSpec, WorkerContext,
+    counter, ArrayView, Counter, DataRef, ExecOutcome, TaskExecutor, TaskGraph, TaskSpec,
+    WorkerContext,
 };
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_sparse::genmat::GapGenerator;
@@ -556,6 +557,24 @@ impl SpmvAppBuilder {
 pub struct SpmvExecutor;
 
 impl SpmvExecutor {
+    /// The inputs `execute` pins for `task`, step by step, each step's held
+    /// together for its kernel: a multiply holds its vector and then its
+    /// sub-matrix (pinned for the validation and the kernel only), a sum one
+    /// partial at a time (a `bar_*` token is the DAG's dependency, not data),
+    /// and a barrier nothing. The testbed replay runs the same steps.
+    pub fn pin_steps(task: &TaskSpec) -> Vec<Vec<&DataRef>> {
+        match task.kind.as_str() {
+            "multiply" => vec![vec![&task.inputs[1], &task.inputs[0]]],
+            "sum" | "sum_final" => task
+                .inputs
+                .iter()
+                .filter(|d| !d.array.starts_with("bar_"))
+                .map(|d| vec![d])
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Pins `name` and returns its bytes as one buffer with the view whose
     /// guards keep them resident: drop the view only when done computing.
     fn pin(
@@ -610,17 +629,15 @@ impl SpmvExecutor {
 
 impl TaskExecutor for SpmvExecutor {
     fn execute(&self, task: &TaskSpec, ctx: &mut WorkerContext) -> ExecOutcome {
+        let steps = Self::pin_steps(task);
         match task.kind.as_str() {
             "multiply" => {
-                // inputs[0] = matrix file array, inputs[1] = x sub-vector.
-                // The small vector first, so the matrix block is pinned for
-                // the validation and the kernel only. Both are multiplied
-                // where the storage layer holds them, and the product is
-                // written, as the bytes it is stored as, into the pooled
-                // buffer of the size the task declares, which becomes its
-                // block.
-                let (x_pin, x) = Self::pin_f64s(ctx, &task.inputs[1].array)?;
-                let (mut pin, bytes) = Self::pin(ctx, &task.inputs[0].array)?;
+                // Both inputs are multiplied where the storage layer holds
+                // them, and the product is written, as the bytes it is
+                // stored as, into the pooled buffer of the size the task
+                // declares, which becomes its block.
+                let (x_pin, x) = Self::pin_f64s(ctx, &steps[0][0].array)?;
+                let (mut pin, bytes) = Self::pin(ctx, &steps[0][1].array)?;
                 let len = task.outputs[0].bytes as usize;
                 let mut out = ctx.output_buffer(len);
                 out.resize(len, 0);
@@ -635,11 +652,11 @@ impl TaskExecutor for SpmvExecutor {
                 ctx.write_bytes(&task.outputs[0].array, out.freeze())
             }
             "sum" | "sum_final" => {
-                // Partials are pinned one at a time and folded into the
-                // pooled buffer that becomes the output block, from their
-                // bytes and as bytes. The first is copied in, not added to
-                // zeros: 0.0 + -0.0 would lose the sign.
-                let mut partials = task.inputs.iter().filter(|d| !d.array.starts_with("bar_"));
+                // The partials are folded into the pooled buffer that
+                // becomes the output block, from their bytes and as bytes.
+                // The first is copied in, not added to zeros: 0.0 + -0.0
+                // would lose the sign.
+                let mut partials = steps.iter().map(|step| step[0]);
                 let first = partials.next().ok_or("sum with no data inputs")?;
                 let (pin, x) = Self::pin_f64s(ctx, &first.array)?;
                 let mut acc = ctx.output_buffer(x.len());
@@ -902,6 +919,49 @@ mod tests {
                 assert_eq!(placement.node(id), NodeId(g as usize), "{} pinned", t.name);
             }
         }
+    }
+
+    /// The executor's pin order, per task kind, on a 2×2 grid with phase
+    /// barriers: the sums read a `bar_mul` token, the second iteration's
+    /// multiplies a `bar_iter` one, and the last iteration's sums are
+    /// `sum_final`.
+    #[test]
+    fn each_task_kind_pins_its_inputs_in_the_executors_order() {
+        let (grid, blocks) = staged(2, 1);
+        let (graph, _, _) = SpmvAppBuilder::new(grid, 2, blocks)
+            .reduction(ReductionPlan::RowRoot)
+            .sync(SyncPolicy::PhaseBarriers)
+            .build();
+        let pins = |name: &str| -> (&str, Vec<Vec<String>>) {
+            let task = graph
+                .ids()
+                .map(|i| graph.task(i))
+                .find(|t| t.name == name)
+                .unwrap_or_else(|| panic!("task {name} missing"));
+            let steps = SpmvExecutor::pin_steps(task)
+                .iter()
+                .map(|step| step.iter().map(|d| d.array.clone()).collect())
+                .collect();
+            (task.kind.as_str(), steps)
+        };
+        let (x, partial) = (BlockGrid::vector_name, BlockGrid::partial_name);
+        let matrix = |u, v| SpmvAppBuilder::matrix_array(BlockCoord { u, v });
+        // A multiply pins its vector, then its sub-matrix, in one step.
+        assert_eq!(
+            pins("x_1_0_1"),
+            ("multiply", vec![vec![x(0, 1), matrix(0, 1)]])
+        );
+        assert_eq!(
+            pins("x_2_1_0"),
+            ("multiply", vec![vec![x(1, 0), matrix(1, 0)]])
+        );
+        // A sum takes one partial per step and skips the barrier token.
+        let two = |i, u| vec![vec![partial(i, u, 0)], vec![partial(i, u, 1)]];
+        assert_eq!(pins("x_1_0"), ("sum", two(1, 0)));
+        assert_eq!(pins("x_2_1"), ("sum_final", two(2, 1)));
+        // A barrier pins nothing.
+        assert_eq!(pins("bar_mul_1"), ("barrier", vec![]));
+        assert_eq!(pins("bar_iter_1"), ("barrier", vec![]));
     }
 
     #[test]

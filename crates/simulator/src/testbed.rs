@@ -4,13 +4,14 @@
 //! [`dooc_linalg::spmv_app::SpmvAppBuilder`], placement from the real global
 //! scheduler, per-node ordering and prefetching from the real
 //! [`LocalScheduler`], and every block's residency from one real
-//! [`StorageState`] per node. Each node's worker speaks the real
-//! [`ClientMsg`] protocol to its storage node in the order the runtime's
-//! worker loop does: delete the dead arrays, ask what is resident, prefetch
-//! for the planned tasks, read a task's inputs, compute once every read is
-//! served, write the outputs, release the inputs, broadcast the completion.
-//! The budget, the LRU, spills, dead-array deletes and peer fetches are the
-//! storage node's own. Only *time* is modelled, by the fluid simulator:
+//! [`StorageState`] per node. Each node's worker runs the runtime worker's
+//! own pass between tasks and step after one ([`between_tasks`],
+//! [`after_task`]) against its storage node, and pins a task's inputs in
+//! the SpMV executor's own steps ([`SpmvExecutor::pin_steps`]). The replay's
+//! own are the delivery of a completion (every scheduler sees it at once)
+//! and, in paper mode, the eviction of a consumed sub-matrix. The budget,
+//! the LRU, spills, dead-array deletes and peer fetches are the storage
+//! node's own. Only *time* is modelled, by the fluid simulator:
 //!
 //! * every disk read or write a storage node issues is a flow through the
 //!   shared GPFS ceiling and the node's GPFS client link ("Data is streamed
@@ -32,9 +33,10 @@
 use crate::des::{FluidSim, ResourceId};
 use bytes::Bytes;
 use dooc_core::geometry_table;
-use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, StagedBlock, SyncPolicy};
+use dooc_core::worker::{after_task, between_tasks, StoragePort};
+use dooc_linalg::spmv_app::{ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock, SyncPolicy};
 use dooc_scheduler::{
-    assign_affinity, LocalScheduler, NodeId, OrderPolicy, TaskGraph, TaskId, TaskSpec,
+    assign_affinity, DataRef, LocalScheduler, NodeId, OrderPolicy, TaskGraph, TaskId,
 };
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_storage::node::{Action, DiscoveredBlock};
@@ -43,6 +45,7 @@ use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageState
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::convert::Infallible;
 
 /// Which §V experiment policy to replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -244,52 +247,20 @@ struct Array {
 }
 
 /// The task a node's worker runs, step by step.
-struct Running {
+struct Running<'a> {
     task: TaskId,
-    steps: Vec<Step>,
+    /// The inputs each step pins ([`SpmvExecutor::pin_steps`]); a barrier's
+    /// one step pins nothing.
+    steps: Vec<Vec<&'a DataRef>>,
     /// The step under way.
     next: usize,
     /// `ReadReady` replies the step still waits for.
     reads_left: usize,
 }
 
-/// One step of a task as the SpMV executor runs it: pin `inputs`, compute
-/// on them for `seconds`, release them.
-struct Step {
-    inputs: Vec<String>,
-    seconds: f64,
-}
-
-/// A task's steps, in the order the SpMV executor pins its inputs: a
-/// multiply holds its vector and then its sub-matrix for the kernel, a sum
-/// folds in one partial at a time, and a barrier reads nothing (the
-/// dependency is the DAG's); each then writes its output.
-fn executor_steps(params: &TestbedParams, spec: &TaskSpec) -> Vec<Step> {
-    match spec.kind.as_str() {
-        "multiply" => vec![Step {
-            inputs: vec![spec.inputs[1].array.clone(), spec.inputs[0].array.clone()],
-            seconds: spec.flops as f64 / params.node_flops,
-        }],
-        "sum" | "sum_final" => spec
-            .inputs
-            .iter()
-            .filter(|d| !d.array.starts_with("bar_"))
-            .map(|d| Step {
-                inputs: vec![d.array.clone()],
-                seconds: d.bytes as f64 / params.sum_bw,
-            })
-            .collect(),
-        _ => vec![Step {
-            inputs: Vec::new(),
-            seconds: 1e-4,
-        }],
-    }
-}
-
-struct VNode {
+struct VNode<'a> {
     storage: StorageState,
-    ls: LocalScheduler,
-    running: Option<Running>,
+    running: Option<Running<'a>>,
     tick_armed: bool,
     /// Disk reads in flight (for overlap accounting).
     io_active: u64,
@@ -360,6 +331,11 @@ fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResu
     let mut sim = FluidSim::new();
     let gpfs = sim.add_resource(params.gpfs_bw);
     let nnodes = params.nnodes as u64;
+    let mut ls: Vec<LocalScheduler> = (0..params.nnodes)
+        .map(|n| placement.tasks_of(NodeId(n)))
+        .map(|mine| LocalScheduler::new(&graph, mine, OrderPolicy::DataAware))
+        .map(|ls| ls.with_prefetch_window(params.prefetch_window))
+        .collect();
     let nodes: Vec<VNode> = (0..nnodes)
         .map(|n| {
             // The node's staged files (its sub-matrices, and the pieces of
@@ -382,12 +358,6 @@ fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResu
             };
             VNode {
                 storage: StorageState::new(cfg, discovered),
-                ls: LocalScheduler::new(
-                    &graph,
-                    placement.tasks_of(NodeId(n as usize)),
-                    OrderPolicy::DataAware,
-                )
-                .with_prefetch_window(params.prefetch_window),
                 running: None,
                 tick_armed: false,
                 io_active: 0,
@@ -444,7 +414,7 @@ fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResu
         }
     }
     for n in 0..params.nnodes {
-        r.step(n);
+        r.step(&mut ls, n);
     }
 
     let total_tasks = graph.len();
@@ -479,7 +449,7 @@ fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResu
                 let actions = r.nodes[to].storage.handle_peer(msg);
                 r.perform_async(to, actions);
             }
-            Pending::Compute { node } => r.end_step(node),
+            Pending::Compute { node } => r.end_step(&mut ls, node),
             Pending::Tick { node } => {
                 r.nodes[node].tick_armed = false;
                 let actions = r.nodes[node].storage.on_tick();
@@ -549,7 +519,7 @@ struct Replay<'a> {
     scale: u64,
     sim: FluidSim,
     gpfs: ResourceId,
-    nodes: Vec<VNode>,
+    nodes: Vec<VNode<'a>>,
     arrays: BTreeMap<String, Array>,
     /// Every payload is a slice of this buffer.
     zeros: Bytes,
@@ -691,38 +661,13 @@ impl Replay<'_> {
         replies
     }
 
-    /// One pass of `n`'s worker loop while it has no task: delete the arrays
-    /// that went dead, ask which arrays are resident, prefetch for the
-    /// planned tasks, and start the next ready task, if any. With none, the
-    /// worker waits for the next completion broadcast.
-    fn step(&mut self, n: usize) {
+    /// `n`'s worker, with no task, runs its pass between tasks and starts
+    /// the task it picks, if any. With none, it waits for the next
+    /// completion.
+    fn step(&mut self, ls: &mut [LocalScheduler], n: usize) {
         let graph = self.graph;
-        for array in self.nodes[n].ls.take_dead(graph) {
-            let req = self.req();
-            let msg = ClientMsg::Delete {
-                req,
-                client: n as u64,
-                array: array.to_string(),
-            };
-            assert!(matches!(self.call(n, msg), Reply::Deleted { .. }));
-        }
-        if self.nodes[n].ls.graph_done() {
-            return;
-        }
-        let req = self.req();
-        let msg = ClientMsg::Resident {
-            req,
-            client: n as u64,
-        };
-        let Reply::Resident { arrays, .. } = self.call(n, msg) else {
-            panic!("the resident query is answered with the resident set");
-        };
-        let resident: HashSet<String> = arrays.into_iter().collect();
-        for array in self.nodes[n].ls.prefetch_candidates(graph, &resident) {
-            let iv = whole(&self.arrays[&array].meta);
-            self.send(n, ClientMsg::Prefetch { array, iv });
-        }
-        let Some(task) = self.nodes[n].ls.next_task(graph, &resident) else {
+        let port = &mut NodePort(self, n);
+        let Ok(Some(task)) = between_tasks(&mut ls[n], graph, port) else {
             return;
         };
         let spec = graph.task(task);
@@ -730,28 +675,46 @@ impl Replay<'_> {
         vn.cur_iter = vn
             .cur_iter
             .max(task_iter(&spec.name, self.params.iterations));
+        let mut steps = SpmvExecutor::pin_steps(spec);
+        if steps.is_empty() {
+            steps.push(Vec::new());
+        }
         vn.running = Some(Running {
             task,
-            steps: executor_steps(self.params, spec),
+            steps,
             next: 0,
             reads_left: 0,
         });
         self.begin_step(n);
     }
 
+    /// The modelled compute of `n`'s step under way: a multiply's flops at
+    /// the node's rate, a partial's bytes at the sum rate, 0.1 ms otherwise.
+    fn seconds(&self, n: usize) -> f64 {
+        let running = self.nodes[n].running.as_ref().expect("a running task");
+        let spec = self.graph.task(running.task);
+        match spec.kind.as_str() {
+            "multiply" => spec.flops as f64 / self.params.node_flops,
+            "sum" | "sum_final" => {
+                let pinned = &running.steps[running.next];
+                pinned.iter().map(|d| d.bytes).sum::<u64>() as f64 / self.params.sum_bw
+            }
+            _ => 1e-4,
+        }
+    }
+
     /// Reads the inputs of `n`'s next step; it computes once all are served.
     fn begin_step(&mut self, n: usize) {
         let running = self.nodes[n].running.as_mut().expect("a running task");
-        let step = &running.steps[running.next];
-        let (inputs, seconds) = (step.inputs.clone(), step.seconds);
+        let inputs = running.steps[running.next].clone();
         running.reads_left = inputs.len();
         if inputs.is_empty() {
-            self.timer(seconds, Pending::Compute { node: n });
+            self.timer(self.seconds(n), Pending::Compute { node: n });
         }
-        for array in inputs {
+        for d in inputs {
             let req = self.req();
-            let iv = whole(&self.arrays[&array].meta);
-            let client = n as u64;
+            let iv = whole(&self.arrays[&d.array].meta);
+            let (client, array) = (n as u64, d.array.clone());
             self.send(
                 n,
                 ClientMsg::ReadReq {
@@ -771,30 +734,30 @@ impl Replay<'_> {
             .expect("read data answers a running task");
         running.reads_left -= 1;
         if running.reads_left == 0 {
-            let seconds = running.steps[running.next].seconds;
-            self.timer(seconds, Pending::Compute { node: n });
+            self.timer(self.seconds(n), Pending::Compute { node: n });
         }
     }
 
     /// `n`'s step finished computing: its inputs are released (and, without
     /// cross-iteration reuse, a consumed sub-matrix evicted), then the next
     /// step begins or the task finishes.
-    fn end_step(&mut self, n: usize) {
+    fn end_step(&mut self, ls: &mut [LocalScheduler], n: usize) {
         let running = self.nodes[n].running.as_mut().expect("a running task");
-        let inputs = std::mem::take(&mut running.steps[running.next].inputs);
+        let inputs = std::mem::take(&mut running.steps[running.next]);
         running.next += 1;
         let more = running.next < running.steps.len();
-        for array in inputs {
-            let iv = whole(&self.arrays[&array].meta);
+        for d in inputs {
+            let (array, iv) = (d.array.clone(), whole(&self.arrays[&d.array].meta));
             let msg = ClientMsg::ReleaseRead {
                 array: array.clone(),
                 iv,
                 checked: false,
             };
             self.send(n, msg);
-            // Paper mode: the measured system re-read every sub-matrix every
-            // iteration, so a consumed one is dropped by explicit memory
-            // management (§III-B) rather than left to the LRU.
+            // Paper mode, where the replay departs from the executor: the
+            // measured system re-read every sub-matrix every iteration, so a
+            // consumed one is dropped by explicit memory management (§III-B)
+            // rather than left to the LRU.
             if !self.params.cross_iteration_reuse && is_matrix(&array) {
                 self.send(n, ClientMsg::Evict { array });
             }
@@ -802,7 +765,7 @@ impl Replay<'_> {
         if more {
             self.begin_step(n);
         } else {
-            self.finish(n);
+            self.finish(ls, n);
         }
     }
 
@@ -835,28 +798,62 @@ impl Replay<'_> {
         assert!(matches!(self.call(n, msg), Reply::WriteSealed { .. }));
     }
 
-    /// `n`'s task ran its last step: its outputs are written, the inputs no
-    /// ready task reads are demoted, and its completion is broadcast. Every
-    /// idle worker wakes.
-    fn finish(&mut self, n: usize) {
+    /// `n`'s task ran its last step: its outputs are written, the worker
+    /// runs its step after a task, and every node's scheduler sees the
+    /// completion at once. Every idle worker wakes.
+    fn finish(&mut self, ls: &mut [LocalScheduler], n: usize) {
         let graph = self.graph;
         let running = self.nodes[n].running.take().expect("a running task");
         for out in &graph.task(running.task).outputs {
             self.write(n, &out.array);
         }
-        for array in self.nodes[n].ls.idle_inputs(graph, running.task) {
-            let array = array.to_string();
-            self.send(n, ClientMsg::Demote { array });
-        }
+        let Ok(()) = after_task(&ls[n], graph, running.task, &mut NodePort(self, n));
         self.completed += 1;
-        for vn in &mut self.nodes {
-            vn.ls.on_complete(graph, running.task);
+        for l in ls.iter_mut() {
+            l.on_complete(graph, running.task);
         }
         for m in 0..self.nodes.len() {
             if self.nodes[m].running.is_none() {
-                self.step(m);
+                self.step(ls, m);
             }
         }
+    }
+}
+
+/// Node `.1`'s storage as its worker's pass sees it: a request is answered
+/// at once, and a refused one is a fault of the replay.
+struct NodePort<'r, 'a>(&'r mut Replay<'a>, usize);
+
+impl StoragePort for NodePort<'_, '_> {
+    type Error = Infallible;
+
+    fn delete(&mut self, array: &str) -> Result<(), Infallible> {
+        let (req, client) = (self.0.req(), self.1 as u64);
+        let array = array.to_string();
+        let msg = ClientMsg::Delete { req, client, array };
+        assert!(matches!(self.0.call(self.1, msg), Reply::Deleted { .. }));
+        Ok(())
+    }
+
+    fn resident(&mut self) -> Result<HashSet<String>, Infallible> {
+        let (req, client) = (self.0.req(), self.1 as u64);
+        let msg = ClientMsg::Resident { req, client };
+        let Reply::Resident { arrays, .. } = self.0.call(self.1, msg) else {
+            panic!("the resident query is answered with the resident set");
+        };
+        Ok(arrays.into_iter().collect())
+    }
+
+    fn prefetch(&mut self, array: String) -> Result<(), Infallible> {
+        let iv = whole(&self.0.arrays[&array].meta);
+        self.0.send(self.1, ClientMsg::Prefetch { array, iv });
+        Ok(())
+    }
+
+    fn demote(&mut self, array: &str) -> Result<(), Infallible> {
+        let array = array.to_string();
+        self.0.send(self.1, ClientMsg::Demote { array });
+        Ok(())
     }
 }
 
