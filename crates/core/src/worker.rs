@@ -232,7 +232,7 @@ impl<'a> WorkerContext<'a> {
     }
 
     /// Direct access to the storage client (for advanced patterns: async
-    /// reads, partial intervals, persist).
+    /// reads, reads of part of a block, persist).
     pub fn storage(&mut self) -> &mut StorageClient {
         self.client
     }

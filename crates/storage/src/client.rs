@@ -333,8 +333,9 @@ impl StorageClient {
         self.wait_read(t)
     }
 
-    /// Starts an asynchronous write: requests the grant without waiting for
-    /// it. Pair with [`StorageClient::wait_write_granted`].
+    /// Starts an asynchronous write of one whole block (see
+    /// [`StorageClient::write`]): requests the grant without waiting for it.
+    /// Pair with [`StorageClient::wait_write_granted`].
     pub fn write_async(&mut self, array: &str, iv: Interval) -> Result<WriteTicket> {
         let req = self.fresh();
         self.send(&ClientMsg::WriteReq {
@@ -394,7 +395,10 @@ impl StorageClient {
         }
     }
 
-    /// Blocking write of one interval: request grant, ship data, await seal.
+    /// Blocking write of one block: request the grant, ship the data, await
+    /// the seal. `iv` must be exactly one whole block of `array` (the last
+    /// may be short), written once; anything else is refused with
+    /// [`StorageError::BadInterval`] before any grant is taken.
     pub fn write(&mut self, array: &str, iv: Interval, data: Bytes) -> Result<()> {
         let t = self.write_async(array, iv)?;
         self.wait_write_granted(t)?;

@@ -11,7 +11,11 @@
 //! or *write* permission; an interval may not span blocks. Under the
 //! immutable-object paradigm a memory location is written at most once and
 //! cannot be read before it has been written **and released** — this removes
-//! races and coherence protocols by construction.
+//! races and coherence protocols by construction. The block is the unit of
+//! writing, as it is of loading, spilling, eviction and peer fetches: a write
+//! grant covers exactly one whole block (the last may be short) and is
+//! released once, with all its bytes. A read may be any interval inside one
+//! block.
 //!
 //! Architecture (paper Fig. 2), reproduced filter-for-filter:
 //!
@@ -44,11 +48,10 @@ pub mod meta;
 pub mod node;
 pub mod pool;
 pub mod proto;
-pub mod rangeset;
 
 pub use client::{ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket, WriteTicket};
 pub use cluster::StorageCluster;
-pub use meta::{ArrayMeta, BlockKey, Interval};
+pub use meta::{ArrayMeta, Interval};
 pub use node::{NodeConfig, RecoveryPolicy, StorageState};
 pub use pool::{BlockPool, PoolBuf};
 

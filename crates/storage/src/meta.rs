@@ -52,60 +52,37 @@ impl ArrayMeta {
     }
 
     /// Resolves a global interval to `(block, offset-within-block)`; errors
-    /// if the interval is empty, out of bounds, or spans a block boundary.
+    /// if the interval is empty, out of bounds (its end past `u64::MAX`
+    /// included), or spans a block boundary.
     pub fn locate(&self, iv: Interval) -> Result<(u64, u64)> {
+        let bad = |reason: String| StorageError::BadInterval {
+            array: self.name.clone(),
+            reason,
+        };
         if iv.len == 0 {
-            return Err(StorageError::BadInterval {
-                array: self.name.clone(),
-                reason: "zero-length interval".into(),
-            });
+            return Err(bad("zero-length interval".into()));
         }
-        if iv.offset + iv.len > self.len {
-            return Err(StorageError::BadInterval {
-                array: self.name.clone(),
-                reason: format!(
-                    "interval [{}, {}) exceeds array length {}",
-                    iv.offset,
-                    iv.offset + iv.len,
-                    self.len
-                ),
-            });
+        let Some(end) = iv.offset.checked_add(iv.len) else {
+            return Err(bad(format!(
+                "interval of {} bytes at {} ends past u64::MAX",
+                iv.len, iv.offset
+            )));
+        };
+        if end > self.len {
+            return Err(bad(format!(
+                "interval [{}, {end}) exceeds array length {}",
+                iv.offset, self.len
+            )));
         }
         let block = iv.offset / self.block_size;
-        let last_block = (iv.offset + iv.len - 1) / self.block_size;
+        let last_block = (end - 1) / self.block_size;
         if block != last_block {
-            return Err(StorageError::BadInterval {
-                array: self.name.clone(),
-                reason: format!(
-                    "interval [{}, {}) spans blocks {} and {} — use one interval per block",
-                    iv.offset,
-                    iv.offset + iv.len,
-                    block,
-                    last_block
-                ),
-            });
+            return Err(bad(format!(
+                "interval [{}, {end}) spans blocks {block} and {last_block} — use one interval per block",
+                iv.offset
+            )));
         }
         Ok((block, iv.offset - block * self.block_size))
-    }
-
-    /// Splits an arbitrary global `[offset, offset+len)` range into per-block
-    /// intervals (the helper an application uses when a logical access spans
-    /// blocks — "one can easily build an abstraction that allows to access
-    /// memory independently of the block it is stored in").
-    pub fn split(&self, offset: u64, len: u64) -> Vec<Interval> {
-        let mut out = Vec::new();
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let block = cur / self.block_size;
-            let block_end = ((block + 1) * self.block_size).min(end);
-            out.push(Interval {
-                offset: cur,
-                len: block_end - cur,
-            });
-            cur = block_end;
-        }
-        out
     }
 }
 
@@ -127,31 +104,6 @@ impl Interval {
     /// One-past-the-end offset.
     pub fn end(&self) -> u64 {
         self.offset + self.len
-    }
-}
-
-/// Identity of one block of one array.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockKey {
-    /// Array name.
-    pub array: String,
-    /// Block index.
-    pub block: u64,
-}
-
-impl BlockKey {
-    /// Creates a key.
-    pub fn new(array: impl Into<String>, block: u64) -> Self {
-        Self {
-            array: array.into(),
-            block,
-        }
-    }
-}
-
-impl std::fmt::Display for BlockKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}[{}]", self.array, self.block)
     }
 }
 
@@ -209,33 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn split_covers_range_per_block() {
-        let m = meta();
-        let parts = m.split(30, 40); // spans blocks 0,1,2
-        assert_eq!(
-            parts,
-            vec![
-                Interval::new(30, 2),
-                Interval::new(32, 32),
-                Interval::new(64, 6)
-            ]
-        );
-        let total: u64 = parts.iter().map(|p| p.len).sum();
-        assert_eq!(total, 40);
-        for p in parts {
-            assert!(m.locate(p).is_ok(), "each part is single-block");
+    fn locate_rejects_an_end_past_u64_max() {
+        let m = ArrayMeta::new("a", 64, 64);
+        for iv in [Interval::new(u64::MAX, 1), Interval::new(1, u64::MAX)] {
+            assert!(matches!(
+                m.locate(iv),
+                Err(StorageError::BadInterval { .. })
+            ));
         }
-    }
-
-    #[test]
-    fn split_of_aligned_range_is_single() {
-        let m = meta();
-        assert_eq!(m.split(32, 32), vec![Interval::new(32, 32)]);
-        assert_eq!(m.split(0, 0), vec![]);
-    }
-
-    #[test]
-    fn block_key_display() {
-        assert_eq!(format!("{}", BlockKey::new("x", 3)), "x[3]");
     }
 }

@@ -5,7 +5,6 @@ use bytes::Bytes;
 use dooc_storage::meta::{ArrayMeta, Interval};
 use dooc_storage::node::{Action, DiscoveredBlock, NodeConfig, RecoveryPolicy, StorageState};
 use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, Reply};
-use dooc_storage::rangeset::RangeSet;
 use proptest::prelude::*;
 
 fn cfg(budget: u64) -> NodeConfig {
@@ -19,8 +18,9 @@ fn cfg(budget: u64) -> NodeConfig {
 }
 
 proptest! {
-    /// Writing disjoint intervals covering a block, in any order, seals the
-    /// block and every read returns exactly the written bytes.
+    /// Writing the whole blocks of a multi-block array, in any order, seals
+    /// each of them, and every read — of a whole block or part of one —
+    /// returns exactly the written bytes.
     #[test]
     fn write_any_order_read_back(perm in proptest::sample::subsequence((0..8u64).collect::<Vec<_>>(), 8)) {
         // perm is a subsequence but we need a permutation; derive one by
@@ -35,10 +35,12 @@ proptest! {
         st.handle_client(ClientMsg::Create {
             req: 0,
             client: 0,
-            meta: ArrayMeta::new("a", 64, 64),
+            meta: ArrayMeta::new("a", 60, 8),
         });
+        let block = |i: u64| Interval::new(i * 8, if i == 7 { 4 } else { 8 });
+        let fill = |i: u64, b: u64| (i * 16 + b) as u8;
         for (step, &i) in order.iter().enumerate() {
-            let iv = Interval::new(i * 8, 8);
+            let iv = block(i);
             let acts = st.handle_client(ClientMsg::WriteReq {
                 req: 100 + step as u64,
                 client: 0,
@@ -50,66 +52,75 @@ proptest! {
                 Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
             );
             prop_assert!(granted, "grant refused at step {}", step);
-            st.handle_client(ClientMsg::ReleaseWrite {
+            let acts = st.handle_client(ClientMsg::ReleaseWrite {
                 req: 200 + step as u64,
                 client: 0,
                 array: "a".into(),
                 iv,
-                data: Bytes::from(vec![i as u8 + 1; 8]),
+                data: Bytes::from((0..iv.len).map(|b| fill(i, b)).collect::<Vec<u8>>()),
             });
+            let sealed = matches!(
+                acts.first(),
+                Some(Action::Reply { reply: Reply::WriteSealed { .. }, .. })
+            );
+            prop_assert!(sealed, "release refused at step {}", step);
         }
-        // Full-block read sees each segment's fill byte.
-        let acts = st.handle_client(ClientMsg::ReadReq {
-            req: 999,
-            client: 0,
-            array: "a".into(),
-            iv: Interval::new(0, 64),
-        });
-        let data = acts.iter().find_map(|a| match a {
-            Action::Reply { reply: Reply::ReadReady { data, .. }, .. } => Some(data.clone()),
-            _ => None,
-        });
-        let data = data.expect("sealed block readable");
+        // Each block whole, then its second half, sees the written bytes.
         for i in 0..8u64 {
-            for b in 0..8 {
-                prop_assert_eq!(data[(i * 8 + b) as usize], i as u8 + 1);
+            let whole = block(i);
+            let half = Interval::new(whole.offset + whole.len / 2, whole.len - whole.len / 2);
+            for (k, iv) in [whole, half].into_iter().enumerate() {
+                let req = 1000 + 2 * i + k as u64;
+                let acts = st.handle_client(ClientMsg::ReadReq {
+                    req,
+                    client: 0,
+                    array: "a".into(),
+                    iv,
+                });
+                let data = acts.iter().find_map(|a| match a {
+                    Action::Reply { reply: Reply::ReadReady { req: r, data, .. }, .. } if *r == req => {
+                        Some(data.clone())
+                    }
+                    _ => None,
+                });
+                let data = data.expect("sealed block readable");
+                let want: Vec<u8> = (iv.offset - whole.offset..iv.end() - whole.offset)
+                    .map(|b| fill(i, b))
+                    .collect();
+                prop_assert_eq!(&data[..], &want[..], "block {} read {:?}", i, iv);
             }
         }
     }
 
-    /// No sequence of valid writes can ever double-write a byte: second
-    /// grant on any overlapping interval is refused.
+    /// No sequence of write requests can write a byte twice: a grant is
+    /// given only over a whole block that has none yet, so of two requests
+    /// the second is granted only if both are whole blocks and different
+    /// ones.
     #[test]
-    fn no_double_write(a in 0u64..56, la in 1u64..8, b in 0u64..56, lb in 1u64..8) {
+    fn no_double_write(a in 0u64..60, la in 1u64..12, b in 0u64..60, lb in 1u64..12) {
         let mut st = StorageState::new(cfg(1 << 20), vec![]);
         st.handle_client(ClientMsg::Create {
             req: 0,
             client: 0,
-            meta: ArrayMeta::new("a", 64, 64),
+            meta: ArrayMeta::new("a", 64, 8),
         });
-        let g1 = st.handle_client(ClientMsg::WriteReq {
-            req: 1,
-            client: 0,
-            array: "a".into(),
-            iv: Interval::new(a, la),
-        });
-        let first_granted = matches!(
-            g1.first(),
-            Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
-        );
-        prop_assert!(first_granted);
-        let g2 = st.handle_client(ClientMsg::WriteReq {
-            req: 2,
-            client: 0,
-            array: "a".into(),
-            iv: Interval::new(b, lb),
-        });
-        let overlaps = a < b + lb && b < a + la;
-        let granted = matches!(
-            g2.first(),
-            Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
-        );
-        prop_assert_eq!(granted, !overlaps, "a=[{},{}) b=[{},{})", a, a+la, b, b+lb);
+        let whole = |off: u64, len: u64| off.is_multiple_of(8) && len == 8;
+        let mut granted = Vec::new();
+        for (req, (off, len)) in [(a, la), (b, lb)].into_iter().enumerate() {
+            let acts = st.handle_client(ClientMsg::WriteReq {
+                req: req as u64,
+                client: 0,
+                array: "a".into(),
+                iv: Interval::new(off, len),
+            });
+            granted.push(matches!(
+                acts.first(),
+                Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
+            ));
+        }
+        let first = whole(a, la);
+        let second = whole(b, lb) && !(first && a == b);
+        prop_assert_eq!(granted, vec![first, second], "a=[{},{}) b=[{},{})", a, a+la, b, b+lb);
     }
 
     /// Memory accounting: resident bytes never exceed budget + one block
@@ -211,35 +222,6 @@ fn logged_reads_fifo_served() {
         })
         .collect();
     assert_eq!(served, vec![0, 1, 2, 3, 4]);
-}
-
-proptest! {
-    /// RangeSet models a set of bytes: insert/covers agree with a bitmap
-    /// reference for arbitrary operation sequences.
-    #[test]
-    fn rangeset_matches_bitmap(ops in proptest::collection::vec((0u64..64, 1u64..16), 1..20)) {
-        let mut rs = RangeSet::new();
-        let mut bits = [false; 96];
-        for (start, len) in ops {
-            let end = start + len;
-            rs.insert(start, end);
-            for i in start..end {
-                bits[i as usize] = true;
-            }
-            // Check covers/intersects on a grid of probes.
-            for ps in (0..80u64).step_by(7) {
-                for pl in [1u64, 3, 9] {
-                    let pe = ps + pl;
-                    let all = (ps..pe).all(|i| bits[i as usize]);
-                    let any = (ps..pe).any(|i| bits[i as usize]);
-                    prop_assert_eq!(rs.covers(ps, pe), all);
-                    prop_assert_eq!(rs.intersects(ps, pe), any);
-                }
-            }
-            let total: u64 = bits.iter().filter(|&&b| b).count() as u64;
-            prop_assert_eq!(rs.covered(), total);
-        }
-    }
 }
 
 proptest! {
