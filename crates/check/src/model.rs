@@ -8,8 +8,7 @@
 //! states made of
 //!
 //! * a clone of the node itself,
-//! * each client's script position and what it holds (write grants, read
-//!   pins), and
+//! * each client's script position and the read pins it holds, and
 //! * the I/O commands the node issued that have not completed, plus the
 //!   scratch disk they write to.
 //!
@@ -23,11 +22,12 @@
 //! Invariants, read off the replies, `debug_block` and `needs_tick`:
 //!
 //! * `negative-refcount` — the node never holds fewer pins on a block than
-//!   the grants its clients hold (a release would underflow);
+//!   read pins its clients hold (a release would underflow);
 //! * `balanced-at-quiescence` — at quiescence no pin is left;
 //! * `no-unsealed-read` — a read is served only from a sealed block, and
 //!   with the bytes its writer released;
-//! * `single-writer` — at most one client holds a write grant on a block;
+//! * `single-writer` — a block is sealed by one write only: no write is
+//!   answered `WriteSealed` on a block a client already saw sealed;
 //! * `no-evict-pinned` — a pinned block is resident;
 //! * `reads-answered` — a sealed block stays readable (resident, on disk, or
 //!   on its way there), a read parked on a resident sealed block has been
@@ -64,10 +64,8 @@ const BLOCK: u64 = 8;
 /// block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Op {
-    /// `WriteReq`; a refusal skips the `Seal` that follows.
+    /// `Write` with the block's bytes.
     Write(u64),
-    /// `ReleaseWrite` with the block's bytes.
-    Seal(u64),
     /// `ReadReq`; a failed read skips the `Release` that follows.
     Read(u64),
     /// `ReleaseRead`.
@@ -92,20 +90,13 @@ pub struct Model {
 }
 
 impl Model {
-    /// Client `c` writes and seals block `c`, then reads and releases both
-    /// blocks, marking block 0 checked; a third client evicts the array
-    /// once, at any point.
+    /// Client `c` writes block `c`, then reads and releases both blocks,
+    /// marking block 0 checked; a third client evicts the array once, at
+    /// any point.
     pub fn standard(bugs: SeededBugs) -> Self {
         let script = |own| {
             use Op::*;
-            vec![
-                Write(own),
-                Seal(own),
-                Read(0),
-                ReleaseChecked(0),
-                Read(1),
-                Release(1),
-            ]
+            vec![Write(own), Read(0), ReleaseChecked(0), Read(1), Release(1)]
         };
         Self {
             bugs,
@@ -114,49 +105,39 @@ impl Model {
     }
 
     /// Both clients write block 0, then read it. Arrays are write-once: the
-    /// node refuses the second writer, whether it comes while the first
-    /// holds the grant or after the seal.
+    /// node refuses the second writer, whichever comes second.
     pub fn write_contention(bugs: SeededBugs) -> Self {
         use Op::*;
-        let script = vec![Write(0), Seal(0), Read(0), Release(0)];
+        let script = vec![Write(0), Read(0), Release(0)];
         Self {
             bugs,
             scripts: vec![script.clone(), script],
         }
     }
 
-    /// Client 0 writes, seals, reads and releases both blocks while client 1
-    /// asks `Resident` three times and a third client evicts once: every
+    /// Client 0 writes, reads and releases both blocks while client 1 asks
+    /// `Resident` three times and a third client evicts once: every
     /// residency transition races the query.
     pub fn resident_protocol(bugs: SeededBugs) -> Self {
         use Op::*;
-        let writer = vec![
-            Write(0),
-            Seal(0),
-            Read(0),
-            Release(0),
-            Write(1),
-            Seal(1),
-            Read(1),
-            Release(1),
-        ];
+        let writer = vec![Write(0), Read(0), Release(0), Write(1), Read(1), Release(1)];
         Self {
             bugs,
             scripts: vec![writer, vec![Resident; 3], vec![Evict]],
         }
     }
 
-    /// Client 0 writes and seals both blocks; client 1 reads and releases
-    /// both; a third client demotes the array twice, at any point: while a
-    /// read pin is held, while a block is dirty (sealed, not yet spilled),
-    /// while a spill or load is out. Demotion changes only which block
-    /// reclaim takes first, never whether it may take it.
+    /// Client 0 writes both blocks; client 1 reads and releases both; a
+    /// third client demotes the array twice, at any point: while a read pin
+    /// is held, while a block is dirty (sealed, not yet spilled), while a
+    /// spill or load is out. Demotion changes only which block reclaim
+    /// takes first, never whether it may take it.
     pub fn demote_protocol(bugs: SeededBugs) -> Self {
         use Op::*;
         Self {
             bugs,
             scripts: vec![
-                vec![Write(0), Seal(0), Write(1), Seal(1)],
+                vec![Write(0), Write(1)],
                 vec![Read(0), Release(0), Read(1), Release(1)],
                 vec![Demote, Demote],
             ],
@@ -176,8 +157,6 @@ struct Client {
     pc: usize,
     /// `script[pc]` was sent and awaits its reply.
     parked: bool,
-    /// Blocks this client holds a write grant on.
-    writing: Vec<u64>,
     /// Blocks this client holds a read pin on.
     pinned: Vec<u64>,
     /// A write of this client was refused.
@@ -300,13 +279,7 @@ impl Model {
         }
         let cl = &mut s.clients[c];
         let msg = match op {
-            Op::Write(b) => ClientMsg::WriteReq {
-                req,
-                client,
-                array,
-                iv: iv(b),
-            },
-            Op::Seal(b) => ClientMsg::ReleaseWrite {
+            Op::Write(b) => ClientMsg::Write {
                 req,
                 client,
                 array,
@@ -362,7 +335,7 @@ impl Model {
             s.clients[c].parked && reply.req() == req_of(c, pc),
             "client{c} got {reply:?} while not waiting for it"
         );
-        // A refused write or failed read skips the matching release.
+        // A failed read skips the matching release.
         let skip = |next: &[Op]| {
             1 + usize::from(
                 self.scripts[c]
@@ -370,29 +343,23 @@ impl Model {
                     .is_some_and(|op| next.contains(op)),
             )
         };
-        let someone_writes = |b| s.clients.iter().any(|o| o.writing.contains(&b));
         let advance = match (op, reply) {
-            (Some(Op::Write(b)), Reply::WriteGranted { .. }) => {
-                if someone_writes(b) {
+            (Some(Op::Write(b)), Reply::WriteSealed { .. }) => {
+                if s.sealed[b as usize] {
                     return Err("single-writer");
                 }
-                s.clients[c].writing.push(b);
+                s.sealed[b as usize] = true;
+                s.marked[b as usize] = false; // the seal installs the bytes
                 1
             }
             (
-                Some(Op::Write(b)),
+                Some(Op::Write(_)),
                 Reply::Err {
                     error: StorageError::Immutability(_),
                     ..
                 },
             ) => {
                 s.clients[c].refused = true;
-                skip(&[Op::Seal(b)])
-            }
-            (Some(Op::Seal(b)), Reply::WriteSealed { .. }) => {
-                s.clients[c].writing.retain(|&w| w != b);
-                s.sealed[b as usize] = true;
-                s.marked[b as usize] = false; // the seal installs the bytes
                 1
             }
             (Some(Op::Read(b)), Reply::ReadReady { data, checked, .. }) => {
@@ -494,10 +461,7 @@ impl Model {
     /// The per-state invariants.
     fn violated(&self, s: &State) -> Option<&'static str> {
         for b in 0..NBLOCKS {
-            let held = s
-                .clients
-                .iter()
-                .flat_map(|c| c.pinned.iter().chain(&c.writing));
+            let held = s.clients.iter().flat_map(|c| &c.pinned);
             let held = held.filter(|&&x| x == b).count() as u64;
             let (pins, resident, on_disk) = s.node.debug_block(ARRAY, b).unwrap_or_default();
             if pins < held {

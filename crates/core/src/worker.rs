@@ -18,7 +18,7 @@ use dooc_scheduler::{LocalScheduler, Placement, TaskGraph, TaskId, TaskSpec};
 use dooc_sparse::ComputePool;
 use dooc_storage::meta::{ArrayMeta, Interval};
 use dooc_storage::proto::NodeStats;
-use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient, WriteTicket};
+use dooc_storage::{BlockPool, PoolBuf, ReadGuard, SealTicket, StorageClient};
 use dooc_sync::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -390,8 +390,8 @@ impl<'a> WorkerContext<'a> {
     }
 
     /// Creates and fully writes an array from a single [`Bytes`] buffer:
-    /// per-block payloads are zero-copy `slice()`s of `data`, and the
-    /// grant/seal round trips of all blocks are pipelined.
+    /// per-block payloads are zero-copy `slice()`s of `data`, each sent in
+    /// one write, with at most `PIPELINE_WINDOW` writes awaiting their seal.
     pub fn write_bytes(&mut self, name: &str, data: Bytes) -> std::result::Result<(), String> {
         let (len, bs) = self
             .geometry_of(name)
@@ -407,55 +407,27 @@ impl<'a> WorkerContext<'a> {
             .create(name, len, bs)
             .map_err(|e| format!("create {name}: {e}"))?;
         let meta = ArrayMeta::new(name, len, bs);
-        let nblocks = meta.nblocks();
-        // Phase 1: request grants ahead, ship each block's slice as soon as
-        // its grant lands; phase 2: collect the seals. At most
-        // PIPELINE_WINDOW grants plus PIPELINE_WINDOW seals are in flight.
-        let mut grants: VecDeque<(u64, WriteTicket)> = VecDeque::new();
         let mut seals: VecDeque<(u64, SealTicket)> = VecDeque::new();
-        let mut next = 0u64;
-        while next < nblocks.min(PIPELINE_WINDOW as u64) {
-            let iv = Interval::new(meta.block_start(next), meta.block_len(next));
-            let t = self
-                .client
-                .write_async(name, iv)
-                .map_err(|e| format!("write {name}[{next}]: {e}"))?;
-            grants.push_back((next, t));
-            next += 1;
-        }
-        while let Some((b, t)) = grants.pop_front() {
-            self.client
-                .wait_write_granted(t)
-                .map_err(|e| format!("write {name}[{b}]: {e}"))?;
-            if next < nblocks {
-                let iv = Interval::new(meta.block_start(next), meta.block_len(next));
-                let t = self
-                    .client
-                    .write_async(name, iv)
-                    .map_err(|e| format!("write {name}[{next}]: {e}"))?;
-                grants.push_back((next, t));
-                next += 1;
-            }
-            let start = meta.block_start(b);
-            let blen = meta.block_len(b);
-            let payload = data.slice(start as usize..(start + blen) as usize);
-            let t = self
-                .client
-                .release_write_async(name, Interval::new(start, blen), payload)
-                .map_err(|e| format!("seal {name}[{b}]: {e}"))?;
-            seals.push_back((b, t));
-            if seals.len() > PIPELINE_WINDOW {
+        for b in 0..meta.nblocks() {
+            if seals.len() == PIPELINE_WINDOW {
                 if let Some((b, t)) = seals.pop_front() {
                     self.client
                         .wait_write_sealed(t)
-                        .map_err(|e| format!("seal {name}[{b}]: {e}"))?;
+                        .map_err(|e| format!("write {name}[{b}]: {e}"))?;
                 }
             }
+            let (start, blen) = (meta.block_start(b), meta.block_len(b));
+            let payload = data.slice(start as usize..(start + blen) as usize);
+            let t = self
+                .client
+                .send_write(name, Interval::new(start, blen), payload)
+                .map_err(|e| format!("write {name}[{b}]: {e}"))?;
+            seals.push_back((b, t));
         }
-        while let Some((b, t)) = seals.pop_front() {
+        for (b, t) in seals {
             self.client
                 .wait_write_sealed(t)
-                .map_err(|e| format!("seal {name}[{b}]: {e}"))?;
+                .map_err(|e| format!("write {name}[{b}]: {e}"))?;
         }
         Ok(())
     }
@@ -537,15 +509,14 @@ pub fn after_task<P: StoragePort>(
     Ok(())
 }
 
-/// The runtime worker's port: its storage client, and the geometry it
-/// prefetches an array by, block by block. An error names the request.
-struct ClientPort<'a> {
+/// The runtime worker's port: its storage client. An error names the
+/// request.
+struct ClientPort {
     client: StorageClient,
-    geometry: &'a HashMap<String, (u64, u64)>,
     node: u64,
 }
 
-impl StoragePort for ClientPort<'_> {
+impl StoragePort for ClientPort {
     type Error = String;
 
     fn delete(&mut self, array: &str) -> Result<(), String> {
@@ -563,24 +534,16 @@ impl StoragePort for ClientPort<'_> {
     }
 
     fn prefetch(&mut self, array: String) -> Result<(), String> {
-        let Some(&(len, bs)) = self.geometry.get(&array) else {
-            return Ok(());
-        };
         dooc_obs::instant_arg(
             Category::Scheduler,
             "sched:prefetch",
             self.node as i64,
             || array.clone(),
         );
-        let meta = ArrayMeta::new(array, len, bs);
-        for b in 0..meta.nblocks() {
-            obs().prefetch_requests.inc();
-            let iv = Interval::new(meta.block_start(b), meta.block_len(b));
-            self.client
-                .prefetch(&meta.name, iv)
-                .map_err(|e| format!("prefetch {}: {e}", meta.name))?;
-        }
-        Ok(())
+        obs().prefetch_requests.inc();
+        self.client
+            .prefetch(&array)
+            .map_err(|e| format!("prefetch {array}: {e}"))
     }
 
     fn demote(&mut self, array: &str) -> Result<(), String> {
@@ -620,7 +583,6 @@ impl Filter for WorkerFilter {
         let base = self.client_base.load(dooc_sync::atomic::Ordering::Relaxed);
         let mut port = ClientPort {
             client: StorageClient::new(to_storage, from_storage, ctx.instance, base + node),
-            geometry: &self.geometry,
             node,
         };
         // Geometry on every node: the runtime's table already holds the

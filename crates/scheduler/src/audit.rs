@@ -9,9 +9,11 @@
 //!
 //! * **Peak-residency bound** ([`audit_residency`]) — the grant-ledger
 //!   high-watermark under worst-case scheduler reordering. A running task
-//!   pins its inputs (read pins) and outputs (write grants) for its whole
-//!   execution; tasks that can run concurrently are exactly the antichains
-//!   of the DAG's precedence order. The bound is therefore the
+//!   pins its inputs (read pins) for its whole execution and holds its
+//!   outputs in memory until each block's one write seals it; the bound
+//!   charges both, so it is an upper bound on the read pins the ledger
+//!   counts (a write pins nothing). Tasks that can run concurrently are
+//!   exactly the antichains of the DAG's precedence order. The bound is therefore the
 //!   maximum-weight antichain of the order, computed exactly by the classic
 //!   min-flow-with-lower-bounds reduction, together with the longest chain
 //!   ([`AuditReport::critical_path`]) and the widest (unweighted) antichain.
@@ -156,10 +158,11 @@ pub fn audit(graph: &TaskGraph, budget: u64, lanes: &[LaneSpec]) -> AuditResult<
     Ok(report)
 }
 
-/// A task's pinned working set: distinct input and output arrays, each
-/// counted once at its largest declared size. Mirrors the worker's pin
-/// behavior — whole-array read views plus windowed write grants — from
-/// above (transient pipelined reads pin less, never more).
+/// A task's working set: distinct input and output arrays, each counted
+/// once at its largest declared size. Bounds the worker's pins from above:
+/// whole-array read views pin the inputs (transient pipelined reads pin
+/// less, never more), and the outputs, which a write does not pin, are
+/// counted as the memory they occupy while the task writes them.
 fn task_weight(graph: &TaskGraph, id: TaskId) -> u64 {
     let t = graph.task(id);
     let mut seen: HashMap<&str, u64> = HashMap::new();

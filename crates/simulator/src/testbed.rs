@@ -780,15 +780,7 @@ impl Replay<'_> {
         assert!(matches!(created, Reply::Created { .. }));
         let req = self.req();
         let array = array.to_string();
-        let msg = ClientMsg::WriteReq {
-            req,
-            client,
-            array: array.clone(),
-            iv,
-        };
-        assert!(matches!(self.call(n, msg), Reply::WriteGranted { .. }));
-        let req = self.req();
-        let msg = ClientMsg::ReleaseWrite {
+        let msg = ClientMsg::Write {
             req,
             client,
             array,
@@ -845,8 +837,7 @@ impl StoragePort for NodePort<'_, '_> {
     }
 
     fn prefetch(&mut self, array: String) -> Result<(), Infallible> {
-        let iv = whole(&self.0.arrays[&array].meta);
-        self.0.send(self.1, ClientMsg::Prefetch { array, iv });
+        self.0.send(self.1, ClientMsg::Prefetch { array });
         Ok(())
     }
 

@@ -3,15 +3,15 @@
 //! A compute filter holds a [`StorageClient`] wrapping its bidirectional link
 //! to the local storage filter. Requests are tagged with fresh ids; replies
 //! arriving out of order are stashed until the matching `wait` call. The
-//! split request/wait API (`read_async` + [`StorageClient::wait_read`])
-//! lets a filter keep several operations in flight — the asynchrony the
-//! paper's design centres on — while `read`/`write` offer one-call
-//! convenience.
+//! split request/wait API (`read_async` + [`StorageClient::wait_read`],
+//! `send_write` + [`StorageClient::wait_write_sealed`]) lets a filter keep
+//! several operations in flight — the asynchrony the paper's design centres
+//! on — while `read`/`write` offer one-call convenience.
 //!
 //! Two safety layers sit on top of the wire protocol:
 //!
 //! * **Typed tickets.** [`Ticket`] is parameterized by the operation kind
-//!   ([`Read`], [`Write`], [`Seal`]), so redeeming a write ticket with
+//!   ([`Read`], [`Seal`]), so redeeming a write's ticket with
 //!   [`StorageClient::wait_read`] is a compile error, and tickets are
 //!   single-use move-only tokens — a ticket cannot be redeemed twice.
 //! * **RAII read pins.** [`StorageClient::read`] / `wait_read` return a
@@ -34,11 +34,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub enum Read {}
 
-/// Ticket kind marker: a pending write grant.
-#[derive(Debug)]
-pub enum Write {}
-
-/// Ticket kind marker: a pending seal confirmation.
+/// Ticket kind marker: a pending write's seal confirmation.
 #[derive(Debug)]
 pub enum Seal {}
 
@@ -62,9 +58,7 @@ impl<K> Ticket<K> {
 
 /// A pending pinned read ([`StorageClient::read_async`]).
 pub type ReadTicket = Ticket<Read>;
-/// A pending write grant ([`StorageClient::write_async`]).
-pub type WriteTicket = Ticket<Write>;
-/// A pending seal confirmation ([`StorageClient::release_write_async`]).
+/// A pending write's seal confirmation ([`StorageClient::send_write`]).
 pub type SealTicket = Ticket<Seal>;
 
 /// The shared half of the client a [`ReadGuard`] needs to unpin on drop:
@@ -82,28 +76,16 @@ impl Releaser {
             .map_err(|e| StorageError::Protocol(format!("storage link closed: {e}")))
     }
 
-    /// Sends the unpin and decrements the grant count. Send failures are
-    /// swallowed: a guard dropped after shutdown has nothing left to unpin.
+    /// Sends the unpin and decrements the grant count: each guard counted
+    /// one grant when it was made. Send failures are swallowed: a guard
+    /// dropped after shutdown has nothing left to unpin.
     fn release(&self, array: &str, iv: Interval, checked: bool) {
         let _ = self.send(&ClientMsg::ReleaseRead {
             array: array.to_string(),
             iv,
             checked,
         });
-        self.take_grant();
-    }
-
-    fn take_grant(&self) {
-        let prev = self.outstanding.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(
-            prev > 0,
-            "storage grant underflow: released more than granted"
-        );
-        if prev == 0 {
-            // Undo the wrap in release builds; the debug assertion above is
-            // the real diagnostic.
-            self.outstanding.fetch_add(1, Ordering::AcqRel);
-        }
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -223,10 +205,9 @@ impl StorageClient {
         }
     }
 
-    /// Number of storage grants (pinned reads + write grants) received and
-    /// not yet handed back — live [`ReadGuard`]s count. Zero at quiescence
-    /// when the application is balanced; the worker asserts this in debug
-    /// builds.
+    /// Number of read grants received and not yet handed back: the live
+    /// [`ReadGuard`]s. Zero at quiescence when the application is balanced;
+    /// the worker asserts this in debug builds.
     pub fn outstanding_grants(&self) -> u64 {
         self.rel.outstanding.load(Ordering::Acquire)
     }
@@ -333,44 +314,11 @@ impl StorageClient {
         self.wait_read(t)
     }
 
-    /// Starts an asynchronous write of one whole block (see
-    /// [`StorageClient::write`]): requests the grant without waiting for it.
-    /// Pair with [`StorageClient::wait_write_granted`].
-    pub fn write_async(&mut self, array: &str, iv: Interval) -> Result<WriteTicket> {
+    /// Ships one whole block's bytes (see [`StorageClient::write`]) without
+    /// waiting for the seal. Pair with [`StorageClient::wait_write_sealed`].
+    pub fn send_write(&mut self, array: &str, iv: Interval, data: Bytes) -> Result<SealTicket> {
         let req = self.fresh();
-        self.send(&ClientMsg::WriteReq {
-            req,
-            client: self.client_id,
-            array: array.to_string(),
-            iv,
-        })?;
-        Ok(Ticket::new(req))
-    }
-
-    /// Waits for a write grant requested with [`StorageClient::write_async`].
-    pub fn wait_write_granted(&mut self, t: WriteTicket) -> Result<()> {
-        match self.wait(t.req)? {
-            Reply::WriteGranted { .. } => {
-                self.rel.outstanding.fetch_add(1, Ordering::AcqRel);
-                Ok(())
-            }
-            Reply::Err { error, .. } => Err(error),
-            other => Err(StorageError::Protocol(format!(
-                "unexpected reply to write request: {other:?}"
-            ))),
-        }
-    }
-
-    /// Ships the data of a granted write without waiting for the seal. Pair
-    /// with [`StorageClient::wait_write_sealed`].
-    pub fn release_write_async(
-        &mut self,
-        array: &str,
-        iv: Interval,
-        data: Bytes,
-    ) -> Result<SealTicket> {
-        let req = self.fresh();
-        self.send(&ClientMsg::ReleaseWrite {
+        self.send(&ClientMsg::Write {
             req,
             client: self.client_id,
             array: array.to_string(),
@@ -380,37 +328,31 @@ impl StorageClient {
         Ok(Ticket::new(req))
     }
 
-    /// Waits for the seal confirmation of a
-    /// [`StorageClient::release_write_async`].
+    /// Waits for the seal confirmation of a [`StorageClient::send_write`].
     pub fn wait_write_sealed(&mut self, t: SealTicket) -> Result<()> {
         match self.wait(t.req)? {
-            Reply::WriteSealed { .. } => {
-                self.rel.take_grant();
-                Ok(())
-            }
+            Reply::WriteSealed { .. } => Ok(()),
             Reply::Err { error, .. } => Err(error),
             other => Err(StorageError::Protocol(format!(
-                "unexpected reply to write release: {other:?}"
+                "unexpected reply to write: {other:?}"
             ))),
         }
     }
 
-    /// Blocking write of one block: request the grant, ship the data, await
-    /// the seal. `iv` must be exactly one whole block of `array` (the last
-    /// may be short), written once; anything else is refused with
-    /// [`StorageError::BadInterval`] before any grant is taken.
+    /// Blocking write of one block: ship the data, await the seal. `iv`
+    /// must be exactly one whole block (the last may be short) of an array
+    /// created on this node, written once; anything else is refused with
+    /// [`StorageError::BadInterval`] or [`StorageError::Immutability`] and
+    /// leaves the node as it was.
     pub fn write(&mut self, array: &str, iv: Interval, data: Bytes) -> Result<()> {
-        let t = self.write_async(array, iv)?;
-        self.wait_write_granted(t)?;
-        let t2 = self.release_write_async(array, iv, data)?;
-        self.wait_write_sealed(t2)
+        let t = self.send_write(array, iv, data)?;
+        self.wait_write_sealed(t)
     }
 
-    /// Fire-and-forget prefetch hint.
-    pub fn prefetch(&mut self, array: &str, iv: Interval) -> Result<()> {
+    /// Fire-and-forget hint: bring every block of `array` into memory.
+    pub fn prefetch(&mut self, array: &str) -> Result<()> {
         self.send(&ClientMsg::Prefetch {
             array: array.to_string(),
-            iv,
         })
     }
 

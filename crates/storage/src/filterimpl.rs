@@ -60,18 +60,20 @@ impl ClientPortMap {
 
 /// The per-node storage filter.
 pub struct StorageFilter {
-    state: StorageState,
+    cfg: NodeConfig,
+    scratch: PathBuf,
     ports: Arc<ClientPortMap>,
 }
 
 impl StorageFilter {
-    /// Builds the node's state machine from `cfg` and what a scan of its
-    /// scratch directory finds there (arrays staged before the run, or
-    /// persisted by an earlier one).
+    /// A node that starts from `cfg` and what a scan of its `scratch`
+    /// directory finds there when it runs (arrays staged before the run,
+    /// or persisted by an earlier one). A directory that cannot be read
+    /// fails the run; a missing one is empty.
     pub fn recoverable(cfg: NodeConfig, scratch: PathBuf, ports: Arc<ClientPortMap>) -> Self {
-        let discovered = scan_scratch(&scratch).unwrap_or_default();
         Self {
-            state: StorageState::new(cfg, discovered),
+            cfg,
+            scratch,
             ports,
         }
     }
@@ -106,6 +108,11 @@ impl StorageFilter {
 
 impl Filter for StorageFilter {
     fn run(&mut self, ctx: &mut FilterContext) -> dooc_filterstream::Result<()> {
+        let discovered = scan_scratch(&self.scratch).map_err(|e| {
+            let dir = self.scratch.display();
+            ctx.error(format!("scratch directory {dir} cannot be scanned: {e}"))
+        })?;
+        let mut state = StorageState::new(self.cfg.clone(), discovered);
         // Own the three input endpoints in one StreamSet: indices 0/1/2 are
         // clients/peers/io for the SelectEvent arms below.
         let mut set = StreamSet::new(vec![
@@ -117,15 +124,14 @@ impl Filter for StorageFilter {
             // While the recovery clock has work (stalled fetches, read
             // retries in backoff), poll with a short timeout and advance it
             // on each tick.
-            let timeout = self
-                .state
+            let timeout = state
                 .needs_tick()
                 .then(|| std::time::Duration::from_millis(2));
             let event = match set.event_timeout(timeout) {
                 SelectOutcome::Event(ev) => ev,
                 SelectOutcome::AllClosed => return Ok(()), // every input closed
                 SelectOutcome::Timeout => {
-                    let acts = self.state.on_tick();
+                    let acts = state.on_tick();
                     self.perform(ctx, acts)?;
                     continue;
                 }
@@ -138,7 +144,7 @@ impl Filter for StorageFilter {
                     });
                     let msg = ClientMsg::decode(&buf)
                         .map_err(|e| ctx.error(format!("client decode: {e}")))?;
-                    self.state.handle_client(msg)
+                    state.handle_client(msg)
                 }
                 SelectEvent::Buffer(1, buf) => {
                     let _span = dooc_obs::enabled()
@@ -147,24 +153,24 @@ impl Filter for StorageFilter {
                     // (Fetch's from_node); the others are source-agnostic.
                     let msg = PeerMsg::decode(&buf)
                         .map_err(|e| ctx.error(format!("peer decode: {e}")))?;
-                    self.state.handle_peer(msg)
+                    state.handle_peer(msg)
                 }
                 SelectEvent::Buffer(_, buf) => {
                     let _span = dooc_obs::enabled()
                         .then(|| dooc_obs::span(dooc_obs::Category::Storage, "storage:io", node));
                     let msg =
                         IoReply::decode(&buf).map_err(|e| ctx.error(format!("io decode: {e}")))?;
-                    self.state.handle_io(msg)
+                    state.handle_io(msg)
                 }
                 SelectEvent::Closed(0) => {
                     // Every client link gone (driver finished or crashed):
                     // implicit shutdown so the cluster can quiesce.
-                    self.state.force_local_done()
+                    state.force_local_done()
                 }
                 SelectEvent::Closed(_) => Vec::new(),
             };
             self.perform(ctx, actions)?;
-            if self.state.ready_to_exit() {
+            if state.ready_to_exit() {
                 // The whole cluster is quiescent: no peer will fetch again.
                 // Close outgoing links (cascading I/O filter exit and, once
                 // every node does this, peer-stream closure), then drain

@@ -7,15 +7,17 @@
 //! communication protocol."
 //!
 //! The layer exposes data as one-dimensional arrays structured in fixed-size
-//! blocks. Filters `request` access to an `interval` of an array with *read*
-//! or *write* permission; an interval may not span blocks. Under the
-//! immutable-object paradigm a memory location is written at most once and
-//! cannot be read before it has been written **and released** — this removes
-//! races and coherence protocols by construction. The block is the unit of
-//! writing, as it is of loading, spilling, eviction and peer fetches: a write
-//! grant covers exactly one whole block (the last may be short) and is
-//! released once, with all its bytes. A read may be any interval inside one
-//! block.
+//! blocks. Filters `request` read access to an `interval` of an array, which
+//! may not span blocks, and write blocks. Under the immutable-object paradigm
+//! a memory location is written at most once and cannot be read before it
+//! has been written — this removes races and coherence protocols by
+//! construction. The block is the unit of writing, as it is of loading,
+//! spilling, eviction and peer fetches: a write is one message carrying one
+//! whole block's bytes (the last block may be short), sent to the node that
+//! created the array, and the block is sealed when the node answers. (The
+//! paper's request–release write lends the filter storage memory to fill;
+//! here the writer fills its own buffer, so there is nothing to request.) A
+//! read may be any interval inside one block.
 //!
 //! Architecture (paper Fig. 2), reproduced filter-for-filter:
 //!
@@ -49,7 +51,7 @@ pub mod node;
 pub mod pool;
 pub mod proto;
 
-pub use client::{ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket, WriteTicket};
+pub use client::{ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket};
 pub use cluster::StorageCluster;
 pub use meta::{ArrayMeta, Interval};
 pub use node::{NodeConfig, RecoveryPolicy, StorageState};

@@ -78,7 +78,7 @@ impl StorageState {
         let block = offset / meta.block_size;
         let block_len = meta.block_len(block);
         let info = ainfo.blocks.entry(block).or_default();
-        if let Some(BlockMem::Sealed { data: bytes, .. }) = &info.mem {
+        if let Some(BlockMem { data: bytes, .. }) = &info.mem {
             self.stats.peer_sent_bytes += bytes.len() as u64;
             out.push(Action::Peer {
                 node: from_node,
@@ -94,9 +94,8 @@ impl StorageState {
         } else if info.on_disk {
             info.peer_waiters.push((req, from_node));
             info.load(array, block, block_len, out);
-        } else if ainfo.home || info.granted() {
-            // Production is local (home, or the write is under way here):
-            // log the request, answer once sealed.
+        } else if ainfo.home {
+            // Production is local: log the request, answer once written.
             info.peer_waiters.push((req, from_node));
         } else {
             out.push(not_found);
@@ -629,33 +628,5 @@ mod tests {
         assert!(!st.has_stalled_fetches());
         let acts = write_all(&mut st, "x", Interval::new(0, 32), 5);
         assert_eq!(&read_data(&acts, 1).expect("served")[..], &[5u8; 8]);
-    }
-
-    /// A peer's answer that lands on a block a local writer holds is
-    /// dropped: the grant stays, its release seals the block and serves the
-    /// read that started the fetch, and every pin comes back.
-    #[test]
-    fn a_fetched_block_does_not_displace_a_local_grant() {
-        let mut st = node(2);
-        st.handle_client(ClientMsg::Register {
-            meta: ArrayMeta::new("r", 64, 64),
-        });
-        let (_, req, _) = probe(&read(&mut st, 1, 0, "r", Interval::new(0, 8)));
-        let whole = Interval::new(0, 64);
-        grant(&mut st, "r", whole);
-        let acts = st.handle_peer(found(req, 64, 64, 0, 64));
-        assert!(acts.is_empty(), "{acts:?}");
-        assert_eq!((st.pinned_now, st.resident_bytes()), (64, 64));
-        let acts = release(&mut st, "r", whole, Bytes::from(vec![3u8; 64]));
-        assert!(acts.iter().any(|a| matches!(
-            a,
-            Action::Reply {
-                reply: Reply::WriteSealed { .. },
-                ..
-            }
-        )));
-        assert_eq!(&read_data(&acts, 1).expect("served")[..], &[3u8; 8]);
-        unpin(&mut st, "r", Interval::new(0, 8));
-        assert_eq!(st.pinned_now, 0);
     }
 }

@@ -1,9 +1,10 @@
-//! Grants: the immutable-array contract. A block is written once, whole: one
-//! grant over the whole block, exclusive, and one release of all its bytes.
-//! A read may be any interval inside one block; it is answered at once when
-//! the block is sealed and resident, logged otherwise and served at the seal
-//! or load that makes it so. Every grant pins its block against reclaim
-//! until released.
+//! Writes and read grants: the immutable-array contract. A block is written
+//! once, whole, by one message that carries its bytes, on the node that
+//! created its array; the block is sealed when the write is answered. A read
+//! may be any interval inside one block; it is answered at once when the
+//! block is sealed and resident, logged otherwise and served at the seal or
+//! load that makes it so. Every read grant pins its block against reclaim
+//! until released; a write pins nothing.
 
 use super::{storage_obs, Action, BlockInfo, BlockMem, ReadWaiter, StorageState};
 use crate::meta::{ArrayMeta, Interval};
@@ -12,22 +13,17 @@ use crate::StorageError;
 use bytes::Bytes;
 
 impl BlockInfo {
-    /// Nothing of the block exists here: no grant, no bytes, no disk copy.
-    /// (A sealed block leaves memory only once it is on disk.)
+    /// Nothing of the block exists here: no bytes, no disk copy. (A sealed
+    /// block leaves memory only once it is on disk.)
     pub(super) fn unwritten(&self) -> bool {
         self.mem.is_none() && !self.on_disk
-    }
-
-    /// A writer holds the block's grant.
-    pub(super) fn granted(&self) -> bool {
-        matches!(self.mem, Some(BlockMem::Reserved))
     }
 }
 
 impl StorageState {
-    /// Takes one grant on a block, charging its bytes to the pinned ledger
-    /// on the 0 → 1 transition (a block's bytes count once no matter how
-    /// many grants hold it) and updating the high-watermark.
+    /// Takes one read grant on a block, charging its bytes to the pinned
+    /// ledger on the 0 → 1 transition (a block's bytes count once no matter
+    /// how many grants hold it) and updating the high-watermark.
     fn pin_block(pinned_now: &mut u64, stats: &mut NodeStats, info: &mut BlockInfo, bytes: u64) {
         if info.pins == 0 {
             *pinned_now += bytes;
@@ -94,22 +90,34 @@ impl StorageState {
         // yet: the logged request is served at its seal.
     }
 
-    pub(super) fn client_write(
+    /// A block's one write: all of one block's bytes, once, on the node
+    /// that created the array. The block is charged to the budget before
+    /// it is installed, so the reclaim the charge runs cannot pick it; it
+    /// is then sealed, and the reads and peer fetches logged on it are
+    /// served.
+    pub(super) fn write(
         &mut self,
         req: u64,
         client: u64,
         array: String,
         iv: Interval,
+        data: Bytes,
         out: &mut Vec<Action>,
     ) {
         if self.deleted.contains(&array) {
             return Self::err(client, req, StorageError::Deleted(array), out);
         }
         // A placeholder is a name this node met only through a read: its
-        // geometry is unknown, so it has no block to grant.
-        let Some(ainfo) = self.arrays.get_mut(&array).filter(|a| !a.is_placeholder()) else {
+        // geometry is unknown, so it has no block to write.
+        let Some(ainfo) = self.arrays.get(&array).filter(|a| !a.is_placeholder()) else {
             return Self::err(client, req, StorageError::UnknownArray(array), out);
         };
+        if !ainfo.home {
+            // A name known here from a hint is produced on another node: a
+            // write here would give its blocks a second producer.
+            let msg = format!("'{array}' was not created on this node: only its creator writes it");
+            return Self::err(client, req, StorageError::Immutability(msg), out);
+        }
         let (block, off) = match ainfo.meta.locate(iv) {
             Ok(x) => x,
             Err(e) => return Self::err(client, req, e, out),
@@ -126,19 +134,44 @@ impl StorageState {
                 out,
             );
         }
-        let info = ainfo.blocks.entry(block).or_default();
-        if !info.unwritten() {
-            let msg = format!("{array}[{block}] already written or being written");
+        if data.len() as u64 != iv.len {
+            let m = format!("{} bytes written to a {}-byte block", data.len(), iv.len);
+            return Self::err(client, req, StorageError::Protocol(m), out);
+        }
+        if ainfo.blocks.get(&block).is_some_and(|i| !i.unwritten()) {
+            let msg = format!("{array}[{block}] already written");
             return Self::err(client, req, StorageError::Immutability(msg), out);
         }
-        Self::pin_block(&mut self.pinned_now, &mut self.stats, info, block_len);
-        info.mem = Some(BlockMem::Reserved);
+        // The write of a single-block array is adopted as the block: its
+        // `Bytes` is the writer's whole allocation, which eviction then
+        // frees. A block of a multi-block array arrives as a slice of the
+        // array-sized buffer, so it is copied into memory the block owns.
+        let data = if ainfo.meta.nblocks() == 1 {
+            data
+        } else {
+            Bytes::copy_from_slice(&data)
+        };
+        self.charge(block_len, out);
+        let Some(ainfo) = self.arrays.get_mut(&array) else {
+            return;
+        };
+        let info = ainfo.blocks.entry(block).or_default();
+        info.mem = Some(BlockMem::sealed(data));
+        storage_obs().blocks_sealed.inc();
         out.push(Action::Reply {
             client,
-            reply: Reply::WriteGranted { req },
+            reply: Reply::WriteSealed { req },
         });
+        let meta = &ainfo.meta;
+        Self::flush_waiters(
+            info,
+            meta,
+            block,
+            &mut self.pinned_now,
+            &mut self.stats,
+            out,
+        );
         self.touch(&array, block);
-        self.charge(block_len, out);
     }
 
     /// Drops a read pin; `checked` marks the sealed bytes the reader was
@@ -154,77 +187,11 @@ impl StorageState {
         let block_len = ainfo.meta.block_len(block);
         if let Some(info) = ainfo.blocks.get_mut(&block) {
             match &mut info.mem {
-                Some(BlockMem::Sealed { checked: mark, .. }) if checked && info.pins > 0 => {
-                    *mark = true;
-                }
+                Some(mem) if checked && info.pins > 0 => mem.checked = true,
                 _ => {}
             }
             Self::unpin_block(&mut self.pinned_now, info, block_len);
         }
-    }
-
-    pub(super) fn release_write(
-        &mut self,
-        req: u64,
-        client: u64,
-        array: String,
-        iv: Interval,
-        data: Bytes,
-        out: &mut Vec<Action>,
-    ) {
-        let protocol = StorageError::Protocol;
-        let Some(ainfo) = self.arrays.get_mut(&array) else {
-            return Self::err(client, req, StorageError::UnknownArray(array), out);
-        };
-        let (block, off) = match ainfo.meta.locate(iv) {
-            Ok(x) => x,
-            Err(e) => return Self::err(client, req, e, out),
-        };
-        if data.len() as u64 != iv.len {
-            let m = format!(
-                "release data length {} != interval length {}",
-                data.len(),
-                iv.len
-            );
-            return Self::err(client, req, protocol(m), out);
-        }
-        let block_len = ainfo.meta.block_len(block);
-        // The release of a single-block array is adopted as the block: its
-        // `Bytes` is the writer's whole allocation, which eviction then
-        // frees. A block of a multi-block array arrives as a slice of the
-        // array-sized buffer, so it is copied into memory the block owns.
-        let adopt = ainfo.meta.nblocks() == 1;
-        let granted = ainfo.blocks.get_mut(&block);
-        let Some(info) = granted.filter(|i| i.granted()) else {
-            let m = format!("release of never-granted {array}[{block}]");
-            return Self::err(client, req, protocol(m), out);
-        };
-        if off != 0 || iv.len != block_len {
-            let m = format!("release of part of {array}[{block}], which was granted whole");
-            return Self::err(client, req, protocol(m), out);
-        }
-        info.mem = Some(BlockMem::sealed(if adopt {
-            data
-        } else {
-            Bytes::copy_from_slice(&data)
-        }));
-        storage_obs().blocks_sealed.inc();
-        Self::unpin_block(&mut self.pinned_now, info, block_len);
-        out.push(Action::Reply {
-            client,
-            reply: Reply::WriteSealed { req },
-        });
-        // Serve the logged reads and peer fetches.
-        let meta = &ainfo.meta;
-        Self::flush_waiters(
-            info,
-            meta,
-            block,
-            &mut self.pinned_now,
-            &mut self.stats,
-            out,
-        );
-        self.touch(&array, block);
     }
 
     /// Serves the logged local reads and peer fetches of a block that was
@@ -239,10 +206,10 @@ impl StorageState {
         stats: &mut NodeStats,
         out: &mut Vec<Action>,
     ) {
-        let Some(BlockMem::Sealed { data, checked }) = &info.mem else {
+        let Some(mem) = &info.mem else {
             return;
         };
-        let (bytes, checked) = (data.clone(), *checked);
+        let (bytes, checked) = (mem.data.clone(), mem.checked);
         for w in std::mem::take(&mut info.read_waiters) {
             Self::pin_block(pinned_now, stats, info, meta.block_len(block));
             out.push(Action::Reply {
@@ -295,13 +262,15 @@ mod tests {
         let mut st = state(1 << 20);
         create(&mut st, "a", 64, 32);
         write_all(&mut st, "a", Interval::new(0, 32), 1);
-        let acts = st.handle_client(ClientMsg::WriteReq {
-            req: 5,
-            client: 0,
-            array: "a".into(),
-            iv: Interval::new(0, 32),
-        });
+        let acts = write(
+            &mut st,
+            "a",
+            Interval::new(0, 32),
+            Bytes::from(vec![2u8; 32]),
+        );
         assert!(matches!(error(&acts), StorageError::Immutability(_)));
+        let acts = read(&mut st, 3, 0, "a", Interval::new(0, 32));
+        assert_eq!(&read_data(&acts, 3).expect("served")[..], &[1u8; 32]);
     }
 
     #[test]
@@ -315,14 +284,6 @@ mod tests {
             &read_data(&acts, 7).expect("logged read served")[..],
             &[9u8; 8]
         );
-    }
-
-    #[test]
-    fn release_of_ungranted_interval_is_protocol_error() {
-        let mut st = state(1 << 20);
-        create(&mut st, "a", 32, 32);
-        let acts = release(&mut st, "a", Interval::new(0, 8), Bytes::from(vec![0u8; 8]));
-        assert!(matches!(error(&acts), StorageError::Protocol(_)));
     }
 
     #[test]
@@ -364,30 +325,29 @@ mod tests {
         assert_eq!(st.pinned_now, 0);
     }
 
-    /// A write grant covers exactly one whole block. Anything else is
-    /// refused before the node touches the block: no grant, no pin, no
-    /// budget charge, not even a block entry.
+    /// A write covers exactly one whole block. Anything else is refused
+    /// before the node touches the block: no pin, no budget charge, not
+    /// even a block entry. So is a whole block with the wrong byte count.
     #[test]
     fn a_sub_block_write_is_refused_and_takes_nothing() {
         let mut st = state(1 << 20);
         create(&mut st, "a", 80, 32);
         let before = st.fingerprint();
-        for iv in [
-            Interval::new(0, 16),
-            Interval::new(8, 24),
-            Interval::new(32, 31),
-            Interval::new(64, 8),
+        let bytes = |n: u64| Bytes::from(vec![1u8; n as usize]);
+        for (iv, data) in [
+            (Interval::new(0, 16), bytes(16)),
+            (Interval::new(8, 24), bytes(24)),
+            (Interval::new(32, 31), bytes(31)),
+            (Interval::new(64, 8), bytes(8)),
+            (Interval::new(0, 32), bytes(31)),
         ] {
-            let acts = st.handle_client(ClientMsg::WriteReq {
-                req: 5,
-                client: 0,
-                array: "a".into(),
-                iv,
-            });
-            assert!(
-                matches!(error(&acts), StorageError::BadInterval { .. }),
-                "{iv:?}: {acts:?}"
-            );
+            let acts = write(&mut st, "a", iv, data);
+            let refused = match error(&acts) {
+                StorageError::BadInterval { .. } => iv.len != 32,
+                StorageError::Protocol(_) => iv.len == 32,
+                _ => false,
+            };
+            assert!(refused, "{iv:?}: {acts:?}");
             assert_eq!((st.pinned_now, st.resident_bytes()), (0, 0), "{iv:?}");
             assert_eq!(st.debug_block("a", iv.offset / 32), None, "{iv:?}");
             assert_eq!(st.fingerprint(), before, "{iv:?}");
@@ -398,53 +358,55 @@ mod tests {
         assert_eq!(&read_data(&acts, 6).expect("served")[..], &[3u8; 8]);
     }
 
-    /// A grant is released whole. A release of part of it is a protocol
-    /// error that leaves the grant as it was, so the full release after it
-    /// still seals the block.
+    /// A write pins nothing: its block is sealed when the write is
+    /// answered, so the pinned ledger moves only with the reads.
     #[test]
-    fn a_partial_release_is_refused_and_the_full_one_then_seals() {
+    fn a_write_pins_nothing() {
         let mut st = state(1 << 20);
-        create(&mut st, "v", 64, 64);
+        create(&mut st, "v", 128, 64);
+        write_all(&mut st, "v", Interval::new(0, 64), 1);
+        write_all(&mut st, "v", Interval::new(64, 64), 2);
+        assert_eq!((st.pinned_now, st.stats().pinned_peak_bytes), (0, 0));
+        assert_eq!(st.debug_block("v", 0), Some((0, true, false)));
         let whole = Interval::new(0, 64);
-        grant(&mut st, "v", whole);
-        let granted = st.fingerprint();
-        let acts = release(
-            &mut st,
-            "v",
-            Interval::new(32, 32),
-            Bytes::from(vec![2u8; 32]),
-        );
-        assert!(
-            matches!(error(&acts), StorageError::Protocol(_)),
-            "{acts:?}"
-        );
-        assert_eq!(st.fingerprint(), granted, "the grant stays as it was");
-        assert_eq!((st.pinned_now, st.resident_bytes()), (64, 64));
-        let acts = release(&mut st, "v", whole, Bytes::from(vec![1u8; 64]));
-        assert!(
-            matches!(reply(&acts), Reply::WriteSealed { .. }),
-            "{acts:?}"
-        );
-        assert_eq!(st.pinned_now, 0);
-        let acts = read(&mut st, 3, 0, "v", whole);
-        assert_eq!(&read_data(&acts, 3).expect("served")[..], &[1u8; 64]);
+        assert_eq!(served(&read(&mut st, 3, 0, "v", whole)), vec![3]);
+        assert_eq!(st.stats().pinned_peak_bytes, 64, "a read pins its block");
         unpin(&mut st, "v", whole);
+        assert_eq!(st.pinned_now, 0);
+    }
+
+    /// Only the node that created an array writes it. A name this node
+    /// knows from a `Register` hint is produced elsewhere: its write is
+    /// refused and takes nothing. Once a local `Create` makes the array
+    /// this node's own, the write is sealed.
+    #[test]
+    fn a_write_to_an_array_created_elsewhere_is_refused() {
+        let mut st = StorageState::new(cfg(1, 2, 1 << 20), vec![]);
+        st.handle_client(ClientMsg::Register {
+            meta: crate::meta::ArrayMeta::new("r", 64, 64),
+        });
+        let before = st.fingerprint();
+        let whole = Interval::new(0, 64);
+        let acts = write(&mut st, "r", whole, Bytes::from(vec![3u8; 64]));
+        assert!(
+            matches!(error(&acts), StorageError::Immutability(_)),
+            "{acts:?}"
+        );
+        assert_eq!(st.fingerprint(), before, "nothing taken");
+        assert_eq!(st.resident_bytes(), 0);
+        create(&mut st, "r", 64, 64);
+        write_all(&mut st, "r", whole, 3);
     }
 
     /// A name this node knows only from a read has placeholder geometry
     /// (one block of `u64::MAX` bytes): a write to it is refused, not
-    /// granted a block of that size.
+    /// given a block of that size.
     #[test]
     fn a_write_to_an_array_known_only_from_a_read_is_unknown() {
         let mut st = StorageState::new(cfg(1, 2, 1 << 20), vec![]);
         let acts = read(&mut st, 1, 0, "x", Interval::new(0, 8));
         assert!(matches!(&acts[..], [Action::Peer { .. }]), "{acts:?}");
-        let acts = st.handle_client(ClientMsg::WriteReq {
-            req: 2,
-            client: 0,
-            array: "x".into(),
-            iv: Interval::new(0, 8),
-        });
+        let acts = write(&mut st, "x", Interval::new(0, 8), Bytes::from(vec![1u8; 8]));
         assert!(
             matches!(error(&acts), StorageError::UnknownArray(_)),
             "{acts:?}"
@@ -464,12 +426,7 @@ mod tests {
             matches!(error(&acts), StorageError::BadInterval { .. }),
             "{acts:?}"
         );
-        let acts = st.handle_client(ClientMsg::WriteReq {
-            req: 2,
-            client: 0,
-            array: "a".into(),
-            iv,
-        });
+        let acts = write(&mut st, "a", iv, Bytes::from_static(&[1]));
         assert!(
             matches!(error(&acts), StorageError::BadInterval { .. }),
             "{acts:?}"

@@ -30,8 +30,7 @@
 //!   ([`StorageState::handle_client`], [`StorageState::handle_peer`],
 //!   [`StorageState::handle_io`], [`StorageState::on_tick`]), array
 //!   creation, the availability map and array deletion;
-//! * `grants` — the block's one write (grant and release), read pins,
-//!   logged reads;
+//! * `grants` — the block's one write, read pins, logged reads;
 //! * `residency` — what a block costs in memory (`BlockMem`), the budget,
 //!   the LRU with its cold region for demoted blocks, and the only two ways
 //!   a block leaves memory: `evict_block` and `spill_block`;
@@ -159,8 +158,7 @@ pub struct SeededBugs {
 
 #[derive(Clone, Default, Hash)]
 struct BlockInfo {
-    /// Resident bytes, if any: `Reserved` while a writer holds the block's
-    /// grant, `Sealed` once it is written and resident.
+    /// The sealed bytes, while resident.
     mem: Option<BlockMem>,
     /// A full sealed copy exists in the local scratch directory.
     on_disk: bool,
@@ -170,8 +168,7 @@ struct BlockInfo {
     spilling: bool,
     /// Reclaim memory as soon as the in-flight spill completes.
     evict_after_spill: bool,
-    /// Active grants (read pins + write grants); pinned blocks are not
-    /// reclaimable.
+    /// Read pins; pinned blocks are not reclaimable.
     pins: u64,
     /// Where the block is filed in the LRU index, if it is.
     lru: Option<LruKey>,
@@ -187,17 +184,11 @@ impl BlockInfo {
     /// Lends `[off, off+len)` of the sealed resident bytes, if any, with the
     /// block's checked mark.
     fn slice_resident(&self, off: u64, len: u64) -> Option<(Bytes, bool)> {
-        match self.mem.as_ref()? {
-            BlockMem::Reserved => None,
-            BlockMem::Sealed { data, checked } => {
-                Some((data.slice(off as usize..(off + len) as usize), *checked))
-            }
-        }
-    }
-
-    /// Sealed and resident in memory.
-    fn in_memory(&self) -> bool {
-        matches!(self.mem, Some(BlockMem::Sealed { .. }))
+        let mem = self.mem.as_ref()?;
+        Some((
+            mem.data.slice(off as usize..(off + len) as usize),
+            mem.checked,
+        ))
     }
 }
 
@@ -236,7 +227,7 @@ impl ArrayInfo {
     fn resident(&self) -> bool {
         !self.is_placeholder()
             && self.blocks.len() as u64 == self.meta.nblocks()
-            && self.blocks.values().all(BlockInfo::in_memory)
+            && self.blocks.values().all(|b| b.mem.is_some())
     }
 }
 
@@ -441,11 +432,11 @@ impl StorageState {
         !self.stalled.is_empty()
     }
 
-    /// Is the ledger clean? True when no block is pinned or write-granted,
-    /// no reader or peer waits, no load, spill, persist, fetch or read retry
-    /// is in flight, the node has not shut down, and every sealed byte is
-    /// on the local disk — the state a node returns to once every request
-    /// it took has been answered and released.
+    /// Is the ledger clean? True when no block is pinned, no reader or peer
+    /// waits, no load, spill, persist, fetch or read retry is in flight, the
+    /// node has not shut down, and every sealed byte is on the local disk —
+    /// the state a node returns to once every request it took has been
+    /// answered and released.
     pub fn is_quiescent(&self) -> bool {
         if !self.fetches.is_empty()
             || !self.stalled.is_empty()
@@ -501,21 +492,15 @@ impl StorageState {
                 array,
                 iv,
             } => self.client_read(req, client, array, iv, &mut out),
-            ClientMsg::WriteReq {
-                req,
-                client,
-                array,
-                iv,
-            } => self.client_write(req, client, array, iv, &mut out),
-            ClientMsg::ReleaseRead { array, iv, checked } => self.release_read(array, iv, checked),
-            ClientMsg::ReleaseWrite {
+            ClientMsg::Write {
                 req,
                 client,
                 array,
                 iv,
                 data,
-            } => self.release_write(req, client, array, iv, data, &mut out),
-            ClientMsg::Prefetch { array, iv } => self.prefetch(array, iv, &mut out),
+            } => self.write(req, client, array, iv, data, &mut out),
+            ClientMsg::ReleaseRead { array, iv, checked } => self.release_read(array, iv, checked),
+            ClientMsg::Prefetch { array } => self.prefetch(array, &mut out),
             ClientMsg::Persist { req, client, array } => self.persist(req, client, array, &mut out),
             ClientMsg::Delete { req, client, array } => self.delete(req, client, array, &mut out),
             ClientMsg::Resident { req, client } => {
@@ -769,21 +754,13 @@ mod tests {
     fn resident_lists_exactly_the_fully_resident_arrays() {
         let mut st = StorageState::new(cfg(0, 2, 1 << 20), vec![]);
         let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // A partial write: nothing written, then one block of two sealed,
-        // then the second granted but not released.
+        // A partial write: nothing written, then one block of two.
         create(&mut st, "a", 64, 32);
         assert_eq!(resident_of(&mut st), names(&[]));
         write_all(&mut st, "a", Interval::new(0, 32), 1);
         assert_eq!(resident_of(&mut st), names(&[]));
-        grant(&mut st, "a", Interval::new(32, 32));
-        assert_eq!(resident_of(&mut st), names(&[]));
-        // Sealed: every block sealed and in memory.
-        release(
-            &mut st,
-            "a",
-            Interval::new(32, 32),
-            Bytes::from(vec![1u8; 32]),
-        );
+        // Written: every block sealed and in memory.
+        write_all(&mut st, "a", Interval::new(32, 32), 1);
         create(&mut st, "b", 32, 32);
         write_all(&mut st, "b", Interval::new(0, 32), 2);
         assert_eq!(resident_of(&mut st), names(&["a", "b"]));

@@ -1,13 +1,13 @@
 //! Residency: what a block costs in memory, and how it leaves.
 //!
-//! Every resident form of a block ([`BlockMem`]) is charged to the budget
-//! for the block's full length from the moment it exists. When resident
-//! bytes exceed the budget, `reclaim` walks the LRU oldest first; a client's
-//! `Evict` does the same for one array. Both free a block through
-//! `release_block`, which takes one of the two exits written here once:
-//! `evict_block` when a disk copy exists, or `spill_block` first and
-//! `evict_block` when the write lands (`spill_done`). `persist` uses
-//! `spill_block` without the eviction.
+//! A block's resident bytes ([`BlockMem`]) are charged to the budget for the
+//! block's full length, from just before they are installed until they
+//! leave. When resident bytes exceed the budget, `reclaim` walks the LRU
+//! oldest first; a client's `Evict` does the same for one array. Both free
+//! a block through `release_block`, which takes one of the two exits
+//! written here once: `evict_block` when a disk copy exists, or
+//! `spill_block` first and `evict_block` when the write lands
+//! (`spill_done`). `persist` uses `spill_block` without the eviction.
 //!
 //! The LRU has two regions: every use files a block as warm, a client's
 //! `Demote` (no ready task reads the array) refiles its resident blocks as
@@ -16,7 +16,6 @@
 //! it may still read.
 
 use super::{storage_obs, Action, BlockInfo, StorageState};
-use crate::meta::Interval;
 use crate::proto::{IoCmd, Reply};
 use crate::StorageError;
 use bytes::Bytes;
@@ -27,30 +26,23 @@ use std::ops::Bound;
 /// key sorts before every warm one; within a region the older goes first.
 pub(super) type LruKey = (bool, u64);
 
-/// Resident form of a block. Every form is charged to the budget for the
-/// block's full length from the moment it exists.
+/// A block's resident bytes, sealed: reads are zero-copy slices. Charged to
+/// the budget for the block's full length while they are here.
 #[derive(Clone, Hash)]
-pub(super) enum BlockMem {
-    /// Under its write grant: nothing is allocated until the release, whose
-    /// bytes become the sealed block.
-    Reserved,
-    /// Sealed; reads are zero-copy slices.
-    Sealed {
-        /// The block's bytes.
-        data: Bytes,
-        /// A reader checked these bytes and said so on release (what the
-        /// check was is the reader's business: a `multiply` validates a
-        /// matrix). Born `false` with every install — seal, load, peer
-        /// fetch — and dropped with the bytes, so it never outlives the
-        /// residency it describes.
-        checked: bool,
-    },
+pub(super) struct BlockMem {
+    /// The block's bytes.
+    pub(super) data: Bytes,
+    /// A reader checked these bytes and said so on release (what the check
+    /// was is the reader's business: a `multiply` validates a matrix). Born
+    /// `false` with every install — write, load, peer fetch — and dropped
+    /// with the bytes, so it never outlives the residency it describes.
+    pub(super) checked: bool,
 }
 
 impl BlockMem {
     /// Newly installed sealed bytes: nobody has checked them yet.
     pub(super) fn sealed(data: Bytes) -> Self {
-        BlockMem::Sealed {
+        BlockMem {
             data,
             checked: false,
         }
@@ -173,7 +165,7 @@ impl StorageState {
     /// Starts freeing one block's memory: evicts it now if a disk copy
     /// exists, otherwise spills it and evicts when the write lands. Returns
     /// the bytes this frees, now or later; `None` if the block cannot leave
-    /// memory (pinned, loading, not sealed, not resident).
+    /// memory (pinned, loading, not resident).
     fn release_block(
         &mut self,
         array: &str,
@@ -185,7 +177,7 @@ impl StorageState {
         let ainfo = self.arrays.get_mut(array)?;
         let block_len = ainfo.meta.block_len(block);
         let info = ainfo.blocks.get_mut(&block)?;
-        if (info.pins > 0 && !bugs.evict_ignores_pins) || info.loading || !info.in_memory() {
+        if (info.pins > 0 && !bugs.evict_ignores_pins) || info.loading || info.mem.is_none() {
             return None;
         }
         if info.spilling {
@@ -237,10 +229,10 @@ impl StorageState {
         let Some(info) = ainfo.blocks.get_mut(&block) else {
             return false;
         };
-        let Some(BlockMem::Sealed { data, .. }) = &info.mem else {
+        let Some(mem) = &info.mem else {
             return false;
         };
-        let data = data.clone();
+        let data = mem.data.clone();
         info.spilling = true;
         out.push(Action::Io(IoCmd::Write {
             array: array.to_string(),
@@ -290,7 +282,7 @@ impl StorageState {
 
     /// Installs a whole sealed block that arrived from disk or from a peer:
     /// resident, sealed, unchecked, its waiters served, LRU touched,
-    /// budget charged. A block a local writer holds is left to its writer.
+    /// budget charged.
     pub(super) fn install_sealed(
         &mut self,
         array: &str,
@@ -305,11 +297,6 @@ impl StorageState {
         let info = ainfo.blocks.entry(block).or_default();
         info.loading = false;
         info.fetch = None;
-        if info.granted() {
-            // A local writer holds the block: its release seals it and
-            // serves the waiters, so a peer's copy is dropped.
-            return;
-        }
         let newly = info.mem.is_none();
         info.mem = Some(BlockMem::sealed(data));
         let meta = &ainfo.meta;
@@ -343,7 +330,7 @@ impl StorageState {
         for (&b, info) in &ainfo.blocks {
             if info.spilling {
                 awaited.insert(b); // piggyback on the in-flight spill
-            } else if info.in_memory() && !info.on_disk {
+            } else if info.mem.is_some() && !info.on_disk {
                 unwritten.push(b);
             }
         }
@@ -362,30 +349,29 @@ impl StorageState {
         }
     }
 
-    /// Hint: bring the block holding `iv` into memory — load it from disk,
-    /// or fetch it if it lives elsewhere. Bad hints are dropped.
-    pub(super) fn prefetch(&mut self, array: String, iv: Interval, out: &mut Vec<Action>) {
-        if self.deleted.contains(&array) {
-            return;
-        }
-        let Some(ainfo) = Self::array_or_placeholder(&mut self.arrays, &array) else {
-            return;
-        };
-        let Ok((block, _)) = ainfo.meta.locate(iv) else {
+    /// Hint: bring every block of `array` into memory — load the ones on
+    /// disk here, fetch the others if the array is produced elsewhere —
+    /// skipping resident blocks; a load or fetch already on its way is
+    /// joined, not repeated. A hint for an unknown, placeholder or deleted
+    /// name is dropped.
+    pub(super) fn prefetch(&mut self, array: String, out: &mut Vec<Action>) {
+        let Some(ainfo) = self.arrays.get_mut(&array).filter(|a| !a.is_placeholder()) else {
             return;
         };
-        let block_len = ainfo.meta.block_len(block);
-        let home = ainfo.home;
-        let info = ainfo.blocks.entry(block).or_default();
-        if info.mem.is_some() || info.loading || info.fetch.is_some() {
-            return; // already resident or on its way
+        let mut remote = Vec::new();
+        for block in 0..ainfo.meta.nblocks() {
+            let block_len = ainfo.meta.block_len(block);
+            match ainfo.blocks.get_mut(&block) {
+                Some(info) if info.mem.is_some() => {}
+                Some(info) if info.on_disk => info.load(array.clone(), block, block_len, out),
+                // Home and unwritten: nothing to do until the writer writes.
+                _ if ainfo.home => {}
+                _ => remote.push((block, ainfo.meta.block_start(block))),
+            }
         }
-        if info.on_disk {
-            info.load(array, block, block_len, out);
-        } else if !home {
-            self.start_fetch(array, block, iv.offset, out);
+        for (block, offset) in remote {
+            self.start_fetch(array.clone(), block, offset, out);
         }
-        // Home + unwritten: nothing to do until a writer shows up.
     }
 }
 
@@ -406,19 +392,15 @@ mod tests {
     }
 
     /// The zero-copy contract of the write path: the `Bytes` a worker
-    /// releases over the whole block of a single-block array *is* the sealed
-    /// block — what readers are lent and what a spill hands the I/O filter —
-    /// and the grant charged the budget without allocating anything.
+    /// writes over the whole block of a single-block array *is* the sealed
+    /// block — what readers are lent and what a spill hands the I/O filter.
     #[test]
-    fn whole_block_release_into_a_single_block_array_is_adopted() {
+    fn whole_block_write_into_a_single_block_array_is_adopted() {
         let mut st = state(1 << 20);
         create(&mut st, "v", 4096, 4096);
         let iv = Interval::new(0, 4096);
-        grant(&mut st, "v", iv);
-        assert_eq!(st.resident_bytes(), 4096, "charged at grant");
-        assert_eq!(st.stats().pinned_peak_bytes, 4096);
         let written = Bytes::from(vec![3u8; 4096]);
-        release(&mut st, "v", iv, written.clone());
+        write(&mut st, "v", iv, written.clone());
         let read = read_data(&read(&mut st, 3, 0, "v", iv), 3).expect("served");
         unpin(&mut st, "v", iv);
         assert_eq!(read.as_ptr(), written.as_ptr(), "adopted, not copied");
@@ -439,15 +421,14 @@ mod tests {
     /// array-sized buffer, so each is copied into memory the block owns:
     /// evicting one block then frees exactly that block.
     #[test]
-    fn whole_block_release_into_a_two_block_array_is_copied() {
+    fn whole_block_write_into_a_two_block_array_is_copied() {
         let mut st = state(1 << 20);
         create(&mut st, "m", 96, 64);
         let array = Bytes::from((0..96u8).collect::<Vec<u8>>());
         let mut blocks = Vec::new();
         for (req, iv) in [(3, Interval::new(0, 64)), (4, Interval::new(64, 32))] {
-            grant(&mut st, "m", iv);
             let slice = array.slice(iv.offset as usize..iv.end() as usize);
-            release(&mut st, "m", iv, slice);
+            write(&mut st, "m", iv, slice);
             blocks.push(read_data(&read(&mut st, req, 0, "m", iv), req).expect("served"));
             unpin(&mut st, "m", iv);
         }
@@ -625,16 +606,49 @@ mod tests {
             vec![1]
         );
         // Write block 1: over budget, but block 0 is pinned: it must not be
-        // spilled to be dropped.
+        // spilled to be dropped. Nor is block 1: the write charges the budget
+        // before the block is installed, so its reclaim cannot pick it.
         let acts = write_all(&mut st, "a", Interval::new(32, 32), 2);
         assert!(
             !acts
                 .iter()
-                .any(|a| matches!(a, super::Action::Io(IoCmd::Write { block: 0, .. }))),
-            "pinned block must not be spill-evicted: {acts:?}"
+                .any(|a| matches!(a, super::Action::Io(IoCmd::Write { .. }))),
+            "neither the pinned block nor the one just written is spilled: {acts:?}"
         );
         assert_eq!(st.resident_bytes(), 64);
         unpin(&mut st, "a", Interval::new(0, 32));
+    }
+
+    /// A prefetch names an array: every block on disk and not yet resident
+    /// or loading is loaded, once. A name the node does not know, or knows
+    /// only from a read, is dropped.
+    #[test]
+    fn a_prefetch_loads_every_block_of_an_array_on_disk() {
+        let mut st = on_disk("m", 80, 32, &[0, 1, 2], 1 << 20);
+        let prefetch = |st: &mut StorageState, name: &str| {
+            st.handle_client(ClientMsg::Prefetch { array: name.into() })
+        };
+        let loads = |acts: &[super::Action]| -> Vec<(u64, u64)> {
+            acts.iter()
+                .map(|a| match a {
+                    super::Action::Io(IoCmd::Read { block, len, .. }) => (*block, *len),
+                    other => panic!("expected loads only, got {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(loads(&prefetch(&mut st, "m")), [(0, 32), (1, 32), (2, 16)]);
+        assert!(prefetch(&mut st, "m").is_empty(), "all three on their way");
+        let before = st.fingerprint();
+        assert!(prefetch(&mut st, "unknown").is_empty());
+        assert_eq!(st.fingerprint(), before, "no placeholder for a hint");
+        // Block 1 lands: the next prefetch skips it as resident, and the
+        // other two are still loading.
+        st.handle_io(IoReply::ReadDone {
+            array: "m".into(),
+            block: 1,
+            data: Bytes::from(vec![1u8; 32]),
+        });
+        assert!(prefetch(&mut st, "m").is_empty());
     }
 
     #[test]
@@ -678,15 +692,14 @@ mod tests {
         // block arrives. Exactly the least recently used one goes.
         let mut st = on_disk("m", 160, 32, &[0, 1, 2, 3, 4], 128);
         let load = |st: &mut StorageState, b: u64| {
-            st.handle_client(ClientMsg::Prefetch {
-                array: "m".into(),
-                iv: Interval::new(32 * b, 32),
-            });
+            let iv = Interval::new(32 * b, 32);
+            read(st, b, 0, "m", iv);
             st.handle_io(IoReply::ReadDone {
                 array: "m".into(),
                 block: b,
                 data: Bytes::from(vec![b as u8; 32]),
-            })
+            });
+            unpin(st, "m", iv);
         };
         for b in [2, 0, 3, 1] {
             load(&mut st, b);

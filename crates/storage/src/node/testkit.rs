@@ -52,32 +52,9 @@ pub(super) fn create(st: &mut StorageState, name: &str, len: u64, bs: u64) {
     );
 }
 
-/// Asks for a write grant on `iv`; returns the actions after the grant
-/// (e.g. reclaim spills the new block's charge caused).
-pub(super) fn grant(st: &mut StorageState, name: &str, iv: Interval) -> Vec<Action> {
-    let mut acts = st.handle_client(ClientMsg::WriteReq {
-        req: 1,
-        client: 0,
-        array: name.into(),
-        iv,
-    });
-    assert!(
-        matches!(
-            acts.first(),
-            Some(Action::Reply {
-                reply: Reply::WriteGranted { .. },
-                ..
-            })
-        ),
-        "grant failed: {acts:?}"
-    );
-    acts.remove(0);
-    acts
-}
-
-/// Releases a granted `iv` with `data`.
-pub(super) fn release(st: &mut StorageState, name: &str, iv: Interval, data: Bytes) -> Vec<Action> {
-    st.handle_client(ClientMsg::ReleaseWrite {
+/// Writes `data` to the block `iv`; returns every action.
+pub(super) fn write(st: &mut StorageState, name: &str, iv: Interval, data: Bytes) -> Vec<Action> {
+    st.handle_client(ClientMsg::Write {
         req: 2,
         client: 0,
         array: name.into(),
@@ -86,16 +63,20 @@ pub(super) fn release(st: &mut StorageState, name: &str, iv: Interval, data: Byt
     })
 }
 
-/// Grants, fills with `byte` and releases `iv`; returns every action after
-/// the grant reply.
+/// Writes the block `iv` filled with `byte`, which must seal it; returns
+/// every action.
 pub(super) fn write_all(st: &mut StorageState, name: &str, iv: Interval, byte: u8) -> Vec<Action> {
-    let mut acts = grant(st, name, iv);
-    acts.extend(release(
-        st,
-        name,
-        iv,
-        Bytes::from(vec![byte; iv.len as usize]),
-    ));
+    let acts = write(st, name, iv, Bytes::from(vec![byte; iv.len as usize]));
+    assert!(
+        acts.iter().any(|a| matches!(
+            a,
+            Action::Reply {
+                reply: Reply::WriteSealed { .. },
+                ..
+            }
+        )),
+        "write refused: {acts:?}"
+    );
     acts
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Every variant round-trips through [`dooc_filterstream::DataBuffer`]. The
 //! five messages that carry a block ([`IoReply::ReadDone`],
-//! [`Reply::ReadReady`], [`ClientMsg::ReleaseWrite`], [`IoCmd::Write`],
+//! [`Reply::ReadReady`], [`ClientMsg::Write`], [`IoCmd::Write`],
 //! [`PeerMsg::FetchFound`]) attach it beside the encoded head
 //! (`PayloadBuilder::put_blob`): encode and decode move a reference count,
 //! so the `Bytes` one filter sends is the `Bytes` the next one holds.
@@ -43,9 +43,9 @@ pub struct NodeStats {
     pub resident_bytes: u64,
     /// Configured memory budget in bytes.
     pub budget_bytes: u64,
-    /// High-watermark of bytes simultaneously pinned (read pins plus write
-    /// grants) over the node's lifetime — the observed grant-ledger peak the
-    /// static audit's `peak_bytes` bound must dominate.
+    /// High-watermark of bytes simultaneously pinned by reads over the
+    /// node's lifetime — the observed grant-ledger peak the static audit's
+    /// `peak_bytes` bound must dominate.
     pub pinned_peak_bytes: u64,
 }
 
@@ -69,19 +69,8 @@ pub enum ClientMsg {
         meta: ArrayMeta,
     },
     /// Request read access to an interval. The reply is delayed until the
-    /// interval has been written and released (possibly on a remote node).
+    /// interval's block has been written (possibly on a remote node).
     ReadReq {
-        /// Request id.
-        req: u64,
-        /// Reply address.
-        client: u64,
-        /// Array name.
-        array: String,
-        /// Interval (must lie within one block).
-        iv: Interval,
-    },
-    /// Request write access to an interval (write-once).
-    WriteReq {
         /// Request id.
         req: u64,
         /// Reply address.
@@ -102,26 +91,25 @@ pub enum ClientMsg {
         /// reports it. `false` leaves the mark as it is.
         checked: bool,
     },
-    /// Release a write interval, shipping the written bytes; the data
-    /// becomes readable by other filters only now.
-    ReleaseWrite {
-        /// Request id of a confirmation reply.
+    /// Write one whole block of an array created on this node, once: the
+    /// bytes travel with the request and the block is sealed — readable by
+    /// every filter — when the node answers [`Reply::WriteSealed`].
+    Write {
+        /// Request id.
         req: u64,
         /// Reply address.
         client: u64,
         /// Array name.
         array: String,
-        /// The interval written.
+        /// The block's interval: all of one block (the last may be short).
         iv: Interval,
         /// The bytes (must be exactly `iv.len` long).
         data: Bytes,
     },
-    /// Hint: bring an interval's block into memory soon.
+    /// Hint: bring every block of an array into memory soon. No reply.
     Prefetch {
         /// Array name.
         array: String,
-        /// Interval whose block should be made resident.
-        iv: Interval,
     },
     /// Explicitly write an array's sealed blocks to this node's disk
     /// ("the write operations are performed explicitly upon request of a
@@ -203,13 +191,7 @@ pub enum Reply {
         /// installed (sealed, loaded or fetched).
         checked: bool,
     },
-    /// Write access granted; ship data with
-    /// [`ClientMsg::ReleaseWrite`] when done.
-    WriteGranted {
-        /// Echoed request id.
-        req: u64,
-    },
-    /// Write release accepted and sealed.
+    /// Write accepted: the block is sealed.
     WriteSealed {
         /// Echoed request id.
         req: u64,
@@ -417,7 +399,8 @@ fn err_put(pb: &mut PayloadBuilder, e: &StorageError) {
         StorageError::Protocol(m) => (6, m, ""),
         StorageError::IoFailed(m) => (7, m, ""),
         // Code 8 belonged to a retired request-timeout error: it stays
-        // unassigned so no code changes meaning on the wire.
+        // unassigned so no code changes meaning on the wire. Message tags
+        // are retired the same way (`T_CLIENT + 2`, `T_REPLY + 2`).
     };
     pb.put_u64(k).put_str(a).put_str(b);
 }
@@ -475,23 +458,13 @@ impl ClientMsg {
                 iv_put(&mut pb, *iv);
                 pb.build(T_CLIENT + 1)
             }
-            ClientMsg::WriteReq {
-                req,
-                client,
-                array,
-                iv,
-            } => {
-                pb.put_u64(*req).put_u64(*client).put_str(array);
-                iv_put(&mut pb, *iv);
-                pb.build(T_CLIENT + 2)
-            }
             ClientMsg::ReleaseRead { array, iv, checked } => {
                 pb.put_str(array);
                 iv_put(&mut pb, *iv);
                 bool_put(&mut pb, *checked);
                 pb.build(T_CLIENT + 3)
             }
-            ClientMsg::ReleaseWrite {
+            ClientMsg::Write {
                 req,
                 client,
                 array,
@@ -503,9 +476,8 @@ impl ClientMsg {
                 pb.put_blob(data);
                 pb.build(T_CLIENT + 4)
             }
-            ClientMsg::Prefetch { array, iv } => {
+            ClientMsg::Prefetch { array } => {
                 pb.put_str(array);
-                iv_put(&mut pb, *iv);
                 pb.build(T_CLIENT + 5)
             }
             ClientMsg::Persist { req, client, array } => {
@@ -552,18 +524,12 @@ impl ClientMsg {
                 array: r.str().ok_or_else(e)?,
                 iv: iv_get(&mut r).ok_or_else(e)?,
             },
-            t if t == T_CLIENT + 2 => ClientMsg::WriteReq {
-                req: r.u64().ok_or_else(e)?,
-                client: r.u64().ok_or_else(e)?,
-                array: r.str().ok_or_else(e)?,
-                iv: iv_get(&mut r).ok_or_else(e)?,
-            },
             t if t == T_CLIENT + 3 => ClientMsg::ReleaseRead {
                 array: r.str().ok_or_else(e)?,
                 iv: iv_get(&mut r).ok_or_else(e)?,
                 checked: bool_get(&mut r).ok_or_else(e)?,
             },
-            t if t == T_CLIENT + 4 => ClientMsg::ReleaseWrite {
+            t if t == T_CLIENT + 4 => ClientMsg::Write {
                 req: r.u64().ok_or_else(e)?,
                 client: r.u64().ok_or_else(e)?,
                 array: r.str().ok_or_else(e)?,
@@ -572,7 +538,6 @@ impl ClientMsg {
             },
             t if t == T_CLIENT + 5 => ClientMsg::Prefetch {
                 array: r.str().ok_or_else(e)?,
-                iv: iv_get(&mut r).ok_or_else(e)?,
             },
             t if t == T_CLIENT + 6 => ClientMsg::Persist {
                 req: r.u64().ok_or_else(e)?,
@@ -615,8 +580,7 @@ impl ClientMsg {
         match self {
             ClientMsg::Create { client, .. }
             | ClientMsg::ReadReq { client, .. }
-            | ClientMsg::WriteReq { client, .. }
-            | ClientMsg::ReleaseWrite { client, .. }
+            | ClientMsg::Write { client, .. }
             | ClientMsg::Persist { client, .. }
             | ClientMsg::Delete { client, .. }
             | ClientMsg::Resident { client, .. }
@@ -645,10 +609,6 @@ impl Reply {
                 bool_put(&mut pb, *checked);
                 pb.put_blob(data);
                 pb.build(T_REPLY + 1)
-            }
-            Reply::WriteGranted { req } => {
-                pb.put_u64(*req);
-                pb.build(T_REPLY + 2)
             }
             Reply::WriteSealed { req } => {
                 pb.put_u64(*req);
@@ -702,9 +662,6 @@ impl Reply {
                 checked: bool_get(&mut r).ok_or_else(e)?,
                 data: r.blob().ok_or_else(e)?,
             },
-            t if t == T_REPLY + 2 => Reply::WriteGranted {
-                req: r.u64().ok_or_else(e)?,
-            },
             t if t == T_REPLY + 3 => Reply::WriteSealed {
                 req: r.u64().ok_or_else(e)?,
             },
@@ -754,7 +711,6 @@ impl Reply {
         match self {
             Reply::Created { req }
             | Reply::ReadReady { req, .. }
-            | Reply::WriteGranted { req }
             | Reply::WriteSealed { req }
             | Reply::Persisted { req }
             | Reply::Deleted { req }
@@ -981,12 +937,6 @@ mod tests {
                 array: "a".into(),
                 iv: iv(0, 8),
             },
-            ClientMsg::WriteReq {
-                req: 4,
-                client: 9,
-                array: "b".into(),
-                iv: iv(8, 8),
-            },
             ClientMsg::ReleaseRead {
                 array: "a".into(),
                 iv: iv(0, 8),
@@ -997,17 +947,14 @@ mod tests {
                 iv: iv(64, 32),
                 checked: true,
             },
-            ClientMsg::ReleaseWrite {
+            ClientMsg::Write {
                 req: 5,
                 client: 1,
                 array: "b".into(),
                 iv: iv(8, 4),
                 data: Bytes::from_static(&[1, 2, 3, 4]),
             },
-            ClientMsg::Prefetch {
-                array: "c".into(),
-                iv: iv(64, 32),
-            },
+            ClientMsg::Prefetch { array: "c".into() },
             ClientMsg::Persist {
                 req: 6,
                 client: 2,
@@ -1047,7 +994,6 @@ mod tests {
                 data: Bytes::from_static(b"checked"),
                 checked: true,
             },
-            Reply::WriteGranted { req: 3 },
             Reply::WriteSealed { req: 4 },
             Reply::Persisted { req: 5 },
             Reply::Deleted { req: 6 },
@@ -1173,7 +1119,7 @@ mod tests {
         for data in [Bytes::from(vec![5u8; 4096]), Bytes::new()] {
             let cases: Vec<(DataBuffer, Decode)> = vec![
                 (
-                    ClientMsg::ReleaseWrite {
+                    ClientMsg::Write {
                         req: 1,
                         client: 2,
                         array: "w".into(),
@@ -1182,7 +1128,7 @@ mod tests {
                     }
                     .encode(),
                     |b| match ClientMsg::decode(b) {
-                        Ok(ClientMsg::ReleaseWrite { data, .. }) => Some(data),
+                        Ok(ClientMsg::Write { data, .. }) => Some(data),
                         _ => None,
                     },
                 ),
@@ -1337,6 +1283,40 @@ mod tests {
         assert!(PeerMsg::decode(&b).is_err());
     }
 
+    /// A write is one message: the block travels with the request, and the
+    /// tags of the retired grant round trip (the request for a grant and
+    /// its answer) decode as protocol errors, whatever their payload.
+    #[test]
+    fn a_write_is_one_message_and_the_grant_tags_are_retired() {
+        let write = ClientMsg::Write {
+            req: 3,
+            client: 4,
+            array: "w".into(),
+            iv: iv(64, 32),
+            data: Bytes::from(vec![6u8; 32]),
+        };
+        assert_eq!(
+            ClientMsg::decode(&write.encode()).expect("roundtrip"),
+            write
+        );
+        let mut pb = PayloadBuilder::new();
+        pb.put_u64(3)
+            .put_u64(4)
+            .put_str("w")
+            .put_u64(64)
+            .put_u64(32);
+        assert!(matches!(
+            ClientMsg::decode(&pb.build(T_CLIENT + 2)),
+            Err(StorageError::Protocol(_))
+        ));
+        let mut pb = PayloadBuilder::new();
+        pb.put_u64(3);
+        assert!(matches!(
+            Reply::decode(&pb.build(T_REPLY + 2)),
+            Err(StorageError::Protocol(_))
+        ));
+    }
+
     #[test]
     fn truncated_payload_fails() {
         let b = ClientMsg::ReadReq {
@@ -1372,11 +1352,7 @@ mod tests {
         );
         assert_eq!(ClientMsg::Shutdown.reply_client(), None);
         assert_eq!(
-            ClientMsg::Prefetch {
-                array: "a".into(),
-                iv: iv(0, 1)
-            }
-            .reply_client(),
+            ClientMsg::Prefetch { array: "a".into() }.reply_client(),
             None
         );
     }

@@ -57,6 +57,19 @@ fn run_cluster_prepared<F>(
 ) where
     F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
 {
+    try_run_cluster(dirs, budget, prepare, driver).expect("cluster run");
+}
+
+/// [`run_cluster_prepared`], returning what the run returns.
+fn try_run_cluster<F>(
+    dirs: &[PathBuf],
+    budget: u64,
+    prepare: impl FnOnce(&StorageCluster),
+    driver: F,
+) -> dooc_filterstream::Result<dooc_filterstream::RuntimeReport>
+where
+    F: Fn(usize, &mut StorageClient) + Send + Sync + 'static,
+{
     let nnodes = dirs.len();
     let mut layout = Layout::new();
     let mut cluster = StorageCluster::build(&mut layout, dirs.to_vec(), budget, 7);
@@ -80,7 +93,32 @@ fn run_cluster_prepared<F>(
     });
     let base = cluster.attach_clients(&mut layout, drivers, nnodes, "sreq", "srep");
     assert_eq!(base, 0);
-    Runtime::run(layout).expect("cluster run");
+    Runtime::run(layout)
+}
+
+/// A scratch directory the node cannot scan fails the run with an error
+/// that names it, instead of starting the node with no arrays (whose
+/// staged inputs would then be looked for on peers forever). A scratch
+/// directory that does not exist yet is an empty one.
+#[test]
+fn an_unreadable_scratch_directory_fails_the_run() {
+    let dirs = scratch_dirs("unscannable", 1);
+    let file = dirs[0].join("not-a-directory");
+    std::fs::write(&file, [1u8; 8]).expect("a regular file");
+    let err = try_run_cluster(std::slice::from_ref(&file), 1 << 20, |_| {}, |_, _| {})
+        .expect_err("a scratch path that is a file cannot be scanned");
+    match &err {
+        dooc_filterstream::FsError::Filter {
+            filter, message, ..
+        } => {
+            assert_eq!(filter, "storage", "{err}");
+            assert!(message.contains(&file.display().to_string()), "{err}");
+        }
+        other => panic!("expected the storage filter's error, got {other}"),
+    }
+    let missing = dirs[0].join("not-yet");
+    try_run_cluster(&[missing], 1 << 20, |_| {}, |_, _| {}).expect("a missing directory is empty");
+    cleanup(&dirs);
 }
 
 #[test]
@@ -363,7 +401,7 @@ fn prefetch_brings_block_to_memory() {
     let dirs = scratch_dirs("pf", 1);
     std::fs::write(dirs[0].join("mat"), vec![4u8; 128]).expect("stage");
     run_cluster_in(&dirs, 1 << 20, |_, sc| {
-        sc.prefetch("mat", Interval::new(0, 128)).expect("prefetch");
+        sc.prefetch("mat").expect("prefetch");
         // Poll until the array is resident (the local scheduler's pattern:
         // issue prefetches, ask what is resident).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -462,6 +500,10 @@ mod faults {
     /// spills of an array four times the budget fail (the blocks stay
     /// resident, over budget, and are spilled again), and its persist ends
     /// in a typed [`StorageError::Io`] within the deadline, never a hang.
+    /// So does a second persist, which writes again at least the block
+    /// whose failure ended the first: how many spills failed before the
+    /// first persist depends on when their errors reached the node, so the
+    /// second one is what makes a retried spill certain.
     #[test]
     fn failing_writes_end_a_persist_in_a_typed_io_error() {
         const BLOCK: u64 = 4096;
@@ -483,18 +525,22 @@ mod faults {
                         sc.write("v", iv, Bytes::from(vec![b as u8; BLOCK as usize]))
                             .expect("a write lands in memory");
                     }
-                    tx.send(sc.persist("v")).expect("report the persist");
+                    let first = sc.persist("v");
+                    tx.send((first, sc.persist("v")))
+                        .expect("report the persists");
                 },
             )
         });
         let persisted = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("the persist must end, not hang");
-        let err = persisted.expect_err("no write reached the disk");
-        assert!(
-            matches!(&err, StorageError::Io(m) if m.contains("injected fault at storage.io.write")),
-            "expected a typed Io error, got {err:?}"
-        );
+            .expect("the persists must end, not hang");
+        for persisted in [persisted.0, persisted.1] {
+            let err = persisted.expect_err("no write reached the disk");
+            assert!(
+                matches!(&err, StorageError::Io(m) if m.contains("injected fault at storage.io.write")),
+                "expected a typed Io error, got {err:?}"
+            );
+        }
         run.join().expect("cluster run");
         let failed = faults.injected(Site::IoWrite);
         assert!(

@@ -41,19 +41,8 @@ proptest! {
         let fill = |i: u64, b: u64| (i * 16 + b) as u8;
         for (step, &i) in order.iter().enumerate() {
             let iv = block(i);
-            let acts = st.handle_client(ClientMsg::WriteReq {
+            let acts = st.handle_client(ClientMsg::Write {
                 req: 100 + step as u64,
-                client: 0,
-                array: "a".into(),
-                iv,
-            });
-            let granted = matches!(
-                acts.first(),
-                Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
-            );
-            prop_assert!(granted, "grant refused at step {}", step);
-            let acts = st.handle_client(ClientMsg::ReleaseWrite {
-                req: 200 + step as u64,
                 client: 0,
                 array: "a".into(),
                 iv,
@@ -63,7 +52,7 @@ proptest! {
                 acts.first(),
                 Some(Action::Reply { reply: Reply::WriteSealed { .. }, .. })
             );
-            prop_assert!(sealed, "release refused at step {}", step);
+            prop_assert!(sealed, "write refused at step {}", step);
         }
         // Each block whole, then its second half, sees the written bytes.
         for i in 0..8u64 {
@@ -92,10 +81,9 @@ proptest! {
         }
     }
 
-    /// No sequence of write requests can write a byte twice: a grant is
-    /// given only over a whole block that has none yet, so of two requests
-    /// the second is granted only if both are whole blocks and different
-    /// ones.
+    /// No sequence of writes can write a byte twice: a write is sealed
+    /// only over a whole block that has none yet, so of two writes the
+    /// second is sealed only if both are whole blocks and different ones.
     #[test]
     fn no_double_write(a in 0u64..60, la in 1u64..12, b in 0u64..60, lb in 1u64..12) {
         let mut st = StorageState::new(cfg(1 << 20), vec![]);
@@ -105,22 +93,23 @@ proptest! {
             meta: ArrayMeta::new("a", 64, 8),
         });
         let whole = |off: u64, len: u64| off.is_multiple_of(8) && len == 8;
-        let mut granted = Vec::new();
+        let mut sealed = Vec::new();
         for (req, (off, len)) in [(a, la), (b, lb)].into_iter().enumerate() {
-            let acts = st.handle_client(ClientMsg::WriteReq {
+            let acts = st.handle_client(ClientMsg::Write {
                 req: req as u64,
                 client: 0,
                 array: "a".into(),
                 iv: Interval::new(off, len),
+                data: Bytes::from(vec![req as u8; len as usize]),
             });
-            granted.push(matches!(
+            sealed.push(matches!(
                 acts.first(),
-                Some(Action::Reply { reply: Reply::WriteGranted { .. }, .. })
+                Some(Action::Reply { reply: Reply::WriteSealed { .. }, .. })
             ));
         }
         let first = whole(a, la);
         let second = whole(b, lb) && !(first && a == b);
-        prop_assert_eq!(granted, vec![first, second], "a=[{},{}) b=[{},{})", a, a+la, b, b+lb);
+        prop_assert_eq!(sealed, vec![first, second], "a=[{},{}) b=[{},{})", a, a+la, b, b+lb);
     }
 
     /// Memory accounting: resident bytes never exceed budget + one block
@@ -139,20 +128,13 @@ proptest! {
         let mut pending_spills: Vec<(String, u64)> = Vec::new();
         for i in 0..nblocks {
             let iv = Interval::new(i * bs, bs);
-            let mut acts = st.handle_client(ClientMsg::WriteReq {
+            let acts = st.handle_client(ClientMsg::Write {
                 req: 1,
-                client: 0,
-                array: "a".into(),
-                iv,
-            });
-            let mut rel = st.handle_client(ClientMsg::ReleaseWrite {
-                req: 2,
                 client: 0,
                 array: "a".into(),
                 iv,
                 data: Bytes::from(vec![i as u8; bs as usize]),
             });
-            acts.append(&mut rel);
             for a in &acts {
                 if let Action::Io(IoCmd::Write { array, block, .. }) = a {
                     pending_spills.push((array.clone(), *block));
@@ -195,13 +177,7 @@ fn logged_reads_fifo_served() {
         });
         assert!(acts.is_empty());
     }
-    st.handle_client(ClientMsg::WriteReq {
-        req: 100,
-        client: 0,
-        array: "a".into(),
-        iv: Interval::new(0, 32),
-    });
-    let acts = st.handle_client(ClientMsg::ReleaseWrite {
+    let acts = st.handle_client(ClientMsg::Write {
         req: 101,
         client: 0,
         array: "a".into(),
@@ -338,11 +314,11 @@ proptest! {
         for (req, n) in answered.iter().enumerate() {
             prop_assert_eq!(*n, 1, "request {} answered {} times", req, n);
         }
-        // Ledger clean: no pins, no write grants, no loading/spilling block,
+        // Ledger clean: no pins, no loading/spilling block,
         // no parked waiter, nothing unevictable.
         prop_assert!(
             st.is_quiescent(),
-            "node not quiescent after fault interleaving (leaked pin/grant/loading state)"
+            "node not quiescent after fault interleaving (leaked pin/loading state)"
         );
     }
 }
