@@ -4,8 +4,8 @@
 //!
 //! * [`model`] — an explicit-state model checker over the
 //!   *real* storage node (`storage::node::StorageState`): it enumerates
-//!   every interleaving of a few scripted clients, I/O completions and
-//!   failures, and recovery ticks against one node, checking the protocol
+//!   every interleaving of a few scripted clients and I/O completions and
+//!   failures against one node, checking the protocol
 //!   invariants on every reachable state. The node's own seeded bugs
 //!   (`SeededBugs`) prove the checker catches violations. Run via
 //!   `cargo test -p dooc-check --test model_checker`.

@@ -13,13 +13,15 @@
 //!   scratch disk they write to.
 //!
 //! A step is one of: an unparked client sends its next message; one
-//! outstanding I/O command completes or fails; the recovery clock ticks
-//! (whenever `needs_tick()`). Every transition is the node's own handler —
+//! outstanding I/O command completes or fails. A failure is the I/O
+//! filter's final answer (it retries a read before it answers), and with
+//! one node no fetch can stall, so the node's clock never runs and is not a
+//! step. Every transition is the node's own handler —
 //! nothing here decides what the node does — so the checker cannot drift
 //! from the code it checks. States are deduplicated by the node's
 //! `fingerprint()` and the model's own fields.
 //!
-//! Invariants, read off the replies, `debug_block` and `needs_tick`:
+//! Invariants, read off the replies, `debug_block` and the outstanding I/O:
 //!
 //! * `negative-refcount` — the node never holds fewer pins on a block than
 //!   read pins its clients hold (a release would underflow);
@@ -36,7 +38,7 @@
 //!   every block is one a client saw sealed and `debug_block` reports in
 //!   memory;
 //! * `parked-read-progresses` — a read parked on a block that must come from
-//!   disk has that read in flight or a retry armed;
+//!   disk has that read in flight;
 //! * `checked-dies-with-residency` — a read is served with the checked mark
 //!   only if a client released the block as checked after the block's last
 //!   install (its seal or a load): the mark never outlives the bytes.
@@ -48,7 +50,7 @@
 use bytes::Bytes;
 use dooc_storage::node::{Action, SeededBugs};
 use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, Reply};
-use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageError, StorageState};
+use dooc_storage::{ArrayMeta, Interval, NodeConfig, StorageError, StorageState};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -240,7 +242,6 @@ impl Model {
             nnodes: 1,
             memory_budget: BLOCK,
             seed: 1,
-            recovery: RecoveryPolicy::default(),
         };
         let mut node = StorageState::new(cfg, Vec::new());
         node.set_seeded_bugs(self.bugs);
@@ -449,12 +450,6 @@ impl Model {
                 out.push((format!("io: {:?} {verb}", s.io[i]), next, outcome));
             }
         }
-        if s.node.needs_tick() {
-            let mut next = s.clone();
-            let acts = next.node.on_tick();
-            let outcome = self.absorb(&mut next, acts);
-            out.push(("node: tick".to_string(), next, outcome));
-        }
         out
     }
 
@@ -486,7 +481,7 @@ impl Model {
             if parked_reader && sealed && resident {
                 return Some("reads-answered");
             }
-            if parked_reader && sealed && on_disk && !io_on(false) && !s.node.needs_tick() {
+            if parked_reader && sealed && on_disk && !io_on(false) {
                 return Some("parked-read-progresses");
             }
         }
@@ -511,8 +506,7 @@ pub struct ExploreStats {
     pub states: usize,
     /// Steps taken (including ones leading to already-seen states).
     pub transitions: usize,
-    /// Quiescent states: every script done, no I/O outstanding, no tick
-    /// due.
+    /// Quiescent states: every script done, no I/O outstanding.
     pub terminals: usize,
     /// Quiescent states in which some client's write had been refused.
     pub refused: usize,

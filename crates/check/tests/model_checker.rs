@@ -17,7 +17,10 @@ fn clean(model: &Model) -> ExploreStats {
 
 /// `(states, transitions, terminals)`: the explored space, pinned per
 /// scenario so a change to the node's state representation that merges or
-/// splits states shows up as a moved count, not as a silent pass.
+/// splits states shows up as a moved count, not as a silent pass. The
+/// counts last fell when a failed read became final: the I/O filter retries
+/// it before it answers, so the node has no backoff states and the checker
+/// no tick step.
 fn space(stats: &ExploreStats) -> (usize, usize, usize) {
     (stats.states, stats.transitions, stats.terminals)
 }
@@ -41,7 +44,7 @@ fn faithful_protocol_has_no_violations() {
     // Two writers, two readers of each block, one eviction at any point, and
     // every I/O completing or failing: a nontrivial space, fully covered.
     let stats = clean(&Model::standard(SeededBugs::default()));
-    assert_eq!(space(&stats), (25_121, 52_399, 1_292), "{stats:?}");
+    assert_eq!(space(&stats), (6_191, 14_577, 342), "{stats:?}");
     assert_eq!(stats.refused, 0, "{stats:?}");
     // Block 0 is released as checked: some runs read it back marked, and
     // some — an eviction and reload in between, or a read before the mark —
@@ -67,7 +70,7 @@ fn faithful_resident_protocol_has_no_violations() {
     // Repeated Resident queries race writes, seals, reads, spills, evictions
     // and reloads; every answer matches what the node holds at that moment.
     let stats = clean(&Model::resident_protocol(SeededBugs::default()));
-    assert_eq!(space(&stats), (706, 1_679, 32), "{stats:?}");
+    assert_eq!(space(&stats), (457, 1_124, 22), "{stats:?}");
     // Both answers were checked: some runs see the array listed, some never.
     assert!(
         0 < stats.listed && stats.listed < stats.terminals,
@@ -113,7 +116,7 @@ fn faithful_demote_protocol_has_no_violations() {
     // Demotions race pins, seals, spills, loads and failures: pinned blocks
     // stay, dirty ones are written before they go, parked reads progress.
     let stats = clean(&Model::demote_protocol(SeededBugs::default()));
-    assert_eq!(space(&stats), (1_791, 2_910, 241), "{stats:?}");
+    assert_eq!(space(&stats), (810, 1_404, 99), "{stats:?}");
 }
 
 #[test]

@@ -32,7 +32,8 @@ pub struct DoocConfig {
     /// Arrays not listed default to single-block geometry derived from the
     /// task graph's byte declarations.
     pub geometry: Vec<(String, u64, u64)>,
-    /// Storage-node fault recovery: the I/O-read retry budget and backoff.
+    /// Storage fault recovery: how often each node's I/O filter retries a
+    /// failed disk read.
     /// Nothing times out: a request waits until its data exists.
     pub recovery: RecoveryPolicy,
     /// Faults injected into this run's storage I/O (empty by default). The

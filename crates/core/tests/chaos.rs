@@ -91,7 +91,6 @@ fn run_spmv(tag: &str, seed: u64, schedule: &[(Site, FaultSpec)]) -> (Vec<f64>, 
         // Generous retry budget: five failures of one read in a row still
         // recover, so no storm capped at five injections can fail a run.
         io_retry_max: 5,
-        io_retry_backoff_ticks: 1,
     });
     for (name, len, bs) in geometry {
         cfg = cfg.with_geometry(name, len, bs);

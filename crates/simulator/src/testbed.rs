@@ -21,7 +21,7 @@
 //!   sender's and receiver's InfiniBand NICs; control messages take no time;
 //! * a task's compute is a timer of `flops/node_flops` or `bytes/sum_bw`
 //!   seconds;
-//! * a storage node's recovery clock ticks every 2 ms of virtual time while
+//! * a storage node's stall clock ticks every 2 ms of virtual time while
 //!   it asks for one, as the storage filter polls it;
 //! * per-(node, iteration) lognormal bandwidth jitter models the "noticeable
 //!   variation in read bandwidth observed by individual compute nodes" of
@@ -41,7 +41,7 @@ use dooc_scheduler::{
 use dooc_sparse::blockgrid::{BlockCoord, BlockGrid};
 use dooc_storage::node::{Action, DiscoveredBlock};
 use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, PeerMsg, Reply};
-use dooc_storage::{ArrayMeta, Interval, NodeConfig, RecoveryPolicy, StorageState};
+use dooc_storage::{ArrayMeta, Interval, NodeConfig, StorageState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -223,7 +223,7 @@ impl TestbedResult {
 /// block it names, a fetched block's flow its payload times `BYTE_SCALE`.
 const BYTE_SCALE: u64 = 4096;
 
-/// Period of a storage node's recovery clock while it asks for one: the
+/// Period of a storage node's stall clock while it asks for one: the
 /// storage filter's 2 ms poll while `StorageState::needs_tick`.
 const TICK_S: f64 = 0.002;
 
@@ -235,7 +235,7 @@ enum Pending {
     Peer { to: usize, msg: PeerMsg },
     /// `node`'s worker finished the compute of its task's current step.
     Compute { node: usize },
-    /// `node`'s storage recovery tick.
+    /// `node`'s storage stall-clock tick.
     Tick { node: usize },
 }
 
@@ -354,7 +354,6 @@ fn replay(params: &TestbedParams, policy: PolicyKind, scale: u64) -> TestbedResu
                 nnodes,
                 memory_budget: params.memory_budget / scale,
                 seed: params.seed.wrapping_add(n),
-                recovery: RecoveryPolicy::default(),
             };
             VNode {
                 storage: StorageState::new(cfg, discovered),

@@ -8,8 +8,8 @@
 //! [`StorageCluster::attach_clients`], which assigns each declaration a
 //! contiguous global client-id range used as the reply address space.
 
-use crate::filterimpl::{ports, ClientPortMap, IoFilter, StorageFilter};
-use crate::node::{NodeConfig, RecoveryPolicy};
+use crate::filterimpl::{ports, ClientPortMap, IoFilter, RecoveryPolicy, StorageFilter};
+use crate::node::NodeConfig;
 use crate::pool::BlockPool;
 use dooc_filterstream::{Delivery, FaultPlan, FilterId, Layout, NodeId};
 use dooc_sync::Mutex;
@@ -56,8 +56,8 @@ impl StorageCluster {
     }
 
     /// Like [`StorageCluster::build`] but with an explicit fault-recovery
-    /// policy (the I/O-read retry budget and backoff) applied to every node,
-    /// and the run's `faults` injected at every node's I/O filter.
+    /// policy (the I/O-read retry budget) applied by every node's I/O
+    /// filter, and the run's `faults` injected there.
     pub fn build_with(
         layout: &mut Layout,
         scratch_dirs: Vec<PathBuf>,
@@ -79,7 +79,6 @@ impl StorageCluster {
                 nnodes: nnodes as u64,
                 memory_budget,
                 seed: seed.wrapping_add(i as u64),
-                recovery: recovery.clone(),
             };
             // Snapshot the port map at spawn time (attach_clients must run
             // before Runtime::run, which is guaranteed since both consume
@@ -98,8 +97,11 @@ impl StorageCluster {
         let io_pools = pools.clone();
         let io = layout.add_replicated("io", nodes, move |i| {
             Box::new(
-                IoFilter::new(dirs[i].clone(), io_pools[i].clone())
-                    .with_faults(NodeId(i), faults.clone()),
+                IoFilter::new(dirs[i].clone(), io_pools[i].clone()).with_faults(
+                    NodeId(i),
+                    faults.clone(),
+                    recovery.clone(),
+                ),
             )
         });
 

@@ -11,12 +11,13 @@
 //! completely asynchronous".
 
 use crate::meta::ArrayMeta;
-use crate::node::{Action, DiscoveredBlock, NodeConfig, StorageState};
+use crate::node::{storage_obs, Action, DiscoveredBlock, NodeConfig, StorageState};
 use crate::pool::BlockPool;
 use crate::proto::{ClientMsg, IoCmd, IoReply, PeerMsg};
 use bytes::Bytes;
 use dooc_filterstream::stream::{SelectEvent, SelectOutcome, StreamSet};
 use dooc_filterstream::{Fault, FaultPlan, Filter, FilterContext, NodeId, Site};
+use dooc_obs::Category;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -121,9 +122,8 @@ impl Filter for StorageFilter {
             ctx.take_input(ports::IO_IN)?,
         ]);
         loop {
-            // While the recovery clock has work (stalled fetches, read
-            // retries in backoff), poll with a short timeout and advance it
-            // on each tick.
+            // While a fetch is stalled, poll with a short timeout and
+            // re-probe on each tick.
             let timeout = state
                 .needs_tick()
                 .then(|| std::time::Duration::from_millis(2));
@@ -197,6 +197,24 @@ fn meta_path(scratch: &Path, array: &str) -> PathBuf {
     scratch.join(format!("{array}{SEP}meta"))
 }
 
+/// How hard the I/O filter retries a failed disk read before it answers
+/// with the failure. Peer fetches have no knobs: a fetch may legitimately
+/// wait forever for a producer task that has not run yet, and the streams
+/// that carry probes and answers neither lose nor reorder them.
+#[derive(Clone, Debug)]
+pub struct RecoveryPolicy {
+    /// How many times a failed *read* is tried again before the storage
+    /// node's waiters get [`crate::StorageError::IoFailed`]. 0 disables
+    /// retries.
+    pub io_retry_max: u32,
+}
+
+impl Default for RecoveryPolicy {
+    fn default() -> Self {
+        Self { io_retry_max: 2 }
+    }
+}
+
 /// The per-node I/O filter: executes filesystem commands for its storage
 /// filter until the command stream closes.
 pub struct IoFilter {
@@ -206,9 +224,11 @@ pub struct IoFilter {
     /// Arrays whose geometry sidecar this filter has already written (or
     /// found in place): later spills of the array skip the probe.
     sidecars: std::collections::HashSet<String>,
-    /// The node this filter serves, and the run's faults at its sites.
+    /// The node this filter serves, the run's faults at its sites, and how
+    /// often a failed read is tried again.
     node: NodeId,
     faults: FaultPlan,
+    recovery: RecoveryPolicy,
 }
 
 impl IoFilter {
@@ -221,51 +241,35 @@ impl IoFilter {
             sidecars: std::collections::HashSet::new(),
             node: NodeId(0),
             faults: FaultPlan::default(),
+            recovery: RecoveryPolicy::default(),
         }
     }
 
-    /// The same filter, serving `node` and injecting `faults` at
-    /// [`Site::IoRead`] and [`Site::IoWrite`].
-    pub fn with_faults(mut self, node: NodeId, faults: FaultPlan) -> Self {
+    /// The same filter, serving `node`, injecting `faults` at
+    /// [`Site::IoRead`] and [`Site::IoWrite`], and retrying a failed read as
+    /// `recovery` says.
+    pub fn with_faults(
+        mut self,
+        node: NodeId,
+        faults: FaultPlan,
+        recovery: RecoveryPolicy,
+    ) -> Self {
         self.node = node;
         self.faults = faults;
+        self.recovery = recovery;
         self
     }
 
+    /// Runs one command to its one answer. A write or a delete is tried
+    /// once.
     fn exec(&mut self, cmd: IoCmd) -> IoReply {
-        // An injected error reports the command as failed without touching
-        // the disk (the storage node's retry policy takes over); an injected
-        // delay models a slow device.
-        let site = match &cmd {
-            IoCmd::Read { .. } => Site::IoRead,
-            IoCmd::Write { .. } | IoCmd::DeleteFiles { .. } => Site::IoWrite,
-        };
-        match self.faults.at(self.node, site) {
-            Some(Fault::Delay(ms)) => {
-                std::thread::sleep(std::time::Duration::from_millis(ms));
-            }
-            Some(Fault::Error) => {
-                let (array, block) = match cmd {
-                    IoCmd::Read { array, block, .. } | IoCmd::Write { array, block, .. } => {
-                        (array, block)
-                    }
-                    IoCmd::DeleteFiles { array, .. } => (array, u64::MAX),
-                };
-                return IoReply::Error {
-                    array,
-                    block,
-                    message: format!("injected fault at {site}"),
-                };
-            }
-            None => {}
-        }
         match cmd {
-            IoCmd::Read { array, block, len } => match self.read_block(&array, block, len) {
+            IoCmd::Read { array, block, len } => match self.read_retrying(&array, block, len) {
                 Ok(data) => IoReply::ReadDone { array, block, data },
-                Err(e) => IoReply::Error {
+                Err(message) => IoReply::Error {
                     array,
                     block,
-                    message: e.to_string(),
+                    message,
                 },
             },
             IoCmd::Write {
@@ -274,30 +278,85 @@ impl IoFilter {
                 len,
                 block_size,
                 data,
-            } => match self.write_block(&array, block, len, block_size, &data) {
-                Ok(bytes) => IoReply::WriteDone {
-                    array,
-                    block,
-                    bytes,
-                },
-                Err(e) => IoReply::Error {
-                    array,
-                    block,
-                    message: e.to_string(),
-                },
-            },
-            IoCmd::DeleteFiles { array, nblocks } => match self.delete_files(&array, nblocks) {
-                Ok(()) => IoReply::WriteDone {
-                    array,
-                    block: u64::MAX,
-                    bytes: 0,
-                },
-                Err(e) => IoReply::Error {
-                    array,
-                    block: u64::MAX,
-                    message: e.to_string(),
-                },
-            },
+            } => {
+                let written = self
+                    .fault(Site::IoWrite)
+                    .and_then(|()| self.write_block(&array, block, len, block_size, &data));
+                match written {
+                    Ok(bytes) => IoReply::WriteDone {
+                        array,
+                        block,
+                        bytes,
+                    },
+                    Err(e) => IoReply::Error {
+                        array,
+                        block,
+                        message: e.to_string(),
+                    },
+                }
+            }
+            IoCmd::DeleteFiles { array, nblocks } => {
+                let block = u64::MAX;
+                match self
+                    .fault(Site::IoWrite)
+                    .and_then(|()| self.delete_files(&array, nblocks))
+                {
+                    Ok(()) => IoReply::WriteDone {
+                        array,
+                        block,
+                        bytes: 0,
+                    },
+                    Err(e) => IoReply::Error {
+                        array,
+                        block,
+                        message: e.to_string(),
+                    },
+                }
+            }
+        }
+    }
+
+    /// Reads a block, trying up to `1 + io_retry_max` times, each try at
+    /// once: an injected fault is drawn per try, and no fault the code sees
+    /// depends on time. The final error names how many tries it took.
+    fn read_retrying(&self, array: &str, block: u64, len: u64) -> Result<Bytes, String> {
+        let max = self.recovery.io_retry_max;
+        let mut attempt = 1u64;
+        loop {
+            match self
+                .fault(Site::IoRead)
+                .and_then(|()| self.read_block(array, block, len))
+            {
+                Ok(data) => return Ok(data),
+                Err(e) if attempt > u64::from(max) => {
+                    return Err(format!("{e} ({attempt} attempts)"))
+                }
+                Err(e) => {
+                    let node = self.node.0 as i64;
+                    dooc_obs::instant_arg(Category::Fault, "storage:io_error", node, || {
+                        format!("{array}@{block}: {e} (retry {attempt}/{max})")
+                    });
+                    storage_obs().io_retries.inc();
+                    dooc_obs::instant_arg(Category::Fault, "storage:io_retry", node, || {
+                        format!("{array}@{block} re-issued")
+                    });
+                }
+            }
+            attempt += 1;
+        }
+    }
+
+    /// The run's fault at `site` for one try: an injected delay models a
+    /// slow device and the try goes on; an injected error fails the try
+    /// without touching the disk.
+    fn fault(&self, site: Site) -> std::io::Result<()> {
+        match self.faults.at(self.node, site) {
+            Some(Fault::Delay(ms)) => {
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                Ok(())
+            }
+            Some(Fault::Error) => Err(std::io::Error::other(format!("injected fault at {site}"))),
+            None => Ok(()),
         }
     }
 
@@ -471,12 +530,144 @@ pub fn scan_scratch(dir: &Path) -> std::io::Result<Vec<DiscoveredBlock>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Reply;
+    use crate::StorageError;
+    use dooc_filterstream::FaultSpec;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dooc-io-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         std::fs::create_dir_all(&d).expect("mkdir");
         d
+    }
+
+    /// A one-node storage over `dir` with a read of `len` bytes of `array`
+    /// logged, and the load it issued.
+    fn reading(dir: &Path, array: &str, len: u64) -> (StorageState, IoCmd) {
+        let cfg = NodeConfig {
+            node: 0,
+            nnodes: 1,
+            memory_budget: 1 << 20,
+            seed: 1,
+        };
+        let mut st = StorageState::new(cfg, scan_scratch(dir).expect("scan"));
+        let acts = st.handle_client(ClientMsg::ReadReq {
+            req: 1,
+            client: 0,
+            array: array.into(),
+            iv: crate::meta::Interval::new(0, len),
+        });
+        let [Action::Io(cmd)] = &acts[..] else {
+            panic!("expected one load, got {acts:?}");
+        };
+        (st, cmd.clone())
+    }
+
+    /// An I/O filter over `dir` whose `site` misbehaves as `spec` says and
+    /// that tries a failed read `1 + io_retry_max` times, with its plan.
+    fn faulty(dir: &Path, site: Site, spec: FaultSpec, io_retry_max: u32) -> (IoFilter, FaultPlan) {
+        let faults = FaultPlan::new(0).with(site, spec);
+        let io = IoFilter::new(dir.to_path_buf(), BlockPool::new(0, 1 << 20)).with_faults(
+            NodeId(0),
+            faults.clone(),
+            RecoveryPolicy { io_retry_max },
+        );
+        (io, faults)
+    }
+
+    /// A read that fails fewer times than its retry budget allows is tried
+    /// again at once, and the node only ever sees the bytes.
+    #[test]
+    fn a_failed_read_is_tried_again_until_it_succeeds() {
+        let dir = tmpdir("retry");
+        std::fs::write(dir.join("m"), vec![6u8; 64]).expect("stage");
+        for n in 1..=3 {
+            let (mut io, faults) = faulty(&dir, Site::IoRead, FaultSpec::error().with_max(n), 3);
+            let (mut st, cmd) = reading(&dir, "m", 64);
+            let done = io.exec(cmd);
+            assert!(matches!(done, IoReply::ReadDone { .. }), "{n}: {done:?}");
+            assert_eq!(faults.injected(Site::IoRead), n);
+            let acts = st.handle_io(done);
+            assert!(
+                matches!(
+                    &acts[..],
+                    [Action::Reply {
+                        reply: Reply::ReadReady { req: 1, .. },
+                        ..
+                    }]
+                ),
+                "{n}: {acts:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A read that fails every try is one error naming how many tries it
+    /// took, and the node's waiter gets it as its final, typed answer.
+    #[test]
+    fn a_read_that_fails_every_try_is_one_error_naming_its_attempts() {
+        let dir = tmpdir("exhaust");
+        std::fs::write(dir.join("m"), vec![6u8; 64]).expect("stage");
+        for io_retry_max in [0, 2] {
+            let (mut io, faults) = faulty(&dir, Site::IoRead, FaultSpec::error(), io_retry_max);
+            let (mut st, cmd) = reading(&dir, "m", 64);
+            let attempts = format!("({} attempts)", io_retry_max + 1);
+            let failed = io.exec(cmd);
+            assert!(
+                matches!(&failed, IoReply::Error { message, .. } if message.ends_with(&attempts)),
+                "{failed:?}"
+            );
+            assert_eq!(faults.injected(Site::IoRead), u64::from(io_retry_max) + 1);
+            match &st.handle_io(failed)[..] {
+                [Action::Reply {
+                    reply:
+                        Reply::Err {
+                            req: 1,
+                            error: StorageError::IoFailed(m),
+                        },
+                    ..
+                }] => assert!(m.contains(&attempts), "attempt count in '{m}'"),
+                other => panic!("expected IoFailed, got {other:?}"),
+            }
+            assert!(st.is_quiescent(), "no read left in flight");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write and a delete are tried once, whatever the read budget: their
+    /// error goes straight back to the node.
+    #[test]
+    fn a_failed_write_or_delete_is_tried_once() {
+        let dir = tmpdir("wfail");
+        let (mut io, faults) = faulty(&dir, Site::IoWrite, FaultSpec::error(), 2);
+        let wrote = io.exec(IoCmd::Write {
+            array: "a".into(),
+            block: 0,
+            len: 8,
+            block_size: 8,
+            data: Bytes::from_static(&[1; 8]),
+        });
+        assert!(
+            matches!(&wrote, IoReply::Error { message, .. } if message == "injected fault at storage.io.write"),
+            "{wrote:?}"
+        );
+        assert_eq!(faults.injected(Site::IoWrite), 1);
+        let deleted = io.exec(IoCmd::DeleteFiles {
+            array: "a".into(),
+            nblocks: 1,
+        });
+        assert!(
+            matches!(
+                deleted,
+                IoReply::Error {
+                    block: u64::MAX,
+                    ..
+                }
+            ),
+            "{deleted:?}"
+        );
+        assert_eq!(faults.injected(Site::IoWrite), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -521,28 +712,10 @@ mod tests {
     /// reader's `ReadReady` lends — one allocation, never copied.
     #[test]
     fn block_read_from_disk_reaches_the_reader_in_the_buffer_it_was_read_into() {
-        use crate::node::Action;
-        use crate::proto::Reply;
         let dir = tmpdir("ptr");
         std::fs::write(dir.join("A_0_0.crs"), vec![9u8; 4096]).expect("stage");
         let mut io = IoFilter::new(dir.clone(), BlockPool::new(0, 1 << 20));
-        let cfg = NodeConfig {
-            node: 0,
-            nnodes: 1,
-            memory_budget: 1 << 20,
-            seed: 1,
-            recovery: Default::default(),
-        };
-        let mut st = StorageState::new(cfg, scan_scratch(&dir).expect("scan"));
-        let acts = st.handle_client(ClientMsg::ReadReq {
-            req: 1,
-            client: 0,
-            array: "A_0_0.crs".into(),
-            iv: crate::meta::Interval::new(0, 4096),
-        });
-        let [Action::Io(cmd)] = &acts[..] else {
-            panic!("expected one load, got {acts:?}");
-        };
+        let (mut st, cmd) = reading(&dir, "A_0_0.crs", 4096);
         let cmd = IoCmd::decode(&cmd.encode()).expect("cmd crosses the stream");
         let done = io.exec(cmd);
         let IoReply::ReadDone {
@@ -662,15 +835,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An injected `storage.io.read` fault fails the command before a buffer
+    /// An injected `storage.io.read` fault fails each try before a buffer
     /// is taken, so there is none to give back.
     #[test]
     fn injected_read_fault_takes_no_buffer() {
-        use dooc_filterstream::FaultSpec;
         let dir = tmpdir("fault");
         let (pool, cap) = seeded_pool(8192);
         let faults = FaultPlan::new(0).with(Site::IoRead, FaultSpec::error());
-        let mut io = IoFilter::new(dir.clone(), pool.clone()).with_faults(NodeId(0), faults);
+        let mut io = IoFilter::new(dir.clone(), pool.clone()).with_faults(
+            NodeId(0),
+            faults,
+            RecoveryPolicy::default(),
+        );
         std::fs::write(dir.join("a@0"), vec![5u8; 8000]).expect("block");
         let reply = io.exec(IoCmd::Read {
             array: "a".into(),

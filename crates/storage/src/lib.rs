@@ -53,8 +53,9 @@ pub mod proto;
 
 pub use client::{ReadGuard, ReadTicket, SealTicket, StorageClient, Ticket};
 pub use cluster::StorageCluster;
+pub use filterimpl::RecoveryPolicy;
 pub use meta::{ArrayMeta, Interval};
-pub use node::{NodeConfig, RecoveryPolicy, StorageState};
+pub use node::{NodeConfig, StorageState};
 pub use pool::{BlockPool, PoolBuf};
 
 /// Errors surfaced by the storage layer.
@@ -80,10 +81,10 @@ pub enum StorageError {
     Io(String),
     /// Internal protocol violation (malformed message, unknown request id).
     Protocol(String),
-    /// An out-of-core read failed even after the node's bounded retry
-    /// policy was exhausted (or retries were disabled). Unlike [`Self::Io`]
-    /// — which reports a single filesystem error verbatim — this is the
-    /// storage node's final verdict on a block it could not produce.
+    /// An out-of-core read failed even after the I/O filter's bounded
+    /// retries were exhausted (or retries were disabled). Unlike
+    /// [`Self::Io`] — which reports a single filesystem error verbatim —
+    /// this is the final verdict on a block the node could not produce.
     IoFailed(String),
 }
 

@@ -104,7 +104,9 @@ impl StorageState {
 
     /// Begins (or joins) a remote fetch of `array`'s block containing
     /// `offset`. `block` is this node's best guess of the block index (0 if
-    /// geometry unknown — re-keyed on reply).
+    /// geometry unknown — re-keyed on reply). A node with no peer fetches
+    /// nothing: its reads stay logged until a local `Create` and write
+    /// serve them.
     pub(super) fn start_fetch(
         &mut self,
         array: String,
@@ -112,6 +114,9 @@ impl StorageState {
         offset: u64,
         out: &mut Vec<Action>,
     ) {
+        if self.cfg.nnodes == 1 {
+            return;
+        }
         let Some(ainfo) = self.arrays.get_mut(&array) else {
             return; // callers register the array first; a miss is a no-op
         };
@@ -124,7 +129,7 @@ impl StorageState {
         let me = self.cfg.node;
         let peer = loop {
             let p = self.rng.gen_range(0..self.cfg.nnodes);
-            if p != me || self.cfg.nnodes == 1 {
+            if p != me {
                 break p;
             }
         };
@@ -374,10 +379,25 @@ mod tests {
         probe(&st.handle_peer(PeerMsg::FetchNotFound { req }));
         let acts = st.handle_peer(PeerMsg::FetchNotFound { req });
         assert!(acts.is_empty(), "no error: fetch stalls ({acts:?})");
-        assert!(st.has_stalled_fetches());
+        assert!(st.needs_tick());
         // A tick restarts the probe cycle.
         probe(&st.on_tick());
-        assert!(!st.has_stalled_fetches());
+        assert!(!st.needs_tick());
+    }
+
+    /// A one-node cluster has no peer to ask: a read of a name not yet
+    /// created stays logged, with nothing sent and no clock to run, until
+    /// the local `Create` and write serve it.
+    #[test]
+    fn a_lone_node_logs_a_read_of_an_uncreated_name_until_its_write() {
+        let mut st = node(1);
+        let acts = read(&mut st, 1, 0, "later", Interval::new(8, 8));
+        assert!(acts.is_empty(), "no fetch, not even to itself: {acts:?}");
+        assert!(!st.needs_tick());
+        create(&mut st, "later", 32, 32);
+        let acts = write_all(&mut st, "later", Interval::new(0, 32), 4);
+        assert_eq!(&read_data(&acts, 1).expect("served")[..], &[4u8; 8]);
+        assert!(!st.needs_tick());
     }
 
     #[test]
@@ -608,7 +628,7 @@ mod tests {
         let (_, req, _) = probe(&read(&mut st, 1, 0, "x", Interval::new(4, 8)));
         assert!(read(&mut st, 2, 0, "x", Interval::new(28, 8)).is_empty());
         assert!(st.handle_peer(PeerMsg::FetchNotFound { req }).is_empty());
-        assert!(st.has_stalled_fetches());
+        assert!(st.needs_tick());
         let acts = st.handle_client(ClientMsg::Create {
             req: 9,
             client: 0,
@@ -625,7 +645,7 @@ mod tests {
         )));
         assert_eq!(layout(&st, "x"), BTreeMap::from([(0, vec![(1, 4)])]));
         assert!(st.on_tick().is_empty());
-        assert!(!st.has_stalled_fetches());
+        assert!(!st.needs_tick());
         let acts = write_all(&mut st, "x", Interval::new(0, 32), 5);
         assert_eq!(&read_data(&acts, 1).expect("served")[..], &[5u8; 8]);
     }

@@ -29,23 +29,21 @@
 //! * this file — the node's state and its four entry points
 //!   ([`StorageState::handle_client`], [`StorageState::handle_peer`],
 //!   [`StorageState::handle_io`], [`StorageState::on_tick`]), array
-//!   creation, the availability map and array deletion;
+//!   creation, the availability map, array deletion, and what a failed
+//!   I/O command answers (the I/O filter has already retried a read, so
+//!   its error is final);
 //! * `grants` — the block's one write, read pins, logged reads;
 //! * `residency` — what a block costs in memory (`BlockMem`), the budget,
 //!   the LRU with its cold region for demoted blocks, and the only two ways
 //!   a block leaves memory: `evict_block` and `spill_block`;
-//! * `fetch` — peer lookup: serving and issuing probes, stalls,
-//!   and resolving placeholder geometry;
-//! * `recovery` — bounded retry with backoff for failed reads.
+//! * `fetch` — peer lookup: serving and issuing probes, stalls (the one
+//!   job of the `on_tick` clock), and resolving placeholder geometry.
 
 mod fetch;
 mod grants;
-mod recovery;
 mod residency;
 #[cfg(test)]
 mod testkit;
-
-pub use recovery::RecoveryPolicy;
 
 use crate::meta::ArrayMeta;
 use crate::proto::{ClientMsg, IoCmd, IoReply, NodeStats, PeerMsg, Reply};
@@ -55,7 +53,6 @@ use dooc_obs::metrics::{counter, Counter};
 use fetch::FetchState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recovery::IoRetry;
 use residency::{BlockMem, LruKey};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::OnceLock;
@@ -63,7 +60,7 @@ use std::sync::OnceLock;
 /// Storage-layer metric handles, resolved once. Forced in
 /// [`StorageState::new`] so every counter appears (zeroed) in metric dumps
 /// even before its first event.
-struct StorageObs {
+pub(crate) struct StorageObs {
     bytes_loaded: &'static Counter,
     blocks_loaded: &'static Counter,
     blocks_evicted: &'static Counter,
@@ -72,12 +69,13 @@ struct StorageObs {
     blocks_demoted: &'static Counter,
     read_hits: &'static Counter,
     read_misses: &'static Counter,
-    io_retries: &'static Counter,
+    /// Read retries, counted by the I/O filter.
+    pub(crate) io_retries: &'static Counter,
     fetch_retries: &'static Counter,
     dead_bytes_dropped: &'static Counter,
 }
 
-fn storage_obs() -> &'static StorageObs {
+pub(crate) fn storage_obs() -> &'static StorageObs {
     static O: OnceLock<StorageObs> = OnceLock::new();
     O.get_or_init(|| StorageObs {
         bytes_loaded: counter("storage.bytes_loaded"),
@@ -105,8 +103,6 @@ pub struct NodeConfig {
     pub memory_budget: u64,
     /// Seed for random peer selection.
     pub seed: u64,
-    /// Retry policy for failed out-of-core reads.
-    pub recovery: RecoveryPolicy,
 }
 
 /// Side effect requested by a handler.
@@ -266,13 +262,6 @@ pub struct StorageState {
     /// next tick ("replies back when all the relevant information becomes
     /// available" — the information may simply not exist *yet*).
     stalled: Vec<(String, u64, u64)>,
-    /// Monotonic tick counter ([`Self::on_tick`]); the clock read-retry
-    /// backoff is measured against.
-    tick: u64,
-    /// Failed out-of-core reads awaiting their backoff tick.
-    io_retry: Vec<IoRetry>,
-    /// Read-retry attempts already spent per block.
-    io_attempts: HashMap<(String, u64), u32>,
     /// This node's clients are quiescent (local Shutdown consumed).
     local_done: bool,
     /// Number of peers that sent a `Bye`.
@@ -304,9 +293,6 @@ impl StorageState {
             stats: NodeStats::default(),
             rng,
             stalled: Vec::new(),
-            tick: 0,
-            io_retry: Vec::new(),
-            io_attempts: HashMap::new(),
             local_done: false,
             byes: 0,
             seeded_bugs: SeededBugs::default(),
@@ -366,9 +352,6 @@ impl StorageState {
             stats,
             rng,
             stalled,
-            tick,
-            io_retry,
-            io_attempts,
             local_done,
             byes,
             seeded_bugs: _,
@@ -395,8 +378,7 @@ impl StorageState {
         deleted.hash(&mut h);
         (lru, clock, next_fetch_req, resident, pinned_now).hash(&mut h);
         (stats, sorted(fetches), rng.clone().next_u64()).hash(&mut h);
-        (stalled, tick, io_retry, local_done, byes).hash(&mut h);
-        sorted(io_attempts).hash(&mut h);
+        (stalled, local_done, byes).hash(&mut h);
         h.finish()
     }
 
@@ -427,22 +409,13 @@ impl StorageState {
         self.local_done && self.byes == self.cfg.nnodes.saturating_sub(1)
     }
 
-    /// Are any remote fetches stalled awaiting a retry?
-    pub fn has_stalled_fetches(&self) -> bool {
-        !self.stalled.is_empty()
-    }
-
     /// Is the ledger clean? True when no block is pinned, no reader or peer
-    /// waits, no load, spill, persist, fetch or read retry is in flight, the
+    /// waits, no load, spill, persist or fetch is in flight, the
     /// node has not shut down, and every sealed byte is on the local disk —
     /// the state a node returns to once every request it took has been
     /// answered and released.
     pub fn is_quiescent(&self) -> bool {
-        if !self.fetches.is_empty()
-            || !self.stalled.is_empty()
-            || !self.io_retry.is_empty()
-            || self.local_done
-        {
+        if !self.fetches.is_empty() || !self.stalled.is_empty() || self.local_done {
             return false;
         }
         self.arrays.values().all(|a| {
@@ -460,21 +433,17 @@ impl StorageState {
     }
 
     /// Does the state machine need periodic [`Self::on_tick`] calls right
-    /// now? True while fetches are stalled or failed reads await their
-    /// backoff tick.
+    /// now? True while fetches are stalled.
     pub fn needs_tick(&self) -> bool {
-        !self.stalled.is_empty() || !self.io_retry.is_empty()
+        !self.stalled.is_empty()
     }
 
-    /// One step of the recovery clock. Retries every stalled fetch with a
-    /// fresh random probe cycle and re-issues failed reads whose backoff
-    /// expired. Called periodically by the storage filter while
-    /// [`Self::needs_tick`].
+    /// One step of the stall clock: retries every stalled fetch with a
+    /// fresh random probe cycle. Called periodically by the storage filter
+    /// while [`Self::needs_tick`].
     pub fn on_tick(&mut self) -> Vec<Action> {
-        self.tick += 1;
         let mut out = Vec::new();
         self.retry_stalled(&mut out);
-        self.reissue_due_reads(&mut out);
         out
     }
 
@@ -714,7 +683,6 @@ impl StorageState {
                 self.stats.disk_read_bytes += data.len() as u64;
                 storage_obs().bytes_loaded.add(data.len() as u64);
                 storage_obs().blocks_loaded.inc();
-                self.io_attempts.remove(&(array.clone(), block));
                 self.install_sealed(&array, block, data, &mut out);
             }
             IoReply::WriteDone {
@@ -729,6 +697,44 @@ impl StorageState {
             } => self.io_error(array, block, message, &mut out),
         }
         out
+    }
+
+    /// The I/O filter's final answer that a command failed. A failed load
+    /// fails its waiters with [`StorageError::IoFailed`] and its peers'
+    /// fetches with `FetchNotFound`. A failed write (spill or persist) is
+    /// not retried — the block is still resident, so nothing was lost —
+    /// but a persist awaiting the block fails instead of hanging.
+    fn io_error(&mut self, array: String, block: u64, message: String, out: &mut Vec<Action>) {
+        let Some(ainfo) = self.arrays.get_mut(&array) else {
+            return; // deleted while in flight (also covers DeleteFiles errors)
+        };
+        let Some(info) = ainfo.blocks.get_mut(&block) else {
+            return;
+        };
+        if info.loading {
+            info.loading = false;
+            for w in info.read_waiters.drain(..) {
+                let m = format!("{array}@{block}: {message}");
+                Self::err(w.client, w.req, StorageError::IoFailed(m), out);
+            }
+            for (req, node) in info.peer_waiters.drain(..) {
+                out.push(Action::Peer {
+                    node,
+                    msg: PeerMsg::FetchNotFound { req },
+                });
+            }
+            return;
+        }
+        info.spilling = false;
+        info.evict_after_spill = false;
+        if let Some((req, client, awaited)) = ainfo.persist.take() {
+            if awaited.contains(&block) {
+                let m = format!("persist of {array}@{block}: {message}");
+                Self::err(client, req, StorageError::Io(m), out);
+            } else {
+                ainfo.persist = Some((req, client, awaited));
+            }
+        }
     }
 }
 
@@ -950,6 +956,40 @@ mod tests {
         assert!(st.ready_to_exit());
         // Idempotent quiescence.
         assert!(st.force_local_done().is_empty());
+    }
+
+    #[test]
+    fn spill_error_fails_pending_persist() {
+        let mut st = state(1 << 20);
+        create(&mut st, "p", 32, 32);
+        write_all(&mut st, "p", Interval::new(0, 32), 3);
+        let acts = st.handle_client(ClientMsg::Persist {
+            req: 9,
+            client: 1,
+            array: "p".into(),
+        });
+        assert!(
+            matches!(&acts[..], [Action::Io(IoCmd::Write { .. })]),
+            "persist spills: {acts:?}"
+        );
+        let acts = st.handle_io(IoReply::Error {
+            array: "p".into(),
+            block: 0,
+            message: "disk full".into(),
+        });
+        assert!(
+            matches!(
+                &acts[..],
+                [Action::Reply {
+                    client: 1,
+                    reply: Reply::Err {
+                        req: 9,
+                        error: StorageError::Io(_)
+                    }
+                }]
+            ),
+            "persist fails instead of hanging: {acts:?}"
+        );
     }
 
     #[test]

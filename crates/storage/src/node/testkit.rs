@@ -1,7 +1,7 @@
 //! Shared helpers for the node's unit tests: build a node, drive it one
 //! message at a time, and pick replies out of the actions it returns.
 
-use super::{Action, DiscoveredBlock, NodeConfig, RecoveryPolicy, StorageState};
+use super::{Action, DiscoveredBlock, NodeConfig, StorageState};
 use crate::meta::{ArrayMeta, Interval};
 use crate::proto::{ClientMsg, Reply};
 use crate::StorageError;
@@ -13,13 +13,6 @@ pub(super) fn cfg(node: u64, nnodes: u64, budget: u64) -> NodeConfig {
         nnodes,
         memory_budget: budget,
         seed: 42,
-        recovery: RecoveryPolicy {
-            // Unit tests drive the state machine message by message; retries
-            // would force every I/O-error test through the tick loop, so keep
-            // the seed behaviour unless a test opts in.
-            io_retry_max: 0,
-            ..RecoveryPolicy::default()
-        },
     }
 }
 

@@ -432,8 +432,7 @@ fn prefetch_brings_block_to_memory() {
 mod faults {
     use super::*;
     use dooc_filterstream::{FaultPlan, FaultSpec, Site};
-    use dooc_storage::node::RecoveryPolicy;
-    use dooc_storage::StorageError;
+    use dooc_storage::{RecoveryPolicy, StorageError};
     use std::time::Duration;
 
     /// [`run_cluster_in`] with an explicit recovery policy and fault plan.
@@ -479,7 +478,6 @@ mod faults {
             1 << 20,
             RecoveryPolicy {
                 io_retry_max: 0, // retries disabled: the first error is final
-                ..RecoveryPolicy::default()
             },
             faults.clone(),
             |_, sc| {

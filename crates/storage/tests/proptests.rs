@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use dooc_storage::meta::{ArrayMeta, Interval};
-use dooc_storage::node::{Action, DiscoveredBlock, NodeConfig, RecoveryPolicy, StorageState};
+use dooc_storage::node::{Action, DiscoveredBlock, NodeConfig, StorageState};
 use dooc_storage::proto::{ClientMsg, IoCmd, IoReply, Reply};
 use proptest::prelude::*;
 
@@ -13,7 +13,6 @@ fn cfg(budget: u64) -> NodeConfig {
         nnodes: 1,
         memory_budget: budget,
         seed: 7,
-        recovery: RecoveryPolicy::default(),
     }
 }
 
@@ -201,13 +200,13 @@ fn logged_reads_fifo_served() {
 }
 
 proptest! {
-    /// Fault interleavings: a script of injected disk-read failures, applied
-    /// to an arbitrary stream of out-of-core reads, never corrupts the grant
-    /// ledger. Every request terminates — `ReadReady` (then released) or a
-    /// typed [`StorageError::IoFailed`] once the retry budget is spent — and
-    /// afterwards the node is back at a quiescent point: no pinned block, no
-    /// `loading` flag stuck, no retry queued ([`StorageState::is_quiescent`]
-    /// checks exactly that ledger).
+    /// Fault interleavings: a script of disk-read failures, applied to an
+    /// arbitrary stream of out-of-core reads, never corrupts the grant
+    /// ledger. Each scripted failure is the I/O filter's final answer (it
+    /// has retried already). Every request terminates — `ReadReady` (then
+    /// released) or a typed [`StorageError::IoFailed`] — and afterwards the
+    /// node is back at a quiescent point: no pinned block, no `loading` flag
+    /// stuck ([`StorageState::is_quiescent`] checks exactly that ledger).
     #[test]
     fn injected_read_failures_preserve_ledger(
         nblocks in 1u64..4,
@@ -215,26 +214,13 @@ proptest! {
         failures in proptest::collection::vec(any::<bool>(), 1..24),
     ) {
         let bs = 64u64;
-        let recovery = RecoveryPolicy {
-            io_retry_max: 2,
-            io_retry_backoff_ticks: 1,
-        };
         let discovered: Vec<DiscoveredBlock> = (0..nblocks)
             .map(|b| DiscoveredBlock {
                 meta: ArrayMeta::new("m", nblocks * bs, bs),
                 block: b,
             })
             .collect();
-        let mut st = StorageState::new(
-            NodeConfig {
-                node: 0,
-                nnodes: 1,
-                memory_budget: 1 << 20,
-                seed: 7,
-                recovery,
-            },
-            discovered,
-        );
+        let mut st = StorageState::new(cfg(1 << 20), discovered);
 
         // The failure script decides each emitted `IoCmd::Read`'s fate.
         let mut script = failures.iter().cycle();
@@ -299,15 +285,6 @@ proptest! {
                 array: "m".into(),
                 iv: Interval::new(block * bs, bs),
             });
-            drive(&mut st, &mut queue, &mut answered, acts);
-        }
-        // Drain the recovery clock: backoff retries must either succeed or
-        // exhaust the budget — never leave the node needing ticks forever.
-        let mut ticks = 0;
-        while st.needs_tick() {
-            ticks += 1;
-            prop_assert!(ticks < 1_000, "recovery clock never quiesced");
-            let acts = st.on_tick();
             drive(&mut st, &mut queue, &mut answered, acts);
         }
 

@@ -76,10 +76,7 @@ fn run_spmv_tcp(tag: &str, seed: u64, schedule: &[(Site, FaultSpec)]) -> (Vec<f6
                 .memory_budget(2 << 20)
                 .threads_per_node(2)
                 .faults(plan.clone())
-                .recovery(RecoveryPolicy {
-                    io_retry_max: 5,
-                    io_retry_backoff_ticks: 1,
-                });
+                .recovery(RecoveryPolicy { io_retry_max: 5 });
             for (name, len, bs) in &geometry {
                 cfg = cfg.with_geometry(name.clone(), *len, *bs);
             }
